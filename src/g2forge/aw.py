@@ -44,7 +44,7 @@ from fractions import Fraction
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
     hodge_m4, inner, norm_sq, vector, vector_form, wedge
 from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
-    standard_frame, two_form_endo
+    _small, standard_frame, two_form_endo
 from .cubic import quadratic_form
 from .linalg import Matrix, SymTensor, sym_inner
 from .scalars import GaussRational, QuadExt, ScalarError, SQRT10
@@ -282,15 +282,9 @@ def comparison_form(xi: Su3Element, frame: AWFrame | None = None) -> Form:
     a = s * fr.phi_tilde - five_thirds * wedge(y, fr.Omega) + kappa * c_of(x, fr)
     p1, p7, _ = fr.g2.project3(a)
     tol = 0.0 if xi.is_exact() else 1e-9
-    if not _form_small(p1, tol) or not _form_small(p7, tol):
+    if not _small(p1, tol) or not _small(p7, tol):
         raise TypeDecompositionError("comparison form is not of pure 27 type")
     return a
-
-
-def _form_small(a: Form, tol: float) -> bool:
-    if tol == 0.0:
-        return a.is_zero()
-    return all(abs(c) <= tol for c in a.terms.values())
 
 
 def _cubic_scalar(a: Form, frame: AWFrame, tol: float = 0.0):
@@ -388,13 +382,6 @@ def r_value(y: Form, x: Form, frame: AWFrame | None = None):
     if metric_route != display:
         raise InternalConsistencyError("R display disagrees with g(Jx, I_y x)")
     return metric_route
-
-
-def intermediate_display_value(s, y: Form, x: Form, frame: AWFrame | None = None):
-    """-210 s^3 + s (39 |x|^2 + 6 |y|^2) - 8 R(y, x)."""
-    fr = frame or standard_aw_frame()
-    return (-210 * s ** 3 + s * (39 * norm_sq(x) + 6 * norm_sq(y))
-            - 8 * r_value(y, x, fr))
 
 
 def closed_display_value(xi: Su3Element, s3_coefficient: int):
@@ -824,9 +811,8 @@ def fit_block_cubic(frame: AWFrame | None = None,
     internal-inconsistency error otherwise).
     """
     fr = frame or standard_aw_frame()
-    key = ("fit_block_cubic", None if value is None else id(value))
-    if value is None and key in fr._fit_cache:
-        return fr._fit_cache[key]
+    if value is None and "fit_block_cubic" in fr._fit_cache:
+        return fr._fit_cache["fit_block_cubic"]
     fn = value if value is not None else block_tables(fr).cubic
     probes = [(1, (0, 0, 0), (0, 0, 0, 0)),
               (1, (0, 0, 0), (1, 0, 0, 0)),
@@ -856,7 +842,7 @@ def fit_block_cubic(frame: AWFrame | None = None,
                 "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R")
     result = (c1, c2, c3, c4)
     if value is None:
-        fr._fit_cache[key] = result
+        fr._fit_cache["fit_block_cubic"] = result
     return result
 
 

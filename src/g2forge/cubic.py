@@ -11,6 +11,10 @@ closed form Q2(a) below, and pairing once more with a gives the cubic
 polynomial Q.  Every scalar produced here is computed along two
 independent routes and cross-checked; a mismatch raises instead of
 returning anything.
+
+The symmetric tensor p(a1, a2) of quadratic_form is computed on its 28
+upper-triangle entries and mirrored, with one pairing per entry when
+both arguments are the same form.
 """
 
 from __future__ import annotations
@@ -35,11 +39,18 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
     if a1.grade != a2.grade or a1.grade < 1:
         raise GradeError("quadratic_form needs two forms of equal grade >= 1")
     c1 = [contract(vector(i), a1) for i in _SEVEN]
-    c2 = [contract(vector(i), a2) for i in _SEVEN]
     half = Fraction(1, 2)
-    entries = [[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
-                for j in range(7)] for i in range(7)]
-    return SymTensor(entries)
+    # the upper triangle, mirrored by from_upper
+    if a1 is a2:
+        # one pairing per entry; half * (x + x) keeps the result types
+        upper = [[half * (x + x) for x in (inner(c1[i], c1[j])
+                                           for j in range(i, 7))]
+                 for i in range(7)]
+    else:
+        c2 = [contract(vector(i), a2) for i in _SEVEN]
+        upper = [[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
+                  for j in range(i, 7)] for i in range(7)]
+    return SymTensor.from_upper(upper)
 
 
 def quadratic_form_traceless(a1: Form, a2: Form) -> SymTensor:

@@ -204,13 +204,6 @@ def wedge(a: Form, b: Form) -> Form:
     return Form(a.grade + b.grade, terms)
 
 
-def wedge_all(*forms: Form) -> Form:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 def contract(v: Form, a: Form) -> Form:
     """Interior product v ⌟ a for a vector v (grade 1)."""
     if v.grade != 1:

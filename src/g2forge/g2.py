@@ -22,20 +22,31 @@ G2-structures, math/0305124),
     P27 a = a - P1 a - P7 a,     k_j = e_j -| psi,
 
 with (psi, e_j ^ phi) in place of (phi, k_j) on grade 4; the
-dense 35 x 35 matrices of the same projectors stay available through
-projector_matrices.  The Lambda^2 splitting is derived from the minimal
-polynomial of a |-> *(phi ^ a) rather than assumed eigenvalues.
+dense 35 x 35 matrices of the same projectors are built on the first
+projector_matrices call, as the test reference.  The Lambda^2
+splitting is derived from the minimal polynomial of a |-> *(phi ^ a)
+rather than assumed eigenvalues.
+
+The two exact kernels behind the cubic run on sparse integer data
+computed once.  The b2 solve applies the inverse of a 35-row subset of
+the 49 x 35 pairing matrix (140 nonzeros, common denominator 4) as
+integer rows with one final scaling, and checks the residual on the
+sparse pairing matrix itself (112 entries, all +-1).  i^{-1} reads
+each entry S_ij = vol(b ^ (e_i -| psi) ^ e_j)/2 as a functional of 4
+(i = j) or 2 (i != j) signed coefficients of b.  Both are
+scalar-generic.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import isqrt
+from functools import cached_property
+from math import isqrt, lcm
 
 from . import exterior as ext
-from .exterior import Form, BLADES_BY_GRADE, blade, contract, hodge, inner, \
-    vector, vector_form, vol_coefficient, wedge
+from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
+    hodge, inner, merge_sign, vector, vector_form, vol_coefficient, wedge
 from .linalg import InconsistentSystemError, Matrix, SymTensor, inverse, solve_exact
 
 DIM = 7
@@ -158,28 +169,37 @@ class G2Frame:
         self._span3 = (_spanning([self.phi]), _spanning(self.kappa))
         self._span4 = (_spanning([self.psi]), _spanning(self.phi_wedges))
 
-        self._p3 = self._grade3_projectors()
-        self._p4 = self._grade4_projectors()
         self._p2, self.two_form_eigenvalues = self._grade2_projectors()
 
-        # pairing forms (e_i -| psi) ^ e_j, the kernel of the inverse
-        # isomorphism via i(S) ^ (v1 -| psi) ^ v2 = 2 g(S v1, v2) vol
-        self._chi = [[wedge(self.kappa[i], vector(j + 1)) for j in range(DIM)]
-                     for i in range(DIM)]
+        # pairing forms chi_ij = (e_i -| psi) ^ e_j, the kernel of the
+        # inverse isomorphism via i(S) ^ (v1 -| psi) ^ v2 = 2 g(S v1, v2) vol.
+        # Each has 4 blades m on the diagonal and 2 off it, so
+        # vol_coefficient(b ^ chi_ij) is the functional
+        # sum of sign(m^c, m) chi_ij[m] b[m^c] over them.
+        self._inv_functionals = [
+            [tuple((FULL_MASK ^ m, merge_sign(FULL_MASK ^ m, m) * c)
+                   for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
+             for j in range(DIM)]
+            for i in range(DIM)]
 
         self._pairing_matrix = self._build_pairing_matrix()
-        self._pairing_rows, self._pairing_inverse = self._build_pairing_solver()
+        self._pairing_sparse = _sparse_integer_rows(self._pairing_matrix)
+        self._inverse_sparse, self._inverse_scale = self._build_pairing_solver()
 
     # -- construction helpers -------------------------------------------
 
-    def _grade3_projectors(self):
+    # the dense grade-3/4 projectors are only the reference for the
+    # low-rank split, so they are built on first use
+    @cached_property
+    def _p3(self):
         n = len(BLADES_BY_GRADE[3])
         p1 = _outer_projector([self.phi], 3)
         p7 = _outer_projector(self.kappa, 3)
         p27 = Matrix.identity(n) - p1 - p7
         return p1, p7, p27
 
-    def _grade4_projectors(self):
+    @cached_property
+    def _p4(self):
         n = len(BLADES_BY_GRADE[4])
         p1 = _outer_projector([self.psi], 4)
         p7 = _outer_projector(self.phi_wedges, 4)
@@ -232,15 +252,19 @@ class G2Frame:
         return Matrix.from_rows(rows)
 
     def _build_pairing_solver(self):
+        """The inverse of an invertible 35-row subset of the pairing
+        matrix, as sparse integer rows over all 49 right-hand positions
+        and one common scale 1/d."""
         M = self._pairing_matrix
         # independent rows of M = pivot columns of M^T
-        track = list(range(M.cols))
         pivots = _echelon_pivot_columns(M.transpose())
         if len(pivots) != 35:
             raise InternalConsistencyError(
                 f"contraction pairing map has rank {len(pivots)}, expected 35")
-        sub = Matrix.from_rows([M.row(r) for r in pivots])
-        return pivots, inverse(sub)
+        inv = inverse(Matrix.from_rows([M.row(r) for r in pivots]))
+        d = lcm(*(Fraction(x).denominator for x in inv.entries))
+        rows = _sparse_integer_rows(inv * d)
+        return [[(pivots[k], c) for k, c in row] for row in rows], Fraction(1, d)
 
     # -- projections ------------------------------------------------------
 
@@ -321,8 +345,10 @@ class G2Frame:
             raise TypeDecompositionError(
                 "form has components outside the 27-dimensional summand")
         half = Fraction(1, 2)
-        entries = [[half * vol_coefficient(wedge(b, self._chi[i][j]))
-                    for j in range(DIM)] for i in range(DIM)]
+        bt = b.terms
+        # all 49 entries, so that symmetry and trace stay real checks
+        entries = [[half * sum(c * bt[m] for m, c in functional if m in bt)
+                    for functional in row] for row in self._inv_functionals]
         S = SymTensor(entries)
         if tol == 0.0 and sum(entries[i][i] for i in range(DIM)) != 0:
             raise InternalConsistencyError("recovered tensor is not traceless")
@@ -355,8 +381,11 @@ class G2Frame:
         """Solve gamma ^ (e_j -| psi) = rhs_j for gamma in Lambda^3.
 
         Takes the 7 right-hand 6-forms, solves on a cached invertible
-        row subset, then verifies every remaining equation; raises
-        InconsistentSystemError if the stack is not in the image.
+        row subset, then verifies all 49 equations; raises
+        InconsistentSystemError naming the first equation that fails if
+        the stack is not in the image.  Both steps run on sparse integer
+        rows (the inverse carries one common denominator, applied once
+        per unknown), so any scalar type goes through.
         """
         if len(rhs_blocks) != DIM:
             raise ValueError("need 7 right-hand blocks")
@@ -365,12 +394,30 @@ class G2Frame:
             if w.grade != 6:
                 raise ext.GradeError("right-hand blocks must be 6-forms")
             rhs.extend(ext.form_to_coords(w))
-        x = self._pairing_inverse.apply([rhs[r] for r in self._pairing_rows])
-        residual = self._pairing_matrix.apply(x)
-        for row, (got, want) in enumerate(zip(residual, rhs)):
-            if got != want:
+        # integer sums first: scaling by the Fraction 1/d keeps an
+        # int-only right-hand side exact (int / int would be a float)
+        scale = self._inverse_scale
+        x = [scale * sum(c * rhs[r] for r, c in row)
+             for row in self._inverse_sparse]
+        for row, (terms, want) in enumerate(zip(self._pairing_sparse, rhs)):
+            if sum(c * x[k] for k, c in terms) != want:
                 raise InconsistentSystemError(row)
         return ext.form_from_coords(3, x)
+
+
+def _sparse_integer_rows(M: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of an integer matrix as (column, int) pairs,
+    row by row."""
+    rows = []
+    for i in range(M.rows):
+        row = []
+        for k, x in enumerate(M.row(i)):
+            if x:
+                if Fraction(x).denominator != 1:
+                    raise InternalConsistencyError("matrix is not integral")
+                row.append((k, int(x)))
+        rows.append(row)
+    return rows
 
 
 def _echelon_pivot_columns(M: Matrix) -> list[int]:

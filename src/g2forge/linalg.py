@@ -1,9 +1,16 @@
 """Dense exact linear algebra: matrices, linear solves, symmetric tensors.
 
 Everything here is scalar-generic.  Entries may be ints, Fractions,
-QuadExt values or floats; elimination divides by pivots, so any field
-works.  Over floats the pivot choice switches to partial pivoting and
-zero tests get a tolerance, otherwise all comparisons are exact.
+QuadExt values or floats; elimination (Gauss-Jordan, ints promoted to
+Fraction) divides by pivots, so any field works.  Over floats the pivot
+choice switches to partial pivoting and zero tests get a tolerance,
+otherwise all comparisons are exact.
+
+SymTensor checks the symmetry of entries it is given; its own
+arithmetic (sums, differences, multiples, symmetric products) computes
+the upper triangle only and mirrors it, so those results are symmetric
+by construction and skip the check, and sym_inner is the diagonal plus
+twice the strict upper triangle.
 """
 
 from __future__ import annotations
@@ -239,10 +246,13 @@ def inverse(A: Matrix) -> Matrix:
 class SymTensor:
     """A symmetric bilinear form / symmetric endomorphism in coordinates.
 
-    Stored as a full square array; symmetry is checked at construction.
-    The optional traceless flag additionally asserts vanishing trace,
-    which is how the domain of the 27-dimensional isomorphism is
-    enforced downstream.
+    Stored as a full square array.  Entries given to the constructor are
+    checked for symmetry; the optional traceless flag additionally
+    asserts vanishing trace, which is how the domain of the
+    27-dimensional isomorphism is enforced downstream.  Tensors computed
+    here from symmetric ones (sums, multiples, symmetric products) and
+    tensors built with from_upper are symmetric by construction: only
+    the upper triangle is computed and mirrored, and no check runs.
     """
 
     __slots__ = ("n", "entries")
@@ -262,6 +272,20 @@ class SymTensor:
             raise ValueError("trace is nonzero")
 
     @classmethod
+    def from_upper(cls, upper: Sequence[Sequence]) -> "SymTensor":
+        """The symmetric tensor whose row i from the diagonal on is
+        upper[i] (n - i entries); the lower triangle is its mirror."""
+        n = len(upper)
+        for i, row in enumerate(upper):
+            if len(row) != n - i:
+                raise ValueError(f"upper row {i} needs {n - i} entries")
+        out = object.__new__(cls)
+        out.n = n
+        out.entries = [[upper[j][i - j] for j in range(i)] + list(upper[i])
+                       for i in range(n)]
+        return out
+
+    @classmethod
     def zero(cls, n: int = 7) -> "SymTensor":
         return cls([[0] * n for _ in range(n)])
 
@@ -279,8 +303,8 @@ class SymTensor:
         """Symmetric product v.w, i.e. (v w^T + w v^T)/2."""
         n = len(v)
         half = Fraction(1, 2)
-        return cls([[half * (v[i] * w[j] + v[j] * w[i]) for j in range(n)]
-                    for i in range(n)])
+        return cls.from_upper([[half * (v[i] * w[j] + v[j] * w[i])
+                                for j in range(i, n)] for i in range(n)])
 
     def at(self, i: int, j: int):
         return self.entries[i][j]
@@ -290,8 +314,8 @@ class SymTensor:
 
     def traceless_part(self) -> "SymTensor":
         t = self.trace() / self.n
-        return SymTensor([[self.entries[i][j] - (t if i == j else 0)
-                           for j in range(self.n)] for i in range(self.n)])
+        return SymTensor.from_upper([[row[i] - t] + row[i + 1:]
+                                     for i, row in enumerate(self.entries)])
 
     def apply(self, vec: Sequence) -> list:
         return [sum(row[j] * vec[j] for j in range(self.n)) for row in self.entries]
@@ -302,20 +326,24 @@ class SymTensor:
     def __add__(self, other):
         if not isinstance(other, SymTensor) or other.n != self.n:
             return NotImplemented
-        return SymTensor([[a + b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+        return SymTensor.from_upper(
+            [[x + y for x, y in zip(r1[i:], r2[i:])]
+             for i, (r1, r2) in enumerate(zip(self.entries, other.entries))])
 
     def __sub__(self, other):
         if not isinstance(other, SymTensor) or other.n != self.n:
             return NotImplemented
-        return SymTensor([[a - b for a, b in zip(r1, r2)]
-                          for r1, r2 in zip(self.entries, other.entries)])
+        return SymTensor.from_upper(
+            [[x - y for x, y in zip(r1[i:], r2[i:])]
+             for i, (r1, r2) in enumerate(zip(self.entries, other.entries))])
 
     def __neg__(self):
-        return SymTensor([[-a for a in row] for row in self.entries])
+        return SymTensor.from_upper([[-x for x in row[i:]]
+                                     for i, row in enumerate(self.entries)])
 
     def scale(self, s) -> "SymTensor":
-        return SymTensor([[s * a for a in row] for row in self.entries])
+        return SymTensor.from_upper([[s * x for x in row[i:]]
+                                     for i, row in enumerate(self.entries)])
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
@@ -341,5 +369,8 @@ def sym_inner(S1: SymTensor, S2: SymTensor):
     """tr(S1 S2), the metric pairing of symmetric 2-tensors."""
     if S1.n != S2.n:
         raise ValueError("size mismatch")
-    return sum(S1.entries[i][j] * S2.entries[i][j]
-               for i in range(S1.n) for j in range(S1.n))
+    rows = list(enumerate(zip(S1.entries, S2.entries)))
+    # the diagonal plus twice the strict upper triangle
+    return (sum(r1[i] * r2[i] for i, (r1, r2) in rows)
+            + 2 * sum(x * y for i, (r1, r2) in rows
+                      for x, y in zip(r1[i + 1:], r2[i + 1:])))

@@ -54,9 +54,6 @@ class QuadExt:
         self.rat = _as_fraction(rational)
         self.irr = _as_fraction(irrational)
 
-    def is_rational(self) -> bool:
-        return self.irr == 0
-
     @staticmethod
     def _coerce(other):
         if isinstance(other, QuadExt):

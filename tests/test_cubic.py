@@ -35,6 +35,29 @@ def test_quadratic_form_symmetric_bilinear(g2frame):
         assert quadratic_form(a1 + a3, a2) == q12 + quadratic_form(a3, a2)
 
 
+def _contractions(a):
+    return [ext.contract(vector(i), a) for i in range(1, 8)]
+
+
+def test_quadratic_form_matches_full_square():
+    # the upper triangle, mirrored, against all 49 pairings; the shortcut
+    # for a1 is a2 against an equal copy
+    rng = random.Random(8002)
+    half = Fraction(1, 2)
+    for grade in (3, 4):
+        for _ in range(3):
+            a1 = ext.Form(grade, {m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                  for m in ext.BLADES_BY_GRADE[grade]})
+            a2 = ext.Form(grade, {m: rng.randint(-4, 4)
+                                  for m in ext.BLADES_BY_GRADE[grade]})
+            c1, c2 = _contractions(a1), _contractions(a2)
+            full = SymTensor([[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
+                               for j in range(7)] for i in range(7)])
+            assert quadratic_form(a1, a2) == full
+            copy = ext.Form(grade, dict(a1.terms))
+            assert quadratic_form(a1, a1) == quadratic_form(a1, copy)
+
+
 def test_quadratic_form_grade_checks():
     with pytest.raises(ext.GradeError):
         quadratic_form(blade([1, 2]), blade([1, 2, 3]))

@@ -9,9 +9,11 @@ from g2forge import exterior as ext
 from g2forge.exterior import blade, contract, coords_of, hodge, inner, \
     norm_sq, vector, vector_form, vol_coefficient, wedge
 from g2forge.g2 import G2Frame, InconsistentSystemError, \
-    InternalConsistencyError, TypeDecompositionError, random_traceless, \
-    standard_frame, star_action, two_form_endo
-from g2forge.linalg import Matrix, SymTensor, rank, sym_inner
+    InternalConsistencyError, TypeDecompositionError, \
+    _echelon_pivot_columns, random_traceless, standard_frame, star_action, \
+    two_form_endo
+from g2forge.linalg import Matrix, SymTensor, inverse, rank, sym_inner
+from g2forge.scalars import QuadExt
 
 
 def random_form(rng, grade, bound=4):
@@ -188,6 +190,93 @@ def test_solve_three_form_error_paths(g2frame):
     rhs[0] = rhs[0] + ext.Form(6, {0b0111111: Fraction(1)})
     with pytest.raises(InconsistentSystemError):
         g2frame.solve_three_form(rhs)
+
+
+def _dense_solve(frame, rhs_blocks):
+    """Reference for solve_three_form: the dense inverse of the same
+    35-row subset, then the dense residual on all 49 equations.
+    Returns (solution, first failing row or None)."""
+    M = frame.pairing_matrix()
+    pivots = _echelon_pivot_columns(M.transpose())
+    inv = inverse(Matrix.from_rows([M.row(r) for r in pivots]))
+    rhs = [c for w in rhs_blocks for c in ext.form_to_coords(w)]
+    x = inv.apply([rhs[r] for r in pivots])
+    bad = [r for r, (got, want) in enumerate(zip(M.apply(x), rhs))
+           if got != want]
+    return ext.form_from_coords(3, x), (bad[0] if bad else None)
+
+
+_COEFFICIENT_KINDS = {
+    "fraction": lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
+    "int": lambda rng: rng.randint(-6, 6),
+    "quadext": lambda rng: QuadExt(Fraction(rng.randint(-6, 6), 3),
+                                   rng.randint(-4, 4)),
+}
+
+
+def _random_coeff_form(rng, grade, kind):
+    draw = _COEFFICIENT_KINDS[kind]
+    return ext.Form(grade, {m: draw(rng) for m in ext.BLADES_BY_GRADE[grade]})
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
+def test_solve_three_form_matches_dense_inverse(g2frame, kind):
+    rng = random.Random(7020)
+    for _ in range(6):
+        gamma = _random_coeff_form(rng, 3, kind)
+        rhs = [wedge(gamma, g2frame.kappa[j]) for j in range(7)]
+        expected, bad = _dense_solve(g2frame, rhs)
+        assert bad is None
+        got = g2frame.solve_three_form(rhs)
+        assert got == expected == gamma
+        # an int-only right-hand side must stay exact, never float
+        assert not any(isinstance(c, float) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
+def test_solve_three_form_reports_dense_residual_row(g2frame, kind):
+    rng = random.Random(7021)
+    for _ in range(6):
+        rhs = [_random_coeff_form(rng, 6, kind) for _ in range(7)]
+        _, bad = _dense_solve(g2frame, rhs)
+        assert bad is not None
+        with pytest.raises(InconsistentSystemError) as info:
+            g2frame.solve_three_form(rhs)
+        assert info.value.row == bad
+    # a consistent stack perturbed in its last block
+    gamma = _random_coeff_form(rng, 3, kind)
+    rhs = [wedge(gamma, g2frame.kappa[j]) for j in range(7)]
+    rhs[6] = rhs[6] + ext.Form(6, {0b1111110: 1})
+    _, bad = _dense_solve(g2frame, rhs)
+    with pytest.raises(InconsistentSystemError) as info:
+        g2frame.solve_three_form(rhs)
+    assert info.value.row == bad
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
+def test_iso_inverse_matches_wedge_formula(g2frame, kind):
+    rng = random.Random(7022)
+    half = Fraction(1, 2)
+    draw = _COEFFICIENT_KINDS[kind]
+    for _ in range(5):
+        b = g2frame.iso_i(random_traceless(rng, 4))
+        if kind == "int":
+            b = b.map_coefficients(int)
+        else:
+            b = b * draw(rng)
+        expected = SymTensor(
+            [[half * vol_coefficient(wedge(b, wedge(g2frame.kappa[i],
+                                                    vector(j + 1))))
+              for j in range(7)] for i in range(7)])
+        assert g2frame.iso_i_inv(b) == expected
+
+
+def test_dense_projectors_are_built_lazily():
+    fr = G2Frame()
+    assert "_p3" not in vars(fr) and "_p4" not in vars(fr)
+    p3 = fr.projector_matrices(3)
+    assert fr.projector_matrices(3) is p3
+    assert [rank(P) for P in p3] == [1, 7, 27]
 
 
 def test_vector_extraction(g2frame):

@@ -7,6 +7,7 @@ import pytest
 
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
     inverse, rank, solve_exact, sym_inner
+from g2forge.scalars import QuadExt
 
 
 def _random_matrix(rng, rows, cols, bound=6):
@@ -63,6 +64,12 @@ def test_inverse_random():
 def test_symtensor_construction_checks():
     with pytest.raises(ValueError):
         SymTensor([[0, 1], [2, 0]])
+    entries = [[Fraction(i + j) for j in range(7)] for i in range(7)]
+    entries[5][2] += Fraction(1, 7)
+    with pytest.raises(ValueError):
+        SymTensor(entries)
+    with pytest.raises(ValueError):
+        SymTensor.from_upper([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         SymTensor([[1, 0], [0, 1]], traceless=True)
     SymTensor([[1, 0], [0, -1]], traceless=True)
@@ -103,3 +110,52 @@ def test_sym_inner_symmetric_random():
         S, T = SymTensor(A), SymTensor(B)
         assert sym_inner(S, T) == sym_inner(T, S)
         assert sym_inner(S, T) == (S.to_matrix() * T.to_matrix()).trace()
+
+
+_SCALARS = {
+    "fraction": lambda rng: Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+    "int": lambda rng: rng.randint(-6, 6),
+    "quadext": lambda rng: QuadExt(rng.randint(-4, 4),
+                                   Fraction(rng.randint(-4, 4), 3)),
+}
+
+
+def _random_symmetric(rng, n, draw):
+    rows = [[draw(rng) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    return rows
+
+
+def _assert_square(S, rows):
+    # full-square reference, entry by entry, with the same scalar types
+    assert S.entries == rows
+    assert [type(x) for r in S.entries for x in r] == \
+        [type(x) for r in rows for x in r]
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+def test_symtensor_arithmetic_matches_full_square(kind):
+    rng = random.Random(29)
+    draw = _SCALARS[kind]
+    half = Fraction(1, 2)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        A, B = _random_symmetric(rng, n, draw), _random_symmetric(rng, n, draw)
+        S, T = SymTensor(A), SymTensor(B)
+        s = draw(rng)
+        _assert_square(S + T, [[A[i][j] + B[i][j] for j in range(n)]
+                               for i in range(n)])
+        _assert_square(S - T, [[A[i][j] - B[i][j] for j in range(n)]
+                               for i in range(n)])
+        _assert_square(-S, [[-A[i][j] for j in range(n)] for i in range(n)])
+        _assert_square(S.scale(s), [[s * A[i][j] for j in range(n)]
+                                    for i in range(n)])
+        v = [draw(rng) for _ in range(n)]
+        w = [draw(rng) for _ in range(n)]
+        _assert_square(SymTensor.sym_outer(v, w),
+                       [[half * (v[i] * w[j] + v[j] * w[i]) for j in range(n)]
+                        for i in range(n)])
+        assert sym_inner(S, T) == sum(A[i][j] * B[i][j] for i in range(n)
+                                      for j in range(n))
