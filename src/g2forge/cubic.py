@@ -40,7 +40,6 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
         raise GradeError("quadratic_form needs two forms of equal grade >= 1")
     c1 = [contract(vector(i), a1) for i in _SEVEN]
     half = Fraction(1, 2)
-    # the upper triangle, mirrored by from_upper
     if a1 is a2:
         # one pairing per entry; half * (x + x) keeps the result types
         upper = [[half * (x + x) for x in (inner(c1[i], c1[j])

@@ -346,9 +346,12 @@ class G2Frame:
                 "form has components outside the 27-dimensional summand")
         half = Fraction(1, 2)
         bt = b.terms
-        # all 49 entries, so that symmetry and trace stay real checks
-        entries = [[half * sum(c * bt[m] for m, c in functional if m in bt)
-                    for functional in row] for row in self._inv_functionals]
+        # all 49 entries, so that symmetry and trace stay real checks; a
+        # sum that cancels is taken as int 0, so that entry is Fraction(0)
+        # for every scalar type, as vol_coefficient(b ^ chi_ij) gives it
+        sums = [[sum(c * bt[m] for m, c in functional if m in bt)
+                 for functional in row] for row in self._inv_functionals]
+        entries = [[half * (x if x else 0) for x in row] for row in sums]
         S = SymTensor(entries)
         if tol == 0.0 and sum(entries[i][i] for i in range(DIM)) != 0:
             raise InternalConsistencyError("recovered tensor is not traceless")

@@ -264,11 +264,14 @@ def test_iso_inverse_matches_wedge_formula(g2frame, kind):
             b = b.map_coefficients(int)
         else:
             b = b * draw(rng)
-        expected = SymTensor(
-            [[half * vol_coefficient(wedge(b, wedge(g2frame.kappa[i],
-                                                    vector(j + 1))))
-              for j in range(7)] for i in range(7)])
-        assert g2frame.iso_i_inv(b) == expected
+        expected = [[half * vol_coefficient(wedge(b, wedge(g2frame.kappa[i],
+                                                           vector(j + 1))))
+                     for j in range(7)] for i in range(7)]
+        got = g2frame.iso_i_inv(b).entries
+        assert got == expected
+        # the same scalar types, a cancelled entry included
+        assert [type(x) for r in got for x in r] == \
+            [type(x) for r in expected for x in r]
 
 
 def test_dense_projectors_are_built_lazily():
