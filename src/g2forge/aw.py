@@ -37,17 +37,18 @@ the corrected closed form where the two differ.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
-    hodge_m4, inner, norm_sq, vector, vector_form, wedge
-from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
-    _small, standard_frame, two_form_endo
+    hodge_m4, norm_sq, vector, vector_form, wedge
+from .g2 import InternalConsistencyError, TypeDecompositionError, \
+    standard_frame, two_form_endo
 from .cubic import quadratic_form
-from .linalg import Matrix, SymTensor, sym_inner
-from .scalars import GaussRational, QuadExt, ScalarError, SQRT10
+from .linalg import Matrix, SymTensor, solve_exact, sym_inner
+from .scalars import GaussRational, QuadExt, ScalarError
 
 SQRT10_OVER_6 = QuadExt(0, Fraction(1, 6))
 
@@ -55,8 +56,8 @@ SQRT10_OVER_6 = QuadExt(0, Fraction(1, 6))
 class AWFrame:
     """Block data of the reductive splitting, checked at construction."""
 
-    def __init__(self, g2frame: G2Frame | None = None):
-        self.g2 = g2frame or standard_frame()
+    def __init__(self):
+        self.g2 = standard_frame()
         self.vol3 = blade([1, 2, 3])
         self.vol4 = blade([4, 5, 6, 7])
         self.omega = (blade([4, 5]) - blade([6, 7]),
@@ -66,7 +67,6 @@ class AWFrame:
         self.I = tuple(two_form_endo(w) for w in self.omega)
         self.J = two_form_endo(self.Omega)
         self.phi_tilde = self.g2.phi - 7 * self.vol3
-        self._fit_cache: dict = {}
         self._check_structure()
 
     def _check_structure(self):
@@ -111,7 +111,7 @@ class AWFrame:
 
 
 _aw_lock = threading.Lock()
-_aw_frame: AWFrame | None = None
+_aw_frame = None
 
 
 def standard_aw_frame() -> AWFrame:
@@ -130,8 +130,7 @@ class Su3Element:
                    [.,    i v2,      x5 + i x6],
                    [.,    .,         i v3]]
     filled in skew-hermitian, with v1 + v2 + v3 = 0 enforced.
-    Coordinates may be exact (int/Fraction) or float; the float path is
-    the approximate mirror of the same pipeline.
+    Coordinates are exact (int or Fraction); floats are rejected.
     """
 
     __slots__ = ("v", "x")
@@ -141,39 +140,26 @@ class Su3Element:
         x = tuple(x)
         if len(v) != 3 or len(x) != 6:
             raise ScalarError("need 3 diagonal and 6 off-diagonal coordinates")
-        total = v[0] + v[1] + v[2]
-        if isinstance(total, float):
-            if abs(total) > 1e-9:
-                raise ScalarError("diagonal coordinates must sum to zero")
-        elif total != 0:
+        if any(isinstance(c, (float, complex)) for c in v + x):
+            raise ScalarError("su(3) coordinates must be exact, not float")
+        if v[0] + v[1] + v[2] != 0:
             raise ScalarError("diagonal coordinates must sum to zero")
         self.v = v
         self.x = x
 
-    def is_exact(self) -> bool:
-        return not any(isinstance(c, float) for c in self.v + self.x)
-
     def z_letters(self) -> tuple:
         """(z1, z2, z3) = (-x5 + i x6, x3 + i x4, -x1 + i x2)."""
         x = self.x
-        if self.is_exact():
-            return (GaussRational(-x[4], x[5]),
-                    GaussRational(x[2], x[3]),
-                    GaussRational(-x[0], x[1]))
-        return (complex(-x[4], x[5]), complex(x[2], x[3]), complex(-x[0], x[1]))
+        return (GaussRational(-x[4], x[5]),
+                GaussRational(x[2], x[3]),
+                GaussRational(-x[0], x[1]))
 
     def matrix_entries(self) -> list[list]:
-        """3x3 skew-hermitian entries, GaussRational (or complex)."""
+        """3x3 skew-hermitian entries as GaussRational values."""
         v, x = self.v, self.x
-        if self.is_exact():
-            num = GaussRational
-        else:
-            num = complex
-        m01 = num(x[0], x[1])
-        m02 = num(x[2], x[3])
-        m12 = num(x[4], x[5])
-        return [[num(0, v[0]), m01, m02],
-                [num(-x[0], x[1]), num(0, v[1]), m12],
+        num = GaussRational
+        return [[num(0, v[0]), num(x[0], x[1]), num(x[2], x[3])],
+                [num(-x[0], x[1]), num(0, v[1]), num(x[4], x[5])],
                 [num(-x[2], x[3]), num(-x[4], x[5]), num(0, v[2])]]
 
     def i_det(self):
@@ -182,13 +168,10 @@ class Su3Element:
         det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        if self.is_exact():
-            val = GaussRational(0, 1) * det
-            if val.im != 0:
-                raise InternalConsistencyError("i det is not real")
-            return val.re
-        val = 1j * det
-        return val.real
+        val = GaussRational(0, 1) * det
+        if val.im != 0:
+            raise InternalConsistencyError("i det is not real")
+        return val.re
 
     def to_json(self) -> dict:
         from .scalars import scalar_to_json
@@ -206,22 +189,6 @@ class Su3Element:
             raise ScalarError("su(3) coordinates must be rational")
         return cls(v, x)
 
-    def conjugated_by_torus(self, t1: float, t2: float) -> "Su3Element":
-        """u xi u^{-1} for u = diag(e^{i t1}, e^{i t2}, e^{-i(t1+t2)}).
-
-        Torus conjugation fixes the diagonal and rotates the three
-        off-diagonal entries by phase; the result is a float element.
-        """
-        import cmath
-        u = (cmath.exp(1j * t1), cmath.exp(1j * t2), cmath.exp(-1j * (t1 + t2)))
-        m = [[complex(c) for c in row] for row in self.matrix_entries()]
-        new = [[u[j] * m[j][k] * u[k].conjugate() for k in range(3)]
-               for j in range(3)]
-        return Su3Element(
-            (new[0][0].imag, new[1][1].imag, new[2][2].imag),
-            (new[0][1].real, new[0][1].imag, new[0][2].real, new[0][2].imag,
-             new[1][2].real, new[1][2].imag))
-
     def __repr__(self):
         return f"Su3Element(v={self.v}, x={self.x})"
 
@@ -229,21 +196,21 @@ class Su3Element:
 def decompose(xi: Su3Element):
     """Blocks (s, y, x) of xi: scalar, m3 vector, m4 vector."""
     v, c = xi.v, xi.x
-    half = 0.5 if not xi.is_exact() else Fraction(1, 2)
+    half = Fraction(1, 2)
     s = half * (v[0] + v[1])
     y = vector_form([half * (v[0] - v[1]), -c[0], c[1], 0, 0, 0, 0])
     x = vector_form([0, 0, 0, -c[3], c[2], -c[5], c[4]])
     return s, y, x
 
 
-def c_of(x: Form, frame: AWFrame | None = None) -> Form:
+def c_of(x: Form) -> Form:
     """The cocycle block C(x) for a vector x in the m4 block.
 
     Two constructions are compared: x -| (4 vol4 - psi), and the display
     3 (x -| vol4) + e12 ^ (x -| omega3) + e23 ^ (x -| omega1)
     + e31 ^ (x -| omega2).
     """
-    fr = frame or standard_aw_frame()
+    fr = standard_aw_frame()
     if x.grade != 1:
         raise FormError("C needs a vector")
     if x.support_mask() & ~M4_MASK:
@@ -259,42 +226,36 @@ def c_of(x: Form, frame: AWFrame | None = None) -> Form:
     return direct
 
 
-def generic_blocks(s, y: Form, x: Form, frame: AWFrame | None = None) -> Form:
+def generic_blocks(s, y: Form, x: Form) -> Form:
     """The rational combination A_ = s phitilde + y ^ Omega + C(x)."""
-    fr = frame or standard_aw_frame()
-    return s * fr.phi_tilde + wedge(y, fr.Omega) + c_of(x, fr)
+    fr = standard_aw_frame()
+    return s * fr.phi_tilde + wedge(y, fr.Omega) + c_of(x)
 
 
-def comparison_form(xi: Su3Element, frame: AWFrame | None = None) -> Form:
+def comparison_form(xi: Su3Element) -> Form:
     """A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x).
 
-    Over exact input the coefficients live in Q(sqrt(10)).  The result
-    is checked to be of pure 27 type.
+    The coefficients live in Q(sqrt(10)).  The result is checked to be
+    of pure 27 type.
     """
-    fr = frame or standard_aw_frame()
+    fr = standard_aw_frame()
     s, y, x = decompose(xi)
-    if xi.is_exact():
-        kappa = SQRT10_OVER_6
-        five_thirds = Fraction(5, 3)
-    else:
-        kappa = float(SQRT10) / 6.0
-        five_thirds = 5.0 / 3.0
-    a = s * fr.phi_tilde - five_thirds * wedge(y, fr.Omega) + kappa * c_of(x, fr)
+    a = (s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega)
+         + SQRT10_OVER_6 * c_of(x))
     p1, p7, _ = fr.g2.project3(a)
-    tol = 0.0 if xi.is_exact() else 1e-9
-    if not _small(p1, tol) or not _small(p7, tol):
+    if not p1.is_zero() or not p7.is_zero():
         raise TypeDecompositionError("comparison form is not of pure 27 type")
     return a
 
 
-def _cubic_scalar(a: Form, frame: AWFrame, tol: float = 0.0):
+def _cubic_scalar(a: Form):
     """<p(a, a), i^{-1}(a)> for a pure-27 3-form (the normalization
     without the factor 2 used by the obstruction polynomial)."""
-    S = frame.g2.iso_i_inv(a, tol=tol)
+    S = standard_frame().iso_i_inv(a)
     return sym_inner(quadratic_form(a, a), S)
 
 
-def first_principles_value(xi: Su3Element, frame: AWFrame | None = None,
+def first_principles_value(xi: Su3Element, *,
                            single_route: bool = False) -> Fraction:
     """P(xi) along two exact routes.
 
@@ -306,9 +267,7 @@ def first_principles_value(xi: Su3Element, frame: AWFrame | None = None,
     the second one when the caller is doing a bulk interpolation sweep
     and verifies route agreement separately.
     """
-    fr = frame or standard_aw_frame()
-    a = comparison_form(xi, fr)
-    native = _cubic_scalar(a, fr)
+    native = _cubic_scalar(comparison_form(xi))
     if isinstance(native, QuadExt):
         if native.irr != 0:
             raise InternalConsistencyError("P has a sqrt(10) component")
@@ -317,15 +276,16 @@ def first_principles_value(xi: Su3Element, frame: AWFrame | None = None,
     if single_route:
         return native
 
+    fr = standard_aw_frame()
     s, y, x = decompose(xi)
     b_part = s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega)
-    c_part = c_of(x, fr)
+    c_part = c_of(x)
     k2 = Fraction(5, 18)
     pbb = quadratic_form(b_part, b_part)
     pbc = quadratic_form(b_part, c_part)
     pcc = quadratic_form(c_part, c_part)
-    sb = _rational_inv27(b_part, fr)
-    sc = _rational_inv27(c_part, fr)
+    sb = _rational_inv27(b_part)
+    sc = _rational_inv27(c_part)
     t0 = sym_inner(pbb, sb)
     t1 = 2 * sym_inner(pbc, sb) + sym_inner(pbb, sc)
     t2 = sym_inner(pcc, sb) + 2 * sym_inner(pbc, sc)
@@ -339,33 +299,22 @@ def first_principles_value(xi: Su3Element, frame: AWFrame | None = None,
     return native
 
 
-def _rational_inv27(a: Form, frame: AWFrame) -> SymTensor:
+def _rational_inv27(a: Form) -> SymTensor:
     """i^{-1} for a rational form known to be a block combination; the
     1- and 7-type checks still run inside iso_i_inv."""
-    return frame.g2.iso_i_inv(a)
+    return standard_frame().iso_i_inv(a)
 
 
-def first_principles_value_approx(xi: Su3Element, frame: AWFrame | None = None) -> float:
-    """Float mirror of the first-principles evaluation (single route)."""
-    fr = frame or standard_aw_frame()
-    a = comparison_form(xi, fr)
-    if xi.is_exact():
-        a = a.map_coefficients(lambda c: float(c) if not isinstance(c, QuadExt)
-                               else float(c))
-    return float(_cubic_scalar(a, fr, tol=1e-7))
-
-
-def generic_value(s, y: Form, x: Form, frame: AWFrame | None = None) -> Fraction:
+def generic_value(s, y: Form, x: Form) -> Fraction:
     """The cubic of the generic rational combination A_ = s phitilde
     + y ^ Omega + C(x)."""
-    fr = frame or standard_aw_frame()
-    return Fraction(_cubic_scalar(generic_blocks(s, y, x, fr), fr))
+    return Fraction(_cubic_scalar(generic_blocks(s, y, x)))
 
 
-def r_value(y: Form, x: Form, frame: AWFrame | None = None):
+def r_value(y: Form, x: Form):
     """The mixed cubic R = g(Jx, I_y x), compared against its
     coordinate display before being returned."""
-    fr = frame or standard_aw_frame()
+    fr = standard_aw_frame()
     xc = coords_of(x)
     if any(xc[i] != 0 for i in range(3)):
         raise FormError("x must lie in span(e4..e7)")
@@ -405,8 +354,7 @@ def closed_display_value(xi: Su3Element, s3_coefficient: int):
             + Fraction(50, 3) * s * y_sq + Fraction(100, 27) * r)
 
 
-def block_products(s, y: Form, x: Form, frame: AWFrame | None = None,
-                   tables=None) -> list[dict]:
+def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     """The six displayed products <p(block, block), i^{-1}(A_)> of the
     generic combination, evaluated and compared with their displays.
 
@@ -415,21 +363,21 @@ def block_products(s, y: Form, x: Form, frame: AWFrame | None = None,
     carries in the full expansion of P(A_).  Pass a block table to
     assemble the values multilinearly instead of running the solver.
     """
-    fr = frame or standard_aw_frame()
+    fr = standard_aw_frame()
     if tables is not None:
         got6 = tables.products(s, y, x)
         full = tables.cubic(s, y, x)
     else:
         yw = wedge(y, fr.Omega)
-        cx = c_of(x, fr)
+        cx = c_of(x)
         a_ = s * fr.phi_tilde + yw + cx
         S = fr.g2.iso_i_inv(a_)
         pt = fr.phi_tilde
         got6 = tuple(sym_inner(quadratic_form(b1, b2), S)
                      for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
                                     (yw, yw), (yw, cx), (cx, cx)))
-        full = _cubic_scalar(a_, fr)
-    r = r_value(y, x, fr)
+        full = _cubic_scalar(a_)
+    r = r_value(y, x)
     xx, yy = norm_sq(x), norm_sq(y)
     # display column: the six values as displayed; corrected column: the
     # value the exact computation gives in closed form, where it differs.
@@ -459,25 +407,26 @@ def block_products(s, y: Form, x: Form, frame: AWFrame | None = None,
     return out
 
 
-def _epsilon_mix(y: Form, x: Form, frame: AWFrame) -> SymTensor:
+def _epsilon_mix(y: Form, x: Form) -> SymTensor:
     """sum_{abc} eps_{abc} y_a e_c . (I_b J x), the second equivariant
     bilinear map from (m3, m4) into the off-diagonal symmetric block.
     J commutes with each I_a, so the composite is unambiguous."""
+    fr = standard_aw_frame()
     yc = coords_of(y)
-    jx = frame.J.apply(coords_of(x))
+    jx = fr.J.apply(coords_of(x))
     out = SymTensor.zero(7)
     eps = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     for a, b, c in eps:
         if yc[a] != 0:
             ec = coords_of(vector(c + 1))
-            out = out + SymTensor.sym_outer(ec, frame.I[b].apply(jx)).scale(yc[a])
+            out = out + SymTensor.sym_outer(ec, fr.I[b].apply(jx)).scale(yc[a])
         if yc[b] != 0:
             ec = coords_of(vector(c + 1))
-            out = out - SymTensor.sym_outer(ec, frame.I[a].apply(jx)).scale(yc[b])
+            out = out - SymTensor.sym_outer(ec, fr.I[a].apply(jx)).scale(yc[b])
     return out
 
 
-def tensor_displays(y: Form, x: Form, frame: AWFrame | None = None) -> list[dict]:
+def tensor_displays(y: Form, x: Form) -> list[dict]:
     """The displayed closed forms of the block tensors: five p(., .)
     displays and three i^{-1} displays, evaluated at the given (y, x).
 
@@ -488,11 +437,11 @@ def tensor_displays(y: Form, x: Form, frame: AWFrame | None = None) -> list[dict
     i^{-1}(C) at -2 e_a . I_a x, and the full symmetry of the trilinear
     form then pins the p(., C) rows.
     """
-    fr = frame or standard_aw_frame()
+    fr = standard_aw_frame()
     g2 = fr.g2
     pt = fr.phi_tilde
     yw = wedge(y, fr.Omega)
-    cx = c_of(x, fr)
+    cx = c_of(x)
     xc = coords_of(x)
     yc = coords_of(y)
 
@@ -530,7 +479,7 @@ def tensor_displays(y: Form, x: Form, frame: AWFrame | None = None) -> list[dict
         corrected_name="p(phitilde, C(x)) = -11 I_a x . e_a")
     add("p(y^Omega, C(x)) = 6 y . Jx",
         quadratic_form(yw, cx), SymTensor.sym_outer(yc, jx).scale(6),
-        corrected=SymTensor.sym_outer(yc, jx).scale(3) + _epsilon_mix(y, x, fr),
+        corrected=SymTensor.sym_outer(yc, jx).scale(3) + _epsilon_mix(y, x),
         corrected_name="p(y^Omega, C(x)) = 3 y . Jx"
                        " + eps_abc y_a e_c . I_b J x")
     add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
@@ -576,11 +525,9 @@ def _random_blocks(rng, bound=4):
     return s, y, x
 
 
-def verify_tensor_displays(rng, n_random: int = 50,
-                           frame: AWFrame | None = None) -> list[dict]:
+def verify_tensor_displays(rng, n_random: int = 50) -> list[dict]:
     """Check the eight displayed block tensors on a degree-2 lattice in
     (y, x) plus seeded random points.  Returns one summary per display."""
-    fr = frame or standard_aw_frame()
     tallies: dict[str, bool] = {}
     corrected: dict[str, bool] = {}
 
@@ -594,11 +541,11 @@ def verify_tensor_displays(rng, n_random: int = 50,
     points = [p[1:] for p in principal_lattice(8, 2) if p[0] == 0]
     for pt in points:
         _, y, x = _lattice_blocks((0,) + tuple(pt))
-        for chk in tensor_displays(y, x, fr):
+        for chk in tensor_displays(y, x):
             absorb(chk)
     for _ in range(n_random):
         _, y, x = _random_blocks(rng)
-        for chk in tensor_displays(y, x, fr):
+        for chk in tensor_displays(y, x):
             absorb(chk)
     out = []
     for k, v in tallies.items():
@@ -609,13 +556,11 @@ def verify_tensor_displays(rng, n_random: int = 50,
     return out
 
 
-def verify_block_products(rng, n_random: int = 50,
-                          frame: AWFrame | None = None) -> list[dict]:
+def verify_block_products(rng, n_random: int = 50) -> list[dict]:
     """Check the six displayed products (and their weighted sum) as
     polynomial identities: a full degree-3 principal lattice in the
     eight block coordinates, then seeded random points."""
-    fr = frame or standard_aw_frame()
-    tab = block_tables(fr)
+    tab = block_tables()
     tallies: dict[str, bool] = {}
     corrected: dict[str, bool] = {}
 
@@ -628,12 +573,12 @@ def verify_block_products(rng, n_random: int = 50,
 
     for point in principal_lattice(8, 3, homogeneous=True):
         s, y, x = _lattice_blocks(point)
-        for row in block_products(s, y, x, fr, tables=tab):
+        for row in block_products(s, y, x, tables=tab):
             absorb(row)
     # random points take the direct solver route, independent of the table
     for _ in range(n_random):
         s, y, x = _random_blocks(rng)
-        for row in block_products(s, y, x, fr):
+        for row in block_products(s, y, x):
             absorb(row)
     out = []
     for k, v in tallies.items():
@@ -645,7 +590,7 @@ def verify_block_products(rng, n_random: int = 50,
 
 
 class _BlockTables:
-    """Basis tensors of the block data, built once per frame.
+    """Basis tensors of the block data, built once per process.
 
     p is bilinear and i^{-1} linear, so every block value over the
     lattice assembles multilinearly from p on pairs of basis forms
@@ -655,11 +600,11 @@ class _BlockTables:
     points when the table is built.
     """
 
-    def __init__(self, fr: AWFrame):
-        self.fr = fr
+    def __init__(self):
+        fr = standard_aw_frame()
         pt = fr.phi_tilde
         yws = [wedge(vector(a + 1), fr.Omega) for a in range(3)]
-        cxs = [c_of(vector(i + 4), fr) for i in range(4)]
+        cxs = [c_of(vector(i + 4)) for i in range(4)]
         self.pp = quadratic_form(pt, pt)
         self.py = [quadratic_form(pt, w) for w in yws]
         self.pc = [quadratic_form(pt, c) for c in cxs]
@@ -677,7 +622,7 @@ class _BlockTables:
                           (2, (0, 1, -1), (1, 0, 0, 1))):
             y = vector_form(list(yc) + [0, 0, 0, 0])
             x = vector_form([0, 0, 0] + list(xc))
-            if self.cubic(s, y, x) != generic_value(s, y, x, fr):
+            if self.cubic(s, y, x) != generic_value(s, y, x):
                 raise InternalConsistencyError(
                     "table assembly disagrees with the direct route")
 
@@ -791,16 +736,21 @@ class _BlockTables:
         return Fraction(t0 + k2 * t2)
 
 
-def block_tables(frame: AWFrame | None = None) -> _BlockTables:
-    fr = frame or standard_aw_frame()
-    if "tables" not in fr._fit_cache:
-        fr._fit_cache["tables"] = _BlockTables(fr)
-    return fr._fit_cache["tables"]
+@functools.cache
+def block_tables() -> _BlockTables:
+    return _BlockTables()
 
 
-def fit_block_cubic(frame: AWFrame | None = None,
-                    value=None) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Exact coefficients (c1, c2, c3, c4) of a block cubic in the model
+@functools.cache
+def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The generic block cubic <p(A_, A_), i^{-1}(A_)> fitted over the
+    model (s^3, s|x|^2, s|y|^2, R); see _fit_model."""
+    return _fit_model(block_tables().cubic)
+
+
+def _fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Exact coefficients (c1, c2, c3, c4) of the block cubic fn in the
+    model
 
         c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x),
 
@@ -810,10 +760,6 @@ def fit_block_cubic(frame: AWFrame | None = None,
     certifies that the cubic actually lies in the span (an
     internal-inconsistency error otherwise).
     """
-    fr = frame or standard_aw_frame()
-    if value is None and "fit_block_cubic" in fr._fit_cache:
-        return fr._fit_cache["fit_block_cubic"]
-    fn = value if value is not None else block_tables(fr).cubic
     probes = [(1, (0, 0, 0), (0, 0, 0, 0)),
               (1, (0, 0, 0), (1, 0, 0, 0)),
               (1, (1, 0, 0), (0, 0, 0, 0)),
@@ -824,9 +770,9 @@ def fit_block_cubic(frame: AWFrame | None = None,
         y = vector_form(list(yc) + [0, 0, 0, 0])
         x = vector_form([0, 0, 0] + list(xc))
         rows.append([Fraction(s) ** 3, s * norm_sq(x), s * norm_sq(y),
-                     Fraction(r_value(y, x, fr))])
+                     Fraction(r_value(y, x))])
         rhs.append(Fraction(fn(s, y, x)))
-    sol, kdim = _fit_solve(rows, rhs)
+    sol, kdim = solve_exact(Matrix.from_rows(rows), rhs)
     if kdim != 0:
         raise InternalConsistencyError("cubic probe points are degenerate")
     c1, c2, c3, c4 = sol
@@ -836,22 +782,15 @@ def fit_block_cubic(frame: AWFrame | None = None,
     for point in principal_lattice(8, 3, homogeneous=True):
         s, y, x = _lattice_blocks(point)
         model = (c1 * Fraction(s) ** 3 + c2 * s * norm_sq(x)
-                 + c3 * s * norm_sq(y) + c4 * r_value(y, x, fr))
+                 + c3 * s * norm_sq(y) + c4 * r_value(y, x))
         if model != fn(s, y, x):
             raise InternalConsistencyError(
                 "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R")
-    result = (c1, c2, c3, c4)
-    if value is None:
-        fr._fit_cache["fit_block_cubic"] = result
-    return result
+    return c1, c2, c3, c4
 
 
-def _fit_solve(rows, rhs):
-    from .linalg import solve_exact
-    return solve_exact(Matrix.from_rows(rows), rhs)
-
-
-def first_principles_fit(frame: AWFrame | None = None) -> tuple:
+@functools.cache
+def first_principles_fit() -> tuple:
     """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R).
 
     Two derivations that must agree: fit the generic block cubic and
@@ -859,20 +798,17 @@ def first_principles_fit(frame: AWFrame | None = None) -> tuple:
     x -> (sqrt(10)/6) x (which scales the model coefficients by
     1, 5/18, 25/9, -25/54), or fit P itself on su(3) elements directly.
     """
-    fr = frame or standard_aw_frame()
-    if "first_principles_fit" in fr._fit_cache:
-        return fr._fit_cache["first_principles_fit"]
-    c1, c2, c3, c4 = fit_block_cubic(fr)
+    c1, c2, c3, c4 = fit_block_cubic()
     pushed = (c1, c2 * Fraction(5, 18), c3 * Fraction(25, 9),
               c4 * Fraction(-25, 54))
-    tab = block_tables(fr)
+    tab = block_tables()
 
     def p_of_blocks(s, y, x):
         yc, xc = coords_of(y), coords_of(x)
         xi = Su3Element(
             (s + yc[0], s - yc[0], -2 * s),
             (-yc[1], yc[2], xc[4], -xc[3], xc[6], -xc[5]))
-        return first_principles_value(xi, fr, single_route=True)
+        return first_principles_value(xi, single_route=True)
 
     # certify the table assembly of P against the full evaluator at a
     # generic point, then fit P through the table
@@ -880,11 +816,10 @@ def first_principles_fit(frame: AWFrame | None = None) -> tuple:
     if tab.fp_value(1, py, px) != p_of_blocks(1, py, px):
         raise InternalConsistencyError(
             "assembled P disagrees with the full evaluator")
-    direct = fit_block_cubic(fr, value=tab.fp_value)
+    direct = _fit_model(tab.fp_value)
     if direct != pushed:
         raise InternalConsistencyError(
             "reverted block fit and direct fit of P disagree")
-    fr._fit_cache["first_principles_fit"] = direct
     return direct
 
 
@@ -893,10 +828,10 @@ CLOSED_DISPLAY = (Fraction(210), Fraction(65, 6), Fraction(50, 3),
                   Fraction(100, 27))
 
 
-def intermediate_display_report(frame: AWFrame | None = None) -> dict:
+def intermediate_display_report() -> dict:
     """Fit the generic block cubic and compare with the displayed
     -210 s^3 + s(39|x|^2 + 6|y|^2) - 8R term by term."""
-    fitted = fit_block_cubic(frame)
+    fitted = fit_block_cubic()
     names = ("s^3", "s|x|^2", "s|y|^2", "R")
     terms = {n: {"display": d, "computed": c, "matches": d == c}
              for n, d, c in zip(names, INTERMEDIATE_DISPLAY, fitted)}
@@ -905,7 +840,7 @@ def intermediate_display_report(frame: AWFrame | None = None) -> dict:
             "computed": fitted}
 
 
-def closed_form_report(frame: AWFrame | None = None) -> dict:
+def closed_form_report() -> dict:
     """Compare the first-principles P(xi) with the closed displayed
     polynomial, term by term over the model (s^3, s|x|^2, s|y|^2, R).
 
@@ -915,7 +850,7 @@ def closed_form_report(frame: AWFrame | None = None) -> dict:
     full constant-coefficient correction that makes the closed display
     identical to the first-principles polynomial.
     """
-    fitted = first_principles_fit(frame)
+    fitted = first_principles_fit()
     names = ("s^3", "s|x|^2", "s|y|^2", "R")
     terms = {n: {"display": d, "computed": c, "matches": d == c}
              for n, d, c in zip(names, CLOSED_DISPLAY, fitted)}
@@ -926,19 +861,17 @@ def closed_form_report(frame: AWFrame | None = None) -> dict:
             "computed": fitted}
 
 
-def verify_intermediate_display(rng, n_random: int = 50,
-                                frame: AWFrame | None = None) -> dict:
+def verify_intermediate_display(rng, n_random: int = 50) -> dict:
     """The displayed generic sum checked as a polynomial identity, with
     the exact fitted coefficients reported alongside.  Random points
     re-verify the fitted model away from the lattice."""
-    fr = frame or standard_aw_frame()
-    report = intermediate_display_report(fr)
+    report = intermediate_display_report()
     c1, c2, c3, c4 = report["computed"]
     ok = True
     for _ in range(n_random):
         s, y, x = _random_blocks(rng)
         model = (c1 * Fraction(s) ** 3 + c2 * s * norm_sq(x)
-                 + c3 * s * norm_sq(y) + c4 * r_value(y, x, fr))
-        ok = ok and model == generic_value(s, y, x, fr)
+                 + c3 * s * norm_sq(y) + c4 * r_value(y, x))
+        ok = ok and model == generic_value(s, y, x)
     report["fitted_model_holds_on_random_points"] = ok
     return report

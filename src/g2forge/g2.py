@@ -330,18 +330,17 @@ class G2Frame:
         """S*psi, the grade-4 companion with *(S*psi) = -S*phi."""
         return star_action(S.to_matrix(), self.psi)
 
-    def iso_i_inv(self, b: Form, tol: float = 0.0) -> SymTensor:
+    def iso_i_inv(self, b: Form) -> SymTensor:
         """Invert i on Lambda^3_27.
 
         Entries come from the pairing b ^ (e_i -| psi) ^ e_j = 2 S_ij vol.
         Raises TypeDecompositionError when b has a nonzero component in
-        the 1- or 7-dimensional summand (compared against tol, which
-        stays 0 for exact scalars).
+        the 1- or 7-dimensional summand.
         """
         if b.grade != 3:
             raise ext.GradeError("iso_i_inv needs a 3-form")
         p1, p7, _ = self.project3(b)
-        if not _small(p1, tol) or not _small(p7, tol):
+        if not p1.is_zero() or not p7.is_zero():
             raise TypeDecompositionError(
                 "form has components outside the 27-dimensional summand")
         half = Fraction(1, 2)
@@ -353,7 +352,7 @@ class G2Frame:
                  for functional in row] for row in self._inv_functionals]
         entries = [[half * (x if x else 0) for x in row] for row in sums]
         S = SymTensor(entries)
-        if tol == 0.0 and sum(entries[i][i] for i in range(DIM)) != 0:
+        if sum(entries[i][i] for i in range(DIM)) != 0:
             raise InternalConsistencyError("recovered tensor is not traceless")
         return S
 
@@ -428,12 +427,6 @@ def _echelon_pivot_columns(M: Matrix) -> list[int]:
     rows = M.to_rows()
     track = list(range(M.rows))
     return [c for _, c in _echelon(rows, M.cols, track)]
-
-
-def _small(a: Form, tol: float) -> bool:
-    if tol == 0.0:
-        return a.is_zero()
-    return all(abs(c) <= tol for c in a.terms.values())
 
 
 _frame_lock = threading.Lock()

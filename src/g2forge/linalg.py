@@ -1,10 +1,9 @@
 """Dense exact linear algebra: matrices, linear solves, symmetric tensors.
 
-Everything here is scalar-generic.  Entries may be ints, Fractions,
-QuadExt values or floats; elimination (Gauss-Jordan, ints promoted to
-Fraction) divides by pivots, so any field works.  Over floats the pivot
-choice switches to partial pivoting and zero tests get a tolerance,
-otherwise all comparisons are exact.
+Everything here is scalar-generic over exact fields.  Entries may be
+ints, Fractions or QuadExt values; elimination (Gauss-Jordan, ints
+promoted to Fraction) divides by pivots, so any field works, and every
+zero test and comparison is exact.
 
 SymTensor checks the symmetry of entries it is given; its own
 arithmetic (sums, differences, multiples, symmetric products) computes
@@ -18,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-_FLOAT_TOL = 1e-12
-
 
 class InconsistentSystemError(ValueError):
     """A linear system has no solution; carries the offending row index."""
@@ -27,16 +24,6 @@ class InconsistentSystemError(ValueError):
     def __init__(self, row: int):
         super().__init__(f"inconsistent linear system: row {row} reduces to 0 = nonzero")
         self.row = row
-
-
-def _is_float(x) -> bool:
-    return isinstance(x, float)
-
-
-def _is_zero(x) -> bool:
-    if _is_float(x):
-        return abs(x) <= _FLOAT_TOL
-    return x == 0
 
 
 class Matrix:
@@ -173,16 +160,8 @@ def _echelon(rows: list[list], width: int, track: list[int]):
     r = 0
     nrows = len(rows)
     for c in range(width):
-        # pick a pivot in column c
-        best = None
-        for i in range(r, nrows):
-            x = rows[i][c]
-            if not _is_zero(x):
-                if not _is_float(x):
-                    best = i
-                    break
-                if best is None or abs(x) > abs(rows[best][c]):
-                    best = i
+        # the first nonzero entry at or below row r is the pivot
+        best = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
@@ -190,7 +169,7 @@ def _echelon(rows: list[list], width: int, track: list[int]):
         piv = rows[r][c]
         rows[r] = [x / piv for x in rows[r]]
         for i in range(nrows):
-            if i != r and not _is_zero(rows[i][c]):
+            if i != r and rows[i][c] != 0:
                 f = rows[i][c]
                 ri, rr = rows[i], rows[r]
                 rows[i] = [a - f * b for a, b in zip(ri, rr)]
@@ -221,7 +200,7 @@ def solve_exact(A: Matrix, b: Sequence) -> tuple[list, int]:
     pivots = _echelon(rows, A.cols, track)
     pivot_rows = {r for r, _ in pivots}
     for i in range(A.rows):
-        if i not in pivot_rows and not _is_zero(rows[i][A.cols]):
+        if i not in pivot_rows and rows[i][A.cols] != 0:
             raise InconsistentSystemError(track[i])
     x = [0] * A.cols
     for r, c in pivots:
@@ -266,9 +245,9 @@ class SymTensor:
                 raise ValueError("not square")
         for i in range(n):
             for j in range(i + 1, n):
-                if not _close(self.entries[i][j], self.entries[j][i]):
+                if self.entries[i][j] != self.entries[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
-        if traceless and not _close(self.trace(), 0):
+        if traceless and self.trace() != 0:
             raise ValueError("trace is nonzero")
 
     @classmethod
@@ -313,7 +292,8 @@ class SymTensor:
         return sum(self.entries[i][i] for i in range(self.n))
 
     def traceless_part(self) -> "SymTensor":
-        t = self.trace() / self.n
+        # multiplying by 1/n keeps int and QuadExt entries exact
+        t = self.trace() * Fraction(1, self.n)
         return SymTensor.from_upper([[row[i] - t] + row[i + 1:]
                                      for i, row in enumerate(self.entries)])
 
@@ -357,12 +337,6 @@ class SymTensor:
 
     def __repr__(self):
         return f"SymTensor({self.n}x{self.n}, trace={self.trace()})"
-
-
-def _close(a, b) -> bool:
-    if _is_float(a) or _is_float(b):
-        return abs(a - b) <= _FLOAT_TOL * max(1.0, abs(a), abs(b))
-    return a == b
 
 
 def sym_inner(S1: SymTensor, S2: SymTensor):

@@ -30,13 +30,13 @@ invariant cubic, so the empirical mean must approach
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from .g2 import InternalConsistencyError
 from .scalars import GaussRational, ScalarError
-from .aw import AWFrame, Su3Element, first_principles_fit, \
-    first_principles_value, standard_aw_frame
+from .aw import Su3Element, first_principles_fit, first_principles_value
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -138,12 +138,11 @@ class MultiPoly:
             out = out + piece
         return out
 
-    def evaluate(self, values: dict):
-        """Plug in letter values (GaussRational or complex)."""
-        exact = all(not isinstance(v, complex) for v in values.values())
-        total = GaussRational(0, 0) if exact else 0j
+    def evaluate(self, values: dict) -> GaussRational:
+        """Plug in GaussRational letter values."""
+        total = GaussRational(0, 0)
         for mono, c in self.terms.items():
-            prod = c if exact else complex(c)
+            prod = c
             for name in mono:
                 prod = prod * values[name]
             total = total + prod
@@ -169,15 +168,12 @@ class MultiPoly:
 def letter_values(xi: Su3Element) -> dict:
     """The nine letter values of an su(3) element."""
     z = xi.z_letters()
-    exact = xi.is_exact()
     vals = {}
     for a in range(3):
-        vals[f"v{a + 1}"] = (GaussRational(Fraction(xi.v[a]), 0) if exact
-                             else complex(xi.v[a]))
+        vals[f"v{a + 1}"] = GaussRational(Fraction(xi.v[a]), 0)
     for j in range(3):
-        zj = z[j]
-        vals[f"z{j + 1}"] = zj
-        vals[f"zb{j + 1}"] = zj.conjugate() if exact else zj.conjugate()
+        vals[f"z{j + 1}"] = z[j]
+        vals[f"zb{j + 1}"] = z[j].conjugate()
     return vals
 
 
@@ -249,33 +245,19 @@ def derive_gram_from_killing() -> dict:
 
 
 def permanent(rows: list[list]):
-    """Matrix permanent: naive expansion through 4x4, Ryser above."""
+    """Matrix permanent by the expansion over permutations (the pairing
+    of cubics only ever needs 3 x 3 permanents)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ScalarError("permanent needs a square matrix")
     if n == 0:
         return Fraction(1)
-    if n <= 4:
-        total = None
-        for perm in itertools.permutations(range(n)):
-            prod = rows[0][perm[0]]
-            for i in range(1, n):
-                prod = prod * rows[i][perm[i]]
-            total = prod if total is None else total + prod
-        return total
-    # Ryser: perm = (-1)^n sum over nonempty subsets S of columns of
-    # (-1)^{|S|} prod_i (sum_{j in S} a_ij)
     total = None
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            prod = None
-            for i in range(n):
-                s = None
-                for j in subset:
-                    s = rows[i][j] if s is None else s + rows[i][j]
-                prod = s if prod is None else prod * s
-            signed = prod if size % 2 == n % 2 else -prod
-            total = signed if total is None else total + signed
+    for perm in itertools.permutations(range(n)):
+        prod = rows[0][perm[0]]
+        for i in range(1, n):
+            prod = prod * rows[i][perm[i]]
+        total = prod if total is None else total + prod
     return total
 
 
@@ -312,6 +294,7 @@ def _half(name_plus: str, name_minus: str, imag: bool) -> MultiPoly:
     return (plus + minus).scale(Fraction(1, 2))
 
 
+@functools.cache
 def x_letter_polys() -> dict:
     """x1..x6 as polynomials in the z-alphabet, from z1 = -x5 + i x6,
     z2 = x3 + i x4, z3 = -x1 + i x2."""
@@ -323,16 +306,6 @@ def x_letter_polys() -> dict:
         "x5": _half("z1", "zb1", False).scale(-1),
         "x6": _half("z1", "zb1", True),
     }
-
-
-_XP = None
-
-
-def _xp() -> dict:
-    global _XP
-    if _XP is None:
-        _XP = x_letter_polys()
-    return _XP
 
 
 def s_poly() -> MultiPoly:
@@ -358,7 +331,7 @@ def r_poly() -> MultiPoly:
             - 2 x1 (-x3 x6 + x4 x5) + 2 x2 (x3 x5 + x4 x6),
 
     pushed through the x -> z dictionary."""
-    xp = _xp()
+    xp = x_letter_polys()
     d = (MultiPoly.letter("v1") - MultiPoly.letter("v2")).scale(Fraction(1, 2))
     quad = (xp["x3"] * xp["x3"] + xp["x4"] * xp["x4"]
             - xp["x5"] * xp["x5"] - xp["x6"] * xp["x6"])
@@ -427,19 +400,14 @@ def idet_report() -> dict:
     }
 
 
-_IDET = None
-
-
+@functools.cache
 def idet_poly() -> MultiPoly:
     """The displayed i det, after the dual-route comparison has run."""
-    global _IDET
-    if _IDET is None:
-        rep = idet_report()
-        if not rep["matches"]:
-            raise InternalConsistencyError(
-                "the two routes to i det disagree: " + repr(rep))
-        _IDET = idet_display_poly()
-    return _IDET
+    rep = idet_report()
+    if not rep["matches"]:
+        raise InternalConsistencyError(
+            "the two routes to i det disagree: " + repr(rep))
+    return idet_display_poly()
 
 
 # ---------------------------------------------------------------------------
@@ -481,18 +449,15 @@ def _xi_from_coords(c: list) -> Su3Element:
     return Su3Element((v1, v2, -v1 - v2), tuple(c[2:8]))
 
 
-def interpolate_p_coefficients(frame: AWFrame | None = None) -> dict:
+def interpolate_p_coefficients() -> dict:
     """Exact coefficients of P in the coordinates (v1, v2, x1..x6).
 
     A homogeneous cubic is pinned by its values on singles e_i, pairs
     e_i +- e_j and triples e_i + e_j + e_k of coordinate directions:
     120 evaluations in all.  Keys are sorted index triples.
     """
-    fr = frame or standard_aw_frame()
-
     def f(c):
-        return first_principles_value(_xi_from_coords(c), fr,
-                                      single_route=True)
+        return first_principles_value(_xi_from_coords(c), single_route=True)
 
     singles, pairs, triples = _coordinate_points()
     coeff: dict[tuple, Fraction] = {}
@@ -530,10 +495,8 @@ def interpolate_p_coefficients(frame: AWFrame | None = None) -> dict:
     return coeff
 
 
-_FP_POLY = None
-
-
-def first_principles_p_poly(frame: AWFrame | None = None) -> MultiPoly:
+@functools.cache
+def first_principles_p_poly() -> MultiPoly:
     """P as a letter polynomial, interpolated from exact evaluations.
 
     The coordinate coefficients are pushed through the x -> z
@@ -542,34 +505,30 @@ def first_principles_p_poly(frame: AWFrame | None = None) -> MultiPoly:
     + (125/18) R; disagreement raises (it would mean the interpolation
     and the block fit cannot both be exact).
     """
-    global _FP_POLY
-    if _FP_POLY is not None:
-        return _FP_POLY
-    fr = frame or standard_aw_frame()
+    xp = x_letter_polys()
     coords = [MultiPoly.letter("v1"), MultiPoly.letter("v2")] + \
-        [_xp()[f"x{k}"] for k in range(1, 7)]
+        [xp[f"x{k}"] for k in range(1, 7)]
     out = MultiPoly.zero(3)
-    for (i, j, k), c in interpolate_p_coefficients(fr).items():
+    for (i, j, k), c in interpolate_p_coefficients().items():
         out = out + (coords[i] * coords[j] * coords[k]).scale(c)
     if not out.is_real_on_su3():
         raise InternalConsistencyError("interpolated P is not real-valued")
-    c1, c2, c3, c4 = first_principles_fit(fr)
+    c1, c2, c3, c4 = first_principles_fit()
     s3, sx2, sy2, r = component_polys()
     model = (s3.scale(c1) + sx2.scale(c2) + sy2.scale(c3) + r.scale(c4))
     if out.eliminate_v3() != model.eliminate_v3():
         raise InternalConsistencyError(
             "interpolated P does not match the fitted four-term model")
-    _FP_POLY = out
     return out
 
 
-def p_poly(source: str, frame: AWFrame | None = None) -> MultiPoly:
+def p_poly(source: str) -> MultiPoly:
     """source is "closed-form" (the displayed +210 variant) or
     "first-principles" (the interpolated exact polynomial)."""
     if source == "closed-form":
         return closed_p_poly(210)
     if source == "first-principles":
-        return first_principles_p_poly(frame)
+        return first_principles_p_poly()
     raise ScalarError(f"unknown P source {source!r}")
 
 
@@ -596,9 +555,9 @@ def component_pairing_report() -> dict:
     return out
 
 
-def final_pairing(source: str, frame: AWFrame | None = None) -> Fraction:
+def final_pairing(source: str) -> Fraction:
     """<P, i det> for the chosen source of P; must come out real."""
-    val = sym_inner_poly(p_poly(source, frame), idet_poly())
+    val = sym_inner_poly(p_poly(source), idet_poly())
     if val.im != 0:
         raise InternalConsistencyError("<P, i det> is not real")
     return val.re
@@ -620,15 +579,14 @@ def assembled_pairing(coefficients) -> Fraction:
                 for c, n in zip(coefficients, names)), Fraction(0))
 
 
-def pairing_report(frame: AWFrame | None = None) -> dict:
+def pairing_report() -> dict:
     """The headline numbers: both sources, their component assembly,
     and the sign resolution vindicated by the exact computation."""
     from .aw import CLOSED_DISPLAY, closed_form_report
-    fr = frame or standard_aw_frame()
-    closed = final_pairing("closed-form", fr)
-    first = final_pairing("first-principles", fr)
-    fitted = first_principles_fit(fr)
-    cf = closed_form_report(fr)
+    closed = final_pairing("closed-form")
+    first = final_pairing("first-principles")
+    fitted = first_principles_fit()
+    cf = closed_form_report()
     return {
         "closed_form_pairing": closed,
         "first_principles_pairing": first,
@@ -689,21 +647,23 @@ def haar_su3(rng, count: int):
     return q / np.exp(np.log(det) / 3.0)[:, None, None]
 
 
-def haar_average_check(xi: Su3Element, samples: int, seed: int,
-                       frame: AWFrame | None = None,
-                       batch: int = 100000) -> dict:
+# Haar samples per batch; every batch has its own seeded stream, so a
+# different size changes the Monte-Carlo values under a fixed seed
+MC_BATCH = 100000
+
+
+def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
     """E_g[P(g xi g^{-1})] by Haar sampling versus the projection
     (<P, i det>/<i det, i det>) i det(xi).
 
-    Batches draw from independently seeded streams keyed by (seed,
-    batch index), so the estimate is reproducible and independent of
-    how batches are scheduled.
+    Batches of MC_BATCH samples draw from independently seeded streams
+    keyed by (seed, batch index), so the estimate is reproducible and
+    independent of how batches are scheduled.
     """
     import numpy as np
     if samples < 10000:
         raise ScalarError("need at least 10^4 samples")
-    fr = frame or standard_aw_frame()
-    poly = first_principles_p_poly(fr)
+    poly = first_principles_p_poly()
     idx, coefs = _poly_evaluator(poly)
     xi_mat = np.array([[complex(c) for c in row]
                        for row in xi.matrix_entries()])
@@ -713,7 +673,7 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int,
     done = 0
     nbatch = 0
     while done < samples:
-        take = min(batch, samples - done)
+        take = min(MC_BATCH, samples - done)
         rng = np.random.default_rng([seed, nbatch])
         g = haar_su3(rng, take)
         conj = g @ xi_mat @ g.conj().transpose(0, 2, 1)
@@ -727,7 +687,7 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int,
     empirical = total / samples
     variance = max(total_sq / samples - empirical * empirical, 0.0)
     std_error = (variance / samples) ** 0.5
-    factor = final_pairing("first-principles", fr) / idet_self_pairing()
+    factor = final_pairing("first-principles") / idet_self_pairing()
     predicted = float(factor) * float(xi.i_det())
     denom = max(abs(predicted), 1e-12)
     return {

@@ -10,10 +10,10 @@ Three exact scalar types are used throughout:
 * :class:`GaussRational`, elements ``a + b*i`` of Q(i), used for the
   complex letter polynomials of the invariant pairing.
 
-Every exact type supports +, -, *, / and equality, and converts to a
-float (or complex) through :func:`approx`.  Floating point mirrors of
-the exact pipeline just pass ``float`` coefficients through the same
-code paths; no separate numeric tower is needed for that.
+Every exact type supports +, -, *, / and equality, and all engine
+arithmetic is exact.  QuadExt converts to float and GaussRational to
+complex for display and for the numpy Monte-Carlo check, whose
+polynomial coefficients are complex.
 """
 
 from __future__ import annotations
@@ -245,23 +245,6 @@ class GaussRational:
 
 
 I_UNIT = GaussRational(0, 1)
-
-
-def approx(value):
-    """Floating point value of any scalar the engine produces.
-
-    Rationals and QuadExt go to float, GaussRational to complex;
-    floats and complexes pass through unchanged.
-    """
-    if isinstance(value, (int, Fraction)):
-        return float(value)
-    if isinstance(value, QuadExt):
-        return float(value)
-    if isinstance(value, GaussRational):
-        return complex(value)
-    if isinstance(value, (float, complex)):
-        return value
-    raise TypeError(f"cannot approximate {type(value).__name__}")
 
 
 def scalar_to_json(value) -> dict:

@@ -27,8 +27,8 @@ from . import aw as awmod
 from . import cubic as cubicmod
 from . import exterior as ext
 from . import pairing as pairmod
-from .exterior import blade, blade_indices, contract, coords_of, hodge, \
-    inner, norm_sq, vector, vector_form, vol_coefficient, wedge
+from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
+    vector, vector_form, vol_coefficient, wedge
 from .g2 import random_traceless, standard_frame
 from .linalg import Matrix, SymTensor, rank, sym_inner
 from .scalars import GaussRational
@@ -362,11 +362,11 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
     rng = check_rng(seed, "aw.dual-constructions")
     ok = True
     for i in range(4, 8):
-        awmod.c_of(vector(i), fr)
+        awmod.c_of(vector(i))
     for _ in range(20):
         x = vector_form([0, 0, 0] + [Fraction(rng.randint(-4, 4))
                                      for _ in range(4)])
-        awmod.c_of(x, fr)
+        awmod.c_of(x)
     _record(checks, "aw.dual-constructions", ok,
             "x -| (4 vol4 - psi) equals the omega-expansion of C(x)",
             "as computed",
@@ -396,7 +396,7 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
         s, y, x = awmod.decompose(xi)
         ok = ok and coords_of(y)[3:] == [0, 0, 0, 0]
         ok = ok and coords_of(x)[:3] == [0, 0, 0]
-        a = awmod.comparison_form(xi, fr)
+        a = awmod.comparison_form(xi)
         sa, ya, xa = awmod.decompose(xi)
         ok = ok and (sa, ya, xa) == (s, y, x)
     _record(checks, "aw.decompose-roundtrip", ok,
@@ -406,18 +406,19 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
 
     rng = check_rng(seed, "aw.value-two-routes")
     ok = True
+    tables = awmod.block_tables()
     for _ in range(10):
         xi = _random_su3(rng, 3)
-        exact = awmod.first_principles_value(xi, fr)
-        approx = awmod.first_principles_value_approx(xi, fr)
-        ok = ok and abs(float(exact) - approx) <= 1e-6 * max(1.0, abs(float(exact)))
+        value = awmod.first_principles_value(xi)
+        ok = ok and value == tables.fp_value(*awmod.decompose(xi))
     _record(checks, "aw.value-two-routes", ok,
-            "wedge route and tensor route agree; float mirror tracks "
-            "the exact value", "as computed",
-            "10 random elements; the exact call cross-checks both routes")
+            "native Q(sqrt(10)) value of P equals its assembly from the "
+            "block tables", "as computed",
+            "10 random elements; the native call also cross-checks the "
+            "even/odd split in sqrt(10)")
 
     rng = check_rng(seed, "aw.tensor-displays")
-    rows = awmod.verify_tensor_displays(rng, max(50, n_random // 2), fr)
+    rows = awmod.verify_tensor_displays(rng, max(50, n_random // 2))
     for row in rows:
         cid = "aw.tensor-display." + row["identity"].replace(" ", "")
         if "corrected_matches" in row:
@@ -435,7 +436,7 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
                     "display verified on the lattice and random points")
 
     rng = check_rng(seed, "aw.block-products")
-    rows = awmod.verify_block_products(rng, max(50, n_random // 2), fr)
+    rows = awmod.verify_block_products(rng, max(50, n_random // 2))
     for row in rows:
         cid = "aw.block-product." + row["product"].replace(" ", "")
         if "corrected_matches" in row:
@@ -452,7 +453,7 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
                     "matches" if row["matches"] else "differs",
                     "tabulated scalar product over lattice and random points")
 
-    rep = awmod.intermediate_display_report(fr)
+    rep = awmod.intermediate_display_report()
     fitted = rep["computed"]
     _record(checks, "aw.generic-sum-display", rep["matches"],
             "-210 s^3 + s(39|x|^2 + 6|y|^2) - 8R",
@@ -460,16 +461,16 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
             "the tabulated sum of the six weighted products; the fitted "
             "coefficients are certified exactly on the cubic lattice")
 
-    crep = awmod.closed_form_report(fr)
+    crep = awmod.closed_form_report()
     cfit = crep["computed"]
     _record(checks, "aw.closed-display", crep["matches"],
             "210 s^3 + (65/6) s|x|^2 + (50/3) s|y|^2 + (100/27) R",
             "%s s^3 + %s s|x|^2 + %s s|y|^2 + %s R" % tuple(cfit),
             "the final tabulated P; sign resolution: " + crep["sign_resolution"])
 
-    fp = pairmod.final_pairing("first-principles", fr)
+    fp = pairmod.final_pairing("first-principles")
     closed = pairmod.final_pairing("closed-form")
-    flip = pairmod.pairing_report(fr)["sign_flip_only_assembly"]
+    flip = pairmod.pairing_report()["sign_flip_only_assembly"]
     _record(checks, "aw.pairing-vs-displays", fp in (closed, Fraction(flip)),
             f"first-principles pairing equals {closed} or {flip}",
             str(fp),
@@ -518,19 +519,6 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
     _record(checks, "pairing.permanent-examples", ok,
             "perm[[1,2],[3,4]] = 10; perm of all-4/3 3x3 = 128/9",
             "as computed", "definition sum over permutations")
-
-    rng = check_rng(seed, "pairing.permanent-ryser")
-    ok = True
-    for _ in range(n_random):
-        k = rng.randint(1, 5)
-        M = [[Fraction(rng.randint(-4, 4)) for _ in range(k)] for _ in range(k)]
-        naive = sum(
-            _prod(M[i][p[i]] for i in range(k))
-            for p in itertools.permutations(range(k)))
-        ok = ok and pairmod.permanent(M) == naive
-    _record(checks, "pairing.permanent-ryser", ok,
-            "Ryser inclusion-exclusion equals the naive expansion",
-            "as computed", f"{n_random} random matrices up to 5 x 5")
 
     rng = check_rng(seed, "pairing.sym-inner-symmetric")
     ok = True
@@ -639,13 +627,6 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
         ],
     }
     return _report("pairing", seed, checks, extra)
-
-
-def _prod(it):
-    out = Fraction(1)
-    for v in it:
-        out = out * v
-    return out
 
 
 def _random_poly(rng: random.Random, degree: int, real: bool = False,

@@ -199,10 +199,9 @@ FAILING_PRODUCTS = {"p(phitilde, C(x))", "p(y^Omega, C(x))"}
 
 def test_criterion_08_tabulated_formulas(awframe, capsys):
     started = time.monotonic()
-    fr = awframe
     rng = random.Random(2288)
-    tensor_rows = aw.verify_tensor_displays(rng, 50, fr)
-    product_rows = aw.verify_block_products(rng, 10, fr)
+    tensor_rows = aw.verify_tensor_displays(rng, 50)
+    product_rows = aw.verify_block_products(rng, 10)
     bad_tensors = {r["identity"] for r in tensor_rows if not r["matches"]}
     bad_products = {r["product"] for r in product_rows if not r["matches"]}
     failing = [r for r in tensor_rows + product_rows if not r["matches"]]
@@ -232,7 +231,7 @@ def test_criterion_08_tabulated_formulas(awframe, capsys):
 
 def test_criterion_09_invariant_pairing(awframe, capsys):
     started = time.monotonic()
-    report = pairing.pairing_report(awframe)
+    report = pairing.pairing_report()
     closed = report["closed_form_pairing"]
     fp = report["first_principles_pairing"]
     flip = report["sign_flip_only_assembly"]
@@ -280,14 +279,13 @@ def test_criterion_10_montecarlo(awframe, capsys):
     ok = True
     errors = []
     for xi in elements:
-        rep = pairing.haar_average_check(xi, samples=10 ** 6, seed=MC_SEED,
-                                         frame=awframe)
+        rep = pairing.haar_average_check(xi, samples=10 ** 6, seed=MC_SEED)
         errors.append(rep["relative_error"])
         ok = ok and rep["relative_error"] < 0.01
     again = pairing.haar_average_check(elements[0], samples=10 ** 6,
-                                       seed=MC_SEED, frame=awframe)
+                                       seed=MC_SEED)
     first = pairing.haar_average_check(elements[0], samples=10 ** 6,
-                                       seed=MC_SEED, frame=awframe)
+                                       seed=MC_SEED)
     ok = ok and again == first
     elapsed = time.monotonic() - started
     announce(capsys, 10, ok and elapsed < 60.0,

@@ -92,7 +92,17 @@ def test_traceless_part():
     S = SymTensor.diag([3, 1, 2])
     T = S.traceless_part()
     assert T.trace() == 0
-    assert T.at(0, 0) == 1
+    assert T.entries == [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+    # the shifted diagonal is exact (never float); off-diagonal entries
+    # keep their type
+    assert [type(T.at(i, i)) for i in range(3)] == [Fraction] * 3
+    assert all(type(T.at(i, j)) is int
+               for i in range(3) for j in range(3) if i != j)
+    Q = SymTensor.diag([QuadExt(1, 1), QuadExt(2), QuadExt(0, -1)])
+    U = Q.traceless_part()
+    assert U.trace() == 0
+    assert U.at(0, 0) == QuadExt(0, 1)
+    assert [type(U.at(i, i)) for i in range(3)] == [QuadExt] * 3
 
 
 def test_sym_inner_symmetric_random():

@@ -85,20 +85,6 @@ def test_permanent_examples():
         permanent([[1, 2], [3]])
 
 
-def test_permanent_ryser_matches_naive():
-    # above size 4 the Ryser formula takes over; compare on size 5
-    rng = random.Random(11002)
-    import itertools
-    for _ in range(3):
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(5)]
-                for _ in range(5)]
-        naive = sum(
-            (rows[0][p[0]] * rows[1][p[1]] * rows[2][p[2]]
-             * rows[3][p[3]] * rows[4][p[4]]
-             for p in itertools.permutations(range(5))), Fraction(0))
-        assert permanent(rows) == naive
-
-
 def test_monomial_inner_examples():
     assert monomial_inner(("v1",), ("v1",)) == Fraction(4, 3)
     assert monomial_inner(("v1",), ("v2",)) == Fraction(-2, 3)
@@ -172,14 +158,14 @@ def test_closed_form_pairing():
         final_pairing("folklore")
 
 
-def test_first_principles_pairing(awframe):
-    assert final_pairing("first-principles", awframe) == Fraction(760, 3)
-    fitted = first_principles_fit(awframe)
+def test_first_principles_pairing():
+    assert final_pairing("first-principles") == Fraction(760, 3)
+    fitted = first_principles_fit()
     assert assembled_pairing(fitted) == Fraction(760, 3)
 
 
-def test_pairing_report_fields(awframe):
-    rep = pairing_report(awframe)
+def test_pairing_report_fields():
+    rep = pairing_report()
     assert rep["closed_form_pairing"] == Fraction(100, 3)
     assert rep["first_principles_pairing"] == Fraction(760, 3)
     assert rep["closed_form_assembly"] == Fraction(100, 3)
@@ -191,9 +177,9 @@ def test_pairing_report_fields(awframe):
     assert rep["components"] == COMPONENT_PAIRINGS
 
 
-def test_p_poly_real_and_matches_values(awframe):
+def test_p_poly_real_and_matches_values():
     rng = random.Random(11005)
-    fp = p_poly("first-principles", awframe)
+    fp = p_poly("first-principles")
     closed = p_poly("closed-form")
     assert fp.is_real_on_su3() and closed.is_real_on_su3()
     diag = Su3Element((1, 1, -2), (0,) * 6)
@@ -202,13 +188,13 @@ def test_p_poly_real_and_matches_values(awframe):
     for _ in range(5):
         xi = random_su3(rng, 2)
         assert fp.evaluate_at(xi) == \
-            GaussRational(first_principles_value(xi, awframe), 0)
+            GaussRational(first_principles_value(xi), 0)
 
 
-def test_p_poly_pure_z_support(awframe):
+def test_p_poly_pure_z_support():
     # the only pure-z monomials of P are z1 z2 z3 and its conjugate,
     # the same support i det has in that sector
-    fp = p_poly("first-principles", awframe)
+    fp = p_poly("first-principles")
     purez = sorted(m for m in fp.terms if all(l[0] == "z" for l in m))
     assert purez == [("z1", "z2", "z3"), ("zb1", "zb2", "zb3")]
     c = fp.terms[("z1", "z2", "z3")]
@@ -216,10 +202,10 @@ def test_p_poly_pure_z_support(awframe):
     assert fp.terms[("zb1", "zb2", "zb3")] == c.conjugate()
 
 
-def test_interpolated_cubic_reproduces_values(awframe):
+def test_interpolated_cubic_reproduces_values():
     # coefficients over the coordinates (v1, v2, x1..x6), keyed by
     # sorted index triples; the cubic they assemble is P itself
-    coeff = interpolate_p_coefficients(awframe)
+    coeff = interpolate_p_coefficients()
     assert all(tuple(sorted(k)) == k and len(k) == 3 for k in coeff)
     rng = random.Random(11008)
     for _ in range(5):
@@ -227,7 +213,7 @@ def test_interpolated_cubic_reproduces_values(awframe):
         xi = Su3Element((c[0], c[1], -c[0] - c[1]), tuple(c[2:]))
         val = sum((w * c[i] * c[j] * c[k]
                    for (i, j, k), w in coeff.items()), Fraction(0))
-        assert val == first_principles_value(xi, awframe)
+        assert val == first_principles_value(xi)
 
 
 # -- Monte-Carlo --------------------------------------------------------------
@@ -242,9 +228,9 @@ def test_haar_su3_unitary_determinant():
     assert np.allclose(np.linalg.det(g), 1.0, atol=1e-12)
 
 
-def test_haar_average_matches_projection(awframe):
+def test_haar_average_matches_projection():
     xi = Su3Element((1, -2, 1), (1, 0, 0, 1, 0, 1))
-    rep = haar_average_check(xi, 20000, seed=3, frame=awframe)
+    rep = haar_average_check(xi, 20000, seed=3)
     gap = abs(rep["empirical"] - rep["predicted"])
     assert gap <= 6.0 * rep["std_error"] + 1e-9
     assert rep["samples"] == 20000 and rep["seed"] == 3
@@ -252,16 +238,15 @@ def test_haar_average_matches_projection(awframe):
         float(Fraction(760, 3) / Fraction(320, 9)) * float(xi.i_det()))
 
 
-def test_haar_average_deterministic(awframe):
+def test_haar_average_deterministic():
     xi = Su3Element((1, 1, -2), (0,) * 6)
-    rep1 = haar_average_check(xi, 10000, seed=9, frame=awframe)
-    rep2 = haar_average_check(xi, 10000, seed=9, frame=awframe)
+    rep1 = haar_average_check(xi, 10000, seed=9)
+    rep2 = haar_average_check(xi, 10000, seed=9)
     assert rep1 == rep2
-    rep3 = haar_average_check(xi, 10000, seed=10, frame=awframe)
+    rep3 = haar_average_check(xi, 10000, seed=10)
     assert rep3["empirical"] != rep1["empirical"]
 
 
-def test_haar_average_sample_floor(awframe):
+def test_haar_average_sample_floor():
     with pytest.raises(ScalarError):
-        haar_average_check(Su3Element((1, 1, -2), (0,) * 6), 100, seed=1,
-                           frame=awframe)
+        haar_average_check(Su3Element((1, 1, -2), (0,) * 6), 100, seed=1)
