@@ -33,6 +33,12 @@ closed polynomial the suite vindicates is
 
 Every verifier reports the displayed value, the computed value, and
 the corrected closed form where the two differ.
+
+The generic cubic is trilinear in the eight block coordinates
+(s, y1, y2, y3, x4..x7).  Its structure constants on the basis
+(phitilde, e_a ^ Omega, C(e_i)) are 58 nonzero integers, built once
+and checked fully symmetric; the lattice sweeps and fits evaluate
+that table, while random points keep the direct solver route.
 """
 
 from __future__ import annotations
@@ -203,25 +209,39 @@ def decompose(xi: Su3Element):
     return s, y, x
 
 
-def c_of(x: Form) -> Form:
-    """The cocycle block C(x) for a vector x in the m4 block.
+def compose(s, y: Form, x: Form) -> Su3Element:
+    """The element of su(3) with blocks (s, y, x); inverse of decompose."""
+    yc, xc = coords_of(y), coords_of(x)
+    return Su3Element((s + yc[0], s - yc[0], -2 * s),
+                      (-yc[1], yc[2], xc[4], -xc[3], xc[6], -xc[5]))
 
-    Two constructions are compared: x -| (4 vol4 - psi), and the display
-    3 (x -| vol4) + e12 ^ (x -| omega3) + e23 ^ (x -| omega1)
-    + e31 ^ (x -| omega2).
-    """
+
+def c_direct(x: Form) -> Form:
+    """C(x) = x -| (4 vol4 - psi)."""
     fr = standard_aw_frame()
+    return contract(x, 4 * fr.vol4 - fr.g2.psi)
+
+
+def c_display(x: Form) -> Form:
+    """C(x) as displayed: 3 (x -| vol4) + e12 ^ (x -| omega3)
+    + e23 ^ (x -| omega1) + e31 ^ (x -| omega2)."""
+    fr = standard_aw_frame()
+    e12, e23, e31 = blade([1, 2]), blade([2, 3]), -blade([1, 3])
+    return (3 * contract(x, fr.vol4)
+            + wedge(e12, contract(x, fr.omega[2]))
+            + wedge(e23, contract(x, fr.omega[0]))
+            + wedge(e31, contract(x, fr.omega[1])))
+
+
+def c_of(x: Form) -> Form:
+    """The cocycle block C(x) for a vector x in the m4 block; the two
+    constructions c_direct and c_display must agree."""
     if x.grade != 1:
         raise FormError("C needs a vector")
     if x.support_mask() & ~M4_MASK:
         raise FormError("C needs a vector in span(e4..e7)")
-    direct = contract(x, 4 * fr.vol4 - fr.g2.psi)
-    e12, e23, e31 = blade([1, 2]), blade([2, 3]), -blade([1, 3])
-    display = (3 * contract(x, fr.vol4)
-               + wedge(e12, contract(x, fr.omega[2]))
-               + wedge(e23, contract(x, fr.omega[0]))
-               + wedge(e31, contract(x, fr.omega[1])))
-    if direct != display:
+    direct = c_direct(x)
+    if direct != c_display(x):
         raise InternalConsistencyError("the two constructions of C disagree")
     return direct
 
@@ -525,35 +545,28 @@ def _random_blocks(rng, bound=4):
     return s, y, x
 
 
+def _tally(key: str, batches) -> list[dict]:
+    """One summary per name over batches of per-point records: matches
+    (and corrected_matches, where present) hold iff they hold at every
+    point."""
+    out: dict[str, dict] = {}
+    for rows in batches:
+        for row in rows:
+            rec = out.setdefault(row[key], {key: row[key], "matches": True})
+            rec["matches"] = rec["matches"] and row["matches"]
+            if "corrected_matches" in row:
+                rec["corrected_matches"] = (rec.get("corrected_matches", True)
+                                            and row["corrected_matches"])
+    return list(out.values())
+
+
 def verify_tensor_displays(rng, n_random: int = 50) -> list[dict]:
     """Check the eight displayed block tensors on a degree-2 lattice in
     (y, x) plus seeded random points.  Returns one summary per display."""
-    tallies: dict[str, bool] = {}
-    corrected: dict[str, bool] = {}
-
-    def absorb(chk):
-        name = chk["identity"]
-        tallies[name] = tallies.get(name, True) and chk["matches"]
-        if "corrected_matches" in chk:
-            corrected[name] = (corrected.get(name, True)
-                               and chk["corrected_matches"])
-
-    points = [p[1:] for p in principal_lattice(8, 2) if p[0] == 0]
-    for pt in points:
-        _, y, x = _lattice_blocks((0,) + tuple(pt))
-        for chk in tensor_displays(y, x):
-            absorb(chk)
-    for _ in range(n_random):
-        _, y, x = _random_blocks(rng)
-        for chk in tensor_displays(y, x):
-            absorb(chk)
-    out = []
-    for k, v in tallies.items():
-        rec = {"identity": k, "matches": v}
-        if k in corrected:
-            rec["corrected_matches"] = corrected[k]
-        out.append(rec)
-    return out
+    blocks = [_lattice_blocks((0,) + p[1:])
+              for p in principal_lattice(8, 2) if p[0] == 0]
+    blocks += [_random_blocks(rng) for _ in range(n_random)]
+    return _tally("identity", (tensor_displays(y, x) for _, y, x in blocks))
 
 
 def verify_block_products(rng, n_random: int = 50) -> list[dict]:
@@ -561,63 +574,55 @@ def verify_block_products(rng, n_random: int = 50) -> list[dict]:
     polynomial identities: a full degree-3 principal lattice in the
     eight block coordinates, then seeded random points."""
     tab = block_tables()
-    tallies: dict[str, bool] = {}
-    corrected: dict[str, bool] = {}
-
-    def absorb(row):
-        name = row["product"]
-        tallies[name] = tallies.get(name, True) and row["matches"]
-        if "corrected_matches" in row:
-            corrected[name] = (corrected.get(name, True)
-                               and row["corrected_matches"])
-
-    for point in principal_lattice(8, 3, homogeneous=True):
-        s, y, x = _lattice_blocks(point)
-        for row in block_products(s, y, x, tables=tab):
-            absorb(row)
+    lattice = (block_products(*_lattice_blocks(p), tables=tab)
+               for p in principal_lattice(8, 3, homogeneous=True))
     # random points take the direct solver route, independent of the table
-    for _ in range(n_random):
-        s, y, x = _random_blocks(rng)
-        for row in block_products(s, y, x):
-            absorb(row)
-    out = []
-    for k, v in tallies.items():
-        rec = {"product": k, "matches": v}
-        if k in corrected:
-            rec["corrected_matches"] = corrected[k]
-        out.append(rec)
-    return out
+    direct = (block_products(*_random_blocks(rng)) for _ in range(n_random))
+    return _tally("product", itertools.chain(lattice, direct))
+
+
+@functools.cache
+def block_basis() -> tuple[Form, ...]:
+    """The forms (phitilde, e1^Omega, e2^Omega, e3^Omega, C(e4), ...,
+    C(e7)), orthogonal with squared norms 42, 2 and 12 on the three
+    blocks; A_ has the coordinates (s, y1, y2, y3, x4, ..., x7) on them."""
+    fr = standard_aw_frame()
+    yws = tuple(wedge(vector(a), fr.Omega) for a in (1, 2, 3))
+    return (fr.phi_tilde,) + yws + tuple(c_of(vector(i)) for i in range(4, 8))
+
+
+def _block_coords(s, y: Form, x: Form) -> list:
+    return [s] + coords_of(y)[:3] + coords_of(x)[3:7]
 
 
 class _BlockTables:
-    """Basis tensors of the block data, built once per process.
+    """The generic block cubic as its structure constants, built once
+    per process.
 
-    p is bilinear and i^{-1} linear, so every block value over the
-    lattice assembles multilinearly from p on pairs of basis forms
-    (phitilde, e_a ^ Omega, C(e_i)) and i^{-1} on each; sweeps then
-    cost small exact arithmetic instead of a solver run per point.
-    The assembly is cross-checked against the direct route at probe
-    points when the table is built.
+    On the block basis B, T[u][v][w] = <p(B_u, B_v), i^{-1}(B_w)>, and
+    the cubic of A_ = sum z_u B_u is sum T[u][v][w] z_u z_v z_w.  Only
+    the 58 nonzero entries are kept, all integers (16 up to permutation,
+    e.g. T[0][0][0] = -210, T[0][4][4] = 33, T[1][4][4] = -5); every
+    block value is tri on coordinate vectors.  At build time T must be
+    invariant under all permutations of (u, v, w), the full symmetry of
+    the trilinear form, and the table is cross-checked against the
+    direct route at probe points.
     """
 
     def __init__(self):
-        fr = standard_aw_frame()
-        pt = fr.phi_tilde
-        yws = [wedge(vector(a + 1), fr.Omega) for a in range(3)]
-        cxs = [c_of(vector(i + 4)) for i in range(4)]
-        self.pp = quadratic_form(pt, pt)
-        self.py = [quadratic_form(pt, w) for w in yws]
-        self.pc = [quadratic_form(pt, c) for c in cxs]
-        self.yy = [[quadratic_form(yws[a], yws[b]) for b in range(3)]
-                   for a in range(3)]
-        self.yc = [[quadratic_form(yws[a], cxs[i]) for i in range(4)]
-                   for a in range(3)]
-        self.cc = [[quadratic_form(cxs[i], cxs[j]) for j in range(4)]
-                   for i in range(4)]
-        inv = fr.g2.iso_i_inv
-        self.inv_p = inv(pt)
-        self.inv_y = [inv(w) for w in yws]
-        self.inv_c = [inv(c) for c in cxs]
+        basis = block_basis()
+        inv = [standard_frame().iso_i_inv(b) for b in basis]
+        T = {}
+        for u, v in itertools.combinations_with_replacement(range(8), 2):
+            p = quadratic_form(basis[u], basis[v])
+            for w in range(8):
+                T[u, v, w] = T[v, u, w] = Fraction(sym_inner(p, inv[w]))
+        if any(T[perm] != c for key, c in T.items()
+               for perm in itertools.permutations(key)):
+            raise InternalConsistencyError(
+                "block trilinear table is not fully symmetric")
+        self.terms = tuple((u, v, w, c.numerator if c.denominator == 1 else c)
+                           for (u, v, w), c in sorted(T.items()) if c)
         for s, yc, xc in ((1, (1, 0, 0), (0, 1, 0, 0)),
                           (2, (0, 1, -1), (1, 0, 0, 1))):
             y = vector_form(list(yc) + [0, 0, 0, 0])
@@ -626,109 +631,42 @@ class _BlockTables:
                 raise InternalConsistencyError(
                     "table assembly disagrees with the direct route")
 
-    @staticmethod
-    def _coords(y: Form, x: Form):
-        return coords_of(y)[:3], coords_of(x)[3:7]
-
-    def p_big(self, s, yc, xc) -> SymTensor:
-        """p(A_, A_) for A_ = s phitilde + y^Omega + C(x)."""
-        out = self.pp.scale(s * s)
-        for a in range(3):
-            if yc[a]:
-                out = out + self.py[a].scale(2 * s * yc[a])
-        for i in range(4):
-            if xc[i]:
-                out = out + self.pc[i].scale(2 * s * xc[i])
-        out = out + self.p_yy(yc) + self.p_yc(yc, xc).scale(2) + self.p_cc(xc)
-        return out
-
-    def p_yy(self, yc) -> SymTensor:
-        out = SymTensor.zero(7)
-        for a in range(3):
-            for b in range(3):
-                if yc[a] and yc[b]:
-                    out = out + self.yy[a][b].scale(yc[a] * yc[b])
-        return out
-
-    def p_yc(self, yc, xc) -> SymTensor:
-        out = SymTensor.zero(7)
-        for a in range(3):
-            for i in range(4):
-                if yc[a] and xc[i]:
-                    out = out + self.yc[a][i].scale(yc[a] * xc[i])
-        return out
-
-    def p_cc(self, xc) -> SymTensor:
-        out = SymTensor.zero(7)
-        for i in range(4):
-            for j in range(4):
-                if xc[i] and xc[j]:
-                    out = out + self.cc[i][j].scale(xc[i] * xc[j])
-        return out
-
-    def p_py(self, yc) -> SymTensor:
-        out = SymTensor.zero(7)
-        for a in range(3):
-            if yc[a]:
-                out = out + self.py[a].scale(yc[a])
-        return out
-
-    def p_pc(self, xc) -> SymTensor:
-        out = SymTensor.zero(7)
-        for i in range(4):
-            if xc[i]:
-                out = out + self.pc[i].scale(xc[i])
-        return out
-
-    def inv_parts(self, s, yc, xc):
-        """i^{-1} of the rational part s phitilde + y^Omega, and of C(x)."""
-        rat = self.inv_p.scale(s)
-        for a in range(3):
-            if yc[a]:
-                rat = rat + self.inv_y[a].scale(yc[a])
-        cpart = SymTensor.zero(7)
-        for i in range(4):
-            if xc[i]:
-                cpart = cpart + self.inv_c[i].scale(xc[i])
-        return rat, cpart
+    def tri(self, z1, z2, z3):
+        """sum T[u][v][w] z1[u] z2[v] z3[w] over block coordinates."""
+        total = 0
+        for u, v, w, c in self.terms:
+            # skip zero coordinates: most block vectors are sparse
+            if z1[u] and z2[v] and z3[w]:
+                total += c * z1[u] * z2[v] * z3[w]
+        return total
 
     def cubic(self, s, y: Form, x: Form):
-        """<p(A_, A_), i^{-1}(A_)> assembled from the tables."""
-        yc, xc = self._coords(y, x)
-        rat, cpart = self.inv_parts(s, yc, xc)
-        return sym_inner(self.p_big(s, yc, xc), rat + cpart)
+        """<p(A_, A_), i^{-1}(A_)> from the table."""
+        z = _block_coords(s, y, x)
+        return self.tri(z, z, z)
 
     def products(self, s, y: Form, x: Form):
         """The six block products against i^{-1}(A_), in display order."""
-        yc, xc = self._coords(y, x)
-        rat, cpart = self.inv_parts(s, yc, xc)
-        inv_full = rat + cpart
-        return (sym_inner(self.pp, inv_full),
-                sym_inner(self.p_py(yc), inv_full),
-                sym_inner(self.p_pc(xc), inv_full),
-                sym_inner(self.p_yy(yc), inv_full),
-                sym_inner(self.p_yc(yc, xc), inv_full),
-                sym_inner(self.p_cc(xc), inv_full))
+        z = _block_coords(s, y, x)
+        e0 = [1] + [0] * 7
+        zy = [0] + z[1:4] + [0] * 4
+        zc = [0] * 4 + z[4:]
+        tri = self.tri
+        return (tri(e0, e0, z), tri(e0, zy, z), tri(e0, zc, z),
+                tri(zy, zy, z), tri(zy, zc, z), tri(zc, zc, z))
 
     def fp_value(self, s, y: Form, x: Form) -> Fraction:
         """P(xi) for the blocks (s, y, x) of xi, through the even/odd
         split in k = sqrt(10)/6: the rational part is B = s phitilde
         - (5/3) y^Omega and the k-coefficient part is C(x); the k-odd
         combination must cancel."""
-        yc = [Fraction(-5, 3) * c for c in coords_of(y)[:3]]
-        xc = coords_of(x)[3:7]
-        zero4 = (0, 0, 0, 0)
-        zero3 = (0, 0, 0)
-        pbb = (self.pp.scale(s * s) + self.p_py(yc).scale(2 * s)
-               + self.p_yy(yc))
-        pbc = self.p_pc(xc).scale(s) + self.p_yc(yc, xc)
-        pcc = self.p_cc(xc)
-        sb, _ = self.inv_parts(s, yc, zero4)
-        _, sc = self.inv_parts(0, zero3, xc)
-        t0 = sym_inner(pbb, sb)
-        t1 = 2 * sym_inner(pbc, sb) + sym_inner(pbb, sc)
-        t2 = sym_inner(pcc, sb) + 2 * sym_inner(pbc, sc)
-        t3 = sym_inner(pcc, sc)
+        zb = [s] + [Fraction(-5, 3) * c for c in coords_of(y)[:3]] + [0] * 4
+        zc = [0] * 4 + coords_of(x)[3:7]
+        tri = self.tri
+        t0 = tri(zb, zb, zb)
+        t1 = 2 * tri(zb, zc, zb) + tri(zb, zb, zc)
+        t2 = tri(zc, zc, zb) + 2 * tri(zb, zc, zc)
+        t3 = tri(zc, zc, zc)
         k2 = Fraction(5, 18)
         if t1 + k2 * t3 != 0:
             raise InternalConsistencyError(
@@ -744,11 +682,11 @@ def block_tables() -> _BlockTables:
 @functools.cache
 def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The generic block cubic <p(A_, A_), i^{-1}(A_)> fitted over the
-    model (s^3, s|x|^2, s|y|^2, R); see _fit_model."""
-    return _fit_model(block_tables().cubic)
+    model (s^3, s|x|^2, s|y|^2, R); see fit_model."""
+    return fit_model(block_tables().cubic)
 
 
-def _fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact coefficients (c1, c2, c3, c4) of the block cubic fn in the
     model
 
@@ -789,34 +727,32 @@ def _fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return c1, c2, c3, c4
 
 
+def revert_block_fit(coeffs) -> tuple:
+    """Model coefficients of a block cubic pushed through the
+    reparametrization y -> -(5/3) y, x -> (sqrt(10)/6) x, which scales
+    s^3, s|x|^2, s|y|^2 and R by 1, 5/18, 25/9 and -25/54."""
+    scale = (1, Fraction(5, 18), Fraction(25, 9), Fraction(-25, 54))
+    return tuple(c * f for c, f in zip(coeffs, scale))
+
+
 @functools.cache
 def first_principles_fit() -> tuple:
     """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R).
 
     Two derivations that must agree: fit the generic block cubic and
-    push it through the reparametrization y -> -(5/3) y,
-    x -> (sqrt(10)/6) x (which scales the model coefficients by
-    1, 5/18, 25/9, -25/54), or fit P itself on su(3) elements directly.
+    push it through revert_block_fit, or fit P itself through its table
+    assembly.
     """
-    c1, c2, c3, c4 = fit_block_cubic()
-    pushed = (c1, c2 * Fraction(5, 18), c3 * Fraction(25, 9),
-              c4 * Fraction(-25, 54))
+    pushed = revert_block_fit(fit_block_cubic())
     tab = block_tables()
-
-    def p_of_blocks(s, y, x):
-        yc, xc = coords_of(y), coords_of(x)
-        xi = Su3Element(
-            (s + yc[0], s - yc[0], -2 * s),
-            (-yc[1], yc[2], xc[4], -xc[3], xc[6], -xc[5]))
-        return first_principles_value(xi, single_route=True)
-
     # certify the table assembly of P against the full evaluator at a
     # generic point, then fit P through the table
     py, px = vector_form([1, -1, 2] + [0] * 4), vector_form([0, 0, 0, 1, 0, 1, -1])
-    if tab.fp_value(1, py, px) != p_of_blocks(1, py, px):
+    if tab.fp_value(1, py, px) != first_principles_value(
+            compose(1, py, px), single_route=True):
         raise InternalConsistencyError(
             "assembled P disagrees with the full evaluator")
-    direct = _fit_model(tab.fp_value)
+    direct = fit_model(tab.fp_value)
     if direct != pushed:
         raise InternalConsistencyError(
             "reverted block fit and direct fit of P disagree")

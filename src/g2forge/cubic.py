@@ -12,6 +12,12 @@ polynomial Q.  Every scalar produced here is computed along two
 independent routes and cross-checked; a mismatch raises instead of
 returning anything.
 
+The right-hand side of the b2 solve, the 6-forms
+-(hat(a1) ^ (e_j -| a2) + hat(a2) ^ (e_j -| a1)), is read off a table
+of the 560 blade triples (m3, m4, j) with e_j in m4 and m3 disjoint
+from the rest of m4, each with its sign: one coefficient product per
+entry, added or subtracted, and no general wedge or contraction.
+
 The symmetric tensor p(a1, a2) of quadratic_form is computed on its 28
 upper-triangle entries and mirrored, with one pairing per entry when
 both arguments are the same form.
@@ -19,10 +25,12 @@ both arguments are the same form.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
-from .exterior import Form, GradeError, contract, hodge, inner, norm_sq, \
-    vector, vol_coefficient, wedge
+from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
+    contract, hodge, inner, merge_sign, norm_sq, vector, vol_coefficient, \
+    wedge
 from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
     standard_frame, star_action
 from .linalg import SymTensor, sym_inner
@@ -56,17 +64,62 @@ def quadratic_form_traceless(a1: Form, a2: Form) -> SymTensor:
     return quadratic_form(a1, a2).traceless_part()
 
 
+@functools.cache
+def _rhs_table() -> dict[int, tuple]:
+    """For each 4-blade m4, the 16 tuples (m3, j, m6, sign) with e_j in
+    m4 and m3 a 3-blade disjoint from m4 minus e_j, such that
+    e^{m3} ^ (e_j -| e^{m4}) = sign e^{m6}: the contraction sign times
+    merge_sign.  560 entries in all."""
+    table = {}
+    for m4 in BLADES_BY_GRADE[4]:
+        rows = []
+        for j in range(7):
+            if m4 >> j & 1:
+                rest = m4 ^ (1 << j)
+                sign = _contract_sign(j, m4)
+                rows += [(m3, j, m3 | rest, sign * merge_sign(m3, rest))
+                         for m3 in BLADES_BY_GRADE[3] if not m3 & rest]
+        table[m4] = tuple(rows)
+    return table
+
+
+def b2_rhs(a1: Form, h1: Form, a2: Form, h2: Form) -> list[Form]:
+    """The right-hand 6-forms -(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)),
+    j = 1..7, of the b2 solve, read off the sign table: one product
+    h[m3] a[m4] per entry, added or subtracted by its sign.  For the
+    diagonal b2(a, a) the two halves are the same object, so one is
+    computed and added to itself."""
+    table = _rhs_table()
+    diagonal = a1 is a2 and h1 is h2
+    halves = [(a2, h1.terms)]
+    if not diagonal:
+        halves.append((a1, h2.terms))
+    rows = [{} for _ in _SEVEN]
+    for a, h in halves:
+        for m4, c in a.terms.items():
+            for m3, j, m6, sign in table[m4]:
+                d = h.get(m3)
+                if d is None:
+                    continue
+                p = d * c
+                acc = rows[j].get(m6)
+                if sign > 0:
+                    rows[j][m6] = -p if acc is None else acc - p
+                else:
+                    rows[j][m6] = p if acc is None else acc + p
+    if diagonal:
+        rows = [{m: c + c for m, c in r.items()} for r in rows]
+    return [Form(6, r) for r in rows]
+
+
 def b2(a1: Form, a2: Form, frame: G2Frame | None = None) -> Form:
     """The symmetric bilinear cocycle on 4-forms, by exact linear solve."""
     fr = frame or standard_frame()
     if a1.grade != 4 or a2.grade != 4:
         raise GradeError("b2 needs two 4-forms")
-    h1, h2 = fr.hat(a1), fr.hat(a2)
-    rhs = []
-    for j in _SEVEN:
-        v = vector(j)
-        rhs.append(-(wedge(h1, contract(v, a2)) + wedge(h2, contract(v, a1))))
-    return fr.solve_three_form(rhs)
+    h1 = fr.hat(a1)
+    h2 = h1 if a2 is a1 else fr.hat(a2)
+    return fr.solve_three_form(b2_rhs(a1, h1, a2, h2))
 
 
 def q2_closed_form(a: Form, frame: G2Frame | None = None) -> Form:

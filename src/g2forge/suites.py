@@ -343,6 +343,56 @@ def _random_su3(rng: random.Random, bound: int = 4) -> awmod.Su3Element:
         tuple(Fraction(rng.randint(-bound, bound)) for _ in range(6)))
 
 
+# the aw checks that fail by design: each compares with a tabulated
+# closed form that does not hold as stated; notes/decisions.md gives
+# the display, its corrected form and the evidence for each
+AW_BY_DESIGN = frozenset({
+    "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a",
+    "aw.tensor-display.p(y^Omega,C(x))=6y.Jx",
+    "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax",
+    "aw.block-product.p(phitilde,C(x))",
+    "aw.block-product.p(y^Omega,C(x))",
+    "aw.generic-sum-display",
+    "aw.closed-display",
+    "aw.pairing-vs-displays",
+})
+
+
+def _aw_dual_constructions(seed: int) -> tuple[bool, str]:
+    rng = check_rng(seed, "aw.dual-constructions")
+    xs = [vector(i) for i in range(4, 8)]
+    xs += [vector_form([0, 0, 0] + [Fraction(rng.randint(-4, 4))
+                                    for _ in range(4)]) for _ in range(20)]
+    agree = sum(awmod.c_direct(x) == awmod.c_display(x) for x in xs)
+    return agree == len(xs), f"agree on {agree} of {len(xs)} vectors"
+
+
+def _aw_decompose_roundtrip(seed: int, n_random: int) -> tuple[bool, str]:
+    rng = check_rng(seed, "aw.decompose-roundtrip")
+    basis = awmod.block_basis()
+    k = awmod.SQRT10_OVER_6
+    good = 0
+    for _ in range(n_random):
+        xi = _random_su3(rng)
+        s, y, x = awmod.decompose(xi)
+        back = awmod.compose(s, y, x)
+        a = awmod.comparison_form(xi)
+        want = ([s] + [Fraction(-5, 3) * c for c in coords_of(y)[:3]]
+                + [k * c for c in coords_of(x)[3:]])
+        read = all(inner(a, b) == norm_sq(b) * w for b, w in zip(basis, want))
+        good += ((back.v, back.x) == (xi.v, xi.x) and read
+                 and coords_of(y)[3:] == [0] * 4
+                 and coords_of(x)[:3] == [0] * 3)
+    return good == n_random, f"{good} of {n_random} elements round-trip"
+
+
+def _aw_revert_map() -> tuple[bool, str]:
+    pushed = awmod.revert_block_fit(awmod.fit_block_cubic())
+    direct = awmod.fit_model(awmod.block_tables().fp_value)
+    return pushed == direct, ("pushed (%s, %s, %s, %s); direct (%s, %s, %s, %s)"
+                              % (pushed + direct))
+
+
 def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
     checks: list = []
     fr = awmod.standard_aw_frame()
@@ -359,18 +409,11 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
             "endomorphisms of the 4-block induced by the anti-self-dual "
             "2-forms and the self-dual Omega")
 
-    rng = check_rng(seed, "aw.dual-constructions")
-    ok = True
-    for i in range(4, 8):
-        awmod.c_of(vector(i))
-    for _ in range(20):
-        x = vector_form([0, 0, 0] + [Fraction(rng.randint(-4, 4))
-                                     for _ in range(4)])
-        awmod.c_of(x)
+    ok, actual = _aw_dual_constructions(seed)
     _record(checks, "aw.dual-constructions", ok,
             "x -| (4 vol4 - psi) equals the omega-expansion of C(x)",
-            "as computed",
-            "every call cross-checks the two constructions internally")
+            actual, "the two constructions compared on e4..e7 and 20 "
+            "random x in the 4-block")
 
     rng = check_rng(seed, "aw.idet-two-routes")
     ok = True
@@ -389,20 +432,12 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
             "v1 v2 v3 - sum v_j |z_j|^2 - 2 Im(z1 z2 z3) = i det(xi)",
             "as computed", f"{n_random} random exact elements")
 
-    rng = check_rng(seed, "aw.decompose-roundtrip")
-    ok = True
-    for _ in range(n_random):
-        xi = _random_su3(rng)
-        s, y, x = awmod.decompose(xi)
-        ok = ok and coords_of(y)[3:] == [0, 0, 0, 0]
-        ok = ok and coords_of(x)[:3] == [0, 0, 0]
-        a = awmod.comparison_form(xi)
-        sa, ya, xa = awmod.decompose(xi)
-        ok = ok and (sa, ya, xa) == (s, y, x)
+    ok, actual = _aw_decompose_roundtrip(seed, n_random)
     _record(checks, "aw.decompose-roundtrip", ok,
-            "blocks (s, y, x) live in their summands; the comparison "
-            "form is 27-type", "as computed",
-            f"{n_random} random elements; comparison_form checks its own type")
+            "compose(decompose(xi)) = xi; A(xi) has block coordinates "
+            "(s, -(5/3)y, (sqrt(10)/6)x)", actual,
+            f"{n_random} random elements; A(xi) is read on the orthogonal "
+            "block basis (phitilde, e_a ^ Omega, C(e_i))")
 
     rng = check_rng(seed, "aw.value-two-routes")
     ok = True
@@ -477,10 +512,12 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
             "neither documented display assembly reproduces the exact "
             "pairing; the corrected coefficient list does")
 
-    _record(checks, "aw.revert-map", True,
+    ok, actual = _aw_revert_map()
+    _record(checks, "aw.revert-map", ok,
             "block fit pushed through y -> -(5/3)y, x -> (sqrt(10)/6)x "
-            "equals the direct fit of P", "holds",
-            "first_principles_fit asserts the agreement internally")
+            "equals the direct fit of P", actual,
+            "model coefficients scale by 1, 5/18, 25/9, -25/54; the "
+            "direct fit runs P's table assembly over the cubic lattice")
     return _report("aw", seed, checks)
 
 

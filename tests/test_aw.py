@@ -1,6 +1,7 @@
 """Tests for the reductive block frame, su(3) elements, and the block
 expansion of the obstruction cubic."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,12 +9,12 @@ import pytest
 
 from g2forge import aw
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
-    c_of, closed_display_value, closed_form_report, comparison_form, \
-    decompose, first_principles_fit, first_principles_value, \
-    fit_block_cubic, generic_value, intermediate_display_report, \
-    principal_lattice, r_value, standard_aw_frame, tensor_displays, \
-    verify_block_products, verify_intermediate_display, \
-    verify_tensor_displays
+    c_direct, c_display, c_of, closed_display_value, closed_form_report, \
+    comparison_form, compose, decompose, first_principles_fit, \
+    first_principles_value, fit_block_cubic, generic_value, \
+    intermediate_display_report, principal_lattice, r_value, \
+    standard_aw_frame, tensor_displays, verify_block_products, \
+    verify_intermediate_display, verify_tensor_displays
 from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
     vector_form, wedge
 from g2forge.g2 import TypeDecompositionError
@@ -239,6 +240,39 @@ def test_block_tables_match_solver():
     for _ in range(5):
         s, y, x = random_blocks(rng)
         assert tab.cubic(s, y, x) == generic_value(s, y, x)
+        # the six products against the solver route of block_products
+        direct = [r["computed"] for r in block_products(s, y, x)[:6]]
+        assert list(tab.products(s, y, x)) == direct
+    for _ in range(3):
+        xi = random_su3(rng, 3)
+        assert tab.fp_value(*decompose(xi)) == first_principles_value(xi)
+
+
+def test_block_table_symmetric_integer():
+    terms = block_tables().terms
+    assert len(terms) == 58
+    table = {(u, v, w): c for u, v, w, c in terms}
+    for key, c in table.items():
+        assert type(c) is int
+        for perm in itertools.permutations(key):
+            assert table.get(perm) == c
+    assert table[0, 0, 0] == -210
+    assert table[0, 4, 4] == 33 and table[1, 4, 4] == -5
+
+
+def test_compose_inverts_decompose():
+    rng = random.Random(9014)
+    for _ in range(10):
+        xi = random_su3(rng)
+        back = compose(*decompose(xi))
+        assert (back.v, back.x) == (xi.v, xi.x)
+
+
+def test_c_constructions_agree():
+    rng = random.Random(9015)
+    for _ in range(5):
+        _, _, x = random_blocks(rng)
+        assert c_direct(x) == c_display(x) == c_of(x)
 
 
 def test_principal_lattice_counts():

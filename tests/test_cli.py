@@ -13,6 +13,7 @@ from g2forge.exterior import form_from_json, form_to_json, vol_coefficient, \
     wedge
 from g2forge.linalg import SymTensor
 from g2forge.scalars import scalar_to_json
+from g2forge.suites import AW_BY_DESIGN
 
 
 # the aw checks that fail by design; notes/decisions.md gives each
@@ -74,7 +75,8 @@ def test_run_aw_suite_fails_by_design(capsys, awframe):
     failing = {c["id"] for c in sub["checks"] if c["status"] == "fail"}
     # equality, not a subset: a new failure and a documented display
     # that starts to hold both break this
-    assert failing == AW_LEDGER
+    assert AW_LEDGER == AW_BY_DESIGN
+    assert failing == AW_BY_DESIGN
     # every failing display has a passing corrected twin where one exists
     for cid in list(failing):
         if cid + ".corrected" in {c["id"] for c in sub["checks"]}:

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from g2forge import exterior as ext
-from g2forge.cubic import b2, p_value, q2, q2_closed_form, q_value, \
-    quadratic_form, quadratic_form_traceless, trilinear, trilinear_direct, \
+from g2forge.cubic import b2, b2_rhs, p_value, q2, q2_closed_form, \
+    q_value, quadratic_form, quadratic_form_traceless, trilinear, trilinear_direct, \
     trilinear_star_route
 from g2forge.exterior import blade, hodge, inner, norm_sq, vector, \
     vol_coefficient, wedge
 from g2forge.g2 import TypeDecompositionError, random_traceless
 from g2forge.linalg import SymTensor, sym_inner
+from g2forge.scalars import QuadExt
 
 
 def test_quadratic_form_basic(g2frame):
@@ -92,6 +93,40 @@ def test_b2_defining_identity(g2frame):
                 + wedge(h1, ext.contract(v, a2)) \
                 + wedge(h2, ext.contract(v, a1))
             assert combo.is_zero()
+
+
+def _random_coeff_form(rng, grade, kind, density):
+    terms = {}
+    for m in ext.BLADES_BY_GRADE[grade]:
+        if rng.random() < density:
+            c = rng.randint(-3, 3)
+            if kind is Fraction:
+                c = Fraction(c, rng.randint(1, 3))
+            elif kind is QuadExt:
+                c = QuadExt(Fraction(c, 2), rng.randint(-2, 2))
+            terms[m] = c
+    return ext.Form(grade, terms)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, QuadExt])
+@pytest.mark.parametrize("density", [0.1, 1.0])
+def test_b2_rhs_matches_wedge_formula(kind, density):
+    # the sign table gives the same right-hand side as the 14 wedges
+    # -(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)), entry types included
+    rng = random.Random(8010)
+    for _ in range(4):
+        a1, a2 = (_random_coeff_form(rng, 4, kind, density) for _ in range(2))
+        h1, h2 = (_random_coeff_form(rng, 3, kind, density) for _ in range(2))
+        # a pair, and the diagonal b2(a, a) that computes one half
+        for args in ((a1, h1, a2, h2), (a1, h1, a1, h1)):
+            f1, k1, f2, k2 = args
+            for j, block in enumerate(b2_rhs(*args), start=1):
+                v = vector(j)
+                want = -(wedge(k1, ext.contract(v, f2))
+                         + wedge(k2, ext.contract(v, f1)))
+                assert block == want
+                assert ({m: type(c) for m, c in block.terms.items()}
+                        == {m: type(c) for m, c in want.terms.items()})
 
 
 def test_q2_closed_form_matches_solve(g2frame):
