@@ -605,46 +605,77 @@ def pairing_report() -> dict:
 # ---------------------------------------------------------------------------
 # Monte-Carlo: Haar conjugation average versus the projection formula
 
-def _poly_evaluator(poly: MultiPoly):
-    """Compile a MultiPoly into (index array, coefficient array) for
-    batched numpy evaluation over the nine letter columns."""
-    import numpy as np
-    idx = []
-    coefs = []
+def _poly_terms(poly: MultiPoly) -> list:
+    """Compile a MultiPoly into (letter indices, coefficient) pairs for
+    batched numpy evaluation over the nine letter columns.  Real
+    coefficients stay Python floats, so products of the real v columns
+    stay real arrays."""
     order = {name: k for k, name in enumerate(LETTERS)}
+    terms = []
     for mono, c in sorted(poly.terms.items()):
-        idx.append([order[name] for name in mono])
-        coefs.append(complex(c))
-    return np.array(idx, dtype=np.int64), np.array(coefs, dtype=np.complex128)
+        coef = complex(c)
+        terms.append((tuple(order[name] for name in mono),
+                      coef.real if coef.imag == 0 else coef))
+    return terms
 
 
-def _letter_columns(mats):
-    """Letter values for a batch of skew-hermitian matrices, stacked
-    as columns in LETTERS order."""
+def _conjugate_letters(g, xi_mat) -> list:
+    """The nine letter columns of g xi g^dagger over a batch g, in
+    LETTERS order.
+
+    Only the six entries the letters read are formed: the imaginary
+    parts of the diagonal and the entries (2,1), (0,2), (1,0), each a
+    row of h = g xi against a row of conj(g).  h is one
+    (3n x 3) @ (3 x 3) product.
+    """
     import numpy as np
-    n = mats.shape[0]
-    cols = np.empty((n, 9), dtype=np.complex128)
-    for a in range(3):
-        cols[:, a] = mats[:, a, a].imag
-    cols[:, 3] = mats[:, 2, 1]
-    cols[:, 4] = mats[:, 0, 2]
-    cols[:, 5] = mats[:, 1, 0]
-    cols[:, 6:9] = cols[:, 3:6].conj()
-    return cols
+    n = g.shape[0]
+    h = (g.reshape(3 * n, 3) @ xi_mat).reshape(n, 3, 3)
+    gc = g.conj()
+    v = np.einsum("nik,nik->in", h, gc).imag
+    z = [np.einsum("nk,nk->n", h[:, i], gc[:, j])
+         for i, j in ((2, 1), (0, 2), (1, 0))]
+    return [v[0], v[1], v[2]] + z + [c.conj() for c in z]
+
+
+def _eval_terms(terms: list, letters: list):
+    """Real part of a compiled polynomial on letter columns, one term
+    at a time into an accumulator."""
+    total = 0.0
+    for (i, j, k), c in terms:
+        total = total + (c * (letters[i] * letters[j] * letters[k])).real
+    return total
 
 
 def haar_su3(rng, count: int):
-    """Haar-distributed SU(3) matrices: QR of a complex Gaussian with
-    the phase correction that makes the factor unique, then a global
-    det^(1/3) normalization."""
+    """Haar-distributed SU(3) matrices, as a (count, 3, 3) array.
+
+    Two standard complex Gaussian columns a, b are Gram-Schmidt
+    orthonormalized into u, v, and the third column is w = conj(u x v).  Then w is orthogonal
+    to u and v, |w| = 1, and det(u, v, w) = (u x v) . conj(u x v)
+    = |u x v|^2 = 1, with no phase fix or rescaling.
+
+    The law is Haar because it is left-invariant.  For h in SU(3),
+    Gram-Schmidt commutes with h, and (hu) x (hv) = det(h) h^{-T} (u x v)
+    = conj(h) (u x v), so the columns (a, b) give g and (ha, hb) give
+    hg.  The Gaussian pair (ha, hb) has the same law as (a, b), so hg
+    has the same law as g, and the only left-invariant probability
+    measure on SU(3) is Haar measure.
+    """
     import numpy as np
-    g = (rng.standard_normal((count, 3, 3))
-         + 1j * rng.standard_normal((count, 3, 3))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    d = np.einsum("nii->ni", r)
-    q = q * (d / np.abs(d))[:, None, :]
-    det = np.linalg.det(q)
-    return q / np.exp(np.log(det) / 3.0)[:, None, None]
+    x = rng.standard_normal((4, 3, count))
+    u = x[0] + 1j * x[1]
+    v = x[2] + 1j * x[3]
+    u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
+    v -= u * (u.conj() * v).sum(axis=0)
+    v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+    g = np.empty((count, 3, 3), dtype=np.complex128)
+    g[:, :, 0] = u.T
+    g[:, :, 1] = v.T
+    for r in range(3):
+        s, t = (r + 1) % 3, (r + 2) % 3
+        g[:, r, 2] = (u[s] * v[t] - u[t] * v[s]).conj()
+    return g
 
 
 # Haar samples per batch; every batch has its own seeded stream, so a
@@ -663,8 +694,7 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
     import numpy as np
     if samples < 10000:
         raise ScalarError("need at least 10^4 samples")
-    poly = first_principles_p_poly()
-    idx, coefs = _poly_evaluator(poly)
+    terms = _poly_terms(first_principles_p_poly())
     xi_mat = np.array([[complex(c) for c in row]
                        for row in xi.matrix_entries()])
 
@@ -676,9 +706,7 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
         take = min(MC_BATCH, samples - done)
         rng = np.random.default_rng([seed, nbatch])
         g = haar_su3(rng, take)
-        conj = g @ xi_mat @ g.conj().transpose(0, 2, 1)
-        cols = _letter_columns(conj)
-        vals = (coefs * np.prod(cols[:, idx], axis=2)).sum(axis=1).real
+        vals = _eval_terms(terms, _conjugate_letters(g, xi_mat))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += take

@@ -10,8 +10,9 @@ regenerates the same reports in-process and compares them with
 reports_match: byte for byte, except that the pairing suite's
 floating-point `montecarlo` block is compared to a relative 1e-9.
 
-Without arguments the script only reports which files differ; it
-overwrites them only when run with --write:
+Without arguments the script only reports which files differ, and
+for each the ids of the checks that differ and whether the
+`montecarlo` block does; it overwrites them only when run with --write:
 
     PYTHONPATH=src python tests/regen_golden.py [--write]
 
@@ -89,6 +90,41 @@ def reports_match(suite: str, golden: bytes, payload: bytes) -> bool:
     return rest_g == rest_p and _close(mc_g, mc_p)
 
 
+def report_differences(suite: str, golden: bytes, payload: bytes) -> list:
+    """Where a fresh report departs from its golden file, one line each:
+    every check whose record differs (with the fields that differ),
+    whether the pairing suite's `montecarlo` block differs beyond
+    MONTECARLO_RTOL, and whether any other field differs."""
+    old, new = json.loads(golden), json.loads(payload)
+
+    def checks(report):
+        return {c["id"]: c for entry in report["suites"]
+                for c in entry["checks"]}
+
+    old_checks, new_checks = checks(old), checks(new)
+    lines = []
+    for cid in list(new_checks) + [c for c in old_checks
+                                   if c not in new_checks]:
+        a, b = old_checks.get(cid), new_checks.get(cid)
+        if a is None or b is None:
+            lines.append(f"check {cid}: {'added' if a is None else 'removed'}")
+        elif a != b:
+            fields = sorted(k for k in a.keys() | b.keys()
+                            if a.get(k) != b.get(k))
+            lines.append(f"check {cid}: {', '.join(fields)}")
+    mc_old = [entry.pop("montecarlo", None) for entry in old["suites"]]
+    mc_new = [entry.pop("montecarlo", None) for entry in new["suites"]]
+    if suite == "pairing":
+        lines.append("montecarlo block: "
+                     + ("same" if _close(mc_old, mc_new) else "differs"))
+    for report in (old, new):
+        for entry in report["suites"]:
+            del entry["checks"]
+    if old != new:
+        lines.append("fields outside the checks and montecarlo differ")
+    return lines or ["formatting only: the JSON values are equal"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--write", action="store_true",
@@ -106,9 +142,11 @@ def main(argv=None) -> int:
             path = golden_path(suite, seed)
             try:
                 with open(path, "rb") as fh:
-                    same = reports_match(suite, fh.read(), payload)
+                    golden = fh.read()
             except FileNotFoundError:
-                same = False
+                golden = None
+            same = golden is not None and reports_match(suite, golden,
+                                                        payload)
             if same:
                 print(f"{path}: unchanged")
             elif args.write:
@@ -118,6 +156,9 @@ def main(argv=None) -> int:
             else:
                 print(f"{path}: differs (run with --write to overwrite)")
                 status = 1
+            if not same and golden is not None:
+                for line in report_differences(suite, golden, payload):
+                    print(f"  {line}")
     return status
 
 

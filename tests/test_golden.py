@@ -7,10 +7,12 @@ them (only with --write). The pairing reports' Monte-Carlo blocks are
 compared to a relative 1e-9, everything else byte for byte.
 """
 
+import json
+
 import pytest
 
 from regen_golden import EXPECTED_EXIT, GOLDEN_SEEDS, GOLDEN_SUITES, \
-    golden_path, render_report, reports_match
+    golden_path, render_report, report_differences, reports_match
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
@@ -20,3 +22,24 @@ def test_report_matches_golden(suite, seed):
     assert code == EXPECTED_EXIT[suite]
     with open(golden_path(suite, seed), "rb") as fh:
         assert reports_match(suite, fh.read(), payload)
+
+
+def test_report_differences_names_checks_and_montecarlo():
+    with open(golden_path("pairing", 0), "rb") as fh:
+        golden = fh.read()
+    report = json.loads(golden)
+    entry = report["suites"][0]
+    entry["checks"][1]["actual"] = "changed"
+    entry["montecarlo"][0]["empirical"] *= 1.001
+    changed = json.dumps(report, indent=2, sort_keys=True).encode()
+    assert report_differences("pairing", golden, changed) == [
+        f"check {entry['checks'][1]['id']}: actual",
+        "montecarlo block: differs"]
+    entry["montecarlo"][0]["empirical"] /= 1.001
+    entry["checks"][1]["status"] = "fail"
+    report["passed"] = False
+    changed = json.dumps(report, indent=2, sort_keys=True).encode()
+    assert report_differences("pairing", golden, changed) == [
+        f"check {entry['checks'][1]['id']}: actual, status",
+        "montecarlo block: same",
+        "fields outside the checks and montecarlo differ"]

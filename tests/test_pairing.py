@@ -8,13 +8,15 @@ import pytest
 
 from g2forge.aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
     first_principles_value, standard_aw_frame
-from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, MultiPoly, \
-    assembled_pairing, component_pairing_report, component_polys, \
-    derive_gram_from_killing, final_pairing, gram_entry, \
-    haar_average_check, haar_su3, idet_poly, idet_report, idet_self_pairing, \
-    interpolate_p_coefficients, letter_values, monomial_inner, p_poly, \
-    pairing_report, permanent, sym_inner_poly
+from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
+    _conjugate_letters, _eval_terms, _poly_terms, assembled_pairing, \
+    component_pairing_report, component_polys, derive_gram_from_killing, \
+    final_pairing, gram_entry, haar_average_check, haar_su3, idet_poly, \
+    idet_report, idet_self_pairing, interpolate_p_coefficients, \
+    letter_values, monomial_inner, p_poly, pairing_report, permanent, \
+    sym_inner_poly
 from g2forge.scalars import GaussRational, ScalarError
+from g2forge.suites import MC_ELEMENTS
 
 
 def random_su3(rng, bound=4):
@@ -217,6 +219,65 @@ def test_interpolated_cubic_reproduces_values():
 
 
 # -- Monte-Carlo --------------------------------------------------------------
+
+def _letter_columns(mats):
+    """Reference letters: the nine letter columns of a batch of full
+    skew-hermitian matrices, in LETTERS order."""
+    import numpy as np
+    cols = np.empty((mats.shape[0], 9), dtype=np.complex128)
+    for a in range(3):
+        cols[:, a] = mats[:, a, a].imag
+    cols[:, 3] = mats[:, 2, 1]
+    cols[:, 4] = mats[:, 0, 2]
+    cols[:, 5] = mats[:, 1, 0]
+    cols[:, 6:9] = cols[:, 3:6].conj()
+    return cols
+
+
+def _reference_p(poly, cols):
+    """Reference P: every term gathered from the letter columns at once."""
+    import numpy as np
+    order = {name: k for k, name in enumerate(LETTERS)}
+    items = sorted(poly.terms.items())
+    idx = np.array([[order[name] for name in mono] for mono, _ in items])
+    coefs = np.array([complex(c) for _, c in items])
+    return (coefs * np.prod(cols[:, idx], axis=2)).sum(axis=1).real
+
+
+def test_conjugate_letters_and_p_match_full_conjugation():
+    import numpy as np
+    g = haar_su3(np.random.default_rng(11010), 1000)
+    poly = p_poly("first-principles")
+    rng = random.Random(11011)
+    for xi in [Su3Element(v, x) for v, x in MC_ELEMENTS] + \
+            [random_su3(rng) for _ in range(3)]:
+        xi_mat = np.array([[complex(c) for c in row]
+                           for row in xi.matrix_entries()])
+        ref = _letter_columns(g @ xi_mat @ g.conj().transpose(0, 2, 1))
+        got = _conjugate_letters(g, xi_mat)
+        scale = np.abs(ref).max()
+        for k in range(9):
+            assert np.abs(got[k] - ref[:, k]).max() <= 1e-12 * scale
+        assert all(got[a].dtype == np.float64 for a in range(3))
+        ref_p = _reference_p(poly, ref)
+        got_p = _eval_terms(_poly_terms(poly), got)
+        assert np.abs(got_p - ref_p).max() <= 1e-12 * np.abs(ref_p).max()
+
+
+def test_haar_su3_moments():
+    """Trace moments that tell SU(3) Haar apart from other unitary,
+    det-1 or merely unitary laws: E[tr g] = 0, E[(tr g)^2] = 0 (SO(3)
+    gives 1), E[|tr g|^2] = 1 and E[(tr g)^3] = 1 (U(3) gives 0)."""
+    import numpy as np
+    t = np.einsum("nii->n", haar_su3(np.random.default_rng(11012), 200000))
+    n = t.shape[0]
+    for name, x, expected in (("tr g", t, 0), ("(tr g)^2", t * t, 0),
+                              ("|tr g|^2", (t * t.conj()).real, 1),
+                              ("(tr g)^3", t * t * t, 1)):
+        mean = x.mean()
+        std_error = (np.abs(x - mean) ** 2).mean() ** 0.5 / n ** 0.5
+        assert abs(mean - expected) <= 6 * std_error, (name, mean, std_error)
+
 
 def test_haar_su3_unitary_determinant():
     import numpy as np
