@@ -49,7 +49,7 @@ import threading
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
-    hodge_m4, norm_sq, vector, vector_form, wedge
+    hodge_m4, norm_sq, numerators, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame, two_form_endo
 from .cubic import quadratic_form
@@ -304,8 +304,8 @@ def first_principles_value(xi: Su3Element, *,
     pbb = quadratic_form(b_part, b_part)
     pbc = quadratic_form(b_part, c_part)
     pcc = quadratic_form(c_part, c_part)
-    sb = _rational_inv27(b_part)
-    sc = _rational_inv27(c_part)
+    sb = fr.g2.iso_i_inv(b_part)
+    sc = fr.g2.iso_i_inv(c_part)
     t0 = sym_inner(pbb, sb)
     t1 = 2 * sym_inner(pbc, sb) + sym_inner(pbb, sc)
     t2 = sym_inner(pcc, sb) + 2 * sym_inner(pbc, sc)
@@ -317,12 +317,6 @@ def first_principles_value(xi: Su3Element, *,
     if even != native:
         raise InternalConsistencyError("the two routes to P disagree")
     return native
-
-
-def _rational_inv27(a: Form) -> SymTensor:
-    """i^{-1} for a rational form known to be a block combination; the
-    1- and 7-type checks still run inside iso_i_inv."""
-    return standard_frame().iso_i_inv(a)
 
 
 def generic_value(s, y: Form, x: Form) -> Fraction:
@@ -427,6 +421,15 @@ def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     return out
 
 
+def _outer2(pairs) -> SymTensor:
+    """sum over (v, w) of v w^T + w v^T, twice the symmetric products:
+    integer vectors give an integer tensor, with no division."""
+    n = 7
+    return SymTensor.from_upper(
+        [[sum(v[i] * w[j] + v[j] * w[i] for v, w in pairs)
+          for j in range(i, n)] for i in range(n)])
+
+
 def _epsilon_mix(y: Form, x: Form) -> SymTensor:
     """sum_{abc} eps_{abc} y_a e_c . (I_b J x), the second equivariant
     bilinear map from (m3, m4) into the off-diagonal symmetric block.
@@ -434,16 +437,13 @@ def _epsilon_mix(y: Form, x: Form) -> SymTensor:
     fr = standard_aw_frame()
     yc = coords_of(y)
     jx = fr.J.apply(coords_of(x))
-    out = SymTensor.zero(7)
-    eps = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    for a, b, c in eps:
-        if yc[a] != 0:
-            ec = coords_of(vector(c + 1))
-            out = out + SymTensor.sym_outer(ec, fr.I[b].apply(jx)).scale(yc[a])
-        if yc[b] != 0:
-            ec = coords_of(vector(c + 1))
-            out = out - SymTensor.sym_outer(ec, fr.I[a].apply(jx)).scale(yc[b])
-    return out
+    ijx = [I.apply(jx) for I in fr.I]
+    pairs = []
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        ec = coords_of(vector(c + 1))
+        pairs.append((ec, [yc[a] * t for t in ijx[b]]))
+        pairs.append((ec, [-yc[b] * t for t in ijx[a]]))
+    return _outer2(pairs).scale(Fraction(1, 2))
 
 
 def tensor_displays(y: Form, x: Form) -> list[dict]:
@@ -456,9 +456,14 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     forced: pairing i(S) against itself must give 2|S|^2, which pins
     i^{-1}(C) at -2 e_a . I_a x, and the full symmetry of the trilinear
     form then pins the p(., C) rows.
+
+    Every display is homogeneous in (y, x), so the sides are compared at
+    the integer numerators (Y, X) = d (y, x), and each record's two
+    tensors are rescaled once, by 1/d^degree, on the way out.
     """
     fr = standard_aw_frame()
     g2 = fr.g2
+    (y, x), d = numerators(y, x)
     pt = fr.phi_tilde
     yw = wedge(y, fr.Omega)
     cx = c_of(x)
@@ -467,51 +472,53 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
 
     id3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
     id4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
-    e_basis = [coords_of(vector(a + 1)) for a in range(3)]
-    iax = [fr.I[a].apply(xc) for a in range(3)]
     jx = fr.J.apply(xc)
     jiy = fr.J * fr.iy(y)
     jiy_sym = SymTensor(jiy.to_rows())
 
-    sum_ia = SymTensor.zero(7)
-    for a in range(3):
-        sum_ia = sum_ia + SymTensor.sym_outer(iax[a], e_basis[a])
+    # twice e_a . I_a x and twice y . Jx, integral for integral (y, x)
+    ia2 = _outer2([(fr.I[a].apply(xc), coords_of(vector(a + 1)))
+                   for a in range(3)])
+    yjx2 = _outer2([(yc, jx)])
     xx = norm_sq(x)
     x_outer = SymTensor([[xc[i] * xc[j] for j in range(7)] for i in range(7)])
 
     checks = []
 
-    def add(name, got, want, corrected=None, corrected_name=None):
+    def add(name, degree, got, want, corrected=None, corrected_name=None):
         rec = {"identity": name, "computed": got, "display": want,
                "matches": got == want}
         if corrected is not None:
             rec["corrected"] = corrected_name
             rec["corrected_matches"] = got == corrected
+        if d != 1 and degree:
+            scale = Fraction(1, d ** degree)
+            rec["computed"], rec["display"] = got.scale(scale), want.scale(scale)
         checks.append(rec)
 
-    add("p(phitilde, phitilde) = 38 id3 + 3 id4",
+    add("p(phitilde, phitilde) = 38 id3 + 3 id4", 0,
         quadratic_form(pt, pt), id3.scale(38) + id4.scale(3))
-    add("p(phitilde, y^Omega) = -J I_y",
+    add("p(phitilde, y^Omega) = -J I_y", 1,
         quadratic_form(pt, yw), -jiy_sym)
-    add("p(phitilde, C(x)) = -4 I_a x . e_a",
-        quadratic_form(pt, cx), sum_ia.scale(-4),
-        corrected=sum_ia.scale(-11),
+    add("p(phitilde, C(x)) = -4 I_a x . e_a", 1,
+        quadratic_form(pt, cx), ia2.scale(-2),
+        corrected=ia2.scale(Fraction(-11, 2)),
         corrected_name="p(phitilde, C(x)) = -11 I_a x . e_a")
-    add("p(y^Omega, C(x)) = 6 y . Jx",
-        quadratic_form(yw, cx), SymTensor.sym_outer(yc, jx).scale(6),
-        corrected=SymTensor.sym_outer(yc, jx).scale(3) + _epsilon_mix(y, x),
+    add("p(y^Omega, C(x)) = 6 y . Jx", 2,
+        quadratic_form(yw, cx), yjx2.scale(3),
+        corrected=yjx2.scale(Fraction(3, 2)) + _epsilon_mix(y, x),
         corrected_name="p(y^Omega, C(x)) = 3 y . Jx"
                        " + eps_abc y_a e_c . I_b J x")
-    add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
+    add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)", 2,
         quadratic_form(cx, cx),
         id3.scale(2 * xx) + (id4.scale(xx) - x_outer).scale(10))
-    add("i^{-1}(phitilde) = -2 id3 + (3/2) id4",
+    add("i^{-1}(phitilde) = -2 id3 + (3/2) id4", 0,
         g2.iso_i_inv(pt), id3.scale(-2) + id4.scale(Fraction(3, 2)))
-    add("i^{-1}(y^Omega) = -(1/2) J I_y",
+    add("i^{-1}(y^Omega) = -(1/2) J I_y", 1,
         g2.iso_i_inv(yw), jiy_sym.scale(Fraction(-1, 2)))
-    add("i^{-1}(C(x)) = -(1/2) e_a . I_a x",
-        g2.iso_i_inv(cx), sum_ia.scale(Fraction(-1, 2)),
-        corrected=sum_ia.scale(-2),
+    add("i^{-1}(C(x)) = -(1/2) e_a . I_a x", 1,
+        g2.iso_i_inv(cx), ia2.scale(Fraction(-1, 4)),
+        corrected=-ia2,
         corrected_name="i^{-1}(C(x)) = -2 e_a . I_a x")
     return checks
 

@@ -21,6 +21,15 @@ entry, added or subtracted, and no general wedge or contraction.
 The symmetric tensor p(a1, a2) of quadratic_form is computed on its 28
 upper-triangle entries and mirrored, with one pairing per entry when
 both arguments are the same form.
+
+Both kernels are bilinear and run on integer numerators: the arguments
+share one denominator, a_k = n_k / d (exterior.numerators), every
+product and sum is taken in int, and the result is rescaled once, by
+1/d^2 for p (1/(2 d^2) for the polarized pair).  In b2 the hats of the
+numerators share a second denominator e, hat(a_k) = m_k / (d e), so the
+right-hand side and the solve see only ints and the solution is
+rescaled once by 1/(d^2 e).  Results keep the values and entry types of
+the same computation in the coefficients' own type.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ import functools
 from fractions import Fraction
 
 from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
-    contract, hodge, inner, merge_sign, norm_sq, vector, vol_coefficient, \
-    wedge
+    contract, hodge, inner, merge_sign, norm_sq, numerators, vector, \
+    vol_coefficient, wedge
 from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
     standard_frame, star_action
 from .linalg import SymTensor, sym_inner
@@ -46,16 +55,17 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
     """
     if a1.grade != a2.grade or a1.grade < 1:
         raise GradeError("quadratic_form needs two forms of equal grade >= 1")
-    c1 = [contract(vector(i), a1) for i in _SEVEN]
-    half = Fraction(1, 2)
-    if a1 is a2:
-        # one pairing per entry; half * (x + x) keeps the result types
-        upper = [[half * (x + x) for x in (inner(c1[i], c1[j])
-                                           for j in range(i, 7))]
+    (n1, n2), d = numerators(a1, a2)
+    c1 = [contract(vector(i), n1) for i in _SEVEN]
+    if n1 is n2:
+        # one pairing per entry; a Fraction scale keeps the result types
+        scale = Fraction(1, d * d)
+        upper = [[scale * inner(c1[i], c1[j]) for j in range(i, 7)]
                  for i in range(7)]
     else:
-        c2 = [contract(vector(i), a2) for i in _SEVEN]
-        upper = [[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
+        scale = Fraction(1, 2 * d * d)
+        c2 = [contract(vector(i), n2) for i in _SEVEN]
+        upper = [[scale * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
                   for j in range(i, 7)] for i in range(7)]
     return SymTensor.from_upper(upper)
 
@@ -117,9 +127,15 @@ def b2(a1: Form, a2: Form, frame: G2Frame | None = None) -> Form:
     fr = frame or standard_frame()
     if a1.grade != 4 or a2.grade != 4:
         raise GradeError("b2 needs two 4-forms")
-    h1 = fr.hat(a1)
-    h2 = h1 if a2 is a1 else fr.hat(a2)
-    return fr.solve_three_form(b2_rhs(a1, h1, a2, h2))
+    # a_k = n_k / d and hat(n_k) = m_k / e, so hat(a_k) = m_k / (d e):
+    # the rhs is bilinear in (a, hat(a)), the solve sees only ints, and
+    # the result is rescaled once, by 1/(d^2 e)
+    (n1, n2), d = numerators(a1, a2)
+    h1 = fr.hat(n1)
+    (m1, m2), e = numerators(h1, h1 if n2 is n1 else fr.hat(n2))
+    gamma = fr.solve_three_form(b2_rhs(n1, m1, n2, m2))
+    scale = d * d * e
+    return gamma if scale == 1 else gamma * Fraction(1, scale)
 
 
 def q2_closed_form(a: Form, frame: G2Frame | None = None) -> Form:

@@ -9,13 +9,18 @@ any coefficient type that supports ring arithmetic.
 
 Indices are 1-based everywhere in the public interface (e1..e7), to
 match the usual way these forms are written out.
+
+The exact kernels built on these forms are multilinear over Q, so they
+take their arguments through numerators(): integer coefficients over
+one common denominator d, with the work done in int and a single
+rescale by a Fraction at the end.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .scalars import scalar_from_json, scalar_to_json
+from .scalars import clear_denominators, scalar_from_json, scalar_to_json
 
 DIM = 7
 FULL_MASK = (1 << DIM) - 1
@@ -164,6 +169,27 @@ class Form:
             label = "".join(str(i) for i in blade_indices(m)) or "1"
             bits.append(f"{self.terms[m]!r}*e{label}")
         return f"Form({self.grade}, {' + '.join(bits)})"
+
+
+def numerators(*forms: Form) -> tuple[tuple[Form, ...], int]:
+    """Integer numerators of forms over one common denominator.
+
+    Returns (A_1, ..., A_n) and the least d >= 1 with a_k = A_k / d and
+    every coefficient of every A_k an int (a QuadExt with int parts for
+    QuadExt coefficients).  A multilinear kernel runs on the A_k and
+    rescales its result once, by 1/d per argument.  Int forms come back
+    as they are with d = 1, and an argument repeated by identity comes
+    back as one object, so kernels keep their diagonal shortcuts.
+    """
+    distinct = list({id(a): a for a in forms}.values())
+    coeffs = [c for a in distinct for c in a.terms.values()]
+    ints, d = clear_denominators(coeffs)
+    if ints is coeffs:
+        return forms, 1
+    it = iter(ints)
+    out = {id(a): Form(a.grade, {m: next(it) for m in a.terms})
+           for a in distinct}
+    return tuple(out[id(a)] for a in forms), d
 
 
 def blade(indices: Iterable[int], coeff=1) -> Form:

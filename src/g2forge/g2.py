@@ -21,20 +21,29 @@ G2-structures, math/0305124),
     P1 a = <a, phi>/7 phi,   P7 a = sum_j <a, k_j>/|k_j|^2 k_j,
     P27 a = a - P1 a - P7 a,     k_j = e_j -| psi,
 
-with (psi, e_j ^ phi) in place of (phi, k_j) on grade 4; the
-dense 35 x 35 matrices of the same projectors are built on the first
-projector_matrices call, as the test reference.  The Lambda^2
+with (psi, e_j ^ phi) in place of (phi, k_j) on grade 4.  The split
+runs on the integer numerators of a (exterior.numerators) scaled by 28,
+the lcm of |phi|^2 = 7 and |k_j|^2 = 4, and divides once at the end.
+The dense 35 x 35 matrices of the same projectors are built on the
+first projector_matrices call, as the test reference.  The Lambda^2
 splitting is derived from the minimal polynomial of a |-> *(phi ^ a)
 rather than assumed eigenvalues.
 
 The two exact kernels behind the cubic run on sparse integer data
 computed once.  The b2 solve applies the inverse of a 35-row subset of
 the 49 x 35 pairing matrix (140 nonzeros, common denominator 4) as
-integer rows with one final scaling, and checks the residual on the
-sparse pairing matrix itself (112 entries, all +-1).  i^{-1} reads
-each entry S_ij = vol(b ^ (e_i -| psi) ^ e_j)/2 as a functional of 4
-(i = j) or 2 (i != j) signed coefficients of b.  Both are
-scalar-generic.
+integer rows with one final scaling, and checks the residual, before
+that scaling, on the sparse pairing matrix itself (112 entries, all
++-1).  i^{-1} reads each entry S_ij = vol(b ^ (e_i -| psi) ^ e_j)/2 as
+a functional of 4 (i = j) or 2 (i != j) signed coefficients of b.
+
+All of these kernels are linear, and all follow one convention: clear
+the argument's denominators on entry (b = n/d with integer n, a QuadExt
+with int parts for QuadExt coefficients), do every product and sum in
+int, and rescale once by a Fraction on exit (1/(2d) for i^{-1}, 1/d for
+i and its psi companion).  They stay scalar-generic: each result keeps
+the value and the entry type the same computation in the coefficients'
+own type gives, so an int tensor still maps to int coefficients under i.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from . import exterior as ext
 from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
     hodge, inner, merge_sign, vector, vector_form, vol_coefficient, wedge
 from .linalg import InconsistentSystemError, Matrix, SymTensor, inverse, solve_exact
+from .scalars import clear_denominators
 
 DIM = 7
 
@@ -113,33 +123,51 @@ def _outer_projector(forms: list[Form], grade: int) -> Matrix:
     return Matrix.from_rows(acc)
 
 
-def _spanning(forms: list[Form]) -> list[tuple[Form, Fraction]]:
-    """Pairwise orthogonal spanning forms with their inverse squared norms."""
-    for i, w in enumerate(forms):
-        if any(inner(w, v) != 0 for v in forms[:i]):
-            raise InternalConsistencyError("spanning forms are not orthogonal")
-    return [(w, Fraction(1, ext.norm_sq(w))) for w in forms]
+def _split_spans(span1: list[Form], span7: list[Form]):
+    """The spanning forms of the 1- and 7-type summands, each with its
+    weight L / |w|^2, and L, the lcm of their squared norms.  The forms
+    in each list must be pairwise orthogonal."""
+    for forms in (span1, span7):
+        for i, w in enumerate(forms):
+            if any(inner(w, v) != 0 for v in forms[:i]):
+                raise InternalConsistencyError("spanning forms are not orthogonal")
+    L = lcm(*(ext.norm_sq(w) for w in span1 + span7))
+    return ([(w, L // ext.norm_sq(w)) for w in span1],
+            [(w, L // ext.norm_sq(w)) for w in span7], L)
 
 
-def _span_part(a: Form, spanning: list[tuple[Form, Fraction]]) -> Form:
-    """Orthogonal projection sum_w <a, w>/<w, w> w onto the span of
-    pairwise orthogonal forms."""
+def _span_sum(a: Form, spanning: list[tuple[Form, int]]) -> dict:
+    """L times the orthogonal projection sum_w <a, w>/<w, w> w onto the
+    span of pairwise orthogonal forms, as sum_w <a, w> (L/|w|^2) w."""
     terms = {}
-    for w, inv_norm in spanning:
+    for w, weight in spanning:
         c = inner(a, w)
         if c == 0:
             continue
-        c = c * inv_norm
+        c = c * weight
         for m, d in w.terms.items():
             terms[m] = terms.get(m, 0) + c * d
-    return Form(a.grade, terms)
+    return terms
 
 
-def _type_split(a: Form, span1, span7) -> tuple[Form, Form, Form]:
-    """(P1 a, P7 a, P27 a) with P27 = 1 - P1 - P7."""
-    p1 = _span_part(a, span1)
-    p7 = _span_part(a, span7)
-    return p1, p7, a - p1 - p7
+def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
+    """(P1 a, P7 a, P27 a) with P27 = 1 - P1 - P7.
+
+    The sums run on the integer numerators n = d a, scaled by L, so
+    every division happens in the one rescale by 1/(L d); a blade that
+    neither P1 a nor P7 a touches keeps its coefficient in P27 a.
+    """
+    (n,), d = ext.numerators(a)
+    scale = Fraction(1, L * d)
+    t1 = _span_sum(n, span1)
+    t7 = _span_sum(n, span7)
+    p1 = Form(a.grade, {m: scale * c for m, c in t1.items()})
+    p7 = Form(a.grade, {m: scale * c for m, c in t7.items()})
+    terms = dict(a.terms)
+    nt = n.terms
+    for m in p1.terms.keys() | p7.terms.keys():
+        terms[m] = scale * (L * nt.get(m, 0) - t1.get(m, 0) - t7.get(m, 0))
+    return p1, p7, Form(a.grade, terms)
 
 
 def _rational_sqrt(x: Fraction) -> Fraction:
@@ -166,8 +194,8 @@ class G2Frame:
         # Lambda^4_7.  Cached here and reused by hat/extracts below.
         self.kappa = [contract(vector(j), self.psi) for j in range(1, 8)]
         self.phi_wedges = [wedge(vector(j), self.phi) for j in range(1, 8)]
-        self._span3 = (_spanning([self.phi]), _spanning(self.kappa))
-        self._span4 = (_spanning([self.psi]), _spanning(self.phi_wedges))
+        self._span3 = _split_spans([self.phi], self.kappa)
+        self._span4 = _split_spans([self.psi], self.phi_wedges)
 
         self._p2, self.two_form_eigenvalues = self._grade2_projectors()
 
@@ -324,11 +352,19 @@ class G2Frame:
         """i(S) = S*phi, from traceless symmetric tensors into Lambda^3_27."""
         if S.trace() != 0:
             raise TypeDecompositionError("iso_i needs a traceless tensor")
-        return star_action(S.to_matrix(), self.phi)
+        return self._star(S, self.phi)
 
     def iso_i_psi(self, S: SymTensor) -> Form:
         """S*psi, the grade-4 companion with *(S*psi) = -S*phi."""
-        return star_action(S.to_matrix(), self.psi)
+        return self._star(S, self.psi)
+
+    def _star(self, S: SymTensor, a: Form) -> Form:
+        """S*a, by the derived action of the integer numerators of S and
+        one rescale by 1/d; an int tensor gives int coefficients."""
+        entries = [x for row in S.entries for x in row]
+        ints, d = clear_denominators(entries)
+        out = star_action(Matrix(DIM, DIM, ints), a)
+        return out if ints is entries else out * Fraction(1, d)
 
     def iso_i_inv(self, b: Form) -> SymTensor:
         """Invert i on Lambda^3_27.
@@ -339,22 +375,25 @@ class G2Frame:
         """
         if b.grade != 3:
             raise ext.GradeError("iso_i_inv needs a 3-form")
-        p1, p7, _ = self.project3(b)
+        (n,), d = ext.numerators(b)
+        p1, p7, _ = self.project3(n)
         if not p1.is_zero() or not p7.is_zero():
             raise TypeDecompositionError(
                 "form has components outside the 27-dimensional summand")
-        half = Fraction(1, 2)
-        bt = b.terms
+        scale = Fraction(1, 2 * d)
+        nt = n.terms
         # all 49 entries, so that symmetry and trace stay real checks; a
         # sum that cancels is taken as int 0, so that entry is Fraction(0)
         # for every scalar type, as vol_coefficient(b ^ chi_ij) gives it
-        sums = [[sum(c * bt[m] for m, c in functional if m in bt)
+        sums = [[sum(c * nt[m] for m, c in functional if m in nt)
                  for functional in row] for row in self._inv_functionals]
-        entries = [[half * (x if x else 0) for x in row] for row in sums]
-        S = SymTensor(entries)
-        if sum(entries[i][i] for i in range(DIM)) != 0:
+        if any(sums[i][j] != sums[j][i]
+               for i in range(DIM) for j in range(i + 1, DIM)):
+            raise InternalConsistencyError("recovered tensor is not symmetric")
+        if sum(sums[i][i] for i in range(DIM)) != 0:
             raise InternalConsistencyError("recovered tensor is not traceless")
-        return S
+        return SymTensor.from_upper([[scale * (x if x else 0) for x in row[i:]]
+                                     for i, row in enumerate(sums)])
 
     def extract_v7(self, a: Form) -> Form:
         """Vector part of a 4-form: V with P_7 a = V ^ phi, recovered from
@@ -396,15 +435,16 @@ class G2Frame:
             if w.grade != 6:
                 raise ext.GradeError("right-hand blocks must be 6-forms")
             rhs.extend(ext.form_to_coords(w))
-        # integer sums first: scaling by the Fraction 1/d keeps an
-        # int-only right-hand side exact (int / int would be a float)
+        # y = d x: the residual is checked on y against d rhs, and the
+        # Fraction 1/d is applied once per unknown at the end, which keeps
+        # an int-only right-hand side exact (int / int would be a float)
         scale = self._inverse_scale
-        x = [scale * sum(c * rhs[r] for r, c in row)
-             for row in self._inverse_sparse]
+        d = scale.denominator
+        y = [sum(c * rhs[r] for r, c in row) for row in self._inverse_sparse]
         for row, (terms, want) in enumerate(zip(self._pairing_sparse, rhs)):
-            if sum(c * x[k] for k, c in terms) != want:
+            if sum(c * y[k] for k, c in terms) != d * want:
                 raise InconsistentSystemError(row)
-        return ext.form_from_coords(3, x)
+        return ext.form_from_coords(3, [scale * v for v in y])
 
 
 def _sparse_integer_rows(M: Matrix) -> list[list[tuple[int, int]]]:

@@ -9,13 +9,16 @@ SymTensor checks the symmetry of entries it is given; its own
 arithmetic (sums, differences, multiples, symmetric products) computes
 the upper triangle only and mirrors it, so those results are symmetric
 by construction and skip the check, and sym_inner is the diagonal plus
-twice the strict upper triangle.
+twice the strict upper triangle, summed on the integer numerators of
+both tensors and rescaled once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, Sequence
+
+from .scalars import clear_denominators
 
 
 class InconsistentSystemError(ValueError):
@@ -300,6 +303,13 @@ class SymTensor:
     def apply(self, vec: Sequence) -> list:
         return [sum(row[j] * vec[j] for j in range(self.n)) for row in self.entries]
 
+    def _diagonal_then_upper(self) -> list:
+        """The n diagonal entries, then the strict upper triangle row by
+        row."""
+        rows = self.entries
+        return ([row[i] for i, row in enumerate(rows)]
+                + [x for i, row in enumerate(rows) for x in row[i + 1:]])
+
     def to_matrix(self) -> Matrix:
         return Matrix.from_rows(self.entries)
 
@@ -340,11 +350,20 @@ class SymTensor:
 
 
 def sym_inner(S1: SymTensor, S2: SymTensor):
-    """tr(S1 S2), the metric pairing of symmetric 2-tensors."""
+    """tr(S1 S2), the metric pairing of symmetric 2-tensors.
+
+    Bilinear, so it runs on the integer numerators of the two upper
+    triangles and rescales once; two int tensors give an int.
+    """
     if S1.n != S2.n:
         raise ValueError("size mismatch")
-    rows = list(enumerate(zip(S1.entries, S2.entries)))
+    n = S1.n
+    u1, u2 = S1._diagonal_then_upper(), S2._diagonal_then_upper()
+    a, d1 = clear_denominators(u1)
+    b, d2 = clear_denominators(u2)
     # the diagonal plus twice the strict upper triangle
-    return (sum(r1[i] * r2[i] for i, (r1, r2) in rows)
-            + 2 * sum(x * y for i, (r1, r2) in rows
-                      for x, y in zip(r1[i + 1:], r2[i + 1:])))
+    total = (sum(x * y for x, y in zip(a[:n], b[:n]))
+             + 2 * sum(x * y for x, y in zip(a[n:], b[n:])))
+    if a is u1 and b is u2:
+        return total
+    return total * Fraction(1, d1 * d2)

@@ -14,6 +14,11 @@ Every exact type supports +, -, *, / and equality, and all engine
 arithmetic is exact.  QuadExt converts to float and GaussRational to
 complex for display and for the numpy Monte-Carlo check, whose
 polynomial coefficients are complex.
+
+A QuadExt part given as an ``int`` stays an ``int``, so the integer
+numerators the exact kernels work on (``exterior.numerators``) multiply
+and add at int speed; division goes through ``Fraction`` and never
+yields a float.
 """
 
 from __future__ import annotations
@@ -41,64 +46,73 @@ def _as_fraction(value):
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
+def _as_rational(value):
+    """An int or Fraction part as given: ints stay ints."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"expected a rational value, got {type(value).__name__}")
+
+
 class QuadExt:
     """An element a + b*sqrt(10) with rational a, b.
 
     The representation is unique since sqrt(10) is irrational, so
-    equality and zero tests are exact coefficient comparisons.
+    equality and zero tests are exact coefficient comparisons.  Each
+    part is an int or a Fraction, as given.
     """
 
     __slots__ = ("rat", "irr")
 
     def __init__(self, rational=0, irrational=0):
-        self.rat = _as_fraction(rational)
-        self.irr = _as_fraction(irrational)
+        self.rat = _as_rational(rational)
+        self.irr = _as_rational(irrational)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, QuadExt):
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
+            return _quad(other, 0)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.rat + o.rat, self.irr + o.irr)
+        return _quad(self.rat + o.rat, self.irr + o.irr)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.rat, -self.irr)
+        return _quad(-self.rat, -self.irr)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.rat - o.rat, self.irr - o.irr)
+        return _quad(self.rat - o.rat, self.irr - o.irr)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(o.rat - self.rat, o.irr - self.irr)
+        return _quad(o.rat - self.rat, o.irr - self.irr)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # (a + b s)(c + d s) = ac + 10 bd + (ad + bc) s,  s^2 = 10
-        return QuadExt(self.rat * o.rat + 10 * self.irr * o.irr,
-                       self.rat * o.irr + self.irr * o.rat)
+        return _quad(self.rat * o.rat + 10 * self.irr * o.irr,
+                     self.rat * o.irr + self.irr * o.rat)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
         # 1/(a + b s) = (a - b s)/(a^2 - 10 b^2); the norm is nonzero
         # for nonzero elements because 10 is not a rational square.
-        norm = self.rat * self.rat - 10 * self.irr * self.irr
+        # the norm is a Fraction, so int parts never divide to a float
+        norm = Fraction(self.rat * self.rat - 10 * self.irr * self.irr)
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(10))")
         return QuadExt(self.rat / norm, -self.irr / norm)
@@ -148,6 +162,14 @@ class QuadExt:
 
     def __float__(self):
         return float(self.rat) + float(self.irr) * math.sqrt(10)
+
+
+def _quad(rational, irrational) -> QuadExt:
+    """QuadExt from parts already known to be int or Fraction."""
+    q = object.__new__(QuadExt)
+    q.rat = rational
+    q.irr = irrational
+    return q
 
 
 SQRT10 = QuadExt(0, 1)
@@ -244,7 +266,28 @@ class GaussRational:
         return complex(float(self.re), float(self.im))
 
 
-I_UNIT = GaussRational(0, 1)
+
+def _denominator(c) -> int:
+    if isinstance(c, QuadExt):
+        return math.lcm(c.rat.denominator, c.irr.denominator)
+    return c.denominator
+
+
+def _times(c, d: int):
+    """c * d for a c whose denominators divide d, with int parts."""
+    if isinstance(c, QuadExt):
+        return _quad(_times(c.rat, d), _times(c.irr, d))
+    return c.numerator * (d // c.denominator)
+
+
+def clear_denominators(values: list) -> tuple[list, int]:
+    """(V, d) with v_k = V_k / d, every V_k an int (a QuadExt with int
+    parts for QuadExt entries) and d >= 1 the least such integer.  A
+    list of ints comes back as the same list, with d = 1."""
+    if all(type(c) is int for c in values):
+        return values, 1
+    d = math.lcm(*{_denominator(c) for c in values})
+    return [_times(c, d) for c in values], d
 
 
 def scalar_to_json(value) -> dict:

@@ -147,3 +147,57 @@ def test_form_json_rejects_malformed():
         ext.form_from_json({"grade": 1, "terms": [
             {"indices": [1], "coeff": {"num": "1", "den": "1"}},
             {"indices": [1], "coeff": {"num": "2", "den": "1"}}]})
+
+
+# -- integer numerators --------------------------------------------------------
+
+def _scaled_back(n, d):
+    return Form(n.grade, {m: c * Fraction(1, d) for m, c in n.terms.items()})
+
+
+def test_numerators_clear_to_the_least_denominator():
+    from math import lcm
+    rng = random.Random(1101)
+    for _ in range(20):
+        a = Form(3, {m: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for m in ext.BLADES_BY_GRADE[3] if rng.random() < 0.5})
+        (n,), d = ext.numerators(a)
+        assert all(type(c) is int for c in n.terms.values())
+        assert _scaled_back(n, d) == a
+        assert n.terms.keys() == a.terms.keys()
+        assert d == lcm(*(c.denominator for c in a.terms.values()))
+
+
+def test_numerators_of_zero_and_int_forms():
+    zero = Form.zero(4)
+    (n,), d = ext.numerators(zero)
+    assert d == 1 and n.is_zero()
+    a = Form(2, {0b11: 3, 0b101: -2})
+    forms, d = ext.numerators(a, a)
+    assert d == 1 and forms[0] is a and forms[1] is a
+
+
+def test_numerators_share_one_denominator():
+    a = Form(3, {0b111: Fraction(1, 2)})
+    b = Form(3, {0b1011: Fraction(2, 3), 0b1101: 5})
+    (na, nb, na2), d = ext.numerators(a, b, a)
+    assert d == 6
+    assert na.terms == {0b111: 3}
+    assert nb.terms == {0b1011: 4, 0b1101: 30}
+    # a repeated argument stays one object, so kernels keep their
+    # diagonal shortcuts
+    assert na2 is na
+
+
+def test_numerators_of_quadext_forms_have_integral_parts():
+    from g2forge.scalars import QuadExt
+    a = Form(3, {0b111: QuadExt(Fraction(1, 4), Fraction(1, 6)),
+                 0b1011: Fraction(5, 3), 0b10011: QuadExt(2, 0)})
+    (n,), d = ext.numerators(a)
+    assert d == 12
+    for c in n.terms.values():
+        if isinstance(c, QuadExt):
+            assert type(c.rat) is int and type(c.irr) is int
+        else:
+            assert type(c) is int
+    assert _scaled_back(n, d) == a

@@ -74,3 +74,42 @@ def test_scalar_json_roundtrip():
 def test_scalar_json_rejects_garbage():
     with pytest.raises((ScalarError, ValueError, TypeError, KeyError)):
         scalar_from_json({"nonsense": True})
+
+
+# -- int parts -----------------------------------------------------------------
+
+def test_quadext_keeps_int_parts():
+    x = QuadExt(3, -2) * QuadExt(1, 4) + 5
+    assert type(x.rat) is int and type(x.irr) is int
+    assert x == QuadExt(3 - 80 + 5, 12 - 2)
+
+
+def test_quadext_int_parts_divide_exactly():
+    rng = random.Random(92)
+    for _ in range(100):
+        a = QuadExt(rng.randint(-9, 9), rng.randint(-9, 9))
+        b = QuadExt(rng.randint(-9, 9), rng.randint(-9, 9))
+        if not b:
+            continue
+        for q in (b.inverse(), a / b, 7 / b):
+            assert not isinstance(q.rat, float) and not isinstance(q.irr, float)
+        assert b * b.inverse() == 1
+        assert (a / b) * b == a
+        # the same quotient as with Fraction parts
+        fb = QuadExt(Fraction(b.rat), Fraction(b.irr))
+        assert a / b == QuadExt(Fraction(a.rat), Fraction(a.irr)) / fb
+
+
+def test_quadext_int_parts_equal_and_hash_as_fraction_parts():
+    for r, i in ((0, 0), (3, 0), (-4, 7), (0, -1)):
+        x, y = QuadExt(r, i), QuadExt(Fraction(r), Fraction(i))
+        assert x == y and hash(x) == hash(y)
+        if i == 0:
+            assert x == r and hash(x) == hash(Fraction(r))
+
+
+def test_quadext_int_parts_serialize_as_fraction_parts():
+    import json
+    for r, i in ((0, 0), (3, 0), (-4, 7), (0, -1)):
+        x, y = QuadExt(r, i), QuadExt(Fraction(r), Fraction(i))
+        assert json.dumps(scalar_to_json(x)) == json.dumps(scalar_to_json(y))
