@@ -35,14 +35,13 @@ from .scalars import ScalarError, scalar_to_json
 EVAL_OPS = ("q2", "b2", "Q", "P", "hat", "project")
 
 
-def _default_seed() -> int:
+def _default_seed() -> int | None:
+    """G2FORGE_SEED as an int, 0 when unset, None when malformed."""
     raw = os.environ.get("G2FORGE_SEED", "")
-    if not raw:
-        return 0
     try:
-        return int(raw)
+        return int(raw) if raw else 0
     except ValueError:
-        raise SystemExit(f"g2forge: bad G2FORGE_SEED value: {raw!r}")
+        return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +112,10 @@ def _render_text(report: dict) -> str:
 
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if seed is None:
+        print(f"g2forge: bad G2FORGE_SEED value: "
+              f"{os.environ['G2FORGE_SEED']!r}", file=sys.stderr)
+        return 2
     if args.samples < 10 ** 4:
         print("g2forge: --samples must be at least 10^4", file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ DIM = 7
 FULL_MASK = (1 << DIM) - 1
 # the 4-dimensional block spanned by e4..e7, with volume form e4567
 M4_MASK = 0b1111000
-M3_MASK = 0b0000111
 
 
 class FormError(ValueError):
@@ -85,7 +84,6 @@ def _grade_blades():
 
 
 BLADES_BY_GRADE = _grade_blades()
-BLADE_POSITION = tuple({m: i for i, m in enumerate(g)} for g in BLADES_BY_GRADE)
 
 
 class Form:

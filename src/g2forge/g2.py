@@ -5,10 +5,10 @@ The associative calibration used throughout is
     phi = e123 + e145 - e167 + e246 + e257 + e347 - e356
 
 with coassociative form psi = *phi and volume e1234567.  The frame
-object precomputes, once, the exact orthogonal projectors onto the
-irreducible pieces of Lambda^2, Lambda^3 and Lambda^4, the isomorphism
-i(S) = S*phi between traceless symmetric tensors and the 27-dimensional
-summand, and the linear solver behind the quadratic cocycle b2.
+object computes, once, the spanning forms of the irreducible pieces of
+Lambda^2, Lambda^3 and Lambda^4, the isomorphism i(S) = S*phi between
+traceless symmetric tensors and the 27-dimensional summand, and the
+sparse pairing matrix behind the quadratic cocycle b2.
 
 Projectors are built from explicit spanning images (phi itself for the
 trivial summand, the contractions e_j -| psi and the wedges e_j ^ phi
@@ -24,18 +24,24 @@ G2-structures, math/0305124),
 with (psi, e_j ^ phi) in place of (phi, k_j) on grade 4.  The split
 runs on the integer numerators of a (exterior.numerators) scaled by 28,
 the lcm of |phi|^2 = 7 and |k_j|^2 = 4, and divides once at the end.
-The dense 35 x 35 matrices of the same projectors are built on the
-first projector_matrices call, as the test reference.  The Lambda^2
-splitting is derived from the minimal polynomial of a |-> *(phi ^ a)
-rather than assumed eigenvalues.
+Lambda^2 splits the same way, low-rank, with no singlet: P7 a = sum_j
+<a, e_j -| phi>/3 e_j -| phi and P14 = 1 - P7.  The dense matrices of
+the same projectors are built on the first projector_matrices call, as
+the test reference; on Lambda^2 that reference, and with it
+two_form_eigenvalues, is derived lazily from the minimal polynomial of
+a |-> *(phi ^ a) rather than from assumed eigenvalues.
 
 The two exact kernels behind the cubic run on sparse integer data
-computed once.  The b2 solve applies the inverse of a 35-row subset of
-the 49 x 35 pairing matrix (140 nonzeros, common denominator 4) as
-integer rows with one final scaling, and checks the residual, before
-that scaling, on the sparse pairing matrix itself (112 entries, all
-+-1).  i^{-1} reads each entry S_ij = vol(b ^ (e_i -| psi) ^ e_j)/2 as
-a functional of 4 (i = j) or 2 (i != j) signed coefficients of b.
+computed once.  The pairing map M: gamma |-> (gamma ^ (e_j -| psi))_j,
+Lambda^3 -> R^49, is G2-equivariant, so by Schur's lemma its normal
+matrix is scalar on each type: M^T M = 16 P1 + 6 P7 + 2 P27 (the build
+checks it on phi, e_1 -| psi and one 27-type form).  The b2 solve is
+therefore gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the
+sparse M^T (112 entries, all +-1), the type split above, one scaling.
+Its residual on all 49 equations is checked before that scaling, on the
+sparse M itself; building a frame runs no elimination.  i^{-1} reads
+each entry S_ij = vol(b ^ (e_i -| psi) ^ e_j)/2 as a functional of 4
+(i = j) or 2 (i != j) signed coefficients of b.
 
 All of these kernels are linear, and all follow one convention: clear
 the argument's denominators on entry (b = n/d with integer n, a QuadExt
@@ -56,10 +62,12 @@ from math import isqrt, lcm
 from . import exterior as ext
 from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
     hodge, inner, merge_sign, vector, vector_form, vol_coefficient, wedge
-from .linalg import InconsistentSystemError, Matrix, SymTensor, inverse, solve_exact
+from .linalg import InconsistentSystemError, Matrix, SymTensor, solve_exact
 from .scalars import clear_denominators
 
 DIM = 7
+# M^T M on the (1, 7, 27) types of Lambda^3, M the pairing matrix
+_NORMAL_EIGENVALUES = (16, 6, 2)
 
 
 class TypeDecompositionError(ValueError):
@@ -99,28 +107,25 @@ def star_action(A: Matrix, a: Form) -> Form:
 
 
 def _outer_projector(forms: list[Form], grade: int) -> Matrix:
-    """Orthogonal projector onto the span of the given forms.
-
-    The spanning forms must be pairwise orthogonal with equal nonzero
-    norms pairwise orthogonal is all we rely on: the projector is the
-    sum of |w><w| / <w,w>.
-    """
-    blades = BLADES_BY_GRADE[grade]
-    n = len(blades)
+    """The orthogonal projector sum_w |w><w| / <w, w> onto the span of
+    pairwise orthogonal forms, as a dense matrix."""
+    n = len(BLADES_BY_GRADE[grade])
     acc = [[Fraction(0)] * n for _ in range(n)]
     for w in forms:
         nn = ext.norm_sq(w)
         cvec = ext.form_to_coords(w)
-        for i in range(n):
-            ci = cvec[i]
-            if ci == 0:
-                continue
-            row = acc[i]
-            for j in range(n):
-                cj = cvec[j]
-                if cj != 0:
-                    row[j] += Fraction(ci * cj, nn)
+        for i, ci in enumerate(cvec):
+            if ci:
+                for j, cj in enumerate(cvec):
+                    if cj:
+                        acc[i][j] += Fraction(ci * cj, nn)
     return Matrix.from_rows(acc)
+
+
+def _dense_projectors(grade: int, span1: list[Form], span7: list[Form]):
+    """(P1, P7, P27) as dense matrices, with P27 = 1 - P1 - P7."""
+    p1, p7 = _outer_projector(span1, grade), _outer_projector(span7, grade)
+    return p1, p7, Matrix.identity(len(BLADES_BY_GRADE[grade])) - p1 - p7
 
 
 def _split_spans(span1: list[Form], span7: list[Form]):
@@ -159,8 +164,7 @@ def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
     """
     (n,), d = ext.numerators(a)
     scale = Fraction(1, L * d)
-    t1 = _span_sum(n, span1)
-    t7 = _span_sum(n, span7)
+    t1, t7 = _span_sum(n, span1), _span_sum(n, span7)
     p1 = Form(a.grade, {m: scale * c for m, c in t1.items()})
     p7 = Form(a.grade, {m: scale * c for m, c in t7.items()})
     terms = dict(a.terms)
@@ -190,14 +194,15 @@ class G2Frame:
         if vol_coefficient(self.vol) != 1:
             raise InternalConsistencyError("phi ^ psi != 7 vol")
 
-        # contractions e_j -| psi span Lambda^3_7; wedges e_j ^ phi span
-        # Lambda^4_7.  Cached here and reused by hat/extracts below.
+        # contractions e_j -| phi span Lambda^2_7, e_j -| psi span
+        # Lambda^3_7 and wedges e_j ^ phi span Lambda^4_7.  Cached here
+        # and reused by hat/extracts below.
         self.kappa = [contract(vector(j), self.psi) for j in range(1, 8)]
         self.phi_wedges = [wedge(vector(j), self.phi) for j in range(1, 8)]
+        self._span2 = _split_spans(
+            [], [contract(vector(j), self.phi) for j in range(1, 8)])
         self._span3 = _split_spans([self.phi], self.kappa)
         self._span4 = _split_spans([self.psi], self.phi_wedges)
-
-        self._p2, self.two_form_eigenvalues = self._grade2_projectors()
 
         # pairing forms chi_ij = (e_i -| psi) ^ e_j, the kernel of the
         # inverse isomorphism via i(S) ^ (v1 -| psi) ^ v2 = 2 g(S v1, v2) vol.
@@ -210,47 +215,47 @@ class G2Frame:
              for j in range(DIM)]
             for i in range(DIM)]
 
-        self._pairing_matrix = self._build_pairing_matrix()
-        self._pairing_sparse = _sparse_integer_rows(self._pairing_matrix)
-        self._inverse_sparse, self._inverse_scale = self._build_pairing_solver()
+        # the pairing matrix M of gamma |-> (gamma ^ (e_j -| psi))_j as
+        # (column, +-1) pairs per row; row 7 j + p is 6-blade p of block j
+        self._pairing_sparse = [[] for _ in range(DIM * DIM)]
+        for col, m in enumerate(BLADES_BY_GRADE[3]):
+            for j in range(DIM):
+                for mm, c in wedge(Form(3, {m: 1}), self.kappa[j]).terms.items():
+                    self._pairing_sparse[j * DIM + BLADES_BY_GRADE[6].index(mm)] \
+                        .append((col, c))
+        # M is equivariant, so by Schur's lemma M^T M is one scalar per
+        # type; a form of each type pins the three, and nonzero ones make
+        # M injective
+        probe27 = self.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+        for a, lam in zip((self.phi, self.kappa[0], probe27), _NORMAL_EIGENVALUES):
+            x = ext.form_to_coords(a)
+            if self._pairing_transpose(self._pairing_rows(x)) != [lam * c for c in x]:
+                raise InternalConsistencyError(
+                    "M^T M is not 16 P1 + 6 P7 + 2 P27 on the pairing matrix")
 
     # -- construction helpers -------------------------------------------
 
-    # the dense grade-3/4 projectors are only the reference for the
-    # low-rank split, so they are built on first use
+    # the dense projectors are only the reference for the low-rank
+    # split, so they are built on first use
     @cached_property
     def _p3(self):
-        n = len(BLADES_BY_GRADE[3])
-        p1 = _outer_projector([self.phi], 3)
-        p7 = _outer_projector(self.kappa, 3)
-        p27 = Matrix.identity(n) - p1 - p7
-        return p1, p7, p27
+        return _dense_projectors(3, [self.phi], self.kappa)
 
     @cached_property
     def _p4(self):
-        n = len(BLADES_BY_GRADE[4])
-        p1 = _outer_projector([self.psi], 4)
-        p7 = _outer_projector(self.phi_wedges, 4)
-        p27 = Matrix.identity(n) - p1 - p7
-        return p1, p7, p27
+        return _dense_projectors(4, [self.psi], self.phi_wedges)
 
-    def _grade2_projectors(self):
+    @cached_property
+    def _p2(self):
+        """((P7, P14), (lambda7, lambda14)) of a |-> *(phi ^ a)."""
         blades2 = BLADES_BY_GRADE[2]
         n = len(blades2)
-        cols = []
-        for m in blades2:
-            tm = hodge(wedge(self.phi, Form(2, {m: 1})))
-            cols.append(ext.form_to_coords(tm))
-        T = Matrix.from_rows(cols).transpose()
-        T2 = T * T
+        T = Matrix.from_rows([ext.form_to_coords(hodge(wedge(self.phi, Form(2, {m: 1}))))
+                              for m in blades2]).transpose()
         # derive the minimal polynomial T^2 = c1 T + c0: a 2-parameter
-        # exact least-squares-free solve over all matrix entries
-        rows, rhs = [], []
-        for i in range(n):
-            for j in range(n):
-                rows.append([T.at(i, j), 1 if i == j else 0])
-                rhs.append(T2.at(i, j))
-        (c1, c0), _ = solve_exact(Matrix.from_rows(rows), rhs)
+        # exact solve over all matrix entries
+        rows = [[T.at(i, j), 1 if i == j else 0] for i in range(n) for j in range(n)]
+        (c1, c0), _ = solve_exact(Matrix.from_rows(rows), (T * T).entries)
         disc = _rational_sqrt(c1 * c1 + 4 * c0)
         if disc == 0:
             raise InternalConsistencyError("wedge operator has a repeated eigenvalue")
@@ -266,44 +271,13 @@ class G2Frame:
             raise InternalConsistencyError("eigenspace dimensions are not 7 + 14")
         return (p7, p14), (lam7, lam14)
 
-    def _build_pairing_matrix(self) -> Matrix:
-        """Matrix of gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49."""
-        rows = [[Fraction(0)] * 35 for _ in range(49)]
-        for col, m in enumerate(BLADES_BY_GRADE[3]):
-            gamma = Form(3, {m: 1})
-            for j in range(DIM):
-                w = wedge(gamma, self.kappa[j])
-                for pos, mm in enumerate(BLADES_BY_GRADE[6]):
-                    c = w.terms.get(mm)
-                    if c:
-                        rows[j * DIM + pos][col] = Fraction(c)
-        return Matrix.from_rows(rows)
-
-    def _build_pairing_solver(self):
-        """The inverse of an invertible 35-row subset of the pairing
-        matrix, as sparse integer rows over all 49 right-hand positions
-        and one common scale 1/d."""
-        M = self._pairing_matrix
-        # independent rows of M = pivot columns of M^T
-        pivots = _echelon_pivot_columns(M.transpose())
-        if len(pivots) != 35:
-            raise InternalConsistencyError(
-                f"contraction pairing map has rank {len(pivots)}, expected 35")
-        inv = inverse(Matrix.from_rows([M.row(r) for r in pivots]))
-        d = lcm(*(Fraction(x).denominator for x in inv.entries))
-        rows = _sparse_integer_rows(inv * d)
-        return [[(pivots[k], c) for k, c in row] for row in rows], Fraction(1, d)
-
     # -- projections ------------------------------------------------------
-
-    def _apply(self, P: Matrix, a: Form) -> Form:
-        return ext.form_from_coords(a.grade, P.apply(ext.form_to_coords(a)))
 
     def project2(self, a: Form) -> tuple[Form, Form]:
         """Split a 2-form into its (7, 14)-dimensional parts."""
         if a.grade != 2:
             raise ext.GradeError("project2 needs a 2-form")
-        return self._apply(self._p2[0], a), self._apply(self._p2[1], a)
+        return _type_split(a, *self._span2)[1:]
 
     def project3(self, a: Form) -> tuple[Form, Form, Form]:
         """Split a 3-form into its (1, 7, 27)-dimensional parts."""
@@ -319,15 +293,20 @@ class G2Frame:
 
     def projector_matrices(self, grade: int) -> tuple[Matrix, ...]:
         """Dense projector matrices, in the order project2/3/4 returns
-        the parts; on grades 3 and 4 they are the reference that the
-        low-rank split is tested against."""
+        the parts: the reference that the low-rank split is tested
+        against."""
         if grade == 2:
-            return self._p2
+            return self._p2[0]
         if grade == 3:
             return self._p3
         if grade == 4:
             return self._p4
         raise ext.GradeError("projectors exist for grades 2, 3, 4")
+
+    @property
+    def two_form_eigenvalues(self):
+        """The eigenvalues of a |-> *(phi ^ a) on the (7, 14) parts."""
+        return self._p2[1]
 
     # -- metric recovery --------------------------------------------------
 
@@ -416,17 +395,34 @@ class G2Frame:
 
     def pairing_matrix(self) -> Matrix:
         """The injective 49 x 35 matrix of gamma |-> (gamma ^ (e_j -| psi))_j."""
-        return self._pairing_matrix
+        rows = [[0] * len(BLADES_BY_GRADE[3]) for _ in self._pairing_sparse]
+        for row, terms in zip(rows, self._pairing_sparse):
+            for k, c in terms:
+                row[k] = c
+        return Matrix.from_rows(rows)
+
+    def _pairing_rows(self, x: list) -> list:
+        """M x on the sparse rows of the pairing matrix."""
+        return [sum(c * x[k] for k, c in row) for row in self._pairing_sparse]
+
+    def _pairing_transpose(self, v: list) -> list:
+        """M^T v on the sparse rows of the pairing matrix."""
+        y = [0] * len(BLADES_BY_GRADE[3])
+        for row, x in zip(self._pairing_sparse, v):
+            if x:
+                for k, c in row:
+                    y[k] += c * x
+        return y
 
     def solve_three_form(self, rhs_blocks: list[Form]) -> Form:
         """Solve gamma ^ (e_j -| psi) = rhs_j for gamma in Lambda^3.
 
-        Takes the 7 right-hand 6-forms, solves on a cached invertible
-        row subset, then verifies all 49 equations; raises
-        InconsistentSystemError naming the first equation that fails if
-        the stack is not in the image.  Both steps run on sparse integer
-        rows (the inverse carries one common denominator, applied once
-        per unknown), so any scalar type goes through.
+        Takes the 7 right-hand 6-forms, forms the least-squares candidate
+        gamma = (P1/16 + P7/6 + P27/2) M^T rhs, then verifies all 49
+        equations; raises InconsistentSystemError naming the first
+        equation that fails if the stack is not in the image.  Both steps
+        run on the integer numerators of the right-hand side, with one
+        scaling per unknown at the end, so any scalar type goes through.
         """
         if len(rhs_blocks) != DIM:
             raise ValueError("need 7 right-hand blocks")
@@ -435,38 +431,24 @@ class G2Frame:
             if w.grade != 6:
                 raise ext.GradeError("right-hand blocks must be 6-forms")
             rhs.extend(ext.form_to_coords(w))
-        # y = d x: the residual is checked on y against d rhs, and the
-        # Fraction 1/d is applied once per unknown at the end, which keeps
-        # an int-only right-hand side exact (int / int would be a float)
-        scale = self._inverse_scale
-        d = scale.denominator
-        y = [sum(c * rhs[r] for r, c in row) for row in self._inverse_sparse]
-        for row, (terms, want) in enumerate(zip(self._pairing_sparse, rhs)):
-            if sum(c * y[k] for k, c in terms) != d * want:
+        rhs, d = clear_denominators(rhs)
+        y = self._pairing_transpose(rhs)
+        span1, span7, L = self._span3
+        n = ext.form_from_coords(3, y)
+        t1, t7 = _span_sum(n, span1), _span_sum(n, span7)
+        # t = L P y and P27 = 1 - P1 - P7; over the common denominator
+        # D = lcm(16, 6, 2) L = 48 L the weights 1/16, 1/6, 1/2 are
+        # (3, 8, 24)/D, so D d gamma = 24 L y - 21 t1 - 16 t7
+        top = lcm(*_NORMAL_EIGENVALUES)
+        w1, w7, w27 = (top // lam for lam in _NORMAL_EIGENVALUES)
+        x = [w27 * L * v + (w1 - w27) * t1.get(m, 0) + (w7 - w27) * t7.get(m, 0)
+             for m, v in zip(BLADES_BY_GRADE[3], y)]
+        D = top * L
+        for row, (got, want) in enumerate(zip(self._pairing_rows(x), rhs)):
+            if got != D * want:
                 raise InconsistentSystemError(row)
-        return ext.form_from_coords(3, [scale * v for v in y])
-
-
-def _sparse_integer_rows(M: Matrix) -> list[list[tuple[int, int]]]:
-    """The nonzero entries of an integer matrix as (column, int) pairs,
-    row by row."""
-    rows = []
-    for i in range(M.rows):
-        row = []
-        for k, x in enumerate(M.row(i)):
-            if x:
-                if Fraction(x).denominator != 1:
-                    raise InternalConsistencyError("matrix is not integral")
-                row.append((k, int(x)))
-        rows.append(row)
-    return rows
-
-
-def _echelon_pivot_columns(M: Matrix) -> list[int]:
-    from .linalg import _echelon
-    rows = M.to_rows()
-    track = list(range(M.rows))
-    return [c for _, c in _echelon(rows, M.cols, track)]
+        scale = Fraction(1, D * d)
+        return ext.form_from_coords(3, [scale * v for v in x])
 
 
 _frame_lock = threading.Lock()

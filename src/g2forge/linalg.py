@@ -211,20 +211,6 @@ def solve_exact(A: Matrix, b: Sequence) -> tuple[list, int]:
     return x, A.cols - len(pivots)
 
 
-def inverse(A: Matrix) -> Matrix:
-    """Inverse of a square full-rank matrix."""
-    if A.rows != A.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = A.rows
-    rows = [A.row(i) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    track = list(range(n))
-    pivots = _echelon(rows, n, track)
-    if len(pivots) != n:
-        raise ValueError("matrix is singular")
-    # pivots appear in column order, so row r holds the row for variable r
-    return Matrix.from_rows([rows[r][n:] for r, _ in pivots])
-
-
 class SymTensor:
     """A symmetric bilinear form / symmetric endomorphism in coordinates.
 

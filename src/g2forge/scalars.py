@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class ScalarError(ValueError):
     """Raised on malformed scalar input (bad JSON, zero denominator)."""

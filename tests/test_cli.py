@@ -122,8 +122,11 @@ def test_run_seed_from_environment(capsys, monkeypatch):
     assert rc == 0
     assert json.loads(out)["seed"] == 5
     monkeypatch.setenv("G2FORGE_SEED", "pony")
-    with pytest.raises(SystemExit):
-        main(["run", "--suite", "exterior", "--random", "5"])
+    rc, out, err = run_cli(capsys, "run", "--suite", "exterior",
+                           "--random", "5")
+    assert rc == 2
+    assert out == ""
+    assert "bad G2FORGE_SEED value: 'pony'" in err
 
 
 def test_run_output_file(capsys, tmp_path):

@@ -13,7 +13,7 @@ from g2forge.cubic import b2, b2_rhs, p_value, q2, q2_closed_form, \
 from g2forge.exterior import blade, hodge, inner, norm_sq, vector, \
     vol_coefficient, wedge
 from g2forge.g2 import TypeDecompositionError, random_traceless, star_action
-from g2forge.linalg import SymTensor, sym_inner
+from g2forge.linalg import SymTensor, solve_exact, sym_inner
 from g2forge.scalars import QuadExt
 
 
@@ -263,10 +263,11 @@ def _ref_b2(fr, a1, a2):
     h1 = hat(a1)
     h2 = h1 if a2 is a1 else hat(a2)
     rhs = [c for w in b2_rhs(a1, h1, a2, h2) for c in ext.form_to_coords(w)]
-    scale = fr._inverse_scale
-    x = [scale * sum(c * rhs[r] for r, c in row) for row in fr._inverse_sparse]
-    for terms, want in zip(fr._pairing_sparse, rhs):
-        assert sum(c * x[k] for k, c in terms) == want
+    # the dense normal equations M^T M x = M^T rhs, and the residual
+    M = fr.pairing_matrix()
+    Mt = M.transpose()
+    x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
+    assert kernel_dim == 0 and M.apply(x) == rhs
     return ext.form_from_coords(3, x)
 
 

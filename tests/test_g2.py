@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from g2forge import cubic, g2, linalg
 from g2forge import exterior as ext
 from g2forge.exterior import blade, contract, coords_of, hodge, inner, \
     norm_sq, vector, vector_form, vol_coefficient, wedge
 from g2forge.g2 import G2Frame, InconsistentSystemError, \
-    InternalConsistencyError, TypeDecompositionError, \
-    _echelon_pivot_columns, random_traceless, standard_frame, star_action, \
-    two_form_endo
-from g2forge.linalg import Matrix, SymTensor, inverse, rank, sym_inner
+    InternalConsistencyError, TypeDecompositionError, random_traceless, \
+    standard_frame, star_action, two_form_endo
+from g2forge.linalg import Matrix, SymTensor, rank, solve_exact, sym_inner
 from g2forge.scalars import QuadExt
 
 
@@ -46,7 +46,8 @@ def test_split_matches_projector_matrices(g2frame):
     # the rank, idempotence and completeness tests above speak about the
     # dense matrices; the low-rank split in use must equal them exactly
     rng = random.Random(7011)
-    for grade, split in ((3, g2frame.project3), (4, g2frame.project4)):
+    for grade, split in ((2, g2frame.project2), (3, g2frame.project3),
+                         (4, g2frame.project4)):
         mats = g2frame.projector_matrices(grade)
         blades = [ext.Form(grade, {m: 1}) for m in ext.BLADES_BY_GRADE[grade]]
         samples = [random_form(rng, grade) * Fraction(1, k)
@@ -193,14 +194,15 @@ def test_solve_three_form_error_paths(g2frame):
 
 
 def _dense_solve(frame, rhs_blocks):
-    """Reference for solve_three_form: the dense inverse of the same
-    35-row subset, then the dense residual on all 49 equations.
+    """Reference for solve_three_form: the least-squares candidate from
+    the dense normal equations M^T M x = M^T rhs, then the dense
+    residual on all 49 equations.
     Returns (solution, first failing row or None)."""
     M = frame.pairing_matrix()
-    pivots = _echelon_pivot_columns(M.transpose())
-    inv = inverse(Matrix.from_rows([M.row(r) for r in pivots]))
+    Mt = M.transpose()
     rhs = [c for w in rhs_blocks for c in ext.form_to_coords(w)]
-    x = inv.apply([rhs[r] for r in pivots])
+    x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
+    assert kernel_dim == 0
     bad = [r for r, (got, want) in enumerate(zip(M.apply(x), rhs))
            if got != want]
     return ext.form_from_coords(3, x), (bad[0] if bad else None)
@@ -276,10 +278,39 @@ def test_iso_inverse_matches_wedge_formula(g2frame, kind):
 
 def test_dense_projectors_are_built_lazily():
     fr = G2Frame()
-    assert "_p3" not in vars(fr) and "_p4" not in vars(fr)
-    p3 = fr.projector_matrices(3)
-    assert fr.projector_matrices(3) is p3
-    assert [rank(P) for P in p3] == [1, 7, 27]
+    for grade, dims in ((2, [7, 14]), (3, [1, 7, 27]), (4, [1, 7, 27])):
+        assert f"_p{grade}" not in vars(fr)
+        mats = fr.projector_matrices(grade)
+        assert fr.projector_matrices(grade) is mats
+        assert [rank(P) for P in mats] == dims
+
+
+def test_pairing_normal_matrix_is_scalar_on_types(g2frame):
+    # Schur's lemma: M is equivariant, so M^T M is one scalar per type
+    M = g2frame.pairing_matrix()
+    p1, p7, p27 = g2frame.projector_matrices(3)
+    assert M.transpose() * M == 16 * p1 + 6 * p7 + 2 * p27
+
+
+def test_frame_build_checks_the_normal_matrix(monkeypatch):
+    monkeypatch.setattr(g2, "_NORMAL_EIGENVALUES", (16, 6, 3))
+    with pytest.raises(InternalConsistencyError):
+        G2Frame()
+
+
+def test_frame_build_and_solve_run_no_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(linalg, "_echelon", refuse)
+    fr = G2Frame()
+    rng = random.Random(7023)
+    a2 = random_form(rng, 2)
+    assert sum(fr.project2(a2), ext.Form.zero(2)) == a2
+    gamma = random_form(rng, 3)
+    assert fr.solve_three_form([wedge(gamma, k) for k in fr.kappa]) == gamma
+    a1, a2 = random_form(rng, 4), random_form(rng, 4)
+    assert cubic.b2(a1, a2, fr) == cubic.b2(a2, a1, fr)
 
 
 def test_vector_extraction(g2frame):

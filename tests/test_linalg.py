@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
-    inverse, rank, solve_exact, sym_inner
+    rank, solve_exact, sym_inner
 from g2forge.scalars import QuadExt
 
 
@@ -46,19 +46,6 @@ def test_solve_exact_detects_inconsistency():
     A = Matrix.from_rows([[1, 0], [1, 0]])
     with pytest.raises(InconsistentSystemError):
         solve_exact(A, [1, 2])
-
-
-def test_inverse_random():
-    rng = random.Random(23)
-    done = 0
-    while done < 25:
-        n = rng.randint(1, 5)
-        A = _random_matrix(rng, n, n)
-        if rank(A) < n:
-            continue
-        done += 1
-        Ainv = inverse(A)
-        assert A * Ainv == Matrix.identity(n)
 
 
 def test_symtensor_construction_checks():
