@@ -347,27 +347,6 @@ def r_value(y: Form, x: Form):
     return metric_route
 
 
-def closed_display_value(xi: Su3Element, s3_coefficient: int):
-    """The closed displayed polynomial in the xi coordinates,
-
-        s3_coefficient s^3 + (65/6) s |x|^2 + (50/3) s |y|^2 + (100/27) R,
-
-    with s3_coefficient one of +-210 (the two displayed variants)."""
-    if s3_coefficient not in (210, -210):
-        raise ValueError("the displayed s^3 coefficient is +-210")
-    v, c = xi.v, xi.x
-    half = Fraction(1, 2)
-    s = half * (v[0] + v[1])
-    d = half * (v[0] - v[1])
-    x_sq = c[2] ** 2 + c[3] ** 2 + c[4] ** 2 + c[5] ** 2
-    y_sq = d * d + c[0] ** 2 + c[1] ** 2
-    r = (d * (c[2] ** 2 + c[3] ** 2 - c[4] ** 2 - c[5] ** 2)
-         - 2 * c[0] * (-c[2] * c[5] + c[3] * c[4])
-         + 2 * c[1] * (c[2] * c[4] + c[3] * c[5]))
-    return (s3_coefficient * s ** 3 + Fraction(65, 6) * s * x_sq
-            + Fraction(50, 3) * s * y_sq + Fraction(100, 27) * r)
-
-
 def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     """The six displayed products <p(block, block), i^{-1}(A_)> of the
     generic combination, evaluated and compared with their displays.
@@ -802,19 +781,3 @@ def closed_form_report() -> dict:
             "sign_resolution": sign,
             "matches": fitted == CLOSED_DISPLAY,
             "computed": fitted}
-
-
-def verify_intermediate_display(rng, n_random: int = 50) -> dict:
-    """The displayed generic sum checked as a polynomial identity, with
-    the exact fitted coefficients reported alongside.  Random points
-    re-verify the fitted model away from the lattice."""
-    report = intermediate_display_report()
-    c1, c2, c3, c4 = report["computed"]
-    ok = True
-    for _ in range(n_random):
-        s, y, x = _random_blocks(rng)
-        model = (c1 * Fraction(s) ** 3 + c2 * s * norm_sq(x)
-                 + c3 * s * norm_sq(y) + c4 * r_value(y, x))
-        ok = ok and model == generic_value(s, y, x)
-    report["fitted_model_holds_on_random_points"] = ok
-    return report

@@ -99,7 +99,7 @@ def _render_text(report: dict) -> str:
             if chk["status"] == "fail" or chk["expected"] != "as computed":
                 lines.append(f"         expected: {chk['expected']}")
                 lines.append(f"         actual:   {chk['actual']}")
-        if sub["suite"] == "pairing":
+        if "pairing" in sub:
             lines.append(f"  pairing: {sub['pairing']}"
                          f"  (first principles: "
                          f"{sub['first_principles_pairing']})")

@@ -70,10 +70,6 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
     return SymTensor.from_upper(upper)
 
 
-def quadratic_form_traceless(a1: Form, a2: Form) -> SymTensor:
-    return quadratic_form(a1, a2).traceless_part()
-
-
 @functools.cache
 def _rhs_table() -> dict[int, tuple]:
     """For each 4-blade m4, the 16 tuples (m3, j, m6, sign) with e_j in

@@ -25,23 +25,32 @@ with (psi, e_j ^ phi) in place of (phi, k_j) on grade 4.  The split
 runs on the integer numerators of a (exterior.numerators) scaled by 28,
 the lcm of |phi|^2 = 7 and |k_j|^2 = 4, and divides once at the end.
 Lambda^2 splits the same way, low-rank, with no singlet: P7 a = sum_j
-<a, e_j -| phi>/3 e_j -| phi and P14 = 1 - P7.  The dense matrices of
-the same projectors are built on the first projector_matrices call, as
-the test reference; on Lambda^2 that reference, and with it
-two_form_eigenvalues, is derived lazily from the minimal polynomial of
-a |-> *(phi ^ a) rather than from assumed eigenvalues.
+<a, e_j -| phi>/3 e_j -| phi and P14 = 1 - P7.  On 4-forms, hat(a) =
+-*a_1 + *a_7 - *a_27 = *(2 P7 a - a) and the vector part V of
+P7 a = V ^ phi, V_j = <a, e_j ^ phi>/4, need only the rank-7 part.  The
+dense projector matrices are test references only, built on first use;
+on Lambda^2 that reference, and with it two_form_eigenvalues, is derived
+from the minimal polynomial of a |-> *(phi ^ a).
 
-The two exact kernels behind the cubic run on sparse integer data
-computed once.  The pairing map M: gamma |-> (gamma ^ (e_j -| psi))_j,
-Lambda^3 -> R^49, is G2-equivariant, so by Schur's lemma its normal
-matrix is scalar on each type: M^T M = 16 P1 + 6 P7 + 2 P27 (the build
-checks it on phi, e_1 -| psi and one 27-type form).  The b2 solve is
-therefore gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the
-sparse M^T (112 entries, all +-1), the type split above, one scaling.
-Its residual on all 49 equations is checked before that scaling, on the
-sparse M itself; building a frame runs no elimination.  i^{-1} reads
-each entry S_ij = vol(b ^ (e_i -| psi) ^ e_j)/2 as a functional of 4
-(i = j) or 2 (i != j) signed coefficients of b.
+i and i^{-1} are the two directions of one integer table: with
+chi_ij = (e_i -| psi) ^ e_j, vol(b ^ chi_ij) = <b, f_ij> for 3-forms
+f_ij of 4 (i = j) or 2 blades with coefficients +-1, 112 entries in all.
+i^{-1} reads S_ij = <b, f_ij>/2 on Lambda^3_27, and i(S) = sum_ij S_ij
+f_ij: by Schur's lemma the equivariant map b |-> (<b, f_ij>)_ij sends
+Lambda^3_1 to multiples of g and Lambda^3_7 to skew tensors, so for
+traceless symmetric S the sum pairs to zero with both and lies in
+Lambda^3_27, where it pairs with every b as 2 <S, i^{-1} b> = <i(S), b>
+(|i(S)|^2 = 2 |S|^2).  S*psi = -*i(S); no derived action runs.
+
+The b2 solve runs on sparse integer data computed once, too.  The
+pairing map M: gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49,
+is G2-equivariant, so by Schur's lemma its normal matrix is scalar on
+each type: M^T M = 16 P1 + 6 P7 + 2 P27 (the build checks it on phi,
+e_1 -| psi and one 27-type form).  The b2 solve is therefore
+gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the sparse
+M^T (112 entries, all +-1), the type split above, one scaling.  Its
+residual on all 49 equations is checked before that scaling, on the
+sparse M itself; building a frame runs no elimination.
 
 All of these kernels are linear, and all follow one convention: clear
 the argument's denominators on entry (b = n/d with integer n, a QuadExt
@@ -195,8 +204,7 @@ class G2Frame:
             raise InternalConsistencyError("phi ^ psi != 7 vol")
 
         # contractions e_j -| phi span Lambda^2_7, e_j -| psi span
-        # Lambda^3_7 and wedges e_j ^ phi span Lambda^4_7.  Cached here
-        # and reused by hat/extracts below.
+        # Lambda^3_7 and wedges e_j ^ phi span Lambda^4_7
         self.kappa = [contract(vector(j), self.psi) for j in range(1, 8)]
         self.phi_wedges = [wedge(vector(j), self.phi) for j in range(1, 8)]
         self._span2 = _split_spans(
@@ -204,11 +212,11 @@ class G2Frame:
         self._span3 = _split_spans([self.phi], self.kappa)
         self._span4 = _split_spans([self.psi], self.phi_wedges)
 
-        # pairing forms chi_ij = (e_i -| psi) ^ e_j, the kernel of the
-        # inverse isomorphism via i(S) ^ (v1 -| psi) ^ v2 = 2 g(S v1, v2) vol.
-        # Each has 4 blades m on the diagonal and 2 off it, so
-        # vol_coefficient(b ^ chi_ij) is the functional
-        # sum of sign(m^c, m) chi_ij[m] b[m^c] over them.
+        # pairing forms chi_ij = (e_i -| psi) ^ e_j, with
+        # i(S) ^ (v1 -| psi) ^ v2 = 2 g(S v1, v2) vol.  Each has 4 blades
+        # m on the diagonal and 2 off it, so vol_coefficient(b ^ chi_ij)
+        # is <b, f_ij>, f_ij = sum of sign(m^c, m) chi_ij[m] e^{m^c}:
+        # the table that both i and its inverse read.
         self._inv_functionals = [
             [tuple((FULL_MASK ^ m, merge_sign(FULL_MASK ^ m, m) * c)
                    for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
@@ -328,22 +336,23 @@ class G2Frame:
     # -- the 27-dimensional isomorphism ------------------------------------
 
     def iso_i(self, S: SymTensor) -> Form:
-        """i(S) = S*phi, from traceless symmetric tensors into Lambda^3_27."""
+        """i(S) = S*phi = sum_ij S_ij f_ij, from traceless symmetric
+        tensors into Lambda^3_27, on the integer numerators of S."""
         if S.trace() != 0:
             raise TypeDecompositionError("iso_i needs a traceless tensor")
-        return self._star(S, self.phi)
-
-    def iso_i_psi(self, S: SymTensor) -> Form:
-        """S*psi, the grade-4 companion with *(S*psi) = -S*phi."""
-        return self._star(S, self.psi)
-
-    def _star(self, S: SymTensor, a: Form) -> Form:
-        """S*a, by the derived action of the integer numerators of S and
-        one rescale by 1/d; an int tensor gives int coefficients."""
         entries = [x for row in S.entries for x in row]
         ints, d = clear_denominators(entries)
-        out = star_action(Matrix(DIM, DIM, ints), a)
+        terms = {}
+        flat = (f for row in self._inv_functionals for f in row)
+        for s, functional in zip(ints, flat):
+            for m, c in functional if s else ():
+                terms[m] = terms.get(m, 0) + c * s
+        out = Form(3, terms)
         return out if ints is entries else out * Fraction(1, d)
+
+    def iso_i_psi(self, S: SymTensor) -> Form:
+        """S*psi = -*i(S), the grade-4 companion of i."""
+        return -hodge(self.iso_i(S))
 
     def iso_i_inv(self, b: Form) -> SymTensor:
         """Invert i on Lambda^3_27.
@@ -375,21 +384,31 @@ class G2Frame:
                                      for i, row in enumerate(sums)])
 
     def extract_v7(self, a: Form) -> Form:
-        """Vector part of a 4-form: V with P_7 a = V ^ phi, recovered from
-        a ^ (v -| psi) = -4 g(V, v) vol."""
+        """Vector part of a 4-form: V with P_7 a = V ^ phi, read as
+        V_j = <a, e_j ^ phi>/4 since the e_j ^ phi are orthogonal with
+        norm 4."""
         if a.grade != 4:
             raise ext.GradeError("extract_v7 needs a 4-form")
-        quarter = Fraction(-1, 4)
-        return vector_form([quarter * vol_coefficient(wedge(a, self.kappa[j]))
-                            for j in range(DIM)])
+        quarter = Fraction(1, 4)
+        return vector_form([quarter * inner(a, w) for w in self.phi_wedges])
 
     def hat(self, a: Form) -> Form:
         """The 3-form solving hat(a) ^ (v -| psi) + phi ^ (v -| a) = 0,
-        computed typewise as -*a_1 + *a_7 - *a_27."""
+        which is -*a_1 + *a_7 - *a_27 = *(2 P7 a - a) by type.
+
+        P7 runs on the integer numerators of a scaled by L = 28; a blade
+        that P7 a does not touch keeps its coefficient type, negated.
+        """
         if a.grade != 4:
             raise ext.GradeError("hat needs a 4-form")
-        a1, a7, a27 = self.project4(a)
-        return -hodge(a1) + hodge(a7) - hodge(a27)
+        (n,), d = ext.numerators(a)
+        _, span7, L = self._span4
+        scale = Fraction(1, L * d)
+        terms = {m: -c for m, c in a.terms.items()}
+        nt = n.terms
+        for m, c in _span_sum(n, span7).items():
+            terms[m] = scale * (2 * c - L * nt.get(m, 0))
+        return hodge(Form(4, terms))
 
     # -- the cocycle linear solver -----------------------------------------
 

@@ -36,7 +36,8 @@ from fractions import Fraction
 
 from .g2 import InternalConsistencyError
 from .scalars import GaussRational, ScalarError
-from .aw import Su3Element, first_principles_fit, first_principles_value
+from .aw import CLOSED_DISPLAY, Su3Element, closed_form_report, \
+    first_principles_fit, first_principles_value
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -413,24 +414,17 @@ def idet_poly() -> MultiPoly:
 # ---------------------------------------------------------------------------
 # The obstruction polynomial as a letter polynomial
 
-CLOSED_COMPONENTS = (Fraction(210), Fraction(65, 6), Fraction(50, 3),
-                     Fraction(100, 27))
-
-
 def component_polys() -> tuple:
     """(s^3, s|x|^2, s|y|^2, R) as letter polynomials."""
     s = s_poly()
     return (s * s * s, s * x_norm_poly(), s * y_norm_poly(), r_poly())
 
 
-def closed_p_poly(s3_coefficient: int = 210) -> MultiPoly:
-    """The closed displayed polynomial with the chosen s^3 sign."""
-    if s3_coefficient not in (210, -210):
-        raise ScalarError("the displayed s^3 coefficient is +-210")
-    coeffs = (Fraction(s3_coefficient),) + CLOSED_COMPONENTS[1:]
+def closed_p_poly() -> MultiPoly:
+    """The closed displayed polynomial, with its +210 s^3 term."""
     s3, sx2, sy2, r = component_polys()
     out = MultiPoly.zero(3)
-    for c, p in zip(coeffs, (s3, sx2, sy2, r)):
+    for c, p in zip(CLOSED_DISPLAY, (s3, sx2, sy2, r)):
         out = out + p.scale(c)
     return out
 
@@ -526,7 +520,7 @@ def p_poly(source: str) -> MultiPoly:
     """source is "closed-form" (the displayed +210 variant) or
     "first-principles" (the interpolated exact polynomial)."""
     if source == "closed-form":
-        return closed_p_poly(210)
+        return closed_p_poly()
     if source == "first-principles":
         return first_principles_p_poly()
     raise ScalarError(f"unknown P source {source!r}")
@@ -582,7 +576,6 @@ def assembled_pairing(coefficients) -> Fraction:
 def pairing_report() -> dict:
     """The headline numbers: both sources, their component assembly,
     and the sign resolution vindicated by the exact computation."""
-    from .aw import CLOSED_DISPLAY, closed_form_report
     closed = final_pairing("closed-form")
     first = final_pairing("first-principles")
     fitted = first_principles_fit()

@@ -10,10 +10,13 @@ seed and the check id, so reports are byte-identical under a fixed
 seed no matter how checks are scheduled.  Wall time is never part of
 a report; runners print it to the diagnostic stream instead.
 
-A suite passes iff all its checks pass.  The reproduction suite (aw)
-contains checks that compare exact results against tabulated closed
-forms that do not hold as stated; those fail by design and sit next
-to passing checks certifying the corrected forms.
+A suite passes iff all its checks pass.  An exception that escapes a
+suite becomes its one failed check <suite>.exception, naming the class,
+the message and the seed, so the run still writes a report.  The
+reproduction suite (aw) contains checks that compare exact results
+against tabulated closed forms that do not hold as stated; those fail
+by design and sit next to passing checks certifying the corrected
+forms.
 """
 
 from __future__ import annotations
@@ -174,11 +177,18 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
     checks: list = []
     fr = standard_frame()
 
-    dims = [rank(P) for P in fr.projector_matrices(2)]
-    ok = dims == [7, 14]
-    dims3 = [rank(P) for P in fr.projector_matrices(3)]
-    dims4 = [rank(P) for P in fr.projector_matrices(4)]
-    ok = ok and dims3 == [1, 7, 27] and dims4 == [1, 7, 27]
+    def part_ranks(split, grade):
+        # the rank of each part of the split, applied to the basis blades
+        images = [split(ext.Form(grade, {m: 1}))
+                  for m in ext.BLADES_BY_GRADE[grade]]
+        return [rank(Matrix.from_rows([ext.form_to_coords(p[k])
+                                       for p in images]))
+                for k in range(len(images[0]))]
+
+    dims = part_ranks(fr.project2, 2)
+    dims3 = part_ranks(fr.project3, 3)
+    dims4 = part_ranks(fr.project4, 4)
+    ok = dims == [7, 14] and dims3 == [1, 7, 27] and dims4 == [1, 7, 27]
     _record(checks, "g2.type-dimensions", ok,
             "2-forms split 7+14; 3- and 4-forms split 1+7+27",
             f"{dims} {dims3} {dims4}",
@@ -692,10 +702,24 @@ SUITE_RUNNERS = {
 }
 
 
+def _run_suite(name: str, seed: int, n_random: int, samples: int) -> dict:
+    """One suite's report; an exception escaping the runner becomes one
+    failed check <suite>.exception, so a report is still written."""
+    try:
+        return SUITE_RUNNERS[name](seed, n_random=n_random, samples=samples)
+    except Exception as exc:
+        checks: list = []
+        _record(checks, f"{name}.exception", False, "no exception",
+                f"{type(exc).__name__}: {exc}",
+                f"raised by suite {name} at seed {seed} with "
+                f"--random {n_random}; rerun it to reproduce")
+        return _report(name, seed, checks)
+
+
 def run_suites(names, seed: int, n_random: int = DEFAULT_RANDOM,
                samples: int = DEFAULT_SAMPLES) -> dict:
     """Run the named suites in canonical order and combine the reports."""
-    reports = [SUITE_RUNNERS[n](seed, n_random=n_random, samples=samples)
+    reports = [_run_suite(n, seed, n_random, samples)
                for n in SUITE_NAMES if n in names]
     return {
         "seed": seed,

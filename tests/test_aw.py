@@ -9,12 +9,12 @@ import pytest
 
 from g2forge import aw
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
-    c_direct, c_display, c_of, closed_display_value, closed_form_report, \
+    c_direct, c_display, c_of, closed_form_report, \
     comparison_form, compose, decompose, first_principles_fit, \
     first_principles_value, fit_block_cubic, generic_value, \
     intermediate_display_report, principal_lattice, r_value, \
     standard_aw_frame, tensor_displays, verify_block_products, \
-    verify_intermediate_display, verify_tensor_displays
+    verify_tensor_displays
 from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
     vector_form, wedge
 from g2forge.g2 import TypeDecompositionError
@@ -346,25 +346,3 @@ def test_closed_form_report():
     assert terms["s^3"]["computed"] == -210
     assert terms["s|y|^2"]["matches"]  # 50/3 survives the reversion
     assert not terms["s|x|^2"]["matches"] and not terms["R"]["matches"]
-
-
-def test_verify_intermediate_display():
-    rng = random.Random(9013)
-    rep = verify_intermediate_display(rng, 5)
-    assert rep["fitted_model_holds_on_random_points"]
-    assert rep["computed"] == (Fraction(-210), Fraction(99), Fraction(6),
-                               Fraction(-15))
-
-
-def test_closed_display_value():
-    xi = Su3Element((1, 1, -2), (0,) * 6)
-    assert closed_display_value(xi, 210) == 210
-    assert closed_display_value(xi, -210) == -210
-    with pytest.raises(ValueError):
-        closed_display_value(xi, 100)
-    # at a generic element the displayed polynomial differs from the
-    # exact first-principles value under either sign choice
-    xi = Su3Element((1, -2, 1), (1, 0, 0, 1, 0, 1))
-    exact = first_principles_value(xi)
-    assert closed_display_value(xi, 210) != exact
-    assert closed_display_value(xi, -210) != exact

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2forge import aw, suites
 from g2forge import exterior as ext
 from g2forge.aw import standard_aw_frame
 from g2forge.cli import main
@@ -127,6 +128,40 @@ def test_run_seed_from_environment(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert "bad G2FORGE_SEED value: 'pony'" in err
+
+
+def test_run_records_a_raising_suite(capsys, tmp_path, monkeypatch):
+    # a broken construction makes c_of raise inside the aw suite; the
+    # run still writes its report, with the exception as a failed check
+    monkeypatch.setattr(aw, "c_display",
+                        lambda x: aw.c_direct(x) + ext.blade([1, 2, 3]))
+    path = tmp_path / "aw.json"
+    rc, out, err = run_cli(
+        capsys, "run", "--suite", "aw", "--seed", "1", "--random", "1",
+        "--format", "json", "--output", str(path))
+    assert rc == 1
+    assert out == "" and "Traceback" not in err
+    report = json.loads(path.read_text())
+    assert report["passed"] is False
+    (sub,) = report["suites"]
+    assert sub["checks"] == [{
+        "id": "aw.exception",
+        "status": "fail",
+        "expected": "no exception",
+        "actual": "InternalConsistencyError: "
+                  "the two constructions of C disagree",
+        "anchor": "raised by suite aw at seed 1 with --random 1; "
+                  "rerun it to reproduce",
+    }]
+
+
+def test_run_lets_interrupts_through(capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "exterior", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--suite", "exterior"])
 
 
 def test_run_output_file(capsys, tmp_path):

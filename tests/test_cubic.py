@@ -8,7 +8,7 @@ import pytest
 
 from g2forge import exterior as ext
 from g2forge.cubic import b2, b2_rhs, p_value, q2, q2_closed_form, \
-    q_value, quadratic_form, quadratic_form_traceless, trilinear, trilinear_direct, \
+    q_value, quadratic_form, trilinear, trilinear_direct, \
     trilinear_star_route
 from g2forge.exterior import blade, hodge, inner, norm_sq, vector, \
     vol_coefficient, wedge
@@ -20,7 +20,8 @@ from g2forge.scalars import QuadExt
 def test_quadratic_form_basic(g2frame):
     # on the 3-form phi: <v -| phi, w -| phi> = 3 g(v, w)
     assert quadratic_form(g2frame.phi, g2frame.phi) == SymTensor.identity().scale(3)
-    assert quadratic_form_traceless(g2frame.phi, g2frame.phi) == SymTensor.zero()
+    assert quadratic_form(g2frame.phi, g2frame.phi).traceless_part() \
+        == SymTensor.zero()
     # on psi the count is 4 per index
     assert quadratic_form(g2frame.psi, g2frame.psi) == SymTensor.identity().scale(4)
 

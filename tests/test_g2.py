@@ -130,6 +130,9 @@ def test_iso_identities(g2frame):
 def test_iso_rejects_trace(g2frame):
     with pytest.raises(TypeDecompositionError):
         g2frame.iso_i(SymTensor.identity())
+    # iso_i_psi is -* iso_i, with the same traceless domain
+    with pytest.raises(TypeDecompositionError):
+        g2frame.iso_i_psi(SymTensor.diag([1, 0, 0, 0, 0, 0, 0]))
 
 
 def test_iso_inverse_roundtrip(g2frame):
@@ -313,6 +316,26 @@ def test_frame_build_and_solve_run_no_elimination(monkeypatch):
     assert cubic.b2(a1, a2, fr) == cubic.b2(a2, a1, fr)
 
 
+def test_frame_operators_run_without_star_action_or_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the derived action or an elimination ran")
+
+    monkeypatch.setattr(g2, "star_action", refuse)
+    monkeypatch.setattr(linalg, "_echelon", refuse)
+    fr = G2Frame()
+    rng = random.Random(7024)
+    S = random_traceless(rng, 3)
+    b, a = fr.iso_i(S), fr.iso_i_psi(S)
+    assert hodge(a) == -b
+    a4 = random_form(rng, 4)
+    assert wedge(fr.extract_v7(a4), fr.phi) == fr.project4(a4)[1]
+    h = fr.hat(a4)
+    assert all((wedge(h, k) + wedge(fr.phi, contract(vector(j), a4))).is_zero()
+               for j, k in enumerate(fr.kappa, start=1))
+    assert cubic.b2(a, a, fr) == cubic.q2(a, fr)
+    assert cubic.p_value(b, fr) == cubic.q_value(hodge(b), fr)
+
+
 def test_vector_extraction(g2frame):
     rng = random.Random(7009)
     for _ in range(20):
@@ -324,6 +347,12 @@ def test_vector_extraction(g2frame):
     assert g2frame.extract_v7(g2frame.iso_i_psi(S)).is_zero()
     with pytest.raises(ext.GradeError):
         g2frame.extract_v7(g2frame.phi)
+    # V ^ phi = P7 a on general 4-forms, with int and Fraction coefficients
+    for kind in ("int", "fraction"):
+        for _ in range(10):
+            a = _random_coeff_form(rng, 4, kind)
+            assert wedge(g2frame.extract_v7(a), g2frame.phi) \
+                == g2frame.project4(a)[1]
 
 
 def test_metric_from_structure(g2frame):

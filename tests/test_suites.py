@@ -3,7 +3,8 @@ package as it is and fail when one side is broken."""
 
 from fractions import Fraction
 
-from g2forge import aw, suites
+from g2forge import aw, g2, suites
+from g2forge import exterior as ext
 from g2forge.exterior import blade
 
 
@@ -38,3 +39,27 @@ def test_revert_map_can_fail(monkeypatch):
                         lambda c: revert(c[:3] + (c[3] * Fraction(2),)))
     ok, actual = suites._aw_revert_map()
     assert not ok and actual.startswith("pushed (-210, 55/2, 50/3, 125/9);")
+
+
+def _type_dimensions(report):
+    return next(c for c in report["checks"] if c["id"] == "g2.type-dimensions")
+
+
+def test_g2_suite_builds_no_dense_projector(monkeypatch):
+    # g2.type-dimensions reads the ranks off the split in use, not off
+    # the dense reference projectors
+    def refuse(self, grade):
+        raise AssertionError("a dense projector was built")
+
+    monkeypatch.setattr(g2.G2Frame, "projector_matrices", refuse)
+    report = suites.suite_g2(0, n_random=1)
+    assert report["passed"]
+    assert _type_dimensions(report)["actual"] == "[7, 14] [1, 7, 27] [1, 7, 27]"
+
+
+def test_type_dimensions_check_can_fail(monkeypatch):
+    monkeypatch.setattr(g2.G2Frame, "project2",
+                        lambda self, a: (a, ext.Form.zero(2)))
+    check = _type_dimensions(suites.suite_g2(0, n_random=1))
+    assert check["status"] == "fail"
+    assert check["actual"] == "[21, 0] [1, 7, 27] [1, 7, 27]"
