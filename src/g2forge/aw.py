@@ -19,6 +19,17 @@ second-order obstruction polynomial.  P is evaluated along two exact
 routes (native sqrt(10) arithmetic, and a rational even/odd split in
 sqrt(10)) that must agree; the sqrt(10)-odd part must vanish.
 
+Both routes run on integer numerators from end to end.  The blocks
+B = s phitilde - (5/3) y ^ Omega and C(x) are built once, of the
+integer element e xi, and cleared to (NB, NC)/d, so 6 d e A is
+6 NB + sqrt(10) NC.  The cubic is composed from the int parts of the
+kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
+linalg.upper_inner, on that QuadExt form (route one) and on the ints
+6 NB and NC (route two), and divided once, by 2 (6 d e)^3.  The type-27
+gate is G2Frame.is_pure27, the eight pairings with phi and the
+e_j -| psi; the symmetry and trace checks of the recovered tensors run
+on both routes.
+
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
 and the verification suite checks every display pointwise.  Four of
@@ -52,9 +63,10 @@ from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
     hodge_m4, norm_sq, numerators, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame, two_form_endo
-from .cubic import quadratic_form
-from .linalg import Matrix, SymTensor, solve_exact, sym_inner
-from .scalars import GaussRational, QuadExt, ScalarError
+from .cubic import quadratic_form, quadratic_upper
+from .linalg import Matrix, SymTensor, solve_exact, sym_inner, upper_inner
+from .scalars import SQRT10, GaussRational, QuadExt, ScalarError, \
+    clear_denominators
 
 SQRT10_OVER_6 = QuadExt(0, Fraction(1, 6))
 
@@ -252,71 +264,107 @@ def generic_blocks(s, y: Form, x: Form) -> Form:
     return s * fr.phi_tilde + wedge(y, fr.Omega) + c_of(x)
 
 
+def _comparison_blocks(xi: Su3Element) -> tuple[Form, Form]:
+    """(B, C) = (s phitilde - (5/3) y ^ Omega, C(x)) for the blocks of xi,
+    the rational and the sqrt(10)/6 parts of A(xi) = B + (sqrt(10)/6) C."""
+    fr = standard_aw_frame()
+    s, y, x = decompose(xi)
+    return s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega), c_of(x)
+
+
 def comparison_form(xi: Su3Element) -> Form:
     """A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x).
 
     The coefficients live in Q(sqrt(10)).  The result is checked to be
     of pure 27 type.
     """
-    fr = standard_aw_frame()
-    s, y, x = decompose(xi)
-    a = (s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega)
-         + SQRT10_OVER_6 * c_of(x))
-    p1, p7, _ = fr.g2.project3(a)
-    if not p1.is_zero() or not p7.is_zero():
+    b, c = _comparison_blocks(xi)
+    a = b + SQRT10_OVER_6 * c
+    if not standard_frame().is_pure27(a):
         raise TypeDecompositionError("comparison form is not of pure 27 type")
     return a
+
+
+def _cubic_numerator(n: Form):
+    """2 <p(n, n), i^{-1}(n)> for a 3-form n of pure 27 type, composed
+    from the int parts of quadratic_form and iso_i_inv with no rescale:
+    an int (a QuadExt with int parts) for integer numerators n, so the
+    cubic of a = n / d is this over 2 d^3.  The type of n is the
+    caller's to check."""
+    return upper_inner(quadratic_upper(n, n), standard_frame().iso_i_inv_upper(n))
 
 
 def _cubic_scalar(a: Form):
     """<p(a, a), i^{-1}(a)> for a pure-27 3-form (the normalization
     without the factor 2 used by the obstruction polynomial)."""
-    S = standard_frame().iso_i_inv(a)
-    return sym_inner(quadratic_form(a, a), S)
+    (n,), d = numerators(a)
+    if not standard_frame().is_pure27(n):
+        raise TypeDecompositionError(
+            "form has components outside the 27-dimensional summand")
+    return _cubic_numerator(n) * Fraction(1, 2 * d ** 3)
 
 
 def first_principles_value(xi: Su3Element, *,
                            single_route: bool = False) -> Fraction:
     """P(xi) along two exact routes.
 
-    Route one evaluates <p(A, A), i^{-1}(A)> natively in Q(sqrt(10)).
-    Route two expands in powers of sqrt(10): with A = B + k C where
-    k = sqrt(10)/6 and B, C rational, the cubic splits into a rational
-    even part T0 + k^2 T2 and an odd part k (T1 + k^2 T3) which must
-    vanish identically.  The two routes must agree; single_route skips
-    the second one when the caller is doing a bulk interpolation sweep
-    and verifies route agreement separately.
+    Both run on integer numerators.  P is cubic, so it is evaluated at
+    the integer element Xi = e xi and divided by e^3.  With A = B + k C,
+    k = sqrt(10)/6 and (B, C) = (NB, NC)/d over one common denominator,
+    6 d A is NA = 6 NB + sqrt(10) NC, and P(xi) is the numerator cubic
+    of NA over 2 (6 d e)^3, one rescale at the end.
+
+    Route one evaluates it natively in Q(sqrt(10)), on NA.  Route two
+    expands in powers of sqrt(10) on the ints U = 6 NB and W = NC: the
+    cubic of U + sqrt(10) W splits into an even part t0 + 10 t2 and an
+    odd part sqrt(10) (t1 + 10 t3), which must vanish identically.  The
+    two routes must agree; single_route skips the second one when the
+    caller is doing a bulk interpolation sweep and verifies route
+    agreement separately.
     """
-    native = _cubic_scalar(comparison_form(xi))
+    g2 = standard_frame()
+    # xi = Xi / e with integer coordinates, and P is cubic: P(Xi) / e^3
+    coords, e = clear_denominators(list(xi.v + xi.x))
+    b, c = _comparison_blocks(Su3Element(coords[:3], coords[3:]))
+    (nb, nc), d = numerators(b, c)
+    u = 6 * nb
+    na = u + SQRT10 * nc
+    if not g2.is_pure27(na):
+        raise TypeDecompositionError("comparison form is not of pure 27 type")
+    native = _cubic_numerator(na)
     if isinstance(native, QuadExt):
         if native.irr != 0:
             raise InternalConsistencyError("P has a sqrt(10) component")
         native = native.rat
-    native = Fraction(native)
+    scale = 2 * (6 * d * e) ** 3
     if single_route:
-        return native
-
-    fr = standard_aw_frame()
-    s, y, x = decompose(xi)
-    b_part = s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega)
-    c_part = c_of(x)
-    k2 = Fraction(5, 18)
-    pbb = quadratic_form(b_part, b_part)
-    pbc = quadratic_form(b_part, c_part)
-    pcc = quadratic_form(c_part, c_part)
-    sb = fr.g2.iso_i_inv(b_part)
-    sc = fr.g2.iso_i_inv(c_part)
-    t0 = sym_inner(pbb, sb)
-    t1 = 2 * sym_inner(pbc, sb) + sym_inner(pbb, sc)
-    t2 = sym_inner(pcc, sb) + 2 * sym_inner(pbc, sc)
-    t3 = sym_inner(pcc, sc)
-    odd = t1 + k2 * t3
+        return Fraction(native, scale)
+    even, odd = _split_cubic(u, nc)
     if odd != 0:
         raise InternalConsistencyError("sqrt(10)-odd part of P does not vanish")
-    even = Fraction(t0 + k2 * t2)
     if even != native:
         raise InternalConsistencyError("the two routes to P disagree")
-    return native
+    return Fraction(native, scale)
+
+
+def _split_cubic(u: Form, w: Form) -> tuple:
+    """The even and the odd part in sqrt(10), t0 + 10 t2 and t1 + 10 t3,
+    of the numerator cubic (_cubic_numerator) of u + sqrt(10) w, for
+    3-forms u and w with int coefficients, each checked to be of pure 27
+    type; every t_k is an int."""
+    g2 = standard_frame()
+    if not (g2.is_pure27(u) and g2.is_pure27(w)):
+        raise TypeDecompositionError(
+            "form has components outside the 27-dimensional summand")
+    # quadratic_upper(u, w) is 2 p(u, w): the polarized terms come doubled
+    puu, puw, pww = (quadratic_upper(u, u), quadratic_upper(u, w),
+                     quadratic_upper(w, w))
+    su, sw = g2.iso_i_inv_upper(u), g2.iso_i_inv_upper(w)
+    t0 = upper_inner(puu, su)
+    t1 = upper_inner(puw, su) + upper_inner(puu, sw)
+    t2 = upper_inner(pww, su) + upper_inner(puw, sw)
+    t3 = upper_inner(pww, sw)
+    return t0 + 10 * t2, t1 + 10 * t3
 
 
 def generic_value(s, y: Form, x: Form) -> Fraction:
@@ -369,7 +417,7 @@ def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
         got6 = tuple(sym_inner(quadratic_form(b1, b2), S)
                      for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
                                     (yw, yw), (yw, cx), (cx, cx)))
-        full = _cubic_scalar(a_)
+        full = sym_inner(quadratic_form(a_, a_), S)
     r = r_value(y, x)
     xx, yy = norm_sq(x), norm_sq(y)
     # display column: the six values as displayed; corrected column: the

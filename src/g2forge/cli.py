@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import cubic as cubicmod
 from . import exterior as ext

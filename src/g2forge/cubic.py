@@ -30,6 +30,11 @@ numerators share a second denominator e, hat(a_k) = m_k / (d e), so the
 right-hand side and the solve see only ints and the solution is
 rescaled once by 1/(d^2 e).  Results keep the values and entry types of
 the same computation in the coefficients' own type.
+
+The int part of p is its own function, quadratic_upper, so that a
+longer composition stays on numerators across kernels and rescales once
+at its own end: the obstruction cubic in aw pairs it with
+G2Frame.iso_i_inv_upper through linalg.upper_inner.
 """
 
 from __future__ import annotations
@@ -47,6 +52,19 @@ from .linalg import SymTensor, sym_inner
 _SEVEN = range(1, 8)
 
 
+def quadratic_upper(n1: Form, n2: Form) -> list[list]:
+    """The upper triangle of p(n, n) for n1 is n2 = n, and of 2 p(n1, n2)
+    for two distinct forms, in the coefficients' own type with no
+    rescale: int entries for integer numerators, so p(a1, a2) of
+    a_k = n_k / d is this triangle over d^2 (2 d^2 for a pair)."""
+    c1 = [contract(vector(i), n1) for i in _SEVEN]
+    if n1 is n2:
+        return [[inner(c1[i], c1[j]) for j in range(i, 7)] for i in range(7)]
+    c2 = [contract(vector(i), n2) for i in _SEVEN]
+    return [[inner(c1[i], c2[j]) + inner(c2[i], c1[j]) for j in range(i, 7)]
+            for i in range(7)]
+
+
 def quadratic_form(a1: Form, a2: Form) -> SymTensor:
     """The symmetric tensor (v, w) |-> <v -| a1, w -| a2>, symmetrized.
 
@@ -56,18 +74,10 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
     if a1.grade != a2.grade or a1.grade < 1:
         raise GradeError("quadratic_form needs two forms of equal grade >= 1")
     (n1, n2), d = numerators(a1, a2)
-    c1 = [contract(vector(i), n1) for i in _SEVEN]
-    if n1 is n2:
-        # one pairing per entry; a Fraction scale keeps the result types
-        scale = Fraction(1, d * d)
-        upper = [[scale * inner(c1[i], c1[j]) for j in range(i, 7)]
-                 for i in range(7)]
-    else:
-        scale = Fraction(1, 2 * d * d)
-        c2 = [contract(vector(i), n2) for i in _SEVEN]
-        upper = [[scale * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
-                  for j in range(i, 7)] for i in range(7)]
-    return SymTensor.from_upper(upper)
+    # a Fraction scale keeps the result types
+    scale = Fraction(1, d * d if n1 is n2 else 2 * d * d)
+    return SymTensor.from_upper([[scale * x for x in row]
+                                 for row in quadratic_upper(n1, n2)])
 
 
 @functools.cache

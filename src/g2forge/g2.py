@@ -59,6 +59,10 @@ int, and rescale once by a Fraction on exit (1/(2d) for i^{-1}, 1/d for
 i and its psi companion).  They stay scalar-generic: each result keeps
 the value and the entry type the same computation in the coefficients'
 own type gives, so an int tensor still maps to int coefficients under i.
+The int part of i^{-1} is its own method, iso_i_inv_upper, and its type
+gate is is_pure27, the eight pairings with phi and the e_j -| psi, so
+that a longer composition (the obstruction cubic in aw) stays on
+numerators across kernels and rescales once at its own end.
 """
 
 from __future__ import annotations
@@ -347,12 +351,46 @@ class G2Frame:
         for s, functional in zip(ints, flat):
             for m, c in functional if s else ():
                 terms[m] = terms.get(m, 0) + c * s
-        out = Form(3, terms)
-        return out if ints is entries else out * Fraction(1, d)
+        if ints is not entries:
+            # Fraction(c, d) keeps the Fraction result type of an int sum
+            # in one step; a QuadExt sum takes the scale part by part
+            scale = Fraction(1, d)
+            terms = {m: Fraction(c, d) if type(c) is int else c * scale
+                     for m, c in terms.items()}
+        return Form(3, terms)
 
     def iso_i_psi(self, S: SymTensor) -> Form:
         """S*psi = -*i(S), the grade-4 companion of i."""
         return -hodge(self.iso_i(S))
+
+    def is_pure27(self, b: Form) -> bool:
+        """Whether a 3-form lies in Lambda^3_27: the eight pairings
+        <b, phi> and <b, e_j -| psi> vanish.  That is P1 b = P7 b = 0
+        exactly, since phi and the e_j -| psi are pairwise orthogonal
+        (checked in _split_spans) and span Lambda^3_1 + Lambda^3_7."""
+        if b.grade != 3:
+            raise ext.GradeError("is_pure27 needs a 3-form")
+        span1, span7, _ = self._span3
+        return all(inner(b, w) == 0 for w, _ in span1 + span7)
+
+    def iso_i_inv_upper(self, n: Form) -> list[list]:
+        """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
+        type, in the coefficients' own type with no rescale: int entries
+        for integer numerators, so i^{-1}(b) of b = n / d is this
+        triangle over 2 d.  The type of n is the caller's to check.
+
+        All 49 pairings <n, f_ij> are taken, so that symmetry and trace
+        of the recovered tensor stay real checks.
+        """
+        nt = n.terms
+        sums = [[sum(c * nt[m] for m, c in functional if m in nt)
+                 for functional in row] for row in self._inv_functionals]
+        if any(sums[i][j] != sums[j][i]
+               for i in range(DIM) for j in range(i + 1, DIM)):
+            raise InternalConsistencyError("recovered tensor is not symmetric")
+        if sum(sums[i][i] for i in range(DIM)) != 0:
+            raise InternalConsistencyError("recovered tensor is not traceless")
+        return [row[i:] for i, row in enumerate(sums)]
 
     def iso_i_inv(self, b: Form) -> SymTensor:
         """Invert i on Lambda^3_27.
@@ -364,24 +402,15 @@ class G2Frame:
         if b.grade != 3:
             raise ext.GradeError("iso_i_inv needs a 3-form")
         (n,), d = ext.numerators(b)
-        p1, p7, _ = self.project3(n)
-        if not p1.is_zero() or not p7.is_zero():
+        if not self.is_pure27(n):
             raise TypeDecompositionError(
                 "form has components outside the 27-dimensional summand")
         scale = Fraction(1, 2 * d)
-        nt = n.terms
-        # all 49 entries, so that symmetry and trace stay real checks; a
-        # sum that cancels is taken as int 0, so that entry is Fraction(0)
-        # for every scalar type, as vol_coefficient(b ^ chi_ij) gives it
-        sums = [[sum(c * nt[m] for m, c in functional if m in nt)
-                 for functional in row] for row in self._inv_functionals]
-        if any(sums[i][j] != sums[j][i]
-               for i in range(DIM) for j in range(i + 1, DIM)):
-            raise InternalConsistencyError("recovered tensor is not symmetric")
-        if sum(sums[i][i] for i in range(DIM)) != 0:
-            raise InternalConsistencyError("recovered tensor is not traceless")
-        return SymTensor.from_upper([[scale * (x if x else 0) for x in row[i:]]
-                                     for i, row in enumerate(sums)])
+        # a sum that cancels is taken as int 0, so that entry is
+        # Fraction(0) for every scalar type, as vol_coefficient(b ^ chi_ij)
+        # gives it
+        return SymTensor.from_upper([[scale * (x if x else 0) for x in row]
+                                     for row in self.iso_i_inv_upper(n)])
 
     def extract_v7(self, a: Form) -> Form:
         """Vector part of a 4-form: V with P_7 a = V ^ phi, read as

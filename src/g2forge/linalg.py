@@ -8,9 +8,10 @@ zero test and comparison is exact.
 SymTensor checks the symmetry of entries it is given; its own
 arithmetic (sums, differences, multiples, symmetric products) computes
 the upper triangle only and mirrors it, so those results are symmetric
-by construction and skip the check, and sym_inner is the diagonal plus
-twice the strict upper triangle, summed on the integer numerators of
-both tensors and rescaled once.
+by construction and skip the check.  upper_inner pairs two tensors
+given as upper triangles, the diagonal plus twice the strict upper
+triangle with no rescale; sym_inner runs it on the integer numerators
+of two SymTensors and rescales once.
 """
 
 from __future__ import annotations
@@ -289,13 +290,6 @@ class SymTensor:
     def apply(self, vec: Sequence) -> list:
         return [sum(row[j] * vec[j] for j in range(self.n)) for row in self.entries]
 
-    def _diagonal_then_upper(self) -> list:
-        """The n diagonal entries, then the strict upper triangle row by
-        row."""
-        rows = self.entries
-        return ([row[i] for i, row in enumerate(rows)]
-                + [x for i, row in enumerate(rows) for x in row[i + 1:]])
-
     def to_matrix(self) -> Matrix:
         return Matrix.from_rows(self.entries)
 
@@ -335,21 +329,31 @@ class SymTensor:
         return f"SymTensor({self.n}x{self.n}, trace={self.trace()})"
 
 
+def upper_inner(u1: Sequence[Sequence], u2: Sequence[Sequence]):
+    """tr(S1 S2) from the upper triangles of two symmetric tensors, row i
+    from the diagonal on as SymTensor.from_upper takes them: the
+    diagonal plus twice the strict upper triangle, in the entries' own
+    type and with no rescale."""
+    return (sum(r1[0] * r2[0] for r1, r2 in zip(u1, u2))
+            + 2 * sum(x * y for r1, r2 in zip(u1, u2)
+                      for x, y in zip(r1[1:], r2[1:])))
+
+
 def sym_inner(S1: SymTensor, S2: SymTensor):
     """tr(S1 S2), the metric pairing of symmetric 2-tensors.
 
-    Bilinear, so it runs on the integer numerators of the two upper
-    triangles and rescales once; two int tensors give an int.
+    Bilinear, so it runs upper_inner on the integer numerators of the
+    two upper triangles over one common denominator d and rescales once,
+    by 1/d^2; two int tensors give an int.
     """
     if S1.n != S2.n:
         raise ValueError("size mismatch")
     n = S1.n
-    u1, u2 = S1._diagonal_then_upper(), S2._diagonal_then_upper()
-    a, d1 = clear_denominators(u1)
-    b, d2 = clear_denominators(u2)
-    # the diagonal plus twice the strict upper triangle
-    total = (sum(x * y for x, y in zip(a[:n], b[:n]))
-             + 2 * sum(x * y for x, y in zip(a[n:], b[n:])))
-    if a is u1 and b is u2:
-        return total
-    return total * Fraction(1, d1 * d2)
+    rows = [row[i:] for S in (S1, S2) for i, row in enumerate(S.entries)]
+    flat = [x for row in rows for x in row]
+    ints, d = clear_denominators(flat)
+    if ints is flat:
+        return upper_inner(rows[:n], rows[n:])
+    it = iter(ints)
+    rows = [[next(it) for _ in row] for row in rows]
+    return upper_inner(rows[:n], rows[n:]) * Fraction(1, d * d)

@@ -17,9 +17,11 @@ from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
     verify_tensor_displays
 from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
     vector_form, wedge
-from g2forge.g2 import TypeDecompositionError
+from g2forge.g2 import G2Frame, InternalConsistencyError, \
+    TypeDecompositionError
 from g2forge.linalg import Matrix
 from g2forge.scalars import GaussRational, QuadExt, ScalarError
+from test_cubic import _ref_iso_i_inv, _ref_quadratic_form, _ref_sym_inner
 
 
 def random_su3(rng, bound=4):
@@ -189,6 +191,107 @@ def test_first_principles_routes():
         xi = random_su3(rng, 2)
         exact = first_principles_value(xi)
         assert first_principles_value(xi, single_route=True) == exact
+
+
+_SU3_KINDS = {
+    "int": lambda rng: rng.randint(-4, 4),
+    "fraction": lambda rng: Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+    "mixed": lambda rng: rng.choice([rng.randint(-4, 4),
+                                     Fraction(rng.randint(-4, 4),
+                                              rng.randint(1, 6))]),
+}
+
+
+def _su3_of_kind(rng, kind):
+    draw = _SU3_KINDS[kind]
+    v1, v2 = draw(rng), draw(rng)
+    return Su3Element((v1, v2, -v1 - v2), tuple(draw(rng) for _ in range(6)))
+
+
+@pytest.mark.parametrize("kind", sorted(_SU3_KINDS))
+def test_first_principles_matches_reference_kernels(g2frame, kind):
+    """The composed numerator cubic against the scalar-generic reference
+    kernels applied to the comparison form, each in its own type."""
+    rng = random.Random(9013)
+    for _ in range(4):
+        xi = _su3_of_kind(rng, kind)
+        a = comparison_form(xi)
+        ref = _ref_sym_inner(_ref_quadratic_form(a, a), _ref_iso_i_inv(g2frame, a))
+        if isinstance(ref, QuadExt):
+            assert ref.irr == 0
+            ref = ref.rat
+        for single_route in (False, True):
+            got = first_principles_value(xi, single_route=single_route)
+            assert got == ref and type(got) is Fraction
+
+
+def _xi_with_m4_part():
+    return Su3Element((1, Fraction(-1, 2), Fraction(-1, 2)),
+                      (1, -2, Fraction(3, 2), 0, -1, 2))
+
+
+def test_first_principles_c_constructions_checked(monkeypatch):
+    monkeypatch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
+    with pytest.raises(InternalConsistencyError,
+                       match="the two constructions of C disagree"):
+        first_principles_value(_xi_with_m4_part())
+
+
+def test_first_principles_type_gate(monkeypatch, g2frame):
+    # a C(x) with a Lambda^3_7 part: <A, e_2 -| psi> != 0
+    stray = g2frame.kappa[1]
+    monkeypatch.setattr(aw, "c_of", lambda x: c_direct(x) + stray)
+    for single_route in (False, True):
+        with pytest.raises(TypeDecompositionError,
+                           match="comparison form is not of pure 27 type"):
+            first_principles_value(_xi_with_m4_part(), single_route=single_route)
+
+
+@pytest.mark.parametrize("bump, message", [
+    ((1, 0), "the two routes to P disagree"),
+    ((0, 1), r"sqrt\(10\)-odd part of P does not vanish")],
+    ids=["even", "odd"])
+def test_first_principles_split_route_checked(monkeypatch, bump, message):
+    split = aw._split_cubic
+
+    def patched(u, w):
+        even, odd = split(u, w)
+        return even + bump[0], odd + bump[1]
+
+    monkeypatch.setattr(aw, "_split_cubic", patched)
+    xi = _xi_with_m4_part()
+    first_principles_value(xi, single_route=True)
+    with pytest.raises(InternalConsistencyError, match=message):
+        first_principles_value(xi)
+
+
+def test_first_principles_runs_each_block_once(monkeypatch):
+    """A two-route evaluation builds the blocks once and stays on the
+    numerator cores: no per-kernel entry point (each clears and rescales
+    again) and no full type split runs."""
+    xi = _xi_with_m4_part()
+    want = block_tables().fp_value(*decompose(xi))
+    calls = {"c_of": 0, "decompose": 0}
+
+    def counted(name):
+        fn = getattr(aw, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-kernel entry point or a type split ran")
+
+    for name in calls:
+        monkeypatch.setattr(aw, name, counted(name))
+    for name in ("comparison_form", "quadratic_form", "sym_inner", "_cubic_scalar"):
+        monkeypatch.setattr(aw, name, refuse)
+    for name in ("project3", "iso_i_inv"):
+        monkeypatch.setattr(G2Frame, name, refuse)
+    assert first_principles_value(xi) == want
+    assert calls == {"c_of": 1, "decompose": 1}
 
 
 def test_r_value():

@@ -155,6 +155,20 @@ def test_iso_inverse_rejects_other_types(g2frame):
         g2frame.iso_i_inv(g2frame.psi)
 
 
+def test_recovered_tensor_checks(g2frame):
+    """The symmetry and trace checks of i^{-1} fire on a damaged table."""
+    fr = g2frame
+    off = fr.iso_i(SymTensor.sym_outer(coords_of(vector(1)), coords_of(vector(2))))
+    diag = fr.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+    for (i, j), b, message in (((0, 1), off, "not symmetric"),
+                               ((0, 0), diag, "not traceless")):
+        damaged = G2Frame.__new__(G2Frame)
+        damaged._inv_functionals = [list(row) for row in fr._inv_functionals]
+        damaged._inv_functionals[i][j] = ()
+        with pytest.raises(InternalConsistencyError, match=message):
+            damaged.iso_i_inv_upper(b)
+
+
 def test_iso_pairing_identity(g2frame):
     # i(S) ^ (v -| psi) ^ w = 2 g(Sv, w) vol
     rng = random.Random(7007)
@@ -222,6 +236,32 @@ _COEFFICIENT_KINDS = {
 def _random_coeff_form(rng, grade, kind):
     draw = _COEFFICIENT_KINDS[kind]
     return ext.Form(grade, {m: draw(rng) for m in ext.BLADES_BY_GRADE[grade]})
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
+def test_pure27_gate_matches_projection(g2frame, kind):
+    """is_pure27 reads the eight pairings with phi and the e_j -| psi;
+    it must agree with project3 on pure-27 forms, on pure-27 forms with
+    one stray 1- or 7-type part, and on general forms."""
+    rng = random.Random(7025)
+    draw = _COEFFICIENT_KINDS[kind]
+    strays = [g2frame.phi] + g2frame.kappa
+    seen = set()
+    for k in range(60):
+        S = SymTensor.from_upper([[draw(rng) for _ in range(i, 7)]
+                                  for i in range(7)]).traceless_part()
+        b = g2frame.iso_i(S)
+        if k % 3 == 1:
+            b = b + draw(rng) * rng.choice(strays)
+        elif k % 3 == 2:
+            b = _random_coeff_form(rng, 3, kind)
+        p1, p7, _ = g2frame.project3(b)
+        want = p1.is_zero() and p7.is_zero()
+        assert g2frame.is_pure27(b) is want
+        seen.add(want)
+    assert seen == {True, False}
+    with pytest.raises(ext.GradeError):
+        g2frame.is_pure27(g2frame.psi)
 
 
 @pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
