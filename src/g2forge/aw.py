@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
@@ -128,17 +127,10 @@ class AWFrame:
         return out
 
 
-_aw_lock = threading.Lock()
-_aw_frame = None
-
-
+@functools.cache
 def standard_aw_frame() -> AWFrame:
-    global _aw_frame
-    if _aw_frame is None:
-        with _aw_lock:
-            if _aw_frame is None:
-                _aw_frame = AWFrame()
-    return _aw_frame
+    """The shared block frame (built once)."""
+    return AWFrame()
 
 
 class Su3Element:
@@ -195,17 +187,6 @@ class Su3Element:
         from .scalars import scalar_to_json
         return {"v": [scalar_to_json(Fraction(c)) for c in self.v],
                 "x": [scalar_to_json(Fraction(c)) for c in self.x]}
-
-    @classmethod
-    def from_json(cls, data) -> "Su3Element":
-        from .scalars import scalar_from_json
-        if not isinstance(data, dict) or "v" not in data or "x" not in data:
-            raise ScalarError("su(3) element JSON needs 'v' and 'x'")
-        v = [scalar_from_json(c) for c in data["v"]]
-        x = [scalar_from_json(c) for c in data["x"]]
-        if any(isinstance(c, QuadExt) for c in v + x):
-            raise ScalarError("su(3) coordinates must be rational")
-        return cls(v, x)
 
     def __repr__(self):
         return f"Su3Element(v={self.v}, x={self.x})"
@@ -294,16 +275,6 @@ def _cubic_numerator(n: Form):
     return upper_inner(quadratic_upper(n, n), standard_frame().iso_i_inv_upper(n))
 
 
-def _cubic_scalar(a: Form):
-    """<p(a, a), i^{-1}(a)> for a pure-27 3-form (the normalization
-    without the factor 2 used by the obstruction polynomial)."""
-    (n,), d = numerators(a)
-    if not standard_frame().is_pure27(n):
-        raise TypeDecompositionError(
-            "form has components outside the 27-dimensional summand")
-    return _cubic_numerator(n) * Fraction(1, 2 * d ** 3)
-
-
 def first_principles_value(xi: Su3Element, *,
                            single_route: bool = False) -> Fraction:
     """P(xi) along two exact routes.
@@ -368,9 +339,14 @@ def _split_cubic(u: Form, w: Form) -> tuple:
 
 
 def generic_value(s, y: Form, x: Form) -> Fraction:
-    """The cubic of the generic rational combination A_ = s phitilde
-    + y ^ Omega + C(x)."""
-    return Fraction(_cubic_scalar(generic_blocks(s, y, x)))
+    """The cubic <p(A_, A_), i^{-1}(A_)> of the generic rational
+    combination A_ = s phitilde + y ^ Omega + C(x) (the normalization
+    without the factor 2 used by the obstruction polynomial)."""
+    (n,), d = numerators(generic_blocks(s, y, x))
+    if not standard_frame().is_pure27(n):
+        raise TypeDecompositionError(
+            "form has components outside the 27-dimensional summand")
+    return Fraction(_cubic_numerator(n), 2 * d ** 3)
 
 
 def r_value(y: Form, x: Form):
@@ -550,17 +526,16 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     return checks
 
 
-def principal_lattice(nvars: int, degree: int, homogeneous: bool = False):
-    """Integer points with coordinate sum <= degree (or == degree)."""
-    for total in ([degree] if homogeneous else range(degree + 1)):
-        for cut in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            point = []
-            for c in cut:
-                point.append(c - prev - 1)
-                prev = c
-            point.append(total + nvars - 2 - prev)
-            yield tuple(point)
+def principal_lattice(nvars: int, degree: int):
+    """Nonnegative integer points with coordinate sum == degree."""
+    for cut in itertools.combinations(range(degree + nvars - 1), nvars - 1):
+        prev = -1
+        point = []
+        for c in cut:
+            point.append(c - prev - 1)
+            prev = c
+        point.append(degree + nvars - 2 - prev)
+        yield tuple(point)
 
 
 def _lattice_blocks(point):
@@ -571,10 +546,10 @@ def _lattice_blocks(point):
 
 
 def _random_blocks(rng, bound=4):
-    s = Fraction(rng.randint(-bound, bound))
-    y = vector_form([Fraction(rng.randint(-bound, bound)) for _ in range(3)]
+    s = rng.randint(-bound, bound)
+    y = vector_form([rng.randint(-bound, bound) for _ in range(3)]
                     + [0, 0, 0, 0])
-    x = vector_form([0, 0, 0] + [Fraction(rng.randint(-bound, bound))
+    x = vector_form([0, 0, 0] + [rng.randint(-bound, bound)
                                  for _ in range(4)])
     return s, y, x
 
@@ -594,22 +569,23 @@ def _tally(key: str, batches) -> list[dict]:
     return list(out.values())
 
 
-def verify_tensor_displays(rng, n_random: int = 50) -> list[dict]:
+def verify_tensor_displays(rng, n_random: int) -> list[dict]:
     """Check the eight displayed block tensors on a degree-2 lattice in
     (y, x) plus seeded random points.  Returns one summary per display."""
-    blocks = [_lattice_blocks((0,) + p[1:])
-              for p in principal_lattice(8, 2) if p[0] == 0]
+    # the points of (y, x) with coordinate sum <= 2, the first coordinate
+    # of a sum-2 point in eight variables taking up the slack
+    blocks = [_lattice_blocks((0,) + p[1:]) for p in principal_lattice(8, 2)]
     blocks += [_random_blocks(rng) for _ in range(n_random)]
     return _tally("identity", (tensor_displays(y, x) for _, y, x in blocks))
 
 
-def verify_block_products(rng, n_random: int = 50) -> list[dict]:
+def verify_block_products(rng, n_random: int) -> list[dict]:
     """Check the six displayed products (and their weighted sum) as
     polynomial identities: a full degree-3 principal lattice in the
     eight block coordinates, then seeded random points."""
     tab = block_tables()
     lattice = (block_products(*_lattice_blocks(p), tables=tab)
-               for p in principal_lattice(8, 3, homogeneous=True))
+               for p in principal_lattice(8, 3))
     # random points take the direct solver route, independent of the table
     direct = (block_products(*_random_blocks(rng)) for _ in range(n_random))
     return _tally("product", itertools.chain(lattice, direct))
@@ -751,7 +727,7 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     # the cubic is jointly homogeneous in (s, y, x), so the degree-3
     # slice of the lattice (120 points, the unisolvent count for cubics
     # in eight variables) certifies the identity everywhere
-    for point in principal_lattice(8, 3, homogeneous=True):
+    for point in principal_lattice(8, 3):
         s, y, x = _lattice_blocks(point)
         model = (c1 * Fraction(s) ** 3 + c2 * s * norm_sq(x)
                  + c3 * s * norm_sq(y) + c4 * r_value(y, x))

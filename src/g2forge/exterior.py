@@ -113,17 +113,11 @@ class Form:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices: Iterable[int]):
-        return self.terms.get(blade_mask(indices), 0)
-
     def support_mask(self) -> int:
         out = 0
         for m in self.terms:
             out |= m
         return out
-
-    def map_coefficients(self, fn) -> "Form":
-        return Form(self.grade, {m: fn(c) for m, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, Form):

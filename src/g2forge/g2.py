@@ -27,10 +27,9 @@ the lcm of |phi|^2 = 7 and |k_j|^2 = 4, and divides once at the end.
 Lambda^2 splits the same way, low-rank, with no singlet: P7 a = sum_j
 <a, e_j -| phi>/3 e_j -| phi and P14 = 1 - P7.  On 4-forms, hat(a) =
 -*a_1 + *a_7 - *a_27 = *(2 P7 a - a) and the vector part V of
-P7 a = V ^ phi, V_j = <a, e_j ^ phi>/4, need only the rank-7 part.  The
-dense projector matrices are test references only, built on first use;
-on Lambda^2 that reference, and with it two_form_eigenvalues, is derived
-from the minimal polynomial of a |-> *(phi ^ a).
+P7 a = V ^ phi, V_j = <a, e_j ^ phi>/4, need only the rank-7 part.  No
+dense projector matrix is built here; the dense references the split is
+tested against live in tests/reference.py.
 
 i and i^{-1} are the two directions of one integer table: with
 chi_ij = (e_i -| psi) ^ e_j, vol(b ^ chi_ij) = <b, f_ij> for 3-forms
@@ -67,15 +66,14 @@ numerators across kernels and rescales once at its own end.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
-from functools import cached_property
-from math import isqrt, lcm
+from math import lcm
 
 from . import exterior as ext
 from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
     hodge, inner, merge_sign, vector, vector_form, vol_coefficient, wedge
-from .linalg import InconsistentSystemError, Matrix, SymTensor, solve_exact
+from .linalg import InconsistentSystemError, Matrix, SymTensor
 from .scalars import clear_denominators
 
 DIM = 7
@@ -117,28 +115,6 @@ def star_action(A: Matrix, a: Form) -> Form:
         col = vector_form(A.column(i))
         out = out + wedge(col, contract(vector(i + 1), a))
     return out
-
-
-def _outer_projector(forms: list[Form], grade: int) -> Matrix:
-    """The orthogonal projector sum_w |w><w| / <w, w> onto the span of
-    pairwise orthogonal forms, as a dense matrix."""
-    n = len(BLADES_BY_GRADE[grade])
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for w in forms:
-        nn = ext.norm_sq(w)
-        cvec = ext.form_to_coords(w)
-        for i, ci in enumerate(cvec):
-            if ci:
-                for j, cj in enumerate(cvec):
-                    if cj:
-                        acc[i][j] += Fraction(ci * cj, nn)
-    return Matrix.from_rows(acc)
-
-
-def _dense_projectors(grade: int, span1: list[Form], span7: list[Form]):
-    """(P1, P7, P27) as dense matrices, with P27 = 1 - P1 - P7."""
-    p1, p7 = _outer_projector(span1, grade), _outer_projector(span7, grade)
-    return p1, p7, Matrix.identity(len(BLADES_BY_GRADE[grade])) - p1 - p7
 
 
 def _split_spans(span1: list[Form], span7: list[Form]):
@@ -185,16 +161,6 @@ def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
     for m in p1.terms.keys() | p7.terms.keys():
         terms[m] = scale * (L * nt.get(m, 0) - t1.get(m, 0) - t7.get(m, 0))
     return p1, p7, Form(a.grade, terms)
-
-
-def _rational_sqrt(x: Fraction) -> Fraction:
-    if x < 0:
-        raise ValueError("negative discriminant")
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(rn, rd)
 
 
 class G2Frame:
@@ -245,44 +211,6 @@ class G2Frame:
                 raise InternalConsistencyError(
                     "M^T M is not 16 P1 + 6 P7 + 2 P27 on the pairing matrix")
 
-    # -- construction helpers -------------------------------------------
-
-    # the dense projectors are only the reference for the low-rank
-    # split, so they are built on first use
-    @cached_property
-    def _p3(self):
-        return _dense_projectors(3, [self.phi], self.kappa)
-
-    @cached_property
-    def _p4(self):
-        return _dense_projectors(4, [self.psi], self.phi_wedges)
-
-    @cached_property
-    def _p2(self):
-        """((P7, P14), (lambda7, lambda14)) of a |-> *(phi ^ a)."""
-        blades2 = BLADES_BY_GRADE[2]
-        n = len(blades2)
-        T = Matrix.from_rows([ext.form_to_coords(hodge(wedge(self.phi, Form(2, {m: 1}))))
-                              for m in blades2]).transpose()
-        # derive the minimal polynomial T^2 = c1 T + c0: a 2-parameter
-        # exact solve over all matrix entries
-        rows = [[T.at(i, j), 1 if i == j else 0] for i in range(n) for j in range(n)]
-        (c1, c0), _ = solve_exact(Matrix.from_rows(rows), (T * T).entries)
-        disc = _rational_sqrt(c1 * c1 + 4 * c0)
-        if disc == 0:
-            raise InternalConsistencyError("wedge operator has a repeated eigenvalue")
-        lam_a = (c1 + disc) / 2
-        lam_b = (c1 - disc) / 2
-        proj_a = (T - lam_b * Matrix.identity(n)) * Fraction(1, lam_a - lam_b)
-        proj_b = Matrix.identity(n) - proj_a
-        if proj_a.trace() == 7:
-            p7, p14, lam7, lam14 = proj_a, proj_b, lam_a, lam_b
-        elif proj_b.trace() == 7:
-            p7, p14, lam7, lam14 = proj_b, proj_a, lam_b, lam_a
-        else:
-            raise InternalConsistencyError("eigenspace dimensions are not 7 + 14")
-        return (p7, p14), (lam7, lam14)
-
     # -- projections ------------------------------------------------------
 
     def project2(self, a: Form) -> tuple[Form, Form]:
@@ -302,23 +230,6 @@ class G2Frame:
         if a.grade != 4:
             raise ext.GradeError("project4 needs a 4-form")
         return _type_split(a, *self._span4)
-
-    def projector_matrices(self, grade: int) -> tuple[Matrix, ...]:
-        """Dense projector matrices, in the order project2/3/4 returns
-        the parts: the reference that the low-rank split is tested
-        against."""
-        if grade == 2:
-            return self._p2[0]
-        if grade == 3:
-            return self._p3
-        if grade == 4:
-            return self._p4
-        raise ext.GradeError("projectors exist for grades 2, 3, 4")
-
-    @property
-    def two_form_eigenvalues(self):
-        """The eigenvalues of a |-> *(phi ^ a) on the (7, 14) parts."""
-        return self._p2[1]
 
     # -- metric recovery --------------------------------------------------
 
@@ -499,18 +410,10 @@ class G2Frame:
         return ext.form_from_coords(3, [scale * v for v in x])
 
 
-_frame_lock = threading.Lock()
-_frame: G2Frame | None = None
-
-
+@functools.cache
 def standard_frame() -> G2Frame:
     """The shared frame for the standard calibration (built once)."""
-    global _frame
-    if _frame is None:
-        with _frame_lock:
-            if _frame is None:
-                _frame = G2Frame()
-    return _frame
+    return G2Frame()
 
 
 def two_form_endo(beta: Form) -> Matrix:

@@ -17,7 +17,7 @@ of two SymTensors and rescales once.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .scalars import clear_denominators
 
@@ -54,10 +54,6 @@ class Matrix:
         return cls(r, c, flat)
 
     @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols, [0] * (rows * cols))
 
@@ -78,18 +74,6 @@ class Matrix:
 
     def to_rows(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
-
-    def map(self, fn: Callable) -> "Matrix":
-        return Matrix(self.rows, self.cols, [fn(x) for x in self.entries])
-
-    def trace(self):
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.at(i, i) for i in range(self.rows))
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, vec given as a plain coordinate list."""
@@ -255,14 +239,6 @@ class SymTensor:
         return out
 
     @classmethod
-    def zero(cls, n: int = 7) -> "SymTensor":
-        return cls([[0] * n for _ in range(n)])
-
-    @classmethod
-    def identity(cls, n: int = 7) -> "SymTensor":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diag(cls, values: Sequence) -> "SymTensor":
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -274,9 +250,6 @@ class SymTensor:
         half = Fraction(1, 2)
         return cls.from_upper([[half * (v[i] * w[j] + v[j] * w[i])
                                 for j in range(i, n)] for i in range(n)])
-
-    def at(self, i: int, j: int):
-        return self.entries[i][j]
 
     def trace(self):
         return sum(self.entries[i][i] for i in range(self.n))

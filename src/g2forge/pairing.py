@@ -139,19 +139,6 @@ class MultiPoly:
             out = out + piece
         return out
 
-    def evaluate(self, values: dict) -> GaussRational:
-        """Plug in GaussRational letter values."""
-        total = GaussRational(0, 0)
-        for mono, c in self.terms.items():
-            prod = c
-            for name in mono:
-                prod = prod * values[name]
-            total = total + prod
-        return total
-
-    def evaluate_at(self, xi: Su3Element):
-        return self.evaluate(letter_values(xi))
-
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.degree == other.degree
                 and self.terms == other.terms)

@@ -31,11 +31,6 @@ class ScalarError(ValueError):
     """Raised on malformed scalar input (bad JSON, zero denominator)."""
 
 
-def rat(num, den=1) -> Fraction:
-    """Shorthand rational constructor."""
-    return Fraction(num, den)
-
-
 def _as_fraction(value):
     if isinstance(value, Fraction):
         return value

@@ -82,7 +82,7 @@ def _random_form(rng: random.Random, grade: int, bound: int = 5) -> ext.Form:
     for m in masks:
         c = rng.randint(-bound, bound)
         if c:
-            out = out + ext.Form(grade, {m: Fraction(c)})
+            out = out + ext.Form(grade, {m: c})
     return out
 
 
@@ -152,7 +152,7 @@ def suite_exterior(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> d
     for _ in range(n_random):
         ka, kb = rng.randint(1, 3), rng.randint(1, 3)
         a, b = _random_form(rng, ka, 3), _random_form(rng, kb, 3)
-        v = vector_form([Fraction(rng.randint(-3, 3)) for _ in range(7)])
+        v = vector_form([rng.randint(-3, 3) for _ in range(7)])
         lhs = contract(v, wedge(a, b))
         rhs = wedge(contract(v, a), b) + (-1) ** ka * wedge(a, contract(v, b))
         ok = ok and lhs == rhs
@@ -249,8 +249,8 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
     ok = True
     for _ in range(n_random):
         S = random_traceless(rng)
-        v = vector_form([Fraction(rng.randint(-4, 4)) for _ in range(7)])
-        w = vector_form([Fraction(rng.randint(-4, 4)) for _ in range(7)])
+        v = vector_form([rng.randint(-4, 4) for _ in range(7)])
+        w = vector_form([rng.randint(-4, 4) for _ in range(7)])
         Sv = vector_form(S.apply(coords_of(v)))
         lhs = vol_coefficient(wedge(wedge(fr.iso_i(S), contract(v, fr.psi)), w))
         ok = ok and lhs == 2 * inner(Sv, w)
@@ -266,7 +266,7 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
     rng = check_rng(seed, "g2.vector-extraction")
     ok = True
     for _ in range(n_random):
-        v = vector_form([Fraction(rng.randint(-4, 4)) for _ in range(7)])
+        v = vector_form([rng.randint(-4, 4) for _ in range(7)])
         ok = ok and fr.extract_v7(wedge(v, fr.phi)) == v
     _record(checks, "g2.vector-extraction", ok,
             "extract(V ^ phi) = V", "as computed",
@@ -349,8 +349,8 @@ def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict
 def _random_su3(rng: random.Random, bound: int = 4) -> awmod.Su3Element:
     v1, v2 = rng.randint(-bound, bound), rng.randint(-bound, bound)
     return awmod.Su3Element(
-        (Fraction(v1), Fraction(v2), Fraction(-v1 - v2)),
-        tuple(Fraction(rng.randint(-bound, bound)) for _ in range(6)))
+        (v1, v2, -v1 - v2),
+        tuple(rng.randint(-bound, bound) for _ in range(6)))
 
 
 # the aw checks that fail by design: each compares with a tabulated
@@ -371,8 +371,8 @@ AW_BY_DESIGN = frozenset({
 def _aw_dual_constructions(seed: int) -> tuple[bool, str]:
     rng = check_rng(seed, "aw.dual-constructions")
     xs = [vector(i) for i in range(4, 8)]
-    xs += [vector_form([0, 0, 0] + [Fraction(rng.randint(-4, 4))
-                                    for _ in range(4)]) for _ in range(20)]
+    xs += [vector_form([0, 0, 0] + [rng.randint(-4, 4) for _ in range(4)])
+           for _ in range(20)]
     agree = sum(awmod.c_direct(x) == awmod.c_display(x) for x in xs)
     return agree == len(xs), f"agree on {agree} of {len(xs)} vectors"
 
@@ -676,10 +676,10 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
     return _report("pairing", seed, checks, extra)
 
 
-def _random_poly(rng: random.Random, degree: int, real: bool = False,
-                 nterms: int = 4) -> pairmod.MultiPoly:
+def _random_poly(rng: random.Random, degree: int,
+                 real: bool = False) -> pairmod.MultiPoly:
     poly = pairmod.MultiPoly.zero(degree)
-    for _ in range(nterms):
+    for _ in range(4):
         mono = tuple(sorted(rng.choice(pairmod.LETTERS)
                             for _ in range(degree)))
         re = Fraction(rng.randint(-3, 3))

@@ -1,0 +1,194 @@
+"""Reference implementations that the tests check g2forge against.
+
+The dense projector matrices of the type splits, built from the spanning
+forms as sum_w |w><w| / <w, w> (on Lambda^2 from the minimal polynomial
+of a |-> *(phi ^ a), which also gives its two eigenvalues), the
+scalar-generic kernels as they ran before the kernels cleared
+denominators (every product in the coefficients' own type, with the
+Fraction constants applied where they arise), and the few matrix and
+polynomial operations that only the tests use.  None of this runs in
+the package; each is the independent side of a test.
+"""
+
+import functools
+from fractions import Fraction
+from math import isqrt
+
+from g2forge import exterior as ext
+from g2forge.cubic import b2_rhs
+from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
+    vector, wedge
+from g2forge.g2 import InternalConsistencyError
+from g2forge.linalg import Matrix, SymTensor, solve_exact
+from g2forge.scalars import GaussRational
+
+
+# -- matrices and letter polynomials ---------------------------------------
+
+def transpose(M: Matrix) -> Matrix:
+    return Matrix(M.cols, M.rows,
+                  [M.at(i, j) for j in range(M.cols) for i in range(M.rows)])
+
+
+def trace(M: Matrix):
+    if M.rows != M.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum(M.at(i, i) for i in range(M.rows))
+
+
+def evaluate(poly, values: dict) -> GaussRational:
+    """A letter polynomial at GaussRational letter values."""
+    total = GaussRational(0, 0)
+    for mono, c in poly.terms.items():
+        prod = c
+        for name in mono:
+            prod = prod * values[name]
+        total = total + prod
+    return total
+
+
+# -- dense projectors -------------------------------------------------------
+
+def _outer_projector(forms: list[Form], grade: int) -> Matrix:
+    """The orthogonal projector sum_w |w><w| / <w, w> onto the span of
+    pairwise orthogonal forms, as a dense matrix."""
+    n = len(BLADES_BY_GRADE[grade])
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for w in forms:
+        nn = ext.norm_sq(w)
+        cvec = ext.form_to_coords(w)
+        for i, ci in enumerate(cvec):
+            if ci:
+                for j, cj in enumerate(cvec):
+                    if cj:
+                        acc[i][j] += Fraction(ci * cj, nn)
+    return Matrix.from_rows(acc)
+
+
+def _dense_projectors(grade: int, span1: list[Form], span7: list[Form]):
+    """(P1, P7, P27) as dense matrices, with P27 = 1 - P1 - P7."""
+    p1, p7 = _outer_projector(span1, grade), _outer_projector(span7, grade)
+    n = len(BLADES_BY_GRADE[grade])
+    return p1, p7, Matrix.diagonal([1] * n) - p1 - p7
+
+
+def _rational_sqrt(x: Fraction) -> Fraction:
+    if x < 0:
+        raise ValueError("negative discriminant")
+    n, d = x.numerator, x.denominator
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn != n or rd * rd != d:
+        raise ValueError(f"{x} is not a rational square")
+    return Fraction(rn, rd)
+
+
+@functools.cache
+def _two_form_split(fr):
+    """((P7, P14), (lambda7, lambda14)) of a |-> *(phi ^ a)."""
+    blades2 = BLADES_BY_GRADE[2]
+    n = len(blades2)
+    T = transpose(Matrix.from_rows(
+        [ext.form_to_coords(hodge(wedge(fr.phi, Form(2, {m: 1}))))
+         for m in blades2]))
+    # derive the minimal polynomial T^2 = c1 T + c0: a 2-parameter
+    # exact solve over all matrix entries
+    rows = [[T.at(i, j), 1 if i == j else 0] for i in range(n) for j in range(n)]
+    (c1, c0), _ = solve_exact(Matrix.from_rows(rows), (T * T).entries)
+    disc = _rational_sqrt(c1 * c1 + 4 * c0)
+    if disc == 0:
+        raise InternalConsistencyError("wedge operator has a repeated eigenvalue")
+    lam_a = (c1 + disc) / 2
+    lam_b = (c1 - disc) / 2
+    one = Matrix.diagonal([1] * n)
+    proj_a = (T - lam_b * one) * Fraction(1, lam_a - lam_b)
+    proj_b = one - proj_a
+    if trace(proj_a) == 7:
+        p7, p14, lam7, lam14 = proj_a, proj_b, lam_a, lam_b
+    elif trace(proj_b) == 7:
+        p7, p14, lam7, lam14 = proj_b, proj_a, lam_b, lam_a
+    else:
+        raise InternalConsistencyError("eigenspace dimensions are not 7 + 14")
+    return (p7, p14), (lam7, lam14)
+
+
+@functools.cache
+def projector_matrices(fr, grade: int) -> tuple[Matrix, ...]:
+    """Dense projector matrices of a frame, in the order project2/3/4
+    returns the parts."""
+    if grade == 2:
+        return _two_form_split(fr)[0]
+    if grade == 3:
+        return _dense_projectors(3, [fr.phi], fr.kappa)
+    if grade == 4:
+        return _dense_projectors(4, [fr.psi], fr.phi_wedges)
+    raise ext.GradeError("projectors exist for grades 2, 3, 4")
+
+
+def two_form_eigenvalues(fr):
+    """The eigenvalues of a |-> *(phi ^ a) on the (7, 14) parts."""
+    return _two_form_split(fr)[1]
+
+
+# -- scalar-generic kernels -------------------------------------------------
+
+def quadratic_form(a1, a2):
+    c1 = [ext.contract(vector(i), a1) for i in range(1, 8)]
+    half = Fraction(1, 2)
+    if a1 is a2:
+        upper = [[half * (x + x) for x in (inner(c1[i], c1[j])
+                                           for j in range(i, 7))]
+                 for i in range(7)]
+    else:
+        c2 = [ext.contract(vector(i), a2) for i in range(1, 8)]
+        upper = [[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
+                  for j in range(i, 7)] for i in range(7)]
+    return SymTensor.from_upper(upper)
+
+
+def type_split(fr, a):
+    one, seven = (fr.phi, fr.kappa) if a.grade == 3 else (fr.psi, fr.phi_wedges)
+
+    def part(forms):
+        terms = {}
+        for w in forms:
+            c = inner(a, w)
+            if c == 0:
+                continue
+            c = c * Fraction(1, norm_sq(w))
+            for m, d in w.terms.items():
+                terms[m] = terms.get(m, 0) + c * d
+        return ext.Form(a.grade, terms)
+
+    p1, p7 = part([one]), part(seven)
+    return p1, p7, a - p1 - p7
+
+
+def iso_i_inv(fr, b):
+    half = Fraction(1, 2)
+    bt = b.terms
+    sums = [[sum(c * bt[m] for m, c in functional if m in bt)
+             for functional in row] for row in fr._inv_functionals]
+    return SymTensor([[half * (x if x else 0) for x in row] for row in sums])
+
+
+def sym_inner(S1, S2):
+    rows = list(enumerate(zip(S1.entries, S2.entries)))
+    return (sum(r1[i] * r2[i] for i, (r1, r2) in rows)
+            + 2 * sum(x * y for i, (r1, r2) in rows
+                      for x, y in zip(r1[i + 1:], r2[i + 1:])))
+
+
+def b2(fr, a1, a2):
+    def hat(a):
+        p1, p7, p27 = type_split(fr, a)
+        return -hodge(p1) + hodge(p7) - hodge(p27)
+
+    h1 = hat(a1)
+    h2 = h1 if a2 is a1 else hat(a2)
+    rhs = [c for w in b2_rhs(a1, h1, a2, h2) for c in ext.form_to_coords(w)]
+    # the dense normal equations M^T M x = M^T rhs, and the residual
+    M = fr.pairing_matrix()
+    Mt = transpose(M)
+    x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
+    assert kernel_dim == 0 and M.apply(x) == rhs
+    return ext.form_from_coords(3, x)

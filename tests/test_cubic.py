@@ -10,20 +10,22 @@ from g2forge import exterior as ext
 from g2forge.cubic import b2, b2_rhs, p_value, q2, q2_closed_form, \
     q_value, quadratic_form, trilinear, trilinear_direct, \
     trilinear_star_route
-from g2forge.exterior import blade, hodge, inner, norm_sq, vector, \
+from g2forge.exterior import blade, hodge, inner, vector, \
     vol_coefficient, wedge
 from g2forge.g2 import TypeDecompositionError, random_traceless, star_action
-from g2forge.linalg import SymTensor, solve_exact, sym_inner
+from g2forge.linalg import SymTensor, sym_inner
 from g2forge.scalars import QuadExt
+
+import reference
 
 
 def test_quadratic_form_basic(g2frame):
     # on the 3-form phi: <v -| phi, w -| phi> = 3 g(v, w)
-    assert quadratic_form(g2frame.phi, g2frame.phi) == SymTensor.identity().scale(3)
+    assert quadratic_form(g2frame.phi, g2frame.phi) == SymTensor.diag([1] * 7).scale(3)
     assert quadratic_form(g2frame.phi, g2frame.phi).traceless_part() \
-        == SymTensor.zero()
+        == SymTensor.diag([0] * 7)
     # on psi the count is 4 per index
-    assert quadratic_form(g2frame.psi, g2frame.psi) == SymTensor.identity().scale(4)
+    assert quadratic_form(g2frame.psi, g2frame.psi) == SymTensor.diag([1] * 7).scale(4)
 
 
 def test_quadratic_form_symmetric_bilinear(g2frame):
@@ -205,72 +207,8 @@ def test_trilinear_diagonal_matches_p(g2frame):
 
 # -- integer-numerator kernels against the generic routes --------------------
 #
-# The references below are the scalar-generic kernels as they ran before
-# the kernels cleared denominators: every product in the coefficients'
-# own type, with the Fraction constants applied where they arise.
-
-def _ref_quadratic_form(a1, a2):
-    c1 = [ext.contract(vector(i), a1) for i in range(1, 8)]
-    half = Fraction(1, 2)
-    if a1 is a2:
-        upper = [[half * (x + x) for x in (inner(c1[i], c1[j])
-                                           for j in range(i, 7))]
-                 for i in range(7)]
-    else:
-        c2 = [ext.contract(vector(i), a2) for i in range(1, 8)]
-        upper = [[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
-                  for j in range(i, 7)] for i in range(7)]
-    return SymTensor.from_upper(upper)
-
-
-def _ref_type_split(fr, a):
-    one, seven = (fr.phi, fr.kappa) if a.grade == 3 else (fr.psi, fr.phi_wedges)
-
-    def part(forms):
-        terms = {}
-        for w in forms:
-            c = inner(a, w)
-            if c == 0:
-                continue
-            c = c * Fraction(1, norm_sq(w))
-            for m, d in w.terms.items():
-                terms[m] = terms.get(m, 0) + c * d
-        return ext.Form(a.grade, terms)
-
-    p1, p7 = part([one]), part(seven)
-    return p1, p7, a - p1 - p7
-
-
-def _ref_iso_i_inv(fr, b):
-    half = Fraction(1, 2)
-    bt = b.terms
-    sums = [[sum(c * bt[m] for m, c in functional if m in bt)
-             for functional in row] for row in fr._inv_functionals]
-    return SymTensor([[half * (x if x else 0) for x in row] for row in sums])
-
-
-def _ref_sym_inner(S1, S2):
-    rows = list(enumerate(zip(S1.entries, S2.entries)))
-    return (sum(r1[i] * r2[i] for i, (r1, r2) in rows)
-            + 2 * sum(x * y for i, (r1, r2) in rows
-                      for x, y in zip(r1[i + 1:], r2[i + 1:])))
-
-
-def _ref_b2(fr, a1, a2):
-    def hat(a):
-        p1, p7, p27 = _ref_type_split(fr, a)
-        return -hodge(p1) + hodge(p7) - hodge(p27)
-
-    h1 = hat(a1)
-    h2 = h1 if a2 is a1 else hat(a2)
-    rhs = [c for w in b2_rhs(a1, h1, a2, h2) for c in ext.form_to_coords(w)]
-    # the dense normal equations M^T M x = M^T rhs, and the residual
-    M = fr.pairing_matrix()
-    Mt = M.transpose()
-    x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
-    assert kernel_dim == 0 and M.apply(x) == rhs
-    return ext.form_from_coords(3, x)
-
+# The references (tests/reference.py) are the scalar-generic kernels as
+# they ran before the kernels cleared denominators.
 
 _PARITY_KINDS = {
     "int": lambda rng: rng.randint(-6, 6),
@@ -323,13 +261,13 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
                 a1, a2 = (_parity_form(rng, grade, draw, density)
                           for _ in range(2))
                 for x, y in ((a1, a2), (a1, a1)):
-                    got, want = quadratic_form(x, y), _ref_quadratic_form(x, y)
+                    got, want = quadratic_form(x, y), reference.quadratic_form(x, y)
                     assert got == want
                     assert _types(_tensor_entries(got)) == \
                         _types(_tensor_entries(want))
                 # the (1, 7, 27) splits
                 split = fr.project3 if grade == 3 else fr.project4
-                for got, want in zip(split(a1), _ref_type_split(fr, a1)):
+                for got, want in zip(split(a1), reference.type_split(fr, a1)):
                     assert got == want
                     assert _form_types(got) == _form_types(want)
             # iso_i and iso_i_psi on a traceless tensor
@@ -342,18 +280,18 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
             assert _form_types(fr.iso_i_psi(S)) == \
                 _form_types(star_action(S.to_matrix(), fr.psi))
             # iso_i_inv on the 27-type image, and the pairing with S
-            got, want = fr.iso_i_inv(b), _ref_iso_i_inv(fr, b)
+            got, want = fr.iso_i_inv(b), reference.iso_i_inv(fr, b)
             assert got == want
             assert _types(_tensor_entries(got)) == _types(_tensor_entries(want))
             for T1, T2 in ((got, S), (S, S), (got, quadratic_form(b, b))):
-                value, ref = sym_inner(T1, T2), _ref_sym_inner(T1, T2)
+                value, ref = sym_inner(T1, T2), reference.sym_inner(T1, T2)
                 assert value == ref and type(value) is type(ref)
             cancelled_zero = cancelled_zero or any(
                 type(x) is Fraction and x == 0 for x in _tensor_entries(got))
             # b2 on a pair and on the diagonal
             a1, a2 = (_parity_form(rng, 4, draw, density) for _ in range(2))
             for x, y in ((a1, a2), (a1, a1)):
-                got, want = b2(x, y, fr), _ref_b2(fr, x, y)
+                got, want = b2(x, y, fr), reference.b2(fr, x, y)
                 assert got == want
                 assert _form_types(got) == _form_types(want)
     # a vanishing iso_i_inv entry is Fraction(0) for every scalar type

@@ -1,0 +1,82 @@
+"""Source hygiene of the package, read off its syntax trees: every import
+is used, every module-level function and class is used by the package or
+the benchmark, and no module rebinds a global (per-process state is built
+by functools.cache builders)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "g2forge").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import statement binds."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno)
+                    for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def _used_names(tree):
+    """Every name the module reads, quoted annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            # a forward reference such as -> "Form"
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"g2.py", "aw.py", "suites.py"}
+    assert {p.name for p in BENCHMARK} >= {"workloads.py", "layers.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_import(path):
+    tree = _tree(path)
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _imported_names(tree) if name not in used]
+    assert unused == []
+
+
+def test_every_function_and_class_is_used():
+    # what only the tests call belongs in tests/reference.py
+    read = set()
+    for path in SOURCES + BENCHMARK:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = [f"{path.name}:{node.lineno} {node.name}"
+              for path in SOURCES for node in _tree(path).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_global_statement(path):
+    found = [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from g2forge.scalars import GaussRational, QuadExt, SQRT10, ScalarError, \
-    rat, scalar_from_json, scalar_to_json
+    scalar_from_json, scalar_to_json
 
 
 def test_sqrt10_squares_to_ten():
@@ -17,8 +17,8 @@ def test_sqrt10_squares_to_ten():
 def test_quadext_field_axioms_random():
     rng = random.Random(91)
     for _ in range(200):
-        a = QuadExt(rat(rng.randint(-9, 9), rng.randint(1, 5)),
-                    rat(rng.randint(-9, 9), rng.randint(1, 5)))
+        a = QuadExt(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
         b = QuadExt(rng.randint(-9, 9), rng.randint(-9, 9))
         c = QuadExt(rng.randint(-9, 9), rng.randint(-9, 9))
         assert (a + b) * c == a * c + b * c
@@ -44,15 +44,15 @@ def test_quadext_unique_representation():
 
 def test_quadext_float_mirror():
     import math
-    x = QuadExt(rat(3, 4), rat(-2, 7))
+    x = QuadExt(Fraction(3, 4), Fraction(-2, 7))
     assert abs(float(x) - (0.75 - 2 / 7 * math.sqrt(10))) < 1e-12
 
 
 def test_gauss_rational_arithmetic():
     i = GaussRational(0, 1)
     assert i * i == GaussRational(-1, 0)
-    z = GaussRational(rat(1, 2), rat(-3, 2))
-    assert z * z.conjugate() == GaussRational(rat(10, 4), 0)
+    z = GaussRational(Fraction(1, 2), Fraction(-3, 2))
+    assert z * z.conjugate() == GaussRational(Fraction(10, 4), 0)
     assert (z + z.conjugate()).im == 0
 
 
@@ -65,7 +65,7 @@ def test_gauss_rational_mixed_ops():
 
 def test_scalar_json_roundtrip():
     values = [Fraction(-22, 7), Fraction(0), Fraction(5),
-              QuadExt(rat(1, 3), rat(-2, 9)), QuadExt(4)]
+              QuadExt(Fraction(1, 3), Fraction(-2, 9)), QuadExt(4)]
     for v in values:
         back = scalar_from_json(scalar_to_json(v))
         assert back == v

@@ -45,13 +45,12 @@ def _type_dimensions(report):
     return next(c for c in report["checks"] if c["id"] == "g2.type-dimensions")
 
 
-def test_g2_suite_builds_no_dense_projector(monkeypatch):
-    # g2.type-dimensions reads the ranks off the split in use, not off
-    # the dense reference projectors
-    def refuse(self, grade):
-        raise AssertionError("a dense projector was built")
-
-    monkeypatch.setattr(g2.G2Frame, "projector_matrices", refuse)
+def test_g2_suite_builds_no_dense_projector():
+    # the frame has no dense projector to build: g2.type-dimensions
+    # reads the ranks off the split in use (the next test breaks it)
+    for name in ("projector_matrices", "two_form_eigenvalues",
+                 "_p2", "_p3", "_p4"):
+        assert not hasattr(g2.G2Frame, name)
     report = suites.suite_g2(0, n_random=1)
     assert report["passed"]
     assert _type_dimensions(report)["actual"] == "[7, 14] [1, 7, 27] [1, 7, 27]"
