@@ -311,7 +311,8 @@ def form_from_json(data) -> Form:
     if not isinstance(data, dict) or "grade" not in data or "terms" not in data:
         raise FormError("form JSON needs 'grade' and 'terms'")
     grade = data["grade"]
-    if not isinstance(grade, int) or not 0 <= grade <= DIM:
+    # exact type: a bool is an int too
+    if type(grade) is not int or not 0 <= grade <= DIM:
         raise FormError(f"bad grade: {grade!r}")
     if not isinstance(data["terms"], list):
         raise FormError("'terms' must be a list")
@@ -322,6 +323,8 @@ def form_from_json(data) -> Form:
         idx = entry["indices"]
         if not isinstance(idx, list) or len(idx) != grade:
             raise FormError(f"term indices {idx!r} do not match grade {grade}")
+        if any(type(i) is not int for i in idx):
+            raise FormError(f"term indices {idx!r} must be integers")
         mask = blade_mask(idx)  # rejects unsorted and duplicate indices
         if mask in terms:
             raise FormError(f"duplicate blade {tuple(idx)}")

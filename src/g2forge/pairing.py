@@ -22,8 +22,9 @@ number is <P, i det>, assembled from the four component pairings
     <s^3, i det> = -4/9,   <s|x|^2, i det> = -8/3,
     <s|y|^2, i det> = 4,   <R, i det> = 24.
 
-A seeded Monte-Carlo check closes the loop: averaging P over conjugates
-g xi g^{-1} with Haar-random g in SU(3) projects P onto the unique
+pairing_report() computes each pairing once per process.  A seeded
+Monte-Carlo check closes the loop: averaging P over conjugates g xi
+g^{-1} with Haar-random g in SU(3) projects P onto the unique
 invariant cubic, so the empirical mean must approach
 (<P, i det>/<i det, i det>) i det(xi).
 """
@@ -36,8 +37,8 @@ from fractions import Fraction
 
 from .g2 import InternalConsistencyError
 from .scalars import GaussRational, ScalarError
-from .aw import CLOSED_DISPLAY, Su3Element, closed_form_report, \
-    first_principles_fit, first_principles_value
+from .aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
+    first_principles_value
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -503,16 +504,6 @@ def first_principles_p_poly() -> MultiPoly:
     return out
 
 
-def p_poly(source: str) -> MultiPoly:
-    """source is "closed-form" (the displayed +210 variant) or
-    "first-principles" (the interpolated exact polynomial)."""
-    if source == "closed-form":
-        return closed_p_poly()
-    if source == "first-principles":
-        return first_principles_p_poly()
-    raise ScalarError(f"unknown P source {source!r}")
-
-
 # ---------------------------------------------------------------------------
 # The pairing
 
@@ -520,64 +511,43 @@ COMPONENT_PAIRINGS = {"s3": Fraction(-4, 9), "sx2": Fraction(-8, 3),
                       "sy2": Fraction(4), "R": Fraction(24)}
 
 
-def component_pairing_report() -> dict:
-    """<s^3, i det>, <s|x|^2, i det>, <s|y|^2, i det>, <R, i det>,
-    each computed by permanents and compared with its displayed value."""
-    idet = idet_poly()
-    names = ("s3", "sx2", "sy2", "R")
-    out = {}
-    for name, poly in zip(names, component_polys()):
-        got = sym_inner_poly(poly, idet)
-        if got.im != 0:
-            raise InternalConsistencyError(f"<{name}, i det> is not real")
-        out[name] = {"computed": got.re,
-                     "display": COMPONENT_PAIRINGS[name],
-                     "matches": got.re == COMPONENT_PAIRINGS[name]}
-    return out
-
-
-def final_pairing(source: str) -> Fraction:
-    """<P, i det> for the chosen source of P; must come out real."""
-    val = sym_inner_poly(p_poly(source), idet_poly())
+def _real_pairing(p: MultiPoly, q: MultiPoly, what: str) -> Fraction:
+    val = sym_inner_poly(p, q)
     if val.im != 0:
-        raise InternalConsistencyError("<P, i det> is not real")
+        raise InternalConsistencyError(f"{what} is not real")
     return val.re
 
 
-def idet_self_pairing() -> Fraction:
-    val = sym_inner_poly(idet_poly(), idet_poly())
-    if val.im != 0 or val.re <= 0:
+@functools.cache
+def pairing_report() -> dict:
+    """The headline numbers: <P, i det> for both sources of P, the four
+    component pairings and <i det, i det>, each computed once, with the
+    component assemblies and the sign resolution derived from them."""
+    idet = idet_poly()
+    closed = _real_pairing(closed_p_poly(), idet, "<P, i det>")
+    first = _real_pairing(first_principles_p_poly(), idet, "<P, i det>")
+    fitted = first_principles_fit()
+    components = {name: _real_pairing(poly, idet, f"<{name}, i det>")
+                  for name, poly in zip(COMPONENT_PAIRINGS, component_polys())}
+    idet_self = sym_inner_poly(idet, idet)
+    if idet_self.im != 0 or idet_self.re <= 0:
         raise InternalConsistencyError("<i det, i det> must be a positive "
                                        "rational")
-    return val.re
 
+    def assembled(coefficients) -> Fraction:
+        return sum(c * v for c, v in zip(coefficients, components.values()))
 
-def assembled_pairing(coefficients) -> Fraction:
-    """The four-term assembly sum c_i <component_i, i det>."""
-    comps = component_pairing_report()
-    names = ("s3", "sx2", "sy2", "R")
-    return sum((Fraction(c) * comps[n]["computed"]
-                for c, n in zip(coefficients, names)), Fraction(0))
-
-
-def pairing_report() -> dict:
-    """The headline numbers: both sources, their component assembly,
-    and the sign resolution vindicated by the exact computation."""
-    closed = final_pairing("closed-form")
-    first = final_pairing("first-principles")
-    fitted = first_principles_fit()
-    cf = closed_form_report()
     return {
         "closed_form_pairing": closed,
         "first_principles_pairing": first,
-        "closed_form_assembly": assembled_pairing(CLOSED_DISPLAY),
-        "first_principles_assembly": assembled_pairing(fitted),
-        "sign_flip_only_assembly": assembled_pairing(
+        "closed_form_assembly": assembled(CLOSED_DISPLAY),
+        "first_principles_assembly": assembled(fitted),
+        "sign_flip_only_assembly": assembled(
             (-CLOSED_DISPLAY[0],) + CLOSED_DISPLAY[1:]),
-        "sign_resolution": cf["sign_resolution"],
-        "components": {k: v["computed"]
-                       for k, v in component_pairing_report().items()},
-        "idet_self": idet_self_pairing(),
+        "sign_resolution": ("intermediate-display" if fitted[0] < 0
+                            else "final-display"),
+        "components": components,
+        "idet_self": idet_self.re,
         "nonzero": first != 0,
     }
 
@@ -695,7 +665,8 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
     empirical = total / samples
     variance = max(total_sq / samples - empirical * empirical, 0.0)
     std_error = (variance / samples) ** 0.5
-    factor = final_pairing("first-principles") / idet_self_pairing()
+    rep = pairing_report()
+    factor = rep["first_principles_pairing"] / rep["idet_self"]
     predicted = float(factor) * float(xi.i_det())
     denom = max(abs(predicted), 1e-12)
     return {

@@ -10,10 +10,11 @@ Three exact scalar types are used throughout:
 * :class:`GaussRational`, elements ``a + b*i`` of Q(i), used for the
   complex letter polynomials of the invariant pairing.
 
-Every exact type supports +, -, *, / and equality, and all engine
-arithmetic is exact.  QuadExt converts to float and GaussRational to
-complex for display and for the numpy Monte-Carlo check, whose
-polynomial coefficients are complex.
+Rationals and QuadExt support +, -, *, / and equality; GaussRational
+supports +, -, * and equality, since the letter polynomials never
+divide.  All engine arithmetic is exact.  GaussRational converts to
+complex for the numpy Monte-Carlo check, whose polynomial coefficients
+are complex.
 
 A QuadExt part given as an ``int`` stays an ``int``, so the integer
 numerators the exact kernels work on (``exterior.numerators``) multiply
@@ -24,6 +25,7 @@ yields a float.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -122,18 +124,6 @@ class QuadExt:
             return NotImplemented
         return o * self.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -152,9 +142,6 @@ class QuadExt:
         if self.irr == 0:
             return f"QuadExt({self.rat!r})"
         return f"QuadExt({self.rat!r}, {self.irr!r})"
-
-    def __float__(self):
-        return float(self.rat) + float(self.irr) * math.sqrt(10)
 
 
 def _quad(rational, irrational) -> QuadExt:
@@ -219,24 +206,6 @@ class GaussRational:
                              self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "GaussRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRational(self.re / norm, -self.im / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -303,12 +272,21 @@ def scalar_to_json(value) -> dict:
     raise TypeError(f"not an exact scalar: {type(value).__name__}")
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _fraction_from_strings(num, den, what):
+    bad = ScalarError(f"{what}: numerator and denominator must be decimal strings")
+    # int() alone would also read 1.5 as 1, true as 1, "1_000" and
+    # non-ASCII digits, so only plain decimal strings reach it
+    if not all(isinstance(s, str) and _DECIMAL.fullmatch(s)
+               for s in (num, den)):
+        raise bad
     try:
         n = int(num)
         d = int(den)
-    except (TypeError, ValueError):
-        raise ScalarError(f"{what}: numerator and denominator must be decimal strings")
+    except ValueError:  # more digits than int() converts
+        raise bad
     if d == 0:
         raise ScalarError(f"{what}: zero denominator")
     return Fraction(n, d)

@@ -498,24 +498,24 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
                     "matches" if row["matches"] else "differs",
                     "tabulated scalar product over lattice and random points")
 
-    rep = awmod.intermediate_display_report()
-    fitted = rep["computed"]
-    _record(checks, "aw.generic-sum-display", rep["matches"],
+    fitted = awmod.fit_block_cubic()
+    _record(checks, "aw.generic-sum-display",
+            fitted == awmod.INTERMEDIATE_DISPLAY,
             "-210 s^3 + s(39|x|^2 + 6|y|^2) - 8R",
             "%s s^3 + %s s|x|^2 + %s s|y|^2 + %s R" % tuple(fitted),
             "the tabulated sum of the six weighted products; the fitted "
             "coefficients are certified exactly on the cubic lattice")
 
-    crep = awmod.closed_form_report()
-    cfit = crep["computed"]
-    _record(checks, "aw.closed-display", crep["matches"],
+    cfit = awmod.first_principles_fit()
+    rep = pairmod.pairing_report()
+    _record(checks, "aw.closed-display", cfit == awmod.CLOSED_DISPLAY,
             "210 s^3 + (65/6) s|x|^2 + (50/3) s|y|^2 + (100/27) R",
             "%s s^3 + %s s|x|^2 + %s s|y|^2 + %s R" % tuple(cfit),
-            "the final tabulated P; sign resolution: " + crep["sign_resolution"])
+            "the final tabulated P; sign resolution: " + rep["sign_resolution"])
 
-    fp = pairmod.final_pairing("first-principles")
-    closed = pairmod.final_pairing("closed-form")
-    flip = pairmod.pairing_report()["sign_flip_only_assembly"]
+    fp = rep["first_principles_pairing"]
+    closed = rep["closed_form_pairing"]
+    flip = rep["sign_flip_only_assembly"]
     _record(checks, "aw.pairing-vs-displays", fp in (closed, Fraction(flip)),
             f"first-principles pairing equals {closed} or {flip}",
             str(fp),
@@ -543,7 +543,6 @@ MC_ELEMENTS = (
 def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
                   samples: int = DEFAULT_SAMPLES) -> dict:
     checks: list = []
-    samples = samples or DEFAULT_SAMPLES
 
     derived = pairmod.derive_gram_from_killing()
     ok = all(pairmod.gram_entry(a, b) == derived.get((a, b), Fraction(0))
@@ -587,20 +586,20 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
             "with v3 eliminated", "as computed",
             "reading of the cross term: " + idr["reading"])
 
-    comp = pairmod.component_pairing_report()
-    ok = all(row["matches"] for row in comp.values())
-    _record(checks, "pairing.component-values", ok,
+    rep = pairmod.pairing_report()
+    comp = rep["components"]
+    _record(checks, "pairing.component-values",
+            comp == pairmod.COMPONENT_PAIRINGS,
             "<s^3, idet> = -4/9; <s|x|^2, idet> = -8/3; "
             "<s|y|^2, idet> = 4; <R, idet> = 24",
-            "; ".join(str(row["computed"]) for row in comp.values()),
+            "; ".join(str(v) for v in comp.values()),
             "the four tabulated component pairings")
 
-    closed = pairmod.final_pairing("closed-form")
+    closed = rep["closed_form_pairing"]
     _record(checks, "pairing.closed-assembly", closed == Fraction(100, 3),
             "100/3", str(closed),
             "210(-4/9) + (65/6)(-8/3) + (50/3)(4) + (100/27)(24) = 100/3")
 
-    rep = pairmod.pairing_report()
     fp = rep["first_principles_pairing"]
     ok = fp != 0 and fp == rep["first_principles_assembly"]
     _record(checks, "pairing.first-principles-nonzero", ok,
@@ -620,7 +619,7 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
             "conjugation-symmetric coefficients", "as computed",
             "P takes real values on su(3)")
 
-    idet_self = pairmod.idet_self_pairing()
+    idet_self = rep["idet_self"]
     _record(checks, "pairing.idet-self", idet_self > 0,
             "positive rational", str(idet_self),
             "<i det, i det>, the Monte-Carlo normalization")
@@ -628,7 +627,6 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
     mc_reports = []
     ok_mc = True
     ok_det = True
-    samples = max(int(samples), 10 ** 4)
     for k, (v, x) in enumerate(MC_ELEMENTS):
         xi = awmod.Su3Element(v, x)
         sub = pairmod.haar_average_check(

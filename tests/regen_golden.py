@@ -5,10 +5,13 @@ Each golden file is the exact bytes that
     g2forge run --suite SUITE --seed SEED --random 1 --format json
 
 writes (the pairing suite also with --samples 10000), for the suites
-and seeds in GOLDEN_SUITES and GOLDEN_SEEDS. tests/test_golden.py
-regenerates the same reports in-process and compares them with
-reports_match: byte for byte, except that the pairing suite's
-floating-point `montecarlo` block is compared to a relative 1e-9.
+and seeds in GOLDEN_SUITES and GOLDEN_SEEDS, and, in
+SUITE_full_seedSEED.json, the bytes of `g2forge run` at the CLI's
+default sizes (--random 100, --samples 10^5) at FULL_SEED.
+tests/test_golden.py regenerates the same reports in-process and
+compares them with reports_match: byte for byte, except that the
+pairing suite's floating-point `montecarlo` block is compared to a
+relative 1e-9.
 
 Without arguments the script only reports which files differ, and
 for each the ids of the checks that differ and whether the
@@ -34,6 +37,9 @@ from g2forge import cli
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_SUITES = ("exterior", "g2", "cubic", "aw", "pairing")
 GOLDEN_SEEDS = (0, 1)
+# the one seed also kept at the CLI's default sizes, where the suites
+# draw all their random inputs
+FULL_SEED = 1
 # exit codes of `g2forge run`: aw fails its by-design checks
 EXPECTED_EXIT = {"exterior": 0, "g2": 0, "cubic": 0, "aw": 1, "pairing": 0}
 # the smallest Monte-Carlo size the CLI accepts keeps the pairing run short
@@ -41,16 +47,27 @@ PAIRING_SAMPLES = 10 ** 4
 MONTECARLO_RTOL = 1e-9
 
 
-def golden_path(suite: str, seed: int) -> str:
-    return os.path.join(GOLDEN_DIR, f"{suite}_seed{seed}.json")
+def golden_runs() -> list[tuple[str, int, bool]]:
+    """(suite, seed, full) of every golden file; full runs take the
+    CLI's default sizes."""
+    return [(suite, seed, False) for suite in GOLDEN_SUITES
+            for seed in GOLDEN_SEEDS] + \
+        [(suite, FULL_SEED, True) for suite in GOLDEN_SUITES]
 
 
-def render_report(suite: str, seed: int) -> tuple[int, bytes]:
+def golden_path(suite: str, seed: int, full: bool = False) -> str:
+    name = f"{suite}_full_seed{seed}" if full else f"{suite}_seed{seed}"
+    return os.path.join(GOLDEN_DIR, name + ".json")
+
+
+def render_report(suite: str, seed: int,
+                  full: bool = False) -> tuple[int, bytes]:
     """(exit code, report bytes) of one `g2forge run`, in-process."""
-    argv = ["run", "--suite", suite, "--seed", str(seed), "--random", "1",
-            "--format", "json"]
-    if suite == "pairing":
-        argv += ["--samples", str(PAIRING_SAMPLES)]
+    argv = ["run", "--suite", suite, "--seed", str(seed), "--format", "json"]
+    if not full:
+        argv += ["--random", "1"]
+        if suite == "pairing":
+            argv += ["--samples", str(PAIRING_SAMPLES)]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         code = cli.main(argv + ["--output", out])
@@ -132,33 +149,31 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     status = 0
-    for suite in GOLDEN_SUITES:
-        for seed in GOLDEN_SEEDS:
-            code, payload = render_report(suite, seed)
-            if code != EXPECTED_EXIT[suite]:
-                print(f"{suite} seed {seed}: exit {code}, "
-                      f"expected {EXPECTED_EXIT[suite]}", file=sys.stderr)
-                status = 1
-            path = golden_path(suite, seed)
-            try:
-                with open(path, "rb") as fh:
-                    golden = fh.read()
-            except FileNotFoundError:
-                golden = None
-            same = golden is not None and reports_match(suite, golden,
-                                                        payload)
-            if same:
-                print(f"{path}: unchanged")
-            elif args.write:
-                with open(path, "wb") as fh:
-                    fh.write(payload)
-                print(f"{path}: written")
-            else:
-                print(f"{path}: differs (run with --write to overwrite)")
-                status = 1
-            if not same and golden is not None:
-                for line in report_differences(suite, golden, payload):
-                    print(f"  {line}")
+    for suite, seed, full in golden_runs():
+        code, payload = render_report(suite, seed, full)
+        path = golden_path(suite, seed, full)
+        if code != EXPECTED_EXIT[suite]:
+            print(f"{path}: exit {code}, expected {EXPECTED_EXIT[suite]}",
+                  file=sys.stderr)
+            status = 1
+        try:
+            with open(path, "rb") as fh:
+                golden = fh.read()
+        except FileNotFoundError:
+            golden = None
+        same = golden is not None and reports_match(suite, golden, payload)
+        if same:
+            print(f"{path}: unchanged")
+        elif args.write:
+            with open(path, "wb") as fh:
+                fh.write(payload)
+            print(f"{path}: written")
+        else:
+            print(f"{path}: differs (run with --write to overwrite)")
+            status = 1
+        if not same and golden is not None:
+            for line in report_differences(suite, golden, payload):
+                print(f"  {line}")
     return status
 
 

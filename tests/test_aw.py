@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import aw
+from g2forge import aw, pairing
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
-    c_direct, c_display, c_of, closed_form_report, \
+    CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, c_of, \
     comparison_form, compose, decompose, first_principles_fit, \
     first_principles_value, fit_block_cubic, generic_value, \
-    intermediate_display_report, principal_lattice, r_value, \
+    principal_lattice, r_value, \
     standard_aw_frame, tensor_displays, verify_block_products, \
     verify_tensor_displays
 from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
@@ -435,21 +435,21 @@ def test_block_products_single_point():
 
 
 def test_intermediate_display_report():
-    rep = intermediate_display_report()
-    assert not rep["matches"]
-    terms = rep["terms"]
-    assert terms["s^3"]["matches"] and terms["s|y|^2"]["matches"]
-    assert not terms["s|x|^2"]["matches"] and not terms["R"]["matches"]
-    assert terms["s|x|^2"] == {"display": 39, "computed": 99, "matches": False}
-    assert terms["R"] == {"display": -8, "computed": -15, "matches": False}
+    fitted = fit_block_cubic()
+    assert fitted != INTERMEDIATE_DISPLAY
+    # s^3 and s|y|^2 as displayed; s|x|^2 and R differ
+    assert fitted[0] == INTERMEDIATE_DISPLAY[0]
+    assert fitted[2] == INTERMEDIATE_DISPLAY[2]
+    assert (INTERMEDIATE_DISPLAY[1], fitted[1]) == (39, 99)
+    assert (INTERMEDIATE_DISPLAY[3], fitted[3]) == (-8, -15)
 
 
 def test_closed_form_report():
-    rep = closed_form_report()
-    assert not rep["matches"]
-    assert rep["sign_resolution"] == "intermediate-display"
-    terms = rep["terms"]
-    assert not terms["s^3"]["matches"]  # computed -210 against displayed +210
-    assert terms["s^3"]["computed"] == -210
-    assert terms["s|y|^2"]["matches"]  # 50/3 survives the reversion
-    assert not terms["s|x|^2"]["matches"] and not terms["R"]["matches"]
+    fitted = first_principles_fit()
+    assert fitted != CLOSED_DISPLAY
+    assert pairing.pairing_report()["sign_resolution"] == \
+        "intermediate-display"
+    assert fitted[0] != CLOSED_DISPLAY[0]  # computed -210 against displayed +210
+    assert fitted[0] == -210
+    assert fitted[2] == CLOSED_DISPLAY[2]  # 50/3 survives the reversion
+    assert fitted[1] != CLOSED_DISPLAY[1] and fitted[3] != CLOSED_DISPLAY[3]

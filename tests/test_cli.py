@@ -255,6 +255,22 @@ def test_eval_parse_errors(capsys, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("term", [
+    {"indices": [4, 5, 6, 7], "coeff": {"num": 1.5, "den": "1"}},
+    {"indices": [4, 5, 6, 7], "coeff": {"num": "1", "den": 2.9}},
+    {"indices": [4, 5, 6, 7], "coeff": {"num": True, "den": "1"}},
+    {"indices": [4, 5, 6, True], "coeff": {"num": "1", "den": "1"}},
+])
+def test_eval_rejects_non_string_scalars_and_bool_indices(capsys, tmp_path,
+                                                          term):
+    # int() would read 1.5 as 1, 2.9 as 2 and true as 1 (index 1)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"grade": 4, "terms": [term]}))
+    rc, out, err = run_cli(capsys, "eval", "hat", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"g2forge: {path}: ")
+
+
 def test_eval_precondition_violations(capsys, tmp_path, g2frame):
     psi = write_form(tmp_path / "psi.json", g2frame.psi)
     rc, _, err = run_cli(capsys, "eval", "q2", psi)

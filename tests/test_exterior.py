@@ -149,6 +149,18 @@ def test_form_json_rejects_malformed():
             {"indices": [1], "coeff": {"num": "2", "den": "1"}}]})
 
 
+@pytest.mark.parametrize("data", [
+    {"grade": True, "terms": [{"indices": [1], "coeff": {"num": "1"}}]},
+    {"grade": 1.0, "terms": []},
+    {"grade": 1, "terms": [{"indices": [True], "coeff": {"num": "1"}}]},
+    {"grade": 1, "terms": [{"indices": [1.0], "coeff": {"num": "1"}}]},
+    {"grade": 2, "terms": [{"indices": [1, 2.5], "coeff": {"num": "1"}}]},
+])
+def test_form_json_requires_int_grade_and_indices(data):
+    with pytest.raises(FormError):
+        ext.form_from_json(data)
+
+
 # -- integer numerators --------------------------------------------------------
 
 def _scaled_back(n, d):

@@ -2,7 +2,9 @@
 
 The files under tests/golden/ hold the JSON reports of
 `g2forge run --suite SUITE --seed SEED --random 1 --format json`
-(pairing with `--samples 10000`); tests/regen_golden.py regenerates
+(pairing with `--samples 10000`), and the seed-1 reports at the CLI's
+default sizes (`--random 100`, `--samples 10^5`) in
+SUITE_full_seed1.json; tests/regen_golden.py regenerates
 them (only with --write). The pairing reports' Monte-Carlo blocks are
 compared to a relative 1e-9, everything else byte for byte.
 """
@@ -11,8 +13,9 @@ import json
 
 import pytest
 
-from regen_golden import EXPECTED_EXIT, GOLDEN_SEEDS, GOLDEN_SUITES, \
-    golden_path, render_report, report_differences, reports_match
+from regen_golden import EXPECTED_EXIT, FULL_SEED, GOLDEN_SEEDS, \
+    GOLDEN_SUITES, golden_path, render_report, report_differences, \
+    reports_match
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
@@ -21,6 +24,14 @@ def test_report_matches_golden(suite, seed):
     code, payload = render_report(suite, seed)
     assert code == EXPECTED_EXIT[suite]
     with open(golden_path(suite, seed), "rb") as fh:
+        assert reports_match(suite, fh.read(), payload)
+
+
+@pytest.mark.parametrize("suite", GOLDEN_SUITES)
+def test_full_size_report_matches_golden(suite):
+    code, payload = render_report(suite, FULL_SEED, full=True)
+    assert code == EXPECTED_EXIT[suite]
+    with open(golden_path(suite, FULL_SEED, full=True), "rb") as fh:
         assert reports_match(suite, fh.read(), payload)
 
 

@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from g2forge import pairing
 from g2forge.aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
     first_principles_value, standard_aw_frame
 from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
-    _conjugate_letters, _eval_terms, _poly_terms, assembled_pairing, \
-    component_pairing_report, component_polys, derive_gram_from_killing, \
-    final_pairing, gram_entry, haar_average_check, haar_su3, idet_poly, \
-    idet_report, idet_self_pairing, interpolate_p_coefficients, \
-    letter_values, monomial_inner, p_poly, pairing_report, permanent, \
-    sym_inner_poly
+    _conjugate_letters, _eval_terms, _poly_terms, closed_p_poly, \
+    component_polys, derive_gram_from_killing, first_principles_p_poly, \
+    gram_entry, haar_average_check, haar_su3, idet_poly, idet_report, \
+    interpolate_p_coefficients, letter_values, monomial_inner, \
+    pairing_report, permanent, sym_inner_poly
 from g2forge.scalars import GaussRational, ScalarError
 from g2forge.suites import MC_ELEMENTS
 
@@ -141,32 +141,66 @@ def test_idet_poly_evaluates_to_idet():
 
 
 def test_idet_self_pairing():
-    assert idet_self_pairing() == Fraction(320, 9)
+    assert pairing_report()["idet_self"] == Fraction(320, 9)
 
 
 # -- the pairing --------------------------------------------------------------
 
 def test_component_pairings():
-    rep = component_pairing_report()
-    assert all(v["matches"] for v in rep.values())
-    assert rep["s3"]["computed"] == Fraction(-4, 9)
-    assert rep["sx2"]["computed"] == Fraction(-8, 3)
-    assert rep["sy2"]["computed"] == Fraction(4)
-    assert rep["R"]["computed"] == Fraction(24)
-    assert COMPONENT_PAIRINGS == {k: v["computed"] for k, v in rep.items()}
+    comps = pairing_report()["components"]
+    assert comps["s3"] == Fraction(-4, 9)
+    assert comps["sx2"] == Fraction(-8, 3)
+    assert comps["sy2"] == Fraction(4)
+    assert comps["R"] == Fraction(24)
+    assert COMPONENT_PAIRINGS == comps
+    for want, poly in zip(COMPONENT_PAIRINGS.values(), component_polys()):
+        assert sym_inner_poly(poly, idet_poly()) == GaussRational(want, 0)
 
 
 def test_closed_form_pairing():
-    assert final_pairing("closed-form") == Fraction(100, 3)
-    assert assembled_pairing(CLOSED_DISPLAY) == Fraction(100, 3)
-    with pytest.raises(ScalarError):
-        final_pairing("folklore")
+    rep = pairing_report()
+    assert rep["closed_form_pairing"] == Fraction(100, 3)
+    assert rep["closed_form_assembly"] == Fraction(100, 3)
+    assert sum(c * v for c, v in zip(CLOSED_DISPLAY,
+                                     rep["components"].values())) == \
+        Fraction(100, 3)
+    assert sym_inner_poly(closed_p_poly(), idet_poly()) == \
+        GaussRational(Fraction(100, 3), 0)
 
 
 def test_first_principles_pairing():
-    assert final_pairing("first-principles") == Fraction(760, 3)
-    fitted = first_principles_fit()
-    assert assembled_pairing(fitted) == Fraction(760, 3)
+    rep = pairing_report()
+    assert rep["first_principles_pairing"] == Fraction(760, 3)
+    assert rep["first_principles_assembly"] == Fraction(760, 3)
+    assert sum(c * v for c, v in zip(first_principles_fit(),
+                                     rep["components"].values())) == \
+        Fraction(760, 3)
+    assert sym_inner_poly(first_principles_p_poly(), idet_poly()) == \
+        GaussRational(Fraction(760, 3), 0)
+
+
+def test_pairing_report_computes_each_pairing_once(monkeypatch):
+    # seven pairings from cold (both P sources, four components,
+    # <i det, i det>), none warm, and none for the Monte-Carlo prediction
+    calls = []
+    inner = pairing.sym_inner_poly
+
+    def counted(p, q):
+        calls.append((p, q))
+        return inner(p, q)
+
+    monkeypatch.setattr(pairing, "sym_inner_poly", counted)
+    pairing_report.cache_clear()
+    try:
+        first = pairing_report()
+        assert len(calls) == 7
+        assert pairing_report() is first
+        assert len(calls) == 7
+        haar_average_check(Su3Element(*MC_ELEMENTS[1]), samples=10 ** 4,
+                           seed=5)
+        assert len(calls) == 7
+    finally:
+        pairing_report.cache_clear()
 
 
 def test_pairing_report_fields():
@@ -184,8 +218,8 @@ def test_pairing_report_fields():
 
 def test_p_poly_real_and_matches_values():
     rng = random.Random(11005)
-    fp = p_poly("first-principles")
-    closed = p_poly("closed-form")
+    fp = first_principles_p_poly()
+    closed = closed_p_poly()
     assert fp.is_real_on_su3() and closed.is_real_on_su3()
     diag = Su3Element((1, 1, -2), (0,) * 6)
     vals = letter_values(diag)
@@ -200,7 +234,7 @@ def test_p_poly_real_and_matches_values():
 def test_p_poly_pure_z_support():
     # the only pure-z monomials of P are z1 z2 z3 and its conjugate,
     # the same support i det has in that sector
-    fp = p_poly("first-principles")
+    fp = first_principles_p_poly()
     purez = sorted(m for m in fp.terms if all(l[0] == "z" for l in m))
     assert purez == [("z1", "z2", "z3"), ("zb1", "zb2", "zb3")]
     c = fp.terms[("z1", "z2", "z3")]
@@ -251,7 +285,7 @@ def _reference_p(poly, cols):
 def test_conjugate_letters_and_p_match_full_conjugation():
     import numpy as np
     g = haar_su3(np.random.default_rng(11010), 1000)
-    poly = p_poly("first-principles")
+    poly = first_principles_p_poly()
     rng = random.Random(11011)
     for xi in [Su3Element(v, x) for v, x in MC_ELEMENTS] + \
             [random_su3(rng) for _ in range(3)]:

@@ -11,7 +11,6 @@ from g2forge.scalars import GaussRational, QuadExt, SQRT10, ScalarError, \
 
 def test_sqrt10_squares_to_ten():
     assert SQRT10 * SQRT10 == QuadExt(10)
-    assert SQRT10 ** 2 == 10
 
 
 def test_quadext_field_axioms_random():
@@ -42,12 +41,6 @@ def test_quadext_unique_representation():
     assert bool(QuadExt(0, 1)) is True
 
 
-def test_quadext_float_mirror():
-    import math
-    x = QuadExt(Fraction(3, 4), Fraction(-2, 7))
-    assert abs(float(x) - (0.75 - 2 / 7 * math.sqrt(10))) < 1e-12
-
-
 def test_gauss_rational_arithmetic():
     i = GaussRational(0, 1)
     assert i * i == GaussRational(-1, 0)
@@ -74,6 +67,17 @@ def test_scalar_json_roundtrip():
 def test_scalar_json_rejects_garbage():
     with pytest.raises((ScalarError, ValueError, TypeError, KeyError)):
         scalar_from_json({"nonsense": True})
+
+
+@pytest.mark.parametrize("data", [
+    {"num": 1.5}, {"num": "1", "den": 2.9}, {"num": True}, {"num": 1},
+    {"num": "1", "den": False}, {"num": None}, {"num": "1.5"},
+    {"num": "1", "irr_num": 2.5}, {"num": "1", "irr_num": "1", "irr_den": 2},
+    {"num": "1_000"}, {"num": " 3 "}, {"num": "\u0661\u0662"}, {"num": ""},
+])
+def test_scalar_json_requires_decimal_strings(data):
+    with pytest.raises(ScalarError, match="must be decimal strings"):
+        scalar_from_json(data)
 
 
 # -- int parts -----------------------------------------------------------------
