@@ -25,8 +25,10 @@ integer element e xi, and cleared to (NB, NC)/d, so 6 d e A is
 6 NB + sqrt(10) NC.  The cubic is composed from the int parts of the
 kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
 linalg.upper_inner, on that QuadExt form (route one) and on the ints
-6 NB and NC (route two), and divided once, by 2 (6 d e)^3.  The type-27
-gate is G2Frame.is_pure27, the eight pairings with phi and the
+6 NB and NC (route two), and divided once, by 2 (6 d e)^3.  The first
+two read precomputed signed blade tables (the pair table of p, and the
++-1 functionals f_ij of i^{-1}) and build no Form.  The type-27 gate
+is G2Frame.is_pure27, the eight signed sums that pair with phi and the
 e_j -| psi; the symmetry and trace checks of the recovered tensors run
 on both routes.
 

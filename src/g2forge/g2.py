@@ -61,7 +61,10 @@ own type gives, so an int tensor still maps to int coefficients under i.
 The int part of i^{-1} is its own method, iso_i_inv_upper, and its type
 gate is is_pure27, the eight pairings with phi and the e_j -| psi, so
 that a longer composition (the obstruction cubic in aw) stays on
-numerators across kernels and rescales once at its own end.
+numerators across kernels and rescales once at its own end.  Every
+functional the two pair with (the f_ij, phi and the e_j -| psi) has
+coefficients +-1, checked when the frame is built, so each pairing is
+a signed sum of the form's coefficients with no product.
 """
 
 from __future__ import annotations
@@ -144,6 +147,29 @@ def _span_sum(a: Form, spanning: list[tuple[Form, int]]) -> dict:
     return terms
 
 
+def _unit_functional(pairs) -> tuple:
+    """A linear functional b |-> sum_m c b[m] as its (m, c) pairs, every
+    c +1 or -1, so that it pairs as a signed sum (_signed_sum) with no
+    product; raises InternalConsistencyError on any other coefficient."""
+    pairs = tuple(pairs)
+    if any(c not in (1, -1) for _, c in pairs):
+        raise InternalConsistencyError(
+            "a pairing functional has a coefficient other than +-1")
+    return pairs
+
+
+def _signed_sum(functional: tuple, get):
+    """sum_m c b[m] over the (m, +-1) pairs of a functional, with b read
+    through get (b.terms.get): each term added or subtracted, in the
+    coefficients' own type, and int 0 when b has none of the blades."""
+    s = 0
+    for m, c in functional:
+        x = get(m)
+        if x is not None:
+            s = s + x if c > 0 else s - x
+    return s
+
+
 def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
     """(P1 a, P7 a, P27 a) with P27 = 1 - P1 - P7.
 
@@ -188,10 +214,15 @@ class G2Frame:
         # is <b, f_ij>, f_ij = sum of sign(m^c, m) chi_ij[m] e^{m^c}:
         # the table that both i and its inverse read.
         self._inv_functionals = [
-            [tuple((FULL_MASK ^ m, merge_sign(FULL_MASK ^ m, m) * c)
-                   for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
+            [_unit_functional(
+                (FULL_MASK ^ m, merge_sign(FULL_MASK ^ m, m) * c)
+                for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
              for j in range(DIM)]
             for i in range(DIM)]
+        # the eight pairings of the type-27 gate, with phi and the e_j -| psi
+        self._pure27_functionals = tuple(
+            _unit_functional(w.terms.items())
+            for w, _ in self._span3[0] + self._span3[1])
 
         # the pairing matrix M of gamma |-> (gamma ^ (e_j -| psi))_j as
         # (column, +-1) pairs per row; row 7 j + p is 6-blade p of block j
@@ -278,11 +309,13 @@ class G2Frame:
         """Whether a 3-form lies in Lambda^3_27: the eight pairings
         <b, phi> and <b, e_j -| psi> vanish.  That is P1 b = P7 b = 0
         exactly, since phi and the e_j -| psi are pairwise orthogonal
-        (checked in _split_spans) and span Lambda^3_1 + Lambda^3_7."""
+        (checked in _split_spans) and span Lambda^3_1 + Lambda^3_7.
+        Their coefficients are +-1 (checked when the frame is built), so
+        each pairing is a signed sum of coefficients of b."""
         if b.grade != 3:
             raise ext.GradeError("is_pure27 needs a 3-form")
-        span1, span7, _ = self._span3
-        return all(inner(b, w) == 0 for w, _ in span1 + span7)
+        get = b.terms.get
+        return not any(_signed_sum(f, get) for f in self._pure27_functionals)
 
     def iso_i_inv_upper(self, n: Form) -> list[list]:
         """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
@@ -291,11 +324,14 @@ class G2Frame:
         triangle over 2 d.  The type of n is the caller's to check.
 
         All 49 pairings <n, f_ij> are taken, so that symmetry and trace
-        of the recovered tensor stay real checks.
+        of the recovered tensor stay real checks.  The f_ij have
+        coefficients +-1 (checked when the frame is built), so each
+        pairing is a signed sum of coefficients of n, int 0 when n has
+        none of the blades of f_ij.
         """
-        nt = n.terms
-        sums = [[sum(c * nt[m] for m, c in functional if m in nt)
-                 for functional in row] for row in self._inv_functionals]
+        get = n.terms.get
+        sums = [[_signed_sum(f, get) for f in row]
+                for row in self._inv_functionals]
         if any(sums[i][j] != sums[j][i]
                for i in range(DIM) for j in range(i + 1, DIM)):
             raise InternalConsistencyError("recovered tensor is not symmetric")

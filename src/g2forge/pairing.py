@@ -22,11 +22,11 @@ number is <P, i det>, assembled from the four component pairings
     <s^3, i det> = -4/9,   <s|x|^2, i det> = -8/3,
     <s|y|^2, i det> = 4,   <R, i det> = 24.
 
-pairing_report() computes each pairing once per process.  A seeded
-Monte-Carlo check closes the loop: averaging P over conjugates g xi
-g^{-1} with Haar-random g in SU(3) projects P onto the unique
-invariant cubic, so the empirical mean must approach
-(<P, i det>/<i det, i det>) i det(xi).
+pairing_report() computes each pairing once per process and hands
+every caller the same read-only record.  A seeded Monte-Carlo check
+closes the loop: averaging P over conjugates g xi g^{-1} with
+Haar-random g in SU(3) projects P onto the unique invariant cubic, so
+the empirical mean must approach (<P, i det>/<i det, i det>) i det(xi).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 from .g2 import InternalConsistencyError
 from .scalars import GaussRational, ScalarError
@@ -519,10 +520,14 @@ def _real_pairing(p: MultiPoly, q: MultiPoly, what: str) -> Fraction:
 
 
 @functools.cache
-def pairing_report() -> dict:
+def pairing_report() -> MappingProxyType:
     """The headline numbers: <P, i det> for both sources of P, the four
     component pairings and <i det, i det>, each computed once, with the
-    component assemblies and the sign resolution derived from them."""
+    component assemblies and the sign resolution derived from them.
+
+    Every caller shares the one cached record, so it and its components
+    are read-only mappings: an item assignment raises TypeError instead
+    of changing the record for the rest of the process."""
     idet = idet_poly()
     closed = _real_pairing(closed_p_poly(), idet, "<P, i det>")
     first = _real_pairing(first_principles_p_poly(), idet, "<P, i det>")
@@ -537,7 +542,7 @@ def pairing_report() -> dict:
     def assembled(coefficients) -> Fraction:
         return sum(c * v for c, v in zip(coefficients, components.values()))
 
-    return {
+    return MappingProxyType({
         "closed_form_pairing": closed,
         "first_principles_pairing": first,
         "closed_form_assembly": assembled(CLOSED_DISPLAY),
@@ -546,10 +551,10 @@ def pairing_report() -> dict:
             (-CLOSED_DISPLAY[0],) + CLOSED_DISPLAY[1:]),
         "sign_resolution": ("intermediate-display" if fitted[0] < 0
                             else "final-display"),
-        "components": components,
+        "components": MappingProxyType(components),
         "idet_self": idet_self.re,
         "nonzero": first != 0,
-    }
+    })
 
 
 # ---------------------------------------------------------------------------

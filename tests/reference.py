@@ -131,18 +131,23 @@ def two_form_eigenvalues(fr):
 
 # -- scalar-generic kernels -------------------------------------------------
 
-def quadratic_form(a1, a2):
+def quadratic_upper(a1, a2):
+    """The upper triangle of <e_i -| a1, e_j -| a2> for a1 is a2, and of
+    its two cross terms summed for a pair, by contract and inner."""
     c1 = [ext.contract(vector(i), a1) for i in range(1, 8)]
-    half = Fraction(1, 2)
     if a1 is a2:
-        upper = [[half * (x + x) for x in (inner(c1[i], c1[j])
-                                           for j in range(i, 7))]
-                 for i in range(7)]
-    else:
-        c2 = [ext.contract(vector(i), a2) for i in range(1, 8)]
-        upper = [[half * (inner(c1[i], c2[j]) + inner(c2[i], c1[j]))
-                  for j in range(i, 7)] for i in range(7)]
-    return SymTensor.from_upper(upper)
+        return [[inner(c1[i], c1[j]) for j in range(i, 7)] for i in range(7)]
+    c2 = [ext.contract(vector(i), a2) for i in range(1, 8)]
+    return [[inner(c1[i], c2[j]) + inner(c2[i], c1[j]) for j in range(i, 7)]
+            for i in range(7)]
+
+
+def quadratic_form(a1, a2):
+    half = Fraction(1, 2)
+    upper = quadratic_upper(a1, a2)
+    if a1 is a2:
+        upper = [[x + x for x in row] for row in upper]
+    return SymTensor.from_upper([[half * x for x in row] for row in upper])
 
 
 def type_split(fr, a):
@@ -163,12 +168,17 @@ def type_split(fr, a):
     return p1, p7, a - p1 - p7
 
 
+def iso_i_inv_pairings(fr, b):
+    """The 49 pairings <b, f_ij>, each a sum of coefficient products."""
+    bt = b.terms
+    return [[sum(c * bt[m] for m, c in functional if m in bt)
+             for functional in row] for row in fr._inv_functionals]
+
+
 def iso_i_inv(fr, b):
     half = Fraction(1, 2)
-    bt = b.terms
-    sums = [[sum(c * bt[m] for m, c in functional if m in bt)
-             for functional in row] for row in fr._inv_functionals]
-    return SymTensor([[half * (x if x else 0) for x in row] for row in sums])
+    return SymTensor([[half * (x if x else 0) for x in row]
+                      for row in iso_i_inv_pairings(fr, b)])
 
 
 def sym_inner(S1, S2):

@@ -3,13 +3,14 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from g2forge import exterior as ext
-from g2forge.cubic import b2, b2_rhs, p_value, q2, q2_closed_form, \
-    q_value, quadratic_form, trilinear, trilinear_direct, \
-    trilinear_star_route
+from g2forge.cubic import _pair_table, b2, b2_rhs, p_value, q2, \
+    q2_closed_form, q_value, quadratic_form, quadratic_upper, trilinear, \
+    trilinear_direct, trilinear_star_route
 from g2forge.exterior import blade, hodge, inner, vector, \
     vol_coefficient, wedge
 from g2forge.g2 import TypeDecompositionError, random_traceless, star_action
@@ -253,19 +254,12 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
     fr = g2frame
     draw = _PARITY_KINDS[kind]
     rng = random.Random(8020)
-    cancelled_zero = False
+    cancelled_zero = empty_pairing = False
     for density in (0.3, 1.0):
         for _ in range(3):
-            # quadratic_form on 3- and 4-forms, a pair and the diagonal
+            # the (1, 7, 27) splits on 3- and 4-forms
             for grade in (3, 4):
-                a1, a2 = (_parity_form(rng, grade, draw, density)
-                          for _ in range(2))
-                for x, y in ((a1, a2), (a1, a1)):
-                    got, want = quadratic_form(x, y), reference.quadratic_form(x, y)
-                    assert got == want
-                    assert _types(_tensor_entries(got)) == \
-                        _types(_tensor_entries(want))
-                # the (1, 7, 27) splits
+                a1 = _parity_form(rng, grade, draw, density)
                 split = fr.project3 if grade == 3 else fr.project4
                 for got, want in zip(split(a1), reference.type_split(fr, a1)):
                     assert got == want
@@ -279,6 +273,15 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
             assert fr.iso_i_psi(S) == star_action(S.to_matrix(), fr.psi)
             assert _form_types(fr.iso_i_psi(S)) == \
                 _form_types(star_action(S.to_matrix(), fr.psi))
+            # the signed sums of iso_i_inv_upper against the sums of
+            # products, int 0 where b has no blade of f_ij
+            got = fr.iso_i_inv_upper(b)
+            want = [row[i:] for i, row in
+                    enumerate(reference.iso_i_inv_pairings(fr, b))]
+            assert got == want
+            assert _upper_types(got) == _upper_types(want)
+            empty_pairing = empty_pairing or any(
+                type(x) is int and x == 0 for row in got for x in row)
             # iso_i_inv on the 27-type image, and the pairing with S
             got, want = fr.iso_i_inv(b), reference.iso_i_inv(fr, b)
             assert got == want
@@ -295,4 +298,44 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
                 assert got == want
                 assert _form_types(got) == _form_types(want)
     # a vanishing iso_i_inv entry is Fraction(0) for every scalar type
-    assert cancelled_zero
+    assert cancelled_zero and empty_pairing
+
+
+def _upper_types(upper):
+    return [[type(x) for x in row] for row in upper]
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_KINDS))
+@pytest.mark.parametrize("grade", range(1, 8))
+def test_pair_table_matches_contract_inner_route(kind, grade):
+    """quadratic_upper reads p off the pair table of the grade (one
+    triple per blade pair with m - e_i = m' - e_j: C(5, k-1) choices of
+    the common part for i != j, C(6, k-1) for i = j); it must give the
+    values and entry types of the contract/inner route on the diagonal,
+    on a pair and on an equal copy, in the coefficients' own type, and
+    so must quadratic_form after its rescale."""
+    assert sum(map(len, _pair_table(grade))) == \
+        21 * comb(5, grade - 1) + 7 * comb(6, grade - 1)
+    draw = _PARITY_KINDS[kind]
+    rng = random.Random(8030 + grade)
+    seen_empty = False
+    for density in (0.3, 1.0):
+        for _ in range(2):
+            a1, a2 = (_parity_form(rng, grade, draw, density)
+                      for _ in range(2))
+            copy = ext.Form(grade, dict(a1.terms))
+            for x, y in ((a1, a1), (a1, a2), (a1, copy)):
+                got, want = quadratic_upper(x, y), reference.quadratic_upper(x, y)
+                assert got == want
+                assert _upper_types(got) == _upper_types(want)
+                seen_empty = seen_empty or any(
+                    type(v) is int and v == 0 for row in got for v in row)
+                got, want = quadratic_form(x, y), reference.quadratic_form(x, y)
+                assert got == want
+                assert _types(_tensor_entries(got)) == \
+                    _types(_tensor_entries(want))
+            # the diagonal shortcut against the polarized sum of a copy
+            assert quadratic_upper(a1, copy) == \
+                [[x + x for x in row] for row in quadratic_upper(a1, a1)]
+    # an entry with no product in its sum stays int 0
+    assert seen_empty

@@ -244,7 +244,8 @@ def _random_coeff_form(rng, grade, kind):
 def test_pure27_gate_matches_projection(g2frame, kind):
     """is_pure27 reads the eight pairings with phi and the e_j -| psi;
     it must agree with project3 on pure-27 forms, on pure-27 forms with
-    one stray 1- or 7-type part, and on general forms."""
+    one stray 1- or 7-type part, and on general forms, and reject each
+    stray part alone and on a pure-27 form."""
     rng = random.Random(7025)
     draw = _COEFFICIENT_KINDS[kind]
     strays = [g2frame.phi] + g2frame.kappa
@@ -262,8 +263,30 @@ def test_pure27_gate_matches_projection(g2frame, kind):
         assert g2frame.is_pure27(b) is want
         seen.add(want)
     assert seen == {True, False}
+    b = g2frame.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+    c = {"int": 3, "fraction": Fraction(2, 3), "quadext": QuadExt(0, 1)}[kind]
+    for stray in strays:
+        assert not g2frame.is_pure27(c * stray)
+        assert not g2frame.is_pure27(b + c * stray)
     with pytest.raises(ext.GradeError):
         g2frame.is_pure27(g2frame.psi)
+
+
+def test_pairing_functionals_are_unit_signed(g2frame):
+    """The f_ij, phi and the e_j -| psi pair as signed sums: the frame
+    checks their coefficients are +-1 when it is built, and the check
+    rejects any other coefficient."""
+    fr = g2frame
+    tables = [f for row in fr._inv_functionals for f in row] \
+        + list(fr._pure27_functionals)
+    assert len(tables) == 49 + 8
+    assert {c for f in tables for _, c in f} == {1, -1}
+    assert sum(map(len, fr._pure27_functionals)) == 7 + 7 * 4
+    phi_pairs = tuple(fr.phi.terms.items())
+    assert g2._unit_functional(phi_pairs) == phi_pairs
+    for bad in (2, -2, Fraction(1, 2), 0):
+        with pytest.raises(InternalConsistencyError, match="other than"):
+            g2._unit_functional(phi_pairs + ((0b1110000, bad),))
 
 
 @pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))

@@ -203,6 +203,23 @@ def test_pairing_report_computes_each_pairing_once(monkeypatch):
         pairing_report.cache_clear()
 
 
+def test_pairing_report_is_read_only():
+    """Every caller shares the one cached record: writing to it or to
+    its components raises, and the next caller gets the same record with
+    the same values."""
+    first = pairing_report()
+    for record, key in ((first, "first_principles_pairing"),
+                        (first["components"], "s3")):
+        with pytest.raises(TypeError):
+            record[key] = 0
+        with pytest.raises(TypeError):
+            del record[key]
+    assert pairing_report() is first
+    assert first["first_principles_pairing"] == Fraction(760, 3)
+    assert first["components"] == COMPONENT_PAIRINGS
+    assert str(first["components"]) == str(dict(COMPONENT_PAIRINGS))
+
+
 def test_pairing_report_fields():
     rep = pairing_report()
     assert rep["closed_form_pairing"] == Fraction(100, 3)
