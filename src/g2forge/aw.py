@@ -295,29 +295,32 @@ def first_principles_value(xi: Su3Element, *,
     caller is doing a bulk interpolation sweep and verifies route
     agreement separately.
     """
-    g2 = standard_frame()
     # xi = Xi / e with integer coordinates, and P is cubic: P(Xi) / e^3
     coords, e = clear_denominators(list(xi.v + xi.x))
     b, c = _comparison_blocks(Su3Element(coords[:3], coords[3:]))
     (nb, nc), d = numerators(b, c)
     u = 6 * nb
     na = u + SQRT10 * nc
-    if not g2.is_pure27(na):
-        raise TypeDecompositionError("comparison form is not of pure 27 type")
+    # na is of pure 27 type iff u and nc are (1 and sqrt(10) are
+    # independent over Q), and _split_cubic checks those two
+    if single_route:
+        if not standard_frame().is_pure27(na):
+            raise TypeDecompositionError(
+                "comparison form is not of pure 27 type")
+    else:
+        even, odd = _split_cubic(u, nc)
     native = _cubic_numerator(na)
     if isinstance(native, QuadExt):
         if native.irr != 0:
             raise InternalConsistencyError("P has a sqrt(10) component")
         native = native.rat
-    scale = 2 * (6 * d * e) ** 3
-    if single_route:
-        return Fraction(native, scale)
-    even, odd = _split_cubic(u, nc)
-    if odd != 0:
-        raise InternalConsistencyError("sqrt(10)-odd part of P does not vanish")
-    if even != native:
-        raise InternalConsistencyError("the two routes to P disagree")
-    return Fraction(native, scale)
+    if not single_route:
+        if odd != 0:
+            raise InternalConsistencyError(
+                "sqrt(10)-odd part of P does not vanish")
+        if even != native:
+            raise InternalConsistencyError("the two routes to P disagree")
+    return Fraction(native, 2 * (6 * d * e) ** 3)
 
 
 def _split_cubic(u: Form, w: Form) -> tuple:
@@ -327,8 +330,7 @@ def _split_cubic(u: Form, w: Form) -> tuple:
     type; every t_k is an int."""
     g2 = standard_frame()
     if not (g2.is_pure27(u) and g2.is_pure27(w)):
-        raise TypeDecompositionError(
-            "form has components outside the 27-dimensional summand")
+        raise TypeDecompositionError("comparison form is not of pure 27 type")
     # quadratic_upper(u, w) is 2 p(u, w): the polarized terms come doubled
     puu, puw, pww = (quadratic_upper(u, u), quadratic_upper(u, w),
                      quadratic_upper(w, w))

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -285,17 +286,18 @@ def _half(name_plus: str, name_minus: str, imag: bool) -> MultiPoly:
 
 
 @functools.cache
-def x_letter_polys() -> dict:
+def x_letter_polys() -> MappingProxyType:
     """x1..x6 as polynomials in the z-alphabet, from z1 = -x5 + i x6,
-    z2 = x3 + i x4, z3 = -x1 + i x2."""
-    return {
+    z2 = x3 + i x4, z3 = -x1 + i x2.  Every caller shares the cached
+    table, so it is a read-only mapping."""
+    return MappingProxyType({
         "x1": _half("z3", "zb3", False).scale(-1),
         "x2": _half("z3", "zb3", True),
         "x3": _half("z2", "zb2", False),
         "x4": _half("z2", "zb2", True),
         "x5": _half("z1", "zb1", False).scale(-1),
         "x6": _half("z1", "zb1", True),
-    }
+    })
 
 
 def s_poly() -> MultiPoly:
@@ -574,23 +576,65 @@ def _poly_terms(poly: MultiPoly) -> list:
     return terms
 
 
-def _conjugate_letters(g, xi_mat) -> list:
-    """The nine letter columns of g xi g^dagger over a batch g, in
-    LETTERS order.
+def _sum(terms: list):
+    """Left-to-right sum of a nonempty list of arrays, with no zero start."""
+    return functools.reduce(operator.add, terms)
 
-    Only the six entries the letters read are formed: the imaginary
-    parts of the diagonal and the entries (2,1), (0,2), (1,0), each a
-    row of h = g xi against a row of conj(g).  h is one
-    (3n x 3) @ (3 x 3) product.
+
+def _axpy(acc, a: float, x):
+    """acc + a x (a x when acc is None), with a = +-1 taken as a sign:
+    a x is exact then, so the sum rounds as with the product."""
+    if acc is None:
+        return x if a == 1 else -x if a == -1 else a * x
+    if a == 1:
+        return acc + x
+    if a == -1:
+        return acc - x
+    return acc + a * x
+
+
+def _conjugate_letters(cols, xi_mat) -> list:
+    """The nine letter columns of g xi g^dagger over a chunk of samples,
+    in LETTERS order.
+
+    cols[k, i, n] is entry i of column c_k of sample n's g (the layout
+    haar_su3 writes).  The columns of h = g xi are h_l = sum_k xi_kl c_k,
+    with the zero parts of xi skipped, and only the six entries the
+    letters read are formed, M_ij = sum_l h_l[i] conj(c_l[j]): the
+    imaginary parts of the diagonal and the entries (2,1), (0,2), (1,0).
+    Every step is an elementwise product or sum of real rows of the
+    chunk, with no matrix product and no BLAS call, taken in the order
+    in which the dense route rounds them (h = g @ xi by an OpenBLAS
+    product, then an einsum against conj(g)): for an xi with integer
+    entries the letters come out bit for bit as on that route.
     """
     import numpy as np
-    n = g.shape[0]
-    h = (g.reshape(3 * n, 3) @ xi_mat).reshape(n, 3, 3)
-    gc = g.conj()
-    v = np.einsum("nik,nik->in", h, gc).imag
-    z = [np.einsum("nk,nk->n", h[:, i], gc[:, j])
-         for i, j in ((2, 1), (0, 2), (1, 0))]
-    return [v[0], v[1], v[2]] + z + [c.conj() for c in z]
+    re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
+    hr, hi = [], []
+    for l in range(3):
+        hrl = hil = None
+        for k in range(3):
+            a, b = xi_mat[k, l].real, xi_mat[k, l].imag
+            if b:
+                hrl = _axpy(hrl, -b, im[k])
+            if a:
+                hrl = _axpy(hrl, a, re[k])
+                hil = _axpy(hil, a, im[k])
+            if b:
+                hil = _axpy(hil, b, re[k])
+        hr.append(np.zeros_like(re[0]) if hrl is None else hrl)
+        hi.append(np.zeros_like(re[0]) if hil is None else hil)
+    v = [_sum([hi[l][i] * re[l, i] - hr[l][i] * im[l, i] for l in range(3)])
+         for i in range(3)]
+    z = []
+    for i, j in ((2, 1), (0, 2), (1, 0)):
+        e = np.empty(re.shape[2], dtype=np.complex128)
+        e.real = _sum([hr[l][i] * re[l, j] + hi[l][i] * im[l, j]
+                       for l in range(3)])
+        e.imag = _sum([hi[l][i] * re[l, j] - hr[l][i] * im[l, j]
+                       for l in range(3)])
+        z.append(e)
+    return v + z + [c.conj() for c in z]
 
 
 def _eval_terms(terms: list, letters: list):
@@ -602,13 +646,23 @@ def _eval_terms(terms: list, letters: list):
     return total
 
 
+# Samples per chunk of a Monte-Carlo batch, small enough that a chunk's
+# columns and temporaries stay in cache; every step is elementwise over
+# the samples, so the size changes no result
+_CHUNK = 8192
+
+
 def haar_su3(rng, count: int):
     """Haar-distributed SU(3) matrices, as a (count, 3, 3) array.
 
     Two standard complex Gaussian columns a, b are Gram-Schmidt
-    orthonormalized into u, v, and the third column is w = conj(u x v).  Then w is orthogonal
-    to u and v, |w| = 1, and det(u, v, w) = (u x v) . conj(u x v)
-    = |u x v|^2 = 1, with no phase fix or rescaling.
+    orthonormalized into u, v, and the third column is w = conj(u x v).
+    Then w is orthogonal to u and v, |w| = 1, and det(u, v, w)
+    = (u x v) . conj(u x v) = |u x v|^2 = 1, with no phase fix or
+    rescaling.  This is Mezzadri's QR sampler ("How to generate random
+    matrices from the classical compact groups", Notices AMS 2007) for
+    SU(3): Gram-Schmidt is the QR with his phase fix built in, and the
+    cross product gives the third column with determinant 1 directly.
 
     The law is Haar because it is left-invariant.  For h in SU(3),
     Gram-Schmidt commutes with h, and (hu) x (hv) = det(h) h^{-T} (u x v)
@@ -616,21 +670,30 @@ def haar_su3(rng, count: int):
     hg.  The Gaussian pair (ha, hb) has the same law as (a, b), so hg
     has the same law as g, and the only left-invariant probability
     measure on SU(3) is Haar measure.
+
+    All count samples come from one standard_normal draw of rng.  The
+    columns are written into one contiguous array cols[k, i, n] (entry
+    i of column k of sample n), _CHUNK samples at a time so that each
+    chunk is orthonormalized in cache.  The result is the view
+    cols.transpose(2, 1, 0), so nothing is copied and
+    g.transpose(2, 1, 0) gives the column array back.  Every entry is
+    the one the same arithmetic gives over the whole batch at once.
     """
     import numpy as np
     x = rng.standard_normal((4, 3, count))
-    u = x[0] + 1j * x[1]
-    v = x[2] + 1j * x[3]
-    u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
-    v -= u * (u.conj() * v).sum(axis=0)
-    v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
-    g = np.empty((count, 3, 3), dtype=np.complex128)
-    g[:, :, 0] = u.T
-    g[:, :, 1] = v.T
-    for r in range(3):
-        s, t = (r + 1) % 3, (r + 2) % 3
-        g[:, r, 2] = (u[s] * v[t] - u[t] * v[s]).conj()
-    return g
+    cols = np.empty((3, 3, count), dtype=np.complex128)
+    for lo in range(0, count, _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        u, v, w = cols[0, :, sl], cols[1, :, sl], cols[2, :, sl]
+        u.real, u.imag = x[0, :, sl], x[1, :, sl]
+        v.real, v.imag = x[2, :, sl], x[3, :, sl]
+        u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
+        v -= u * (u.conj() * v).sum(axis=0)
+        v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+        for r in range(3):
+            s, t = (r + 1) % 3, (r + 2) % 3
+            np.conjugate(u[s] * v[t] - u[t] * v[s], out=w[r])
+    return cols.transpose(2, 1, 0)
 
 
 # Haar samples per batch; every batch has its own seeded stream, so a
@@ -644,7 +707,12 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
 
     Batches of MC_BATCH samples draw from independently seeded streams
     keyed by (seed, batch index), so the estimate is reproducible and
-    independent of how batches are scheduled.
+    independent of how batches are scheduled.  Each batch is one
+    haar_su3 call.  Its column array is conjugated and P evaluated
+    _CHUNK samples at a time, so that a chunk's letters stay in cache,
+    into one array of P values for the batch; the sums of P and P^2 run
+    over that whole array.  The path calls no BLAS routine, so it runs
+    on one thread.
     """
     import numpy as np
     if samples < 10000:
@@ -660,8 +728,12 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
     while done < samples:
         take = min(MC_BATCH, samples - done)
         rng = np.random.default_rng([seed, nbatch])
-        g = haar_su3(rng, take)
-        vals = _eval_terms(terms, _conjugate_letters(g, xi_mat))
+        cols = haar_su3(rng, take).transpose(2, 1, 0)
+        vals = np.empty(take)
+        for lo in range(0, take, _CHUNK):
+            sl = slice(lo, lo + _CHUNK)
+            vals[sl] = _eval_terms(
+                terms, _conjugate_letters(cols[:, :, sl], xi_mat))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += take

@@ -5,8 +5,10 @@ forms as sum_w |w><w| / <w, w> (on Lambda^2 from the minimal polynomial
 of a |-> *(phi ^ a), which also gives its two eigenvalues), the
 scalar-generic kernels as they ran before the kernels cleared
 denominators (every product in the coefficients' own type, with the
-Fraction constants applied where they arise), and the few matrix and
-polynomial operations that only the tests use.  None of this runs in
+Fraction constants applied where they arise), the dense Haar Monte
+Carlo as it ran before it was split into cache-sized chunks of column
+arrays, and the few matrix and polynomial operations that only the
+tests use.  None of this runs in
 the package; each is the independent side of a test.
 """
 
@@ -14,7 +16,7 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
-from g2forge import exterior as ext
+from g2forge import exterior as ext, pairing
 from g2forge.cubic import b2_rhs
 from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
     vector, wedge
@@ -202,3 +204,57 @@ def b2(fr, a1, a2):
     x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
     assert kernel_dim == 0 and M.apply(x) == rhs
     return ext.form_from_coords(3, x)
+
+
+# -- the dense Haar Monte Carlo ----------------------------------------------
+
+def haar_su3(rng, count: int):
+    """The (count, 3, 3) Haar sample from one (4, 3, count) draw, built
+    over the whole batch at once."""
+    import numpy as np
+    x = rng.standard_normal((4, 3, count))
+    u = x[0] + 1j * x[1]
+    v = x[2] + 1j * x[3]
+    u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
+    v -= u * (u.conj() * v).sum(axis=0)
+    v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+    g = np.empty((count, 3, 3), dtype=np.complex128)
+    g[:, :, 0] = u.T
+    g[:, :, 1] = v.T
+    for r in range(3):
+        s, t = (r + 1) % 3, (r + 2) % 3
+        g[:, r, 2] = (u[s] * v[t] - u[t] * v[s]).conj()
+    return g
+
+
+def conjugate_letters(g, xi_mat) -> list:
+    """The nine letter columns of g xi g^dagger from the dense product
+    h = g xi, one (3n x 3) @ (3 x 3) matrix product, contracted against
+    conj(g) by einsum."""
+    import numpy as np
+    n = g.shape[0]
+    h = (g.reshape(3 * n, 3) @ xi_mat).reshape(n, 3, 3)
+    gc = g.conj()
+    v = np.einsum("nik,nik->in", h, gc).imag
+    z = [np.einsum("nk,nk->n", h[:, i], gc[:, j])
+         for i, j in ((2, 1), (0, 2), (1, 0))]
+    return [v[0], v[1], v[2]] + z + [c.conj() for c in z]
+
+
+def haar_average(xi, samples: int, seed: int) -> tuple:
+    """(empirical, std_error) of haar_average_check on the dense route:
+    the same seeded batches, each sampled and conjugated whole."""
+    import numpy as np
+    terms = pairing._poly_terms(pairing.first_principles_p_poly())
+    xi_mat = np.array([[complex(c) for c in row]
+                       for row in xi.matrix_entries()])
+    total = total_sq = 0.0
+    for nbatch, done in enumerate(range(0, samples, pairing.MC_BATCH)):
+        take = min(pairing.MC_BATCH, samples - done)
+        g = haar_su3(np.random.default_rng([seed, nbatch]), take)
+        vals = pairing._eval_terms(terms, conjugate_letters(g, xi_mat))
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+    empirical = total / samples
+    variance = max(total_sq / samples - empirical * empirical, 0.0)
+    return empirical, (variance / samples) ** 0.5

@@ -1,9 +1,13 @@
 """Source hygiene of the package, read off its syntax trees: every import
 is used, every module-level function and class is used by the package or
 the benchmark, and no module rebinds a global (per-process state is built
-by functools.cache builders)."""
+by functools.cache builders), and numpy is imported only by what
+samples."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,19 @@ def test_no_global_statement(path):
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
              if isinstance(node, ast.Global)]
     assert found == []
+
+
+def test_numpy_stays_a_lazy_import():
+    """Importing the command line, the suites and the pairing module and
+    building both frames does not import numpy: only the Monte Carlo
+    needs it, and importing it costs more than all of that set-up."""
+    code = ("import sys\n"
+            "import g2forge.cli, g2forge.suites, g2forge.pairing\n"
+            "from g2forge.aw import standard_aw_frame\n"
+            "from g2forge.g2 import standard_frame\n"
+            "standard_frame(); standard_aw_frame()\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -220,6 +220,14 @@ def test_pairing_report_is_read_only():
     assert str(first["components"]) == str(dict(COMPONENT_PAIRINGS))
 
 
+def test_x_letter_polys_is_read_only():
+    table = pairing.x_letter_polys()
+    with pytest.raises(TypeError):
+        table["x1"] = MultiPoly.letter("v1")
+    assert pairing.x_letter_polys() is table
+    assert sorted(table) == [f"x{k}" for k in range(1, 7)]
+
+
 def test_pairing_report_fields():
     rep = pairing_report()
     assert rep["closed_form_pairing"] == Fraction(100, 3)
@@ -299,17 +307,25 @@ def _reference_p(poly, cols):
     return (coefs * np.prod(cols[:, idx], axis=2)).sum(axis=1).real
 
 
+def _xi_matrix(xi):
+    import numpy as np
+    return np.array([[complex(c) for c in row] for row in xi.matrix_entries()])
+
+
+def _parity_elements():
+    rng = random.Random(11011)
+    return [Su3Element(v, x) for v, x in MC_ELEMENTS] + \
+        [random_su3(rng) for _ in range(3)]
+
+
 def test_conjugate_letters_and_p_match_full_conjugation():
     import numpy as np
     g = haar_su3(np.random.default_rng(11010), 1000)
     poly = first_principles_p_poly()
-    rng = random.Random(11011)
-    for xi in [Su3Element(v, x) for v, x in MC_ELEMENTS] + \
-            [random_su3(rng) for _ in range(3)]:
-        xi_mat = np.array([[complex(c) for c in row]
-                           for row in xi.matrix_entries()])
+    for xi in _parity_elements():
+        xi_mat = _xi_matrix(xi)
         ref = _letter_columns(g @ xi_mat @ g.conj().transpose(0, 2, 1))
-        got = _conjugate_letters(g, xi_mat)
+        got = _conjugate_letters(g.transpose(2, 1, 0), xi_mat)
         scale = np.abs(ref).max()
         for k in range(9):
             assert np.abs(got[k] - ref[:, k]).max() <= 1e-12 * scale
@@ -317,6 +333,53 @@ def test_conjugate_letters_and_p_match_full_conjugation():
         ref_p = _reference_p(poly, ref)
         got_p = _eval_terms(_poly_terms(poly), got)
         assert np.abs(got_p - ref_p).max() <= 1e-12 * np.abs(ref_p).max()
+
+
+@pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 10 ** 5])
+def test_haar_su3_matches_dense_route(count):
+    """The chunked sampler returns the dense route's matrices bit for
+    bit, as a transposed view of its contiguous column array."""
+    import numpy as np
+    g = haar_su3(np.random.default_rng([7, count]), count)
+    assert g.shape == (count, 3, 3)
+    assert np.array_equal(
+        g, reference.haar_su3(np.random.default_rng([7, count]), count))
+    assert g.transpose(2, 1, 0).flags.c_contiguous
+
+
+def test_conjugate_letters_match_dense_route():
+    """Letters and P of the chunked route against the dense product
+    and einsum contraction, chunk by chunk, on the Monte-Carlo elements
+    and three random elements, the all-zero element included."""
+    import numpy as np
+    g = haar_su3(np.random.default_rng(11013), 20000)
+    cols = g.transpose(2, 1, 0)
+    terms = _poly_terms(first_principles_p_poly())
+    for xi in _parity_elements() + [Su3Element((0, 0, 0), (0,) * 6)]:
+        xi_mat = _xi_matrix(xi)
+        ref = reference.conjugate_letters(g, xi_mat)
+        ref_p = _eval_terms(terms, ref)
+        scale = max(max(np.abs(r).max() for r in ref), 1.0)
+        p_scale = max(np.abs(ref_p).max(), 1.0)
+        for lo in range(0, g.shape[0], pairing._CHUNK):
+            sl = slice(lo, lo + pairing._CHUNK)
+            got = _conjugate_letters(cols[:, :, sl], xi_mat)
+            for r, q in zip(ref, got):
+                assert np.abs(q - r[sl]).max() <= 1e-12 * scale
+            got_p = _eval_terms(terms, got)
+            assert np.abs(got_p - ref_p[sl]).max() <= 1e-12 * p_scale
+
+
+@pytest.mark.parametrize("samples", [10 ** 4, 250000])
+def test_haar_average_matches_dense_route(samples):
+    """The estimate and its standard error, one batch and three batches
+    (the last one short), against the dense route's."""
+    xi = Su3Element(*MC_ELEMENTS[2])
+    rep = haar_average_check(xi, samples, seed=4)
+    empirical, std_error = reference.haar_average(xi, samples, seed=4)
+    assert rep["batches"] == -(-samples // pairing.MC_BATCH)
+    assert rep["empirical"] == pytest.approx(empirical, rel=1e-12)
+    assert rep["std_error"] == pytest.approx(std_error, rel=1e-12)
 
 
 def test_haar_su3_moments():
