@@ -13,6 +13,10 @@ Two subcommands:
         exit 2 with an explanation.
 
 The seed defaults to the G2FORGE_SEED environment variable, then 0.
+
+Only the eval core (exterior, g2, cubic, linalg, scalars) is imported
+here; `run` imports the suites once its arguments are checked, and the
+suites import aw and pairing only for the suites that use them.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import os
 import sys
 import time
 
+from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
 from . import cubic as cubicmod
 from . import exterior as ext
-from . import suites
 from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame
 from .linalg import InconsistentSystemError
@@ -55,17 +59,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run one suite or all of them; exit 0 iff every "
                     "check passes.")
     run_p.add_argument("--suite", default="all",
-                       choices=("all",) + suites.SUITE_NAMES,
+                       choices=("all",) + SUITE_NAMES,
                        help="which suite to run (default: all)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="seed for randomized checks "
                             "(default: $G2FORGE_SEED, then 0)")
     run_p.add_argument("--samples", type=int,
-                       default=suites.DEFAULT_SAMPLES,
+                       default=DEFAULT_SAMPLES,
                        help="Monte-Carlo sample count (default: 10^5, "
                             "minimum 10^4)")
     run_p.add_argument("--random", type=int, dest="n_random",
-                       default=suites.DEFAULT_RANDOM,
+                       default=DEFAULT_RANDOM,
                        help="random instances per randomized identity "
                             "(default: 100)")
     run_p.add_argument("--format", choices=("text", "json"),
@@ -109,6 +113,21 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_payload(payload: str, path: str | None) -> bool:
+    """Write payload to path, or to stdout without one; False, with the
+    reason on stderr, when path cannot be written."""
+    if not path:
+        sys.stdout.write(payload)
+        return True
+    try:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"g2forge: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if seed is None:
@@ -121,7 +140,8 @@ def _cmd_run(args) -> int:
     if args.n_random < 1:
         print("g2forge: --random must be positive", file=sys.stderr)
         return 2
-    names = suites.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    from . import suites
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     started = time.monotonic()
     report = suites.run_suites(names, seed, n_random=args.n_random,
                                samples=args.samples)
@@ -130,11 +150,8 @@ def _cmd_run(args) -> int:
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         payload = _render_text(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    if not _write_payload(payload, args.output):
+        return 2
     print(f"g2forge: {'+'.join(names)} finished in {elapsed:.2f} s",
           file=sys.stderr)
     return 0 if report["passed"] else 1
@@ -215,12 +232,7 @@ def _cmd_eval(args) -> int:
         return 1
     payload = json.dumps({"operation": args.operation, **body},
                          indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-    return 0
+    return 0 if _write_payload(payload, args.output) else 2
 
 
 def main(argv=None) -> int:

@@ -26,20 +26,14 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import aw as awmod
+from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
 from . import cubic as cubicmod
 from . import exterior as ext
-from . import pairing as pairmod
 from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
 from .g2 import random_traceless, standard_frame
 from .linalg import Matrix, SymTensor, rank, sym_inner
 from .scalars import GaussRational
-
-SUITE_NAMES = ("exterior", "g2", "cubic", "aw", "pairing")
-
-DEFAULT_RANDOM = 100
-DEFAULT_SAMPLES = 10 ** 5
 
 
 def derived_seed(seed: int, check_id: str) -> int:
@@ -345,8 +339,11 @@ def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict
 
 
 # -- aw ---------------------------------------------------------------------
+# aw and pairing are imported by the functions that use them, so a run of
+# the exterior, g2 or cubic suite never compiles either module
 
 def _random_su3(rng: random.Random, bound: int = 4) -> awmod.Su3Element:
+    from . import aw as awmod
     v1, v2 = rng.randint(-bound, bound), rng.randint(-bound, bound)
     return awmod.Su3Element(
         (v1, v2, -v1 - v2),
@@ -369,6 +366,7 @@ AW_BY_DESIGN = frozenset({
 
 
 def _aw_dual_constructions(seed: int) -> tuple[bool, str]:
+    from . import aw as awmod
     rng = check_rng(seed, "aw.dual-constructions")
     xs = [vector(i) for i in range(4, 8)]
     xs += [vector_form([0, 0, 0] + [rng.randint(-4, 4) for _ in range(4)])
@@ -378,6 +376,7 @@ def _aw_dual_constructions(seed: int) -> tuple[bool, str]:
 
 
 def _aw_decompose_roundtrip(seed: int, n_random: int) -> tuple[bool, str]:
+    from . import aw as awmod
     rng = check_rng(seed, "aw.decompose-roundtrip")
     basis = awmod.block_basis()
     k = awmod.SQRT10_OVER_6
@@ -397,6 +396,7 @@ def _aw_decompose_roundtrip(seed: int, n_random: int) -> tuple[bool, str]:
 
 
 def _aw_revert_map() -> tuple[bool, str]:
+    from . import aw as awmod
     pushed = awmod.revert_block_fit(awmod.fit_block_cubic())
     direct = awmod.fit_model(awmod.block_tables().fp_value)
     return pushed == direct, ("pushed (%s, %s, %s, %s); direct (%s, %s, %s, %s)"
@@ -404,6 +404,8 @@ def _aw_revert_map() -> tuple[bool, str]:
 
 
 def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
+    from . import aw as awmod
+    from . import pairing as pairmod
     checks: list = []
     fr = awmod.standard_aw_frame()
 
@@ -542,6 +544,8 @@ MC_ELEMENTS = (
 
 def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
                   samples: int = DEFAULT_SAMPLES) -> dict:
+    from . import aw as awmod
+    from . import pairing as pairmod
     checks: list = []
 
     derived = pairmod.derive_gram_from_killing()
@@ -676,6 +680,7 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
 
 def _random_poly(rng: random.Random, degree: int,
                  real: bool = False) -> pairmod.MultiPoly:
+    from . import pairing as pairmod
     poly = pairmod.MultiPoly.zero(degree)
     for _ in range(4):
         mono = tuple(sorted(rng.choice(pairmod.LETTERS)

@@ -1,14 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
+import g2forge
 from g2forge import aw, suites
 from g2forge import exterior as ext
 from g2forge.aw import standard_aw_frame
-from g2forge.cli import main
+from g2forge.cli import build_parser, main
 from g2forge.cubic import b2, q_value
 from g2forge.exterior import form_from_json, form_to_json, vol_coefficient, \
     wedge
@@ -175,6 +177,47 @@ def test_run_output_file(capsys, tmp_path):
     assert report["passed"] is True
 
 
+def test_run_unwritable_output(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    rc, out, err = run_cli(capsys, "run", "--suite", "exterior",
+                           "--random", "1", "--output", str(target))
+    assert rc == 2 and out == ""
+    assert f"g2forge: cannot write {target}: " in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["run", "--suite", "nonsense"], {}),
+    (["run", "--samples", "100"], {}),
+    (["run", "--random", "0"], {}),
+    (["run"], {"G2FORGE_SEED": "pony"}),
+], ids=["suite", "samples", "random", "seed"])
+def test_run_usage_errors_load_no_suites(fresh_python, argv, env):
+    code = ("import sys\n"
+            "from g2forge.cli import main\n"
+            "try:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "print(rc, 'g2forge.suites' in sys.modules)\n")
+    done = fresh_python(code, *argv, **{"G2FORGE_SEED": "", **env})
+    assert done.stdout == "2 False\n", done.stderr
+
+
+def test_parser_offers_the_suites_constants():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    run_p = sub.choices["run"]
+    (suite,) = [a for a in run_p._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == ("all",) + suites.SUITE_NAMES
+    args = parser.parse_args(["run"])
+    assert args.n_random == suites.DEFAULT_RANDOM
+    assert args.samples == suites.DEFAULT_SAMPLES
+    # one definition of each, shared by the command line and the suites
+    assert suites.SUITE_NAMES is g2forge.SUITE_NAMES
+    assert suites.DEFAULT_SAMPLES is g2forge.DEFAULT_SAMPLES
+
+
 # -- eval ---------------------------------------------------------------------
 
 def test_eval_hat_of_psi(capsys, tmp_path, g2frame):
@@ -288,3 +331,12 @@ def test_eval_output_file(capsys, tmp_path, g2frame):
     assert rc == 0 and out == ""
     data = json.loads(target.read_text())
     assert form_from_json(data["result"]) == -g2frame.phi
+
+
+def test_eval_unwritable_output(capsys, tmp_path, g2frame):
+    path = write_form(tmp_path / "psi.json", g2frame.psi)
+    target = tmp_path / "missing" / "out.json"
+    rc, out, err = run_cli(capsys, "eval", "hat", path,
+                           "--output", str(target))
+    assert rc == 2 and out == ""
+    assert f"g2forge: cannot write {target}: " in err

@@ -1,16 +1,17 @@
 """Source hygiene of the package, read off its syntax trees: every import
 is used, every module-level function and class is used by the package or
 the benchmark, and no module rebinds a global (per-process state is built
-by functools.cache builders), and numpy is imported only by what
-samples."""
+by functools.cache builders), numpy is imported only by what samples,
+and each command imports only the modules it runs."""
 
 import ast
-import os
-import subprocess
-import sys
+import json
 from pathlib import Path
 
 import pytest
+
+from g2forge.exterior import form_to_json
+from g2forge.linalg import SymTensor
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "g2forge").glob("*.py"))
@@ -86,7 +87,7 @@ def test_no_global_statement(path):
     assert found == []
 
 
-def test_numpy_stays_a_lazy_import():
+def test_numpy_stays_a_lazy_import(fresh_python):
     """Importing the command line, the suites and the pairing module and
     building both frames does not import numpy: only the Monte Carlo
     needs it, and importing it costs more than all of that set-up."""
@@ -96,7 +97,35 @@ def test_numpy_stays_a_lazy_import():
             "from g2forge.g2 import standard_frame\n"
             "standard_frame(); standard_aw_frame()\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    done = fresh_python(code)
     assert done.returncode == 0, done.stderr
+
+
+# what each entry point must leave unloaded: eval runs on the core modules
+# alone, and the exterior, g2 and cubic suites never touch aw or pairing
+NOT_FOR_EVAL = {"g2forge.suites", "g2forge.aw", "g2forge.pairing", "numpy"}
+NOT_FOR_CORE_SUITES = {"g2forge.aw", "g2forge.pairing"}
+_MAIN = "from g2forge.cli import main\nassert main({!r}) == 0\n"
+
+
+@pytest.mark.parametrize("code, loaded, unloaded", [
+    ("import g2forge.cli", "g2forge.cli", NOT_FOR_EVAL),
+    (_MAIN.format(["eval", "P", "b.json", "--output", "P.json"]),
+     "g2forge.cubic", NOT_FOR_EVAL),
+    ("import g2forge.suites", "g2forge.suites", NOT_FOR_CORE_SUITES),
+    (_MAIN.format(["run", "--suite", "exterior", "--random", "1",
+                   "--output", "report.txt"]),
+     "g2forge.suites", NOT_FOR_CORE_SUITES),
+], ids=["import-cli", "eval-P", "import-suites", "run-exterior"])
+def test_import_layers(fresh_python, tmp_path, g2frame, code, loaded,
+                       unloaded):
+    """Each command compiles only the modules it runs: with bytecode
+    writing off, every process compiles what it imports from source."""
+    b = g2frame.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+    (tmp_path / "b.json").write_text(json.dumps(form_to_json(b)))
+    done = fresh_python(code + "\nimport json, sys\n"
+                        "print(json.dumps(sorted(sys.modules)))\n")
+    assert done.returncode == 0, done.stderr
+    modules = set(json.loads(done.stdout.splitlines()[-1]))
+    assert loaded in modules
+    assert modules & unloaded == set()
