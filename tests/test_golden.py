@@ -7,6 +7,10 @@ default sizes (`--random 100`, `--samples 10^5`) in
 SUITE_full_seed1.json; tests/regen_golden.py regenerates
 them (only with --write). The pairing reports' Monte-Carlo blocks are
 compared to a relative 1e-9, everything else byte for byte.
+
+operators_seed1.json holds the nine operators' results on inputs drawn
+in regen_golden.operator_cases, with the type names of their entries;
+it is compared byte for byte.
 """
 
 import json
@@ -14,8 +18,8 @@ import json
 import pytest
 
 from regen_golden import EXPECTED_EXIT, FULL_SEED, GOLDEN_SEEDS, \
-    GOLDEN_SUITES, golden_path, render_report, report_differences, \
-    reports_match
+    GOLDEN_SUITES, OPERATORS, golden_path, operator_golden_path, \
+    render_operators, render_report, report_differences, reports_match
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)
@@ -33,6 +37,18 @@ def test_full_size_report_matches_golden(suite):
     assert code == EXPECTED_EXIT[suite]
     with open(golden_path(suite, FULL_SEED, full=True), "rb") as fh:
         assert reports_match(suite, fh.read(), payload)
+
+
+def test_operator_results_match_golden():
+    payload = render_operators()
+    with open(operator_golden_path(), "rb") as fh:
+        golden = fh.read()
+    assert payload == golden
+    cases = json.loads(golden)
+    # every operator, shape and coefficient kind is drawn
+    assert {(c["operator"], c["shape"], c["kind"]) for c in cases} == {
+        (op, shape, kind) for op in OPERATORS
+        for shape in ("sparse", "dense") for kind in ("fraction", "quadext")}
 
 
 def test_report_differences_names_checks_and_montecarlo():
