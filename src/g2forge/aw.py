@@ -24,13 +24,13 @@ B = s phitilde - (5/3) y ^ Omega and C(x) are built once, of the
 integer element e xi, and cleared to (NB, NC)/d, so 6 d e A is
 6 NB + sqrt(10) NC.  The cubic is composed from the int parts of the
 kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
-linalg.upper_inner, on that QuadExt form (route one) and on the ints
-6 NB and NC (route two), and divided once, by 2 (6 d e)^3.  The first
-two read precomputed signed blade tables (the pair table of p, and the
-+-1 functionals f_ij of i^{-1}) and build no Form.  The type-27 gate
-is G2Frame.is_pure27, the eight signed sums that pair with phi and the
-e_j -| psi; the symmetry and trace checks of the recovered tensors run
-on both routes.
+linalg.upper_inner, on that QuadExt form (route one, cubic.p_numerator)
+and on the ints 6 NB and NC (route two), and divided once, by
+2 (6 d e)^3.  The first two read precomputed signed blade tables (the
+pair table of p, and the +-1 functionals f_ij of i^{-1}) and build no
+Form.  The type-27 gate is G2Frame.is_pure27, the eight signed sums
+that pair with phi and the e_j -| psi; the symmetry and trace checks
+of the recovered tensors run on both routes.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
@@ -64,7 +64,7 @@ from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
     hodge_m4, norm_sq, numerators, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame, two_form_endo
-from .cubic import quadratic_form, quadratic_upper
+from .cubic import p_numerator, quadratic_form, quadratic_upper
 from .linalg import Matrix, SymTensor, solve_exact, sym_inner, upper_inner
 from .scalars import SQRT10, GaussRational, QuadExt, ScalarError, \
     clear_denominators
@@ -268,15 +268,6 @@ def comparison_form(xi: Su3Element) -> Form:
     return a
 
 
-def _cubic_numerator(n: Form):
-    """2 <p(n, n), i^{-1}(n)> for a 3-form n of pure 27 type, composed
-    from the int parts of quadratic_form and iso_i_inv with no rescale:
-    an int (a QuadExt with int parts) for integer numerators n, so the
-    cubic of a = n / d is this over 2 d^3.  The type of n is the
-    caller's to check."""
-    return upper_inner(quadratic_upper(n, n), standard_frame().iso_i_inv_upper(n))
-
-
 def first_principles_value(xi: Su3Element, *,
                            single_route: bool = False) -> Fraction:
     """P(xi) along two exact routes.
@@ -309,7 +300,7 @@ def first_principles_value(xi: Su3Element, *,
                 "comparison form is not of pure 27 type")
     else:
         even, odd = _split_cubic(u, nc)
-    native = _cubic_numerator(na)
+    native = p_numerator(na, standard_frame())
     if isinstance(native, QuadExt):
         if native.irr != 0:
             raise InternalConsistencyError("P has a sqrt(10) component")
@@ -325,7 +316,7 @@ def first_principles_value(xi: Su3Element, *,
 
 def _split_cubic(u: Form, w: Form) -> tuple:
     """The even and the odd part in sqrt(10), t0 + 10 t2 and t1 + 10 t3,
-    of the numerator cubic (_cubic_numerator) of u + sqrt(10) w, for
+    of the numerator cubic (cubic.p_numerator) of u + sqrt(10) w, for
     3-forms u and w with int coefficients, each checked to be of pure 27
     type; every t_k is an int."""
     g2 = standard_frame()
@@ -350,7 +341,7 @@ def generic_value(s, y: Form, x: Form) -> Fraction:
     if not standard_frame().is_pure27(n):
         raise TypeDecompositionError(
             "form has components outside the 27-dimensional summand")
-    return Fraction(_cubic_numerator(n), 2 * d ** 3)
+    return Fraction(p_numerator(n, standard_frame()), 2 * d ** 3)
 
 
 def r_value(y: Form, x: Form):

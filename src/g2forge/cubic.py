@@ -12,46 +12,42 @@ polynomial Q.  Every scalar produced here is computed along two
 independent routes and cross-checked; a mismatch raises instead of
 returning anything.
 
-The right-hand side of the b2 solve, the 6-forms
--(hat(a1) ^ (e_j -| a2) + hat(a2) ^ (e_j -| a1)), is read off a table
-of the 560 blade triples (m3, m4, j) with e_j in m4 and m3 disjoint
-from the rest of m4, each with its sign: one coefficient product per
-entry, added or subtracted, and no general wedge or contraction.
+The right-hand side of the b2 solve, -(hat(a1) ^ (e_j -| a2) +
+hat(a2) ^ (e_j -| a1)), is read off a table of the 560 signed blade
+triples (m3, m4, j) with e_j in m4 and m3 disjoint from the rest of m4.
+The symmetric tensor p(a1, a2), <e_i -| a1, e_j -| a2> symmetrized, is
+read off a pair table of the grade on its upper triangle: the signed
+triples (m, m') with e_i in m, e_j in m' and m - e_i = m' - e_j (315 on
+3-forms, 350 on 4-forms).  Neither builds a wedge or a contraction.
 
-The symmetric tensor p(a1, a2) of quadratic_form is computed on its 28
-upper-triangle entries and mirrored.  Each entry <e_i -| a1, e_j -| a2>
-is read off a pair table of the grade, with no contraction built: the
-triples (m, m', sign) of blades with e_i in m, e_j in m' and
-m - e_i = m' - e_j, sign the product of the two contraction signs (315
-triples on 3-forms, 350 on 4-forms), each one coefficient product added
-or subtracted; the polarized pair takes both cross products of every
-triple.
+Every kernel runs on integer numerators, a = n / d (exterior.numerators),
+takes each product, sum and cross-check in int and divides once at the
+end (scalars.over), keeping the values and entry types of the same
+computation in the coefficients' own type.  quadratic_upper is d^2 p
+(2 d^2 p for a pair), U on the diagonal.  b2 solves on the ints of
+hat(n_k) = m_k / e (G2Frame.solve_three_form_numerators, x / (D d'))
+and divides by D d' d^2 e.  On the 27 type (G2Frame.is_pure27 on *n),
 
-Both kernels are bilinear and run on integer numerators: the arguments
-share one denominator, a_k = n_k / d (exterior.numerators), every
-product and sum is taken in int, and the result is rescaled once, by
-1/d^2 for p (1/(2 d^2) for the polarized pair).  In b2 the hats of the
-numerators share a second denominator e, hat(a_k) = m_k / (d e), so the
-right-hand side and the solve see only ints and the solution is
-rescaled once by 1/(d^2 e).  Results keep the values and entry types of
-the same computation in the coefficients' own type.
+    N = 7 d^2 Q2(a) = -i(7 U - tr(U) I) + 2 |n|^2 phi,
 
-The int part of p is its own function, quadratic_upper, so that a
-longer composition stays on numerators across kernels and rescales once
-at its own end: the obstruction cubic in aw pairs it with
-G2Frame.iso_i_inv_upper through linalg.upper_inner.
+i run on an int tensor; q2 cross-multiplies N with the solve's x.  Q is
+vol(N ^ n) = -7 <U, 2 i^{-1}(*n)> over 7 d^3, and P is p_numerator,
+<U, 2 i^{-1}(n)> for b = n / d, over d^3, against the Q numerator of *n.
+The closed form and the tensor route share U; the independent evidence
+is the solve against the closed form and the wedge against i^{-1}.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
-    hodge, inner, merge_sign, norm_sq, numerators, vol_coefficient, wedge
+    form_from_coords, form_to_coords, hodge, inner, merge_sign, norm_sq, \
+    numerators, vol_coefficient, wedge
 from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
     standard_frame, star_action
-from .linalg import SymTensor, sym_inner
+from .linalg import SymTensor, sym_inner, upper_inner
+from .scalars import over
 
 _SEVEN = range(1, 8)
 
@@ -59,10 +55,8 @@ _SEVEN = range(1, 8)
 @functools.cache
 def _pair_table(grade: int) -> tuple[tuple, ...]:
     """For each upper-triangle entry (i, j) of p on k-forms, row by row,
-    the triples (m, m', sign) of k-blades with e_i in m, e_j in m' and
-    m - e_i = m' - e_j, where sign is the product of the two contraction
-    signs: <e_i -| a1, e_j -| a2> is sum sign a1[m] a2[m'].  315 triples
-    on 3-forms, 350 on 4-forms."""
+    the triples (m, m', sign) with <e_i -| a1, e_j -| a2> = sum sign
+    a1[m] a2[m'], sign the product of the two contraction signs."""
     table = []
     for i in range(7):
         for j in range(i, 7):
@@ -80,12 +74,8 @@ def _pair_table(grade: int) -> tuple[tuple, ...]:
 def quadratic_upper(n1: Form, n2: Form) -> list[list]:
     """The upper triangle of p(n, n) for n1 is n2 = n, and of 2 p(n1, n2)
     for two distinct forms, in the coefficients' own type with no
-    rescale: int entries for integer numerators, so p(a1, a2) of
-    a_k = n_k / d is this triangle over d^2 (2 d^2 for a pair).
-
-    Each entry is a signed sum over its pair table; a sum with no
-    product in it is int 0.  The polarized pair adds both cross
-    products n1[m] n2[m'] and n2[m] n1[m'] of every triple."""
+    rescale.  Each entry is a signed sum over its pair table, int 0 with
+    no product in it; a pair adds both cross products of every triple."""
     get1 = n1.terms.get
     flat = []
     if n1 is n2:
@@ -115,17 +105,13 @@ def quadratic_upper(n1: Form, n2: Form) -> list[list]:
 
 
 def quadratic_form(a1: Form, a2: Form) -> SymTensor:
-    """The symmetric tensor (v, w) |-> <v -| a1, w -| a2>, symmetrized.
-
-    For a1 = a2 the raw matrix is already symmetric; in general only the
-    symmetric part is the polarization of the quadratic map.
-    """
+    """The symmetric tensor (v, w) |-> <v -| a1, w -| a2>, symmetrized
+    (for a1 = a2 the raw matrix is already symmetric)."""
     if a1.grade != a2.grade or a1.grade < 1:
         raise GradeError("quadratic_form needs two forms of equal grade >= 1")
     (n1, n2), d = numerators(a1, a2)
-    # a Fraction scale keeps the result types
-    scale = Fraction(1, d * d if n1 is n2 else 2 * d * d)
-    return SymTensor.from_upper([[scale * x for x in row]
+    s = d * d if n1 is n2 else 2 * d * d
+    return SymTensor.from_upper([[over(x, s) for x in row]
                                  for row in quadratic_upper(n1, n2)])
 
 
@@ -150,10 +136,8 @@ def _rhs_table() -> dict[int, tuple]:
 
 def b2_rhs(a1: Form, h1: Form, a2: Form, h2: Form) -> list[Form]:
     """The right-hand 6-forms -(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)),
-    j = 1..7, of the b2 solve, read off the sign table: one product
-    h[m3] a[m4] per entry, added or subtracted by its sign.  For the
-    diagonal b2(a, a) the two halves are the same object, so one is
-    computed and added to itself."""
+    j = 1..7, of the b2 solve, read off the sign table; for the diagonal
+    b2(a, a) one half is computed and added to itself."""
     table = _rhs_table()
     diagonal = a1 is a2 and h1 is h2
     halves = [(a2, h1.terms)]
@@ -177,20 +161,59 @@ def b2_rhs(a1: Form, h1: Form, a2: Form, h2: Form) -> list[Form]:
     return [Form(6, r) for r in rows]
 
 
+def _b2_numerators(n1: Form, n2: Form, fr: G2Frame) -> tuple[list, int]:
+    """(x, s) with b2(n1, n2) = x / s for integer numerators n_k."""
+    h1 = fr.hat(n1)
+    (m1, m2), e = numerators(h1, h1 if n2 is n1 else fr.hat(n2))
+    x, s = fr.solve_three_form_numerators(b2_rhs(n1, m1, n2, m2))
+    return x, s * e
+
+
 def b2(a1: Form, a2: Form, frame: G2Frame | None = None) -> Form:
     """The symmetric bilinear cocycle on 4-forms, by exact linear solve."""
     fr = frame or standard_frame()
     if a1.grade != 4 or a2.grade != 4:
         raise GradeError("b2 needs two 4-forms")
-    # a_k = n_k / d and hat(n_k) = m_k / e, so hat(a_k) = m_k / (d e):
-    # the rhs is bilinear in (a, hat(a)), the solve sees only ints, and
-    # the result is rescaled once, by 1/(d^2 e)
     (n1, n2), d = numerators(a1, a2)
-    h1 = fr.hat(n1)
-    (m1, m2), e = numerators(h1, h1 if n2 is n1 else fr.hat(n2))
-    gamma = fr.solve_three_form(b2_rhs(n1, m1, n2, m2))
-    scale = d * d * e
-    return gamma if scale == 1 else gamma * Fraction(1, scale)
+    x, s = _b2_numerators(n1, n2, fr)
+    return form_from_coords(3, [over(v, s * d * d) for v in x])
+
+
+def _pure27_numerators(a: Form, fr: G2Frame) -> tuple[Form, Form, int]:
+    """(n, *n, d), a = n / d, for a 4-form a of pure 27 type (checked)."""
+    if a.grade != 4:
+        raise GradeError("q2_closed_form needs a 4-form")
+    (n,), d = numerators(a)
+    star = hodge(n)
+    if not fr.is_pure27(star):
+        raise TypeDecompositionError("form is not of pure 27 type")
+    return n, star, d
+
+
+def _closed_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
+    """(U, N) = (quadratic_upper(n, n), 7 d^2 Q2(n / d))."""
+    U = quadratic_upper(n, n)
+    t = sum(row[0] for row in U)
+    return U, 2 * norm_sq(n) * fr.phi - fr.iso_i(SymTensor.from_upper(
+        [[7 * row[0] - t] + [7 * x for x in row[1:]] for row in U]))
+
+
+def _solved_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
+    """_closed_numerator, with N / 7 checked against b2(n, n)."""
+    U, N = _closed_numerator(n, fr)
+    x, s = _b2_numerators(n, n, fr)
+    if [7 * v for v in x] != [s * c for c in form_to_coords(N)]:
+        raise InternalConsistencyError("Q2 closed form disagrees with the b2 solve")
+    return U, N
+
+
+def _q_numerator(n: Form, star: Form, fr: G2Frame):
+    """vol(N ^ n) = 7 d^3 Q(n / d), star = *n, by both routes."""
+    U, N = _solved_numerator(n, fr)
+    v = vol_coefficient(wedge(N, n))
+    if v != -7 * upper_inner(U, fr.iso_i_inv_upper(star)):
+        raise InternalConsistencyError("the two routes to Q disagree")
+    return v
 
 
 def q2_closed_form(a: Form, frame: G2Frame | None = None) -> Form:
@@ -201,36 +224,33 @@ def q2_closed_form(a: Form, frame: G2Frame | None = None) -> Form:
     valid only for a of pure 27 type (checked).
     """
     fr = frame or standard_frame()
-    if a.grade != 4:
-        raise GradeError("q2_closed_form needs a 4-form")
-    p1, p7, _ = fr.project4(a)
-    if not p1.is_zero() or not p7.is_zero():
-        raise TypeDecompositionError("form is not of pure 27 type")
-    q0 = quadratic_form(a, a).traceless_part()
-    return -fr.iso_i(q0) + Fraction(2, 7) * norm_sq(a) * fr.phi
+    n, _, d = _pure27_numerators(a, fr)
+    N = _closed_numerator(n, fr)[1]
+    return Form(3, {m: over(c, 7 * d * d) for m, c in N.terms.items()})
 
 
 def q2(a: Form, frame: G2Frame | None = None) -> Form:
     """Q2 on the 27-summand, computed through the closed form and through
     the linear solve, cross-checked."""
     fr = frame or standard_frame()
-    closed = q2_closed_form(a, fr)
-    solved = b2(a, a, fr)
-    if closed != solved:
-        raise InternalConsistencyError("Q2 closed form disagrees with the b2 solve")
-    return closed
+    n, _, d = _pure27_numerators(a, fr)
+    N = _solved_numerator(n, fr)[1]
+    return Form(3, {m: over(c, 7 * d * d) for m, c in N.terms.items()})
 
 
 def q_value(a: Form, frame: G2Frame | None = None):
     """The cubic scalar Q(a), with Q(a) vol = Q2(a) ^ a, for a of pure
-    27 type.  Checked against -2 <q(a,a), i^{-1}(*a)>."""
+    27 type.  Checked against -2 <q(a,a), i^{-1}(*a)>.  Q = 0 is int 0,
+    the volume coefficient of a wedge that vanishes."""
     fr = frame or standard_frame()
-    via_wedge = vol_coefficient(wedge(q2(a, fr), a))
-    s_inv = fr.iso_i_inv(hodge(a))
-    via_tensor = -2 * sym_inner(quadratic_form(a, a), s_inv)
-    if via_wedge != via_tensor:
-        raise InternalConsistencyError("the two routes to Q disagree")
-    return via_wedge
+    n, star, d = _pure27_numerators(a, fr)
+    v = _q_numerator(n, star, fr)
+    return over(v, 7 * d ** 3) if v else v
+
+
+def p_numerator(n: Form, fr: G2Frame):
+    """d^3 P(n / d) = 2 <p(n, n), i^{-1}(n)>, n of pure 27 type (unchecked)."""
+    return upper_inner(quadratic_upper(n, n), fr.iso_i_inv_upper(n))
 
 
 def p_value(b: Form, frame: G2Frame | None = None):
@@ -242,11 +262,14 @@ def p_value(b: Form, frame: G2Frame | None = None):
     fr = frame or standard_frame()
     if b.grade != 3:
         raise GradeError("p_value needs a 3-form")
-    direct = 2 * sym_inner(quadratic_form(b, b), fr.iso_i_inv(b))
-    via_q = q_value(hodge(b), fr)
-    if direct != via_q:
+    (n,), d = numerators(b)
+    if not fr.is_pure27(n):
+        raise TypeDecompositionError(
+            "form has components outside the 27-dimensional summand")
+    direct = p_numerator(n, fr)
+    if 7 * direct != _q_numerator(hodge(n), n, fr):
         raise InternalConsistencyError("P(b) != Q(*b)")
-    return direct
+    return over(direct, d ** 3)
 
 
 def trilinear(S1: SymTensor, S2: SymTensor, S3: SymTensor,

@@ -43,28 +43,24 @@ Lambda^3_27, where it pairs with every b as 2 <S, i^{-1} b> = <i(S), b>
 
 The b2 solve runs on sparse integer data computed once, too.  The
 pairing map M: gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49,
-is G2-equivariant, so by Schur's lemma its normal matrix is scalar on
-each type: M^T M = 16 P1 + 6 P7 + 2 P27 (the build checks it on phi,
-e_1 -| psi and one 27-type form).  The b2 solve is therefore
-gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the sparse
-M^T (112 entries, all +-1), the type split above, one scaling.  Its
-residual on all 49 equations is checked before that scaling, on the
-sparse M itself; building a frame runs no elimination.
+is G2-equivariant, so by Schur's lemma M^T M = 16 P1 + 6 P7 + 2 P27
+(the build checks it on phi, e_1 -| psi and one 27-type form) and the
+solve is gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the
+sparse M^T (112 entries, all +-1) and the type split above, on the ints
+d rhs with the weights over D = 48 L.  solve_three_form_numerators
+returns x = D d gamma, its 49 equations checked on the sparse M; b2
+folds D d into its one rescale.  Building a frame runs no elimination.
 
-All of these kernels are linear, and all follow one convention: clear
-the argument's denominators on entry (b = n/d with integer n, a QuadExt
-with int parts for QuadExt coefficients), do every product and sum in
-int, and rescale once by a Fraction on exit (1/(2d) for i^{-1}, 1/d for
-i and its psi companion).  They stay scalar-generic: each result keeps
-the value and the entry type the same computation in the coefficients'
-own type gives, so an int tensor still maps to int coefficients under i.
-The int part of i^{-1} is its own method, iso_i_inv_upper, and its type
-gate is is_pure27, the eight pairings with phi and the e_j -| psi, so
-that a longer composition (the obstruction cubic in aw) stays on
-numerators across kernels and rescales once at its own end.  Every
-functional the two pair with (the f_ij, phi and the e_j -| psi) has
-coefficients +-1, checked when the frame is built, so each pairing is
-a signed sum of the form's coefficients with no product.
+All of these kernels are linear: they clear the argument's denominators
+on entry (b = n/d, a QuadExt with int parts for QuadExt coefficients),
+do every product and sum in int and divide once on exit (scalars.over),
+so each result keeps the value and entry type of the same computation
+in the coefficients' own type.  A longer composition (q2, Q and P in
+cubic, the cubic in aw) chains the int parts, i on an int tensor,
+iso_i_inv_upper with its type gate is_pure27 (the eight pairings with
+phi and the e_j -| psi) and solve_three_form_numerators, and divides
+once at its own end.  Every functional these pair with has coefficients
++-1, checked when the frame is built: each pairing is a signed sum.
 """
 
 from __future__ import annotations
@@ -77,7 +73,7 @@ from . import exterior as ext
 from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
     hodge, inner, merge_sign, vector, vector_form, vol_coefficient, wedge
 from .linalg import InconsistentSystemError, Matrix, SymTensor
-from .scalars import clear_denominators
+from .scalars import clear_denominators, over
 
 DIM = 7
 # M^T M on the (1, 7, 27) types of Lambda^3, M the pairing matrix
@@ -178,14 +174,14 @@ def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
     neither P1 a nor P7 a touches keeps its coefficient in P27 a.
     """
     (n,), d = ext.numerators(a)
-    scale = Fraction(1, L * d)
+    s = L * d
     t1, t7 = _span_sum(n, span1), _span_sum(n, span7)
-    p1 = Form(a.grade, {m: scale * c for m, c in t1.items()})
-    p7 = Form(a.grade, {m: scale * c for m, c in t7.items()})
+    p1 = Form(a.grade, {m: over(c, s) for m, c in t1.items()})
+    p7 = Form(a.grade, {m: over(c, s) for m, c in t7.items()})
     terms = dict(a.terms)
     nt = n.terms
     for m in p1.terms.keys() | p7.terms.keys():
-        terms[m] = scale * (L * nt.get(m, 0) - t1.get(m, 0) - t7.get(m, 0))
+        terms[m] = over(L * nt.get(m, 0) - t1.get(m, 0) - t7.get(m, 0), s)
     return p1, p7, Form(a.grade, terms)
 
 
@@ -294,11 +290,7 @@ class G2Frame:
             for m, c in functional if s else ():
                 terms[m] = terms.get(m, 0) + c * s
         if ints is not entries:
-            # Fraction(c, d) keeps the Fraction result type of an int sum
-            # in one step; a QuadExt sum takes the scale part by part
-            scale = Fraction(1, d)
-            terms = {m: Fraction(c, d) if type(c) is int else c * scale
-                     for m, c in terms.items()}
+            terms = {m: over(c, d) for m, c in terms.items()}
         return Form(3, terms)
 
     def iso_i_psi(self, S: SymTensor) -> Form:
@@ -307,11 +299,9 @@ class G2Frame:
 
     def is_pure27(self, b: Form) -> bool:
         """Whether a 3-form lies in Lambda^3_27: the eight pairings
-        <b, phi> and <b, e_j -| psi> vanish.  That is P1 b = P7 b = 0
-        exactly, since phi and the e_j -| psi are pairwise orthogonal
-        (checked in _split_spans) and span Lambda^3_1 + Lambda^3_7.
-        Their coefficients are +-1 (checked when the frame is built), so
-        each pairing is a signed sum of coefficients of b."""
+        <b, phi> and <b, e_j -| psi> vanish, which is P1 b = P7 b = 0
+        exactly, since these pairwise orthogonal forms (checked in
+        _split_spans) span Lambda^3_1 + Lambda^3_7."""
         if b.grade != 3:
             raise ext.GradeError("is_pure27 needs a 3-form")
         get = b.terms.get
@@ -319,15 +309,10 @@ class G2Frame:
 
     def iso_i_inv_upper(self, n: Form) -> list[list]:
         """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
-        type, in the coefficients' own type with no rescale: int entries
-        for integer numerators, so i^{-1}(b) of b = n / d is this
-        triangle over 2 d.  The type of n is the caller's to check.
-
-        All 49 pairings <n, f_ij> are taken, so that symmetry and trace
-        of the recovered tensor stay real checks.  The f_ij have
-        coefficients +-1 (checked when the frame is built), so each
-        pairing is a signed sum of coefficients of n, int 0 when n has
-        none of the blades of f_ij.
+        type (the caller's to check), in the coefficients' own type with
+        no rescale: i^{-1}(b) of b = n / d is this triangle over 2 d.
+        All 49 signed sums <n, f_ij> are taken, int 0 when n has none of
+        the blades of f_ij, so that symmetry and trace stay real checks.
         """
         get = n.terms.get
         sums = [[_signed_sum(f, get) for f in row]
@@ -340,23 +325,19 @@ class G2Frame:
         return [row[i:] for i, row in enumerate(sums)]
 
     def iso_i_inv(self, b: Form) -> SymTensor:
-        """Invert i on Lambda^3_27.
-
-        Entries come from the pairing b ^ (e_i -| psi) ^ e_j = 2 S_ij vol.
+        """Invert i on Lambda^3_27: iso_i_inv_upper over 2 d for b = n / d.
         Raises TypeDecompositionError when b has a nonzero component in
-        the 1- or 7-dimensional summand.
-        """
+        the 1- or 7-dimensional summand."""
         if b.grade != 3:
             raise ext.GradeError("iso_i_inv needs a 3-form")
         (n,), d = ext.numerators(b)
         if not self.is_pure27(n):
             raise TypeDecompositionError(
                 "form has components outside the 27-dimensional summand")
-        scale = Fraction(1, 2 * d)
         # a sum that cancels is taken as int 0, so that entry is
         # Fraction(0) for every scalar type, as vol_coefficient(b ^ chi_ij)
         # gives it
-        return SymTensor.from_upper([[scale * (x if x else 0) for x in row]
+        return SymTensor.from_upper([[over(x if x else 0, 2 * d) for x in row]
                                      for row in self.iso_i_inv_upper(n)])
 
     def extract_v7(self, a: Form) -> Form:
@@ -379,11 +360,10 @@ class G2Frame:
             raise ext.GradeError("hat needs a 4-form")
         (n,), d = ext.numerators(a)
         _, span7, L = self._span4
-        scale = Fraction(1, L * d)
         terms = {m: -c for m, c in a.terms.items()}
         nt = n.terms
         for m, c in _span_sum(n, span7).items():
-            terms[m] = scale * (2 * c - L * nt.get(m, 0))
+            terms[m] = over(2 * c - L * nt.get(m, 0), L * d)
         return hodge(Form(4, terms))
 
     # -- the cocycle linear solver -----------------------------------------
@@ -409,16 +389,11 @@ class G2Frame:
                     y[k] += c * x
         return y
 
-    def solve_three_form(self, rhs_blocks: list[Form]) -> Form:
-        """Solve gamma ^ (e_j -| psi) = rhs_j for gamma in Lambda^3.
-
-        Takes the 7 right-hand 6-forms, forms the least-squares candidate
-        gamma = (P1/16 + P7/6 + P27/2) M^T rhs, then verifies all 49
-        equations; raises InconsistentSystemError naming the first
-        equation that fails if the stack is not in the image.  Both steps
-        run on the integer numerators of the right-hand side, with one
-        scaling per unknown at the end, so any scalar type goes through.
-        """
+    def solve_three_form_numerators(self, rhs_blocks: list[Form]) -> tuple[list, int]:
+        """(x, s) with gamma = x / s solving gamma ^ (e_j -| psi) = rhs_j
+        for the 7 right-hand 6-forms, x in the blade order of grade 3, on
+        the integer numerators of rhs; raises InconsistentSystemError
+        naming the first of the 49 equations that fails."""
         if len(rhs_blocks) != DIM:
             raise ValueError("need 7 right-hand blocks")
         rhs = []
@@ -442,8 +417,12 @@ class G2Frame:
         for row, (got, want) in enumerate(zip(self._pairing_rows(x), rhs)):
             if got != D * want:
                 raise InconsistentSystemError(row)
-        scale = Fraction(1, D * d)
-        return ext.form_from_coords(3, [scale * v for v in x])
+        return x, D * d
+
+    def solve_three_form(self, rhs_blocks: list[Form]) -> Form:
+        """solve_three_form_numerators' gamma in Lambda^3, divided once."""
+        x, s = self.solve_three_form_numerators(rhs_blocks)
+        return ext.form_from_coords(3, [over(v, s) for v in x])
 
 
 @functools.cache

@@ -252,6 +252,13 @@ def clear_denominators(values: list) -> tuple[list, int]:
     return [_times(c, d) for c in values], d
 
 
+def over(c, d: int):
+    """c / d for an int or QuadExt numerator c, a Fraction or a QuadExt."""
+    if type(c) is int:
+        return Fraction(c, d)
+    return _quad(Fraction(c.rat, d), Fraction(c.irr, d))
+
+
 def scalar_to_json(value) -> dict:
     """Serialize an exact scalar (Fraction, int, or QuadExt).
 

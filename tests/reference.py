@@ -5,7 +5,8 @@ forms as sum_w |w><w| / <w, w> (on Lambda^2 from the minimal polynomial
 of a |-> *(phi ^ a), which also gives its two eigenvalues), the
 scalar-generic kernels as they ran before the kernels cleared
 denominators (every product in the coefficients' own type, with the
-Fraction constants applied where they arise), the dense Haar Monte
+Fraction constants applied where they arise), the cubic scalars q2, Q
+and P composed from those kernels, the dense Haar Monte
 Carlo as it ran before it was split into cache-sized chunks of column
 arrays, and the few matrix and polynomial operations that only the
 tests use.  None of this runs in
@@ -19,8 +20,8 @@ from math import isqrt
 from g2forge import exterior as ext, pairing
 from g2forge.cubic import b2_rhs
 from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
-    vector, wedge
-from g2forge.g2 import InternalConsistencyError
+    vector, vol_coefficient, wedge
+from g2forge.g2 import InternalConsistencyError, star_action
 from g2forge.linalg import Matrix, SymTensor, solve_exact
 from g2forge.scalars import GaussRational
 
@@ -204,6 +205,32 @@ def b2(fr, a1, a2):
     x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
     assert kernel_dim == 0 and M.apply(x) == rhs
     return ext.form_from_coords(3, x)
+
+
+# -- the cubic scalars as Fraction compositions -----------------------------
+#
+# q2, Q and P composed from whole tensors and forms in the coefficients'
+# own type, every constant applied where it arises, as the package
+# composed them before q2, Q and P ran on integer numerators: the
+# traceless part of p, i as the derived action S*phi, and one wedge per
+# volume coefficient.
+
+def q2_closed_form(fr, a):
+    """-i(q0(a, a)) + (2/7) |a|^2 phi."""
+    q0 = quadratic_form(a, a).traceless_part()
+    return -star_action(q0.to_matrix(), fr.phi) \
+        + Fraction(2, 7) * norm_sq(a) * fr.phi
+
+
+def q_routes(fr, a):
+    """Q(a) as vol(Q2(a) ^ a) and as -2 <p(a, a), i^{-1}(*a)>."""
+    return (vol_coefficient(wedge(q2_closed_form(fr, a), a)),
+            -2 * sym_inner(quadratic_form(a, a), iso_i_inv(fr, hodge(a))))
+
+
+def p_value(fr, b):
+    """P(b) = 2 <p(b, b), i^{-1}(b)>."""
+    return 2 * sym_inner(quadratic_form(b, b), iso_i_inv(fr, b))
 
 
 # -- the dense Haar Monte Carlo ----------------------------------------------

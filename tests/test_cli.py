@@ -18,6 +18,9 @@ from g2forge.linalg import SymTensor
 from g2forge.scalars import scalar_to_json
 from g2forge.suites import AW_BY_DESIGN
 
+from test_cubic import perturb_inverse, perturb_solve, \
+    perturb_three_form_route
+
 
 # the aw checks that fail by design; notes/decisions.md gives each
 # display, its corrected form and the evidence for the correction
@@ -321,6 +324,43 @@ def test_eval_precondition_violations(capsys, tmp_path, g2frame):
     phi = write_form(tmp_path / "phi.json", g2frame.phi)
     rc, _, err = run_cli(capsys, "eval", "Q", phi)
     assert rc == 2 and "GradeError" in err
+
+
+@pytest.mark.parametrize("op,build,stderr", [
+    ("q2", lambda fr: fr.phi,
+     "GradeError: q2_closed_form needs a 4-form"),
+    ("q2", lambda fr: fr.psi,
+     "TypeDecompositionError: form is not of pure 27 type"),
+    ("Q", lambda fr: fr.phi,
+     "GradeError: q2_closed_form needs a 4-form"),
+    ("Q", lambda fr: wedge(ext.vector(1), fr.phi),
+     "TypeDecompositionError: form is not of pure 27 type"),
+    ("P", lambda fr: fr.psi, "GradeError: p_value needs a 3-form"),
+    ("P", lambda fr: fr.kappa[0],
+     "TypeDecompositionError: form has components outside the "
+     "27-dimensional summand"),
+], ids=["q2-grade", "q2-type", "Q-grade", "Q-type", "P-grade", "P-type"])
+def test_eval_precondition_messages(capsys, tmp_path, g2frame, op, build,
+                                    stderr):
+    path = write_form(tmp_path / "form.json", build(g2frame))
+    rc, out, err = run_cli(capsys, "eval", op, path)
+    assert (rc, out, err) == (2, "", f"g2forge: {stderr}\n")
+
+
+@pytest.mark.parametrize("op,perturb,message", [
+    ("q2", perturb_solve, "Q2 closed form disagrees with the b2 solve"),
+    ("Q", perturb_inverse, "the two routes to Q disagree"),
+    ("P", perturb_three_form_route, "P(b) != Q(*b)"),
+], ids=["q2", "Q", "P"])
+def test_eval_failed_cross_check_exits_1(capsys, tmp_path, monkeypatch,
+                                         g2frame, op, perturb, message):
+    S = SymTensor.diag([2, -1, -1, 1, 0, -1, 0])
+    form = g2frame.iso_i(S) if op == "P" else g2frame.iso_i_psi(S)
+    path = write_form(tmp_path / "form.json", form)
+    perturb(monkeypatch)
+    rc, out, err = run_cli(capsys, "eval", op, path)
+    assert (rc, out) == (1, "")
+    assert err == f"g2forge: internal consistency failure: {message}\n"
 
 
 def test_eval_output_file(capsys, tmp_path, g2frame):

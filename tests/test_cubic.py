@@ -7,13 +7,15 @@ from math import comb
 
 import pytest
 
+from g2forge import cubic
 from g2forge import exterior as ext
 from g2forge.cubic import _pair_table, b2, b2_rhs, p_value, q2, \
     q2_closed_form, q_value, quadratic_form, quadratic_upper, trilinear, \
     trilinear_direct, trilinear_star_route
 from g2forge.exterior import blade, hodge, inner, vector, \
     vol_coefficient, wedge
-from g2forge.g2 import TypeDecompositionError, random_traceless, star_action
+from g2forge.g2 import G2Frame, InternalConsistencyError, \
+    TypeDecompositionError, random_traceless, star_action
 from g2forge.linalg import SymTensor, sym_inner
 from g2forge.scalars import QuadExt
 
@@ -249,8 +251,9 @@ def _tensor_entries(S):
 @pytest.mark.parametrize("kind", sorted(_PARITY_KINDS))
 def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
     """quadratic_form, iso_i, iso_i_psi, iso_i_inv, the type splits,
-    sym_inner and b2 clear denominators on entry and rescale once;
-    values and entry types must equal the generic routes'."""
+    sym_inner, b2, q2_closed_form, q2, q_value and p_value clear
+    denominators on entry and rescale once; values and entry types must
+    equal the generic routes'."""
     fr = g2frame
     draw = _PARITY_KINDS[kind]
     rng = random.Random(8020)
@@ -297,6 +300,21 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
                 got, want = b2(x, y, fr), reference.b2(fr, x, y)
                 assert got == want
                 assert _form_types(got) == _form_types(want)
+            # q2, Q and P on the pure-27 forms *i(S) and i(S): the values
+            # and entry types of the Fraction compositions, q2 also the
+            # value of the dense solve
+            a = hodge(b)
+            want = reference.q2_closed_form(fr, a)
+            for got in (q2_closed_form(a, fr), q2(a, fr)):
+                assert got == want
+                assert _form_types(got) == _form_types(want)
+            assert q2(a, fr) == reference.b2(fr, a, a)
+            value, routes = q_value(a, fr), reference.q_routes(fr, a)
+            assert routes[0] == routes[1] == value
+            assert type(value) is type(routes[0])
+            value, want = p_value(b, fr), reference.p_value(fr, b)
+            assert value == want == routes[0]
+            assert type(value) is type(want)
     # a vanishing iso_i_inv entry is Fraction(0) for every scalar type
     assert cancelled_zero and empty_pairing
 
@@ -339,3 +357,166 @@ def test_pair_table_matches_contract_inner_route(kind, grade):
                 [[x + x for x in row] for row in quadratic_upper(a1, a1)]
     # an entry with no product in its sum stays int 0
     assert seen_empty
+
+
+# -- q2, Q and P on numerators: zeros, the error surface, the cross-checks ----
+
+def _off_diagonal_pair(c):
+    e = [[0] * 7 for _ in range(7)]
+    e[0][1] = e[1][0] = c
+    return SymTensor(e)
+
+
+@pytest.mark.parametrize("c", [3, Fraction(1, 2), QuadExt(Fraction(1, 3), 2)],
+                         ids=["int", "fraction", "quadext"])
+def test_vanishing_q_and_p_keep_their_types(g2frame, c):
+    """Q = 0 is int 0, the volume coefficient of a vanishing wedge, for
+    every scalar type; P = 0 is Fraction(0), or QuadExt(0) for QuadExt
+    coefficients, as the Fraction compositions give them."""
+    b = g2frame.iso_i(_off_diagonal_pair(c))
+    a = hodge(b)
+    q, via_wedge = q_value(a, g2frame), reference.q_routes(g2frame, a)[0]
+    assert q == via_wedge == 0 and type(q) is int is type(via_wedge)
+    p, want = p_value(b, g2frame), reference.p_value(g2frame, b)
+    assert p == want == 0 and type(p) is type(want)
+    assert type(p) is (QuadExt if isinstance(c, QuadExt) else Fraction)
+
+
+_NOT_PURE = "form is not of pure 27 type"
+_OUTSIDE = "form has components outside the 27-dimensional summand"
+# (label, input, exception class, message) outside the domain of q2,
+# q2_closed_form and q_value, and of p_value
+_Q_DOMAIN_ERRORS = [
+    ("phi", lambda fr: fr.phi, ext.GradeError, "q2_closed_form needs a 4-form"),
+    ("2-form", lambda fr: blade([1, 2]), ext.GradeError,
+     "q2_closed_form needs a 4-form"),
+    ("psi", lambda fr: fr.psi, TypeDecompositionError, _NOT_PURE),
+    ("e1^phi", lambda fr: wedge(vector(1), fr.phi), TypeDecompositionError,
+     _NOT_PURE),
+    ("27+psi/3", lambda fr: fr.iso_i_psi(SymTensor.diag([1, 1, -2, 0, 0, 0, 0]))
+     + Fraction(1, 3) * fr.psi, TypeDecompositionError, _NOT_PURE),
+    ("27+e3^phi", lambda fr: fr.iso_i_psi(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+     + fr.phi_wedges[2], TypeDecompositionError, _NOT_PURE),
+]
+_P_DOMAIN_ERRORS = [
+    ("psi", lambda fr: fr.psi, ext.GradeError, "p_value needs a 3-form"),
+    ("phi", lambda fr: fr.phi, TypeDecompositionError, _OUTSIDE),
+    ("e1-|psi", lambda fr: fr.kappa[0], TypeDecompositionError, _OUTSIDE),
+    ("27+phi/2", lambda fr: fr.iso_i(SymTensor.diag([2, -1, -1, 0, 0, 0, 0]))
+     + Fraction(1, 2) * fr.phi, TypeDecompositionError, _OUTSIDE),
+    ("27+e4-|psi", lambda fr: fr.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+     + fr.kappa[3], TypeDecompositionError, _OUTSIDE),
+]
+
+
+def _raises_exactly(fn, exc, message):
+    with pytest.raises(exc) as info:
+        fn()
+    assert type(info.value) is exc and str(info.value) == message
+
+
+@pytest.mark.parametrize("fn", [q2_closed_form, q2, q_value],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("label,build,exc,message", _Q_DOMAIN_ERRORS,
+                         ids=[c[0] for c in _Q_DOMAIN_ERRORS])
+def test_q_error_surface(g2frame, fn, label, build, exc, message):
+    """Wrong grades and forms outside the 27 type raise the class and
+    message of the closed form's gate, whichever of the three runs."""
+    _raises_exactly(lambda: fn(build(g2frame), g2frame), exc, message)
+
+
+@pytest.mark.parametrize("label,build,exc,message", _P_DOMAIN_ERRORS,
+                         ids=[c[0] for c in _P_DOMAIN_ERRORS])
+def test_p_error_surface(g2frame, label, build, exc, message):
+    """P raises the grade error and the gate message of iso_i_inv."""
+    _raises_exactly(lambda: p_value(build(g2frame), g2frame), exc, message)
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_KINDS))
+def test_q_type_gate_agrees_with_project4(g2frame, kind):
+    """The gate of q2, q2_closed_form and q_value is is_pure27 on the
+    hodge star of the numerators; it must agree with project4 on psi, on
+    e1 ^ phi and on random mixtures of the 1-, 7- and 27-type parts."""
+    fr = g2frame
+    draw = _PARITY_KINDS[kind]
+    rng = random.Random(8040)
+    cases = [fr.psi, wedge(vector(1), fr.phi)]
+    for _ in range(24):
+        a = fr.iso_i_psi(_parity_traceless(rng, draw, 1.0))
+        if rng.random() < 0.5:
+            a = a + draw(rng) * fr.psi
+        if rng.random() < 0.5:
+            a = a + draw(rng) * rng.choice(fr.phi_wedges)
+        cases.append(a)
+    seen = set()
+    for a in cases:
+        p1, p7, _ = fr.project4(a)
+        pure = p1.is_zero() and p7.is_zero()
+        (n,), _ = ext.numerators(a)
+        assert fr.is_pure27(hodge(n)) == pure
+        if pure:
+            assert q2_closed_form(a, fr) == reference.q2_closed_form(fr, a)
+        else:
+            _raises_exactly(lambda: q2_closed_form(a, fr),
+                            TypeDecompositionError, _NOT_PURE)
+        seen.add(pure)
+    assert seen == {True, False}
+
+
+def perturb_solve(monkeypatch):
+    """Put the b2 solve off by one in its first coordinate."""
+    solve = G2Frame.solve_three_form_numerators
+
+    def perturbed(self, rhs):
+        x, s = solve(self, rhs)
+        return [x[0] + 1] + x[1:], s
+    monkeypatch.setattr(G2Frame, "solve_three_form_numerators", perturbed)
+
+
+def perturb_inverse(monkeypatch):
+    """Put the first diagonal entry of every i^{-1} triangle off by one."""
+    inverse = G2Frame.iso_i_inv_upper
+
+    def perturbed(self, n):
+        upper = inverse(self, n)
+        return [[upper[0][0] + 1] + upper[0][1:]] + upper[1:]
+    monkeypatch.setattr(G2Frame, "iso_i_inv_upper", perturbed)
+
+
+def perturb_three_form_route(monkeypatch):
+    """Put P's 3-form route off by one."""
+    numerator = cubic.p_numerator
+    monkeypatch.setattr(cubic, "p_numerator",
+                        lambda n, fr: numerator(n, fr) + 1)
+
+
+def test_perturbed_solve_fails_q2(g2frame, monkeypatch):
+    """A b2 solve that is off in one coordinate makes q2, and so Q and
+    P, raise: the closed form is cross-multiplied with the solve."""
+    S = SymTensor.diag([1, 1, -2, 0, 0, 0, 0])
+    a, b = g2frame.iso_i_psi(S), g2frame.iso_i(S)
+    perturb_solve(monkeypatch)
+    message = "Q2 closed form disagrees with the b2 solve"
+    for fn, arg in ((q2, a), (q_value, a), (p_value, b)):
+        _raises_exactly(lambda: fn(arg, g2frame), InternalConsistencyError,
+                        message)
+    q2_closed_form(a, g2frame)
+
+
+def test_perturbed_inverse_fails_q(g2frame, monkeypatch):
+    """An i^{-1} triangle that is off in one entry makes the tensor route
+    of Q disagree with the wedge; q2 does not use it."""
+    a = g2frame.iso_i_psi(SymTensor.diag([1, 1, -2, 0, 0, 0, 0]))
+    perturb_inverse(monkeypatch)
+    _raises_exactly(lambda: q_value(a, g2frame), InternalConsistencyError,
+                    "the two routes to Q disagree")
+    q2(a, g2frame)
+
+
+def test_perturbed_three_form_route_fails_p(g2frame, monkeypatch):
+    """A 3-form route that is off by one makes P disagree with Q(*b)."""
+    b = g2frame.iso_i(SymTensor.diag([2, -1, -1, 1, 0, -1, 0]))
+    perturb_three_form_route(monkeypatch)
+    _raises_exactly(lambda: p_value(b, g2frame), InternalConsistencyError,
+                    "P(b) != Q(*b)")
+    q_value(hodge(b), g2frame)
