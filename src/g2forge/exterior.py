@@ -150,9 +150,6 @@ class Form:
             return NotImplemented
         return self.grade == other.grade and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.grade, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return f"Form({self.grade}, 0)"

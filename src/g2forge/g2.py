@@ -13,9 +13,11 @@ sparse pairing matrix behind the quadratic cocycle b2.
 Projectors are built from explicit spanning images (phi itself for the
 trivial summand, the contractions e_j -| psi and the wedges e_j ^ phi
 for the 7-dimensional ones) instead of hardcoded component tables, so
-every sign is forced by the calibration above.  On Lambda^3 and
-Lambda^4 the split is applied through those spanning forms, as the
-rank-1 and rank-7 type formulas of Bryant (Some remarks on
+every sign is forced by the calibration above.  Each has coefficients
++-1 and is kept once, as its (blade, sign) pairs with its weight
+(_split_spans), one table that pairs as a signed sum and is the form
+the projection adds.  On Lambda^3 and Lambda^4 the split applies them
+as the rank-1 and rank-7 type formulas of Bryant (Some remarks on
 G2-structures, math/0305124),
 
     P1 a = <a, phi>/7 phi,   P7 a = sum_j <a, k_j>/|k_j|^2 k_j,
@@ -27,8 +29,9 @@ the lcm of |phi|^2 = 7 and |k_j|^2 = 4, and divides once at the end.
 Lambda^2 splits the same way, low-rank, with no singlet: P7 a = sum_j
 <a, e_j -| phi>/3 e_j -| phi and P14 = 1 - P7.  On 4-forms, hat(a) =
 -*a_1 + *a_7 - *a_27 = *(2 P7 a - a) and the vector part V of
-P7 a = V ^ phi, V_j = <a, e_j ^ phi>/4, need only the rank-7 part.  No
-dense projector matrix is built here; the dense references the split is
+P7 a = V ^ phi, V_j = <a, e_j ^ phi>/4, need only the rank-7 part, and
+the type-27 gate is_pure27 only the eight tables of Lambda^3.  No dense
+projector matrix is built here; the dense references the split is
 tested against live in tests/reference.py.
 
 i and i^{-1} are the two directions of one integer table: with
@@ -71,7 +74,7 @@ from math import lcm
 
 from . import exterior as ext
 from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
-    hodge, inner, merge_sign, vector, vector_form, vol_coefficient, wedge
+    hodge, merge_sign, vector, vector_form, vol_coefficient, wedge
 from .linalg import InconsistentSystemError, Matrix, SymTensor
 from .scalars import clear_denominators, over
 
@@ -117,28 +120,30 @@ def star_action(A: Matrix, a: Form) -> Form:
 
 
 def _split_spans(span1: list[Form], span7: list[Form]):
-    """The spanning forms of the 1- and 7-type summands, each with its
-    weight L / |w|^2, and L, the lcm of their squared norms.  The forms
-    in each list must be pairwise orthogonal."""
-    for forms in (span1, span7):
-        for i, w in enumerate(forms):
-            if any(inner(w, v) != 0 for v in forms[:i]):
+    """The spanning forms w of the 1- and 7-type summands as their
+    _unit_functionals, each with its weight L / |w|^2 (|w|^2 its length),
+    and L, the lcm of those.  Each list must be pairwise orthogonal."""
+    f1, f7 = ([_unit_functional(w.terms.items()) for w in forms]
+              for forms in (span1, span7))
+    for fs in (f1, f7):
+        for i, f in enumerate(fs):
+            if any(_signed_sum(f, dict(g).get) for g in fs[:i]):
                 raise InternalConsistencyError("spanning forms are not orthogonal")
-    L = lcm(*(ext.norm_sq(w) for w in span1 + span7))
-    return ([(w, L // ext.norm_sq(w)) for w in span1],
-            [(w, L // ext.norm_sq(w)) for w in span7], L)
+    L = lcm(*map(len, f1 + f7))
+    return [(f, L // len(f)) for f in f1], [(f, L // len(f)) for f in f7], L
 
 
-def _span_sum(a: Form, spanning: list[tuple[Form, int]]) -> dict:
+def _span_sum(a: Form, spanning: list[tuple[tuple, int]]) -> dict:
     """L times the orthogonal projection sum_w <a, w>/<w, w> w onto the
-    span of pairwise orthogonal forms, as sum_w <a, w> (L/|w|^2) w."""
+    span of pairwise orthogonal forms, as sum_w <a, w> (L/|w|^2) w, each
+    w a _unit_functional."""
     terms = {}
-    for w, weight in spanning:
-        c = inner(a, w)
+    for f, weight in spanning:
+        c = _signed_sum(f, a.terms.get)
         if c == 0:
             continue
         c = c * weight
-        for m, d in w.terms.items():
+        for m, d in f:
             terms[m] = terms.get(m, 0) + c * d
     return terms
 
@@ -215,11 +220,6 @@ class G2Frame:
                 for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
              for j in range(DIM)]
             for i in range(DIM)]
-        # the eight pairings of the type-27 gate, with phi and the e_j -| psi
-        self._pure27_functionals = tuple(
-            _unit_functional(w.terms.items())
-            for w, _ in self._span3[0] + self._span3[1])
-
         # the pairing matrix M of gamma |-> (gamma ^ (e_j -| psi))_j as
         # (column, +-1) pairs per row; row 7 j + p is 6-blade p of block j
         self._pairing_sparse = [[] for _ in range(DIM * DIM)]
@@ -279,16 +279,20 @@ class G2Frame:
 
     def iso_i(self, S: SymTensor) -> Form:
         """i(S) = S*phi = sum_ij S_ij f_ij, from traceless symmetric
-        tensors into Lambda^3_27, on the integer numerators of S."""
+        tensors into Lambda^3_27, on the integer numerators of the 28
+        entries of S.upper."""
         if S.trace() != 0:
             raise TypeDecompositionError("iso_i needs a traceless tensor")
-        entries = [x for row in S.entries for x in row]
+        entries = [x for row in S.upper for x in row]
         ints, d = clear_denominators(entries)
         terms = {}
-        flat = (f for row in self._inv_functionals for f in row)
-        for s, functional in zip(ints, flat):
-            for m, c in functional if s else ():
-                terms[m] = terms.get(m, 0) + c * s
+        fs = self._inv_functionals
+        upper = ((i, j) for i in range(DIM) for j in range(i, DIM))
+        for (i, j), s in zip(upper, ints):
+            if s:
+                # an entry off the diagonal is both S_ij and S_ji
+                for m, c in fs[i][j] if i == j else fs[i][j] + fs[j][i]:
+                    terms[m] = terms.get(m, 0) + c * s
         if ints is not entries:
             terms = {m: over(c, d) for m, c in terms.items()}
         return Form(3, terms)
@@ -304,8 +308,8 @@ class G2Frame:
         _split_spans) span Lambda^3_1 + Lambda^3_7."""
         if b.grade != 3:
             raise ext.GradeError("is_pure27 needs a 3-form")
-        get = b.terms.get
-        return not any(_signed_sum(f, get) for f in self._pure27_functionals)
+        span1, span7, _ = self._span3
+        return not any(_signed_sum(f, b.terms.get) for f, _ in span1 + span7)
 
     def iso_i_inv_upper(self, n: Form) -> list[list]:
         """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
@@ -347,7 +351,8 @@ class G2Frame:
         if a.grade != 4:
             raise ext.GradeError("extract_v7 needs a 4-form")
         quarter = Fraction(1, 4)
-        return vector_form([quarter * inner(a, w) for w in self.phi_wedges])
+        return vector_form([quarter * _signed_sum(f, a.terms.get)
+                            for f, _ in self._span4[1]])
 
     def hat(self, a: Form) -> Form:
         """The 3-form solving hat(a) ^ (v -| psi) + phi ^ (v -| a) = 0,
@@ -446,12 +451,7 @@ def two_form_endo(beta: Form) -> Matrix:
 
 def random_traceless(rng, bound: int = 6) -> SymTensor:
     """Small-height random traceless symmetric tensor (test utility)."""
-    entries = [[Fraction(0)] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            v = Fraction(rng.randint(-bound, bound))
-            entries[i][j] = v
-            entries[j][i] = v
-    t = sum(entries[i][i] for i in range(DIM))
-    entries[6][6] -= t
-    return SymTensor(entries, traceless=True)
+    upper = [[Fraction(rng.randint(-bound, bound)) for _ in range(i, DIM)]
+             for i in range(DIM)]
+    upper[6][0] -= sum(row[0] for row in upper)
+    return SymTensor.from_upper(upper)

@@ -5,13 +5,15 @@ ints, Fractions or QuadExt values; elimination (Gauss-Jordan, ints
 promoted to Fraction) divides by pivots, so any field works, and every
 zero test and comparison is exact.
 
-SymTensor checks the symmetry of entries it is given; its own
-arithmetic (sums, differences, multiples, symmetric products) computes
-the upper triangle only and mirrors it, so those results are symmetric
-by construction and skip the check.  upper_inner pairs two tensors
-given as upper triangles, the diagonal plus twice the strict upper
-triangle with no rescale; sym_inner runs it on the integer numerators
-of two SymTensors and rescales once.
+A SymTensor is stored as one upper triangle, row i from the diagonal
+on, the shape the integer cores take and return: a full square given
+to the constructor is checked for symmetry and its triangle kept, its
+own arithmetic (sums, differences, multiples, symmetric products) runs
+on the triangle, and the full square is only built, mirrored, when a
+caller reads entries.  upper_inner pairs two such triangles, the
+diagonal plus twice the strict upper triangle with no rescale;
+sym_inner runs it on the integer numerators of two SymTensors and
+rescales once.
 """
 
 from __future__ import annotations
@@ -128,9 +130,6 @@ class Matrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             all(a == b for a, b in zip(self.entries, other.entries))
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -199,49 +198,52 @@ def solve_exact(A: Matrix, b: Sequence) -> tuple[list, int]:
 class SymTensor:
     """A symmetric bilinear form / symmetric endomorphism in coordinates.
 
-    Stored as a full square array.  Entries given to the constructor are
-    checked for symmetry; the optional traceless flag additionally
-    asserts vanishing trace, which is how the domain of the
-    27-dimensional isomorphism is enforced downstream.  Tensors computed
-    here from symmetric ones (sums, multiples, symmetric products) and
-    tensors built with from_upper are symmetric by construction: only
-    the upper triangle is computed and mirrored, and no check runs.
+    Stored as its upper triangle only: upper[i] is row i from the
+    diagonal on (n - i entries), the shape the integer cores
+    (quadratic_upper, iso_i_inv_upper, upper_inner) pass around.  A full
+    square given to the constructor is checked for symmetry and its
+    triangle kept; the optional traceless flag additionally asserts
+    vanishing trace, which is how the domain of the 27-dimensional
+    isomorphism is enforced downstream.  from_upper wraps a triangle
+    with no check, and arithmetic, equality and the trace run on the
+    triangles.  entries is a mirrored full-square copy, built on each
+    read, for the callers that need the square.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "upper")
 
     def __init__(self, entries: Sequence[Sequence], traceless: bool = False):
         n = len(entries)
-        self.n = n
-        self.entries = [list(row) for row in entries]
-        for row in self.entries:
+        rows = [list(row) for row in entries]
+        for row in rows:
             if len(row) != n:
                 raise ValueError("not square")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise ValueError(f"not symmetric at ({i},{j})")
+        self.n = n
+        self.upper = [row[i:] for i, row in enumerate(rows)]
         if traceless and self.trace() != 0:
             raise ValueError("trace is nonzero")
 
     @classmethod
     def from_upper(cls, upper: Sequence[Sequence]) -> "SymTensor":
         """The symmetric tensor whose row i from the diagonal on is
-        upper[i] (n - i entries); the lower triangle is its mirror."""
+        upper[i] (n - i entries)."""
         n = len(upper)
         for i, row in enumerate(upper):
             if len(row) != n - i:
                 raise ValueError(f"upper row {i} needs {n - i} entries")
         out = object.__new__(cls)
         out.n = n
-        out.entries = [[upper[j][i - j] for j in range(i)] + list(upper[i])
-                       for i in range(n)]
+        out.upper = [list(row) for row in upper]
         return out
 
     @classmethod
     def diag(cls, values: Sequence) -> "SymTensor":
         n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_upper([[values[i]] + [0] * (n - 1 - i) for i in range(n)])
 
     @classmethod
     def sym_outer(cls, v: Sequence, w: Sequence) -> "SymTensor":
@@ -251,14 +253,15 @@ class SymTensor:
         return cls.from_upper([[half * (v[i] * w[j] + v[j] * w[i])
                                 for j in range(i, n)] for i in range(n)])
 
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(self.n))
+    @property
+    def entries(self) -> list[list]:
+        """The full square, the lower triangle mirrored from the upper."""
+        u = self.upper
+        return [[u[j][i - j] for j in range(i)] + list(u[i])
+                for i in range(self.n)]
 
-    def traceless_part(self) -> "SymTensor":
-        # multiplying by 1/n keeps int and QuadExt entries exact
-        t = self.trace() * Fraction(1, self.n)
-        return SymTensor.from_upper([[row[i] - t] + row[i + 1:]
-                                     for i, row in enumerate(self.entries)])
+    def trace(self):
+        return sum(row[0] for row in self.upper)
 
     def apply(self, vec: Sequence) -> list:
         return [sum(row[j] * vec[j] for j in range(self.n)) for row in self.entries]
@@ -269,34 +272,25 @@ class SymTensor:
     def __add__(self, other):
         if not isinstance(other, SymTensor) or other.n != self.n:
             return NotImplemented
-        return SymTensor.from_upper(
-            [[x + y for x, y in zip(r1[i:], r2[i:])]
-             for i, (r1, r2) in enumerate(zip(self.entries, other.entries))])
+        return SymTensor.from_upper([[x + y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(self.upper, other.upper)])
 
     def __sub__(self, other):
         if not isinstance(other, SymTensor) or other.n != self.n:
             return NotImplemented
-        return SymTensor.from_upper(
-            [[x - y for x, y in zip(r1[i:], r2[i:])]
-             for i, (r1, r2) in enumerate(zip(self.entries, other.entries))])
+        return SymTensor.from_upper([[x - y for x, y in zip(r1, r2)]
+                                     for r1, r2 in zip(self.upper, other.upper)])
 
     def __neg__(self):
-        return SymTensor.from_upper([[-x for x in row[i:]]
-                                     for i, row in enumerate(self.entries)])
+        return SymTensor.from_upper([[-x for x in row] for row in self.upper])
 
     def scale(self, s) -> "SymTensor":
-        return SymTensor.from_upper([[s * x for x in row[i:]]
-                                     for i, row in enumerate(self.entries)])
+        return SymTensor.from_upper([[s * x for x in row] for row in self.upper])
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2))
-
-    def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.entries))
+        return self.n == other.n and self.upper == other.upper
 
     def __repr__(self):
         return f"SymTensor({self.n}x{self.n}, trace={self.trace()})"
@@ -322,11 +316,11 @@ def sym_inner(S1: SymTensor, S2: SymTensor):
     if S1.n != S2.n:
         raise ValueError("size mismatch")
     n = S1.n
-    rows = [row[i:] for S in (S1, S2) for i, row in enumerate(S.entries)]
+    rows = S1.upper + S2.upper
     flat = [x for row in rows for x in row]
     ints, d = clear_denominators(flat)
     if ints is flat:
-        return upper_inner(rows[:n], rows[n:])
+        return upper_inner(S1.upper, S2.upper)
     it = iter(ints)
     rows = [[next(it) for _ in row] for row in rows]
     return upper_inner(rows[:n], rows[n:]) * Fraction(1, d * d)

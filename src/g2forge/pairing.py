@@ -146,9 +146,6 @@ class MultiPoly:
         return (isinstance(other, MultiPoly) and self.degree == other.degree
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"

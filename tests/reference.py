@@ -178,6 +178,13 @@ def iso_i_inv_pairings(fr, b):
              for functional in row] for row in fr._inv_functionals]
 
 
+def traceless_part(S):
+    """S - tr(S)/n; multiplying by 1/n keeps int and QuadExt entries
+    exact, and the off-diagonal entries keep their type."""
+    t = S.trace() * Fraction(1, S.n)
+    return SymTensor.from_upper([[row[0] - t] + row[1:] for row in S.upper])
+
+
 def iso_i_inv(fr, b):
     half = Fraction(1, 2)
     return SymTensor([[half * (x if x else 0) for x in row]
@@ -217,7 +224,7 @@ def b2(fr, a1, a2):
 
 def q2_closed_form(fr, a):
     """-i(q0(a, a)) + (2/7) |a|^2 phi."""
-    q0 = quadratic_form(a, a).traceless_part()
+    q0 = traceless_part(quadratic_form(a, a))
     return -star_action(q0.to_matrix(), fr.phi) \
         + Fraction(2, 7) * norm_sq(a) * fr.phi
 

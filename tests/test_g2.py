@@ -251,8 +251,8 @@ def test_pure27_gate_matches_projection(g2frame, kind):
     strays = [g2frame.phi] + g2frame.kappa
     seen = set()
     for k in range(60):
-        S = SymTensor.from_upper([[draw(rng) for _ in range(i, 7)]
-                                  for i in range(7)]).traceless_part()
+        S = reference.traceless_part(SymTensor.from_upper(
+            [[draw(rng) for _ in range(i, 7)] for i in range(7)]))
         b = g2frame.iso_i(S)
         if k % 3 == 1:
             b = b + draw(rng) * rng.choice(strays)
@@ -273,16 +273,20 @@ def test_pure27_gate_matches_projection(g2frame, kind):
 
 
 def test_pairing_functionals_are_unit_signed(g2frame):
-    """The f_ij, phi and the e_j -| psi pair as signed sums: the frame
-    checks their coefficients are +-1 when it is built, and the check
-    rejects any other coefficient."""
+    """The f_ij and the spanning forms of every type split (phi and the
+    e_j -| psi on grade 3) pair as signed sums: the frame checks their
+    coefficients are +-1 when it is built, and the check rejects any
+    other coefficient."""
     fr = g2frame
-    tables = [f for row in fr._inv_functionals for f in row] \
-        + list(fr._pure27_functionals)
-    assert len(tables) == 49 + 8
+    span3 = [f for f, _ in fr._span3[0] + fr._span3[1]]
+    spans = [f for span in (fr._span2, fr._span3, fr._span4)
+             for f, _ in span[0] + span[1]]
+    tables = [f for row in fr._inv_functionals for f in row] + spans
+    assert len(tables) == 49 + 7 + 8 + 8
     assert {c for f in tables for _, c in f} == {1, -1}
-    assert sum(map(len, fr._pure27_functionals)) == 7 + 7 * 4
+    assert sum(map(len, span3)) == 7 + 7 * 4
     phi_pairs = tuple(fr.phi.terms.items())
+    assert span3[0] == phi_pairs
     assert g2._unit_functional(phi_pairs) == phi_pairs
     for bad in (2, -2, Fraction(1, 2), 0):
         with pytest.raises(InternalConsistencyError, match="other than"):

@@ -1,8 +1,9 @@
 """Source hygiene of the package, read off its syntax trees: every import
-is used, every module-level function and class is used by the package or
-the benchmark, and no module rebinds a global (per-process state is built
-by functools.cache builders), numpy is imported only by what samples,
-and each command imports only the modules it runs."""
+is used, every module-level function and class and every method is used
+by the package or the benchmark, and no module rebinds a global
+(per-process state is built by functools.cache builders), numpy is
+imported only by what samples, and each command imports only the
+modules it runs."""
 
 import ast
 import json
@@ -64,8 +65,8 @@ def test_no_unused_import(path):
     assert unused == []
 
 
-def test_every_function_and_class_is_used():
-    # what only the tests call belongs in tests/reference.py
+def _names_read():
+    """Every name and attribute the package and the benchmark read."""
     read = set()
     for path in SOURCES + BENCHMARK:
         for node in ast.walk(_tree(path)):
@@ -73,9 +74,30 @@ def test_every_function_and_class_is_used():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_every_function_and_class_is_used():
+    # what only the tests call belongs in tests/reference.py
+    read = _names_read()
     unused = [f"{path.name}:{node.lineno} {node.name}"
               for path in SOURCES for node in _tree(path).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read]
+    assert unused == []
+
+
+def test_every_method_is_used():
+    # the same one level down, for methods and properties; the traced
+    # spans that perfbench/layers.py names as strings are read too
+    read = _names_read() | {
+        node.value for node in ast.walk(_tree(ROOT / "perfbench" / "layers.py"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unused = [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+              for path in SOURCES for cls in _tree(path).body
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in read]
     assert unused == []
 

@@ -41,8 +41,8 @@ def test_revert_map_can_fail(monkeypatch):
     assert not ok and actual.startswith("pushed (-210, 55/2, 50/3, 125/9);")
 
 
-def _type_dimensions(report):
-    return next(c for c in report["checks"] if c["id"] == "g2.type-dimensions")
+def _check(report, cid):
+    return next(c for c in report["checks"] if c["id"] == cid)
 
 
 def test_g2_suite_builds_no_dense_projector():
@@ -53,12 +53,33 @@ def test_g2_suite_builds_no_dense_projector():
         assert not hasattr(g2.G2Frame, name)
     report = suites.suite_g2(0, n_random=1)
     assert report["passed"]
-    assert _type_dimensions(report)["actual"] == "[7, 14] [1, 7, 27] [1, 7, 27]"
+    assert _check(report, "g2.type-dimensions")["actual"] == "[7, 14] [1, 7, 27] [1, 7, 27]"
 
 
 def test_type_dimensions_check_can_fail(monkeypatch):
     monkeypatch.setattr(g2.G2Frame, "project2",
                         lambda self, a: (a, ext.Form.zero(2)))
-    check = _type_dimensions(suites.suite_g2(0, n_random=1))
+    check = _check(suites.suite_g2(0, n_random=1), "g2.type-dimensions")
     assert check["status"] == "fail"
     assert check["actual"] == "[21, 0] [1, 7, 27] [1, 7, 27]"
+
+
+def test_iso_identities_check_can_fail(monkeypatch):
+    # negating one coefficient of i(S) keeps |i(S)|^2 = 2|S|^2, so only
+    # the comparison with the derived action S * psi can catch it
+    g2.standard_frame()
+    iso_i = g2.G2Frame.iso_i
+
+    def flipped(self, S):
+        terms = dict(iso_i(self, S).terms)
+        m = min(terms)
+        terms[m] = -terms[m]
+        return ext.Form(3, terms)
+
+    def status():
+        report = suites.suite_g2(0, n_random=1)
+        return _check(report, "g2.iso-identities")["status"]
+
+    assert status() == "pass"
+    monkeypatch.setattr(g2.G2Frame, "iso_i", flipped)
+    assert status() == "fail"
