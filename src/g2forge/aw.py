@@ -86,6 +86,8 @@ class AWFrame:
         self.I = tuple(two_form_endo(w) for w in self.omega)
         self.J = two_form_endo(self.Omega)
         self.phi_tilde = self.g2.phi - 7 * self.vol3
+        # the 4-form that c_direct contracts with, C(x) = x -| c_target
+        self.c_target = 4 * self.vol4 - self.g2.psi
         self._check_structure()
 
     def _check_structure(self):
@@ -213,8 +215,7 @@ def compose(s, y: Form, x: Form) -> Su3Element:
 
 def c_direct(x: Form) -> Form:
     """C(x) = x -| (4 vol4 - psi)."""
-    fr = standard_aw_frame()
-    return contract(x, 4 * fr.vol4 - fr.g2.psi)
+    return contract(x, standard_aw_frame().c_target)
 
 
 def c_display(x: Form) -> Form:

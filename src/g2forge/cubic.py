@@ -13,8 +13,9 @@ independent routes and cross-checked; a mismatch raises instead of
 returning anything.
 
 The right-hand side of the b2 solve, -(hat(a1) ^ (e_j -| a2) +
-hat(a2) ^ (e_j -| a1)), is read off a table of the 560 signed blade
-triples (m3, m4, j) with e_j in m4 and m3 disjoint from the rest of m4.
+hat(a2) ^ (e_j -| a1)), is one flat vector of 49 entries, read off a
+table of the 560 signed blade triples (m3, m4, j) with e_j in m4 and m3
+disjoint from the rest of m4, each stored with its row in that vector.
 The symmetric tensor p(a1, a2), <e_i -| a1, e_j -| a2> symmetrized, is
 read off a pair table of the grade on its upper triangle: the signed
 triples (m, m') with e_i in m, e_j in m' and m - e_i = m' - e_j (315 on
@@ -24,9 +25,10 @@ Every kernel runs on integer numerators, a = n / d (exterior.numerators),
 takes each product, sum and cross-check in int and divides once at the
 end (scalars.over), keeping the values and entry types of the same
 computation in the coefficients' own type.  quadratic_upper is d^2 p
-(2 d^2 p for a pair), U on the diagonal.  b2 solves on the ints of
-hat(n_k) = m_k / e (G2Frame.solve_three_form_numerators, x / (D d'))
-and divides by D d' d^2 e.  On the 27 type (G2Frame.is_pure27 on *n),
+(2 d^2 p for a pair), U on the diagonal.  b2 solves on the ints
+h_k = L hat(n_k) (G2Frame.hat_numerators, L = 28;
+G2Frame.solve_three_form_numerators, x / D) and divides by D L d^2.
+On the 27 type (G2Frame.is_pure27 on *n),
 
     N = 7 d^2 Q2(a) = -i(7 U - tr(U) I) + 2 |n|^2 phi,
 
@@ -48,9 +50,6 @@ from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
     standard_frame, star_action
 from .linalg import SymTensor, sym_inner, upper_inner
 from .scalars import over
-
-_SEVEN = range(1, 8)
-
 
 @functools.cache
 def _pair_table(grade: int) -> tuple[tuple, ...]:
@@ -117,10 +116,11 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
 
 @functools.cache
 def _rhs_table() -> dict[int, tuple]:
-    """For each 4-blade m4, the 16 tuples (m3, j, m6, sign) with e_j in
-    m4 and m3 a 3-blade disjoint from m4 minus e_j, such that
-    e^{m3} ^ (e_j -| e^{m4}) = sign e^{m6}: the contraction sign times
-    merge_sign.  560 entries in all."""
+    """For each 4-blade m4, the 16 tuples (m3, row, sign) with e_j in m4
+    and m3 a 3-blade disjoint from m4 minus e_j, such that
+    e^{m3} ^ (e_j -| e^{m4}) = sign e^{m6}, row = 7 j + p for the
+    position p of m6 in the grade-6 blade order: the contraction sign
+    times merge_sign.  560 entries in all."""
     table = {}
     for m4 in BLADES_BY_GRADE[4]:
         rows = []
@@ -128,45 +128,43 @@ def _rhs_table() -> dict[int, tuple]:
             if m4 >> j & 1:
                 rest = m4 ^ (1 << j)
                 sign = _contract_sign(j, m4)
-                rows += [(m3, j, m3 | rest, sign * merge_sign(m3, rest))
-                         for m3 in BLADES_BY_GRADE[3] if not m3 & rest]
+                # each 6-blade m6 that contains rest, with m3 = m6 - rest
+                rows += [(m6 ^ rest, 7 * j + p,
+                          sign * merge_sign(m6 ^ rest, rest))
+                         for p, m6 in enumerate(BLADES_BY_GRADE[6])
+                         if m6 & rest == rest]
         table[m4] = tuple(rows)
     return table
 
 
-def b2_rhs(a1: Form, h1: Form, a2: Form, h2: Form) -> list[Form]:
-    """The right-hand 6-forms -(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)),
-    j = 1..7, of the b2 solve, read off the sign table; for the diagonal
-    b2(a, a) one half is computed and added to itself."""
+def b2_rhs(a1: Form, h1: Form, a2: Form, h2: Form) -> list:
+    """The right-hand side -(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)),
+    j = 1..7, of the b2 solve as one flat vector of 49 coefficients,
+    j-major in the grade-6 blade order, read off the sign table; for
+    the diagonal b2(a, a) one half is computed and added to itself."""
     table = _rhs_table()
     diagonal = a1 is a2 and h1 is h2
-    halves = [(a2, h1.terms)]
-    if not diagonal:
-        halves.append((a1, h2.terms))
-    rows = [{} for _ in _SEVEN]
+    halves = [(a2, h1)] if diagonal else [(a2, h1), (a1, h2)]
+    rhs = [0] * 49
     for a, h in halves:
+        get = h.terms.get
         for m4, c in a.terms.items():
-            for m3, j, m6, sign in table[m4]:
-                d = h.get(m3)
-                if d is None:
-                    continue
-                p = d * c
-                acc = rows[j].get(m6)
-                if sign > 0:
-                    rows[j][m6] = -p if acc is None else acc - p
-                else:
-                    rows[j][m6] = p if acc is None else acc + p
-    if diagonal:
-        rows = [{m: c + c for m, c in r.items()} for r in rows]
-    return [Form(6, r) for r in rows]
+            for m3, row, sign in table[m4]:
+                d = get(m3)
+                if d is not None:
+                    if sign > 0:
+                        rhs[row] -= d * c
+                    else:
+                        rhs[row] += d * c
+    return [v + v for v in rhs] if diagonal else rhs
 
 
 def _b2_numerators(n1: Form, n2: Form, fr: G2Frame) -> tuple[list, int]:
     """(x, s) with b2(n1, n2) = x / s for integer numerators n_k."""
-    h1 = fr.hat(n1)
-    (m1, m2), e = numerators(h1, h1 if n2 is n1 else fr.hat(n2))
-    x, s = fr.solve_three_form_numerators(b2_rhs(n1, m1, n2, m2))
-    return x, s * e
+    h1, L = fr.hat_numerators(n1)
+    h2 = h1 if n2 is n1 else fr.hat_numerators(n2)[0]
+    x, s = fr.solve_three_form_numerators(b2_rhs(n1, h1, n2, h2))
+    return x, s * L
 
 
 def b2(a1: Form, a2: Form, frame: G2Frame | None = None) -> Form:

@@ -5,7 +5,9 @@ present, and the blade is the wedge of its factors in increasing index
 order.  A form of grade k is a sparse map from k-bit masks to nonzero
 coefficients.  All signs come from counting transpositions while
 merging masks, so wedge, contraction and the Hodge star are exact for
-any coefficient type that supports ring arithmetic.
+any coefficient type that supports ring arithmetic.  The Hodge star and
+a wedge into the top degree read the sign of each blade against its
+complement from one 128-entry table.
 
 Indices are 1-based everywhere in the public interface (e1..e7), to
 match the usual way these forms are written out.
@@ -70,6 +72,11 @@ def merge_sign(m1: int, m2: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+# merge_sign(m, FULL_MASK ^ m) for every mask m: the sign of the Hodge
+# star on e^m, and of e^m ^ e^{m^c} in a top-degree wedge
+_HODGE_SIGN = tuple(merge_sign(m, FULL_MASK ^ m) for m in range(1 << DIM))
+
+
 def _contract_sign(bit_pos: int, mask: int) -> int:
     below = (mask & ((1 << bit_pos) - 1)).bit_count()
     return -1 if below & 1 else 1
@@ -84,6 +91,7 @@ def _grade_blades():
 
 
 BLADES_BY_GRADE = _grade_blades()
+_BLADE_SETS = tuple(map(frozenset, BLADES_BY_GRADE))
 
 
 class Form:
@@ -95,16 +103,16 @@ class Form:
         if not 0 <= grade <= DIM:
             raise GradeError(f"grade {grade} out of range")
         self.grade = grade
-        clean = {}
-        if terms:
-            for mask, coeff in terms.items():
-                if mask.bit_count() != grade:
+        terms = terms or {}
+        blades = _BLADE_SETS[grade]
+        if not blades.issuperset(terms):
+            for mask in terms:
+                if mask not in blades:
                     raise GradeError(
                         f"blade {blade_indices(mask)} has wrong grade for a {grade}-form")
-                if coeff == 0:
-                    continue
-                clean[mask] = coeff
-        self.terms = clean
+        # a plain copy when no coefficient is zero, the common case
+        self.terms = dict(terms) if all(terms.values()) else \
+            {m: c for m, c in terms.items() if c}
 
     @classmethod
     def zero(cls, grade: int) -> "Form":
@@ -208,6 +216,16 @@ def wedge(a: Form, b: Form) -> Form:
     if a.grade + b.grade > DIM:
         raise GradeError(f"wedge of grades {a.grade}+{b.grade} exceeds {DIM}")
     terms = {}
+    if a.grade + b.grade == DIM:
+        # only complementary blades meet, each pair with its Hodge sign
+        get = b.terms.get
+        for m1, c1 in a.terms.items():
+            c2 = get(FULL_MASK ^ m1)
+            if c2 is not None:
+                c = _HODGE_SIGN[m1] * c1 * c2
+                acc = terms.get(FULL_MASK)
+                terms[FULL_MASK] = c if acc is None else acc + c
+        return Form(DIM, terms)
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             if m1 & m2:
@@ -241,7 +259,7 @@ def contract(v: Form, a: Form) -> Form:
 def hodge(a: Form) -> Form:
     """Hodge star for the standard metric and volume e1234567."""
     return Form(DIM - a.grade,
-                {FULL_MASK ^ m: merge_sign(m, FULL_MASK ^ m) * c
+                {FULL_MASK ^ m: _HODGE_SIGN[m] * c
                  for m, c in a.terms.items()})
 
 

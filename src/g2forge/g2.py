@@ -49,10 +49,12 @@ pairing map M: gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49,
 is G2-equivariant, so by Schur's lemma M^T M = 16 P1 + 6 P7 + 2 P27
 (the build checks it on phi, e_1 -| psi and one 27-type form) and the
 solve is gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the
-sparse M^T (112 entries, all +-1) and the type split above, on the ints
-d rhs with the weights over D = 48 L.  solve_three_form_numerators
-returns x = D d gamma, its 49 equations checked on the sparse M; b2
-folds D d into its one rescale.  Building a frame runs no elimination.
+sparse M^T (112 entries, all +-1) and the type split above, on one flat
+integer rhs of 49 entries with the weights over D = 48 L.
+solve_three_form_numerators returns x = D gamma, its 49 equations
+checked on the sparse M; b2 folds D into its one rescale, and
+solve_three_form flattens its 6-forms and clears their denominators d
+to divide by D d.  Building a frame runs no elimination.
 
 All of these kernels are linear: they clear the argument's denominators
 on entry (b = n/d, a QuadExt with int parts for QuadExt coefficients),
@@ -354,21 +356,37 @@ class G2Frame:
         return vector_form([quarter * _signed_sum(f, a.terms.get)
                             for f, _ in self._span4[1]])
 
+    def _hat_touched(self, n: Form) -> dict:
+        """L (2 P7 n - n) on the blades that t7 = L P7 n touches, for an
+        integer 4-form n: 2 t7 - L n there."""
+        _, span7, L = self._span4
+        nt = n.terms
+        return {m: 2 * c - L * nt.get(m, 0)
+                for m, c in _span_sum(n, span7).items()}
+
+    def hat_numerators(self, n: Form) -> tuple[Form, int]:
+        """(h, L) with hat(n) = h / L: h = *(2 t7 - L n), L = 28, the int
+        core of hat for an integer 4-form n."""
+        L = self._span4[2]
+        terms = {m: -L * c for m, c in n.terms.items()}
+        terms.update(self._hat_touched(n))
+        return hodge(Form(4, terms)), L
+
     def hat(self, a: Form) -> Form:
         """The 3-form solving hat(a) ^ (v -| psi) + phi ^ (v -| a) = 0,
         which is -*a_1 + *a_7 - *a_27 = *(2 P7 a - a) by type.
 
-        P7 runs on the integer numerators of a scaled by L = 28; a blade
-        that P7 a does not touch keeps its coefficient type, negated.
+        The core runs on the integer numerators of a (hat_numerators) and
+        divides once; a blade that P7 a does not touch keeps its
+        coefficient type, negated.
         """
         if a.grade != 4:
             raise ext.GradeError("hat needs a 4-form")
         (n,), d = ext.numerators(a)
-        _, span7, L = self._span4
+        s = self._span4[2] * d
         terms = {m: -c for m, c in a.terms.items()}
-        nt = n.terms
-        for m, c in _span_sum(n, span7).items():
-            terms[m] = over(2 * c - L * nt.get(m, 0), L * d)
+        for m, c in self._hat_touched(n).items():
+            terms[m] = over(c, s)
         return hodge(Form(4, terms))
 
     # -- the cocycle linear solver -----------------------------------------
@@ -394,26 +412,19 @@ class G2Frame:
                     y[k] += c * x
         return y
 
-    def solve_three_form_numerators(self, rhs_blocks: list[Form]) -> tuple[list, int]:
+    def solve_three_form_numerators(self, rhs: list) -> tuple[list, int]:
         """(x, s) with gamma = x / s solving gamma ^ (e_j -| psi) = rhs_j
-        for the 7 right-hand 6-forms, x in the blade order of grade 3, on
-        the integer numerators of rhs; raises InconsistentSystemError
-        naming the first of the 49 equations that fails."""
-        if len(rhs_blocks) != DIM:
-            raise ValueError("need 7 right-hand blocks")
-        rhs = []
-        for w in rhs_blocks:
-            if w.grade != 6:
-                raise ext.GradeError("right-hand blocks must be 6-forms")
-            rhs.extend(ext.form_to_coords(w))
-        rhs, d = clear_denominators(rhs)
+        for the integer right-hand side rhs, the 7 6-forms rhs_j as one
+        flat vector (row 7 j + p is 6-blade p of block j), x in the blade
+        order of grade 3; raises InconsistentSystemError naming the
+        first of the 49 equations that fails."""
         y = self._pairing_transpose(rhs)
         span1, span7, L = self._span3
         n = ext.form_from_coords(3, y)
         t1, t7 = _span_sum(n, span1), _span_sum(n, span7)
         # t = L P y and P27 = 1 - P1 - P7; over the common denominator
         # D = lcm(16, 6, 2) L = 48 L the weights 1/16, 1/6, 1/2 are
-        # (3, 8, 24)/D, so D d gamma = 24 L y - 21 t1 - 16 t7
+        # (3, 8, 24)/D, so D gamma = 24 L y - 21 t1 - 16 t7
         top = lcm(*_NORMAL_EIGENVALUES)
         w1, w7, w27 = (top // lam for lam in _NORMAL_EIGENVALUES)
         x = [w27 * L * v + (w1 - w27) * t1.get(m, 0) + (w7 - w27) * t7.get(m, 0)
@@ -422,12 +433,20 @@ class G2Frame:
         for row, (got, want) in enumerate(zip(self._pairing_rows(x), rhs)):
             if got != D * want:
                 raise InconsistentSystemError(row)
-        return x, D * d
+        return x, D
 
     def solve_three_form(self, rhs_blocks: list[Form]) -> Form:
-        """solve_three_form_numerators' gamma in Lambda^3, divided once."""
-        x, s = self.solve_three_form_numerators(rhs_blocks)
-        return ext.form_from_coords(3, [over(v, s) for v in x])
+        """solve_three_form_numerators' gamma in Lambda^3 for the 7
+        right-hand 6-forms, on the integer numerators of their
+        coefficients, divided once."""
+        if len(rhs_blocks) != DIM:
+            raise ValueError("need 7 right-hand blocks")
+        if any(w.grade != 6 for w in rhs_blocks):
+            raise ext.GradeError("right-hand blocks must be 6-forms")
+        rhs, d = clear_denominators(
+            [c for w in rhs_blocks for c in ext.form_to_coords(w)])
+        x, s = self.solve_three_form_numerators(rhs)
+        return ext.form_from_coords(3, [over(v, s * d) for v in x])
 
 
 @functools.cache

@@ -248,6 +248,9 @@ def clear_denominators(values: list) -> tuple[list, int]:
     list of ints comes back as the same list, with d = 1."""
     if all(type(c) is int for c in values):
         return values, 1
+    if all(type(c) is Fraction for c in values):
+        d = math.lcm(*{c.denominator for c in values})
+        return [c.numerator * (d // c.denominator) for c in values], d
     d = math.lcm(*{_denominator(c) for c in values})
     return [_times(c, d) for c in values], d
 

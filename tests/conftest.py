@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from g2forge.aw import standard_aw_frame
-from g2forge.g2 import standard_frame
+from g2forge.exterior import Form
+from g2forge.g2 import G2Frame, standard_frame
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +18,22 @@ def g2frame():
 @pytest.fixture(scope="session")
 def awframe():
     return standard_aw_frame()
+
+
+@pytest.fixture
+def flip_iso_i(g2frame, monkeypatch):
+    """A call that negates the coefficient of the lowest blade of every
+    i(S) from then on; |i(S)|^2 = 2 |S|^2 still holds, so only a check
+    against the derived action S * phi can catch it.  The frame is
+    built first, since its build runs i."""
+    iso_i = G2Frame.iso_i
+
+    def flipped(self, S):
+        terms = dict(iso_i(self, S).terms)
+        m = min(terms)
+        terms[m] = -terms[m]
+        return Form(3, terms)
+    return lambda: monkeypatch.setattr(G2Frame, "iso_i", flipped)
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import isqrt
 
 from g2forge import exterior as ext, pairing
-from g2forge.cubic import b2_rhs
 from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
     vector, vol_coefficient, wedge
 from g2forge.g2 import InternalConsistencyError, star_action
@@ -48,6 +47,21 @@ def evaluate(poly, values: dict) -> GaussRational:
             prod = prod * values[name]
         total = total + prod
     return total
+
+
+# -- forms --------------------------------------------------------------------
+
+def pairwise_wedge(a, b):
+    """a ^ b over every pair of blades, each disjoint pair with its
+    merge_sign."""
+    terms = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            if not m1 & m2:
+                c = ext.merge_sign(m1, m2) * c1 * c2
+                acc = terms.get(m1 | m2)
+                terms[m1 | m2] = c if acc is None else acc + c
+    return Form(a.grade + b.grade, terms)
 
 
 # -- dense projectors -------------------------------------------------------
@@ -171,6 +185,11 @@ def type_split(fr, a):
     return p1, p7, a - p1 - p7
 
 
+def hat(fr, a):
+    """*(2 P7 a - a), P7 a in the coefficients' own type."""
+    return hodge(2 * type_split(fr, a)[1] - a)
+
+
 def iso_i_inv_pairings(fr, b):
     """The 49 pairings <b, f_ij>, each a sum of coefficient products."""
     bt = b.terms
@@ -198,6 +217,14 @@ def sym_inner(S1, S2):
                       for x, y in zip(r1[i + 1:], r2[i + 1:])))
 
 
+def b2_rhs(a1, h1, a2, h2):
+    """-(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)), j = 1..7, by 14 wedges,
+    as one flat vector, j-major in the grade-6 blade order."""
+    return [c for j in range(1, 8) for c in ext.form_to_coords(
+        -(wedge(h1, ext.contract(vector(j), a2))
+          + wedge(h2, ext.contract(vector(j), a1))))]
+
+
 def b2(fr, a1, a2):
     def hat(a):
         p1, p7, p27 = type_split(fr, a)
@@ -205,7 +232,7 @@ def b2(fr, a1, a2):
 
     h1 = hat(a1)
     h2 = h1 if a2 is a1 else hat(a2)
-    rhs = [c for w in b2_rhs(a1, h1, a2, h2) for c in ext.form_to_coords(w)]
+    rhs = b2_rhs(a1, h1, a2, h2)
     # the dense normal equations M^T M x = M^T rhs, and the residual
     M = fr.pairing_matrix()
     Mt = transpose(M)

@@ -206,6 +206,25 @@ def test_run_usage_errors_load_no_suites(fresh_python, argv, env):
     assert done.stdout == "2 False\n", done.stderr
 
 
+def test_cli_import_builds_no_table(fresh_python):
+    # a cold `eval hat` or `eval project` never pays for the b2, pair or
+    # frame tables: every functools.cache builder of the loaded package
+    # is still empty after the import
+    code = ("import sys\n"
+            "import g2forge.cli\n"
+            "for name, mod in sorted(sys.modules.items()):\n"
+            "    if name.startswith('g2forge.'):\n"
+            "        for key, fn in sorted(vars(mod).items()):\n"
+            "            if hasattr(fn, 'cache_info') and fn.__module__ == name:\n"
+            "                print(name, key, fn.cache_info().currsize)\n")
+    done = fresh_python(code)
+    builders = {tuple(line.split()[:2]): line.split()[2]
+                for line in done.stdout.splitlines()}
+    assert {("g2forge.cubic", "_rhs_table"), ("g2forge.cubic", "_pair_table"),
+            ("g2forge.g2", "standard_frame")} <= builders.keys(), done.stderr
+    assert set(builders.values()) == {"0"}
+
+
 def test_parser_offers_the_suites_constants():
     parser = build_parser()
     (sub,) = [a for a in parser._actions

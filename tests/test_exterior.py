@@ -10,6 +10,9 @@ from g2forge.exterior import Form, FormError, GradeError, blade, contract, \
     coords_of, hodge, inner, norm_sq, vector, vector_form, vol_coefficient, \
     wedge
 from g2forge.g2 import standard_phi
+from g2forge.scalars import QuadExt
+
+import reference
 
 
 def _random_form(rng, grade, bound=4):
@@ -49,6 +52,51 @@ def test_wedge_graded_commutative_random():
         ka, kb = rng.randint(0, 3), rng.randint(0, 3)
         a, b = _random_form(rng, ka), _random_form(rng, kb)
         assert wedge(a, b) == (-1) ** (ka * kb) * wedge(b, a)
+
+
+def test_form_checks_grades_and_drops_zeros():
+    with pytest.raises(GradeError, match=r"blade \(1, 2\) has wrong grade "
+                                         r"for a 3-form"):
+        Form(3, {0b111: 1, 0b11: 1})
+    # three bits, but one beyond e7: no blade of R^7
+    with pytest.raises(GradeError):
+        Form(3, {0b11001000: 1})
+    a = Form(2, {0b11: 0, 0b101: Fraction(0), 0b110: QuadExt(0), 0b1001: 2})
+    assert a.terms == {0b1001: 2}
+
+
+def test_hodge_sign_table():
+    assert ext._HODGE_SIGN == tuple(ext.merge_sign(m, ext.FULL_MASK ^ m)
+                                    for m in range(128))
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, QuadExt])
+def test_top_degree_wedge_matches_pairwise(kind):
+    # the complement lookup gives the pairwise wedge for every split
+    # (k, 7 - k), entry types and cancelled sums included
+    rng = random.Random(17)
+
+    def draw():
+        c = rng.randint(-3, 3)
+        if kind is Fraction:
+            return Fraction(c, rng.randint(1, 3))
+        if kind is QuadExt:
+            return QuadExt(Fraction(c, 2), rng.randint(-2, 2))
+        return c
+
+    for k in range(8):
+        for density in (0.3, 1.0):
+            for _ in range(6):
+                a, b = (Form(g, {m: draw() for m in ext.BLADES_BY_GRADE[g]
+                                 if rng.random() < density})
+                        for g in (k, 7 - k))
+                got, want = wedge(a, b), reference.pairwise_wedge(a, b)
+                assert got == want
+                assert ({m: type(c) for m, c in got.terms.items()}
+                        == {m: type(c) for m, c in want.terms.items()})
+    a = blade([1, 2, 3]) + blade([4, 5, 6])
+    b = blade([4, 5, 6, 7]) + blade([1, 2, 3, 7])
+    assert wedge(a, b) == reference.pairwise_wedge(a, b) == Form.zero(7)
 
 
 def test_wedge_associative_random():

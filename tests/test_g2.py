@@ -16,6 +16,7 @@ from g2forge.linalg import Matrix, SymTensor, rank, solve_exact, sym_inner
 from g2forge.scalars import QuadExt
 
 import reference
+from test_acceptance import iso_identities_hold
 
 
 def random_form(rng, grade, bound=4):
@@ -125,8 +126,21 @@ def test_iso_identities(g2frame):
     rng = random.Random(7005)
     for _ in range(20):
         S = random_traceless(rng)
-        assert hodge(g2frame.iso_i_psi(S)) == -g2frame.iso_i(S)
+        # S * psi by the derived action, independent of the table behind i
+        assert hodge(star_action(S.to_matrix(), g2frame.psi)) \
+            == -g2frame.iso_i(S)
         assert norm_sq(g2frame.iso_i(S)) == 2 * sym_inner(S, S)
+
+
+def test_iso_identities_catch_a_flipped_coefficient(g2frame, flip_iso_i):
+    # the identities of this file and of acceptance criterion 4
+    rng = random.Random(7027)
+    tensors = [random_traceless(rng) for _ in range(3)]
+    assert iso_identities_hold(g2frame, tensors)
+    flip_iso_i()
+    with pytest.raises(AssertionError):
+        test_iso_identities(g2frame)
+    assert not iso_identities_hold(g2frame, tensors)
 
 
 def test_iso_rejects_trace(g2frame):
@@ -346,6 +360,25 @@ def test_iso_inverse_matches_wedge_formula(g2frame, kind):
         # the same scalar types, a cancelled entry included
         assert [type(x) for r in got for x in r] == \
             [type(x) for r in expected for x in r]
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
+def test_hat_matches_reference_with_entry_types(g2frame, kind):
+    # the int core over L = 28, divided once, against *(2 P7 a - a) in
+    # the coefficients' own type: a blade P7 a does not touch keeps -a[m]
+    rng = random.Random(7026)
+    draw = _COEFFICIENT_KINDS[kind]
+    blades = ext.BLADES_BY_GRADE[4]
+    for _ in range(12):
+        a = ext.Form(4, {m: draw(rng)
+                         for m in rng.sample(blades, rng.randint(1, 35))})
+        got, want = g2frame.hat(a), reference.hat(g2frame, a)
+        assert got == want
+        assert ({m: type(c) for m, c in got.terms.items()}
+                == {m: type(c) for m, c in want.terms.items()})
+        (n,), d = ext.numerators(a)
+        h, L = g2frame.hat_numerators(n)
+        assert L == 28 and h * Fraction(1, L * d) == got
 
 
 def test_dense_projectors_are_built_lazily():

@@ -64,22 +64,11 @@ def test_type_dimensions_check_can_fail(monkeypatch):
     assert check["actual"] == "[21, 0] [1, 7, 27] [1, 7, 27]"
 
 
-def test_iso_identities_check_can_fail(monkeypatch):
-    # negating one coefficient of i(S) keeps |i(S)|^2 = 2|S|^2, so only
-    # the comparison with the derived action S * psi can catch it
-    g2.standard_frame()
-    iso_i = g2.G2Frame.iso_i
-
-    def flipped(self, S):
-        terms = dict(iso_i(self, S).terms)
-        m = min(terms)
-        terms[m] = -terms[m]
-        return ext.Form(3, terms)
-
+def test_iso_identities_check_can_fail(flip_iso_i):
     def status():
         report = suites.suite_g2(0, n_random=1)
         return _check(report, "g2.iso-identities")["status"]
 
     assert status() == "pass"
-    monkeypatch.setattr(g2.G2Frame, "iso_i", flipped)
+    flip_iso_i()
     assert status() == "fail"
