@@ -107,6 +107,9 @@ class Form:
         blades = _BLADE_SETS[grade]
         if not blades.issuperset(terms):
             for mask in terms:
+                if mask not in range(1 << DIM):
+                    # blade_indices reads bits 0-6 only, so name it as given
+                    raise GradeError(f"{mask!r} is not the mask of a blade of R^{DIM}")
                 if mask not in blades:
                     raise GradeError(
                         f"blade {blade_indices(mask)} has wrong grade for a {grade}-form")

@@ -262,19 +262,14 @@ class G2Frame:
 
     # -- metric recovery --------------------------------------------------
 
-    def metric_from_structure(self, three_form: Form | None = None) -> Matrix:
-        """Recover the metric from a calibration via
-        (v -| a) ^ (w -| a) ^ a = -6 g(v, w) vol.
-
-        Scaling the 3-form by t scales the recovered entries by t^3 (the
-        volume form is held fixed), so this is only the metric for the
-        normalized calibration.
-        """
-        a = self.phi if three_form is None else three_form
-        cons = [contract(vector(i), a) for i in range(1, 8)]
+    def metric_from_structure(self) -> Matrix:
+        """Recover the metric from the structure 3-form via
+        (v -| phi) ^ (w -| phi) ^ phi = -6 g(v, w) vol."""
+        phi = self.phi
+        cons = [contract(vector(i), phi) for i in range(1, 8)]
         minus6 = Fraction(-1, 6)
         return Matrix.from_rows(
-            [[minus6 * vol_coefficient(wedge(wedge(cons[i], cons[j]), a))
+            [[minus6 * vol_coefficient(wedge(wedge(cons[i], cons[j]), phi))
               for j in range(DIM)] for i in range(DIM)])
 
     # -- the 27-dimensional isomorphism ------------------------------------

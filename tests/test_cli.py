@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import g2forge
-from g2forge import aw, suites
+from g2forge import suites
 from g2forge import exterior as ext
 from g2forge.aw import standard_aw_frame
 from g2forge.cli import build_parser, main
@@ -135,29 +135,46 @@ def test_run_seed_from_environment(capsys, monkeypatch):
     assert "bad G2FORGE_SEED value: 'pony'" in err
 
 
-def test_run_records_a_raising_suite(capsys, tmp_path, monkeypatch):
-    # a broken construction makes c_of raise inside the aw suite; the
-    # run still writes its report, with the exception as a failed check
-    monkeypatch.setattr(aw, "c_display",
-                        lambda x: aw.c_direct(x) + ext.blade([1, 2, 3]))
-    path = tmp_path / "aw.json"
-    rc, out, err = run_cli(
-        capsys, "run", "--suite", "aw", "--seed", "1", "--random", "1",
-        "--format", "json", "--output", str(path))
-    assert rc == 1
-    assert out == "" and "Traceback" not in err
-    report = json.loads(path.read_text())
+def test_run_records_a_raising_suite(fresh_python, tmp_path):
+    # a broken construction makes c_of raise inside the aw suite; each
+    # check that reaches it fails with the exception, the others still
+    # run, and the run writes its report.  A fresh process, so that no
+    # cached table spares a check the call
+    code = ("import sys\n"
+            "from g2forge import aw, exterior as ext\n"
+            "from g2forge.cli import main\n"
+            "aw.c_display = lambda x: aw.c_direct(x) + ext.blade([1, 2, 3])\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    done = fresh_python(code, "run", "--suite", "aw", "--seed", "1",
+                        "--random", "1", "--format", "json",
+                        "--output", "aw.json")
+    assert done.returncode == 1, done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
+    report = json.loads((tmp_path / "aw.json").read_text())
     assert report["passed"] is False
     (sub,) = report["suites"]
-    assert sub["checks"] == [{
-        "id": "aw.exception",
-        "status": "fail",
-        "expected": "no exception",
-        "actual": "InternalConsistencyError: "
-                  "the two constructions of C disagree",
-        "anchor": "raised by suite aw at seed 1 with --random 1; "
-                  "rerun it to reproduce",
-    }]
+    checks = {c["id"]: c for c in sub["checks"]}
+    assert len(checks) == len(sub["checks"])
+    assert checks["aw.quaternionic-relations"]["status"] == "pass"
+    assert checks["aw.idet-two-routes"]["status"] == "pass"
+    assert checks["aw.dual-constructions"]["status"] == "fail"
+    assert checks["aw.dual-constructions"]["actual"] == \
+        "agree on 0 of 24 vectors"
+    raised = {cid for cid, c in checks.items() if c["actual"] ==
+              "InternalConsistencyError: the two constructions of C disagree"}
+    # the two display sweeps raise before their rows exist, so each is
+    # one record under its stream's name
+    assert raised == {
+        "aw.decompose-roundtrip", "aw.value-two-routes", "aw.tensor-displays",
+        "aw.block-products", "aw.generic-sum-display", "aw.closed-display",
+        "aw.pairing-vs-displays", "aw.revert-map"}
+    assert set(checks) == raised | {"aw.quaternionic-relations",
+                                    "aw.dual-constructions",
+                                    "aw.idet-two-routes"}
+    for cid in raised:
+        assert checks[cid]["status"] == "fail"
+        assert checks[cid]["anchor"].endswith(
+            "; raised at seed 1 with --random 1, rerun it to reproduce")
 
 
 def test_run_lets_interrupts_through(capsys, monkeypatch):
@@ -238,6 +255,22 @@ def test_parser_offers_the_suites_constants():
     # one definition of each, shared by the command line and the suites
     assert suites.SUITE_NAMES is g2forge.SUITE_NAMES
     assert suites.DEFAULT_SAMPLES is g2forge.DEFAULT_SAMPLES
+
+
+def test_command_options_are_pinned():
+    # every option of every command, so a new knob fails here
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, p in [("g2forge", parser), *sub.choices.items()]}
+    assert options == {
+        "g2forge": [],
+        "run": ["--suite", "--seed", "--samples", "--random", "--format",
+                "--output"],
+        "eval": ["--output"],
+    }
 
 
 # -- eval ---------------------------------------------------------------------

@@ -58,9 +58,14 @@ def test_form_checks_grades_and_drops_zeros():
     with pytest.raises(GradeError, match=r"blade \(1, 2\) has wrong grade "
                                          r"for a 3-form"):
         Form(3, {0b111: 1, 0b11: 1})
-    # three bits, but one beyond e7: no blade of R^7
-    with pytest.raises(GradeError):
+    # three bits, but one beyond e7, and a negative mask: no blade of
+    # R^7, and the message names the mask as given
+    with pytest.raises(GradeError,
+                       match=r"^200 is not the mask of a blade of R\^7$"):
         Form(3, {0b11001000: 1})
+    with pytest.raises(GradeError,
+                       match=r"^-1 is not the mask of a blade of R\^7$"):
+        Form(3, {-1: 1})
     a = Form(2, {0b11: 0, 0b101: Fraction(0), 0b110: QuadExt(0), 0b1001: 2})
     assert a.terms == {0b1001: 2}
 

@@ -463,9 +463,6 @@ def test_vector_extraction(g2frame):
 
 def test_metric_from_structure(g2frame):
     assert g2frame.metric_from_structure() == Matrix.diagonal([1] * 7)
-    # cubic scaling in the 3-form, volume held fixed
-    assert g2frame.metric_from_structure(2 * g2frame.phi) \
-        == 8 * Matrix.diagonal([1] * 7)
 
 
 def test_star_action_on_phi(g2frame):

@@ -1,48 +1,60 @@
-"""The aw suite checks that compare two constructions: they pass on the
-package as it is and fail when one side is broken."""
+"""The suites' checks as records: the aw checks that compare two
+constructions pass on the package as it is and fail when one side is
+broken, a check that raises fails alone, a report field whose input
+raised is left out, and an interrupt is not caught."""
 
 from fractions import Fraction
 
-from g2forge import aw, g2, suites
+import pytest
+
+from g2forge import aw, g2, pairing, suites
 from g2forge import exterior as ext
 from g2forge.exterior import blade
 
 
+def _check(report, cid):
+    return next(c for c in report["checks"] if c["id"] == cid)
+
+
+def _aw_check(cid):
+    return _check(suites.suite_aw(0, n_random=5), cid)
+
+
 def test_aw_comparison_checks_pass():
-    assert suites._aw_dual_constructions(0) == (
-        True, "agree on 24 of 24 vectors")
-    assert suites._aw_decompose_roundtrip(0, 5) == (
-        True, "5 of 5 elements round-trip")
-    ok, actual = suites._aw_revert_map()
-    assert ok
-    assert actual == ("pushed (-210, 55/2, 50/3, 125/18); "
-                      "direct (-210, 55/2, 50/3, 125/18)")
+    report = suites.suite_aw(0, n_random=5)
+    checks = [_check(report, cid) for cid in (
+        "aw.dual-constructions", "aw.decompose-roundtrip", "aw.revert-map")]
+    assert [c["status"] for c in checks] == ["pass"] * 3
+    assert [c["actual"] for c in checks] == [
+        "agree on 24 of 24 vectors",
+        "5 of 5 elements round-trip",
+        "pushed (-210, 55/2, 50/3, 125/18); "
+        "direct (-210, 55/2, 50/3, 125/18)"]
 
 
 def test_dual_constructions_can_fail(monkeypatch):
     monkeypatch.setattr(aw, "c_display",
                         lambda x: aw.c_direct(x) + blade([1, 2, 3]))
-    assert suites._aw_dual_constructions(0) == (
-        False, "agree on 0 of 24 vectors")
+    check = _aw_check("aw.dual-constructions")
+    assert (check["status"], check["actual"]) == (
+        "fail", "agree on 0 of 24 vectors")
 
 
 def test_decompose_roundtrip_can_fail(monkeypatch):
     compose = aw.compose
     monkeypatch.setattr(aw, "compose", lambda s, y, x: compose(s, -y, x))
-    ok, actual = suites._aw_decompose_roundtrip(0, 5)
-    assert not ok and actual != "5 of 5 elements round-trip"
+    check = _aw_check("aw.decompose-roundtrip")
+    assert check["status"] == "fail"
+    assert check["actual"] != "5 of 5 elements round-trip"
 
 
 def test_revert_map_can_fail(monkeypatch):
     revert = aw.revert_block_fit
     monkeypatch.setattr(aw, "revert_block_fit",
                         lambda c: revert(c[:3] + (c[3] * Fraction(2),)))
-    ok, actual = suites._aw_revert_map()
-    assert not ok and actual.startswith("pushed (-210, 55/2, 50/3, 125/9);")
-
-
-def _check(report, cid):
-    return next(c for c in report["checks"] if c["id"] == cid)
+    check = _aw_check("aw.revert-map")
+    assert check["status"] == "fail"
+    assert check["actual"].startswith("pushed (-210, 55/2, 50/3, 125/9);")
 
 
 def test_g2_suite_builds_no_dense_projector():
@@ -72,3 +84,42 @@ def test_iso_identities_check_can_fail(flip_iso_i):
     assert status() == "pass"
     flip_iso_i()
     assert status() == "fail"
+
+
+def test_a_raising_check_fails_alone(monkeypatch):
+    def broken(self):
+        raise RuntimeError("no pairing matrix")
+
+    monkeypatch.setattr(g2.G2Frame, "pairing_matrix", broken)
+    report = suites.suite_g2(0, n_random=1)
+    assert len(report["checks"]) == 8
+    assert [c for c in report["checks"] if c["status"] == "fail"] == [{
+        "id": "g2.pairing-rank",
+        "status": "fail",
+        "expected": "rank 35",
+        "actual": "RuntimeError: no pairing matrix",
+        "anchor": "gamma |-> (gamma ^ (e_j -| psi))_j is injective on "
+                  "3-forms; raised at seed 0 with --random 1, rerun it "
+                  "to reproduce",
+    }]
+
+
+def test_an_interrupt_in_a_check_propagates(monkeypatch):
+    def interrupt(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(g2.G2Frame, "pairing_matrix", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        suites.suite_g2(0, n_random=1)
+
+
+def test_pairing_fields_left_out_when_their_input_raises(monkeypatch):
+    def broken():
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(pairing, "pairing_report", broken)
+    report = suites.suite_pairing(1, n_random=1, samples=10 ** 4)
+    assert set(report) == {"suite", "seed", "passed", "checks"}
+    assert _check(report, "pairing.component-values")["actual"] == \
+        "RuntimeError: no report"
+    assert _check(report, "pairing.gram-from-killing")["status"] == "pass"
