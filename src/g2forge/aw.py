@@ -64,8 +64,8 @@ from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
     hodge_m4, norm_sq, numerators, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame, two_form_endo
-from .cubic import p_numerator, quadratic_form, quadratic_upper
-from .linalg import Matrix, SymTensor, solve_exact, sym_inner, upper_inner
+from .cubic import p_numerator, quadratic_upper
+from .linalg import Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import SQRT10, GaussRational, QuadExt, ScalarError, \
     clear_denominators
 
@@ -375,21 +375,29 @@ def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     values; the multiplicity column is the coefficient each product
     carries in the full expansion of P(A_).  Pass a block table to
     assemble the values multilinearly instead of running the solver.
+
+    The solver route runs on the integer numerators (PT, YW, CX, SPT) =
+    d (phitilde, y^Omega, C(x), s phitilde) and A = SPT + YW + CX =
+    d A_: quadratic_upper is d^2 p for a block with itself and 2 d^2 p
+    for two blocks, iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each
+    product is one int over 2 d^3 or 4 d^3.
     """
     fr = standard_aw_frame()
     if tables is not None:
         got6 = tables.products(s, y, x)
         full = tables.cubic(s, y, x)
     else:
-        yw = wedge(y, fr.Omega)
-        cx = c_of(x)
-        a_ = s * fr.phi_tilde + yw + cx
-        S = fr.g2.iso_i_inv(a_)
-        pt = fr.phi_tilde
-        got6 = tuple(sym_inner(quadratic_form(b1, b2), S)
+        (pt, yw, cx, spt), d = numerators(
+            fr.phi_tilde, wedge(y, fr.Omega), c_of(x), s * fr.phi_tilde)
+        a = spt + yw + cx
+        _pure27(a)
+        S = fr.g2.iso_i_inv_upper(a)
+        d3 = d ** 3
+        got6 = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
+                              (2 if b1 is b2 else 4) * d3)
                      for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
                                     (yw, yw), (yw, cx), (cx, cx)))
-        full = sym_inner(quadratic_form(a_, a_), S)
+        full = Fraction(upper_inner(quadratic_upper(a, a), S), 2 * d3)
     r = r_value(y, x)
     xx, yy = norm_sq(x), norm_sq(y)
     # display column: the six values as displayed; corrected column: the
@@ -430,9 +438,10 @@ def _outer2(pairs) -> SymTensor:
 
 
 def _epsilon_mix(y: Form, x: Form) -> SymTensor:
-    """sum_{abc} eps_{abc} y_a e_c . (I_b J x), the second equivariant
-    bilinear map from (m3, m4) into the off-diagonal symmetric block.
-    J commutes with each I_a, so the composite is unambiguous."""
+    """Twice sum_{abc} eps_{abc} y_a e_c . (I_b J x), the second
+    equivariant bilinear map from (m3, m4) into the off-diagonal
+    symmetric block, as _outer2 gives it.  J commutes with each I_a, so
+    the composite is unambiguous."""
     fr = standard_aw_frame()
     yc = coords_of(y)
     jx = fr.J.apply(coords_of(x))
@@ -442,7 +451,30 @@ def _epsilon_mix(y: Form, x: Form) -> SymTensor:
         ec = coords_of(vector(c + 1))
         pairs.append((ec, [yc[a] * t for t in ijx[b]]))
         pairs.append((ec, [-yc[b] * t for t in ijx[a]]))
-    return _outer2(pairs).scale(Fraction(1, 2))
+    return _outer2(pairs)
+
+
+def _blocks_id(a, b) -> SymTensor:
+    """a id3 + b id4."""
+    return SymTensor.diag([a] * 3 + [b] * 4)
+
+
+def _pure27(*forms: Form) -> None:
+    g2 = standard_frame()
+    if not all(g2.is_pure27(b) for b in forms):
+        raise TypeDecompositionError(
+            "form has components outside the 27-dimensional summand")
+
+
+@functools.cache
+def _phitilde_displays() -> tuple[bool, bool]:
+    """Whether p(phitilde, phitilde) = 38 id3 + 3 id4 and
+    i^{-1}(phitilde) = -2 id3 + (3/2) id4, the two displays that do not
+    depend on (y, x), compared at the scales p and 2 i^{-1}."""
+    pt = standard_aw_frame().phi_tilde
+    _pure27(pt)
+    return (quadratic_upper(pt, pt) == _blocks_id(38, 3).upper,
+            standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
 
 
 def tensor_displays(y: Form, x: Form) -> list[dict]:
@@ -451,13 +483,18 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
 
     Three of the eight displays fail as stated; for those the record
     also says whether the corrected closed form that the exact
-    computation vindicates holds (each is noted at its corrected=).  The corrections are
-    forced: pairing i(S) against itself must give 2|S|^2, which pins
-    i^{-1}(C) at -2 e_a . I_a x, and the full symmetry of the trilinear
-    form then pins the p(., C) rows.
+    computation vindicates holds (each is noted at its comparison).  The
+    corrections are forced: pairing i(S) against itself must give
+    2|S|^2, which pins i^{-1}(C) at -2 e_a . I_a x, and the full
+    symmetry of the trilinear form then pins the p(., C) rows.
 
     Every display is homogeneous in (y, x), so the sides are compared at
-    the integer numerators (Y, X) = d (y, x).
+    the integer numerators (Y, X) = d (y, x), and each on int upper
+    triangles with no division: quadratic_upper gives p of a form with
+    itself and 2p of two forms, iso_i_inv_upper gives 2 i^{-1}, and each
+    display is multiplied by the matching integer (4 i^{-1} for C(x), so
+    that -(1/2) e_a . I_a x is an int tensor).  The two displays of
+    phitilde alone are compared once per process.
     """
     fr = standard_aw_frame()
     g2 = fr.g2
@@ -465,11 +502,11 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     pt = fr.phi_tilde
     yw = wedge(y, fr.Omega)
     cx = c_of(x)
+    _pure27(yw, cx)
     xc = coords_of(x)
     yc = coords_of(y)
 
-    id3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
-    id4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
+    id3, id4 = _blocks_id(1, 0), _blocks_id(0, 1)
     jx = fr.J.apply(xc)
     jiy = fr.J * fr.iy(y)
     jiy_sym = SymTensor(jiy.to_rows())
@@ -479,39 +516,43 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
                    for a in range(3)])
     yjx2 = _outer2([(yc, jx)])
     xx = norm_sq(x)
-    x_outer = SymTensor([[xc[i] * xc[j] for j in range(7)] for i in range(7)])
+    x_outer = SymTensor.from_upper([[xc[i] * xc[j] for j in range(i, 7)]
+                                    for i in range(7)])
+    pp_holds, ip_holds = _phitilde_displays()
+    # the sides with a corrected form: 2p(phitilde, C(x)), 2p(y^Omega,
+    # C(x)) and 4 i^{-1}(C(x))
+    ptc, ywc = quadratic_upper(pt, cx), quadratic_upper(yw, cx)
+    icx = [[2 * t for t in row] for row in g2.iso_i_inv_upper(cx)]
 
     checks = []
 
-    def add(name, got, want, corrected=None):
-        rec = {"identity": name, "matches": got == want}
-        if corrected is not None:
-            rec["corrected_matches"] = got == corrected
+    def add(name, matches, corrected_matches=None):
+        rec = {"identity": name, "matches": matches}
+        if corrected_matches is not None:
+            rec["corrected_matches"] = corrected_matches
         checks.append(rec)
 
-    add("p(phitilde, phitilde) = 38 id3 + 3 id4",
-        quadratic_form(pt, pt), id3.scale(38) + id4.scale(3))
+    add("p(phitilde, phitilde) = 38 id3 + 3 id4", pp_holds)
     add("p(phitilde, y^Omega) = -J I_y",
-        quadratic_form(pt, yw), -jiy_sym)
+        quadratic_upper(pt, yw) == jiy_sym.scale(-2).upper)
     add("p(phitilde, C(x)) = -4 I_a x . e_a",
-        quadratic_form(pt, cx), ia2.scale(-2),
+        ptc == ia2.scale(-4).upper,
         # p(phitilde, C(x)) = -11 I_a x . e_a
-        corrected=ia2.scale(Fraction(-11, 2)))
+        ptc == ia2.scale(-11).upper)
     add("p(y^Omega, C(x)) = 6 y . Jx",
-        quadratic_form(yw, cx), yjx2.scale(3),
+        ywc == yjx2.scale(6).upper,
         # p(y^Omega, C(x)) = 3 y . Jx + eps_abc y_a e_c . I_b J x
-        corrected=yjx2.scale(Fraction(3, 2)) + _epsilon_mix(y, x))
+        ywc == (yjx2.scale(3) + _epsilon_mix(y, x)).upper)
     add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
-        quadratic_form(cx, cx),
-        id3.scale(2 * xx) + (id4.scale(xx) - x_outer).scale(10))
-    add("i^{-1}(phitilde) = -2 id3 + (3/2) id4",
-        g2.iso_i_inv(pt), id3.scale(-2) + id4.scale(Fraction(3, 2)))
+        quadratic_upper(cx, cx)
+        == (id3.scale(2 * xx) + (id4.scale(xx) - x_outer).scale(10)).upper)
+    add("i^{-1}(phitilde) = -2 id3 + (3/2) id4", ip_holds)
     add("i^{-1}(y^Omega) = -(1/2) J I_y",
-        g2.iso_i_inv(yw), jiy_sym.scale(Fraction(-1, 2)))
+        g2.iso_i_inv_upper(yw) == (-jiy_sym).upper)
     add("i^{-1}(C(x)) = -(1/2) e_a . I_a x",
-        g2.iso_i_inv(cx), ia2.scale(Fraction(-1, 4)),
+        icx == (-ia2).upper,
         # i^{-1}(C(x)) = -2 e_a . I_a x
-        corrected=-ia2)
+        icx == ia2.scale(-4).upper)
     return checks
 
 
@@ -610,18 +651,23 @@ class _BlockTables:
 
     def __init__(self):
         basis = block_basis()
-        inv = [standard_frame().iso_i_inv(b) for b in basis]
-        T = {}
+        _pure27(*basis)
+        # on int forms quadratic_upper is p(B_u, B_u) on the diagonal and
+        # 2 p(B_u, B_v) off it, iso_i_inv_upper is 2 i^{-1}(B_w): every
+        # entry of 4T is one int
+        inv = [standard_frame().iso_i_inv_upper(b) for b in basis]
+        T4 = {}
         for u, v in itertools.combinations_with_replacement(range(8), 2):
-            p = quadratic_form(basis[u], basis[v])
+            p = quadratic_upper(basis[u], basis[v])
+            k = 2 if u == v else 1
             for w in range(8):
-                T[u, v, w] = T[v, u, w] = Fraction(sym_inner(p, inv[w]))
-        if any(T[perm] != c for key, c in T.items()
+                T4[u, v, w] = T4[v, u, w] = k * upper_inner(p, inv[w])
+        if any(T4[perm] != c for key, c in T4.items()
                for perm in itertools.permutations(key)):
             raise InternalConsistencyError(
                 "block trilinear table is not fully symmetric")
-        self.terms = tuple((u, v, w, c.numerator if c.denominator == 1 else c)
-                           for (u, v, w), c in sorted(T.items()) if c)
+        self.terms = tuple((u, v, w, c // 4 if c % 4 == 0 else Fraction(c, 4))
+                           for (u, v, w), c in sorted(T4.items()) if c)
         for s, yc, xc in ((1, (1, 0, 0), (0, 1, 0, 0)),
                           (2, (0, 1, -1), (1, 0, 0, 1))):
             y = vector_form(list(yc) + [0, 0, 0, 0])
@@ -654,23 +700,29 @@ class _BlockTables:
         return (tri(e0, e0, z), tri(e0, zy, z), tri(e0, zc, z),
                 tri(zy, zy, z), tri(zy, zc, z), tri(zc, zc, z))
 
-    def fp_value(self, s, y: Form, x: Form) -> Fraction:
-        """P(xi) for the blocks (s, y, x) of xi, through the even/odd
+    def fp_numerator(self, s, y: Form, x: Form):
+        """54 P(xi) for the blocks (s, y, x) of xi, through the even/odd
         split in k = sqrt(10)/6: the rational part is B = s phitilde
         - (5/3) y^Omega and the k-coefficient part is C(x); the k-odd
-        combination must cancel."""
-        zb = [s] + [Fraction(-5, 3) * c for c in coords_of(y)[:3]] + [0] * 4
+        combination must cancel.  B is taken as 3B, so int blocks give
+        int t_k: t0, t1, t2 are 27, 9 and 3 times those of B, and with
+        k^2 = 5/18 the odd part vanishes iff 2 t1 + 5 t3 = 0 and
+        54 P = 2 t0 + 5 t2."""
+        zb = [3 * s] + [-5 * c for c in coords_of(y)[:3]] + [0] * 4
         zc = [0] * 4 + coords_of(x)[3:7]
         tri = self.tri
         t0 = tri(zb, zb, zb)
         t1 = 2 * tri(zb, zc, zb) + tri(zb, zb, zc)
         t2 = tri(zc, zc, zb) + 2 * tri(zb, zc, zc)
         t3 = tri(zc, zc, zc)
-        k2 = Fraction(5, 18)
-        if t1 + k2 * t3 != 0:
+        if 2 * t1 + 5 * t3 != 0:
             raise InternalConsistencyError(
                 "sqrt(10)-odd part of the assembled P does not vanish")
-        return Fraction(t0 + k2 * t2)
+        return 2 * t0 + 5 * t2
+
+    def fp_value(self, s, y: Form, x: Form) -> Fraction:
+        """P(xi) for the blocks (s, y, x) of xi: fp_numerator over 54."""
+        return Fraction(self.fp_numerator(s, y, x), 54)
 
 
 @functools.cache
@@ -685,6 +737,18 @@ def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return fit_model(block_tables().cubic)
 
 
+@functools.cache
+def _cubic_lattice() -> tuple:
+    """(s, y, x, model) at each point of the degree-3 lattice, model the
+    int values of s^3, s|x|^2, s|y|^2 and R there."""
+    out = []
+    for point in principal_lattice(8, 3):
+        s, y, x = _lattice_blocks(point)
+        out.append((s, y, x, (s ** 3, s * norm_sq(x), s * norm_sq(y),
+                              r_value(y, x))))
+    return tuple(out)
+
+
 def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact coefficients (c1, c2, c3, c4) of the block cubic fn in the
     model
@@ -695,7 +759,9 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     exactly on the full degree-3 lattice.  Four is enough because the
     model functions are linearly independent; the lattice sweep is what
     certifies that the cubic actually lies in the span (an
-    internal-inconsistency error otherwise).
+    internal-inconsistency error otherwise).  The sweep runs on ints:
+    with c_k = C_k / D it compares sum C_k m_k with D fn, for an fn
+    that gives ints on int blocks.
     """
     probes = [(1, (0, 0, 0), (0, 0, 0, 0)),
               (1, (0, 0, 0), (1, 0, 0, 0)),
@@ -706,24 +772,20 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     for s, yc, xc in probes:
         y = vector_form(list(yc) + [0, 0, 0, 0])
         x = vector_form([0, 0, 0] + list(xc))
-        rows.append([Fraction(s) ** 3, s * norm_sq(x), s * norm_sq(y),
-                     Fraction(r_value(y, x))])
-        rhs.append(Fraction(fn(s, y, x)))
+        rows.append([s ** 3, s * norm_sq(x), s * norm_sq(y), r_value(y, x)])
+        rhs.append(fn(s, y, x))
     sol, kdim = solve_exact(Matrix.from_rows(rows), rhs)
     if kdim != 0:
         raise InternalConsistencyError("cubic probe points are degenerate")
-    c1, c2, c3, c4 = sol
+    coeffs, D = clear_denominators(sol)
     # the cubic is jointly homogeneous in (s, y, x), so the degree-3
     # slice of the lattice (120 points, the unisolvent count for cubics
     # in eight variables) certifies the identity everywhere
-    for point in principal_lattice(8, 3):
-        s, y, x = _lattice_blocks(point)
-        model = (c1 * Fraction(s) ** 3 + c2 * s * norm_sq(x)
-                 + c3 * s * norm_sq(y) + c4 * r_value(y, x))
-        if model != fn(s, y, x):
+    for s, y, x, model in _cubic_lattice():
+        if sum(c * m for c, m in zip(coeffs, model)) != D * fn(s, y, x):
             raise InternalConsistencyError(
                 "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R")
-    return c1, c2, c3, c4
+    return tuple(sol)
 
 
 def revert_block_fit(coeffs) -> tuple:
@@ -735,27 +797,39 @@ def revert_block_fit(coeffs) -> tuple:
 
 
 @functools.cache
-def first_principles_fit() -> tuple:
-    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R).
-
-    Two derivations that must agree: fit the generic block cubic and
-    push it through revert_block_fit, or fit P itself through its table
-    assembly.
-    """
-    pushed = revert_block_fit(fit_block_cubic())
+def direct_p_fit() -> tuple:
+    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R),
+    fitted through P's table assembly once that assembly is certified
+    against the full evaluator at a generic point."""
     tab = block_tables()
-    # certify the table assembly of P against the full evaluator at a
-    # generic point, then fit P through the table
     py, px = vector_form([1, -1, 2] + [0] * 4), vector_form([0, 0, 0, 1, 0, 1, -1])
     if tab.fp_value(1, py, px) != first_principles_value(
             compose(1, py, px), single_route=True):
         raise InternalConsistencyError(
             "assembled P disagrees with the full evaluator")
-    direct = fit_model(tab.fp_value)
-    if direct != pushed:
+    return tuple(c / 54 for c in fit_model(tab.fp_numerator))
+
+
+@functools.cache
+def first_principles_fit() -> tuple:
+    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R).
+
+    Two derivations that must agree: fit the generic block cubic and
+    push it through revert_block_fit, or fit P itself through its table
+    assembly (direct_p_fit).
+    """
+    direct = direct_p_fit()
+    if direct != revert_block_fit(fit_block_cubic()):
         raise InternalConsistencyError(
             "reverted block fit and direct fit of P disagree")
     return direct
+
+
+def sign_resolution(fit) -> str:
+    """The display a fit of P vindicates: the intermediate one when its
+    s^3 coefficient is negative, as the exact computation gives it, and
+    the final one otherwise."""
+    return "intermediate-display" if fit[0] < 0 else "final-display"
 
 
 INTERMEDIATE_DISPLAY = (Fraction(-210), Fraction(39), Fraction(6), Fraction(-8))

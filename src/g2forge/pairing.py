@@ -40,7 +40,7 @@ from types import MappingProxyType
 from .g2 import InternalConsistencyError
 from .scalars import GaussRational, ScalarError
 from .aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
-    first_principles_value
+    first_principles_value, sign_resolution
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -548,8 +548,7 @@ def pairing_report() -> MappingProxyType:
         "first_principles_assembly": assembled(fitted),
         "sign_flip_only_assembly": assembled(
             (-CLOSED_DISPLAY[0],) + CLOSED_DISPLAY[1:]),
-        "sign_resolution": ("intermediate-display" if fitted[0] < 0
-                            else "final-display"),
+        "sign_resolution": sign_resolution(fitted),
         "components": MappingProxyType(components),
         "idet_self": idet_self.re,
         "nonzero": first != 0,

@@ -62,13 +62,16 @@ class _SuiteRun:
         self.checks: list = []
 
     @contextlib.contextmanager
-    def check(self, cid: str, expected: str, anchor: str):
+    def check(self, cid: str, expected: str, anchor: str,
+              samples: int | None = None):
         """One check.  The block sets c.ok and, where it has a value to
         show, c.actual; it may restate c.expected or c.anchor from what
         it computed, and it draws from c.rng, the stream of cid.  An
         Exception raised in the block fails the check with the class,
-        the message and the seed.  A block that runs other checks
-        inside it records only such an exception of its own."""
+        the message, the seed and --random, and --samples for a
+        Monte-Carlo check, which passes its sample count.  A block that
+        runs other checks inside it records only such an exception of
+        its own."""
         c = SimpleNamespace(ok=True, expected=expected, actual="as computed",
                             anchor=anchor, rng=check_rng(self.seed, cid))
         before = len(self.checks)
@@ -76,8 +79,11 @@ class _SuiteRun:
             yield c
         except Exception as exc:
             c.ok, c.actual = False, f"{type(exc).__name__}: {exc}"
-            c.anchor += (f"; raised at seed {self.seed} with --random "
-                         f"{self.n_random}, rerun it to reproduce")
+            flags = f"--random {self.n_random}"
+            if samples is not None:
+                flags += f" --samples {samples}"
+            c.anchor += (f"; raised at seed {self.seed} with {flags}, "
+                         "rerun it to reproduce")
         else:
             if len(self.checks) > before:
                 return
@@ -492,7 +498,7 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
                    "210 s^3 + (65/6) s|x|^2 + (50/3) s|y|^2 + (100/27) R",
                    "the final tabulated P") as c:
         cfit = awmod.first_principles_fit()
-        c.anchor += "; sign resolution: " + pairmod.pairing_report()["sign_resolution"]
+        c.anchor += "; sign resolution: " + awmod.sign_resolution(cfit)
         c.ok = cfit == awmod.CLOSED_DISPLAY
         c.actual = "%s s^3 + %s s|x|^2 + %s s|y|^2 + %s R" % tuple(cfit)
 
@@ -512,7 +518,7 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
                    "model coefficients scale by 1, 5/18, 25/9, -25/54; the "
                    "direct fit runs P's table assembly over the cubic lattice") as c:
         pushed = awmod.revert_block_fit(awmod.fit_block_cubic())
-        direct = awmod.fit_model(awmod.block_tables().fp_value)
+        direct = awmod.direct_p_fit()
         c.ok = pushed == direct
         c.actual = ("pushed (%s, %s, %s, %s); direct (%s, %s, %s, %s)"
                     % (pushed + direct))
@@ -643,7 +649,8 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
     with run.check("pairing.montecarlo-agreement",
                    "empirical Haar average within 6 standard errors of "
                    "(<P, idet>/<idet, idet>) idet(xi)",
-                   f"{samples} samples for 3 fixed elements") as c:
+                   f"{samples} samples for 3 fixed elements",
+                   samples=samples) as c:
         mc_reports = []
         for k in range(len(MC_ELEMENTS)):
             sub = haar(k)
@@ -658,13 +665,15 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
 
     with run.check("pairing.montecarlo-deterministic",
                    "bit-identical report under a fixed seed",
-                   "per-batch derived streams are schedule-independent") as c:
+                   "per-batch derived streams are schedule-independent",
+                   samples=samples) as c:
         # a second, uncached run on the same stream
         c.ok = haar.__wrapped__(0) == haar(0)
 
     with run.check("pairing.montecarlo-scaling",
                    "standard error shrinks like samples^(-1/2): ratio near 4",
-                   "fluctuation scaling between 10^4 and 16 x 10^4 samples") as c:
+                   "fluctuation scaling between 10^4 and 16 x 10^4 samples",
+                   samples=samples) as c:
         lo, hi = (pairmod.haar_average_check(
             awmod.Su3Element(*MC_ELEMENTS[2]), samples=n,
             seed=derived_seed(seed, "pairing.mc-scaling"))

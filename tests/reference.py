@@ -6,7 +6,8 @@ of a |-> *(phi ^ a), which also gives its two eigenvalues), the
 scalar-generic kernels as they ran before the kernels cleared
 denominators (every product in the coefficients' own type, with the
 Fraction constants applied where they arise), the cubic scalars q2, Q
-and P composed from those kernels, the dense Haar Monte
+and P composed from those kernels, the aw suite's tensor displays and
+block products on Fraction tensors, the dense Haar Monte
 Carlo as it ran before it was split into cache-sized chunks of column
 arrays, and the few matrix and polynomial operations that only the
 tests use.  None of this runs in
@@ -17,7 +18,7 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
-from g2forge import exterior as ext, pairing
+from g2forge import aw, exterior as ext, pairing
 from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
     vector, vol_coefficient, wedge
 from g2forge.g2 import InternalConsistencyError, star_action
@@ -265,6 +266,91 @@ def q_routes(fr, a):
 def p_value(fr, b):
     """P(b) = 2 <p(b, b), i^{-1}(b)>."""
     return 2 * sym_inner(quadratic_form(b, b), iso_i_inv(fr, b))
+
+
+# -- the aw displays and block products on Fraction tensors -----------------
+#
+# tensor_displays and the solver route of block_products as the package
+# ran them before they moved onto int triangles: every tensor a
+# SymTensor of Fractions from the scalar-generic kernels above, every
+# display at its own scale, with the symmetric products e_a . I_a x and
+# y . Jx from SymTensor.sym_outer.
+
+def _sym_sum(tensors) -> SymTensor:
+    total = SymTensor.diag([0] * 7)
+    for t in tensors:
+        total = total + t
+    return total
+
+
+def aw_tensor_displays(y, x) -> list[dict]:
+    """The eight display records of aw.tensor_displays at (y, x)."""
+    fr = aw.standard_aw_frame()
+    g2 = fr.g2
+    pt = fr.phi_tilde
+    yw = wedge(y, fr.Omega)
+    cx = aw.c_of(x)
+    xc, yc = ext.coords_of(x), ext.coords_of(y)
+    id3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
+    id4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
+    jx = fr.J.apply(xc)
+    jiy = SymTensor((fr.J * fr.iy(y)).to_rows())
+    e = [ext.coords_of(vector(a + 1)) for a in range(3)]
+    # e_a . I_a x, y . Jx and sum eps_abc y_a e_c . (I_b J x)
+    ia = _sym_sum(SymTensor.sym_outer(fr.I[a].apply(xc), e[a])
+                  for a in range(3))
+    yjx = SymTensor.sym_outer(yc, jx)
+    ijx = [I.apply(jx) for I in fr.I]
+    mix = _sym_sum(
+        SymTensor.sym_outer(e[c], [yc[a] * t for t in ijx[b]])
+        - SymTensor.sym_outer(e[c], [yc[b] * t for t in ijx[a]])
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+    xx = norm_sq(x)
+    x_outer = SymTensor([[xc[i] * xc[j] for j in range(7)] for i in range(7)])
+    half = Fraction(1, 2)
+    rows = [
+        ("p(phitilde, phitilde) = 38 id3 + 3 id4", quadratic_form(pt, pt),
+         id3.scale(38) + id4.scale(3), None),
+        ("p(phitilde, y^Omega) = -J I_y", quadratic_form(pt, yw), -jiy, None),
+        ("p(phitilde, C(x)) = -4 I_a x . e_a", quadratic_form(pt, cx),
+         ia.scale(-4), ia.scale(-11)),
+        ("p(y^Omega, C(x)) = 6 y . Jx", quadratic_form(yw, cx),
+         yjx.scale(6), yjx.scale(3) + mix),
+        ("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
+         quadratic_form(cx, cx),
+         id3.scale(2 * xx) + (id4.scale(xx) - x_outer).scale(10), None),
+        ("i^{-1}(phitilde) = -2 id3 + (3/2) id4", iso_i_inv(g2, pt),
+         id3.scale(-2) + id4.scale(Fraction(3, 2)), None),
+        ("i^{-1}(y^Omega) = -(1/2) J I_y", iso_i_inv(g2, yw),
+         jiy.scale(-half), None),
+        ("i^{-1}(C(x)) = -(1/2) e_a . I_a x", iso_i_inv(g2, cx),
+         ia.scale(-half), ia.scale(-2)),
+    ]
+    out = []
+    for name, got, want, corrected in rows:
+        rec = {"identity": name, "matches": got == want}
+        if corrected is not None:
+            rec["corrected_matches"] = got == corrected
+        out.append(rec)
+    return out
+
+
+def aw_block_products(s, y, x) -> list:
+    """The six products <p(block, block), i^{-1}(A_)> of
+    aw.block_products in display order, their weighted sum and the
+    cubic <p(A_, A_), i^{-1}(A_)> of A_ = s phitilde + y^Omega + C(x)."""
+    fr = aw.standard_aw_frame()
+    pt = fr.phi_tilde
+    yw = wedge(y, fr.Omega)
+    cx = aw.c_of(x)
+    a_ = s * pt + yw + cx
+    S = iso_i_inv(fr.g2, a_)
+    six = [sym_inner(quadratic_form(b1, b2), S)
+           for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
+                          (yw, yw), (yw, cx), (cx, cx))]
+    mults = (s * s, 2 * s, 2 * s, 1, 2, 1)
+    return six + [sum(m * v for m, v in zip(mults, six)),
+                  sym_inner(quadratic_form(a_, a_), S)]
 
 
 # -- the dense Haar Monte Carlo ----------------------------------------------

@@ -2,12 +2,13 @@
 expansion of the obstruction cubic."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from g2forge import aw, pairing
+from g2forge import aw, cubic, linalg, pairing
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
     CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, c_of, \
     comparison_form, compose, decompose, first_principles_fit, \
@@ -290,8 +291,11 @@ def test_first_principles_runs_each_block_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(aw, name, counted(name))
-    for name in ("comparison_form", "quadratic_form", "sym_inner", "generic_value"):
+    for name in ("comparison_form", "generic_value"):
         monkeypatch.setattr(aw, name, refuse)
+    # aw imports neither per-kernel entry point; refuse them where they live
+    monkeypatch.setattr(cubic, "quadratic_form", refuse)
+    monkeypatch.setattr(linalg, "sym_inner", refuse)
     for name in ("project3", "iso_i_inv"):
         monkeypatch.setattr(G2Frame, name, refuse)
     assert first_principles_value(xi) == want
@@ -432,6 +436,111 @@ def test_block_products_single_point():
     assert by_name["p(phitilde, C(x))"]["computed"] == 33
     total = by_name["sum with multiplicities"]
     assert total["computed"] == total["display"] == generic_value(s, y, x)
+
+
+def _sweep_points(rng, n_random):
+    """The 36 points of verify_tensor_displays' lattice, then seeded
+    random points with int and with Fraction coordinates."""
+    points = [aw._lattice_blocks((0,) + p[1:])[1:]
+              for p in principal_lattice(8, 2)]
+    for _ in range(n_random):
+        _, y, x = random_blocks(rng)
+        points.append((y, x))
+        points.append((y * Fraction(1, rng.randint(2, 5)),
+                       x * Fraction(rng.randint(1, 4), rng.randint(2, 5))))
+    return points
+
+
+def test_tensor_displays_match_fraction_oracle():
+    """The int-triangle sweep gives the records of the Fraction route, at
+    every lattice point of the sweep and at random points."""
+    points = _sweep_points(random.Random(9016), 6)
+    assert len(points) == 36 + 12
+    for y, x in points:
+        assert tensor_displays(y, x) == reference.aw_tensor_displays(y, x)
+
+
+def test_block_products_match_fraction_oracle():
+    """The solver route of block_products on integer numerators gives the
+    six products, their weighted sum and the full cubic of the Fraction
+    route; the type stays Fraction."""
+    rng = random.Random(9017)
+    points = [random_blocks(rng) for _ in range(4)]
+    points += [(s * Fraction(1, 3), y * Fraction(2, 5), x * Fraction(1, 2))
+               for s, y, x in points[:2]]
+    points += [aw._lattice_blocks(p) for p in
+               itertools.islice(principal_lattice(8, 3), 0, 120, 30)]
+    for s, y, x in points:
+        rows = block_products(s, y, x)
+        got = [r["computed"] for r in rows] + [rows[-1]["display"]]
+        assert got == reference.aw_block_products(s, y, x)
+        assert all(type(v) is Fraction for v in got)
+
+
+_COUNT_AW_RUN = """
+import contextlib, io, json
+from g2forge import linalg
+counts = {"fit_model": 0, "quadratic_form": 0, "sym_inner": 0}
+entered = {}
+depth = [0]
+
+
+def inside_only(name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += depth[0] > 0
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+# patched before the modules that could import them by name load
+linalg.sym_inner = inside_only("sym_inner", linalg.sym_inner)
+from g2forge import cubic
+cubic.quadratic_form = inside_only("quadratic_form", cubic.quadratic_form)
+from g2forge import aw, cli
+
+
+def window(name, fn):
+    def wrapper(*args, **kwargs):
+        entered[name] = entered.get(name, 0) + 1
+        depth[0] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+    return wrapper
+
+
+for name in ("verify_tensor_displays", "verify_block_products"):
+    setattr(aw, name, window(name, getattr(aw, name)))
+aw._BlockTables.__init__ = window("block_tables", aw._BlockTables.__init__)
+fit_model = aw.fit_model
+
+
+def counted_fit(fn):
+    counts["fit_model"] += 1
+    return fit_model(fn)
+
+
+aw.fit_model = counted_fit
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1"])
+print(json.dumps({"exit": code, "counts": counts, "entered": entered}))
+"""
+
+
+def test_aw_run_counts(fresh_python):
+    """One aw run fits twice (the block cubic, and P through its table),
+    and its sweeps, block products and block-table build run on int
+    triangles: no quadratic_form and no sym_inner, whose Fraction
+    results they used to compare."""
+    proc = fresh_python(_COUNT_AW_RUN)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exit"] == 1
+    assert out["entered"] == {"block_tables": 1, "verify_tensor_displays": 1,
+                              "verify_block_products": 1}
+    assert out["counts"] == {"fit_model": 2, "quadratic_form": 0,
+                             "sym_inner": 0}
 
 
 def test_intermediate_display_report():

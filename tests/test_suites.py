@@ -123,3 +123,46 @@ def test_pairing_fields_left_out_when_their_input_raises(monkeypatch):
     assert _check(report, "pairing.component-values")["actual"] == \
         "RuntimeError: no report"
     assert _check(report, "pairing.gram-from-killing")["status"] == "pass"
+
+
+def test_monte_carlo_repro_note_names_samples(monkeypatch):
+    def broken():
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(pairing, "pairing_report", broken)
+    report = suites.suite_pairing(1, n_random=1, samples=10 ** 4)
+    monte_carlo = [c for c in report["checks"]
+                   if c["id"].startswith("pairing.montecarlo-")]
+    assert len(monte_carlo) == 3
+    for check in monte_carlo:
+        assert check["status"] == "fail"
+        assert check["anchor"].endswith(
+            "; raised at seed 1 with --random 1 --samples 10000, rerun it "
+            "to reproduce")
+    # the exact checks do not depend on --samples and do not name it
+    exact = _check(report, "pairing.closed-assembly")
+    assert exact["anchor"].endswith(
+        "; raised at seed 1 with --random 1, rerun it to reproduce")
+
+
+def test_closed_display_needs_no_pairing_report(monkeypatch):
+    want = _check(suites.suite_aw(1, n_random=1), "aw.closed-display")
+
+    def broken():
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(pairing, "pairing_report", broken)
+    report = suites.suite_aw(1, n_random=1)
+    assert _check(report, "aw.closed-display") == want
+    assert want["actual"] == "-210 s^3 + 55/2 s|x|^2 + 50/3 s|y|^2 + 125/18 R"
+    assert want["anchor"] == ("the final tabulated P; sign resolution: "
+                              "intermediate-display")
+    # the check that does compare with the pairing report still fails on it
+    assert _check(report, "aw.pairing-vs-displays")["actual"] == \
+        "RuntimeError: no report"
+
+
+def test_sign_resolution_rule():
+    assert aw.sign_resolution(aw.first_principles_fit()) == \
+        "intermediate-display"
+    assert aw.sign_resolution(aw.CLOSED_DISPLAY) == "final-display"
