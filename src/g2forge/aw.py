@@ -19,18 +19,19 @@ second-order obstruction polynomial.  P is evaluated along two exact
 routes (native sqrt(10) arithmetic, and a rational even/odd split in
 sqrt(10)) that must agree; the sqrt(10)-odd part must vanish.
 
-Both routes run on integer numerators from end to end.  The blocks
-B = s phitilde - (5/3) y ^ Omega and C(x) are built once, of the
-integer element e xi, and cleared to (NB, NC)/d, so 6 d e A is
-6 NB + sqrt(10) NC.  The cubic is composed from the int parts of the
-kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
-linalg.upper_inner, on that QuadExt form (route one, cubic.p_numerator)
-and on the ints 6 NB and NC (route two), and divided once, by
-2 (6 d e)^3.  The first two read precomputed signed blade tables (the
-pair table of p, and the +-1 functionals f_ij of i^{-1}) and build no
-Form.  The type-27 gate is G2Frame.is_pure27, the eight signed sums
-that pair with phi and the e_j -| psi; the symmetry and trace checks
-of the recovered tensors run on both routes.
+A(xi) is built once, by comparison_form, and only as integer
+numerators: the blocks B = s phitilde - (5/3) y ^ Omega and C(x) of the
+integer element e xi, cleared to (NB, NC)/d, give D A = U + sqrt(10) W
+with U = 6 NB, W = NC and D = 6 d e, each of U and W gated as pure 27.
+The cubic is composed from the int parts of the kernels,
+cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
+on U + sqrt(10) W (route one, cubic.p_numerator) and on the ints U and
+W (route two), and divided once, by 2 D^3.  The first two read
+precomputed signed blade tables (the pair table of p, and the +-1
+functionals f_ij of i^{-1}) and build no Form.  The type-27 gate is
+G2Frame.is_pure27, the eight signed sums that pair with phi and the
+e_j -| psi; the symmetry and trace checks of the recovered tensors run
+on both routes.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
@@ -51,7 +52,8 @@ The generic cubic is trilinear in the eight block coordinates
 (s, y1, y2, y3, x4..x7).  Its structure constants on the basis
 (phitilde, e_a ^ Omega, C(e_i)) are 58 nonzero integers, built once
 and checked fully symmetric; the lattice sweeps and fits evaluate
-that table, while random points keep the direct solver route.
+that table; random points, and two probes of the table when it is
+built, take the solver route.
 """
 
 from __future__ import annotations
@@ -68,8 +70,6 @@ from .cubic import p_numerator, quadratic_upper
 from .linalg import Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import SQRT10, GaussRational, QuadExt, ScalarError, \
     clear_denominators
-
-SQRT10_OVER_6 = QuadExt(0, Fraction(1, 6))
 
 
 class AWFrame:
@@ -242,87 +242,57 @@ def c_of(x: Form) -> Form:
     return direct
 
 
-def generic_blocks(s, y: Form, x: Form) -> Form:
-    """The rational combination A_ = s phitilde + y ^ Omega + C(x)."""
+def comparison_form(xi: Su3Element) -> tuple[Form, Form, int]:
+    """A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x) as the
+    integer numerators (U, W, D) with D A(xi) = U + sqrt(10) W: for
+    Xi = e xi, the blocks B and C(x) of Xi cleared to (NB, NC)/d give
+    U = 6 NB, W = NC and D = 6 d e.  A(xi) is of pure 27 type iff U and
+    W are (1 and sqrt(10) are independent over Q); both are checked."""
     fr = standard_aw_frame()
-    return s * fr.phi_tilde + wedge(y, fr.Omega) + c_of(x)
-
-
-def _comparison_blocks(xi: Su3Element) -> tuple[Form, Form]:
-    """(B, C) = (s phitilde - (5/3) y ^ Omega, C(x)) for the blocks of xi,
-    the rational and the sqrt(10)/6 parts of A(xi) = B + (sqrt(10)/6) C."""
-    fr = standard_aw_frame()
-    s, y, x = decompose(xi)
-    return s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega), c_of(x)
-
-
-def comparison_form(xi: Su3Element) -> Form:
-    """A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x).
-
-    The coefficients live in Q(sqrt(10)).  The result is checked to be
-    of pure 27 type.
-    """
-    b, c = _comparison_blocks(xi)
-    a = b + SQRT10_OVER_6 * c
-    if not standard_frame().is_pure27(a):
-        raise TypeDecompositionError("comparison form is not of pure 27 type")
-    return a
+    coords, e = clear_denominators(list(xi.v + xi.x))
+    s, y, x = decompose(Su3Element(coords[:3], coords[3:]))
+    (nb, nc), d = numerators(
+        s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega), c_of(x))
+    u = 6 * nb
+    _pure27("comparison form is not of pure 27 type", u, nc)
+    return u, nc, 6 * d * e
 
 
 def first_principles_value(xi: Su3Element, *,
                            single_route: bool = False) -> Fraction:
-    """P(xi) along two exact routes.
+    """P(xi) along two exact routes, on the integer numerators (U, W, D)
+    of comparison_form: P(xi) is the numerator cubic (cubic.p_numerator)
+    of U + sqrt(10) W over 2 D^3, one rescale at the end.
 
-    Both run on integer numerators.  P is cubic, so it is evaluated at
-    the integer element Xi = e xi and divided by e^3.  With A = B + k C,
-    k = sqrt(10)/6 and (B, C) = (NB, NC)/d over one common denominator,
-    6 d A is NA = 6 NB + sqrt(10) NC, and P(xi) is the numerator cubic
-    of NA over 2 (6 d e)^3, one rescale at the end.
-
-    Route one evaluates it natively in Q(sqrt(10)), on NA.  Route two
-    expands in powers of sqrt(10) on the ints U = 6 NB and W = NC: the
-    cubic of U + sqrt(10) W splits into an even part t0 + 10 t2 and an
-    odd part sqrt(10) (t1 + 10 t3), which must vanish identically.  The
-    two routes must agree; single_route skips the second one when the
-    caller is doing a bulk interpolation sweep and verifies route
-    agreement separately.
+    Route one evaluates it natively in Q(sqrt(10)).  Route two expands
+    in powers of sqrt(10) on the ints U and W: the cubic splits into an
+    even part t0 + 10 t2 and an odd part sqrt(10) (t1 + 10 t3), which
+    must vanish identically.  The two routes must agree; single_route
+    skips the second one when the caller is doing a bulk interpolation
+    sweep and verifies route agreement separately.
     """
-    # xi = Xi / e with integer coordinates, and P is cubic: P(Xi) / e^3
-    coords, e = clear_denominators(list(xi.v + xi.x))
-    b, c = _comparison_blocks(Su3Element(coords[:3], coords[3:]))
-    (nb, nc), d = numerators(b, c)
-    u = 6 * nb
-    na = u + SQRT10 * nc
-    # na is of pure 27 type iff u and nc are (1 and sqrt(10) are
-    # independent over Q), and _split_cubic checks those two
-    if single_route:
-        if not standard_frame().is_pure27(na):
-            raise TypeDecompositionError(
-                "comparison form is not of pure 27 type")
-    else:
-        even, odd = _split_cubic(u, nc)
-    native = p_numerator(na, standard_frame())
+    u, w, d = comparison_form(xi)
+    native = p_numerator(u + SQRT10 * w, standard_frame())
     if isinstance(native, QuadExt):
         if native.irr != 0:
             raise InternalConsistencyError("P has a sqrt(10) component")
         native = native.rat
     if not single_route:
+        even, odd = _split_cubic(u, w)
         if odd != 0:
             raise InternalConsistencyError(
                 "sqrt(10)-odd part of P does not vanish")
         if even != native:
             raise InternalConsistencyError("the two routes to P disagree")
-    return Fraction(native, 2 * (6 * d * e) ** 3)
+    return Fraction(native, 2 * d ** 3)
 
 
 def _split_cubic(u: Form, w: Form) -> tuple:
     """The even and the odd part in sqrt(10), t0 + 10 t2 and t1 + 10 t3,
     of the numerator cubic (cubic.p_numerator) of u + sqrt(10) w, for
-    3-forms u and w with int coefficients, each checked to be of pure 27
-    type; every t_k is an int."""
+    3-forms u and w of pure 27 type with int coefficients; every t_k is
+    an int."""
     g2 = standard_frame()
-    if not (g2.is_pure27(u) and g2.is_pure27(w)):
-        raise TypeDecompositionError("comparison form is not of pure 27 type")
     # quadratic_upper(u, w) is 2 p(u, w): the polarized terms come doubled
     puu, puw, pww = (quadratic_upper(u, u), quadratic_upper(u, w),
                      quadratic_upper(w, w))
@@ -332,17 +302,6 @@ def _split_cubic(u: Form, w: Form) -> tuple:
     t2 = upper_inner(pww, su) + upper_inner(puw, sw)
     t3 = upper_inner(pww, sw)
     return t0 + 10 * t2, t1 + 10 * t3
-
-
-def generic_value(s, y: Form, x: Form) -> Fraction:
-    """The cubic <p(A_, A_), i^{-1}(A_)> of the generic rational
-    combination A_ = s phitilde + y ^ Omega + C(x) (the normalization
-    without the factor 2 used by the obstruction polynomial)."""
-    (n,), d = numerators(generic_blocks(s, y, x))
-    if not standard_frame().is_pure27(n):
-        raise TypeDecompositionError(
-            "form has components outside the 27-dimensional summand")
-    return Fraction(p_numerator(n, standard_frame()), 2 * d ** 3)
 
 
 def r_value(y: Form, x: Form):
@@ -367,6 +326,31 @@ def r_value(y: Form, x: Form):
     return metric_route
 
 
+def _solver_products(s, y: Form, x: Form) -> tuple[tuple, Fraction]:
+    """The six products <p(block, block), i^{-1}(A_)> in display order and
+    the cubic <p(A_, A_), i^{-1}(A_)> of the generic combination A_ =
+    s phitilde + y ^ Omega + C(x), by the solver.
+
+    It runs on the integer numerators (PT, YW, CX, SPT) = d (phitilde,
+    y^Omega, C(x), s phitilde) and A = SPT + YW + CX = d A_:
+    quadratic_upper is d^2 p for a block with itself and 2 d^2 p for two
+    blocks, iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each product is one
+    int over 2 d^3 or 4 d^3, and the cubic one int over 2 d^3.
+    """
+    fr = standard_aw_frame()
+    (pt, yw, cx, spt), d = numerators(
+        fr.phi_tilde, wedge(y, fr.Omega), c_of(x), s * fr.phi_tilde)
+    a = spt + yw + cx
+    _pure27(_OUTSIDE_27, a)
+    S = fr.g2.iso_i_inv_upper(a)
+    d3 = d ** 3
+    six = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
+                         (2 if b1 is b2 else 4) * d3)
+                for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
+                               (yw, yw), (yw, cx), (cx, cx)))
+    return six, Fraction(upper_inner(quadratic_upper(a, a), S), 2 * d3)
+
+
 def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     """The six displayed products <p(block, block), i^{-1}(A_)> of the
     generic combination, evaluated and compared with their displays.
@@ -374,30 +358,13 @@ def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     Returns one record per product with the computed and displayed
     values; the multiplicity column is the coefficient each product
     carries in the full expansion of P(A_).  Pass a block table to
-    assemble the values multilinearly instead of running the solver.
-
-    The solver route runs on the integer numerators (PT, YW, CX, SPT) =
-    d (phitilde, y^Omega, C(x), s phitilde) and A = SPT + YW + CX =
-    d A_: quadratic_upper is d^2 p for a block with itself and 2 d^2 p
-    for two blocks, iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each
-    product is one int over 2 d^3 or 4 d^3.
+    assemble the values multilinearly instead of running the solver
+    (_solver_products).
     """
-    fr = standard_aw_frame()
     if tables is not None:
-        got6 = tables.products(s, y, x)
-        full = tables.cubic(s, y, x)
+        got6, full = tables.products(s, y, x), tables.cubic(s, y, x)
     else:
-        (pt, yw, cx, spt), d = numerators(
-            fr.phi_tilde, wedge(y, fr.Omega), c_of(x), s * fr.phi_tilde)
-        a = spt + yw + cx
-        _pure27(a)
-        S = fr.g2.iso_i_inv_upper(a)
-        d3 = d ** 3
-        got6 = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
-                              (2 if b1 is b2 else 4) * d3)
-                     for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
-                                    (yw, yw), (yw, cx), (cx, cx)))
-        full = Fraction(upper_inner(quadratic_upper(a, a), S), 2 * d3)
+        got6, full = _solver_products(s, y, x)
     r = r_value(y, x)
     xx, yy = norm_sq(x), norm_sq(y)
     # display column: the six values as displayed; corrected column: the
@@ -459,11 +426,15 @@ def _blocks_id(a, b) -> SymTensor:
     return SymTensor.diag([a] * 3 + [b] * 4)
 
 
-def _pure27(*forms: Form) -> None:
+_OUTSIDE_27 = "form has components outside the 27-dimensional summand"
+
+
+def _pure27(message: str, *forms: Form) -> None:
+    """The type-27 gate of this module: raise with the message unless
+    every form is of pure 27 type (G2Frame.is_pure27)."""
     g2 = standard_frame()
     if not all(g2.is_pure27(b) for b in forms):
-        raise TypeDecompositionError(
-            "form has components outside the 27-dimensional summand")
+        raise TypeDecompositionError(message)
 
 
 @functools.cache
@@ -472,7 +443,7 @@ def _phitilde_displays() -> tuple[bool, bool]:
     i^{-1}(phitilde) = -2 id3 + (3/2) id4, the two displays that do not
     depend on (y, x), compared at the scales p and 2 i^{-1}."""
     pt = standard_aw_frame().phi_tilde
-    _pure27(pt)
+    _pure27(_OUTSIDE_27, pt)
     return (quadratic_upper(pt, pt) == _blocks_id(38, 3).upper,
             standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
 
@@ -502,7 +473,7 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     pt = fr.phi_tilde
     yw = wedge(y, fr.Omega)
     cx = c_of(x)
-    _pure27(yw, cx)
+    _pure27(_OUTSIDE_27, yw, cx)
     xc = coords_of(x)
     yc = coords_of(y)
 
@@ -569,6 +540,8 @@ def principal_lattice(nvars: int, degree: int):
 
 
 def _lattice_blocks(point):
+    """The blocks (s, y, x) of the block coordinates (s, y1, y2, y3,
+    x4, ..., x7)."""
     s = point[0]
     y = vector_form([point[1], point[2], point[3], 0, 0, 0, 0])
     x = vector_form([0, 0, 0, point[4], point[5], point[6], point[7]])
@@ -645,13 +618,14 @@ class _BlockTables:
     e.g. T[0][0][0] = -210, T[0][4][4] = 33, T[1][4][4] = -5); every
     block value is tri on coordinate vectors.  At build time T must be
     invariant under all permutations of (u, v, w), the full symmetry of
-    the trilinear form, and the table is cross-checked against the
-    direct route at probe points.
+    the trilinear form, and the six products and the cubic it assembles
+    are cross-checked against the solver (_solver_products) at two probe
+    points.
     """
 
     def __init__(self):
         basis = block_basis()
-        _pure27(*basis)
+        _pure27(_OUTSIDE_27, *basis)
         # on int forms quadratic_upper is p(B_u, B_u) on the diagonal and
         # 2 p(B_u, B_v) off it, iso_i_inv_upper is 2 i^{-1}(B_w): every
         # entry of 4T is one int
@@ -668,11 +642,10 @@ class _BlockTables:
                 "block trilinear table is not fully symmetric")
         self.terms = tuple((u, v, w, c // 4 if c % 4 == 0 else Fraction(c, 4))
                            for (u, v, w), c in sorted(T4.items()) if c)
-        for s, yc, xc in ((1, (1, 0, 0), (0, 1, 0, 0)),
-                          (2, (0, 1, -1), (1, 0, 0, 1))):
-            y = vector_form(list(yc) + [0, 0, 0, 0])
-            x = vector_form([0, 0, 0] + list(xc))
-            if self.cubic(s, y, x) != generic_value(s, y, x):
+        for point in ((1, 1, 0, 0, 0, 1, 0, 0), (2, 0, 1, -1, 1, 0, 0, 1)):
+            blocks = _lattice_blocks(point)
+            if (self.products(*blocks), self.cubic(*blocks)) \
+                    != _solver_products(*blocks):
                 raise InternalConsistencyError(
                     "table assembly disagrees with the direct route")
 
@@ -737,16 +710,17 @@ def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     return fit_model(block_tables().cubic)
 
 
+def _model_row(s, y: Form, x: Form) -> tuple:
+    """The model terms (s^3, s|x|^2, s|y|^2, R) at the blocks (s, y, x)."""
+    return s ** 3, s * norm_sq(x), s * norm_sq(y), r_value(y, x)
+
+
 @functools.cache
 def _cubic_lattice() -> tuple:
-    """(s, y, x, model) at each point of the degree-3 lattice, model the
+    """(blocks, model) at each point of the degree-3 lattice, model the
     int values of s^3, s|x|^2, s|y|^2 and R there."""
-    out = []
-    for point in principal_lattice(8, 3):
-        s, y, x = _lattice_blocks(point)
-        out.append((s, y, x, (s ** 3, s * norm_sq(x), s * norm_sq(y),
-                              r_value(y, x))))
-    return tuple(out)
+    return tuple((blocks, _model_row(*blocks))
+                 for blocks in map(_lattice_blocks, principal_lattice(8, 3)))
 
 
 def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -763,26 +737,20 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     with c_k = C_k / D it compares sum C_k m_k with D fn, for an fn
     that gives ints on int blocks.
     """
-    probes = [(1, (0, 0, 0), (0, 0, 0, 0)),
-              (1, (0, 0, 0), (1, 0, 0, 0)),
-              (1, (1, 0, 0), (0, 0, 0, 0)),
-              (0, (1, 0, 0), (1, 1, 0, 0))]
-    rows = []
-    rhs = []
-    for s, yc, xc in probes:
-        y = vector_form(list(yc) + [0, 0, 0, 0])
-        x = vector_form([0, 0, 0] + list(xc))
-        rows.append([s ** 3, s * norm_sq(x), s * norm_sq(y), r_value(y, x)])
-        rhs.append(fn(s, y, x))
-    sol, kdim = solve_exact(Matrix.from_rows(rows), rhs)
+    probes = [_lattice_blocks(point) for point in (
+        (1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0),
+        (1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1, 0, 0))]
+    sol, kdim = solve_exact(
+        Matrix.from_rows([_model_row(*blocks) for blocks in probes]),
+        [fn(*blocks) for blocks in probes])
     if kdim != 0:
         raise InternalConsistencyError("cubic probe points are degenerate")
     coeffs, D = clear_denominators(sol)
     # the cubic is jointly homogeneous in (s, y, x), so the degree-3
     # slice of the lattice (120 points, the unisolvent count for cubics
     # in eight variables) certifies the identity everywhere
-    for s, y, x, model in _cubic_lattice():
-        if sum(c * m for c, m in zip(coeffs, model)) != D * fn(s, y, x):
+    for blocks, model in _cubic_lattice():
+        if sum(c * m for c, m in zip(coeffs, model)) != D * fn(*blocks):
             raise InternalConsistencyError(
                 "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R")
     return tuple(sol)
@@ -802,9 +770,9 @@ def direct_p_fit() -> tuple:
     fitted through P's table assembly once that assembly is certified
     against the full evaluator at a generic point."""
     tab = block_tables()
-    py, px = vector_form([1, -1, 2] + [0] * 4), vector_form([0, 0, 0, 1, 0, 1, -1])
-    if tab.fp_value(1, py, px) != first_principles_value(
-            compose(1, py, px), single_route=True):
+    blocks = _lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
+    if tab.fp_value(*blocks) != first_principles_value(
+            compose(*blocks), single_route=True):
         raise InternalConsistencyError(
             "assembled P disagrees with the full evaluator")
     return tuple(c / 54 for c in fit_model(tab.fp_numerator))

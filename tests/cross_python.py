@@ -1,0 +1,70 @@
+"""Compare the exact suites' reports across Python interpreters.
+
+For each interpreter given, runs
+
+    INTERPRETER -m g2forge run --suite SUITE --seed 1 --format json
+
+with PYTHONPATH=src, for the exterior, g2, cubic and aw suites at the
+CLI's default sizes, and compares the bytes it writes with
+tests/golden/SUITE_full_seed1.json.  The exit code must be the one the
+golden report implies: 0 when it passed, 1 when it did not (aw fails
+its documented checks by design).  The pairing suite is left out: its
+Monte-Carlo block needs numpy and is compared to a tolerance, not byte
+for byte.
+
+    python tests/cross_python.py INTERPRETER...
+
+Prints one line per interpreter and suite, and exits 1 when any report
+or exit code differs (an interpreter that cannot run the package
+differs too), 0 otherwise.  It is not part of the test suite: which
+interpreters a host has is not the package's business.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SUITES = ("exterior", "g2", "cubic", "aw")
+
+
+def compare(interpreter: str, suite: str) -> str | None:
+    """None when the interpreter's report and exit code match the
+    golden ones, else what differs."""
+    golden = (ROOT / "tests" / "golden" / f"{suite}_full_seed1.json").read_bytes()
+    want_code = 0 if json.loads(golden)["passed"] else 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run(
+            [interpreter, "-m", "g2forge", "run", "--suite", suite, "--seed",
+             "1", "--format", "json"],
+            cwd=ROOT, env=env, capture_output=True, timeout=600)
+    except OSError as exc:
+        return f"did not start: {exc}"
+    if proc.stdout != golden:
+        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        return "report differs" + (f" ({tail[0]})" if tail else "")
+    if proc.returncode != want_code:
+        return f"exit {proc.returncode}, golden implies {want_code}"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    differ = 0
+    for interpreter in argv:
+        for suite in SUITES:
+            problem = compare(interpreter, suite)
+            differ += problem is not None
+            print(f"{interpreter} {suite}: {problem or 'matches the golden report'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,8 @@ of a |-> *(phi ^ a), which also gives its two eigenvalues), the
 scalar-generic kernels as they ran before the kernels cleared
 denominators (every product in the coefficients' own type, with the
 Fraction constants applied where they arise), the cubic scalars q2, Q
-and P composed from those kernels, the aw suite's tensor displays and
+and P composed from those kernels, the comparison form A(xi) as one
+Form over Q(sqrt(10)), the aw suite's tensor displays and
 block products on Fraction tensors, the dense Haar Monte
 Carlo as it ran before it was split into cache-sized chunks of column
 arrays, and the few matrix and polynomial operations that only the
@@ -23,7 +24,7 @@ from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
     vector, vol_coefficient, wedge
 from g2forge.g2 import InternalConsistencyError, star_action
 from g2forge.linalg import Matrix, SymTensor, solve_exact
-from g2forge.scalars import GaussRational
+from g2forge.scalars import GaussRational, QuadExt
 
 
 # -- matrices and letter polynomials ---------------------------------------
@@ -266,6 +267,18 @@ def q_routes(fr, a):
 def p_value(fr, b):
     """P(b) = 2 <p(b, b), i^{-1}(b)>."""
     return 2 * sym_inner(quadratic_form(b, b), iso_i_inv(fr, b))
+
+
+# -- the comparison form in Q(sqrt(10)) -------------------------------------
+
+def comparison_form(xi):
+    """A(xi) = s phitilde - (5/3) y^Omega + (sqrt(10)/6) C(x) as one Form
+    over Q(sqrt(10)), summed as the package built it before it kept only
+    the integer numerators."""
+    fr = aw.standard_aw_frame()
+    s, y, x = aw.decompose(xi)
+    return (s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega)
+            + QuadExt(0, Fraction(1, 6)) * aw.c_of(x))
 
 
 # -- the aw displays and block products on Fraction tensors -----------------

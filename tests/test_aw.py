@@ -11,9 +11,8 @@ import pytest
 from g2forge import aw, cubic, linalg, pairing
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
     CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, c_of, \
-    comparison_form, compose, decompose, first_principles_fit, \
-    first_principles_value, fit_block_cubic, generic_value, \
-    principal_lattice, r_value, \
+    compose, decompose, first_principles_fit, first_principles_value, \
+    fit_block_cubic, principal_lattice, r_value, \
     standard_aw_frame, tensor_displays, verify_block_products, \
     verify_tensor_displays
 from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
@@ -21,7 +20,7 @@ from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
 from g2forge.g2 import G2Frame, InternalConsistencyError, \
     TypeDecompositionError, standard_frame
 from g2forge.linalg import Matrix
-from g2forge.scalars import GaussRational, QuadExt, ScalarError
+from g2forge.scalars import SQRT10, GaussRational, QuadExt, ScalarError
 
 import reference
 
@@ -176,12 +175,14 @@ def test_comparison_form_is_27_type(awframe):
     rng = random.Random(9005)
     for _ in range(5):
         xi = random_su3(rng, 3)
-        a = comparison_form(xi)
+        a = reference.comparison_form(xi)
         p1, p7, p27 = awframe.g2.project3(a)
         assert p1.is_zero() and p7.is_zero() and p27 == a
-    # elements with an m4 part pick up sqrt(10) coefficients
-    a = comparison_form(Su3Element((0, 0, 0), (0, 0, 1, 0, 0, 0)))
+    # elements with an m4 part pick up sqrt(10) coefficients: a nonzero W
+    xi = Su3Element((0, 0, 0), (0, 0, 1, 0, 0, 0))
+    a = reference.comparison_form(xi)
     assert any(isinstance(c, QuadExt) for c in a.terms.values())
+    assert not aw.comparison_form(xi)[1].is_zero()
 
 
 def test_first_principles_diagonal():
@@ -213,13 +214,27 @@ def _su3_of_kind(rng, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(_SU3_KINDS))
+def test_comparison_form_numerators(kind):
+    """The integer numerators (U, W, D) of A(xi) against the Q(sqrt(10))
+    form of the reference: U + sqrt(10) W = D A(xi)."""
+    rng = random.Random(9018)
+    for _ in range(4):
+        xi = _su3_of_kind(rng, kind)
+        u, w, d = aw.comparison_form(xi)
+        assert type(d) is int and d >= 1
+        assert all(type(c) is int
+                   for c in [*u.terms.values(), *w.terms.values()])
+        assert u + SQRT10 * w == d * reference.comparison_form(xi)
+
+
+@pytest.mark.parametrize("kind", sorted(_SU3_KINDS))
 def test_first_principles_matches_reference_kernels(g2frame, kind):
     """The composed numerator cubic against the scalar-generic reference
     kernels applied to the comparison form, each in its own type."""
     rng = random.Random(9013)
     for _ in range(4):
         xi = _su3_of_kind(rng, kind)
-        a = comparison_form(xi)
+        a = reference.comparison_form(xi)
         ref = reference.sym_inner(reference.quadratic_form(a, a),
                                   reference.iso_i_inv(g2frame, a))
         if isinstance(ref, QuadExt):
@@ -242,14 +257,20 @@ def test_first_principles_c_constructions_checked(monkeypatch):
         first_principles_value(_xi_with_m4_part())
 
 
-def test_first_principles_type_gate(monkeypatch, g2frame):
-    # a C(x) with a Lambda^3_7 part: <A, e_2 -| psi> != 0
+def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
+    # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in C(x) lands in W; one in
+    # phitilde lands in U = 6 NB, the rational half, and W stays pure 27
     stray = g2frame.kappa[1]
-    monkeypatch.setattr(aw, "c_of", lambda x: c_direct(x) + stray)
-    for single_route in (False, True):
-        with pytest.raises(TypeDecompositionError,
-                           match="comparison form is not of pure 27 type"):
-            first_principles_value(_xi_with_m4_part(), single_route=single_route)
+    for target, name, value in (
+            (aw, "c_of", lambda x: c_direct(x) + stray),
+            (awframe, "phi_tilde", awframe.phi_tilde + stray)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, value)
+            for single_route in (False, True):
+                with pytest.raises(TypeDecompositionError,
+                                   match="comparison form is not of pure 27 type"):
+                    first_principles_value(_xi_with_m4_part(),
+                                           single_route=single_route)
 
 
 @pytest.mark.parametrize("bump, message", [
@@ -271,12 +292,12 @@ def test_first_principles_split_route_checked(monkeypatch, bump, message):
 
 
 def test_first_principles_runs_each_block_once(monkeypatch):
-    """A two-route evaluation builds the blocks once and stays on the
-    numerator cores: no per-kernel entry point (each clears and rescales
-    again) and no full type split runs."""
+    """A two-route evaluation builds A(xi) once, as one comparison_form,
+    and stays on the numerator cores: no per-kernel entry point (each
+    clears and rescales again) and no full type split runs."""
     xi = _xi_with_m4_part()
     want = block_tables().fp_value(*decompose(xi))
-    calls = {"c_of": 0, "decompose": 0}
+    calls = {"c_of": 0, "decompose": 0, "comparison_form": 0}
 
     def counted(name):
         fn = getattr(aw, name)
@@ -291,15 +312,13 @@ def test_first_principles_runs_each_block_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(aw, name, counted(name))
-    for name in ("comparison_form", "generic_value"):
-        monkeypatch.setattr(aw, name, refuse)
     # aw imports neither per-kernel entry point; refuse them where they live
     monkeypatch.setattr(cubic, "quadratic_form", refuse)
     monkeypatch.setattr(linalg, "sym_inner", refuse)
     for name in ("project3", "iso_i_inv"):
         monkeypatch.setattr(G2Frame, name, refuse)
     assert first_principles_value(xi) == want
-    assert calls == {"c_of": 1, "decompose": 1}
+    assert calls == {"c_of": 1, "decompose": 1, "comparison_form": 1}
 
 
 def test_r_value():
@@ -326,7 +345,7 @@ def test_generic_block_fit():
         s, y, x = random_blocks(rng)
         model = (c1 * Fraction(s) ** 3 + c2 * s * norm_sq(x)
                  + c3 * s * norm_sq(y) + c4 * r_value(y, x))
-        assert model == generic_value(s, y, x)
+        assert model == reference.aw_block_products(s, y, x)[-1]
 
 
 def test_first_principles_fit():
@@ -350,13 +369,32 @@ def test_block_tables_match_solver():
     rng = random.Random(9010)
     for _ in range(5):
         s, y, x = random_blocks(rng)
-        assert tab.cubic(s, y, x) == generic_value(s, y, x)
+        assert tab.cubic(s, y, x) == reference.aw_block_products(s, y, x)[-1]
         # the six products against the solver route of block_products
         direct = [r["computed"] for r in block_products(s, y, x)[:6]]
         assert list(tab.products(s, y, x)) == direct
     for _ in range(3):
         xi = random_su3(rng, 3)
         assert tab.fp_value(*decompose(xi)) == first_principles_value(xi)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_block_tables_probe_checks_each_product(monkeypatch, index):
+    """The build compares the six products and the cubic the table
+    assembles with the solver route at its probe points: one product
+    (or the cubic) off by one there fails the build."""
+    solver = aw._solver_products
+
+    def bumped(s, y, x):
+        six, full = solver(s, y, x)
+        values = list(six) + [full]
+        values[index] += 1
+        return tuple(values[:6]), values[6]
+
+    monkeypatch.setattr(aw, "_solver_products", bumped)
+    with pytest.raises(InternalConsistencyError,
+                       match="table assembly disagrees with the direct route"):
+        aw._BlockTables()
 
 
 def test_block_table_symmetric_integer():
@@ -435,7 +473,8 @@ def test_block_products_single_point():
     assert by_name["p(phitilde, phitilde)"]["computed"] == -210
     assert by_name["p(phitilde, C(x))"]["computed"] == 33
     total = by_name["sum with multiplicities"]
-    assert total["computed"] == total["display"] == generic_value(s, y, x)
+    assert total["computed"] == total["display"] == \
+        reference.aw_block_products(s, y, x)[-1]
 
 
 def _sweep_points(rng, n_random):

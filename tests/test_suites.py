@@ -48,6 +48,22 @@ def test_decompose_roundtrip_can_fail(monkeypatch):
     assert check["actual"] != "5 of 5 elements round-trip"
 
 
+@pytest.mark.parametrize("skew", [
+    lambda u, w, d: (u, 2 * w, d),
+    lambda u, w, d: (u + aw.block_basis()[4], w, d)],
+    ids=["doubled-w", "u-shifted-by-c-e4"])
+def test_decompose_roundtrip_read_can_fail(monkeypatch, skew):
+    # the read half: the numerators (U, W, D) of A(xi) against the block
+    # coordinates; a wrong read is a failed record, not an exception
+    comparison_form = aw.comparison_form
+    monkeypatch.setattr(aw, "comparison_form",
+                        lambda xi: skew(*comparison_form(xi)))
+    check = _aw_check("aw.decompose-roundtrip")
+    assert check["status"] == "fail"
+    assert check["actual"] != "5 of 5 elements round-trip"
+    assert check["actual"].endswith(" of 5 elements round-trip")
+
+
 def test_revert_map_can_fail(monkeypatch):
     revert = aw.revert_block_fit
     monkeypatch.setattr(aw, "revert_block_fit",
