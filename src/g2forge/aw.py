@@ -19,19 +19,19 @@ second-order obstruction polynomial.  P is evaluated along two exact
 routes (native sqrt(10) arithmetic, and a rational even/odd split in
 sqrt(10)) that must agree; the sqrt(10)-odd part must vanish.
 
-A(xi) is built once, by comparison_form, and only as integer
-numerators: the blocks B = s phitilde - (5/3) y ^ Omega and C(x) of the
-integer element e xi, cleared to (NB, NC)/d, give D A = U + sqrt(10) W
-with U = 6 NB, W = NC and D = 6 d e, each of U and W gated as pure 27.
-The cubic is composed from the int parts of the kernels,
-cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
-on U + sqrt(10) W (route one, cubic.p_numerator) and on the ints U and
-W (route two), and divided once, by 2 D^3.  The first two read
-precomputed signed blade tables (the pair table of p, and the +-1
-functionals f_ij of i^{-1}) and build no Form.  The type-27 gate is
-G2Frame.is_pure27, the eight signed sums that pair with phi and the
-e_j -| psi; the symmetry and trace checks of the recovered tensors run
-on both routes.
+Every block form is an integer combination of one block basis,
+(phitilde, e_a ^ Omega, C(e_i)), built once by block_basis, the only
+place the module builds y ^ Omega and C(x).  comparison_form gives A(xi)
+as D A = U + sqrt(10) W on it: for the integer element Xi = e xi,
+U = 6e (s phitilde - (5/3) y ^ Omega), W = C(X) and D = 6e, each of U
+and W gated as pure 27.  The cubic is composed from the int parts of the
+kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
+linalg.upper_inner, on U + sqrt(10) W (route one, cubic.p_numerator)
+and on the ints U and W (route two), and divided once, by 2 D^3.  The
+first two read precomputed signed blade tables and build no Form.  The
+type-27 gate is G2Frame.is_pure27, the eight signed sums that pair with
+phi and the e_j -| psi; the symmetry and trace checks of the recovered
+tensors run on both routes.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
@@ -48,12 +48,11 @@ closed polynomial the suite vindicates is
 Every verifier reports the displayed value, the computed value, and
 the corrected closed form where the two differ.
 
-The generic cubic is trilinear in the eight block coordinates
-(s, y1, y2, y3, x4..x7).  Its structure constants on the basis
-(phitilde, e_a ^ Omega, C(e_i)) are 58 nonzero integers, built once
-and checked fully symmetric; the lattice sweeps and fits evaluate
-that table; random points, and two probes of the table when it is
-built, take the solver route.
+The generic cubic is trilinear in the block coordinates (s, y1, y2,
+y3, x4..x7).  Its structure constants on the block basis are 58 nonzero
+integers, built once and checked fully symmetric; the lattice sweeps
+and fits evaluate that table; random points, and two probes of the
+table when it is built, take the solver route.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from .g2 import InternalConsistencyError, TypeDecompositionError, \
 from .cubic import p_numerator, quadratic_upper
 from .linalg import Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import SQRT10, GaussRational, QuadExt, ScalarError, \
-    clear_denominators
+    clear_denominators, scalar_to_json
 
 
 class AWFrame:
@@ -188,7 +187,6 @@ class Su3Element:
         return val.re
 
     def to_json(self) -> dict:
-        from .scalars import scalar_to_json
         return {"v": [scalar_to_json(Fraction(c)) for c in self.v],
                 "x": [scalar_to_json(Fraction(c)) for c in self.x]}
 
@@ -244,32 +242,30 @@ def c_of(x: Form) -> Form:
 
 def comparison_form(xi: Su3Element) -> tuple[Form, Form, int]:
     """A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x) as the
-    integer numerators (U, W, D) with D A(xi) = U + sqrt(10) W: for
-    Xi = e xi, the blocks B and C(x) of Xi cleared to (NB, NC)/d give
-    U = 6 NB, W = NC and D = 6 d e.  A(xi) is of pure 27 type iff U and
-    W are (1 and sqrt(10) are independent over Q); both are checked."""
-    fr = standard_aw_frame()
-    coords, e = clear_denominators(list(xi.v + xi.x))
-    s, y, x = decompose(Su3Element(coords[:3], coords[3:]))
-    (nb, nc), d = numerators(
-        s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega), c_of(x))
-    u = 6 * nb
-    _pure27("comparison form is not of pure 27 type", u, nc)
-    return u, nc, 6 * d * e
+    integer numerators (U, W, D) with D A(xi) = U + sqrt(10) W on the
+    block basis (see the module docstring).  A(xi) is of pure 27 type
+    iff U and W are (1 and sqrt(10) are independent over Q); both are
+    checked."""
+    (v1, v2, _, x1, x2, x3, x4, x5, x6), e = clear_denominators(
+        list(xi.v + xi.x))
+    # the blocks of Xi: 2s = V1 + V2, 2y = (V1 - V2, -2 X1, 2 X2) and
+    # x = (-X4, X3, -X6, X5) on e4..e7
+    u = _on_basis((3 * (v1 + v2), -5 * (v1 - v2), 10 * x1, -10 * x2))
+    w = _on_basis((0, 0, 0, 0, -x4, x3, -x6, x5))
+    _pure27("comparison form is not of pure 27 type", u, w)
+    return u, w, 6 * e
 
 
 def first_principles_value(xi: Su3Element, *,
                            single_route: bool = False) -> Fraction:
-    """P(xi) along two exact routes, on the integer numerators (U, W, D)
-    of comparison_form: P(xi) is the numerator cubic (cubic.p_numerator)
-    of U + sqrt(10) W over 2 D^3, one rescale at the end.
+    """P(xi) on the integer numerators (U, W, D) of comparison_form: the
+    numerator cubic (cubic.p_numerator) of U + sqrt(10) W over 2 D^3.
 
-    Route one evaluates it natively in Q(sqrt(10)).  Route two expands
-    in powers of sqrt(10) on the ints U and W: the cubic splits into an
-    even part t0 + 10 t2 and an odd part sqrt(10) (t1 + 10 t3), which
-    must vanish identically.  The two routes must agree; single_route
-    skips the second one when the caller is doing a bulk interpolation
-    sweep and verifies route agreement separately.
+    Route one evaluates it natively in Q(sqrt(10)); route two splits it
+    on the ints U and W into an even part t0 + 10 t2 and an odd part
+    sqrt(10) (t1 + 10 t3), which must vanish.  The routes must agree;
+    single_route skips the second for bulk sweeps that verify route
+    agreement separately.
     """
     u, w, d = comparison_form(xi)
     native = p_numerator(u + SQRT10 * w, standard_frame())
@@ -331,18 +327,19 @@ def _solver_products(s, y: Form, x: Form) -> tuple[tuple, Fraction]:
     the cubic <p(A_, A_), i^{-1}(A_)> of the generic combination A_ =
     s phitilde + y ^ Omega + C(x), by the solver.
 
-    It runs on the integer numerators (PT, YW, CX, SPT) = d (phitilde,
-    y^Omega, C(x), s phitilde) and A = SPT + YW + CX = d A_:
-    quadratic_upper is d^2 p for a block with itself and 2 d^2 p for two
-    blocks, iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each product is one
-    int over 2 d^3 or 4 d^3, and the cubic one int over 2 d^3.
+    It runs on the block coordinates z = (s, y, x) cleared to Z = d z:
+    the blocks (PT, YW, CX) = d (phitilde, y^Omega, C(x)) and A = d A_
+    are integer combinations of the block basis.  quadratic_upper is
+    d^2 p for a block with itself and 2 d^2 p for two blocks,
+    iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each product is one int
+    over 2 d^3 or 4 d^3, and the cubic one int over 2 d^3.
     """
-    fr = standard_aw_frame()
-    (pt, yw, cx, spt), d = numerators(
-        fr.phi_tilde, wedge(y, fr.Omega), c_of(x), s * fr.phi_tilde)
-    a = spt + yw + cx
+    z, d = clear_denominators(_block_coords(s, y, x))
+    pt, yw, cx = (_on_basis([d]), _on_basis([0] + z[1:4]),
+                  _on_basis([0] * 4 + z[4:]))
+    a = _on_basis(z)
     _pure27(_OUTSIDE_27, a)
-    S = fr.g2.iso_i_inv_upper(a)
+    S = standard_frame().iso_i_inv_upper(a)
     d3 = d ** 3
     six = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
                          (2 if b1 is b2 else 4) * d3)
@@ -470,12 +467,11 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     fr = standard_aw_frame()
     g2 = fr.g2
     (y, x), _ = numerators(y, x)
+    z = _block_coords(0, y, x)
     pt = fr.phi_tilde
-    yw = wedge(y, fr.Omega)
-    cx = c_of(x)
+    yw, cx = _on_basis([0] + z[1:4]), _on_basis([0] * 4 + z[4:])
     _pure27(_OUTSIDE_27, yw, cx)
-    xc = coords_of(x)
-    yc = coords_of(y)
+    yc, xc = coords_of(y), coords_of(x)
 
     id3, id4 = _blocks_id(1, 0), _blocks_id(0, 1)
     jx = fr.J.apply(xc)
@@ -548,13 +544,8 @@ def _lattice_blocks(point):
     return s, y, x
 
 
-def _random_blocks(rng, bound=4):
-    s = rng.randint(-bound, bound)
-    y = vector_form([rng.randint(-bound, bound) for _ in range(3)]
-                    + [0, 0, 0, 0])
-    x = vector_form([0, 0, 0] + [rng.randint(-bound, bound)
-                                 for _ in range(4)])
-    return s, y, x
+def _random_blocks(rng):
+    return _lattice_blocks([rng.randint(-4, 4) for _ in range(8)])
 
 
 def _tally(key: str, batches) -> list[dict]:
@@ -598,13 +589,27 @@ def verify_block_products(rng, n_random: int) -> list[dict]:
 def block_basis() -> tuple[Form, ...]:
     """The forms (phitilde, e1^Omega, e2^Omega, e3^Omega, C(e4), ...,
     C(e7)), orthogonal with squared norms 42, 2 and 12 on the three
-    blocks; A_ has the coordinates (s, y1, y2, y3, x4, ..., x7) on them."""
+    blocks; A_ has the coordinates (s, y1, y2, y3, x4, ..., x7) on them,
+    and every other block form is a combination of them (_on_basis)."""
     fr = standard_aw_frame()
     yws = tuple(wedge(vector(a), fr.Omega) for a in (1, 2, 3))
     return (fr.phi_tilde,) + yws + tuple(c_of(vector(i)) for i in range(4, 8))
 
 
+def _on_basis(z) -> Form:
+    """sum z_u B_u over the block basis B, for block coordinates z (a
+    shorter z leaves the later coordinates zero)."""
+    terms = {}
+    for c, b in zip(z, block_basis()):
+        if c:
+            for m, t in b.terms.items():
+                terms[m] = terms.get(m, 0) + c * t
+    return Form(3, terms)
+
+
 def _block_coords(s, y: Form, x: Form) -> list:
+    if y.support_mask() & M4_MASK or x.support_mask() & ~M4_MASK:
+        raise FormError("y must lie in span(e1,e2,e3) and x in span(e4..e7)")
     return [s] + coords_of(y)[:3] + coords_of(x)[3:7]
 
 
@@ -725,17 +730,12 @@ def _cubic_lattice() -> tuple:
 
 def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact coefficients (c1, c2, c3, c4) of the block cubic fn in the
-    model
-
-        c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x),
-
-    fitted at four probe points and then verified to reproduce the cubic
-    exactly on the full degree-3 lattice.  Four is enough because the
-    model functions are linearly independent; the lattice sweep is what
-    certifies that the cubic actually lies in the span (an
-    internal-inconsistency error otherwise).  The sweep runs on ints:
-    with c_k = C_k / D it compares sum C_k m_k with D fn, for an fn
-    that gives ints on int blocks.
+    model c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x), fitted at four
+    probe points (the model functions are linearly independent) and then
+    verified on the full degree-3 lattice, which certifies that the
+    cubic lies in the span (an internal-inconsistency error otherwise).
+    The sweep runs on ints: with c_k = C_k / D it compares sum C_k m_k
+    with D fn, for an fn that gives ints on int blocks.
     """
     probes = [_lattice_blocks(point) for point in (
         (1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0),

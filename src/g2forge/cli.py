@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
 from . import cubic as cubicmod
@@ -195,7 +196,7 @@ def _eval_operation(op: str, forms: list[ext.Form]) -> dict:
         # the section-normalized cubic <p(b,b), i^{-1}(b)>; the cocycle
         # route carries an overall factor 2, asserted on the way
         value = cubicmod.p_value(a, fr)
-        return {"result": scalar_to_json(value / 2)}
+        return {"result": scalar_to_json(value * Fraction(1, 2))}
     if op == "hat":
         return {"result": ext.form_to_json(fr.hat(a))}
     if op == "project":

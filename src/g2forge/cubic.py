@@ -270,28 +270,25 @@ def p_value(b: Form, frame: G2Frame | None = None):
     return over(direct, d ** 3)
 
 
-def trilinear(S1: SymTensor, S2: SymTensor, S3: SymTensor,
-              frame: G2Frame | None = None):
+def trilinear(S1: SymTensor, S2: SymTensor, S3: SymTensor):
     """The trilinear form <b2(*i(S1), *i(S2)), i(S3)> on traceless
     symmetric tensors.  Fully symmetric under permutations."""
-    fr = frame or standard_frame()
+    fr = standard_frame()
     b_1 = fr.iso_i(S1)
     b_2 = fr.iso_i(S2)
     return inner(b2(hodge(b_1), hodge(b_2), fr), fr.iso_i(S3))
 
 
-def trilinear_direct(S1: SymTensor, S2: SymTensor, S3: SymTensor,
-                     frame: G2Frame | None = None):
+def trilinear_direct(S1: SymTensor, S2: SymTensor, S3: SymTensor):
     """<p(i(S1), i(S2)), S3>, the same form up to the overall factor 2
     carried by the cocycle route: trilinear = 2 * trilinear_direct."""
-    fr = frame or standard_frame()
+    fr = standard_frame()
     return sym_inner(quadratic_form(fr.iso_i(S1), fr.iso_i(S2)), S3)
 
 
-def trilinear_star_route(S1: SymTensor, S2: SymTensor, S3: SymTensor,
-                         frame: G2Frame | None = None):
+def trilinear_star_route(S1: SymTensor, S2: SymTensor, S3: SymTensor):
     """Derived-action route: <S3 * i(S1), i(S2)> + <S3 * i(S2), i(S1)>."""
-    fr = frame or standard_frame()
+    fr = standard_frame()
     b_1 = fr.iso_i(S1)
     b_2 = fr.iso_i(S2)
     A3 = S3.to_matrix()

@@ -2,8 +2,9 @@
 
 Everything here is scalar-generic over exact fields.  Entries may be
 ints, Fractions or QuadExt values; elimination (Gauss-Jordan, ints
-promoted to Fraction) divides by pivots, so any field works, and every
-zero test and comparison is exact.
+promoted to Fraction) multiplies each pivot row by the inverse of a
+rational pivot, so a rational matrix takes right-hand sides over any
+extension field, and every zero test and comparison is exact.
 
 A SymTensor is stored as one upper triangle, row i from the diagonal
 on, the shape the integer cores take and return: a full square given
@@ -153,8 +154,10 @@ def _echelon(rows: list[list], width: int, track: list[int]):
             continue
         rows[r], rows[best] = rows[best], rows[r]
         track[r], track[best] = track[best], track[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
+        # a rational pivot: QuadExt entries (right-hand sides) are only
+        # multiplied by its inverse, never divided
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]

@@ -10,16 +10,16 @@ Three exact scalar types are used throughout:
 * :class:`GaussRational`, elements ``a + b*i`` of Q(i), used for the
   complex letter polynomials of the invariant pairing.
 
-Rationals and QuadExt support +, -, *, / and equality; GaussRational
-supports +, -, * and equality, since the letter polynomials never
-divide.  All engine arithmetic is exact.  GaussRational converts to
-complex for the numpy Monte-Carlo check, whose polynomial coefficients
-are complex.
+Rationals support +, -, *, / and equality; QuadExt and GaussRational
+support +, -, * and equality, since nothing divides by an element of
+Q(sqrt(10)) and the letter polynomials never divide.  All engine
+arithmetic is exact.  GaussRational converts to complex for the numpy
+Monte-Carlo check, whose polynomial coefficients are complex.
 
 A QuadExt part given as an ``int`` stays an ``int``, so the integer
 numerators the exact kernels work on (``exterior.numerators``) multiply
-and add at int speed; division goes through ``Fraction`` and never
-yields a float.
+and add at int speed; the one rescale (``over``) goes through
+``Fraction`` and never yields a float.
 """
 
 from __future__ import annotations
@@ -102,27 +102,6 @@ class QuadExt:
                      self.rat * o.irr + self.irr * o.rat)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "QuadExt":
-        # 1/(a + b s) = (a - b s)/(a^2 - 10 b^2); the norm is nonzero
-        # for nonzero elements because 10 is not a rational square.
-        # the norm is a Fraction, so int parts never divide to a float
-        norm = Fraction(self.rat * self.rat - 10 * self.irr * self.irr)
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(10))")
-        return QuadExt(self.rat / norm, -self.irr / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -98,7 +98,7 @@ class _SuiteRun:
                 **(extra or {})}
 
 
-def _random_form(rng: random.Random, grade: int, bound: int = 5) -> ext.Form:
+def _random_form(rng: random.Random, grade: int, bound: int) -> ext.Form:
     # one draw per blade in mask order; Form drops the zero draws
     return ext.Form(grade, {m: rng.randint(-bound, bound)
                             for m in range(128) if m.bit_count() == grade})
@@ -317,23 +317,21 @@ def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict
     with run.check("cubic.trilinear-symmetry",
                    "T(S1,S2,S3) = <p(i(S1), i(S2)), S3> is S3-symmetric",
                    f"{n_pairs} random triples, all 6 permutations each") as c:
-        fr = standard_frame()
         for _ in range(n_pairs):
             S1, S2, S3 = (random_traceless(c.rng, 3) for _ in range(3))
-            base = cubicmod.trilinear_direct(S1, S2, S3, fr)
+            base = cubicmod.trilinear_direct(S1, S2, S3)
             for perm in itertools.permutations((S1, S2, S3)):
-                c.ok = c.ok and cubicmod.trilinear_direct(*perm, fr) == base
+                c.ok = c.ok and cubicmod.trilinear_direct(*perm) == base
 
     with run.check("cubic.trilinear-routes",
                    "cocycle route and derived-action route both equal "
                    "2 <p(i(S1), i(S2)), S3>",
                    "10 random triples across all three constructions") as c:
-        fr = standard_frame()
         for _ in range(10):
             S1, S2, S3 = (random_traceless(c.rng, 3) for _ in range(3))
-            direct = cubicmod.trilinear_direct(S1, S2, S3, fr)
-            c.ok = c.ok and cubicmod.trilinear(S1, S2, S3, fr) == 2 * direct
-            c.ok = c.ok and cubicmod.trilinear_star_route(S1, S2, S3, fr) == 2 * direct
+            direct = cubicmod.trilinear_direct(S1, S2, S3)
+            c.ok = c.ok and cubicmod.trilinear(S1, S2, S3) == 2 * direct
+            c.ok = c.ok and cubicmod.trilinear_star_route(S1, S2, S3) == 2 * direct
     return run.report()
 
 

@@ -169,20 +169,19 @@ def test_criterion_06_cocycle(g2frame, capsys):
 
 def test_criterion_07_trilinear_symmetry(g2frame, capsys):
     started = time.monotonic()
-    fr = g2frame
     rng = random.Random(515)
     ok = True
     import itertools
     for _ in range(50):
         S1, S2, S3 = (random_traceless(rng, 3) for _ in range(3))
-        base = cubic.trilinear_direct(S1, S2, S3, fr)
+        base = cubic.trilinear_direct(S1, S2, S3)
         for perm in itertools.permutations((S1, S2, S3)):
-            ok = ok and cubic.trilinear_direct(*perm, fr) == base
+            ok = ok and cubic.trilinear_direct(*perm) == base
     for _ in range(10):
         S1, S2, S3 = (random_traceless(rng, 3) for _ in range(3))
-        direct = cubic.trilinear_direct(S1, S2, S3, fr)
-        ok = ok and cubic.trilinear(S1, S2, S3, fr) == 2 * direct
-        ok = ok and cubic.trilinear_star_route(S1, S2, S3, fr) == 2 * direct
+        direct = cubic.trilinear_direct(S1, S2, S3)
+        ok = ok and cubic.trilinear(S1, S2, S3) == 2 * direct
+        ok = ok and cubic.trilinear_star_route(S1, S2, S3) == 2 * direct
     elapsed = time.monotonic() - started
     announce(capsys, 7, ok and elapsed < 10.0,
              "S3-symmetry of the trilinear form on 50 random triples "

@@ -1,6 +1,7 @@
 """Tests for the reductive block frame, su(3) elements, and the block
 expansion of the obstruction cubic."""
 
+import contextlib
 import itertools
 import json
 import random
@@ -250,21 +251,36 @@ def _xi_with_m4_part():
                       (1, -2, Fraction(3, 2), 0, -1, 2))
 
 
+@contextlib.contextmanager
+def patched_basis(monkeypatch):
+    """A monkeypatch context that the block basis is rebuilt under: its
+    cache is cleared on entry and again on exit, so the patches reach
+    the basis and no patched basis outlives the context."""
+    with monkeypatch.context() as patch:
+        aw.block_basis.cache_clear()
+        try:
+            yield patch
+        finally:
+            aw.block_basis.cache_clear()
+
+
 def test_first_principles_c_constructions_checked(monkeypatch):
-    monkeypatch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
-    with pytest.raises(InternalConsistencyError,
-                       match="the two constructions of C disagree"):
-        first_principles_value(_xi_with_m4_part())
+    with patched_basis(monkeypatch) as patch:
+        patch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
+        with pytest.raises(InternalConsistencyError,
+                           match="the two constructions of C disagree"):
+            first_principles_value(_xi_with_m4_part())
 
 
 def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
-    # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in C(x) lands in W; one in
-    # phitilde lands in U = 6 NB, the rational half, and W stays pure 27
+    # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in the C(e_i) of the basis
+    # lands in W; one in phitilde lands in U, the rational half, and W
+    # stays pure 27
     stray = g2frame.kappa[1]
     for target, name, value in (
             (aw, "c_of", lambda x: c_direct(x) + stray),
             (awframe, "phi_tilde", awframe.phi_tilde + stray)):
-        with monkeypatch.context() as patch:
+        with patched_basis(monkeypatch) as patch:
             patch.setattr(target, name, value)
             for single_route in (False, True):
                 with pytest.raises(TypeDecompositionError,
@@ -292,7 +308,8 @@ def test_first_principles_split_route_checked(monkeypatch, bump, message):
 
 
 def test_first_principles_runs_each_block_once(monkeypatch):
-    """A two-route evaluation builds A(xi) once, as one comparison_form,
+    """A two-route evaluation builds A(xi) once, as one comparison_form
+    on the cached block basis (no C(x) construction and no decompose),
     and stays on the numerator cores: no per-kernel entry point (each
     clears and rescales again) and no full type split runs."""
     xi = _xi_with_m4_part()
@@ -318,7 +335,7 @@ def test_first_principles_runs_each_block_once(monkeypatch):
     for name in ("project3", "iso_i_inv"):
         monkeypatch.setattr(G2Frame, name, refuse)
     assert first_principles_value(xi) == want
-    assert calls == {"c_of": 1, "decompose": 1, "comparison_form": 1}
+    assert calls == {"c_of": 0, "decompose": 0, "comparison_form": 1}
 
 
 def test_r_value():
@@ -431,6 +448,18 @@ def test_principal_lattice_counts():
 
 
 # -- displays versus exact values --------------------------------------------
+
+def test_block_routes_reject_misplaced_blocks():
+    # every route that reads block coordinates needs y in the m3 block
+    # and x in the m4 block, rather than dropping the misplaced part
+    for y, x in ((vector(4), vector(5)), (vector(1), vector(2))):
+        with pytest.raises(FormError):
+            tensor_displays(y, x)
+        with pytest.raises(FormError):
+            block_products(0, y, x)
+        with pytest.raises(FormError):
+            block_tables().cubic(0, y, x)
+
 
 def test_tensor_displays_partition():
     rng = random.Random(9011)

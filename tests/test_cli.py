@@ -9,13 +9,15 @@ import pytest
 import g2forge
 from g2forge import suites
 from g2forge import exterior as ext
-from g2forge.aw import standard_aw_frame
+from g2forge.aw import Su3Element, comparison_form, \
+    first_principles_value, standard_aw_frame
 from g2forge.cli import build_parser, main
 from g2forge.cubic import b2, q_value
 from g2forge.exterior import form_from_json, form_to_json, vol_coefficient, \
     wedge
 from g2forge.linalg import SymTensor
-from g2forge.scalars import scalar_to_json
+from g2forge.scalars import SQRT10, QuadExt, scalar_from_json, \
+    scalar_to_json
 from g2forge.suites import AW_BY_DESIGN
 
 from test_cubic import perturb_inverse, perturb_solve, \
@@ -309,6 +311,20 @@ def test_eval_p_on_comparison_block(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "eval", "P", path)
     assert rc == 0
     assert json.loads(out)["result"] == scalar_to_json(Fraction(-210))
+
+
+def test_eval_p_with_sqrt10_parts(capsys, tmp_path):
+    # A(xi) of an element with an m4 part has sqrt(10) coefficients: P
+    # of it is rational, P of sqrt(10) A(xi) is 10 sqrt(10) times that
+    xi = Su3Element((1, 1, -2), (1, -2, 3, 0, -1, 2))
+    u, w, d = comparison_form(xi)
+    a = Fraction(1, d) * (u + SQRT10 * w)
+    want = first_principles_value(xi)
+    for form, value in ((a, want), (SQRT10 * a, QuadExt(0, 10 * want))):
+        path = write_form(tmp_path / "a.json", form)
+        rc, out, _ = run_cli(capsys, "eval", "P", path)
+        assert rc == 0
+        assert scalar_from_json(json.loads(out)["result"]) == value
 
 
 def test_eval_b2_two_files(capsys, tmp_path, g2frame):

@@ -176,23 +176,23 @@ def test_p_value_cubic_scaling(g2frame):
     assert p_value(3 * b, g2frame) == 27 * base
 
 
-def test_trilinear_fully_symmetric(g2frame):
+def test_trilinear_fully_symmetric():
     rng = random.Random(8006)
     for _ in range(10):
         S1, S2, S3 = (random_traceless(rng, 3) for _ in range(3))
-        base = trilinear_direct(S1, S2, S3, g2frame)
+        base = trilinear_direct(S1, S2, S3)
         for perm in itertools.permutations((S1, S2, S3)):
-            assert trilinear_direct(*perm, g2frame) == base
+            assert trilinear_direct(*perm) == base
 
 
-def test_trilinear_routes_agree(g2frame):
+def test_trilinear_routes_agree():
     # the cocycle route carries a global factor 2 over the direct route
     rng = random.Random(8007)
     for _ in range(5):
         S1, S2, S3 = (random_traceless(rng, 3) for _ in range(3))
-        direct = trilinear_direct(S1, S2, S3, g2frame)
-        assert trilinear(S1, S2, S3, g2frame) == 2 * direct
-        assert trilinear_star_route(S1, S2, S3, g2frame) == 2 * direct
+        direct = trilinear_direct(S1, S2, S3)
+        assert trilinear(S1, S2, S3) == 2 * direct
+        assert trilinear_star_route(S1, S2, S3) == 2 * direct
 
 
 def test_trilinear_diagonal_matches_p(g2frame):
@@ -200,7 +200,7 @@ def test_trilinear_diagonal_matches_p(g2frame):
     for _ in range(5):
         S = random_traceless(rng, 3)
         b = g2frame.iso_i(S)
-        assert p_value(b, g2frame) == 2 * trilinear_direct(S, S, S, g2frame)
+        assert p_value(b, g2frame) == 2 * trilinear_direct(S, S, S)
 
 
 # -- integer-numerator kernels against the generic routes --------------------

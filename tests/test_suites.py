@@ -48,6 +48,22 @@ def test_decompose_roundtrip_can_fail(monkeypatch):
     assert check["actual"] != "5 of 5 elements round-trip"
 
 
+def test_decompose_roundtrip_catches_a_consistent_sign_flip(monkeypatch):
+    # decompose and compose both flipping y still round-trip; the read of
+    # comparison_form, which codes xi -> blocks on its own, catches it
+    decompose, compose = aw.decompose, aw.compose
+
+    def flipped(xi):
+        s, y, x = decompose(xi)
+        return s, -y, x
+
+    monkeypatch.setattr(aw, "decompose", flipped)
+    monkeypatch.setattr(aw, "compose", lambda s, y, x: compose(s, -y, x))
+    check = _aw_check("aw.decompose-roundtrip")
+    assert (check["status"], check["actual"]) == (
+        "fail", "0 of 5 elements round-trip")
+
+
 @pytest.mark.parametrize("skew", [
     lambda u, w, d: (u, 2 * w, d),
     lambda u, w, d: (u + aw.block_basis()[4], w, d)],
