@@ -187,8 +187,8 @@ class Su3Element:
         return val.re
 
     def to_json(self) -> dict:
-        return {"v": [scalar_to_json(Fraction(c)) for c in self.v],
-                "x": [scalar_to_json(Fraction(c)) for c in self.x]}
+        return {"v": [scalar_to_json(c) for c in self.v],
+                "x": [scalar_to_json(c) for c in self.x]}
 
     def __repr__(self):
         return f"Su3Element(v={self.v}, x={self.x})"

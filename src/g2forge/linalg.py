@@ -1,8 +1,8 @@
 """Dense exact linear algebra: matrices, linear solves, symmetric tensors.
 
 Everything here is scalar-generic over exact fields.  Entries may be
-ints, Fractions or QuadExt values; elimination (Gauss-Jordan, ints
-promoted to Fraction) multiplies each pivot row by the inverse of a
+ints, Fractions or QuadExt values, kept as given; elimination
+(Gauss-Jordan) multiplies each pivot row by the Fraction inverse of a
 rational pivot, so a rational matrix takes right-hand sides over any
 extension field, and every zero test and comparison is exact.
 
@@ -141,9 +141,6 @@ def _echelon(rows: list[list], width: int, track: list[int]):
     Returns the list of (row, col) pivot positions.  ``track`` carries
     original row indices through swaps so error reports stay meaningful.
     """
-    # ints must become Fractions up front: true division of ints is float
-    for i, row in enumerate(rows):
-        rows[i] = [Fraction(x) if isinstance(x, int) else x for x in row]
     pivots = []
     r = 0
     nrows = len(rows)
@@ -155,8 +152,9 @@ def _echelon(rows: list[list], width: int, track: list[int]):
         rows[r], rows[best] = rows[best], rows[r]
         track[r], track[best] = track[best], track[r]
         # a rational pivot: QuadExt entries (right-hand sides) are only
-        # multiplied by its inverse, never divided
-        inv = 1 / rows[r][c]
+        # multiplied by its inverse, never divided; an int pivot gets a
+        # Fraction inverse, since true division of ints is float
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:

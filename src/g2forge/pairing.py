@@ -22,6 +22,11 @@ number is <P, i det>, assembled from the four component pairings
     <s^3, i det> = -4/9,   <s|x|^2, i det> = -8/3,
     <s|y|^2, i det> = 4,   <R, i det> = 24.
 
+Coefficients and letter values are kept as given, ints as ints (a
+GaussRational's parts too), and a Fraction appears only where a value
+is one: the Gram entries and the halves in the x -> z dictionary, s
+and |y|^2.  So the pairings come out as Fractions with no conversion.
+
 pairing_report() computes each pairing once per process and hands
 every caller the same read-only record.  A seeded Monte-Carlo check
 closes the loop: averaging P over conjugates g xi g^{-1} with
@@ -48,45 +53,40 @@ _CONJUGATE = {"v1": "v1", "v2": "v2", "v3": "v3",
               "z1": "zb1", "z2": "zb2", "z3": "zb3",
               "zb1": "z1", "zb2": "z2", "zb3": "z3"}
 
-_ZERO = GaussRational(0, 0)
-_ONE = GaussRational(1, 0)
 _I = GaussRational(0, 1)
 
 
-def _coeff(c) -> GaussRational:
-    if isinstance(c, GaussRational):
-        return c
-    return GaussRational(Fraction(c), 0)
-
-
 class MultiPoly:
-    """Homogeneous polynomial: sorted letter tuples -> Gaussian rationals."""
+    """Homogeneous polynomial: sorted letter tuples -> coefficients.
+
+    A coefficient is an int, a Fraction or a GaussRational, kept as
+    given; sums and products pick the type they make."""
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: dict | None = None):
         self.degree = degree
-        self.terms: dict[tuple, GaussRational] = {}
+        self.terms: dict = {}
         if terms:
             for mono, c in terms.items():
-                self._add_term(mono, _coeff(c))
+                self._add_term(mono, c)
 
-    def _add_term(self, mono, c: GaussRational):
+    def _add_term(self, mono, c):
         mono = tuple(sorted(mono))
         if len(mono) != self.degree:
             raise ScalarError("monomial degree does not match the tag")
         for name in mono:
             if name not in LETTERS:
                 raise ScalarError(f"unknown letter {name!r}")
-        cur = self.terms.get(mono, _ZERO) + c
-        if cur == _ZERO:
+        cur = self.terms.get(mono, 0) + c
+        if cur == 0:
             self.terms.pop(mono, None)
         else:
             self.terms[mono] = cur
 
     @classmethod
     def letter(cls, name: str) -> "MultiPoly":
-        return cls(1, {(name,): _ONE})
+        return cls(1, {(name,): 1})
 
     @classmethod
     def zero(cls, degree: int) -> "MultiPoly":
@@ -111,9 +111,8 @@ class MultiPoly:
         return out
 
     def scale(self, c) -> "MultiPoly":
-        c = _coeff(c)
         out = MultiPoly(self.degree)
-        if c == _ZERO:
+        if c == 0:
             return out
         for mono, cc in self.terms.items():
             out._add_term(mono, cc * c)
@@ -132,7 +131,7 @@ class MultiPoly:
 
     def eliminate_v3(self) -> "MultiPoly":
         """Substitute v3 = -v1 - v2, the canonical reduced form."""
-        v3sub = MultiPoly(1, {("v1",): -_ONE, ("v2",): -_ONE})
+        v3sub = MultiPoly(1, {("v1",): -1, ("v2",): -1})
         out = MultiPoly(self.degree)
         for mono, c in self.terms.items():
             piece = MultiPoly(0, {(): c})
@@ -158,7 +157,7 @@ def letter_values(xi: Su3Element) -> dict:
     z = xi.z_letters()
     vals = {}
     for a in range(3):
-        vals[f"v{a + 1}"] = GaussRational(Fraction(xi.v[a]), 0)
+        vals[f"v{a + 1}"] = xi.v[a]
     for j in range(3):
         vals[f"z{j + 1}"] = z[j]
         vals[f"zb{j + 1}"] = z[j].conjugate()
@@ -179,7 +178,7 @@ for _j in range(3):
 
 
 def gram_entry(a: str, b: str) -> Fraction:
-    return GRAM.get((a, b), Fraction(0))
+    return GRAM.get((a, b), 0)
 
 
 def derive_gram_from_killing() -> dict:
@@ -200,31 +199,30 @@ def derive_gram_from_killing() -> dict:
     }
     # z1 = -x5 + i x6, z2 = x3 + i x4, z3 = -x1 + i x2
     zrows = {
-        "z1": {"x5": -_ONE, "x6": _I},
-        "z2": {"x3": _ONE, "x4": _I},
-        "z3": {"x1": -_ONE, "x2": _I},
+        "z1": {"x5": -1, "x6": _I},
+        "z2": {"x3": 1, "x4": _I},
+        "z3": {"x1": -1, "x2": _I},
     }
     xs = [f"x{k}" for k in range(1, 7)]
     for name, combo in list(zrows.items()):
-        rows[name] = [_ZERO, _ZERO] + [combo.get(x, _ZERO) for x in xs]
-        rows["zb" + name[1:]] = [_ZERO, _ZERO] + \
-            [combo.get(x, _ZERO).conjugate() for x in xs]
+        rows[name] = [0, 0] + [combo.get(x, 0) for x in xs]
+        rows["zb" + name[1:]] = [0, 0] + \
+            [combo.get(x, 0).conjugate() for x in xs]
 
     def pair(ra, rb):
         total = GaussRational(0, 0)
         for i in range(2):
             for j in range(2):
-                total = total + _coeff(ra[i]) * _coeff(rb[j]) * \
-                    GaussRational(binv_v[i][j], 0)
+                total = total + ra[i] * rb[j] * binv_v[i][j]
         for k in range(2, 8):
-            total = total + _coeff(ra[k]) * _coeff(rb[k])
+            total = total + ra[k] * rb[k]
         return total
 
     table = {}
     for a in LETTERS:
         for b in LETTERS:
             val = pair(rows[a], rows[b])
-            if val != _ZERO:
+            if val != 0:
                 if val.im != 0:
                     raise InternalConsistencyError(
                         "derived Gram entry is not rational")
@@ -239,7 +237,7 @@ def permanent(rows: list[list]):
     if any(len(r) != n for r in rows):
         raise ScalarError("permanent needs a square matrix")
     if n == 0:
-        return Fraction(1)
+        return 1
     total = None
     for perm in itertools.permutations(range(n)):
         prod = rows[0][perm[0]]
@@ -266,7 +264,7 @@ def sym_inner_poly(p: MultiPoly, q: MultiPoly) -> GaussRational:
         for m2, c2 in q.terms.items():
             g = monomial_inner(m1, m2)
             if g != 0:
-                total = total + c1 * c2 * GaussRational(g, 0)
+                total = total + c1 * c2 * g
     return total
 
 
@@ -445,17 +443,17 @@ def interpolate_p_coefficients() -> dict:
     coeff: dict[tuple, Fraction] = {}
     fs = {}
     for (i,) in singles:
-        c = [Fraction(0)] * 8
-        c[i] = Fraction(1)
+        c = [0] * 8
+        c[i] = 1
         fs[i] = f(c)
         if fs[i] != 0:
             coeff[(i, i, i)] = fs[i]
     fpair = {}
     for i, j in pairs:
-        c = [Fraction(0)] * 8
-        c[i] = c[j] = Fraction(1)
+        c = [0] * 8
+        c[i] = c[j] = 1
         plus = f(c)
-        c[j] = Fraction(-1)
+        c[j] = -1
         minus = f(c)
         fpair[(i, j)] = plus
         # f(ei + ej) = fi + fj + c_iij + c_ijj; f(ei - ej) = fi - fj - c_iij + c_ijj
@@ -468,8 +466,8 @@ def interpolate_p_coefficients() -> dict:
         if c_ijj != 0:
             coeff[(i, j, j)] = c_ijj
     for i, j, k in triples:
-        c = [Fraction(0)] * 8
-        c[i] = c[j] = c[k] = Fraction(1)
+        c = [0] * 8
+        c[i] = c[j] = c[k] = 1
         val = (f(c) - fpair[(i, j)] - fpair[(i, k)] - fpair[(j, k)]
                + fs[i] + fs[j] + fs[k])
         if val != 0:

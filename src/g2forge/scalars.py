@@ -16,10 +16,12 @@ Q(sqrt(10)) and the letter polynomials never divide.  All engine
 arithmetic is exact.  GaussRational converts to complex for the numpy
 Monte-Carlo check, whose polynomial coefficients are complex.
 
-A QuadExt part given as an ``int`` stays an ``int``, so the integer
-numerators the exact kernels work on (``exterior.numerators``) multiply
-and add at int speed; the one rescale (``over``) goes through
-``Fraction`` and never yields a float.
+A part of a QuadExt or a GaussRational given as an ``int`` stays an
+``int``, and a ``Fraction`` appears only where an operation makes one.
+So the integer numerators the exact kernels work on
+(``exterior.numerators``) multiply and add at int speed, an su(3)
+element with int coordinates has int letters, and the one rescale
+(``over``) goes through ``Fraction`` and never yields a float.
 """
 
 from __future__ import annotations
@@ -31,14 +33,6 @@ from fractions import Fraction
 
 class ScalarError(ValueError):
     """Raised on malformed scalar input (bad JSON, zero denominator)."""
-
-
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
 def _as_rational(value):
@@ -135,13 +129,14 @@ SQRT10 = QuadExt(0, 1)
 
 
 class GaussRational:
-    """An element a + b*i of the Gaussian rationals Q(i)."""
+    """An element a + b*i of the Gaussian rationals Q(i).  Each part is
+    an int or a Fraction, as given."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, real=0, imag=0):
-        self.re = _as_fraction(real)
-        self.im = _as_fraction(imag)
+        self.re = _as_rational(real)
+        self.im = _as_rational(imag)
 
     @staticmethod
     def _coerce(other):

@@ -41,7 +41,7 @@ def trace(M: Matrix):
 
 
 def evaluate(poly, values: dict) -> GaussRational:
-    """A letter polynomial at GaussRational letter values."""
+    """A letter polynomial at exact letter values, as a GaussRational."""
     total = GaussRational(0, 0)
     for mono, c in poly.terms.items():
         prod = c

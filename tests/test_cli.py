@@ -93,6 +93,31 @@ def test_run_aw_suite_fails_by_design(capsys, awframe):
             assert twin["status"] == "pass"
 
 
+def _ledger_lines(err):
+    return [line for line in err.splitlines() if "failing checks" in line]
+
+
+def test_run_names_failures_against_the_ledger(capsys, awframe, monkeypatch):
+    args = ("run", "--suite", "aw", "--seed", "1", "--random", "5",
+            "--format", "json")
+    rc, healthy, err = run_cli(capsys, *args)
+    assert rc == 1
+    assert _ledger_lines(err) == [
+        "g2forge: aw: 8 failing checks, all in suites.AW_BY_DESIGN"]
+    # one failure more: the report changes, the exit code does not
+    i_det = Su3Element.i_det
+    monkeypatch.setattr(Su3Element, "i_det", lambda self: -i_det(self))
+    rc, out, err = run_cli(capsys, *args)
+    assert rc == 1 and out != healthy
+    assert _ledger_lines(err) == [
+        "g2forge: aw: 9 failing checks, 8 in suites.AW_BY_DESIGN; "
+        "not in it: aw.idet-two-routes"]
+    # a passing suite prints no such line
+    rc, _, err = run_cli(capsys, "run", "--suite", "exterior", "--random", "1")
+    assert rc == 0
+    assert _ledger_lines(err) == []
+
+
 def test_run_exterior_text_deterministic(capsys):
     args = ("run", "--suite", "exterior", "--seed", "7", "--random", "10")
     rc1, out1, _ = run_cli(capsys, *args)

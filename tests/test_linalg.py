@@ -44,6 +44,18 @@ def test_solve_exact_reproduces_solution():
             assert sol == x
 
 
+def test_solve_exact_int_matrix_types():
+    # an int system is eliminated as given: each pivot row is multiplied
+    # by a Fraction inverse, so pivot values are Fractions, and a free
+    # variable is the int 0
+    A = Matrix.from_rows([[2, 4, 1], [0, 3, 0]])
+    sol, kdim = solve_exact(A, [5, 6])
+    assert (sol, kdim) == ([Fraction(-3, 2), 2, 0], 1)
+    assert [type(x) for x in sol] == [Fraction, Fraction, int]
+    sol, _ = solve_exact(Matrix.diagonal([1, 1]), [3, 4])
+    assert [type(x) for x in sol] == [Fraction, Fraction]
+
+
 def test_solve_exact_detects_inconsistency():
     A = Matrix.from_rows([[1, 0], [1, 0]])
     with pytest.raises(InconsistentSystemError):

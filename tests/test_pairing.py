@@ -1,6 +1,7 @@
 """Tests for the letter polynomials, the permanent inner product, and
 the invariant pairing <P, i det>."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -54,6 +55,19 @@ def test_multipoly_evaluate_matches_letters():
         assert got == GaussRational(s ** 3, 0)
         assert reference.evaluate(sx2, vals).im == 0
         assert reference.evaluate(rr, vals).im == 0
+
+
+def test_int_element_and_fraction_twin_agree():
+    # an int element keeps int letters and an int i det; its Fraction
+    # twin gives equal values and the same JSON bytes
+    rng = random.Random(11002)
+    for _ in range(10):
+        twin = random_su3(rng)
+        xi = Su3Element(tuple(map(int, twin.v)), tuple(map(int, twin.x)))
+        assert type(xi.i_det()) is int
+        assert xi.i_det() == twin.i_det()
+        assert letter_values(xi) == letter_values(twin)
+        assert json.dumps(xi.to_json()) == json.dumps(twin.to_json())
 
 
 def test_component_polys_are_real():

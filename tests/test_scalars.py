@@ -47,6 +47,25 @@ def test_gauss_rational_mixed_ops():
     assert z - z == GaussRational(0, 0)
 
 
+def test_gauss_rational_keeps_int_parts():
+    # as in QuadExt, each part is an int or a Fraction as given, and a
+    # Fraction appears only where an operation makes one
+    z = GaussRational(2, 1)
+    for w in (z, z * z, z + 1, 3 - z, -z, z.conjugate()):
+        assert (type(w.re), type(w.im)) == (int, int)
+    half = Fraction(1, 2)
+    assert z * half == half * z == GaussRational(1, half)
+    assert z + half == half + z == GaussRational(Fraction(5, 2), 1)
+    assert half - z == GaussRational(Fraction(-3, 2), -1)
+    assert GaussRational(2) == 2 and 2 == GaussRational(2)
+    assert GaussRational(half) == half and half == GaussRational(half)
+    assert GaussRational(Fraction(2), Fraction(1)) == z
+    assert hash(GaussRational(Fraction(2))) == hash(GaussRational(2)) == hash(2)
+    for bad in ((0.5, 0), (1, 0.5)):
+        with pytest.raises(TypeError):
+            GaussRational(*bad)
+
+
 def test_scalar_json_roundtrip():
     values = [Fraction(-22, 7), Fraction(0), Fraction(5),
               QuadExt(Fraction(1, 3), Fraction(-2, 9)), QuadExt(4)]

@@ -89,6 +89,53 @@ def test_revert_map_can_fail(monkeypatch):
     assert check["actual"].startswith("pushed (-210, 55/2, 50/3, 125/9);")
 
 
+def test_quaternionic_relations_can_fail(fresh_python):
+    # J = I1 still squares to -1, so the frame builds, but J I2 != I2 J;
+    # a fresh interpreter, since per-process caches read the frame's J
+    code = (
+        "from g2forge import aw, suites\n"
+        "fr = aw.standard_aw_frame()\n"
+        "fr.J = fr.I[0]\n"
+        "report = suites.suite_aw(0, n_random=1)\n"
+        "print(next(c['status'] for c in report['checks']\n"
+        "           if c['id'] == 'aw.quaternionic-relations'))\n")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fail\n"
+
+
+def test_idet_two_routes_can_fail(monkeypatch):
+    i_det = aw.Su3Element.i_det
+    monkeypatch.setattr(aw.Su3Element, "i_det", lambda self: -i_det(self))
+    assert _aw_check("aw.idet-two-routes")["status"] == "fail"
+
+
+@pytest.fixture
+def uncached_pairing_report():
+    """pairing_report's cache cleared on entry and on exit, so no report
+    made under a patch outlives its test."""
+    pairing.pairing_report.cache_clear()
+    yield
+    pairing.pairing_report.cache_clear()
+
+
+def _pairing_check(cid):
+    return _check(suites.suite_pairing(0, n_random=1, samples=10 ** 4), cid)
+
+
+def test_gram_from_killing_can_fail(monkeypatch, uncached_pairing_report):
+    assert _pairing_check("pairing.gram-from-killing")["status"] == "pass"
+    monkeypatch.setitem(pairing.GRAM, ("v1", "v2"), Fraction(-1, 3))
+    assert _pairing_check("pairing.gram-from-killing")["status"] == "fail"
+
+
+def test_sym_inner_symmetric_can_fail(monkeypatch, uncached_pairing_report):
+    inner = pairing.monomial_inner
+    monkeypatch.setattr(pairing, "monomial_inner",
+                        lambda m1, m2: inner(m1, m2) + (1 if m1 < m2 else 0))
+    assert _pairing_check("pairing.sym-inner-symmetric")["status"] == "fail"
+
+
 def test_g2_suite_builds_no_dense_projector():
     # the frame has no dense projector to build: g2.type-dimensions
     # reads the ranks off the split in use (the next test breaks it)
