@@ -465,8 +465,9 @@ def two_form_endo(beta: Form) -> Matrix:
 
 def random_traceless(rng, bound: int = 6) -> SymTensor:
     """Small-height random traceless symmetric tensor, with Fraction
-    entries; the g2 and cubic suites and the benchmark's inputs draw
-    from it."""
+    entries; the g2 and cubic suites read its draws as ints
+    (suites._int_traceless), and the benchmark's inputs read the
+    Fractions."""
     upper = [[Fraction(rng.randint(-bound, bound)) for _ in range(i, DIM)]
              for i in range(DIM)]
     upper[6][0] -= sum(row[0] for row in upper)

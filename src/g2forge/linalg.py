@@ -2,9 +2,15 @@
 
 Everything here is scalar-generic over exact fields.  Entries may be
 ints, Fractions or QuadExt values, kept as given; elimination
-(Gauss-Jordan) multiplies each pivot row by the Fraction inverse of a
-rational pivot, so a rational matrix takes right-hand sides over any
-extension field, and every zero test and comparison is exact.
+(Gauss-Jordan, _echelon) multiplies each pivot row by the Fraction
+inverse of a rational pivot, so a rational matrix takes right-hand
+sides over any extension field, and every zero test and comparison is
+exact.  rank is fraction-free over Z instead (Bareiss): it needs no
+reduced form and no right-hand side, so it clears each row to ints and
+eliminates with exact integer divisions.  _echelon stays the one
+Gauss-Jordan routine, since solve_exact reads its solution off the
+reduced rows and takes QuadExt right-hand sides, which Bareiss over Z
+does not.
 
 A SymTensor is stored as one upper triangle, row i from the diagonal
 on, the shape the integer cores take and return: a full square given
@@ -169,9 +175,41 @@ def _echelon(rows: list[list], width: int, track: list[int]):
 
 
 def rank(A: Matrix) -> int:
-    rows = A.to_rows()
-    track = list(range(A.rows))
-    return len(_echelon(rows, A.cols, track))
+    """The rank of A, whose entries are ints or Fractions, as every
+    caller passes.
+
+    Fraction-free over Z: each row is scaled to ints by
+    clear_denominators (scaling a row keeps the rank), then Bareiss
+    forward elimination runs with row swaps, skipping a column with no
+    pivot.  Each division by the previous pivot is exact by Sylvester's
+    identity; a nonzero remainder raises, naming the row and column.
+    """
+    rows = [clear_denominators(A.row(i))[0] for i in range(A.rows)]
+    nrows, r, prev = A.rows, 0, 1
+    for c in range(A.cols):
+        best = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        pr = rows[r]
+        p = pr[c]
+        for i in range(r + 1, nrows):
+            ri = rows[i]
+            f = ri[c]
+            # columns up to c are never read again; keep them as they are
+            new = ri[:c + 1]
+            for k in range(c + 1, A.cols):
+                q, rem = divmod(p * ri[k] - f * pr[k], prev)
+                if rem:
+                    raise ArithmeticError(
+                        f"Bareiss step not exact at row {i}, column {k}")
+                new.append(q)
+            rows[i] = new
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def solve_exact(A: Matrix, b: Sequence) -> tuple[list, int]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2forge import linalg
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
     rank, solve_exact, sym_inner
 from g2forge.scalars import QuadExt
@@ -29,6 +30,69 @@ def test_rank_product_bound_random():
         A = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         B = _random_matrix(rng, A.cols, rng.randint(1, 5))
         assert rank(A * B) <= min(rank(A), rank(B))
+
+
+def _echelon_rank(A):
+    # the Gauss-Jordan reference: the pivots of the reduced echelon form
+    return len(linalg._echelon(A.to_rows(), A.cols, list(range(A.rows))))
+
+
+_ENTRIES = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    "large": lambda rng: Fraction(rng.randint(-10 ** 15, 10 ** 15),
+                                  rng.randint(1, 10 ** 12)),
+}
+
+
+def _draw(rng, rows, cols, draw):
+    return Matrix.from_rows([[draw(rng) for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+def _degenerate(rng, A):
+    # a zero row, a duplicated row and a zero column, each placed at random
+    rows = A.to_rows()
+    rows.insert(rng.randint(0, len(rows)), [0] * A.cols)
+    rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    j = rng.randint(0, A.cols)
+    return Matrix.from_rows([row[:j] + [0] + row[j:] for row in rows])
+
+
+@pytest.mark.parametrize("kind", sorted(_ENTRIES))
+def test_rank_matches_gauss_jordan(kind):
+    rng = random.Random(41)
+    draw = _ENTRIES[kind]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        for rows, cols in ((n, n), (n + rng.randint(1, 4), n),
+                           (n, n + rng.randint(1, 4))):
+            A = _draw(rng, rows, cols, draw)
+            # a product through a narrow middle is rank-deficient
+            k = rng.randint(0, min(rows, cols) - 1)
+            AB = _draw(rng, rows, k, draw) * _draw(rng, k, cols, draw) \
+                if k else Matrix.zeros(rows, cols)
+            for M in (A, AB, _degenerate(rng, A), _degenerate(rng, AB)):
+                assert rank(M) == _echelon_rank(M)
+            assert rank(AB) <= k
+
+
+def test_rank_runs_no_elimination_and_makes_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    rng = random.Random(43)
+    A = _draw(rng, 6, 8, _ENTRIES["fraction"])
+    B = _draw(rng, 8, 5, _ENTRIES["int"])
+    expected = [_echelon_rank(A), _echelon_rank(B)]
+    monkeypatch.setattr(linalg, "_echelon", None)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert [rank(A), rank(B)] == expected
+    assert made == []
 
 
 def test_solve_exact_reproduces_solution():

@@ -3,6 +3,8 @@ constructions pass on the package as it is and fail when one side is
 broken, a check that raises fails alone, a report field whose input
 raised is left out, and an interrupt is not caught."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from g2forge import aw, g2, pairing, suites
 from g2forge import exterior as ext
 from g2forge.exterior import blade
+from g2forge.linalg import Matrix
 
 
 def _check(report, cid):
@@ -153,6 +156,70 @@ def test_type_dimensions_check_can_fail(monkeypatch):
     check = _check(suites.suite_g2(0, n_random=1), "g2.type-dimensions")
     assert check["status"] == "fail"
     assert check["actual"] == "[21, 0] [1, 7, 27] [1, 7, 27]"
+
+
+def test_pairing_rank_check_can_fail(monkeypatch):
+    # column 0 copied over column 1: the rank the check reads falls to 34
+    pairing_matrix = g2.G2Frame.pairing_matrix
+
+    def duplicated(self):
+        rows = pairing_matrix(self).to_rows()
+        return Matrix.from_rows([row[:1] + row[:1] + row[2:] for row in rows])
+
+    monkeypatch.setattr(g2.G2Frame, "pairing_matrix", duplicated)
+    check = _check(suites.suite_g2(0, n_random=1), "g2.pairing-rank")
+    assert (check["status"], check["actual"]) == ("fail", "34")
+
+
+def test_int_traceless_is_the_same_draw():
+    # value for value, the draw random_traceless makes, and the stream
+    # left where random_traceless leaves it
+    for bound in (6, 3):
+        r1, r2 = random.Random(bound), random.Random(bound)
+        for _ in range(20):
+            S = suites._int_traceless(r1, bound)
+            T = g2.random_traceless(r2, bound)
+            assert S == T and S.trace() == 0
+            assert {type(x) for row in S.upper for x in row} == {int}
+        assert r1.getstate() == r2.getstate()
+
+
+_COUNT_G2_CUBIC = """
+import json
+from fractions import Fraction
+from g2forge import linalg, suites
+
+counts = {}
+
+
+def counted(name, fn):
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+linalg._echelon = counted("echelon", linalg._echelon)
+Fraction.__mul__ = counted("fraction_mul", Fraction.__mul__)
+Fraction.__rmul__ = counted("fraction_mul", Fraction.__rmul__)
+out = {}
+for name in ("g2", "cubic"):
+    counts.update(echelon=0, fraction_mul=0)
+    report = getattr(suites, "suite_" + name)(1, n_random=1)
+    out[name] = dict(counts, passed=report["passed"])
+print(json.dumps(out))
+"""
+
+
+def test_g2_and_cubic_run_counts(fresh_python):
+    """The g2 suite's ranks run no elimination (Bareiss over the ints),
+    and both suites read their random tensors as ints: few Fraction
+    products are left, most of them in the frame build the g2 run pays."""
+    proc = fresh_python(_COUNT_G2_CUBIC)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "g2": {"echelon": 0, "fraction_mul": 1758, "passed": True},
+        "cubic": {"echelon": 0, "fraction_mul": 413, "passed": True}}
 
 
 def test_iso_identities_check_can_fail(flip_iso_i):
