@@ -52,54 +52,48 @@ from .linalg import SymTensor, sym_inner, upper_inner
 from .scalars import over
 
 @functools.cache
-def _pair_table(grade: int) -> tuple[tuple, ...]:
-    """For each upper-triangle entry (i, j) of p on k-forms, row by row,
-    the triples (m, m', sign) with <e_i -| a1, e_j -| a2> = sum sign
-    a1[m] a2[m'], sign the product of the two contraction signs."""
-    table = []
-    for i in range(7):
-        for j in range(i, 7):
-            triples = []
-            for m in BLADES_BY_GRADE[grade]:
-                rest = m ^ 1 << i
-                if m >> i & 1 and not rest >> j & 1:
-                    mm = rest | 1 << j
-                    triples.append(
-                        (m, mm, _contract_sign(i, m) * _contract_sign(j, mm)))
-            table.append(tuple(triples))
-    return tuple(table)
+def _pair_table(grade: int) -> dict[int, tuple]:
+    """p on k-forms blade-major: each k-blade m as the triples (k, m',
+    sign) with <e_i -| a1, e_j -| a2> = sum sign a1[m] a2[m'] for the
+    upper-triangle entry k = (i, j), i <= j, numbered row by row, sign
+    the product of the two contraction signs."""
+    upper = [(i, j) for i in range(7) for j in range(i, 7)]
+    table = {}
+    for m in BLADES_BY_GRADE[grade]:
+        triples = []
+        for k, (i, j) in enumerate(upper):
+            rest = m ^ 1 << i
+            if m >> i & 1 and not rest >> j & 1:
+                mm = rest | 1 << j
+                triples.append(
+                    (k, mm, _contract_sign(i, m) * _contract_sign(j, mm)))
+        table[m] = tuple(triples)
+    return table
 
 
 def quadratic_upper(n1: Form, n2: Form) -> list[list]:
     """The upper triangle of p(n, n) for n1 is n2 = n, and of 2 p(n1, n2)
     for two distinct forms, in the coefficients' own type with no
-    rescale.  Each entry is a signed sum over its pair table, int 0 with
-    no product in it; a pair adds both cross products of every triple."""
-    get1 = n1.terms.get
-    flat = []
-    if n1 is n2:
-        for triples in _pair_table(n1.grade):
-            s = 0
-            for m, mm, sign in triples:
-                x = get1(m)
-                if x is not None:
-                    y = get1(mm)
-                    if y is not None:
-                        s = s + x * y if sign > 0 else s - x * y
-            flat.append(s)
-    else:
-        get2 = n2.terms.get
-        for triples in _pair_table(n1.grade):
-            s = 0
-            for m, mm, sign in triples:
-                x, y = get1(m), get2(mm)
-                if x is not None and y is not None:
-                    s = s + x * y if sign > 0 else s - x * y
-                x, y = get2(m), get1(mm)
-                if x is not None and y is not None:
-                    s = s + x * y if sign > 0 else s - x * y
-            flat.append(s)
-    it = iter(flat)
+    rescale.  Each blade m of n1 adds sign n1[m] n2[m'] to the entries
+    its pair-table triples name, a pair also each blade of n2 with n1
+    read at m'; each entry starts from its first product and is int 0
+    with no product in it."""
+    table = _pair_table(n1.grade)
+    flat = [None] * 28
+    for a, b in ((n1, n2),) if n1 is n2 else ((n1, n2), (n2, n1)):
+        get = b.terms.get
+        for m, x in a.terms.items():
+            for k, mm, sign in table[m]:
+                y = get(mm)
+                if y is not None:
+                    s = flat[k]
+                    if s is None:
+                        flat[k] = x * y if sign > 0 else -(x * y)
+                    elif sign > 0:
+                        flat[k] = s + x * y
+                    else:
+                        flat[k] = s - x * y
+    it = iter(0 if s is None else s for s in flat)
     return [[next(it) for _ in range(i, 7)] for i in range(7)]
 
 

@@ -173,6 +173,35 @@ def _signed_sum(functional: tuple, get):
     return s
 
 
+def _blade_index(functionals: list[tuple]) -> dict:
+    """Unit functionals blade-major: each 3-blade m as the (k, c) pairs
+    of the functionals k (in list order) that read m with sign c."""
+    index = {m: [] for m in BLADES_BY_GRADE[3]}
+    for k, f in enumerate(functionals):
+        for m, c in f:
+            index[m].append((k, c))
+    return {m: tuple(pairs) for m, pairs in index.items()}
+
+
+def _scattered_sums(n: Form, index: dict, count: int) -> list:
+    """The count signed sums sum_m c n[m] of a 3-form n against the
+    functionals of a _blade_index: each blade of n is added to or
+    subtracted from the sums that read it, each sum starts from its
+    first term, in the coefficients' own type, and a sum that reads
+    none of n's blades is int 0."""
+    sums = [None] * count
+    for m, x in n.terms.items():
+        for k, c in index[m]:
+            s = sums[k]
+            if s is None:
+                sums[k] = x if c > 0 else -x
+            elif c > 0:
+                sums[k] = s + x
+            else:
+                sums[k] = s - x
+    return [0 if s is None else s for s in sums]
+
+
 def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
     """(P1 a, P7 a, P27 a) with P27 = 1 - P1 - P7.
 
@@ -305,19 +334,31 @@ class G2Frame:
         _split_spans) span Lambda^3_1 + Lambda^3_7."""
         if b.grade != 3:
             raise ext.GradeError("is_pure27 needs a 3-form")
+        return not any(_scattered_sums(b, self._pure27_index, 8))
+
+    @functools.cached_property
+    def _pure27_index(self) -> dict:
+        """The eight functionals of is_pure27, phi and the e_j -| psi of
+        _span3, blade-major (_blade_index)."""
         span1, span7, _ = self._span3
-        return not any(_signed_sum(f, b.terms.get) for f, _ in span1 + span7)
+        return _blade_index([f for f, _ in span1 + span7])
+
+    @functools.cached_property
+    def _inv_index(self) -> dict:
+        """The 49 functionals f_ij of _inv_functionals blade-major
+        (_blade_index), f_ij as k = 7 i + j."""
+        return _blade_index([f for row in self._inv_functionals for f in row])
 
     def iso_i_inv_upper(self, n: Form) -> list[list]:
         """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
         type (the caller's to check), in the coefficients' own type with
         no rescale: i^{-1}(b) of b = n / d is this triangle over 2 d.
-        All 49 signed sums <n, f_ij> are taken, int 0 when n has none of
+        All 49 signed sums <n, f_ij> are taken, each blade of n scattered
+        into the sums that read it (_inv_index), int 0 when n has none of
         the blades of f_ij, so that symmetry and trace stay real checks.
         """
-        get = n.terms.get
-        sums = [[_signed_sum(f, get) for f in row]
-                for row in self._inv_functionals]
+        flat = _scattered_sums(n, self._inv_index, DIM * DIM)
+        sums = [flat[DIM * i:DIM * (i + 1)] for i in range(DIM)]
         if any(sums[i][j] != sums[j][i]
                for i in range(DIM) for j in range(i + 1, DIM)):
             raise InternalConsistencyError("recovered tensor is not symmetric")

@@ -64,11 +64,17 @@ class QuadExt:
             return _quad(other, 0)
         return None
 
+    # Each operation reads a QuadExt operand's parts and applies the same
+    # formula to an int or Fraction operand c as to c + 0 sqrt(10),
+    # without building it: the 0 stays in the expression, so each part
+    # keeps the type the QuadExt operand's formula gives it.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _quad(self.rat + o.rat, self.irr + o.irr)
+        if type(other) is QuadExt:
+            return _quad(self.rat + other.rat, self.irr + other.irr)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.rat + other, self.irr + 0)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -76,24 +82,26 @@ class QuadExt:
         return _quad(-self.rat, -self.irr)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _quad(self.rat - o.rat, self.irr - o.irr)
+        if type(other) is QuadExt:
+            return _quad(self.rat - other.rat, self.irr - other.irr)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.rat - other, self.irr - 0)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _quad(o.rat - self.rat, o.irr - self.irr)
+        if isinstance(other, (int, Fraction)):
+            return _quad(other - self.rat, 0 - self.irr)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         # (a + b s)(c + d s) = ac + 10 bd + (ad + bc) s,  s^2 = 10
-        return _quad(self.rat * o.rat + 10 * self.irr * o.irr,
-                     self.rat * o.irr + self.irr * o.rat)
+        if type(other) is QuadExt:
+            return _quad(self.rat * other.rat + 10 * self.irr * other.irr,
+                         self.rat * other.irr + self.irr * other.rat)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.rat * other + 10 * self.irr * 0,
+                         self.rat * 0 + self.irr * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 

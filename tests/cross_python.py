@@ -8,9 +8,12 @@ with PYTHONPATH=src, for the exterior, g2, cubic and aw suites at the
 CLI's default sizes, and compares the bytes it writes with
 tests/golden/SUITE_full_seed1.json.  The exit code must be the one the
 golden report implies: 0 when it passed, 1 when it did not (aw fails
-its documented checks by design).  The pairing suite is left out: its
-Monte-Carlo block needs numpy and is compared to a tolerance, not byte
-for byte.
+its documented checks by design).  It also renders the operator golden,
+tests/golden/operators_seed1.json, with regen_golden.render_operators()
+under each interpreter (no numpy needed) and compares its bytes, which
+pin the entry types of the nine operators' results.  The pairing suite
+is left out: its Monte-Carlo block needs numpy and is compared to a
+tolerance, not byte for byte.
 
     python tests/cross_python.py INTERPRETER...
 
@@ -53,6 +56,27 @@ def compare(interpreter: str, suite: str) -> str | None:
     return None
 
 
+def compare_operators(interpreter: str) -> str | None:
+    """None when the interpreter renders the operator golden's bytes,
+    else what differs."""
+    golden = (ROOT / "tests" / "golden" / "operators_seed1.json").read_bytes()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    code = ("import sys, regen_golden\n"
+            "sys.stdout.buffer.write(regen_golden.render_operators())\n")
+    try:
+        proc = subprocess.run([interpreter, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, timeout=600)
+    except OSError as exc:
+        return f"did not start: {exc}"
+    if proc.returncode != 0:
+        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        return f"exit {proc.returncode}" + (f" ({tail[0]})" if tail else "")
+    if proc.stdout != golden:
+        return "operator results differ"
+    return None
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
@@ -63,6 +87,10 @@ def main(argv: list[str]) -> int:
             problem = compare(interpreter, suite)
             differ += problem is not None
             print(f"{interpreter} {suite}: {problem or 'matches the golden report'}")
+        problem = compare_operators(interpreter)
+        differ += problem is not None
+        print(f"{interpreter} operators: "
+              f"{problem or 'matches the golden results'}")
     return 1 if differ else 0
 
 

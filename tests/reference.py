@@ -51,6 +51,25 @@ def evaluate(poly, values: dict) -> GaussRational:
     return total
 
 
+# -- the generic QuadExt formula --------------------------------------------
+
+def quad_parts(x) -> tuple:
+    """(rat, irr) of a QuadExt, and (c, 0) of an int or Fraction c, the
+    QuadExt c + 0 sqrt(10) that QuadExt's arithmetic once coerced it to."""
+    return (x.rat, x.irr) if isinstance(x, QuadExt) else (x, 0)
+
+
+def quad_op(op: str, x, y) -> tuple:
+    """The parts of x op y, op one of "+", "-", "*", by the generic
+    formula on the parts of both operands."""
+    (a, b), (c, d) = quad_parts(x), quad_parts(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    return a * c + 10 * b * d, a * d + b * c
+
+
 # -- forms --------------------------------------------------------------------
 
 def pairwise_wedge(a, b):

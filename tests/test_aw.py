@@ -611,6 +611,38 @@ def test_aw_run_counts(fresh_python):
                              "sym_inner": 0}
 
 
+_COUNT_QUAD = """
+from g2forge import scalars
+calls = [0]
+quad = scalars._quad
+
+
+def counted(rational, irrational):
+    calls[0] += 1
+    return quad(rational, irrational)
+
+
+scalars._quad = counted
+from g2forge.aw import Su3Element, first_principles_value
+xi = Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1))
+first_principles_value(xi)
+calls[0] = 0
+value = first_principles_value(xi)
+print(calls[0], value)
+"""
+
+
+def test_two_route_value_quadext_count(fresh_python):
+    """One two-route first_principles_value at a fixed element, after a
+    first call has built the frame and the tables, calls scalars._quad,
+    which builds every QuadExt an operation returns, 314 times: QuadExt
+    arithmetic builds no QuadExt for an int or Fraction operand, and the
+    kernels start each sum from its first term, not from int 0."""
+    proc = fresh_python(_COUNT_QUAD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["314", "-2645/9"]
+
+
 def test_intermediate_display_report():
     fitted = fit_block_cubic()
     assert fitted != INTERMEDIATE_DISPLAY

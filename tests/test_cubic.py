@@ -318,40 +318,101 @@ def _upper_types(upper):
     return [[type(x) for x in row] for row in upper]
 
 
+def _sparse_form(rng, grade, draw, count):
+    """A form with nonzero coefficients on count distinct blades (every
+    blade when the grade has fewer)."""
+    blades = ext.BLADES_BY_GRADE[grade]
+    terms = {}
+    for m in rng.sample(blades, min(count, len(blades))):
+        while not terms.get(m):
+            terms[m] = draw(rng)
+    return ext.Form(grade, terms)
+
+
+def _parity_pairs(rng, grade, draw):
+    """Pairs of forms: two at density 0.3 and two at density 1.0, then
+    two with 0, 1, 2 and 3 blades each, which the blade-driven kernels
+    must handle as the dense routes do."""
+    for density in (0.3, 1.0):
+        for _ in range(2):
+            yield tuple(_parity_form(rng, grade, draw, density)
+                        for _ in range(2))
+    for count in range(4):
+        for _ in range(2):
+            yield tuple(_sparse_form(rng, grade, draw, count)
+                        for _ in range(2))
+
+
 @pytest.mark.parametrize("kind", sorted(_PARITY_KINDS))
 @pytest.mark.parametrize("grade", range(1, 8))
 def test_pair_table_matches_contract_inner_route(kind, grade):
-    """quadratic_upper reads p off the pair table of the grade (one
-    triple per blade pair with m - e_i = m' - e_j: C(5, k-1) choices of
-    the common part for i != j, C(6, k-1) for i = j); it must give the
-    values and entry types of the contract/inner route on the diagonal,
-    on a pair and on an equal copy, in the coefficients' own type, and
-    so must quadratic_form after its rescale."""
-    assert sum(map(len, _pair_table(grade))) == \
+    """quadratic_upper reads p off the blade-major pair table of the
+    grade (one triple per blade pair with m - e_i = m' - e_j: C(5, k-1)
+    choices of the common part for i != j, C(6, k-1) for i = j); it must
+    give the values and entry types of the contract/inner route on the
+    diagonal, on a pair and on an equal copy, in the coefficients' own
+    type, dense, sparse and empty, and so must quadratic_form after its
+    rescale."""
+    table = _pair_table(grade)
+    assert set(table) == set(ext.BLADES_BY_GRADE[grade])
+    assert sum(map(len, table.values())) == \
         21 * comb(5, grade - 1) + 7 * comb(6, grade - 1)
     draw = _PARITY_KINDS[kind]
     rng = random.Random(8030 + grade)
     seen_empty = False
-    for density in (0.3, 1.0):
-        for _ in range(2):
-            a1, a2 = (_parity_form(rng, grade, draw, density)
-                      for _ in range(2))
-            copy = ext.Form(grade, dict(a1.terms))
-            for x, y in ((a1, a1), (a1, a2), (a1, copy)):
-                got, want = quadratic_upper(x, y), reference.quadratic_upper(x, y)
-                assert got == want
-                assert _upper_types(got) == _upper_types(want)
-                seen_empty = seen_empty or any(
-                    type(v) is int and v == 0 for row in got for v in row)
-                got, want = quadratic_form(x, y), reference.quadratic_form(x, y)
-                assert got == want
-                assert _types(_tensor_entries(got)) == \
-                    _types(_tensor_entries(want))
-            # the diagonal shortcut against the polarized sum of a copy
-            assert quadratic_upper(a1, copy) == \
-                [[x + x for x in row] for row in quadratic_upper(a1, a1)]
+    for a1, a2 in _parity_pairs(rng, grade, draw):
+        copy = ext.Form(grade, dict(a1.terms))
+        for x, y in ((a1, a1), (a1, a2), (a1, copy)):
+            got, want = quadratic_upper(x, y), reference.quadratic_upper(x, y)
+            assert got == want
+            assert _upper_types(got) == _upper_types(want)
+            seen_empty = seen_empty or any(
+                type(v) is int and v == 0 for row in got for v in row)
+            got, want = quadratic_form(x, y), reference.quadratic_form(x, y)
+            assert got == want
+            assert _types(_tensor_entries(got)) == \
+                _types(_tensor_entries(want))
+        # the diagonal shortcut against the polarized sum of a copy
+        assert quadratic_upper(a1, copy) == \
+            [[x + x for x in row] for row in quadratic_upper(a1, a1)]
     # an entry with no product in its sum stays int 0
     assert seen_empty
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_KINDS))
+def test_blade_index_kernels_match_generic_routes(g2frame, kind):
+    """iso_i_inv_upper and is_pure27 scatter the blades of a 3-form into
+    their signed sums through blade-major indexes; on dense, sparse and
+    empty 3-forms, of pure 27 type (i(S)) and general, the 49 sums must
+    have the values and entry types of the sums of products, and the
+    gate must agree with project3."""
+    fr = g2frame
+    draw = _PARITY_KINDS[kind]
+    rng = random.Random(8031)
+    forms = [b for pair in _parity_pairs(rng, 3, draw) for b in pair]
+    forms += [fr.iso_i(_parity_traceless(rng, draw, density))
+              for density in (0.05, 0.1, 0.3, 1.0)]
+    seen = set()
+    for b in forms:
+        p1, p7, _ = fr.project3(b)
+        pure = p1.is_zero() and p7.is_zero()
+        assert fr.is_pure27(b) is pure
+        seen.add(pure)
+        want = reference.iso_i_inv_pairings(fr, b)
+        if not pure and any(want[i][j] != want[j][i]
+                            for i in range(7) for j in range(i)):
+            with pytest.raises(InternalConsistencyError, match="symmetric"):
+                fr.iso_i_inv_upper(b)
+            continue
+        if sum(want[i][i] for i in range(7)) != 0:
+            with pytest.raises(InternalConsistencyError, match="traceless"):
+                fr.iso_i_inv_upper(b)
+            continue
+        got = fr.iso_i_inv_upper(b)
+        want = [row[i:] for i, row in enumerate(want)]
+        assert got == want
+        assert _upper_types(got) == _upper_types(want)
+    assert seen == {True, False}
 
 
 # -- q2, Q and P on numerators: zeros, the error surface, the cross-checks ----

@@ -1,5 +1,6 @@
 """Exact scalar domains: Q(sqrt(10)) and Q(i)."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 
 from g2forge.scalars import GaussRational, QuadExt, SQRT10, ScalarError, \
     scalar_from_json, scalar_to_json
+
+import reference
 
 
 def test_sqrt10_squares_to_ten():
@@ -111,3 +114,41 @@ def test_quadext_int_parts_serialize_as_fraction_parts():
     for r, i in ((0, 0), (3, 0), (-4, 7), (0, -1)):
         x, y = QuadExt(r, i), QuadExt(Fraction(r), Fraction(i))
         assert json.dumps(scalar_to_json(x)) == json.dumps(scalar_to_json(y))
+
+
+_QUAD_OPERANDS = [
+    3, -2, 0, True, False, Fraction(5, 3), Fraction(-4), Fraction(0),
+    QuadExt(2, -3), QuadExt(0, 1), QuadExt(Fraction(1, 2), Fraction(-2, 3)),
+    QuadExt(Fraction(7), 0), QuadExt(4, Fraction(1, 5)),
+    QuadExt(Fraction(-1, 3), 2), QuadExt(True, False),
+]
+_QUAD_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+@pytest.mark.parametrize("op", sorted(_QUAD_OPS))
+def test_quadext_operations_match_generic_formula(op):
+    """+, - and * on a QuadExt read the other operand's parts directly,
+    and an int, bool or Fraction operand c as c + 0 sqrt(10) without
+    building it; on either side of the operator the parts and their
+    types must be the generic formula's (reference.quad_op)."""
+    fn = _QUAD_OPS[op]
+    for x in _QUAD_OPERANDS:
+        for y in _QUAD_OPERANDS:
+            if not (isinstance(x, QuadExt) or isinstance(y, QuadExt)):
+                continue
+            got = fn(x, y)
+            want = reference.quad_op(op, x, y)
+            assert type(got) is QuadExt
+            assert (got.rat, got.irr) == want
+            assert (type(got.rat), type(got.irr)) == tuple(map(type, want))
+
+
+@pytest.mark.parametrize("op", sorted(_QUAD_OPS))
+def test_quadext_operations_reject_inexact_operands(op):
+    fn = _QUAD_OPS[op]
+    for q in (QuadExt(2, -3), QuadExt(Fraction(1, 2), 1)):
+        for bad in (0.5, 2.0, 1j, complex(1, 0)):
+            with pytest.raises(TypeError):
+                fn(q, bad)
+            with pytest.raises(TypeError):
+                fn(bad, q)
