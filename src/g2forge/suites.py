@@ -41,7 +41,7 @@ from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
 from .g2 import random_traceless, standard_frame, star_action
 from .linalg import Matrix, SymTensor, rank, sym_inner
-from .scalars import GaussRational
+from .scalars import GaussRational, clear_denominators
 
 
 def derived_seed(seed: int, check_id: str) -> int:
@@ -112,9 +112,11 @@ def _int_traceless(rng: random.Random, bound: int = 6) -> SymTensor:
     return SymTensor.from_upper([[x.numerator for x in row] for row in upper])
 
 
-def _traceless_basis() -> list[SymTensor]:
+@functools.cache
+def _traceless_basis() -> tuple[SymTensor, ...]:
     """The 27 standard traceless symmetric tensors: 21 off-diagonal
-    symmetrized pairs and 6 consecutive diagonal differences."""
+    symmetrized pairs and 6 consecutive diagonal differences, built once
+    per process for the two g2 checks that read them."""
     basis = []
     for i in range(7):
         for j in range(i + 1, 7):
@@ -125,7 +127,7 @@ def _traceless_basis() -> list[SymTensor]:
         diag = [0] * 7
         diag[i], diag[i + 1] = 1, -1
         basis.append(SymTensor.diag(diag))
-    return basis
+    return tuple(basis)
 
 
 # -- exterior ---------------------------------------------------------------
@@ -259,6 +261,24 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
         c.ok = all(iso_identities(S) for S in _traceless_basis())
         for _ in range(n_random):
             c.ok = c.ok and iso_identities(_int_traceless(c.rng))
+
+    with run.check("g2.iso-inverse-roundtrip",
+                   "i^{-1}(i(B)) = B for all 27 basis tensors",
+                   "the inverse table read back on i(d B), d B the int "
+                   "multiple of each basis tensor B") as c:
+        fr = standard_frame()
+        hits = 0
+        for B in _traceless_basis():
+            ints = iter(clear_denominators([x for row in B.upper
+                                            for x in row])[0])
+            T = SymTensor.from_upper([[next(ints) for _ in range(i, 7)]
+                                      for i in range(7)])
+            # iso_i_inv_upper gives 2 i^{-1}
+            b = fr.iso_i(T)
+            hits += fr.is_pure27(b) and fr.iso_i_inv_upper(b) == \
+                [[2 * x for x in row] for row in T.upper]
+        c.ok = hits == 27
+        c.actual = f"{hits} of 27 round-trip"
 
     with run.check("g2.iso-inner-product",
                    "i(S) ^ (v -| psi) ^ w = 2 g(Sv, w) vol",

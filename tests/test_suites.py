@@ -35,6 +35,20 @@ def test_aw_comparison_checks_pass():
         "direct (-210, 55/2, 50/3, 125/18)"]
 
 
+def test_iso_inverse_roundtrip_can_fail(monkeypatch):
+    # one sign of the blade-major index behind iso_i_inv_upper flipped;
+    # in the g2 suite only the round trip reads i^{-1}
+    fr = g2.standard_frame()
+    index = dict(fr._inv_index)
+    m = min(index)
+    (k, c), *rest = index[m]
+    index[m] = ((k, -c), *rest)
+    monkeypatch.setattr(fr, "_inv_index", index)
+    report = suites.suite_g2(1, n_random=1)
+    assert [c["id"] for c in report["checks"] if c["status"] == "fail"] \
+        == ["g2.iso-inverse-roundtrip"]
+
+
 def test_dual_constructions_can_fail(monkeypatch):
     monkeypatch.setattr(aw, "c_display",
                         lambda x: aw.c_direct(x) + blade([1, 2, 3]))
@@ -238,7 +252,7 @@ def test_a_raising_check_fails_alone(monkeypatch):
 
     monkeypatch.setattr(g2.G2Frame, "pairing_matrix", broken)
     report = suites.suite_g2(0, n_random=1)
-    assert len(report["checks"]) == 8
+    assert len(report["checks"]) == 9
     assert [c for c in report["checks"] if c["status"] == "fail"] == [{
         "id": "g2.pairing-rank",
         "status": "fail",
