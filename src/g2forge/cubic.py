@@ -17,9 +17,12 @@ hat(a2) ^ (e_j -| a1)), is one flat vector of 49 entries, read off a
 table of the 560 signed blade triples (m3, m4, j) with e_j in m4 and m3
 disjoint from the rest of m4, each stored with its row in that vector.
 The symmetric tensor p(a1, a2), <e_i -| a1, e_j -| a2> symmetrized, is
-read off a pair table of the grade on its upper triangle: the signed
-triples (m, m') with e_i in m, e_j in m' and m - e_i = m' - e_j (315 on
-3-forms, 350 on 4-forms).  Neither builds a wedge or a contraction.
+read off a blade-major pair table of the grade: each blade m holds the
+signed triples (k, m') with e_i in m, e_j in m', m - e_i = m' - e_j
+and k the upper-triangle entry (i, j) (315 in all on 3-forms, 350 on
+4-forms).  quadratic_upper loops over the blades the form holds, so a
+sparse form reads only its own triples.  Neither builds a wedge or a
+contraction.
 
 Every kernel runs on integer numerators, a = n / d (exterior.numerators),
 takes each product, sum and cross-check in int and divides once at the

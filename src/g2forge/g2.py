@@ -66,6 +66,11 @@ iso_i_inv_upper with its type gate is_pure27 (the eight pairings with
 phi and the e_j -| psi) and solve_three_form_numerators, and divides
 once at its own end.  Every functional these pair with has coefficients
 +-1, checked when the frame is built: each pairing is a signed sum.
+iso_i_inv_upper and is_pure27 take their 49 and 8 sums blade-major:
+each blade of the form is added to or subtracted from the sums that
+read it, through an index the frame derives once from
+_inv_functionals and _span3 (_blade_index), so a sparse form costs its
+own blades and every sum is still taken on its own.
 """
 
 from __future__ import annotations

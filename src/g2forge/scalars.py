@@ -22,6 +22,10 @@ So the integer numerators the exact kernels work on
 (``exterior.numerators``) multiply and add at int speed, an su(3)
 element with int coordinates has int letters, and the one rescale
 (``over``) goes through ``Fraction`` and never yields a float.
+QuadExt's +, - and * read a QuadExt operand's parts directly and treat
+an int or Fraction operand c as c + 0 sqrt(10) without building it,
+keeping the 0 in the formula, so every part has the type the generic
+formula gives it.
 """
 
 from __future__ import annotations
@@ -55,14 +59,6 @@ class QuadExt:
     def __init__(self, rational=0, irrational=0):
         self.rat = _as_rational(rational)
         self.irr = _as_rational(irrational)
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _quad(other, 0)
-        return None
 
     # Each operation reads a QuadExt operand's parts and applies the same
     # formula to an int or Fraction operand c as to c + 0 sqrt(10),
@@ -106,10 +102,11 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.rat == o.rat and self.irr == o.irr
+        if type(other) is QuadExt:
+            return self.rat == other.rat and self.irr == other.irr
+        if isinstance(other, (int, Fraction)):
+            return self.rat == other and self.irr == 0
+        return NotImplemented
 
     def __hash__(self):
         if self.irr == 0:
