@@ -32,6 +32,8 @@ every caller the same read-only record.  A seeded Monte-Carlo check
 closes the loop: averaging P over conjugates g xi g^{-1} with
 Haar-random g in SU(3) projects P onto the unique invariant cubic, so
 the empirical mean must approach (<P, i det>/<i det, i det>) i det(xi).
+It holds one batch of Haar samples in memory at a time, and imports
+numpy with OpenBLAS held to one thread: it calls no BLAS routine.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import os
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -556,6 +559,18 @@ def pairing_report() -> MappingProxyType:
 # ---------------------------------------------------------------------------
 # Monte-Carlo: Haar conjugation average versus the projection formula
 
+def _numpy():
+    """numpy, imported on first use with OpenBLAS held to one thread.
+
+    The Monte Carlo calls no BLAS routine, but OpenBLAS starts its
+    worker threads when numpy is imported, and they spin on another
+    core.  OPENBLAS_NUM_THREADS=1 before the import starts none; a value
+    already in the environment is left as it is."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    import numpy
+    return numpy
+
+
 def _poly_terms(poly: MultiPoly) -> list:
     """Compile a MultiPoly into (letter indices, coefficient) pairs for
     batched numpy evaluation over the nine letter columns.  Real
@@ -602,7 +617,7 @@ def _conjugate_letters(cols, xi_mat) -> list:
     product, then an einsum against conj(g)): for an xi with integer
     entries the letters come out bit for bit as on that route.
     """
-    import numpy as np
+    np = _numpy()
     re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
     hr, hi = [], []
     for l in range(3):
@@ -672,8 +687,11 @@ def haar_su3(rng, count: int):
     cols.transpose(2, 1, 0), so nothing is copied and
     g.transpose(2, 1, 0) gives the column array back.  Every entry is
     the one the same arithmetic gives over the whole batch at once.
+    The draw (96 bytes a sample) is freed on return; the columns (144
+    bytes a sample) are the result, so a call peaks at 24 MB at 10^5
+    samples.
     """
-    import numpy as np
+    np = _numpy()
     x = rng.standard_normal((4, 3, count))
     cols = np.empty((3, 3, count), dtype=np.complex128)
     for lo in range(0, count, _CHUNK):
@@ -705,10 +723,13 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
     haar_su3 call.  Its column array is conjugated and P evaluated
     _CHUNK samples at a time, so that a chunk's letters stay in cache,
     into one array of P values for the batch; the sums of P and P^2 run
-    over that whole array.  The path calls no BLAS routine, so it runs
-    on one thread.
+    over that whole array.  Both arrays are freed before the next batch
+    draws, so one batch is resident at a time: about 24 MB at MC_BATCH
+    samples, the peak of its haar_su3 call.  The path calls no BLAS
+    routine, and numpy comes in through _numpy, which starts no BLAS
+    worker, so it runs on one thread.
     """
-    import numpy as np
+    np = _numpy()
     if samples < 10000:
         raise ScalarError("need at least 10^4 samples")
     terms = _poly_terms(first_principles_p_poly())
@@ -730,6 +751,7 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
                 terms, _conjugate_letters(cols[:, :, sl], xi_mat))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
+        del cols, vals
         done += take
         nbatch += 1
 

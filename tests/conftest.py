@@ -40,11 +40,17 @@ def flip_iso_i(g2frame, monkeypatch):
 def fresh_python(tmp_path):
     """Run Python source in a fresh interpreter with the package's sources
     on the path and tmp_path as the working directory; extra environment
-    variables replace the inherited ones."""
+    variables replace the inherited ones, and one given as None is
+    removed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
 
     def run(code, *argv, **env):
-        merged = dict(os.environ, PYTHONPATH=src, **env)
+        merged = dict(os.environ, PYTHONPATH=src)
+        for name, value in env.items():
+            if value is None:
+                merged.pop(name, None)
+            else:
+                merged[name] = value
         return subprocess.run([sys.executable, "-c", code, *argv],
                               env=merged, cwd=tmp_path,
                               capture_output=True, text=True)

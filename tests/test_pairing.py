@@ -2,6 +2,7 @@
 the invariant pairing <P, i det>."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -394,6 +395,51 @@ def test_haar_average_matches_dense_route(samples):
     assert rep["batches"] == -(-samples // pairing.MC_BATCH)
     assert rep["empirical"] == pytest.approx(empirical, rel=1e-12)
     assert rep["std_error"] == pytest.approx(std_error, rel=1e-12)
+
+
+def test_haar_average_keeps_one_batch_resident():
+    """A two-batch check peaks no higher than one haar_su3 call: each
+    batch's columns and P values are freed before the next batch draws
+    (two batches resident would add the 14.4 MB columns)."""
+    import tracemalloc
+    import numpy as np
+    xi = Su3Element(*MC_ELEMENTS[1])
+    pairing_report()
+    haar_average_check(xi, 10 ** 4, seed=5)
+    tracemalloc.start()
+    try:
+        haar_su3(np.random.default_rng(5), pairing.MC_BATCH)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        haar_average_check(xi, 2 * pairing.MC_BATCH, seed=5)
+        two = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert two <= one + 2 * 10 ** 6, (one, two)
+
+
+_COUNT_THREADS = (
+    "import os\n"
+    "from g2forge.aw import Su3Element\n"
+    "from g2forge.pairing import haar_average_check\n"
+    "from g2forge.suites import MC_ELEMENTS\n"
+    "haar_average_check(Su3Element(*MC_ELEMENTS[1]), 10 ** 4, seed=5)\n"
+    "print(len(os.listdir('/proc/self/task')),"
+    " os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_monte_carlo_starts_no_blas_worker(fresh_python, given, expected):
+    """With OPENBLAS_NUM_THREADS unset, a Monte-Carlo check leaves the
+    process on one OS thread; a value the caller set is kept."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    done = fresh_python(_COUNT_THREADS, OPENBLAS_NUM_THREADS=given)
+    assert done.returncode == 0, done.stderr
+    tasks, value = done.stdout.split()
+    if given is None:
+        assert tasks == "1"
+    assert value == expected
 
 
 def test_haar_su3_moments():
