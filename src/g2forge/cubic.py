@@ -12,17 +12,19 @@ polynomial Q.  Every scalar produced here is computed along two
 independent routes and cross-checked; a mismatch raises instead of
 returning anything.
 
-The right-hand side of the b2 solve, -(hat(a1) ^ (e_j -| a2) +
-hat(a2) ^ (e_j -| a1)), is one flat vector of 49 entries, read off a
-table of the 560 signed blade triples (m3, m4, j) with e_j in m4 and m3
-disjoint from the rest of m4, each stored with its row in that vector.
-The symmetric tensor p(a1, a2), <e_i -| a1, e_j -| a2> symmetrized, is
-read off a blade-major pair table of the grade: each blade m holds the
-signed triples (k, m') with e_i in m, e_j in m', m - e_i = m' - e_j
-and k the upper-triangle entry (i, j) (315 in all on 3-forms, 350 on
-4-forms).  quadratic_upper loops over the blades the form holds, so a
-sparse form reads only its own triples.  Neither builds a wedge or a
-contraction.
+The symmetric tensor p(a1, a2), <e_i -| a1, e_j -| a2> symmetrized,
+and the right-hand side of the b2 solve, -(hat(a1) ^ (e_j -| a2) +
+hat(a2) ^ (e_j -| a1)), one flat vector of 49 entries, are both
+bilinear, and one kernel (_bilinear) reads both off a blade-major sign
+table: each blade m of the first form holds the triples (k, m', sign)
+that add sign a[m] b[m'] to entry k.  In the pair table of a grade, e_i
+is in m, e_j in m', m - e_i = m' - e_j and k is the upper-triangle
+entry (i, j) (315 triples in all on 3-forms, 350 on 4-forms).  In the
+right-hand side's table m is a 4-blade, e_j is in m, m' a 3-blade
+disjoint from the rest of m and k the row of the 6-blade they make,
+with the minus folded into the sign (560 triples).  The kernel loops
+over the blades the form holds, so a sparse form reads only its own
+triples, and builds no wedge or contraction.
 
 Every kernel runs on integer numerators, a = n / d (exterior.numerators),
 takes each product, sum and cross-check in int and divides once at the
@@ -74,16 +76,14 @@ def _pair_table(grade: int) -> dict[int, tuple]:
     return table
 
 
-def quadratic_upper(n1: Form, n2: Form) -> list[list]:
-    """The upper triangle of p(n, n) for n1 is n2 = n, and of 2 p(n1, n2)
-    for two distinct forms, in the coefficients' own type with no
-    rescale.  Each blade m of n1 adds sign n1[m] n2[m'] to the entries
-    its pair-table triples name, a pair also each blade of n2 with n1
-    read at m'; each entry starts from its first product and is int 0
+def _bilinear(table: dict, pairs, count: int) -> list:
+    """The count sums of sign a[m] b[m'] over each pair (a, b) of forms,
+    each blade m of a and each triple (k, m', sign) of table[m] whose m'
+    b holds, into entry k, in the coefficients' own type with no
+    rescale; each entry starts from its first product and is int 0
     with no product in it."""
-    table = _pair_table(n1.grade)
-    flat = [None] * 28
-    for a, b in ((n1, n2),) if n1 is n2 else ((n1, n2), (n2, n1)):
+    flat = [None] * count
+    for a, b in pairs:
         get = b.terms.get
         for m, x in a.terms.items():
             for k, mm, sign in table[m]:
@@ -96,7 +96,15 @@ def quadratic_upper(n1: Form, n2: Form) -> list[list]:
                         flat[k] = s + x * y
                     else:
                         flat[k] = s - x * y
-    it = iter(0 if s is None else s for s in flat)
+    return [0 if s is None else s for s in flat]
+
+
+def quadratic_upper(n1: Form, n2: Form) -> list[list]:
+    """The upper triangle of p(n, n) for n1 is n2 = n, and of 2 p(n1, n2)
+    for two distinct forms, read off the pair table (_bilinear), a pair
+    in both orders."""
+    pairs = ((n1, n2),) if n1 is n2 else ((n1, n2), (n2, n1))
+    it = iter(_bilinear(_pair_table(n1.grade), pairs, 28))
     return [[next(it) for _ in range(i, 7)] for i in range(7)]
 
 
@@ -113,11 +121,11 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
 
 @functools.cache
 def _rhs_table() -> dict[int, tuple]:
-    """For each 4-blade m4, the 16 tuples (m3, row, sign) with e_j in m4
-    and m3 a 3-blade disjoint from m4 minus e_j, such that
-    e^{m3} ^ (e_j -| e^{m4}) = sign e^{m6}, row = 7 j + p for the
-    position p of m6 in the grade-6 blade order: the contraction sign
-    times merge_sign.  560 entries in all."""
+    """For each 4-blade m4, the 16 triples (row, m3, sign) with e_j in
+    m4 and m3 a 3-blade disjoint from m4 minus e_j, such that
+    -e^{m3} ^ (e_j -| e^{m4}) = sign e^{m6}, row = 7 j + p for the
+    position p of m6 in the grade-6 blade order: minus the contraction
+    sign times merge_sign.  560 entries in all."""
     table = {}
     for m4 in BLADES_BY_GRADE[4]:
         rows = []
@@ -126,8 +134,8 @@ def _rhs_table() -> dict[int, tuple]:
                 rest = m4 ^ (1 << j)
                 sign = _contract_sign(j, m4)
                 # each 6-blade m6 that contains rest, with m3 = m6 - rest
-                rows += [(m6 ^ rest, 7 * j + p,
-                          sign * merge_sign(m6 ^ rest, rest))
+                rows += [(7 * j + p, m6 ^ rest,
+                          -sign * merge_sign(m6 ^ rest, rest))
                          for p, m6 in enumerate(BLADES_BY_GRADE[6])
                          if m6 & rest == rest]
         table[m4] = tuple(rows)
@@ -137,22 +145,12 @@ def _rhs_table() -> dict[int, tuple]:
 def b2_rhs(a1: Form, h1: Form, a2: Form, h2: Form) -> list:
     """The right-hand side -(h1 ^ (e_j -| a2) + h2 ^ (e_j -| a1)),
     j = 1..7, of the b2 solve as one flat vector of 49 coefficients,
-    j-major in the grade-6 blade order, read off the sign table; for
-    the diagonal b2(a, a) one half is computed and added to itself."""
-    table = _rhs_table()
+    j-major in the grade-6 blade order, read off the sign table
+    (_bilinear); for the diagonal b2(a, a) one half is computed and
+    added to itself."""
     diagonal = a1 is a2 and h1 is h2
     halves = [(a2, h1)] if diagonal else [(a2, h1), (a1, h2)]
-    rhs = [0] * 49
-    for a, h in halves:
-        get = h.terms.get
-        for m4, c in a.terms.items():
-            for m3, row, sign in table[m4]:
-                d = get(m3)
-                if d is not None:
-                    if sign > 0:
-                        rhs[row] -= d * c
-                    else:
-                        rhs[row] += d * c
+    rhs = _bilinear(_rhs_table(), halves, 49)
     return [v + v for v in rhs] if diagonal else rhs
 
 

@@ -13,10 +13,10 @@ sparse pairing matrix behind the quadratic cocycle b2.
 Projectors are built from explicit spanning images (phi itself for the
 trivial summand, the contractions e_j -| psi and the wedges e_j ^ phi
 for the 7-dimensional ones) instead of hardcoded component tables, so
-every sign is forced by the calibration above.  Each has coefficients
-+-1 and is kept once, as its (blade, sign) pairs with its weight
-(_split_spans), one table that pairs as a signed sum and is the form
-the projection adds.  On Lambda^3 and Lambda^4 the split applies them
+every sign is forced by the calibration above.  Each is kept once, as
+a unit functional with its weight (_split_spans): one table that pairs
+as a signed sum and is the form the projection adds.  On Lambda^3 and
+Lambda^4 the split applies them
 as the rank-1 and rank-7 type formulas of Bryant (Some remarks on
 G2-structures, math/0305124),
 
@@ -44,15 +44,16 @@ traceless symmetric S the sum pairs to zero with both and lies in
 Lambda^3_27, where it pairs with every b as 2 <S, i^{-1} b> = <i(S), b>
 (|i(S)|^2 = 2 |S|^2).  S*psi = -*i(S); no derived action runs.
 
-The b2 solve runs on sparse integer data computed once, too.  The
-pairing map M: gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49,
-is G2-equivariant, so by Schur's lemma M^T M = 16 P1 + 6 P7 + 2 P27
-(the build checks it on phi, e_1 -| psi and one 27-type form) and the
-solve is gamma = (P1/16 + P7/6 + P27/2) M^T rhs: one product with the
-sparse M^T (112 entries, all +-1) and the type split above, on one flat
-integer rhs of 49 entries with the weights over D = 48 L.
+The b2 solve runs on integer data computed once, too.  The pairing map
+M: gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49, is
+G2-equivariant, so by Schur's lemma M^T M = 16 P1 + 6 P7 + 2 P27 (the
+build checks it on phi, e_1 -| psi and one 27-type form) and the solve
+is gamma = (P1/16 + P7/6 + P27/2) M^T rhs: M^T rhs is the sum of the 49
+rows of M (3-form functionals, 112 entries, all +-1) weighted by rhs,
+then the type split above, with the weights over D = 48 L.
 solve_three_form_numerators returns x = D gamma, its 49 equations
-checked on the sparse M; b2 folds D into its one rescale, and
+checked as the 49 sums of x against the rows; b2 folds D into its one
+rescale, and
 solve_three_form flattens its 6-forms and clears their denominators d
 to divide by D d.  Building a frame runs no elimination.
 
@@ -64,13 +65,18 @@ in the coefficients' own type.  A longer composition (q2, Q and P in
 cubic, the cubic in aw) chains the int parts, i on an int tensor,
 iso_i_inv_upper with its type gate is_pure27 (the eight pairings with
 phi and the e_j -| psi) and solve_three_form_numerators, and divides
-once at its own end.  Every functional these pair with has coefficients
-+-1, checked when the frame is built: each pairing is a signed sum.
-iso_i_inv_upper and is_pure27 take their 49 and 8 sums blade-major:
-each blade of the form is added to or subtracted from the sums that
-read it, through an index the frame derives once from
-_inv_functionals and _span3 (_blade_index), so a sparse form costs its
-own blades and every sum is still taken on its own.
+once at its own end.
+
+Every table these kernels read, the spanning forms of the three splits,
+the f_ij and the rows of M, has coefficients +-1, checked when the
+frame is built, and all are kept in one format, built in the
+constructor: a list of unit functionals, (blade, +-1) pairs
+(_unit_functional), and the same list blade-major (_blade_index).  One
+kernel reads them, _scattered_sums: each blade of the form is added to
+or subtracted from the sums that read it, so a sparse form costs its
+own blades and every sum is still taken on its own.  One helper,
+_expanded, writes sums back as the form sum_k c_k f_k: the projections,
+i and M^T.
 """
 
 from __future__ import annotations
@@ -126,39 +132,11 @@ def star_action(A: Matrix, a: Form) -> Form:
     return out
 
 
-def _split_spans(span1: list[Form], span7: list[Form]):
-    """The spanning forms w of the 1- and 7-type summands as their
-    _unit_functionals, each with its weight L / |w|^2 (|w|^2 its length),
-    and L, the lcm of those.  Each list must be pairwise orthogonal."""
-    f1, f7 = ([_unit_functional(w.terms.items()) for w in forms]
-              for forms in (span1, span7))
-    for fs in (f1, f7):
-        for i, f in enumerate(fs):
-            if any(_signed_sum(f, dict(g).get) for g in fs[:i]):
-                raise InternalConsistencyError("spanning forms are not orthogonal")
-    L = lcm(*map(len, f1 + f7))
-    return [(f, L // len(f)) for f in f1], [(f, L // len(f)) for f in f7], L
-
-
-def _span_sum(a: Form, spanning: list[tuple[tuple, int]]) -> dict:
-    """L times the orthogonal projection sum_w <a, w>/<w, w> w onto the
-    span of pairwise orthogonal forms, as sum_w <a, w> (L/|w|^2) w, each
-    w a _unit_functional."""
-    terms = {}
-    for f, weight in spanning:
-        c = _signed_sum(f, a.terms.get)
-        if c == 0:
-            continue
-        c = c * weight
-        for m, d in f:
-            terms[m] = terms.get(m, 0) + c * d
-    return terms
-
-
 def _unit_functional(pairs) -> tuple:
     """A linear functional b |-> sum_m c b[m] as its (m, c) pairs, every
-    c +1 or -1, so that it pairs as a signed sum (_signed_sum) with no
-    product; raises InternalConsistencyError on any other coefficient."""
+    c +1 or -1, so that it pairs as a signed sum (_scattered_sums) with
+    no product; raises InternalConsistencyError on any other
+    coefficient."""
     pairs = tuple(pairs)
     if any(c not in (1, -1) for _, c in pairs):
         raise InternalConsistencyError(
@@ -166,22 +144,11 @@ def _unit_functional(pairs) -> tuple:
     return pairs
 
 
-def _signed_sum(functional: tuple, get):
-    """sum_m c b[m] over the (m, +-1) pairs of a functional, with b read
-    through get (b.terms.get): each term added or subtracted, in the
-    coefficients' own type, and int 0 when b has none of the blades."""
-    s = 0
-    for m, c in functional:
-        x = get(m)
-        if x is not None:
-            s = s + x if c > 0 else s - x
-    return s
-
-
-def _blade_index(functionals: list[tuple]) -> dict:
-    """Unit functionals blade-major: each 3-blade m as the (k, c) pairs
-    of the functionals k (in list order) that read m with sign c."""
-    index = {m: [] for m in BLADES_BY_GRADE[3]}
+def _blade_index(functionals: list[tuple], grade: int) -> dict:
+    """Unit functionals on a grade blade-major: each blade m as the
+    (k, c) pairs of the functionals k (in list order) that read m with
+    sign c."""
+    index = {m: [] for m in BLADES_BY_GRADE[grade]}
     for k, f in enumerate(functionals):
         for m, c in f:
             index[m].append((k, c))
@@ -189,7 +156,7 @@ def _blade_index(functionals: list[tuple]) -> dict:
 
 
 def _scattered_sums(n: Form, index: dict, count: int) -> list:
-    """The count signed sums sum_m c n[m] of a 3-form n against the
+    """The count signed sums sum_m c n[m] of a form n against the
     functionals of a _blade_index: each blade of n is added to or
     subtracted from the sums that read it, each sum starts from its
     first term, in the coefficients' own type, and a sum that reads
@@ -207,16 +174,58 @@ def _scattered_sums(n: Form, index: dict, count: int) -> list:
     return [0 if s is None else s for s in sums]
 
 
-def _type_split(a: Form, span1, span7, L: int) -> tuple[Form, Form, Form]:
+def _expanded(coefficients, functionals) -> dict:
+    """sum_k c_k f_k over the nonzero c_k as a terms dict, the
+    unit functionals f_k read as forms: the way back from
+    _scattered_sums."""
+    terms = {}
+    for x, f in zip(coefficients, functionals):
+        if x:
+            for m, c in f:
+                terms[m] = terms.get(m, 0) + c * x
+    return terms
+
+
+def _split_spans(span1: list[Form], span7: list[Form]):
+    """(functionals, index, weights, L): the spanning forms w of the 1-
+    and then the 7-type summand (the last DIM) as _unit_functionals
+    with their _blade_index, each weight L / |w|^2 (|w|^2 its length)
+    and L, the lcm of those.  The forms must be pairwise orthogonal."""
+    grade = span7[0].grade
+    fs = [_unit_functional(w.terms.items()) for w in span1 + span7]
+    index = _blade_index(fs, grade)
+    for k, f in enumerate(fs):
+        gram = _scattered_sums(Form(grade, dict(f)), index, len(fs))
+        if any(gram[:k] + gram[k + 1:]):
+            raise InternalConsistencyError("spanning forms are not orthogonal")
+    L = lcm(*map(len, fs))
+    return fs, index, [L // len(f) for f in fs], L
+
+
+def _span_sums(n: Form, span) -> list:
+    """<n, w> L / |w|^2 for each spanning form w of a _split_spans."""
+    fs, index, weights, _ = span
+    return [x * w for x, w in zip(_scattered_sums(n, index, len(fs)), weights)]
+
+
+def _span_parts(n: Form, span) -> tuple[dict, dict]:
+    """(L P1 n, L P7 n), the orthogonal projections sum_w <n, w>/<w, w> w
+    onto the 1- and 7-type spans scaled by L, as terms dicts."""
+    fs, c = span[0], _span_sums(n, span)
+    return _expanded(c[:-DIM], fs[:-DIM]), _expanded(c[-DIM:], fs[-DIM:])
+
+
+def _type_split(a: Form, span) -> tuple[Form, Form, Form]:
     """(P1 a, P7 a, P27 a) with P27 = 1 - P1 - P7.
 
     The sums run on the integer numerators n = d a, scaled by L, so
     every division happens in the one rescale by 1/(L d); a blade that
     neither P1 a nor P7 a touches keeps its coefficient in P27 a.
     """
+    L = span[3]
     (n,), d = ext.numerators(a)
     s = L * d
-    t1, t7 = _span_sum(n, span1), _span_sum(n, span7)
+    t1, t7 = _span_parts(n, span)
     p1 = Form(a.grade, {m: over(c, s) for m, c in t1.items()})
     p7 = Form(a.grade, {m: over(c, s) for m, c in t7.items()})
     terms = dict(a.terms)
@@ -249,28 +258,31 @@ class G2Frame:
         # i(S) ^ (v1 -| psi) ^ v2 = 2 g(S v1, v2) vol.  Each has 4 blades
         # m on the diagonal and 2 off it, so vol_coefficient(b ^ chi_ij)
         # is <b, f_ij>, f_ij = sum of sign(m^c, m) chi_ij[m] e^{m^c}:
-        # the table that both i and its inverse read.
+        # the table that both i and its inverse read, f_ij as k = 7 i + j
         self._inv_functionals = [
-            [_unit_functional(
+            _unit_functional(
                 (FULL_MASK ^ m, merge_sign(FULL_MASK ^ m, m) * c)
                 for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
-             for j in range(DIM)]
-            for i in range(DIM)]
-        # the pairing matrix M of gamma |-> (gamma ^ (e_j -| psi))_j as
-        # (column, +-1) pairs per row; row 7 j + p is 6-blade p of block j
-        self._pairing_sparse = [[] for _ in range(DIM * DIM)]
-        for col, m in enumerate(BLADES_BY_GRADE[3]):
+            for i in range(DIM) for j in range(DIM)]
+        self._inv_index = _blade_index(self._inv_functionals, 3)
+        # the rows of the pairing matrix M of gamma |-> (gamma ^ (e_j -|
+        # psi))_j as functionals on 3-forms; row 7 j + p is 6-blade p of
+        # block j
+        rows = [{} for _ in range(DIM * DIM)]
+        for m in BLADES_BY_GRADE[3]:
             for j in range(DIM):
                 for mm, c in wedge(Form(3, {m: 1}), self.kappa[j]).terms.items():
-                    self._pairing_sparse[j * DIM + BLADES_BY_GRADE[6].index(mm)] \
-                        .append((col, c))
+                    rows[j * DIM + BLADES_BY_GRADE[6].index(mm)][m] = c
+        self._pairing_functionals = [_unit_functional(r.items()) for r in rows]
+        self._pairing_index = _blade_index(self._pairing_functionals, 3)
         # M is equivariant, so by Schur's lemma M^T M is one scalar per
         # type; a form of each type pins the three, and nonzero ones make
         # M injective
         probe27 = self.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
         for a, lam in zip((self.phi, self.kappa[0], probe27), _NORMAL_EIGENVALUES):
-            x = ext.form_to_coords(a)
-            if self._pairing_transpose(self._pairing_rows(x)) != [lam * c for c in x]:
+            Ma = _scattered_sums(a, self._pairing_index, DIM * DIM)
+            MtMa = _expanded(Ma, self._pairing_functionals)
+            if Form(3, MtMa).terms != {m: lam * c for m, c in a.terms.items()}:
                 raise InternalConsistencyError(
                     "M^T M is not 16 P1 + 6 P7 + 2 P27 on the pairing matrix")
 
@@ -280,19 +292,19 @@ class G2Frame:
         """Split a 2-form into its (7, 14)-dimensional parts."""
         if a.grade != 2:
             raise ext.GradeError("project2 needs a 2-form")
-        return _type_split(a, *self._span2)[1:]
+        return _type_split(a, self._span2)[1:]
 
     def project3(self, a: Form) -> tuple[Form, Form, Form]:
         """Split a 3-form into its (1, 7, 27)-dimensional parts."""
         if a.grade != 3:
             raise ext.GradeError("project3 needs a 3-form")
-        return _type_split(a, *self._span3)
+        return _type_split(a, self._span3)
 
     def project4(self, a: Form) -> tuple[Form, Form, Form]:
         """Split a 4-form into its (1, 7, 27)-dimensional parts."""
         if a.grade != 4:
             raise ext.GradeError("project4 needs a 4-form")
-        return _type_split(a, *self._span4)
+        return _type_split(a, self._span4)
 
     # -- metric recovery --------------------------------------------------
 
@@ -316,14 +328,12 @@ class G2Frame:
             raise TypeDecompositionError("iso_i needs a traceless tensor")
         entries = [x for row in S.upper for x in row]
         ints, d = clear_denominators(entries)
-        terms = {}
-        fs = self._inv_functionals
+        # an entry off the diagonal is both S_ij and S_ji
+        square = [0] * (DIM * DIM)
         upper = ((i, j) for i in range(DIM) for j in range(i, DIM))
         for (i, j), s in zip(upper, ints):
-            if s:
-                # an entry off the diagonal is both S_ij and S_ji
-                for m, c in fs[i][j] if i == j else fs[i][j] + fs[j][i]:
-                    terms[m] = terms.get(m, 0) + c * s
+            square[DIM * i + j] = square[DIM * j + i] = s
+        terms = _expanded(square, self._inv_functionals)
         if ints is not entries:
             terms = {m: over(c, d) for m, c in terms.items()}
         return Form(3, terms)
@@ -339,20 +349,8 @@ class G2Frame:
         _split_spans) span Lambda^3_1 + Lambda^3_7."""
         if b.grade != 3:
             raise ext.GradeError("is_pure27 needs a 3-form")
-        return not any(_scattered_sums(b, self._pure27_index, 8))
-
-    @functools.cached_property
-    def _pure27_index(self) -> dict:
-        """The eight functionals of is_pure27, phi and the e_j -| psi of
-        _span3, blade-major (_blade_index)."""
-        span1, span7, _ = self._span3
-        return _blade_index([f for f, _ in span1 + span7])
-
-    @functools.cached_property
-    def _inv_index(self) -> dict:
-        """The 49 functionals f_ij of _inv_functionals blade-major
-        (_blade_index), f_ij as k = 7 i + j."""
-        return _blade_index([f for row in self._inv_functionals for f in row])
+        fs, index, _, _ = self._span3
+        return not any(_scattered_sums(b, index, len(fs)))
 
     def iso_i_inv_upper(self, n: Form) -> list[list]:
         """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
@@ -393,22 +391,24 @@ class G2Frame:
         norm 4."""
         if a.grade != 4:
             raise ext.GradeError("extract_v7 needs a 4-form")
+        fs, index, _, _ = self._span4
         quarter = Fraction(1, 4)
-        return vector_form([quarter * _signed_sum(f, a.terms.get)
-                            for f, _ in self._span4[1]])
+        return vector_form([quarter * x for x in
+                            _scattered_sums(a, index, len(fs))[-DIM:]])
 
     def _hat_touched(self, n: Form) -> dict:
         """L (2 P7 n - n) on the blades that t7 = L P7 n touches, for an
-        integer 4-form n: 2 t7 - L n there."""
-        _, span7, L = self._span4
+        integer 4-form n: 2 t7 - L n there.  Only the 7-type sums are
+        expanded."""
+        fs, _, _, L = self._span4
         nt = n.terms
-        return {m: 2 * c - L * nt.get(m, 0)
-                for m, c in _span_sum(n, span7).items()}
+        t7 = _expanded(_span_sums(n, self._span4)[-DIM:], fs[-DIM:])
+        return {m: 2 * c - L * nt.get(m, 0) for m, c in t7.items()}
 
     def hat_numerators(self, n: Form) -> tuple[Form, int]:
         """(h, L) with hat(n) = h / L: h = *(2 t7 - L n), L = 28, the int
         core of hat for an integer 4-form n."""
-        L = self._span4[2]
+        L = self._span4[3]
         terms = {m: -L * c for m, c in n.terms.items()}
         terms.update(self._hat_touched(n))
         return hodge(Form(4, terms)), L
@@ -424,7 +424,7 @@ class G2Frame:
         if a.grade != 4:
             raise ext.GradeError("hat needs a 4-form")
         (n,), d = ext.numerators(a)
-        s = self._span4[2] * d
+        s = self._span4[3] * d
         terms = {m: -c for m, c in a.terms.items()}
         for m, c in self._hat_touched(n).items():
             terms[m] = over(c, s)
@@ -434,24 +434,8 @@ class G2Frame:
 
     def pairing_matrix(self) -> Matrix:
         """The injective 49 x 35 matrix of gamma |-> (gamma ^ (e_j -| psi))_j."""
-        rows = [[0] * len(BLADES_BY_GRADE[3]) for _ in self._pairing_sparse]
-        for row, terms in zip(rows, self._pairing_sparse):
-            for k, c in terms:
-                row[k] = c
-        return Matrix.from_rows(rows)
-
-    def _pairing_rows(self, x: list) -> list:
-        """M x on the sparse rows of the pairing matrix."""
-        return [sum(c * x[k] for k, c in row) for row in self._pairing_sparse]
-
-    def _pairing_transpose(self, v: list) -> list:
-        """M^T v on the sparse rows of the pairing matrix."""
-        y = [0] * len(BLADES_BY_GRADE[3])
-        for row, x in zip(self._pairing_sparse, v):
-            if x:
-                for k, c in row:
-                    y[k] += c * x
-        return y
+        return Matrix.from_rows([[dict(f).get(m, 0) for m in BLADES_BY_GRADE[3]]
+                                 for f in self._pairing_functionals])
 
     def solve_three_form_numerators(self, rhs: list) -> tuple[list, int]:
         """(x, s) with gamma = x / s solving gamma ^ (e_j -| psi) = rhs_j
@@ -459,19 +443,20 @@ class G2Frame:
         flat vector (row 7 j + p is 6-blade p of block j), x in the blade
         order of grade 3; raises InconsistentSystemError naming the
         first of the 49 equations that fails."""
-        y = self._pairing_transpose(rhs)
-        span1, span7, L = self._span3
-        n = ext.form_from_coords(3, y)
-        t1, t7 = _span_sum(n, span1), _span_sum(n, span7)
+        y = _expanded(rhs, self._pairing_functionals)
+        L = self._span3[3]
+        t1, t7 = _span_parts(Form(3, y), self._span3)
         # t = L P y and P27 = 1 - P1 - P7; over the common denominator
         # D = lcm(16, 6, 2) L = 48 L the weights 1/16, 1/6, 1/2 are
         # (3, 8, 24)/D, so D gamma = 24 L y - 21 t1 - 16 t7
         top = lcm(*_NORMAL_EIGENVALUES)
         w1, w7, w27 = (top // lam for lam in _NORMAL_EIGENVALUES)
-        x = [w27 * L * v + (w1 - w27) * t1.get(m, 0) + (w7 - w27) * t7.get(m, 0)
-             for m, v in zip(BLADES_BY_GRADE[3], y)]
+        x = [w27 * L * y.get(m, 0) + (w1 - w27) * t1.get(m, 0)
+             + (w7 - w27) * t7.get(m, 0) for m in BLADES_BY_GRADE[3]]
         D = top * L
-        for row, (got, want) in enumerate(zip(self._pairing_rows(x), rhs)):
+        Mx = _scattered_sums(ext.form_from_coords(3, x), self._pairing_index,
+                             DIM * DIM)
+        for row, (got, want) in enumerate(zip(Mx, rhs)):
             if got != D * want:
                 raise InconsistentSystemError(row)
         return x, D

@@ -170,14 +170,12 @@ def letter_values(xi: Su3Element) -> dict:
 # ---------------------------------------------------------------------------
 # Gram data and the permanent inner product
 
-GRAM = {}
-for _a in range(3):
-    for _b in range(3):
-        GRAM[(f"v{_a + 1}", f"v{_b + 1}")] = (Fraction(4, 3) if _a == _b
-                                              else Fraction(-2, 3))
-for _j in range(3):
-    GRAM[(f"z{_j + 1}", f"zb{_j + 1}")] = Fraction(2)
-    GRAM[(f"zb{_j + 1}", f"z{_j + 1}")] = Fraction(2)
+GRAM = {
+    **{(f"v{a}", f"v{b}"): Fraction(4, 3) if a == b else Fraction(-2, 3)
+       for a in range(1, 4) for b in range(1, 4)},
+    **{pair: Fraction(2) for j in range(1, 4)
+       for pair in ((f"z{j}", f"zb{j}"), (f"zb{j}", f"z{j}"))},
+}
 
 
 def gram_entry(a: str, b: str) -> Fraction:
@@ -499,7 +497,8 @@ def first_principles_p_poly() -> MultiPoly:
     c1, c2, c3, c4 = first_principles_fit()
     s3, sx2, sy2, r = component_polys()
     model = (s3.scale(c1) + sx2.scale(c2) + sy2.scale(c3) + r.scale(c4))
-    if out.eliminate_v3() != model.eliminate_v3():
+    # both are v3-free by construction, so they compare as they are
+    if out != model:
         raise InternalConsistencyError(
             "interpolated P does not match the fitted four-term model")
     return out

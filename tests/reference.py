@@ -167,6 +167,16 @@ def two_form_eigenvalues(fr):
     return _two_form_split(fr)[1]
 
 
+def pairing_matrix(fr):
+    """The 49 x 35 matrix of gamma |-> (gamma ^ (e_j -| psi))_j, column
+    m the coordinates of the seven wedges e^m ^ (e_j -| psi), j-major,
+    one wedge per 3-blade and j."""
+    kappa = [ext.contract(vector(j), fr.psi) for j in range(1, 8)]
+    return transpose(Matrix.from_rows(
+        [[c for k in kappa for c in ext.form_to_coords(wedge(Form(3, {m: 1}), k))]
+         for m in BLADES_BY_GRADE[3]]))
+
+
 # -- scalar-generic kernels -------------------------------------------------
 
 def quadratic_upper(a1, a2):
@@ -214,8 +224,9 @@ def hat(fr, a):
 def iso_i_inv_pairings(fr, b):
     """The 49 pairings <b, f_ij>, each a sum of coefficient products."""
     bt = b.terms
-    return [[sum(c * bt[m] for m, c in functional if m in bt)
-             for functional in row] for row in fr._inv_functionals]
+    fs = fr._inv_functionals
+    return [[sum(c * bt[m] for m, c in fs[7 * i + j] if m in bt)
+             for j in range(7)] for i in range(7)]
 
 
 def traceless_part(S):

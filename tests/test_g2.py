@@ -179,8 +179,9 @@ def test_recovered_tensor_checks(g2frame):
     for (i, j), b, message in (((0, 1), off, "not symmetric"),
                                ((0, 0), diag, "not traceless")):
         damaged = G2Frame.__new__(G2Frame)
-        damaged._inv_functionals = [list(row) for row in fr._inv_functionals]
-        damaged._inv_functionals[i][j] = ()
+        damaged._inv_functionals = list(fr._inv_functionals)
+        damaged._inv_functionals[7 * i + j] = ()
+        damaged._inv_index = g2._blade_index(damaged._inv_functionals, 3)
         with pytest.raises(InternalConsistencyError, match=message):
             damaged.iso_i_inv_upper(b)
 
@@ -287,17 +288,18 @@ def test_pure27_gate_matches_projection(g2frame, kind):
 
 
 def test_pairing_functionals_are_unit_signed(g2frame):
-    """The f_ij and the spanning forms of every type split (phi and the
-    e_j -| psi on grade 3) pair as signed sums: the frame checks their
-    coefficients are +-1 when it is built, and the check rejects any
-    other coefficient."""
+    """The f_ij, the rows of the pairing matrix M and the spanning forms
+    of every type split (phi and the e_j -| psi on grade 3) pair as
+    signed sums: the frame checks their coefficients are +-1 when it is
+    built, and the check rejects any other coefficient."""
     fr = g2frame
-    span3 = [f for f, _ in fr._span3[0] + fr._span3[1]]
-    spans = [f for span in (fr._span2, fr._span3, fr._span4)
-             for f, _ in span[0] + span[1]]
-    tables = [f for row in fr._inv_functionals for f in row] + spans
-    assert len(tables) == 49 + 7 + 8 + 8
+    span3 = fr._span3[0]
+    spans = [f for span in (fr._span2, fr._span3, fr._span4) for f in span[0]]
+    tables = fr._inv_functionals + fr._pairing_functionals + spans
+    assert len(tables) == 49 + 49 + 7 + 8 + 8
     assert {c for f in tables for _, c in f} == {1, -1}
+    assert sum(map(len, fr._inv_functionals)) == 112
+    assert sum(map(len, fr._pairing_functionals)) == 112
     assert sum(map(len, span3)) == 7 + 7 * 4
     phi_pairs = tuple(fr.phi.terms.items())
     assert span3[0] == phi_pairs
@@ -305,6 +307,13 @@ def test_pairing_functionals_are_unit_signed(g2frame):
     for bad in (2, -2, Fraction(1, 2), 0):
         with pytest.raises(InternalConsistencyError, match="other than"):
             g2._unit_functional(phi_pairs + ((0b1110000, bad),))
+
+
+def test_pairing_matrix_matches_wedges(g2frame):
+    """M read back from its rows equals the matrix of the wedges
+    e^m ^ (e_j -| psi) taken blade by blade, so a row keyed by the
+    wrong 3-blade fails here."""
+    assert g2frame.pairing_matrix() == reference.pairing_matrix(g2frame)
 
 
 @pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))

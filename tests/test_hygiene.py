@@ -1,7 +1,8 @@
 """Source hygiene of the package, read off its syntax trees: every import
 is used, every module-level function and class and every method is used
-by the package or the benchmark, and no module rebinds a global
-(per-process state is built by functools.cache builders), numpy is
+by the package or the benchmark, no module rebinds a global or runs a
+loop at module level, per-process state is built by functools.cache
+builders alone (no cached_property or lru_cache), numpy is
 imported only by what samples, and each command imports only the
 modules it runs."""
 
@@ -106,6 +107,27 @@ def test_every_method_is_used():
 def test_no_global_statement(path):
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+def test_one_cache_mechanism():
+    # per-process state is built by functools.cache builders alone
+    found = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in SOURCES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("cached_property", "lru_cache")]
+    found += [f"{path.name}:{node.lineno} {a.name}"
+              for path in SOURCES for node in ast.walk(_tree(path))
+              if isinstance(node, ast.ImportFrom)
+              for a in node.names if a.name in ("cached_property", "lru_cache")]
+    assert found == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_loop(path):
+    # a loop at module level leaves its variables in the namespace
+    found = [f"{path.name}:{node.lineno}" for node in _tree(path).body
+             if isinstance(node, (ast.For, ast.While))]
     assert found == []
 
 

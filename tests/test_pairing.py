@@ -271,6 +271,19 @@ def test_p_poly_real_and_matches_values():
             GaussRational(first_principles_value(xi), 0)
 
 
+def test_p_poly_and_its_model_are_v3_free():
+    """first_principles_p_poly compares the interpolated P with the
+    fitted four-term model as they are, with no v3 elimination: neither
+    has a v3 letter, so both are already in the reduced form."""
+    model = MultiPoly.zero(3)
+    for c, p in zip(first_principles_fit(), component_polys()):
+        model = model + p.scale(c)
+    for poly in (first_principles_p_poly(), model):
+        assert poly.terms and all("v3" not in mono for mono in poly.terms)
+        assert poly.eliminate_v3() == poly
+    assert first_principles_p_poly() == model
+
+
 def test_p_poly_pure_z_support():
     # the only pure-z monomials of P are z1 z2 z3 and its conjugate,
     # the same support i det has in that sector
