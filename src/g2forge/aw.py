@@ -28,10 +28,15 @@ and W gated as pure 27.  The cubic is composed from the int parts of the
 kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
 linalg.upper_inner, on U + sqrt(10) W (route one, cubic.p_numerator)
 and on the ints U and W (route two), and divided once, by 2 D^3.  The
-first two read precomputed signed blade tables and build no Form.  The
-type-27 gate is G2Frame.is_pure27, the eight signed sums that pair with
-phi and the e_j -| psi; the symmetry and trace checks of the recovered
-tensors run on both routes.
+first two read precomputed signed blade tables and build no Form.
+Route two reads the full symmetry of the trilinear form T(a, b, c) =
+<p(a, b), i^{-1}(c)>: T(U, W, W) = T(W, W, U) lets p(U, U) and p(W, W)
+carry all four terms of the expansion, two pair-table passes where the
+term-by-term expansion takes four, and a pair table that breaks the
+symmetry makes the routes disagree.  The type-27 gate is
+G2Frame.is_pure27, the eight signed sums that pair with phi and the
+e_j -| psi; the symmetry and trace checks of the recovered tensors run
+on both routes.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
@@ -67,7 +72,7 @@ from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import Matrix, SymTensor, solve_exact, upper_inner
-from .scalars import SQRT10, GaussRational, QuadExt, ScalarError, \
+from .scalars import GaussRational, QuadExt, ScalarError, _quad, \
     clear_denominators, scalar_to_json
 
 
@@ -261,14 +266,16 @@ def first_principles_value(xi: Su3Element, *,
     """P(xi) on the integer numerators (U, W, D) of comparison_form: the
     numerator cubic (cubic.p_numerator) of U + sqrt(10) W over 2 D^3.
 
-    Route one evaluates it natively in Q(sqrt(10)); route two splits it
-    on the ints U and W into an even part t0 + 10 t2 and an odd part
-    sqrt(10) (t1 + 10 t3), which must vanish.  The routes must agree;
-    single_route skips the second for bulk sweeps that verify route
-    agreement separately.
+    Route one evaluates it natively in Q(sqrt(10)), on the form
+    _quad_form builds; route two splits it on the ints U and W into an
+    even and an odd part in sqrt(10) (_split_cubic), read through the
+    full symmetry of the trilinear form, and the odd part must vanish.
+    The routes must agree; single_route skips the second for bulk
+    sweeps that verify route agreement separately.
     """
     u, w, d = comparison_form(xi)
-    native = p_numerator(u + SQRT10 * w, standard_frame())
+    a = _quad_form(u, w)
+    native = p_numerator(a, standard_frame().iso_i_inv_upper(a))
     if isinstance(native, QuadExt):
         if native.irr != 0:
             raise InternalConsistencyError("P has a sqrt(10) component")
@@ -283,21 +290,35 @@ def first_principles_value(xi: Su3Element, *,
     return Fraction(native, 2 * d ** 3)
 
 
+def _quad_form(u: Form, w: Form) -> Form:
+    """u + sqrt(10) w for int 3-forms u and w, in one pass over their
+    terms, each coefficient of the type the Form sum gives it: the int of
+    u where w lacks the blade, QuadExt(0, w) where u lacks it, and
+    QuadExt(u, w) where both hold it."""
+    terms = dict(u.terms)
+    get = u.terms.get
+    for m, c in w.terms.items():
+        terms[m] = _quad(get(m, 0), c)
+    return Form(3, terms)
+
+
 def _split_cubic(u: Form, w: Form) -> tuple:
-    """The even and the odd part in sqrt(10), t0 + 10 t2 and t1 + 10 t3,
-    of the numerator cubic (cubic.p_numerator) of u + sqrt(10) w, for
-    3-forms u and w of pure 27 type with int coefficients; every t_k is
-    an int."""
+    """The even and the odd part in sqrt(10) of the numerator cubic
+    (cubic.p_numerator) of u + sqrt(10) w, for 3-forms u and w of pure
+    27 type with int coefficients; both are ints.
+
+    With T(a, b, c) = <p(a, b), 2 i^{-1}(c)>, fully symmetric, the cubic
+    is T(u,u,u) + 3 sqrt(10) T(u,u,w) + 30 T(u,w,w) + 10 sqrt(10)
+    T(w,w,w), and T(u,w,w) = T(w,w,u): two pair-table passes, p(u, u)
+    and p(w, w), serve all four terms.  The native route reads T only
+    on the diagonal, so a pair table that keeps p symmetric but breaks
+    the symmetry of T makes the two routes disagree.
+    """
     g2 = standard_frame()
-    # quadratic_upper(u, w) is 2 p(u, w): the polarized terms come doubled
-    puu, puw, pww = (quadratic_upper(u, u), quadratic_upper(u, w),
-                     quadratic_upper(w, w))
+    puu, pww = quadratic_upper(u, u), quadratic_upper(w, w)
     su, sw = g2.iso_i_inv_upper(u), g2.iso_i_inv_upper(w)
-    t0 = upper_inner(puu, su)
-    t1 = upper_inner(puw, su) + upper_inner(puu, sw)
-    t2 = upper_inner(pww, su) + upper_inner(puw, sw)
-    t3 = upper_inner(pww, sw)
-    return t0 + 10 * t2, t1 + 10 * t3
+    return (upper_inner(puu, su) + 30 * upper_inner(pww, su),
+            3 * upper_inner(puu, sw) + 10 * upper_inner(pww, sw))
 
 
 def r_value(y: Form, x: Form):

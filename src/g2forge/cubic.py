@@ -39,9 +39,10 @@ On the 27 type (G2Frame.is_pure27 on *n),
 
 i run on an int tensor; q2 cross-multiplies N with the solve's x.  Q is
 vol(N ^ n) = -7 <U, 2 i^{-1}(*n)> over 7 d^3, and P is p_numerator,
-<U, 2 i^{-1}(n)> for b = n / d, over d^3, against the Q numerator of *n.
-The closed form and the tensor route share U; the independent evidence
-is the solve against the closed form and the wedge against i^{-1}.
+<U, 2 i^{-1}(n)> for b = n / d, over d^3, against the Q numerator of *n;
+p_value scatters 2 i^{-1}(n) once and hands it to both.  The closed
+form and the tensor route share U; the independent evidence is the
+solve against the closed form and the wedge against i^{-1}.
 """
 
 from __future__ import annotations
@@ -200,11 +201,13 @@ def _solved_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
     return U, N
 
 
-def _q_numerator(n: Form, star: Form, fr: G2Frame):
-    """vol(N ^ n) = 7 d^3 Q(n / d), star = *n, by both routes."""
+def _q_numerator(n: Form, inv_star: list[list], fr: G2Frame):
+    """vol(N ^ n) = 7 d^3 Q(n / d) by both routes, inv_star the upper
+    triangle of 2 i^{-1}(*n) (G2Frame.iso_i_inv_upper), which the caller
+    holds."""
     U, N = _solved_numerator(n, fr)
     v = vol_coefficient(wedge(N, n))
-    if v != -7 * upper_inner(U, fr.iso_i_inv_upper(star)):
+    if v != -7 * upper_inner(U, inv_star):
         raise InternalConsistencyError("the two routes to Q disagree")
     return v
 
@@ -237,13 +240,14 @@ def q_value(a: Form, frame: G2Frame | None = None):
     the volume coefficient of a wedge that vanishes."""
     fr = frame or standard_frame()
     n, star, d = _pure27_numerators(a, fr)
-    v = _q_numerator(n, star, fr)
+    v = _q_numerator(n, fr.iso_i_inv_upper(star), fr)
     return over(v, 7 * d ** 3) if v else v
 
 
-def p_numerator(n: Form, fr: G2Frame):
-    """d^3 P(n / d) = 2 <p(n, n), i^{-1}(n)>, n of pure 27 type (unchecked)."""
-    return upper_inner(quadratic_upper(n, n), fr.iso_i_inv_upper(n))
+def p_numerator(n: Form, inv: list[list]):
+    """d^3 P(n / d) = 2 <p(n, n), i^{-1}(n)>, n of pure 27 type (unchecked),
+    inv the upper triangle of 2 i^{-1}(n) (G2Frame.iso_i_inv_upper)."""
+    return upper_inner(quadratic_upper(n, n), inv)
 
 
 def p_value(b: Form, frame: G2Frame | None = None):
@@ -259,8 +263,11 @@ def p_value(b: Form, frame: G2Frame | None = None):
     if not fr.is_pure27(n):
         raise TypeDecompositionError(
             "form has components outside the 27-dimensional summand")
-    direct = p_numerator(n, fr)
-    if 7 * direct != _q_numerator(hodge(n), n, fr):
+    # P and Q's tensor route share 2 i^{-1}(n); the wedge value of Q,
+    # which P is compared with, reads no i^{-1}
+    inv = fr.iso_i_inv_upper(n)
+    direct = p_numerator(n, inv)
+    if 7 * direct != _q_numerator(hodge(n), inv, fr):
         raise InternalConsistencyError("P(b) != Q(*b)")
     return over(direct, d ** 3)
 

@@ -7,7 +7,8 @@ scalar-generic kernels as they ran before the kernels cleared
 denominators (every product in the coefficients' own type, with the
 Fraction constants applied where they arise), the cubic scalars q2, Q
 and P composed from those kernels, the comparison form A(xi) as one
-Form over Q(sqrt(10)), the aw suite's tensor displays and
+Form over Q(sqrt(10)) and the term-by-term even/odd split of its cubic,
+the aw suite's tensor displays and
 block products on Fraction tensors, the dense Haar Monte
 Carlo as it ran before it was split into cache-sized chunks of column
 arrays, and the few matrix and polynomial operations that only the
@@ -19,11 +20,11 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
-from g2forge import aw, exterior as ext, pairing
+from g2forge import aw, cubic, exterior as ext, pairing
 from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
     vector, vol_coefficient, wedge
-from g2forge.g2 import InternalConsistencyError, star_action
-from g2forge.linalg import Matrix, SymTensor, solve_exact
+from g2forge.g2 import InternalConsistencyError, standard_frame, star_action
+from g2forge.linalg import Matrix, SymTensor, solve_exact, upper_inner
 from g2forge.scalars import GaussRational, QuadExt
 
 
@@ -309,6 +310,24 @@ def comparison_form(xi):
     s, y, x = aw.decompose(xi)
     return (s * fr.phi_tilde - Fraction(5, 3) * wedge(y, fr.Omega)
             + QuadExt(0, Fraction(1, 6)) * aw.c_of(x))
+
+
+def split_cubic(u, w):
+    """The even and odd part in sqrt(10) of the numerator cubic of
+    u + sqrt(10) w, expanded term by term as the package split it before
+    it read the full symmetry of the trilinear form: four pair-table
+    passes, p(u, u), 2 p(u, w) (both orders) and p(w, w), and only the
+    symmetry of p in its two arguments."""
+    g2 = standard_frame()
+    # quadratic_upper(u, w) is 2 p(u, w): the polarized terms come doubled
+    puu, puw, pww = (cubic.quadratic_upper(u, u), cubic.quadratic_upper(u, w),
+                     cubic.quadratic_upper(w, w))
+    su, sw = g2.iso_i_inv_upper(u), g2.iso_i_inv_upper(w)
+    t0 = upper_inner(puu, su)
+    t1 = upper_inner(puw, su) + upper_inner(puu, sw)
+    t2 = upper_inner(pww, su) + upper_inner(puw, sw)
+    t3 = upper_inner(pww, sw)
+    return t0 + 10 * t2, t1 + 10 * t3
 
 
 # -- the aw displays and block products on Fraction tensors -----------------

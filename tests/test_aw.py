@@ -9,15 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import aw, cubic, linalg, pairing
+from g2forge import aw, cubic, linalg, pairing, suites
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
     CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, c_of, \
     compose, decompose, first_principles_fit, first_principles_value, \
     fit_block_cubic, principal_lattice, r_value, \
     standard_aw_frame, tensor_displays, verify_block_products, \
     verify_tensor_displays
-from g2forge.exterior import FormError, coords_of, norm_sq, vector, \
-    vector_form, wedge
+from g2forge.exterior import FormError, blade_mask, coords_of, norm_sq, \
+    vector, vector_form, wedge
 from g2forge.g2 import G2Frame, InternalConsistencyError, \
     TypeDecompositionError, standard_frame
 from g2forge.linalg import Matrix
@@ -305,6 +305,90 @@ def test_first_principles_split_route_checked(monkeypatch, bump, message):
     first_principles_value(xi, single_route=True)
     with pytest.raises(InternalConsistencyError, match=message):
         first_principles_value(xi)
+
+
+def _split_oracle_elements() -> list:
+    """The 120 interpolation points of P (pairing._coordinate_points:
+    singles, pairs of both signs, triples), the three Monte-Carlo
+    elements of the pairing suite and 100 seeded int elements with
+    entries in [-4, 4], as the benchmark's su3 stream draws them."""
+    singles, pairs, triples = pairing._coordinate_points()
+    steps = ([{i: 1} for (i,) in singles]
+             + [{i: 1, j: e} for i, j in pairs for e in (1, -1)]
+             + [dict.fromkeys(t, 1) for t in triples])
+    points = [pairing._xi_from_coords([step.get(i, 0) for i in range(8)])
+              for step in steps]
+    assert len(points) == 120
+    rng = random.Random(9029)
+    return (points + [Su3Element(*e) for e in suites.MC_ELEMENTS]
+            + [_su3_of_kind(rng, "int") for _ in range(100)])
+
+
+def test_split_cubic_matches_four_pass_expansion():
+    """The two-pass even/odd split, which reads the full symmetry of the
+    trilinear form, against the term-by-term four-pass expansion."""
+    for xi in _split_oracle_elements():
+        u, w, _ = aw.comparison_form(xi)
+        got = aw._split_cubic(u, w)
+        assert got == reference.split_cubic(u, w)
+        assert [type(t) for t in got] == [int, int]
+
+
+def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
+    """One sign of the grade-3 pair table flipped (the second triple of
+    e123) keeps p symmetric in its two arguments but breaks the full
+    symmetry of the trilinear form T: the block table refuses to build,
+    and the even/odd route, which reads T(U, W, W) as T(W, W, U),
+    disagrees with the native route, which reads T only on the
+    diagonal and still returns on its own."""
+    xi = _xi_with_m4_part()
+    want = first_principles_value(xi)
+    table = cubic._pair_table(3)
+    e123 = blade_mask((1, 2, 3))
+    k, mm, sign = table[e123][1]
+    monkeypatch.setitem(table, e123,
+                        table[e123][:1] + ((k, mm, -sign),) + table[e123][2:])
+    with pytest.raises(InternalConsistencyError,
+                       match="block trilinear table is not fully symmetric"):
+        aw._BlockTables()
+    first_principles_value(xi, single_route=True)
+    with pytest.raises(InternalConsistencyError,
+                       match="the two routes to P disagree"):
+        first_principles_value(xi)
+    monkeypatch.undo()
+    assert first_principles_value(xi) == want
+
+
+def test_two_route_value_kernel_passes(monkeypatch):
+    """One two-route evaluation runs three pair-table passes, one per
+    quadratic_upper call (p of U + sqrt(10) W, p(U, U) and p(W, W)),
+    and three i^{-1} scatters (of U + sqrt(10) W, U and W)."""
+    xi = _xi_with_m4_part()
+    first_principles_value(xi)
+    calls = {"passes": 0, "quadratic_upper": 0, "iso_i_inv_upper": 0}
+    bilinear, quadratic, inverse = (cubic._bilinear, cubic.quadratic_upper,
+                                    G2Frame.iso_i_inv_upper)
+
+    def passes(table, pairs, count):
+        calls["passes"] += len(pairs)
+        return bilinear(table, pairs, count)
+
+    def counted_quadratic(n1, n2):
+        calls["quadratic_upper"] += 1
+        return quadratic(n1, n2)
+
+    def counted_inverse(self, n):
+        calls["iso_i_inv_upper"] += 1
+        return inverse(self, n)
+
+    monkeypatch.setattr(cubic, "_bilinear", passes)
+    # aw imports quadratic_upper; count it there and where p_numerator
+    # reads it
+    for module in (cubic, aw):
+        monkeypatch.setattr(module, "quadratic_upper", counted_quadratic)
+    monkeypatch.setattr(G2Frame, "iso_i_inv_upper", counted_inverse)
+    first_principles_value(xi)
+    assert calls == {"passes": 3, "quadratic_upper": 3, "iso_i_inv_upper": 3}
 
 
 def test_first_principles_runs_each_block_once(monkeypatch):
@@ -635,12 +719,13 @@ print(calls[0], value)
 def test_two_route_value_quadext_count(fresh_python):
     """One two-route first_principles_value at a fixed element, after a
     first call has built the frame and the tables, calls scalars._quad,
-    which builds every QuadExt an operation returns, 314 times: QuadExt
-    arithmetic builds no QuadExt for an int or Fraction operand, and the
-    kernels start each sum from its first term, not from int 0."""
+    which builds every QuadExt an operation returns, 302 times: QuadExt
+    arithmetic builds no QuadExt for an int or Fraction operand, the
+    kernels start each sum from its first term, not from int 0, and
+    U + sqrt(10) W is built with one QuadExt per blade of W."""
     proc = fresh_python(_COUNT_QUAD)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["314", "-2645/9"]
+    assert proc.stdout.split() == ["302", "-2645/9"]
 
 
 def test_intermediate_display_report():

@@ -543,7 +543,7 @@ def perturb_three_form_route(monkeypatch):
     """Put P's 3-form route off by one."""
     numerator = cubic.p_numerator
     monkeypatch.setattr(cubic, "p_numerator",
-                        lambda n, fr: numerator(n, fr) + 1)
+                        lambda n, inv: numerator(n, inv) + 1)
 
 
 def test_perturbed_solve_fails_q2(g2frame, monkeypatch):
