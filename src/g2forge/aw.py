@@ -148,7 +148,9 @@ class Su3Element:
                    [.,    i v2,      x5 + i x6],
                    [.,    .,         i v3]]
     filled in skew-hermitian, with v1 + v2 + v3 = 0 enforced.
-    Coordinates are exact (int or Fraction); floats are rejected.
+    Coordinates are exact (int or Fraction); floats are rejected.  The
+    letters z_j of the invariant pairing are entries of this matrix:
+    pairing.letter_values reads them at pairing.Z_ENTRIES.
     """
 
     __slots__ = ("v", "x")
@@ -164,13 +166,6 @@ class Su3Element:
             raise ScalarError("diagonal coordinates must sum to zero")
         self.v = v
         self.x = x
-
-    def z_letters(self) -> tuple:
-        """(z1, z2, z3) = (-x5 + i x6, x3 + i x4, -x1 + i x2)."""
-        x = self.x
-        return (GaussRational(-x[4], x[5]),
-                GaussRational(x[2], x[3]),
-                GaussRational(-x[0], x[1]))
 
     def matrix_entries(self) -> list[list]:
         """3x3 skew-hermitian entries as GaussRational values."""
@@ -706,13 +701,14 @@ class _BlockTables:
         combination must cancel.  B is taken as 3B, so int blocks give
         int t_k: t0, t1, t2 are 27, 9 and 3 times those of B, and with
         k^2 = 5/18 the odd part vanishes iff 2 t1 + 5 t3 = 0 and
-        54 P = 2 t0 + 5 t2."""
+        54 P = 2 t0 + 5 t2.  T is fully symmetric (checked at build),
+        so each mixed term is one table pass: 4 passes in all."""
         zb = [3 * s] + [-5 * c for c in coords_of(y)[:3]] + [0] * 4
         zc = [0] * 4 + coords_of(x)[3:7]
         tri = self.tri
         t0 = tri(zb, zb, zb)
-        t1 = 2 * tri(zb, zc, zb) + tri(zb, zb, zc)
-        t2 = tri(zc, zc, zb) + 2 * tri(zb, zc, zc)
+        t1 = 3 * tri(zb, zb, zc)
+        t2 = 3 * tri(zc, zc, zb)
         t3 = tri(zc, zc, zc)
         if 2 * t1 + 5 * t3 != 0:
             raise InternalConsistencyError(

@@ -5,7 +5,12 @@ Polynomials live in the nine-letter alphabet
     v1, v2, v3, z1, z2, z3, zb1, zb2, zb3
 
 of linear forms on su(3) (zbj is the conjugate letter of zj, and
-v1 + v2 + v3 = 0 is the one relation).  The inner product on cubics is
+v1 + v2 + v3 = 0 is the one relation).  One map, Z_ENTRIES, says which
+entry of xi's matrix each zj is; letter_values reads the letters with
+it, and the letter rows (each letter as a linear form in the real
+coordinates), the Gram derivation, the x -> z dictionary, the
+determinant route to i det and the Monte Carlo's conjugated letters
+are all derived from it.  The inner product on cubics is
 the permanent of the Gram submatrix of the letters, with the Gram data
 
     <va, va> = 4/3,  <va, vb> = -2/3 (a != b),  <zj, zbk> = 2 delta_jk,
@@ -127,6 +132,15 @@ class MultiPoly:
             out._add_term(tuple(_CONJUGATE[n] for n in mono), c.conjugate())
         return out
 
+    def at(self, values: dict):
+        """The exact value at the letter values given by name."""
+        total = 0
+        for mono, c in self.terms.items():
+            for name in mono:
+                c = c * values[name]
+            total = total + c
+        return total
+
     def is_real_on_su3(self) -> bool:
         """True when the polynomial is fixed by conjugating both the
         coefficients and the letters (zj <-> zbj), i.e. real-valued."""
@@ -155,16 +169,38 @@ class MultiPoly:
         return " + ".join(bits)
 
 
+# The one letter map: z_j is the entry of xi's matrix at Z_ENTRIES[j - 1]
+# (row, column), zb_j its conjugate, and v_a the diagonal coordinate
+Z_ENTRIES = ((2, 1), (0, 2), (1, 0))
+
+
 def letter_values(xi: Su3Element) -> dict:
-    """The nine letter values of an su(3) element."""
-    z = xi.z_letters()
-    vals = {}
-    for a in range(3):
-        vals[f"v{a + 1}"] = xi.v[a]
-    for j in range(3):
-        vals[f"z{j + 1}"] = z[j]
-        vals[f"zb{j + 1}"] = z[j].conjugate()
+    """The nine letter values of an su(3) element: v_a is its coordinate
+    and z_j the entry of its matrix at Z_ENTRIES[j - 1], so
+    z1 = -x5 + i x6, z2 = x3 + i x4, z3 = -x1 + i x2."""
+    m = xi.matrix_entries()
+    vals = {f"v{a + 1}": xi.v[a] for a in range(3)}
+    for j, (r, c) in enumerate(Z_ENTRIES, 1):
+        vals[f"z{j}"] = m[r][c]
+        vals[f"zb{j}"] = m[r][c].conjugate()
     return vals
+
+
+def _xi_from_coords(c: list) -> Su3Element:
+    v1, v2 = c[0], c[1]
+    return Su3Element((v1, v2, -v1 - v2), tuple(c[2:8]))
+
+
+@functools.cache
+def _letter_rows() -> MappingProxyType:
+    """Each letter as a linear form in the real coordinates
+    (v1, v2, x1..x6): the row of its values at the eight unit
+    coordinates.  Every caller shares the cached table, so it is a
+    read-only mapping of tuples."""
+    units = [letter_values(_xi_from_coords([int(k == i) for k in range(8)]))
+             for i in range(8)]
+    return MappingProxyType({name: tuple(u[name] for u in units)
+                             for name in LETTERS})
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +223,14 @@ def derive_gram_from_killing() -> dict:
 
     In the real coordinates (v1, v2, x1..x6) the quadratic form b is
     v1^2 + v1 v2 + v2^2 + sum x_i^2; the dual inner product of two
-    linear forms is ell B^{-1} ell'^T (complex-bilinear, no conjugation)
-    and the letters are pushed through as linear forms.
+    linear forms is ell B^{-1} ell'^T (complex-bilinear, no conjugation),
+    and the letters enter as the linear forms of _letter_rows, read off
+    the matrix by letter_values.
     """
     # B^{-1} on the v-block of [[1, 1/2], [1/2, 1]]; the x-block is id
     binv_v = ((Fraction(4, 3), Fraction(-2, 3)),
               (Fraction(-2, 3), Fraction(4, 3)))
-    rows = {
-        "v1": [1, 0] + [0] * 6,
-        "v2": [0, 1] + [0] * 6,
-        "v3": [-1, -1] + [0] * 6,
-    }
-    # z1 = -x5 + i x6, z2 = x3 + i x4, z3 = -x1 + i x2
-    zrows = {
-        "z1": {"x5": -1, "x6": _I},
-        "z2": {"x3": 1, "x4": _I},
-        "z3": {"x1": -1, "x2": _I},
-    }
-    xs = [f"x{k}" for k in range(1, 7)]
-    for name, combo in list(zrows.items()):
-        rows[name] = [0, 0] + [combo.get(x, 0) for x in xs]
-        rows["zb" + name[1:]] = [0, 0] + \
-            [combo.get(x, 0).conjugate() for x in xs]
+    rows = _letter_rows()
 
     def pair(ra, rb):
         total = GaussRational(0, 0)
@@ -272,28 +294,23 @@ def sym_inner_poly(p: MultiPoly, q: MultiPoly) -> GaussRational:
 # ---------------------------------------------------------------------------
 # The coordinate dictionary: x-letters as z-polynomials
 
-def _half(name_plus: str, name_minus: str, imag: bool) -> MultiPoly:
-    plus = MultiPoly.letter(name_plus)
-    minus = MultiPoly.letter(name_minus)
-    if imag:
-        # (z - zb)/(2i) = -(i/2)(z - zb)
-        return (plus - minus).scale(GaussRational(0, Fraction(-1, 2)))
-    return (plus + minus).scale(Fraction(1, 2))
-
-
 @functools.cache
 def x_letter_polys() -> MappingProxyType:
-    """x1..x6 as polynomials in the z-alphabet, from z1 = -x5 + i x6,
-    z2 = x3 + i x4, z3 = -x1 + i x2.  Every caller shares the cached
-    table, so it is a read-only mapping."""
-    return MappingProxyType({
-        "x1": _half("z3", "zb3", False).scale(-1),
-        "x2": _half("z3", "zb3", True),
-        "x3": _half("z2", "zb2", False),
-        "x4": _half("z2", "zb2", True),
-        "x5": _half("z1", "zb1", False).scale(-1),
-        "x6": _half("z1", "zb1", True),
-    })
+    """x1..x6 as polynomials in the z-alphabet, by inverting the letter
+    rows: each z_j is a x_p + i b x_q with a, b = +-1, so
+    x_p = (z_j + zb_j)/(2a) and x_q = (z_j - zb_j)/(2ib).  Every caller
+    shares the cached table, so it is a read-only mapping."""
+    rows = _letter_rows()
+    xs = {}
+    for j in range(1, 4):
+        z, zb = MultiPoly.letter(f"z{j}"), MultiPoly.letter(f"zb{j}")
+        for k, e in enumerate(rows[f"z{j}"][2:], 1):
+            if e.re:
+                xs[k] = (z + zb).scale(Fraction(1, 2 * e.re))
+            if e.im:
+                xs[k] = (z - zb).scale(
+                    GaussRational(0, Fraction(-1, 2 * e.im)))
+    return MappingProxyType({f"x{k}": xs[k] for k in range(1, 7)})
 
 
 def s_poly() -> MultiPoly:
@@ -346,18 +363,19 @@ def idet_display_poly() -> MultiPoly:
 
 
 def idet_determinant_poly() -> MultiPoly:
-    """i times the symbolic determinant of the coordinate matrix
+    """i times the symbolic determinant of the coordinate matrix, i v_a
+    on the diagonal, z_j at Z_ENTRIES[j - 1] and -zb_j at its mirror:
 
         [[i v1, -zb3, z2], [z3, i v2, -zb1], [-zb2, z1, i v3]]
 
     with v3 = -v1 - v2 eliminated during the expansion."""
-    iv = [MultiPoly.letter(f"v{a}").scale(_I) for a in (1, 2)]
     iv3 = (MultiPoly.letter("v1") + MultiPoly.letter("v2")).scale(-_I)
-    z = [MultiPoly.letter(f"z{j}") for j in (1, 2, 3)]
-    zb = [MultiPoly.letter(f"zb{j}") for j in (1, 2, 3)]
-    m = [[iv[0], zb[2].scale(-1), z[1]],
-         [z[2], iv[1], zb[0].scale(-1)],
-         [zb[1].scale(-1), z[0], iv3]]
+    m = [[MultiPoly.letter("v1").scale(_I), None, None],
+         [None, MultiPoly.letter("v2").scale(_I), None],
+         [None, None, iv3]]
+    for j, (r, c) in enumerate(Z_ENTRIES, 1):
+        m[r][c] = MultiPoly.letter(f"z{j}")
+        m[c][r] = MultiPoly.letter(f"zb{j}").scale(-1)
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
@@ -365,26 +383,19 @@ def idet_determinant_poly() -> MultiPoly:
 
 
 def idet_report() -> dict:
-    """Both routes to i det, compared in the reduced alphabet, plus the
-    documentation of how the product-term notation must be read.
+    """Both routes to i det, compared in the reduced alphabet, plus how
+    the product-term notation must be read.
 
     The displayed "2i re(z1 z2 z3)" is formally imaginary; the
     determinant expansion shows the intended term is
-    i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3), and the literal
-    reading i (z1 z2 z3 + zb1 zb2 zb3) is not even real-valued.
+    i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3).
     """
     display = idet_display_poly()
-    det_route = idet_determinant_poly()
-    matches = display.eliminate_v3() == det_route.eliminate_v3()
-    literal = display + (MultiPoly.letter("zb1") * MultiPoly.letter("zb2")
-                         * MultiPoly.letter("zb3")).scale(_I + _I)
     return {
-        "matches": matches,
+        "matches": display.eliminate_v3()
+        == idet_determinant_poly().eliminate_v3(),
         "display_is_real": display.is_real_on_su3(),
         "reading": "i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3)",
-        "literal_reading_is_real": literal.is_real_on_su3(),
-        "literal_reading_matches_determinant":
-            literal.eliminate_v3() == det_route.eliminate_v3(),
     }
 
 
@@ -423,11 +434,6 @@ def _coordinate_points():
     pairs = list(itertools.combinations(range(8), 2))
     triples = list(itertools.combinations(range(8), 3))
     return singles, pairs, triples
-
-
-def _xi_from_coords(c: list) -> Su3Element:
-    v1, v2 = c[0], c[1]
-    return Su3Element((v1, v2, -v1 - v2), tuple(c[2:8]))
 
 
 def interpolate_p_coefficients() -> dict:
@@ -609,7 +615,7 @@ def _conjugate_letters(cols, xi_mat) -> list:
     haar_su3 writes).  The columns of h = g xi are h_l = sum_k xi_kl c_k,
     with the zero parts of xi skipped, and only the six entries the
     letters read are formed, M_ij = sum_l h_l[i] conj(c_l[j]): the
-    imaginary parts of the diagonal and the entries (2,1), (0,2), (1,0).
+    imaginary parts of the diagonal and the entries at Z_ENTRIES.
     Every step is an elementwise product or sum of real rows of the
     chunk, with no matrix product and no BLAS call, taken in the order
     in which the dense route rounds them (h = g @ xi by an OpenBLAS
@@ -635,7 +641,7 @@ def _conjugate_letters(cols, xi_mat) -> list:
     v = [_sum([hi[l][i] * re[l, i] - hr[l][i] * im[l, i] for l in range(3)])
          for i in range(3)]
     z = []
-    for i, j in ((2, 1), (0, 2), (1, 0)):
+    for i, j in Z_ENTRIES:
         e = np.empty(re.shape[2], dtype=np.complex128)
         e.real = _sum([hr[l][i] * re[l, j] + hi[l][i] * im[l, j]
                        for l in range(3)])

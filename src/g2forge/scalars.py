@@ -130,9 +130,6 @@ def _quad(rational, irrational) -> QuadExt:
     return q
 
 
-SQRT10 = QuadExt(0, 1)
-
-
 class GaussRational:
     """An element a + b*i of the Gaussian rationals Q(i).  Each part is
     an int or a Fraction, as given."""

@@ -440,17 +440,10 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
     with run.check("aw.idet-two-routes",
                    "v1 v2 v3 - sum v_j |z_j|^2 - 2 Im(z1 z2 z3) = i det(xi)",
                    f"{n_random} random exact elements") as c:
+        display = pairmod.idet_display_poly()
         for _ in range(n_random):
             xi = _random_su3(c.rng)
-            letters = pairmod.letter_values(xi)
-            v = [letters["v1"], letters["v2"], letters["v3"]]
-            z = [letters["z1"], letters["z2"], letters["z3"]]
-            zb = [letters["zb1"], letters["zb2"], letters["zb3"]]
-            display = (v[0] * v[1] * v[2]
-                       - sum(v[j] * (z[j] * zb[j]) for j in range(3))
-                       + GaussRational(0, 1) * (z[0] * z[1] * z[2]
-                                                - zb[0] * zb[1] * zb[2]))
-            c.ok = c.ok and display == xi.i_det()
+            c.ok = c.ok and display.at(pairmod.letter_values(xi)) == xi.i_det()
 
     with run.check("aw.decompose-roundtrip",
                    "compose(decompose(xi)) = xi; A(xi) has block coordinates "

@@ -8,12 +8,13 @@ denominators (every product in the coefficients' own type, with the
 Fraction constants applied where they arise), the cubic scalars q2, Q
 and P composed from those kernels, the comparison form A(xi) as one
 Form over Q(sqrt(10)) and the term-by-term even/odd split of its cubic,
-the aw suite's tensor displays and
-block products on Fraction tensors, the dense Haar Monte
-Carlo as it ran before it was split into cache-sized chunks of column
-arrays, and the few matrix and polynomial operations that only the
-tests use.  None of this runs in
-the package; each is the independent side of a test.
+the su(3) letter map and its inverse written out by hand, the six-pass
+even/odd numerator of the block table, the aw suite's tensor displays
+and block products on Fraction tensors, the dense Haar Monte Carlo as
+it ran before it was split into cache-sized chunks of column arrays,
+and the few matrix and polynomial operations that only the tests use.
+None of this runs in the package; each is the independent side of a
+test.
 """
 
 import functools
@@ -26,6 +27,9 @@ from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
 from g2forge.g2 import InternalConsistencyError, standard_frame, star_action
 from g2forge.linalg import Matrix, SymTensor, solve_exact, upper_inner
 from g2forge.scalars import GaussRational, QuadExt
+
+# sqrt(10) in Q(sqrt(10)), which no package code reads as a constant
+SQRT10 = QuadExt(0, 1)
 
 
 # -- matrices and letter polynomials ---------------------------------------
@@ -50,6 +54,51 @@ def evaluate(poly, values: dict) -> GaussRational:
             prod = prod * values[name]
         total = total + prod
     return total
+
+
+# -- the su(3) letter map, written out by hand ------------------------------
+
+def z_letters(xi) -> tuple:
+    """(z1, z2, z3) = (-x5 + i x6, x3 + i x4, -x1 + i x2)."""
+    x = xi.x
+    return (GaussRational(-x[4], x[5]), GaussRational(x[2], x[3]),
+            GaussRational(-x[0], x[1]))
+
+
+def letter_rows() -> dict:
+    """Each letter's coefficients on (v1, v2, x1..x6)."""
+    i = GaussRational(0, 1)
+    rows = {"v1": [1, 0] + [0] * 6, "v2": [0, 1] + [0] * 6,
+            "v3": [-1, -1] + [0] * 6}
+    zrows = {"z1": {"x5": -1, "x6": i}, "z2": {"x3": 1, "x4": i},
+             "z3": {"x1": -1, "x2": i}}
+    xs = [f"x{k}" for k in range(1, 7)]
+    for name, combo in zrows.items():
+        rows[name] = [0, 0] + [combo.get(x, 0) for x in xs]
+        rows["zb" + name[1:]] = [0, 0] + [combo.get(x, 0).conjugate()
+                                          for x in xs]
+    return rows
+
+
+def _half(name_plus: str, name_minus: str, imag: bool):
+    plus = pairing.MultiPoly.letter(name_plus)
+    minus = pairing.MultiPoly.letter(name_minus)
+    if imag:
+        # (z - zb)/(2i) = -(i/2)(z - zb)
+        return (plus - minus).scale(GaussRational(0, Fraction(-1, 2)))
+    return (plus + minus).scale(Fraction(1, 2))
+
+
+def x_letter_polys() -> dict:
+    """x1..x6 as z-polynomials, solved by hand from the map above."""
+    return {
+        "x1": _half("z3", "zb3", False).scale(-1),
+        "x2": _half("z3", "zb3", True),
+        "x3": _half("z2", "zb2", False),
+        "x4": _half("z2", "zb2", True),
+        "x5": _half("z1", "zb1", False).scale(-1),
+        "x6": _half("z1", "zb1", True),
+    }
 
 
 # -- the generic QuadExt formula --------------------------------------------
@@ -413,6 +462,20 @@ def aw_block_products(s, y, x) -> list:
     mults = (s * s, 2 * s, 2 * s, 1, 2, 1)
     return six + [sum(m * v for m, v in zip(mults, six)),
                   sym_inner(quadratic_form(a_, a_), S)]
+
+
+def fp_numerator(tab, s, y, x):
+    """54 P(xi) as _BlockTables.fp_numerator, with each mixed term of
+    the even/odd split expanded term by term: six table passes, and no
+    use of the table's symmetry."""
+    zb = [3 * s] + [-5 * c for c in ext.coords_of(y)[:3]] + [0] * 4
+    zc = [0] * 4 + ext.coords_of(x)[3:7]
+    t0 = tab.tri(zb, zb, zb)
+    t1 = 2 * tab.tri(zb, zc, zb) + tab.tri(zb, zb, zc)
+    t2 = tab.tri(zc, zc, zb) + 2 * tab.tri(zb, zc, zc)
+    t3 = tab.tri(zc, zc, zc)
+    assert 2 * t1 + 5 * t3 == 0
+    return 2 * t0 + 5 * t2
 
 
 # -- the dense Haar Monte Carlo ----------------------------------------------

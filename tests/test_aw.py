@@ -21,9 +21,10 @@ from g2forge.exterior import FormError, blade_mask, coords_of, norm_sq, \
 from g2forge.g2 import G2Frame, InternalConsistencyError, \
     TypeDecompositionError, standard_frame
 from g2forge.linalg import Matrix
-from g2forge.scalars import SQRT10, GaussRational, QuadExt, ScalarError
+from g2forge.scalars import GaussRational, QuadExt, ScalarError
 
 import reference
+from reference import SQRT10
 
 
 def random_su3(rng, bound=4):
@@ -128,7 +129,8 @@ def test_idet_letter_display():
     rng = random.Random(9003)
     for _ in range(20):
         xi = random_su3(rng)
-        z1, z2, z3 = xi.z_letters()
+        letters = pairing.letter_values(xi)
+        z1, z2, z3 = (letters[f"z{j}"] for j in (1, 2, 3))
         v1, v2, v3 = (GaussRational(c, 0) for c in xi.v)
         display = (v1 * v2 * v3
                    - v1 * z1 * z1.conjugate()
@@ -477,6 +479,25 @@ def test_block_tables_match_solver():
     for _ in range(3):
         xi = random_su3(rng, 3)
         assert tab.fp_value(*decompose(xi)) == first_principles_value(xi)
+
+
+def test_fp_numerator_reads_the_table_symmetry(monkeypatch):
+    """fp_numerator makes four table passes, one per term of the even/odd
+    split, and equals the six-pass term-by-term expansion on the degree-3
+    lattice and at seeded random blocks."""
+    tab = block_tables()
+    rng = random.Random(9016)
+    points = [blocks for blocks, _ in aw._cubic_lattice()]
+    points += [random_blocks(rng) for _ in range(200)]
+    for blocks in points:
+        assert tab.fp_numerator(*blocks) == \
+            reference.fp_numerator(tab, *blocks)
+    calls = []
+    tri = aw._BlockTables.tri
+    monkeypatch.setattr(aw._BlockTables, "tri",
+                        lambda self, *z: calls.append(z) or tri(self, *z))
+    tab.fp_numerator(*points[-1])
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("index", range(7))

@@ -16,10 +16,10 @@ from g2forge.cubic import b2, q_value
 from g2forge.exterior import form_from_json, form_to_json, vol_coefficient, \
     wedge
 from g2forge.linalg import SymTensor
-from g2forge.scalars import SQRT10, QuadExt, scalar_from_json, \
-    scalar_to_json
+from g2forge.scalars import QuadExt, scalar_from_json, scalar_to_json
 from g2forge.suites import AW_BY_DESIGN
 
+from reference import SQRT10
 from test_cubic import perturb_inverse, perturb_solve, \
     perturb_three_form_route
 

@@ -1,9 +1,9 @@
 """Source hygiene of the package, read off its syntax trees: every import
-is used, every module-level function and class and every method is used
-by the package or the benchmark, no module rebinds a global or runs a
-loop at module level, per-process state is built by functools.cache
-builders alone (no cached_property or lru_cache), numpy is
-imported only by what samples, and each command imports only the
+is used, every module-level function, class and assigned name and every
+method is used by the package or the benchmark, no module rebinds a
+global or runs a loop at module level, per-process state is built by
+functools.cache builders alone (no cached_property or lru_cache), numpy
+is imported only by what samples, and each command imports only the
 modules it runs."""
 
 import ast
@@ -71,7 +71,7 @@ def _names_read():
     read = set()
     for path in SOURCES + BENCHMARK:
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
@@ -88,6 +88,23 @@ def test_every_function_and_class_is_used():
     assert unused == []
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_module_level_name_is_read():
+    # a module-level constant that nothing reads is dead code as well
+    read = _names_read()
+    unused = [f"{path.name}:{node.lineno} {name.id}"
+              for path in SOURCES for node in _tree(path).body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              for name in ast.walk(target) if isinstance(name, ast.Name)
+              and not _is_dunder(name.id) and name.id not in read]
+    assert unused == []
+
+
 def test_every_method_is_used():
     # the same one level down, for methods and properties; the traced
     # spans that perfbench/layers.py names as strings are read too
@@ -98,8 +115,7 @@ def test_every_method_is_used():
               for path in SOURCES for cls in _tree(path).body
               if isinstance(cls, ast.ClassDef)
               for node in cls.body if isinstance(node, ast.FunctionDef)
-              and not (node.name.startswith("__") and node.name.endswith("__"))
-              and node.name not in read]
+              and not _is_dunder(node.name) and node.name not in read]
     assert unused == []
 
 

@@ -8,15 +8,16 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import pairing
+from g2forge import pairing, suites
 from g2forge.aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
     first_principles_value, standard_aw_frame
 from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
     _conjugate_letters, _eval_terms, _poly_terms, closed_p_poly, \
     component_polys, derive_gram_from_killing, first_principles_p_poly, \
-    gram_entry, haar_average_check, haar_su3, idet_poly, idet_report, \
-    interpolate_p_coefficients, letter_values, monomial_inner, \
-    pairing_report, permanent, sym_inner_poly
+    gram_entry, haar_average_check, haar_su3, idet_determinant_poly, \
+    idet_display_poly, idet_poly, idet_report, interpolate_p_coefficients, \
+    letter_values, monomial_inner, pairing_report, permanent, \
+    sym_inner_poly
 from g2forge.scalars import GaussRational, ScalarError
 from g2forge.suites import MC_ELEMENTS
 
@@ -69,6 +70,71 @@ def test_int_element_and_fraction_twin_agree():
         assert xi.i_det() == twin.i_det()
         assert letter_values(xi) == letter_values(twin)
         assert json.dumps(xi.to_json()) == json.dumps(twin.to_json())
+
+
+def _typed_terms(poly):
+    """The terms of a polynomial with each coefficient's repr and type."""
+    return sorted((mono, repr(c), type(c)) for mono, c in poly.terms.items())
+
+
+def test_letter_values_match_the_hand_map():
+    rng = random.Random(11006)
+    for k in range(100):
+        xi = random_su3(rng)
+        if k % 2:
+            xi = Su3Element(tuple(map(int, xi.v)), tuple(map(int, xi.x)))
+        z = reference.z_letters(xi)
+        want = {f"v{a}": xi.v[a - 1] for a in (1, 2, 3)}
+        want.update({f"z{j}": z[j - 1] for j in (1, 2, 3)})
+        want.update({f"zb{j}": z[j - 1].conjugate() for j in (1, 2, 3)})
+        got = letter_values(xi)
+        assert got == want
+        assert [repr(got[n]) for n in LETTERS] == \
+            [repr(want[n]) for n in LETTERS]
+
+
+def test_letter_rows_match_the_hand_rows():
+    rows = pairing._letter_rows()
+    assert list(rows) == list(LETTERS)
+    assert {n: list(r) for n, r in rows.items()} == reference.letter_rows()
+    with pytest.raises(TypeError):
+        rows["z1"] = rows["z2"]
+
+
+def test_x_letter_polys_match_the_hand_table():
+    got, want = pairing.x_letter_polys(), reference.x_letter_polys()
+    assert list(got) == list(want)
+    for name in want:
+        assert _typed_terms(got[name]) == _typed_terms(want[name])
+
+
+def test_multipoly_at_matches_evaluate():
+    rng = random.Random(11007)
+    for degree in (1, 2, 3):
+        for _ in range(10):
+            poly = suites._random_poly(rng, degree)
+            values = {n: GaussRational(Fraction(rng.randint(-5, 5),
+                                                rng.randint(1, 3)),
+                                       rng.randint(-5, 5)) for n in LETTERS}
+            assert poly.at(values) == reference.evaluate(poly, values)
+
+
+def test_wrong_letter_map_fails_checks(fresh_python):
+    """With z1 and z2 swapped in the one letter map, the aw suite's i det
+    display and the pairing suite's two routes to i det both fail; a
+    fresh interpreter, since the letter rows are cached per process."""
+    code = (
+        "from g2forge import pairing, suites\n"
+        "pairing.Z_ENTRIES = ((0, 2), (2, 1), (1, 0))\n"
+        "aw = suites.suite_aw(1, n_random=5, samples=10 ** 4)\n"
+        "pr = suites.suite_pairing(1, n_random=5, samples=10 ** 4)\n"
+        "status = {c['id']: c['status'] for r in (aw, pr)\n"
+        "          for c in r['checks']}\n"
+        "print(status['aw.idet-two-routes'],\n"
+        "      status['pairing.idet-construction'])\n")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "fail fail\n"
 
 
 def test_component_polys_are_real():
@@ -141,9 +207,14 @@ def test_idet_report():
     rep = idet_report()
     assert rep["matches"]
     assert rep["display_is_real"]
-    assert not rep["literal_reading_is_real"]
-    assert not rep["literal_reading_matches_determinant"]
     assert "z1 z2 z3" in rep["reading"]
+    # the literal reading i (z1 z2 z3 + zb1 zb2 zb3) of the displayed
+    # "2i re(z1 z2 z3)" is neither real nor the determinant
+    literal = idet_display_poly() + (
+        MultiPoly.letter("zb1") * MultiPoly.letter("zb2")
+        * MultiPoly.letter("zb3")).scale(GaussRational(0, 2))
+    assert not literal.is_real_on_su3()
+    assert literal.eliminate_v3() != idet_determinant_poly().eliminate_v3()
 
 
 def test_idet_poly_evaluates_to_idet():

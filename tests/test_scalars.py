@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge.scalars import GaussRational, QuadExt, SQRT10, ScalarError, \
+from g2forge.scalars import GaussRational, QuadExt, ScalarError, \
     scalar_from_json, scalar_to_json
 
 import reference
+from reference import SQRT10
 
 
 def test_sqrt10_squares_to_ten():
