@@ -37,8 +37,9 @@ every caller the same read-only record.  A seeded Monte-Carlo check
 closes the loop: averaging P over conjugates g xi g^{-1} with
 Haar-random g in SU(3) projects P onto the unique invariant cubic, so
 the empirical mean must approach (<P, i det>/<i det, i det>) i det(xi).
-It holds one batch of Haar samples in memory at a time, and imports
-numpy with OpenBLAS held to one thread: it calls no BLAS routine.
+It holds one batch's Gaussian draw and one chunk of its Haar samples
+in memory at a time, and imports numpy with OpenBLAS held to one
+thread: it calls no BLAS routine.
 """
 
 from __future__ import annotations
@@ -384,19 +385,28 @@ def idet_determinant_poly() -> MultiPoly:
 
 def idet_report() -> dict:
     """Both routes to i det, compared in the reduced alphabet, plus how
-    the product-term notation must be read.
+    the product-term notation must be read; when they differ, the first
+    differing monomial and both reduced polynomials.
 
     The displayed "2i re(z1 z2 z3)" is formally imaginary; the
     determinant expansion shows the intended term is
     i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3).
     """
     display = idet_display_poly()
-    return {
-        "matches": display.eliminate_v3()
-        == idet_determinant_poly().eliminate_v3(),
+    disp, det = display.eliminate_v3(), idet_determinant_poly().eliminate_v3()
+    rep = {
+        "matches": disp == det,
         "display_is_real": display.is_real_on_su3(),
         "reading": "i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3)",
     }
+    if disp != det:
+        mono = min(m for m in disp.terms.keys() | det.terms.keys()
+                   if disp.terms.get(m) != det.terms.get(m))
+        rep["difference"] = (
+            f"at {'*'.join(mono)} the display has {disp.terms.get(mono, 0)} "
+            f"and the determinant {det.terms.get(mono, 0)}; "
+            f"display {disp!r}; determinant {det!r}")
+    return rep
 
 
 @functools.cache
@@ -612,7 +622,7 @@ def _conjugate_letters(cols, xi_mat) -> list:
     in LETTERS order.
 
     cols[k, i, n] is entry i of column c_k of sample n's g (the layout
-    haar_su3 writes).  The columns of h = g xi are h_l = sum_k xi_kl c_k,
+    of a haar_su3 chunk).  The columns of h = g xi are h_l = sum_k xi_kl c_k,
     with the zero parts of xi skipped, and only the six entries the
     letters read are formed, M_ij = sum_l h_l[i] conj(c_l[j]): the
     imaginary parts of the diagonal and the entries at Z_ENTRIES.
@@ -661,13 +671,16 @@ def _eval_terms(terms: list, letters: list):
 
 
 # Samples per chunk of a Monte-Carlo batch, small enough that a chunk's
-# columns and temporaries stay in cache; every step is elementwise over
-# the samples, so the size changes no result
+# columns, letters and temporaries stay in cache; every step is
+# elementwise over the samples, so the size changes no result
 _CHUNK = 8192
 
 
 def haar_su3(rng, count: int):
-    """Haar-distributed SU(3) matrices, as a (count, 3, 3) array.
+    """Haar-distributed SU(3) matrices, as an iterator over chunks of
+    _CHUNK samples (the last one short).  A chunk is a contiguous array
+    cols[k, i, n], entry i of column k of its sample n, so
+    cols.transpose(2, 1, 0) is its (n, 3, 3) array of matrices.
 
     Two standard complex Gaussian columns a, b are Gram-Schmidt
     orthonormalized into u, v, and the third column is w = conj(u x v).
@@ -685,32 +698,29 @@ def haar_su3(rng, count: int):
     has the same law as g, and the only left-invariant probability
     measure on SU(3) is Haar measure.
 
-    All count samples come from one standard_normal draw of rng.  The
-    columns are written into one contiguous array cols[k, i, n] (entry
-    i of column k of sample n), _CHUNK samples at a time so that each
-    chunk is orthonormalized in cache.  The result is the view
-    cols.transpose(2, 1, 0), so nothing is copied and
-    g.transpose(2, 1, 0) gives the column array back.  Every entry is
-    the one the same arithmetic gives over the whole batch at once.
-    The draw (96 bytes a sample) is freed on return; the columns (144
-    bytes a sample) are the result, so a call peaks at 24 MB at 10^5
-    samples.
+    All count samples come from one standard_normal draw of rng (96
+    bytes a sample), taken when haar_su3 is called.  Each chunk (144
+    bytes a sample) is orthonormalized in cache when the iterator
+    reaches it, each entry as the whole batch at once would give it.
     """
     np = _numpy()
     x = rng.standard_normal((4, 3, count))
-    cols = np.empty((3, 3, count), dtype=np.complex128)
-    for lo in range(0, count, _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        u, v, w = cols[0, :, sl], cols[1, :, sl], cols[2, :, sl]
-        u.real, u.imag = x[0, :, sl], x[1, :, sl]
-        v.real, v.imag = x[2, :, sl], x[3, :, sl]
-        u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
-        v -= u * (u.conj() * v).sum(axis=0)
-        v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
-        for r in range(3):
-            s, t = (r + 1) % 3, (r + 2) % 3
-            np.conjugate(u[s] * v[t] - u[t] * v[s], out=w[r])
-    return cols.transpose(2, 1, 0)
+
+    def chunks():
+        for lo in range(0, count, _CHUNK):
+            a = x[:, :, lo:lo + _CHUNK]
+            cols = np.empty((3,) + a.shape[1:], dtype=np.complex128)
+            u, v, w = cols
+            u.real, u.imag = a[0], a[1]
+            v.real, v.imag = a[2], a[3]
+            u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))
+            v -= u * (u.conj() * v).sum(axis=0)
+            v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+            for r in range(3):
+                s, t = (r + 1) % 3, (r + 2) % 3
+                np.conjugate(u[s] * v[t] - u[t] * v[s], out=w[r])
+            yield cols
+    return chunks()
 
 
 # Haar samples per batch; every batch has its own seeded stream, so a
@@ -718,21 +728,19 @@ def haar_su3(rng, count: int):
 MC_BATCH = 100000
 
 
-def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
-    """E_g[P(g xi g^{-1})] by Haar sampling versus the projection
-    (<P, i det>/<i det, i det>) i det(xi).
+def haar_average(xi: Su3Element, samples: int, seed: int) -> dict:
+    """E_g[P(g xi g^{-1})] by Haar sampling, with its standard error:
+    the sampler's record, which reads no prediction.
 
     Batches of MC_BATCH samples draw from independently seeded streams
     keyed by (seed, batch index), so the estimate is reproducible and
     independent of how batches are scheduled.  Each batch is one
-    haar_su3 call.  Its column array is conjugated and P evaluated
-    _CHUNK samples at a time, so that a chunk's letters stay in cache,
-    into one array of P values for the batch; the sums of P and P^2 run
-    over that whole array.  Both arrays are freed before the next batch
-    draws, so one batch is resident at a time: about 24 MB at MC_BATCH
-    samples, the peak of its haar_su3 call.  The path calls no BLAS
-    routine, and numpy comes in through _numpy, which starts no BLAS
-    worker, so it runs on one thread.
+    haar_su3 call, and each of its chunks is conjugated and P evaluated
+    as it arrives, into one array of P values for the batch; the sums of
+    P and P^2 run over that whole array.  So one batch's draw and one
+    chunk are resident at a time, about 15 MB at MC_BATCH samples.  The
+    path calls no BLAS routine, and numpy comes in through _numpy, which
+    starts no BLAS worker, so it runs on one thread.
     """
     np = _numpy()
     if samples < 10000:
@@ -741,38 +749,37 @@ def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
     xi_mat = np.array([[complex(c) for c in row]
                        for row in xi.matrix_entries()])
 
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    nbatch = 0
-    while done < samples:
+    total = total_sq = 0.0
+    for nbatch, done in enumerate(range(0, samples, MC_BATCH)):
         take = min(MC_BATCH, samples - done)
         rng = np.random.default_rng([seed, nbatch])
-        cols = haar_su3(rng, take).transpose(2, 1, 0)
         vals = np.empty(take)
-        for lo in range(0, take, _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            vals[sl] = _eval_terms(
-                terms, _conjugate_letters(cols[:, :, sl], xi_mat))
+        for lo, cols in zip(range(0, take, _CHUNK), haar_su3(rng, take)):
+            vals[lo:lo + _CHUNK] = _eval_terms(
+                terms, _conjugate_letters(cols, xi_mat))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        del cols, vals
-        done += take
-        nbatch += 1
 
     empirical = total / samples
     variance = max(total_sq / samples - empirical * empirical, 0.0)
-    std_error = (variance / samples) ** 0.5
+    return {"samples": samples, "seed": seed, "batches": nbatch + 1,
+            "empirical": empirical, "std_error": (variance / samples) ** 0.5}
+
+
+def with_prediction(xi: Su3Element, sampled: dict) -> dict:
+    """A haar_average record with the projection it must approach,
+    (<P, i det>/<i det, i det>) i det(xi), and its relative error; the
+    keys in haar_average_check's order, std_error last."""
     rep = pairing_report()
     factor = rep["first_principles_pairing"] / rep["idet_self"]
     predicted = float(factor) * float(xi.i_det())
     denom = max(abs(predicted), 1e-12)
-    return {
-        "samples": samples,
-        "seed": seed,
-        "batches": nbatch,
-        "empirical": empirical,
-        "predicted": predicted,
-        "relative_error": abs(empirical - predicted) / denom,
-        "std_error": std_error,
-    }
+    out = dict(sampled, predicted=predicted,
+               relative_error=abs(sampled["empirical"] - predicted) / denom)
+    out["std_error"] = out.pop("std_error")
+    return out
+
+
+def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:
+    """haar_average of P at xi against the projection of P onto i det."""
+    return with_prediction(xi, haar_average(xi, samples, seed))

@@ -30,6 +30,7 @@ import contextlib
 import functools
 import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -443,7 +444,10 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
         display = pairmod.idet_display_poly()
         for _ in range(n_random):
             xi = _random_su3(c.rng)
-            c.ok = c.ok and display.at(pairmod.letter_values(xi)) == xi.i_det()
+            got = display.at(pairmod.letter_values(xi))
+            if c.ok and got != xi.i_det():
+                c.ok, c.actual = False, (f"display {got}, i det {xi.i_det()} "
+                                         f"at {json.dumps(xi.to_json())}")
 
     with run.check("aw.decompose-roundtrip",
                    "compose(decompose(xi)) = xi; A(xi) has block coordinates "
@@ -615,6 +619,8 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
         idr = pairmod.idet_report()
         c.ok = idr["matches"] and idr["display_is_real"]
         c.anchor += ": " + idr["reading"]
+        if not c.ok:
+            c.actual = idr.get("difference", "the display is not real")
 
     with run.check("pairing.component-values",
                    "<s^3, idet> = -4/9; <s|x|^2, idet> = -8/3; "
@@ -657,9 +663,9 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
 
     @functools.cache
     def haar(k):
-        # the Monte Carlo of MC_ELEMENTS[k] on its own stream, shared by
-        # the agreement and the determinism checks
-        return pairmod.haar_average_check(
+        # the sampler's record of MC_ELEMENTS[k] on its own stream: the
+        # agreement check adds the prediction, the determinism check reruns it
+        return pairmod.haar_average(
             awmod.Su3Element(*MC_ELEMENTS[k]), samples=samples,
             seed=derived_seed(seed, f"pairing.mc.{k}"))
 
@@ -669,8 +675,8 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
                    f"{samples} samples for 3 fixed elements",
                    samples=samples) as c:
         mc_reports = []
-        for k in range(len(MC_ELEMENTS)):
-            sub = haar(k)
+        for k, element in enumerate(MC_ELEMENTS):
+            sub = pairmod.with_prediction(awmod.Su3Element(*element), haar(k))
             gap = abs(sub["empirical"] - sub["predicted"])
             c.ok = c.ok and gap <= 6 * sub["std_error"]
             mc_reports.append(dict(sub, sigma_gap=gap / sub["std_error"]
@@ -691,7 +697,7 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
                    "standard error shrinks like samples^(-1/2): ratio near 4",
                    "fluctuation scaling between 10^4 and 16 x 10^4 samples",
                    samples=samples) as c:
-        lo, hi = (pairmod.haar_average_check(
+        lo, hi = (pairmod.haar_average(
             awmod.Su3Element(*MC_ELEMENTS[2]), samples=n,
             seed=derived_seed(seed, "pairing.mc-scaling"))
             for n in (10 ** 4, 16 * 10 ** 4))

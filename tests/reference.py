@@ -499,6 +499,14 @@ def haar_su3(rng, count: int):
     return g
 
 
+def haar_matrices(rng, count: int):
+    """The chunks of pairing.haar_su3(rng, count) joined into its
+    (count, 3, 3) array of matrices."""
+    import numpy as np
+    chunks = list(pairing.haar_su3(rng, count))
+    return np.concatenate(chunks, axis=2).transpose(2, 1, 0)
+
+
 def conjugate_letters(g, xi_mat) -> list:
     """The nine letter columns of g xi g^dagger from the dense product
     h = g xi, one (3n x 3) @ (3 x 3) matrix product, contracted against
@@ -514,7 +522,7 @@ def conjugate_letters(g, xi_mat) -> list:
 
 
 def haar_average(xi, samples: int, seed: int) -> tuple:
-    """(empirical, std_error) of haar_average_check on the dense route:
+    """(empirical, std_error) of pairing.haar_average on the dense route:
     the same seeded batches, each sampled and conjugated whole."""
     import numpy as np
     terms = pairing._poly_terms(pairing.first_principles_p_poly())

@@ -18,7 +18,8 @@ from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
     idet_display_poly, idet_poly, idet_report, interpolate_p_coefficients, \
     letter_values, monomial_inner, pairing_report, permanent, \
     sym_inner_poly
-from g2forge.scalars import GaussRational, ScalarError
+from g2forge.scalars import GaussRational, ScalarError, \
+    scalar_from_json
 from g2forge.suites import MC_ELEMENTS
 
 import reference
@@ -121,20 +122,50 @@ def test_multipoly_at_matches_evaluate():
 
 def test_wrong_letter_map_fails_checks(fresh_python):
     """With z1 and z2 swapped in the one letter map, the aw suite's i det
-    display and the pairing suite's two routes to i det both fail; a
-    fresh interpreter, since the letter rows are cached per process."""
+    display and the pairing suite's two routes to i det both fail, each
+    recording its evidence: the failing element and both values, and the
+    first differing monomial and both reduced polynomials.  Of the
+    Monte-Carlo checks only the agreement with the prediction fails: the
+    sampler reads no prediction.  A fresh interpreter, since the letter
+    rows are cached per process."""
     code = (
+        "import json\n"
         "from g2forge import pairing, suites\n"
         "pairing.Z_ENTRIES = ((0, 2), (2, 1), (1, 0))\n"
         "aw = suites.suite_aw(1, n_random=5, samples=10 ** 4)\n"
         "pr = suites.suite_pairing(1, n_random=5, samples=10 ** 4)\n"
-        "status = {c['id']: c['status'] for r in (aw, pr)\n"
-        "          for c in r['checks']}\n"
-        "print(status['aw.idet-two-routes'],\n"
-        "      status['pairing.idet-construction'])\n")
+        "print(json.dumps({c['id']: c for r in (aw, pr)\n"
+        "                  for c in r['checks']}))\n")
     proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "fail fail\n"
+    checks = json.loads(proc.stdout)
+    assert {cid: checks[cid]["status"] for cid in (
+        "aw.idet-two-routes", "pairing.idet-construction",
+        "pairing.montecarlo-agreement", "pairing.montecarlo-deterministic",
+        "pairing.montecarlo-scaling")} == {
+        "aw.idet-two-routes": "fail", "pairing.idet-construction": "fail",
+        "pairing.montecarlo-agreement": "fail",
+        "pairing.montecarlo-deterministic": "pass",
+        "pairing.montecarlo-scaling": "pass"}
+    # the aw record names an element at which the right map gives i det,
+    # and shows what the display gives there under the swapped map
+    shown, element = checks["aw.idet-two-routes"]["actual"].split(" at ")
+    xi = Su3Element(*(tuple(int(scalar_from_json(c))
+                            for c in json.loads(element)[k])
+                      for k in ("v", "x")))
+    assert json.dumps(xi.to_json()) == element
+    assert idet_display_poly().at(letter_values(xi)) == xi.i_det()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairing, "Z_ENTRIES", ((0, 2), (2, 1), (1, 0)))
+        missed = idet_display_poly().at(letter_values(xi))
+        swapped = idet_determinant_poly().eliminate_v3()
+    assert missed != xi.i_det()
+    assert shown == f"display {missed}, i det {xi.i_det()}"
+    # the display does not read the map; the determinant route does
+    actual = checks["pairing.idet-construction"]["actual"]
+    assert actual == (
+        "at v1*z1*zb1 the display has -1 and the determinant 0; display "
+        f"{idet_display_poly().eliminate_v3()!r}; determinant {swapped!r}")
 
 
 def test_component_polys_are_real():
@@ -419,7 +450,7 @@ def _parity_elements():
 
 def test_conjugate_letters_and_p_match_full_conjugation():
     import numpy as np
-    g = haar_su3(np.random.default_rng(11010), 1000)
+    g = reference.haar_matrices(np.random.default_rng(11010), 1000)
     poly = first_principles_p_poly()
     for xi in _parity_elements():
         xi_mat = _xi_matrix(xi)
@@ -436,14 +467,30 @@ def test_conjugate_letters_and_p_match_full_conjugation():
 
 @pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 10 ** 5])
 def test_haar_su3_matches_dense_route(count):
-    """The chunked sampler returns the dense route's matrices bit for
-    bit, as a transposed view of its contiguous column array."""
+    """The chunked sampler's matrices, joined, are the dense route's bit
+    for bit; each chunk is a contiguous column array of _CHUNK samples,
+    the last one short."""
     import numpy as np
-    g = haar_su3(np.random.default_rng([7, count]), count)
+    chunks = list(haar_su3(np.random.default_rng([7, count]), count))
+    assert [c.shape for c in chunks] == [
+        (3, 3, min(pairing._CHUNK, count - lo))
+        for lo in range(0, count, pairing._CHUNK)]
+    assert all(c.flags.c_contiguous for c in chunks)
+    g = reference.haar_matrices(np.random.default_rng([7, count]), count)
     assert g.shape == (count, 3, 3)
     assert np.array_equal(
         g, reference.haar_su3(np.random.default_rng([7, count]), count))
-    assert g.transpose(2, 1, 0).flags.c_contiguous
+
+
+def test_haar_su3_draws_when_called():
+    """The whole draw is taken from the stream when haar_su3 is called,
+    before any chunk is read; the chunks only orthonormalize it."""
+    import numpy as np
+    rng, twin = np.random.default_rng(11014), np.random.default_rng(11014)
+    chunks = haar_su3(rng, 20000)
+    twin.standard_normal((4, 3, 20000))
+    assert rng.standard_normal() == twin.standard_normal()
+    assert sum(c.shape[2] for c in chunks) == 20000
 
 
 def test_conjugate_letters_match_dense_route():
@@ -451,7 +498,7 @@ def test_conjugate_letters_match_dense_route():
     and einsum contraction, chunk by chunk, on the Monte-Carlo elements
     and three random elements, the all-zero element included."""
     import numpy as np
-    g = haar_su3(np.random.default_rng(11013), 20000)
+    g = reference.haar_matrices(np.random.default_rng(11013), 20000)
     cols = g.transpose(2, 1, 0)
     terms = _poly_terms(first_principles_p_poly())
     for xi in _parity_elements() + [Su3Element((0, 0, 0), (0,) * 6)]:
@@ -471,35 +518,46 @@ def test_conjugate_letters_match_dense_route():
 
 @pytest.mark.parametrize("samples", [10 ** 4, 250000])
 def test_haar_average_matches_dense_route(samples):
-    """The estimate and its standard error, one batch and three batches
-    (the last one short), against the dense route's."""
-    xi = Su3Element(*MC_ELEMENTS[2])
-    rep = haar_average_check(xi, samples, seed=4)
-    empirical, std_error = reference.haar_average(xi, samples, seed=4)
-    assert rep["batches"] == -(-samples // pairing.MC_BATCH)
-    assert rep["empirical"] == pytest.approx(empirical, rel=1e-12)
-    assert rep["std_error"] == pytest.approx(std_error, rel=1e-12)
+    """The estimate and its standard error on the three Monte-Carlo
+    elements, one batch and three batches (the last one short), equal
+    the dense route's bit for bit: their entries are integers, so the
+    chunked conjugation rounds as the OpenBLAS product does."""
+    for k, element in enumerate(MC_ELEMENTS):
+        xi = Su3Element(*element)
+        rep = haar_average_check(xi, samples, seed=4)
+        empirical, std_error = reference.haar_average(xi, samples, seed=4)
+        assert rep["batches"] == -(-samples // pairing.MC_BATCH)
+        assert rep["empirical"] == empirical, k
+        assert rep["std_error"] == std_error, k
+
+
+@pytest.mark.parametrize("chunk", [1000, pairing.MC_BATCH])
+def test_chunk_size_changes_no_result(monkeypatch, chunk):
+    """Every step over a chunk is elementwise and the sums run over the
+    whole batch, so any chunk size gives the same records, bit for bit;
+    123457 samples make a short last batch and short last chunks."""
+    xis = [Su3Element(*element) for element in MC_ELEMENTS]
+    want = [haar_average_check(xi, 123457, seed=6) for xi in xis]
+    monkeypatch.setattr(pairing, "_CHUNK", chunk)
+    assert [haar_average_check(xi, 123457, seed=6) for xi in xis] == want
 
 
 def test_haar_average_keeps_one_batch_resident():
-    """A two-batch check peaks no higher than one haar_su3 call: each
-    batch's columns and P values are freed before the next batch draws
-    (two batches resident would add the 14.4 MB columns)."""
+    """A two-batch check holds one batch's draw (9.6 MB) and one chunk's
+    working set at a time: no batch's column array is built whole (it
+    would add 14.4 MB), and each batch's P values are freed before the
+    next batch draws."""
     import tracemalloc
-    import numpy as np
     xi = Su3Element(*MC_ELEMENTS[1])
     pairing_report()
     haar_average_check(xi, 10 ** 4, seed=5)
     tracemalloc.start()
     try:
-        haar_su3(np.random.default_rng(5), pairing.MC_BATCH)
-        one = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         haar_average_check(xi, 2 * pairing.MC_BATCH, seed=5)
-        two = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert two <= one + 2 * 10 ** 6, (one, two)
+    assert peak <= 16 * 10 ** 6, peak
 
 
 _COUNT_THREADS = (
@@ -531,7 +589,8 @@ def test_haar_su3_moments():
     det-1 or merely unitary laws: E[tr g] = 0, E[(tr g)^2] = 0 (SO(3)
     gives 1), E[|tr g|^2] = 1 and E[(tr g)^3] = 1 (U(3) gives 0)."""
     import numpy as np
-    t = np.einsum("nii->n", haar_su3(np.random.default_rng(11012), 200000))
+    g = reference.haar_matrices(np.random.default_rng(11012), 200000)
+    t = np.einsum("nii->n", g)
     n = t.shape[0]
     for name, x, expected in (("tr g", t, 0), ("(tr g)^2", t * t, 0),
                               ("|tr g|^2", (t * t.conj()).real, 1),
@@ -544,7 +603,7 @@ def test_haar_su3_moments():
 def test_haar_su3_unitary_determinant():
     import numpy as np
     rng = np.random.default_rng(11007)
-    g = haar_su3(rng, 50)
+    g = reference.haar_matrices(rng, 50)
     eye = np.eye(3)
     for m in g:
         assert np.allclose(m @ m.conj().T, eye, atol=1e-12)

@@ -286,10 +286,11 @@ def test_pairing_fields_left_out_when_their_input_raises(monkeypatch):
 
 
 def test_monte_carlo_repro_note_names_samples(monkeypatch):
-    def broken():
-        raise RuntimeError("no report")
+    def broken(*args):
+        raise RuntimeError("broken")
 
     monkeypatch.setattr(pairing, "pairing_report", broken)
+    monkeypatch.setattr(pairing, "haar_su3", broken)
     report = suites.suite_pairing(1, n_random=1, samples=10 ** 4)
     monte_carlo = [c for c in report["checks"]
                    if c["id"].startswith("pairing.montecarlo-")]
@@ -303,6 +304,25 @@ def test_monte_carlo_repro_note_names_samples(monkeypatch):
     exact = _check(report, "pairing.closed-assembly")
     assert exact["anchor"].endswith(
         "; raised at seed 1 with --random 1, rerun it to reproduce")
+
+
+def test_monte_carlo_sampler_checks_need_no_pairing_report(monkeypatch):
+    """The determinism and scaling checks read the sampler alone; only
+    the agreement check compares with the prediction, which a broken
+    pairing report takes away."""
+    want = suites.suite_pairing(1, n_random=1, samples=10 ** 4)
+
+    def broken():
+        raise RuntimeError("no report")
+
+    monkeypatch.setattr(pairing, "pairing_report", broken)
+    report = suites.suite_pairing(1, n_random=1, samples=10 ** 4)
+    for cid in ("pairing.montecarlo-deterministic",
+                "pairing.montecarlo-scaling"):
+        assert _check(report, cid) == _check(want, cid)
+        assert _check(report, cid)["status"] == "pass"
+    assert _check(report, "pairing.montecarlo-agreement")["actual"] == \
+        "RuntimeError: no report"
 
 
 def test_closed_display_needs_no_pairing_report(monkeypatch):
