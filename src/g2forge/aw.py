@@ -148,9 +148,9 @@ class Su3Element:
                    [.,    i v2,      x5 + i x6],
                    [.,    .,         i v3]]
     filled in skew-hermitian, with v1 + v2 + v3 = 0 enforced.
-    Coordinates are exact (int or Fraction); floats are rejected.  The
-    letters z_j of the invariant pairing are entries of this matrix:
-    pairing.letter_values reads them at pairing.Z_ENTRIES.
+    Coordinates are exact (int, Fraction or MultiPoly); floats are
+    rejected.  The letters z_j of the invariant pairing are entries of
+    this matrix: pairing.letter_values reads them at pairing.Z_ENTRIES.
     """
 
     __slots__ = ("v", "x")
@@ -734,7 +734,7 @@ def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 def _model_row(s, y: Form, x: Form) -> tuple:
     """The model terms (s^3, s|x|^2, s|y|^2, R) at the blocks (s, y, x)."""
-    return s ** 3, s * norm_sq(x), s * norm_sq(y), r_value(y, x)
+    return s * s * s, s * norm_sq(x), s * norm_sq(y), r_value(y, x)
 
 
 @functools.cache

@@ -22,7 +22,9 @@ i det(xi) is computed two ways (the displayed six-term cubic, and the
 symbolic determinant of the coordinate matrix) and the obstruction
 polynomial P enters either as the closed displayed cubic or as the
 first-principles interpolation through the exact evaluator.  The final
-number is <P, i det>, assembled from the four component pairings
+number is <P, i det>, assembled from the pairings of the four
+components, aw's model row run on the generic element, whose
+coordinates are letter polynomials (MultiPoly is a coefficient ring):
 
     <s^3, i det> = -4/9,   <s|x|^2, i det> = -8/3,
     <s|y|^2, i det> = 4,   <R, i det> = 24.
@@ -53,8 +55,8 @@ from types import MappingProxyType
 
 from .g2 import InternalConsistencyError
 from .scalars import GaussRational, ScalarError
-from .aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
-    first_principles_value, sign_resolution
+from .aw import CLOSED_DISPLAY, Su3Element, _model_row, decompose, \
+    first_principles_fit, first_principles_value, sign_resolution
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -69,7 +71,10 @@ class MultiPoly:
     """Homogeneous polynomial: sorted letter tuples -> coefficients.
 
     A coefficient is an int, a Fraction or a GaussRational, kept as
-    given; sums and products pick the type they make."""
+    given; sums and products pick the type they make.  The exact kernels
+    run on it as a coefficient ring: a scalar multiplies on either side,
+    0 and the zero polynomial add to any polynomial (so sum() works),
+    and other operand types are left to their own operators."""
 
     __slots__ = ("degree", "terms")
 
@@ -97,35 +102,42 @@ class MultiPoly:
     def letter(cls, name: str) -> "MultiPoly":
         return cls(1, {(name,): 1})
 
-    @classmethod
-    def zero(cls, degree: int) -> "MultiPoly":
-        return cls(degree)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
+    def __add__(self, other):
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        if not (self.terms and other.terms):
+            return other if other.terms else self
         if self.degree != other.degree:
             raise ScalarError("cannot add polynomials of different degrees")
-        out = MultiPoly(self.degree, dict(self.terms))
+        out = MultiPoly(self.degree, self.terms)
         for mono, c in other.terms.items():
             out._add_term(mono, c)
         return out
 
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.scale(-1)
+    __radd__ = __add__
 
-    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+    def __neg__(self) -> "MultiPoly":
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
         out = MultiPoly(self.degree + other.degree)
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 out._add_term(m1 + m2, c1 * c2)
         return out
 
-    def scale(self, c) -> "MultiPoly":
-        out = MultiPoly(self.degree)
-        if c == 0:
-            return out
-        for mono, cc in self.terms.items():
-            out._add_term(mono, cc * c)
-        return out
+    # a scalar commutes with every coefficient
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def conjugate(self) -> "MultiPoly":
         out = MultiPoly(self.degree)
@@ -149,25 +161,31 @@ class MultiPoly:
 
     def eliminate_v3(self) -> "MultiPoly":
         """Substitute v3 = -v1 - v2, the canonical reduced form."""
-        v3sub = MultiPoly(1, {("v1",): -1, ("v2",): -1})
+        v3 = -MultiPoly.letter("v1") - MultiPoly.letter("v2")
         out = MultiPoly(self.degree)
         for mono, c in self.terms.items():
-            piece = MultiPoly(0, {(): c})
             for name in mono:
-                factor = v3sub if name == "v3" else MultiPoly.letter(name)
-                piece = piece * factor
-            out = out + piece
+                c = c * (v3 if name == "v3" else MultiPoly.letter(name))
+            out = out + c
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.degree == other.degree
-                and self.terms == other.terms)
+        # equal nonzero terms have equal degrees: all zeros are one
+        other = _as_poly(other)
+        return NotImplemented if other is None else self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
             return "MultiPoly(0)"
         bits = [f"({c})*{'*'.join(m)}" for m, c in sorted(self.terms.items())]
         return " + ".join(bits)
+
+
+def _as_poly(value) -> MultiPoly | None:
+    """value as a MultiPoly, a scalar as one of degree 0; None otherwise."""
+    if isinstance(value, (int, Fraction, GaussRational)):
+        return MultiPoly(0, {(): value})
+    return value if isinstance(value, MultiPoly) else None
 
 
 # The one letter map: z_j is the entry of xi's matrix at Z_ENTRIES[j - 1]
@@ -307,43 +325,16 @@ def x_letter_polys() -> MappingProxyType:
         z, zb = MultiPoly.letter(f"z{j}"), MultiPoly.letter(f"zb{j}")
         for k, e in enumerate(rows[f"z{j}"][2:], 1):
             if e.re:
-                xs[k] = (z + zb).scale(Fraction(1, 2 * e.re))
+                xs[k] = Fraction(1, 2 * e.re) * (z + zb)
             if e.im:
-                xs[k] = (z - zb).scale(
-                    GaussRational(0, Fraction(-1, 2 * e.im)))
+                xs[k] = GaussRational(0, Fraction(-1, 2 * e.im)) * (z - zb)
     return MappingProxyType({f"x{k}": xs[k] for k in range(1, 7)})
 
 
-def s_poly() -> MultiPoly:
-    return (MultiPoly.letter("v1") + MultiPoly.letter("v2")).scale(Fraction(1, 2))
-
-
-def x_norm_poly() -> MultiPoly:
-    """|x|^2 = |z1|^2 + |z2|^2."""
-    return (MultiPoly.letter("z1") * MultiPoly.letter("zb1")
-            + MultiPoly.letter("z2") * MultiPoly.letter("zb2"))
-
-
-def y_norm_poly() -> MultiPoly:
-    """|y|^2 = ((v1 - v2)/2)^2 + |z3|^2."""
-    d = (MultiPoly.letter("v1") - MultiPoly.letter("v2")).scale(Fraction(1, 2))
-    return d * d + MultiPoly.letter("z3") * MultiPoly.letter("zb3")
-
-
-def r_poly() -> MultiPoly:
-    """R in letters, from the coordinate display
-
-        R = (v1-v2)/2 (x3^2 + x4^2 - x5^2 - x6^2)
-            - 2 x1 (-x3 x6 + x4 x5) + 2 x2 (x3 x5 + x4 x6),
-
-    pushed through the x -> z dictionary."""
-    xp = x_letter_polys()
-    d = (MultiPoly.letter("v1") - MultiPoly.letter("v2")).scale(Fraction(1, 2))
-    quad = (xp["x3"] * xp["x3"] + xp["x4"] * xp["x4"]
-            - xp["x5"] * xp["x5"] - xp["x6"] * xp["x6"])
-    mixed = (xp["x1"] * (xp["x4"] * xp["x5"] - xp["x3"] * xp["x6"])).scale(-2) \
-        + (xp["x2"] * (xp["x3"] * xp["x5"] + xp["x4"] * xp["x6"])).scale(2)
-    return d * quad + mixed
+def _coordinate_polys() -> tuple:
+    """The real coordinates (v1, v2, x1..x6) as letter polynomials."""
+    return (MultiPoly.letter("v1"), MultiPoly.letter("v2"),
+            *x_letter_polys().values())
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +346,9 @@ def idet_display_poly() -> MultiPoly:
     v = [MultiPoly.letter(f"v{a}") for a in (1, 2, 3)]
     z = [MultiPoly.letter(f"z{j}") for j in (1, 2, 3)]
     zb = [MultiPoly.letter(f"zb{j}") for j in (1, 2, 3)]
-    out = v[0] * v[1] * v[2]
-    out = out + (z[0] * z[1] * z[2]).scale(_I)
-    out = out - (zb[0] * zb[1] * zb[2]).scale(_I)
-    for j in range(3):
-        out = out - v[j] * z[j] * zb[j]
-    return out
+    return (v[0] * v[1] * v[2] + _I * (z[0] * z[1] * z[2])
+            - _I * (zb[0] * zb[1] * zb[2])
+            - sum(v[j] * z[j] * zb[j] for j in range(3)))
 
 
 def idet_determinant_poly() -> MultiPoly:
@@ -370,17 +358,17 @@ def idet_determinant_poly() -> MultiPoly:
         [[i v1, -zb3, z2], [z3, i v2, -zb1], [-zb2, z1, i v3]]
 
     with v3 = -v1 - v2 eliminated during the expansion."""
-    iv3 = (MultiPoly.letter("v1") + MultiPoly.letter("v2")).scale(-_I)
-    m = [[MultiPoly.letter("v1").scale(_I), None, None],
-         [None, MultiPoly.letter("v2").scale(_I), None],
+    iv3 = -_I * (MultiPoly.letter("v1") + MultiPoly.letter("v2"))
+    m = [[_I * MultiPoly.letter("v1"), None, None],
+         [None, _I * MultiPoly.letter("v2"), None],
          [None, None, iv3]]
     for j, (r, c) in enumerate(Z_ENTRIES, 1):
         m[r][c] = MultiPoly.letter(f"z{j}")
-        m[c][r] = MultiPoly.letter(f"zb{j}").scale(-1)
+        m[c][r] = -MultiPoly.letter(f"zb{j}")
     det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return det.scale(_I)
+    return _I * det
 
 
 def idet_report() -> dict:
@@ -415,26 +403,24 @@ def idet_poly() -> MultiPoly:
     rep = idet_report()
     if not rep["matches"]:
         raise InternalConsistencyError(
-            "the two routes to i det disagree: " + repr(rep))
+            "the two routes to i det disagree; see pairing.idet-construction")
     return idet_display_poly()
 
 
 # ---------------------------------------------------------------------------
 # The obstruction polynomial as a letter polynomial
 
+@functools.cache
 def component_polys() -> tuple:
-    """(s^3, s|x|^2, s|y|^2, R) as letter polynomials."""
-    s = s_poly()
-    return (s * s * s, s * x_norm_poly(), s * y_norm_poly(), r_poly())
+    """(s^3, s|x|^2, s|y|^2, R): aw's model row at the generic element,
+    whose coordinates are _coordinate_polys, so aw.decompose's block map
+    and R's two routes in aw.r_value hold as polynomials: for every xi."""
+    return _model_row(*decompose(_xi_from_coords(_coordinate_polys())))
 
 
 def closed_p_poly() -> MultiPoly:
     """The closed displayed polynomial, with its +210 s^3 term."""
-    s3, sx2, sy2, r = component_polys()
-    out = MultiPoly.zero(3)
-    for c, p in zip(CLOSED_DISPLAY, (s3, sx2, sy2, r)):
-        out = out + p.scale(c)
-    return out
+    return sum(c * p for c, p in zip(CLOSED_DISPLAY, component_polys()))
 
 
 def _coordinate_points():
@@ -502,17 +488,13 @@ def first_principles_p_poly() -> MultiPoly:
     + (125/18) R; disagreement raises (it would mean the interpolation
     and the block fit cannot both be exact).
     """
-    xp = x_letter_polys()
-    coords = [MultiPoly.letter("v1"), MultiPoly.letter("v2")] + \
-        [xp[f"x{k}"] for k in range(1, 7)]
-    out = MultiPoly.zero(3)
-    for (i, j, k), c in interpolate_p_coefficients().items():
-        out = out + (coords[i] * coords[j] * coords[k]).scale(c)
+    coords = _coordinate_polys()
+    out = sum(c * (coords[i] * coords[j] * coords[k])
+              for (i, j, k), c in interpolate_p_coefficients().items())
     if not out.is_real_on_su3():
         raise InternalConsistencyError("interpolated P is not real-valued")
-    c1, c2, c3, c4 = first_principles_fit()
-    s3, sx2, sy2, r = component_polys()
-    model = (s3.scale(c1) + sx2.scale(c2) + sy2.scale(c3) + r.scale(c4))
+    model = sum(c * p for c, p in zip(first_principles_fit(),
+                                      component_polys()))
     # both are v3-free by construction, so they compare as they are
     if out != model:
         raise InternalConsistencyError(

@@ -558,7 +558,7 @@ MC_ELEMENTS = (
 
 def _random_poly(rng: random.Random, degree: int, real: bool = False):
     from . import pairing as pairmod
-    poly = pairmod.MultiPoly.zero(degree)
+    poly = pairmod.MultiPoly(degree)
     for _ in range(4):
         mono = tuple(sorted(rng.choice(pairmod.LETTERS)
                             for _ in range(degree)))
@@ -566,8 +566,7 @@ def _random_poly(rng: random.Random, degree: int, real: bool = False):
         im = 0 if real else rng.randint(-3, 3)
         poly = poly + pairmod.MultiPoly(degree, {mono: GaussRational(re, im)})
     if real:
-        half = pairmod.MultiPoly(
-            degree, {m: c * Fraction(1, 2) for m, c in poly.terms.items()})
+        half = Fraction(1, 2) * poly
         poly = half + half.conjugate()
     return poly
 

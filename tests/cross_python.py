@@ -12,8 +12,11 @@ its documented checks by design).  It also renders the operator golden,
 tests/golden/operators_seed1.json, with regen_golden.render_operators()
 under each interpreter (no numpy needed) and compares its bytes, which
 pin the entry types of the nine operators' results.  The pairing suite
-is left out: its Monte-Carlo block needs numpy and is compared to a
-tolerance, not byte for byte.
+does not run: its Monte-Carlo block needs numpy and is compared to a
+tolerance, not byte for byte.  Its exact fields (the pairing, the
+first-principles pairing, the components and the sign resolution) need
+no numpy, so each interpreter computes them from pairing_report() and
+they are compared with tests/golden/pairing_full_seed1.json.
 
     python tests/cross_python.py INTERPRETER...
 
@@ -77,6 +80,37 @@ def compare_operators(interpreter: str) -> str | None:
     return None
 
 
+# the pairing report's exact fields as suite_pairing records them
+_PAIRING_FIELDS = (
+    "import json\n"
+    "from g2forge.pairing import pairing_report\n"
+    "rep = pairing_report()\n"
+    "print(json.dumps({\n"
+    "    'pairing': str(rep['closed_form_pairing']),\n"
+    "    'first_principles_pairing': str(rep['first_principles_pairing']),\n"
+    "    'components': {k: str(v) for k, v in rep['components'].items()},\n"
+    "    'sign_resolution': rep['sign_resolution']}))\n")
+
+
+def compare_pairing(interpreter: str) -> str | None:
+    """None when the interpreter's pairing_report() gives the exact
+    fields of the pairing golden report, else what differs."""
+    golden = json.loads(
+        (ROOT / "tests" / "golden" / "pairing_full_seed1.json").read_bytes())
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run([interpreter, "-c", _PAIRING_FIELDS], cwd=ROOT,
+                              env=env, capture_output=True, timeout=600)
+    except OSError as exc:
+        return f"did not start: {exc}"
+    if proc.returncode != 0:
+        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        return f"exit {proc.returncode}" + (f" ({tail[0]})" if tail else "")
+    got = json.loads(proc.stdout)
+    want = {k: golden["suites"][0][k] for k in got}
+    return None if got == want else "pairing fields differ"
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
@@ -91,6 +125,10 @@ def main(argv: list[str]) -> int:
         differ += problem is not None
         print(f"{interpreter} operators: "
               f"{problem or 'matches the golden results'}")
+        problem = compare_pairing(interpreter)
+        differ += problem is not None
+        print(f"{interpreter} pairing: "
+              f"{problem or 'matches the golden exact fields'}")
     return 1 if differ else 0
 
 

@@ -8,7 +8,8 @@ denominators (every product in the coefficients' own type, with the
 Fraction constants applied where they arise), the cubic scalars q2, Q
 and P composed from those kernels, the comparison form A(xi) as one
 Form over Q(sqrt(10)) and the term-by-term even/odd split of its cubic,
-the su(3) letter map and its inverse written out by hand, the six-pass
+the su(3) letter map and its inverse written out by hand, with the
+four component polynomials s^3, s|x|^2, s|y|^2 and R, the six-pass
 even/odd numerator of the block table, the aw suite's tensor displays
 and block products on Fraction tensors, the dense Haar Monte Carlo as
 it ran before it was split into cache-sized chunks of column arrays,
@@ -85,20 +86,60 @@ def _half(name_plus: str, name_minus: str, imag: bool):
     minus = pairing.MultiPoly.letter(name_minus)
     if imag:
         # (z - zb)/(2i) = -(i/2)(z - zb)
-        return (plus - minus).scale(GaussRational(0, Fraction(-1, 2)))
-    return (plus + minus).scale(Fraction(1, 2))
+        return GaussRational(0, Fraction(-1, 2)) * (plus - minus)
+    return Fraction(1, 2) * (plus + minus)
 
 
 def x_letter_polys() -> dict:
     """x1..x6 as z-polynomials, solved by hand from the map above."""
     return {
-        "x1": _half("z3", "zb3", False).scale(-1),
+        "x1": -1 * _half("z3", "zb3", False),
         "x2": _half("z3", "zb3", True),
         "x3": _half("z2", "zb2", False),
         "x4": _half("z2", "zb2", True),
-        "x5": _half("z1", "zb1", False).scale(-1),
+        "x5": -1 * _half("z1", "zb1", False),
         "x6": _half("z1", "zb1", True),
     }
+
+
+_letter = pairing.MultiPoly.letter
+
+
+def s_poly():
+    return Fraction(1, 2) * (_letter("v1") + _letter("v2"))
+
+
+def x_norm_poly():
+    """|x|^2 = |z1|^2 + |z2|^2."""
+    return _letter("z1") * _letter("zb1") + _letter("z2") * _letter("zb2")
+
+
+def y_norm_poly():
+    """|y|^2 = ((v1 - v2)/2)^2 + |z3|^2."""
+    d = Fraction(1, 2) * (_letter("v1") - _letter("v2"))
+    return d * d + _letter("z3") * _letter("zb3")
+
+
+def r_poly():
+    """R in letters, from the coordinate display
+
+        R = (v1-v2)/2 (x3^2 + x4^2 - x5^2 - x6^2)
+            - 2 x1 (-x3 x6 + x4 x5) + 2 x2 (x3 x5 + x4 x6),
+
+    pushed through the hand x -> z table."""
+    xp = x_letter_polys()
+    d = Fraction(1, 2) * (_letter("v1") - _letter("v2"))
+    quad = (xp["x3"] * xp["x3"] + xp["x4"] * xp["x4"]
+            - xp["x5"] * xp["x5"] - xp["x6"] * xp["x6"])
+    mixed = -2 * (xp["x1"] * (xp["x4"] * xp["x5"] - xp["x3"] * xp["x6"])) \
+        + 2 * (xp["x2"] * (xp["x3"] * xp["x5"] + xp["x4"] * xp["x6"]))
+    return d * quad + mixed
+
+
+def component_polys() -> tuple:
+    """(s^3, s|x|^2, s|y|^2, R) from the hand formulas above."""
+    s = s_poly()
+    return (s * s * s, s * x_norm_poly(), s * y_norm_poly(), r_poly())
 
 
 # -- the generic QuadExt formula --------------------------------------------

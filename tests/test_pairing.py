@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import pairing, suites
+from g2forge import aw, pairing, suites
 from g2forge.aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
     first_principles_value, standard_aw_frame
 from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
@@ -18,6 +18,7 @@ from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
     idet_display_poly, idet_poly, idet_report, interpolate_p_coefficients, \
     letter_values, monomial_inner, pairing_report, permanent, \
     sym_inner_poly
+from g2forge.linalg import Matrix
 from g2forge.scalars import GaussRational, ScalarError, \
     scalar_from_json
 from g2forge.suites import MC_ELEMENTS
@@ -38,13 +39,42 @@ def test_multipoly_arithmetic():
     v1 = MultiPoly.letter("v1")
     z1 = MultiPoly.letter("z1")
     p = v1 * z1 + z1 * v1
-    assert p == (v1 * z1).scale(2)
-    assert (p - p) == MultiPoly.zero(2)
-    assert p.conjugate() == (v1 * MultiPoly.letter("zb1")).scale(2)
+    assert p == 2 * (v1 * z1)
+    assert (p - p) == MultiPoly(2)
+    assert p.conjugate() == 2 * (v1 * MultiPoly.letter("zb1"))
     with pytest.raises(ScalarError):
         v1 + v1 * z1  # mixed degrees never add
     with pytest.raises(ScalarError):
         MultiPoly.letter("w9")
+
+
+def test_multipoly_is_a_coefficient_ring():
+    """Scalars multiply on either side, 0 adds on either side, the zero
+    polynomial adds to any degree and equals 0, and an operand of any
+    other type is left to its own operators."""
+    v1, z1, zb1 = (MultiPoly.letter(n) for n in ("v1", "z1", "zb1"))
+    p = v1 * z1 + 3 * (z1 * zb1)
+    assert 0 + p is p and p + 0 is p
+    assert sum([p, p, p]) == 3 * p
+    assert 2 * p == p * 2 == p + p
+    assert (Fraction(1, 3) * p).terms == {("v1", "z1"): Fraction(1, 3),
+                                          ("z1", "zb1"): 1}
+    assert (GaussRational(0, 1) * p).terms == {
+        ("v1", "z1"): GaussRational(0, 1), ("z1", "zb1"): GaussRational(0, 3)}
+    assert GaussRational(0, 1) * p == p * GaussRational(0, 1)
+    assert -p == -1 * p and -p + p == 0
+    assert p - p == 0 and p - p == MultiPoly(5) and not p - p
+    assert not MultiPoly(3) and MultiPoly(3) == 0
+    assert p and p != 0
+    assert MultiPoly(3) + p is p and p + MultiPoly(1) is p
+    with pytest.raises(ScalarError):
+        v1 + p
+    with pytest.raises(ScalarError):
+        p + 1
+    with pytest.raises(TypeError):
+        p * 1.5
+    # poly * Matrix falls through to Matrix.__rmul__
+    assert p * Matrix.diagonal([1, 2]) == Matrix.diagonal([p, 2 * p])
 
 
 def test_multipoly_evaluate_matches_letters():
@@ -166,6 +196,83 @@ def test_wrong_letter_map_fails_checks(fresh_python):
     assert actual == (
         "at v1*z1*zb1 the display has -1 and the determinant 0; display "
         f"{idet_display_poly().eliminate_v3()!r}; determinant {swapped!r}")
+    # the checks that read the pairing record name the check that holds
+    # that evidence, and repeat no polynomial
+    actual = checks["pairing.component-values"]["actual"]
+    assert "pairing.idet-construction" in actual and "*" not in actual
+
+
+def test_wrong_block_map_fails_checks(fresh_python):
+    """With y2's sign flipped in aw.decompose, the aw suite's round trip
+    and its two routes to P fail, and so does the pairing: its component
+    polynomials are aw's model row at the generic element, so R follows
+    the block map, and the interpolated P no longer matches its fitted
+    model.  A fresh interpreter, since component_polys is cached per
+    process; pairing imports decompose by name, so both names are
+    patched."""
+    code = (
+        "import json\n"
+        "from g2forge import aw, pairing, suites\n"
+        "from g2forge.exterior import coords_of, vector_form\n"
+        "right = aw.decompose\n"
+        "def flipped(xi):\n"
+        "    s, y, x = right(xi)\n"
+        "    c = coords_of(y)\n"
+        "    c[1] = -c[1]\n"
+        "    return s, vector_form(c), x\n"
+        "aw.decompose = pairing.decompose = flipped\n"
+        "aw_rep = suites.suite_aw(1, n_random=5, samples=10 ** 4)\n"
+        "pr = suites.suite_pairing(1, n_random=5, samples=10 ** 4)\n"
+        "print(json.dumps(sorted(\n"
+        "    c['id'] for r in (aw_rep, pr) for c in r['checks']\n"
+        "    if c['status'] != 'pass' and c['id'] not in suites.AW_BY_DESIGN)))\n")
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    failing = set(json.loads(proc.stdout))
+    caught = {"aw.decompose-roundtrip", "aw.value-two-routes",
+              "pairing.component-values", "pairing.closed-assembly",
+              "pairing.first-principles-nonzero", "pairing.pure-z-support",
+              "pairing.p-poly-real", "pairing.idet-self",
+              "pairing.montecarlo-agreement"}
+    # the sampler reads first_principles_p_poly, whose model check raises
+    # under this mutant, so its determinism and scaling checks fail too;
+    # they test the sampler, not the block map
+    assert caught <= failing <= caught | {"pairing.montecarlo-deterministic",
+                                          "pairing.montecarlo-scaling"}
+
+
+def test_component_polys_match_the_hand_formulas():
+    """aw's model row at the generic element gives the four component
+    polynomials as the hand formulas write them, term by term, and at
+    100 seeded elements each takes the model row's value there."""
+    got, want = component_polys(), reference.component_polys()
+    for g, w in zip(got, want):
+        assert g.degree == w.degree == 3
+        assert g.terms == w.terms
+    rng = random.Random(11015)
+    for _ in range(100):
+        xi = random_su3(rng)
+        vals = letter_values(xi)
+        row = aw._model_row(*aw.decompose(xi))
+        for g, w, value in zip(got, want, row):
+            assert g.at(vals) == w.at(vals) == value
+
+
+def test_integer_kernels_run_on_the_ring():
+    """The even/odd route to P and the block table's numerator run
+    unchanged on polynomial coefficients.  At the generic element, with
+    comparison_form's formulas (D = 6), the sqrt(10)-odd part is the zero
+    polynomial and both give P: the routes agree for every xi."""
+    coords = pairing._coordinate_polys()
+    v1, v2, x1, x2, x3, x4, x5, x6 = coords
+    u = aw._on_basis((3 * (v1 + v2), -5 * (v1 - v2), 10 * x1, -10 * x2))
+    w = aw._on_basis((0, 0, 0, 0, -x4, x3, -x6, x5))
+    even, odd = aw._split_cubic(u, w)
+    assert odd == 0
+    assert Fraction(1, 2 * 6 ** 3) * even == first_principles_p_poly()
+    generic = aw.decompose(pairing._xi_from_coords(coords))
+    assert aw.block_tables().fp_numerator(*generic) == \
+        54 * first_principles_p_poly()
 
 
 def test_component_polys_are_real():
@@ -216,13 +323,13 @@ def test_sym_inner_poly_symmetric():
     letters = ("v1", "v2", "z1", "zb1", "z2", "zb2", "z3", "zb3")
 
     def random_poly(deg):
-        out = MultiPoly.zero(deg)
+        out = MultiPoly(deg)
         for _ in range(6):
             term = MultiPoly.letter(rng.choice(letters))
             for _ in range(deg - 1):
                 term = term * MultiPoly.letter(rng.choice(letters))
-            out = out + term.scale(GaussRational(rng.randint(-3, 3),
-                                                 rng.randint(-3, 3)))
+            out = out + GaussRational(rng.randint(-3, 3),
+                                      rng.randint(-3, 3)) * term
         return out
 
     for _ in range(5):
@@ -241,9 +348,9 @@ def test_idet_report():
     assert "z1 z2 z3" in rep["reading"]
     # the literal reading i (z1 z2 z3 + zb1 zb2 zb3) of the displayed
     # "2i re(z1 z2 z3)" is neither real nor the determinant
-    literal = idet_display_poly() + (
+    literal = idet_display_poly() + GaussRational(0, 2) * (
         MultiPoly.letter("zb1") * MultiPoly.letter("zb2")
-        * MultiPoly.letter("zb3")).scale(GaussRational(0, 2))
+        * MultiPoly.letter("zb3"))
     assert not literal.is_real_on_su3()
     assert literal.eliminate_v3() != idet_determinant_poly().eliminate_v3()
 
@@ -377,9 +484,9 @@ def test_p_poly_and_its_model_are_v3_free():
     """first_principles_p_poly compares the interpolated P with the
     fitted four-term model as they are, with no v3 elimination: neither
     has a v3 letter, so both are already in the reduced form."""
-    model = MultiPoly.zero(3)
+    model = MultiPoly(3)
     for c, p in zip(first_principles_fit(), component_polys()):
-        model = model + p.scale(c)
+        model = model + c * p
     for poly in (first_principles_p_poly(), model):
         assert poly.terms and all("v3" not in mono for mono in poly.terms)
         assert poly.eliminate_v3() == poly
