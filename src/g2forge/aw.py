@@ -72,7 +72,7 @@ from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import Matrix, SymTensor, solve_exact, upper_inner
-from .scalars import GaussRational, QuadExt, ScalarError, _quad, \
+from .scalars import GaussRational, QuadExt, ScalarError, _element, \
     clear_denominators, scalar_to_json
 
 
@@ -293,7 +293,7 @@ def _quad_form(u: Form, w: Form) -> Form:
     terms = dict(u.terms)
     get = u.terms.get
     for m, c in w.terms.items():
-        terms[m] = _quad(get(m, 0), c)
+        terms[m] = _element(QuadExt, get(m, 0), c)
     return Form(3, terms)
 
 

@@ -483,22 +483,16 @@ def first_principles_p_poly() -> MultiPoly:
     """P as a letter polynomial, interpolated from exact evaluations.
 
     The coordinate coefficients are pushed through the x -> z
-    dictionary, and the result is cross-checked against the fitted
-    four-term model -210 s^3 + (55/2) s|x|^2 + (50/3) s|y|^2
-    + (125/18) R; disagreement raises (it would mean the interpolation
-    and the block fit cannot both be exact).
+    dictionary, and a result that is not real on su(3) raises.  Its
+    comparison with the fitted four-term model is pairing_report()'s,
+    so the Monte Carlo, which compiles this polynomial, does not depend
+    on the block fit.
     """
     coords = _coordinate_polys()
     out = sum(c * (coords[i] * coords[j] * coords[k])
               for (i, j, k), c in interpolate_p_coefficients().items())
     if not out.is_real_on_su3():
         raise InternalConsistencyError("interpolated P is not real-valued")
-    model = sum(c * p for c, p in zip(first_principles_fit(),
-                                      component_polys()))
-    # both are v3-free by construction, so they compare as they are
-    if out != model:
-        raise InternalConsistencyError(
-            "interpolated P does not match the fitted four-term model")
     return out
 
 
@@ -527,8 +521,14 @@ def pairing_report() -> MappingProxyType:
     of changing the record for the rest of the process."""
     idet = idet_poly()
     closed = _real_pairing(closed_p_poly(), idet, "<P, i det>")
-    first = _real_pairing(first_principles_p_poly(), idet, "<P, i det>")
-    fitted = first_principles_fit()
+    p_poly, fitted = first_principles_p_poly(), first_principles_fit()
+    # the interpolation and the fit -210 s^3 + (55/2) s|x|^2
+    # + (50/3) s|y|^2 + (125/18) R cannot both be exact if they differ;
+    # both are v3-free by construction, so they compare as they are
+    if p_poly != sum(c * p for c, p in zip(fitted, component_polys())):
+        raise InternalConsistencyError(
+            "interpolated P does not match the fitted four-term model")
+    first = _real_pairing(p_poly, idet, "<P, i det>")
     components = {name: _real_pairing(poly, idet, f"<{name}, i det>")
                   for name, poly in zip(COMPONENT_PAIRINGS, component_polys())}
     idet_self = sym_inner_poly(idet, idet)

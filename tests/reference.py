@@ -142,23 +142,28 @@ def component_polys() -> tuple:
     return (s * s * s, s * x_norm_poly(), s * y_norm_poly(), r_poly())
 
 
-# -- the generic QuadExt formula --------------------------------------------
+# -- the generic quadratic-field formula ------------------------------------
 
 def quad_parts(x) -> tuple:
-    """(rat, irr) of a QuadExt, and (c, 0) of an int or Fraction c, the
-    QuadExt c + 0 sqrt(10) that QuadExt's arithmetic once coerced it to."""
-    return (x.rat, x.irr) if isinstance(x, QuadExt) else (x, 0)
+    """(rat, irr) of a QuadExt, (re, im) of a GaussRational, and (c, 0)
+    of an int or Fraction c, the element c + 0 sqrt(D) that the field
+    arithmetic once coerced it to."""
+    if isinstance(x, QuadExt):
+        return x.rat, x.irr
+    if isinstance(x, GaussRational):
+        return x.re, x.im
+    return x, 0
 
 
-def quad_op(op: str, x, y) -> tuple:
-    """The parts of x op y, op one of "+", "-", "*", by the generic
-    formula on the parts of both operands."""
+def quad_op(op: str, x, y, D: int) -> tuple:
+    """The parts of x op y in Q(sqrt(D)), op one of "+", "-", "*", by
+    the generic formula on the parts of both operands."""
     (a, b), (c, d) = quad_parts(x), quad_parts(y)
     if op == "+":
         return a + c, b + d
     if op == "-":
         return a - c, b - d
-    return a * c + 10 * b * d, a * d + b * c
+    return a * c + D * b * d, a * d + b * c
 
 
 # -- forms --------------------------------------------------------------------

@@ -719,15 +719,15 @@ def test_aw_run_counts(fresh_python):
 _COUNT_QUAD = """
 from g2forge import scalars
 calls = [0]
-quad = scalars._quad
+element = scalars._element
 
 
-def counted(rational, irrational):
-    calls[0] += 1
-    return quad(rational, irrational)
+def counted(cls, rational, irrational):
+    calls[0] += cls is scalars.QuadExt
+    return element(cls, rational, irrational)
 
 
-scalars._quad = counted
+scalars._element = counted
 from g2forge.aw import Su3Element, first_principles_value
 xi = Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1))
 first_principles_value(xi)
@@ -739,11 +739,12 @@ print(calls[0], value)
 
 def test_two_route_value_quadext_count(fresh_python):
     """One two-route first_principles_value at a fixed element, after a
-    first call has built the frame and the tables, calls scalars._quad,
-    which builds every QuadExt an operation returns, 302 times: QuadExt
-    arithmetic builds no QuadExt for an int or Fraction operand, the
-    kernels start each sum from its first term, not from int 0, and
-    U + sqrt(10) W is built with one QuadExt per blade of W."""
+    first call has built the frame and the tables, builds 302 QuadExt
+    through scalars._element, which builds every field element an
+    operation returns: QuadExt arithmetic builds no QuadExt for an int or
+    Fraction operand, the kernels start each sum from its first term,
+    not from int 0, and U + sqrt(10) W is built with one QuadExt per
+    blade of W."""
     proc = fresh_python(_COUNT_QUAD)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["302", "-2645/9"]
