@@ -5,7 +5,8 @@ Two subcommands:
   run   execute verification suites with machine-readable reports,
         exit 0 iff every check passes, 1 on any failure, 2 on usage
         errors.  Reports are byte-identical under a fixed seed; wall
-        time goes to the diagnostic stream only.
+        time goes to the diagnostic stream only, and with --timings
+        PATH each check's wall time to a JSON side file.
 
   eval  apply one operator (q2, b2, Q, P, hat, project) to form files
         in the JSON schema of the exterior module and print the exact
@@ -14,9 +15,10 @@ Two subcommands:
 
 The seed defaults to the G2FORGE_SEED environment variable, then 0.
 
-Only the eval core (exterior, g2, cubic, linalg, scalars) is imported
-here; `run` imports the suites once its arguments are checked, and the
-suites import aw and pairing only for the suites that use them.
+Only the eval core (exterior, g2, linalg, scalars) is imported here;
+`eval` imports cubic for the four operators that run it (b2, q2, Q,
+P), `run` imports the suites once its arguments are checked, and the
+suites import cubic, aw and pairing only for the suites that use them.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import time
 from fractions import Fraction
 
 from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
-from . import cubic as cubicmod
 from . import exterior as ext
 from .g2 import InternalConsistencyError, TypeDecompositionError, \
     standard_frame
@@ -77,6 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text", help="report format")
     run_p.add_argument("--output", metavar="PATH",
                        help="write the report to PATH instead of stdout")
+    run_p.add_argument("--timings", metavar="PATH",
+                       help="write each check's wall time in seconds to "
+                            "PATH as one JSON object keyed by check id")
 
     eval_p = sub.add_parser(
         "eval", help="evaluate one operator on JSON form files",
@@ -143,15 +147,20 @@ def _cmd_run(args) -> int:
         return 2
     from . import suites
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    timings = {} if args.timings else None
     started = time.monotonic()
     report = suites.run_suites(names, seed, n_random=args.n_random,
-                               samples=args.samples)
+                               samples=args.samples, timings=timings)
     elapsed = time.monotonic() - started
     if args.format == "json":
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         payload = _render_text(report)
     if not _write_payload(payload, args.output):
+        return 2
+    if timings is not None and not _write_payload(
+            json.dumps(timings, indent=2, sort_keys=True) + "\n",
+            args.timings):
         return 2
     print(f"g2forge: {'+'.join(names)} finished in {elapsed:.2f} s",
           file=sys.stderr)
@@ -191,6 +200,8 @@ class _UsageError(Exception):
 
 def _eval_operation(op: str, forms: list[ext.Form]) -> dict:
     fr = standard_frame()
+    if op in ("b2", "q2", "Q", "P"):
+        from . import cubic as cubicmod
     if op == "b2":
         if len(forms) != 2:
             raise _UsageError("b2 takes exactly two 4-form files")

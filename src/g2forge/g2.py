@@ -121,15 +121,34 @@ def star_action(A: Matrix, a: Form) -> Form:
     """Derived action A*a = sum_i (A e_i) ^ (e_i -| a) of an endomorphism.
 
     Defined for any endomorphism; on symmetric traceless A restricted to
-    phi this is the isomorphism onto the 27-dimensional summand.
+    phi this is the isomorphism onto the 27-dimensional summand.  One
+    pass over the blades of a: each factor e_i of a blade e^m is
+    replaced by the nonzero entries A_ki e_k of column i, e_i -| e^m =
+    s e^{m - i} and e_k ^ e^{m - i} signed by merge_sign, into one
+    terms dict.
     """
     if a.grade < 1:
         raise ext.GradeError("the derived action needs grade >= 1")
-    out = Form(a.grade)
-    for i in range(DIM):
-        col = vector_form(A.column(i))
-        out = out + wedge(col, contract(vector(i + 1), a))
-    return out
+    if (A.rows, A.cols) != (DIM, DIM):
+        raise ValueError(f"the derived action needs a {DIM}x{DIM} matrix")
+    columns = [[(1 << k, x) for k, x in enumerate(A.column(i)) if x]
+               for i in range(DIM)]
+    terms = {}
+    for m, c in a.terms.items():
+        for i in range(DIM):
+            bit = 1 << i
+            if not m & bit:
+                continue
+            rest = m ^ bit
+            sign = merge_sign(bit, rest)
+            for mk, x in columns[i]:
+                if mk & rest:
+                    continue
+                t = sign * merge_sign(mk, rest) * x * c
+                key = mk | rest
+                acc = terms.get(key)
+                terms[key] = t if acc is None else acc + t
+    return Form(a.grade, terms)
 
 
 def _unit_functional(pairs) -> tuple:

@@ -26,6 +26,7 @@ rescales once.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .scalars import clear_denominators
@@ -178,15 +179,21 @@ def rank(A: Matrix) -> int:
     """The rank of A, whose entries are ints or Fractions, as every
     caller passes.
 
-    Fraction-free over Z: each row is scaled to ints by
-    clear_denominators (scaling a row keeps the rank), then Bareiss
-    forward elimination runs with row swaps, skipping a column with no
-    pivot.  Each division by the previous pivot is exact by Sylvester's
-    identity; a nonzero remainder raises, naming the row and column.
+    Primitive-row elimination over Z: each row is scaled to ints by
+    clear_denominators and the zero rows are dropped.  At each pivot p
+    in column c, a row below it with a nonzero entry f there becomes
+    p r - f r_pivot divided by its content, the gcd of its entries;
+    a row with a zero there is left as it is.  Every step is an integer
+    row operation with p != 0 or the division of a row by a nonzero
+    integer, so the row space never changes and no remainder needs a
+    check, and the entries stay as small as a primitive row allows.
     """
-    rows = [clear_denominators(A.row(i))[0] for i in range(A.rows)]
-    nrows, r, prev = A.rows, 0, 1
+    rows = [row for row in (clear_denominators(A.row(i))[0]
+                            for i in range(A.rows)) if any(row)]
+    nrows, r = len(rows), 0
     for c in range(A.cols):
+        if r == nrows:
+            break
         best = next((i for i in range(r, nrows) if rows[i][c]), None)
         if best is None:
             continue
@@ -196,19 +203,12 @@ def rank(A: Matrix) -> int:
         for i in range(r + 1, nrows):
             ri = rows[i]
             f = ri[c]
-            # columns up to c are never read again; keep them as they are
-            new = ri[:c + 1]
-            for k in range(c + 1, A.cols):
-                q, rem = divmod(p * ri[k] - f * pr[k], prev)
-                if rem:
-                    raise ArithmeticError(
-                        f"Bareiss step not exact at row {i}, column {k}")
-                new.append(q)
-            rows[i] = new
-        prev = p
+            if not f:
+                continue
+            new = [p * x - f * y for x, y in zip(ri, pr)]
+            g = gcd(*new)
+            rows[i] = [x // g for x in new] if g > 1 else new
         r += 1
-        if r == nrows:
-            break
     return r
 
 

@@ -32,11 +32,11 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
-from . import cubic as cubicmod
 from . import exterior as ext
 from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
@@ -56,11 +56,15 @@ def check_rng(seed: int, check_id: str) -> random.Random:
 
 
 class _SuiteRun:
-    """The checks of one suite run, each recorded by its own block."""
+    """The checks of one suite run, each recorded by its own block, and
+    with a timings dict each block's wall time in seconds under its id,
+    never in the report."""
 
-    def __init__(self, name: str, seed: int, n_random: int):
+    def __init__(self, name: str, seed: int, n_random: int,
+                 timings: dict | None = None):
         self.name, self.seed, self.n_random = name, seed, n_random
         self.checks: list = []
+        self.timings = timings
 
     @contextlib.contextmanager
     def check(self, cid: str, expected: str, anchor: str,
@@ -76,6 +80,7 @@ class _SuiteRun:
         c = SimpleNamespace(ok=True, expected=expected, actual="as computed",
                             anchor=anchor, rng=check_rng(self.seed, cid))
         before = len(self.checks)
+        started = time.perf_counter()
         try:
             yield c
         except Exception as exc:
@@ -88,6 +93,9 @@ class _SuiteRun:
         else:
             if len(self.checks) > before:
                 return
+        finally:
+            if self.timings is not None:
+                self.timings[cid] = time.perf_counter() - started
         self.checks.append({"id": cid, "status": "pass" if c.ok else "fail",
                             "expected": c.expected, "actual": str(c.actual),
                             "anchor": c.anchor})
@@ -133,8 +141,9 @@ def _traceless_basis() -> tuple[SymTensor, ...]:
 
 # -- exterior ---------------------------------------------------------------
 
-def suite_exterior(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
-    run = _SuiteRun("exterior", seed, n_random)
+def suite_exterior(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
+                   timings: dict | None = None) -> dict:
+    run = _SuiteRun("exterior", seed, n_random, timings)
     with run.check("exterior.hodge-phi", "*phi = psi and *psi = phi",
                    "the 4-form dual to the structure 3-form") as c:
         fr = standard_frame()
@@ -192,8 +201,9 @@ def suite_exterior(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> d
 
 # -- g2 ---------------------------------------------------------------------
 
-def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
-    run = _SuiteRun("g2", seed, n_random)
+def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
+             timings: dict | None = None) -> dict:
+    run = _SuiteRun("g2", seed, n_random, timings)
 
     def part_ranks(split, grade):
         # the rank of each part of the split, applied to the basis blades
@@ -232,15 +242,16 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
                    "hat(a) ^ (v -| psi) + phi ^ (v -| a) = 0, all 245 cases",
                    "the hat operator on 4-forms, checked on every basis blade and vector") as c:
         fr = standard_frame()
+        # the seven e_j -| psi by contraction, not read off the frame's tables
+        kappa = [contract(vector(j), fr.psi) for j in range(1, 8)]
         count = 0
         for m in ext.BLADES_BY_GRADE[4]:
             b = ext.Form(4, {m: 1})
             h = fr.hat(b)
-            for j in range(1, 8):
-                v = vector(j)
+            for j, k in enumerate(kappa, 1):
                 count += 1
-                c.ok = c.ok and (wedge(h, contract(v, fr.psi))
-                                 + wedge(fr.phi, contract(v, b))).is_zero()
+                c.ok = c.ok and (wedge(h, k)
+                                 + wedge(fr.phi, contract(vector(j), b))).is_zero()
         c.actual = f"{count} identities checked"
 
     with run.check("g2.hat-of-psi", "hat(psi) = -phi",
@@ -309,8 +320,10 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
 
 # -- cubic ------------------------------------------------------------------
 
-def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
-    run = _SuiteRun("cubic", seed, n_random)
+def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
+                timings: dict | None = None) -> dict:
+    from . import cubic as cubicmod
+    run = _SuiteRun("cubic", seed, n_random, timings)
     n_pairs = max(10, n_random // 2)
 
     with run.check("cubic.b2-solve",
@@ -365,8 +378,9 @@ def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict
 
 
 # -- aw ---------------------------------------------------------------------
-# aw and pairing are imported by the functions that use them, so a run of
-# the exterior, g2 or cubic suite never compiles either module
+# cubic, aw and pairing are imported by the functions that use them, so
+# a run of the exterior or g2 suite compiles none of them, and a run of
+# the cubic suite neither aw nor pairing
 
 def _random_su3(rng: random.Random, bound: int = 4):
     from . import aw as awmod
@@ -415,10 +429,11 @@ _SWEEP_TEXTS = {
 }
 
 
-def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None) -> dict:
+def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
+             timings: dict | None = None) -> dict:
     from . import aw as awmod
     from . import pairing as pairmod
-    run = _SuiteRun("aw", seed, n_random)
+    run = _SuiteRun("aw", seed, n_random, timings)
 
     with run.check("aw.quaternionic-relations",
                    "I1 I2 = -I3 and J commutes with each I_a",
@@ -572,10 +587,11 @@ def _random_poly(rng: random.Random, degree: int, real: bool = False):
 
 
 def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
-                  samples: int = DEFAULT_SAMPLES) -> dict:
+                  samples: int = DEFAULT_SAMPLES,
+                  timings: dict | None = None) -> dict:
     from . import aw as awmod
     from . import pairing as pairmod
-    run = _SuiteRun("pairing", seed, n_random)
+    run = _SuiteRun("pairing", seed, n_random, timings)
     # the report's pairing fields, each set by the check that computes
     # its input, so a field whose input raised is left out
     extra: dict = {}
@@ -715,9 +731,13 @@ SUITE_RUNNERS = {
 
 
 def run_suites(names, seed: int, n_random: int = DEFAULT_RANDOM,
-               samples: int = DEFAULT_SAMPLES) -> dict:
-    """Run the named suites in canonical order and combine the reports."""
-    reports = [SUITE_RUNNERS[n](seed, n_random=n_random, samples=samples)
+               samples: int = DEFAULT_SAMPLES,
+               timings: dict | None = None) -> dict:
+    """Run the named suites in canonical order and combine the reports;
+    with a timings dict, each check block's wall time in seconds goes
+    into it under the block's id."""
+    reports = [SUITE_RUNNERS[n](seed, n_random=n_random, samples=samples,
+                                timings=timings)
                for n in SUITE_NAMES if n in names]
     return {
         "seed": seed,

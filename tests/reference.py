@@ -13,6 +13,7 @@ four component polynomials s^3, s|x|^2, s|y|^2 and R, the six-pass
 even/odd numerator of the block table, the aw suite's tensor displays
 and block products on Fraction tensors, the dense Haar Monte Carlo as
 it ran before it was split into cache-sized chunks of column arrays,
+the derived action as the seven wedges it was before it ran in one pass,
 and the few matrix and polynomial operations that only the tests use.
 None of this runs in the package; each is the independent side of a
 test.
@@ -23,8 +24,8 @@ from fractions import Fraction
 from math import isqrt
 
 from g2forge import aw, cubic, exterior as ext, pairing
-from g2forge.exterior import BLADES_BY_GRADE, Form, hodge, inner, norm_sq, \
-    vector, vol_coefficient, wedge
+from g2forge.exterior import BLADES_BY_GRADE, Form, contract, hodge, inner, \
+    norm_sq, vector, vector_form, vol_coefficient, wedge
 from g2forge.g2 import InternalConsistencyError, standard_frame, star_action
 from g2forge.linalg import Matrix, SymTensor, solve_exact, upper_inner
 from g2forge.scalars import GaussRational, QuadExt
@@ -179,6 +180,15 @@ def pairwise_wedge(a, b):
                 acc = terms.get(m1 | m2)
                 terms[m1 | m2] = c if acc is None else acc + c
     return Form(a.grade + b.grade, terms)
+
+
+def star_action_wedges(A: Matrix, a):
+    """The derived action sum_i (A e_i) ^ (e_i -| a) as seven wedges of
+    a column's vector form with a contraction, summed as Forms."""
+    out = Form(a.grade)
+    for i in range(7):
+        out = out + wedge(vector_form(A.column(i)), contract(vector(i + 1), a))
+    return out
 
 
 # -- dense projectors -------------------------------------------------------

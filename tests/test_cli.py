@@ -232,6 +232,33 @@ def test_run_unwritable_output(capsys, tmp_path):
     assert f"g2forge: cannot write {target}: " in err
 
 
+def test_run_timings_side_file(capsys, tmp_path):
+    # the aw suite has failing checks and checks recorded inside a sweep's
+    # block; the report, the exit code and the ledger summary on stderr
+    # are the same with the side file as without it
+    argv = ["run", "--suite", "aw", "--seed", "1", "--random", "1",
+            "--format", "json"]
+    rc, out, err = run_cli(capsys, *argv)
+    side = tmp_path / "timings.json"
+    rc_t, out_t, err_t = run_cli(capsys, *argv, "--timings", str(side))
+    assert rc_t == rc == 1 and out_t == out
+    assert err_t.splitlines()[1:] == err.splitlines()[1:]
+    timings = json.loads(side.read_text())
+    ids = {c["id"] for sub in json.loads(out)["suites"] for c in sub["checks"]}
+    assert ids <= timings.keys()
+    # the blocks that only hold the sweeps' records
+    assert timings.keys() - ids == {"aw.tensor-displays", "aw.block-products"}
+    assert all(isinstance(t, float) and t >= 0 for t in timings.values())
+
+
+def test_run_unwritable_timings(capsys, tmp_path):
+    target = tmp_path / "missing" / "timings.json"
+    rc, out, err = run_cli(capsys, "run", "--suite", "exterior",
+                           "--random", "1", "--timings", str(target))
+    assert rc == 2 and out.endswith("result: PASS\n")
+    assert f"g2forge: cannot write {target}: " in err
+
+
 @pytest.mark.parametrize("argv, env", [
     (["run", "--suite", "nonsense"], {}),
     (["run", "--samples", "100"], {}),
@@ -252,20 +279,21 @@ def test_run_usage_errors_load_no_suites(fresh_python, argv, env):
 
 def test_cli_import_builds_no_table(fresh_python):
     # a cold `eval hat` or `eval project` never pays for the b2, pair or
-    # frame tables: every functools.cache builder of the loaded package
-    # is still empty after the import
+    # frame tables: the import loads no cubic, and every functools.cache
+    # builder of the loaded package is still empty after it
     code = ("import sys\n"
             "import g2forge.cli\n"
+            "print('cubic', 'g2forge.cubic' in sys.modules)\n"
             "for name, mod in sorted(sys.modules.items()):\n"
             "    if name.startswith('g2forge.'):\n"
             "        for key, fn in sorted(vars(mod).items()):\n"
             "            if hasattr(fn, 'cache_info') and fn.__module__ == name:\n"
             "                print(name, key, fn.cache_info().currsize)\n")
     done = fresh_python(code)
-    builders = {tuple(line.split()[:2]): line.split()[2]
-                for line in done.stdout.splitlines()}
-    assert {("g2forge.cubic", "_rhs_table"), ("g2forge.cubic", "_pair_table"),
-            ("g2forge.g2", "standard_frame")} <= builders.keys(), done.stderr
+    first, *rest = done.stdout.splitlines()
+    assert first == "cubic False", done.stderr
+    builders = {tuple(line.split()[:2]): line.split()[2] for line in rest}
+    assert ("g2forge.g2", "standard_frame") in builders, done.stderr
     assert set(builders.values()) == {"0"}
 
 
@@ -295,7 +323,7 @@ def test_command_options_are_pinned():
     assert options == {
         "g2forge": [],
         "run": ["--suite", "--seed", "--samples", "--random", "--format",
-                "--output"],
+                "--output", "--timings"],
         "eval": ["--output"],
     }
 

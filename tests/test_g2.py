@@ -479,6 +479,36 @@ def test_star_action_on_phi(g2frame):
     assert star_action(Matrix.diagonal([1] * 7), g2frame.phi) == 3 * g2frame.phi
 
 
+@pytest.mark.parametrize("grade", range(1, 8))
+def test_star_action_matches_seven_wedges(grade):
+    # zero, diagonal and random non-symmetric int and Fraction matrices
+    # on int and Fraction forms: equal forms with equal coefficient types
+    rng = random.Random(4700 + grade)
+    draws = (lambda: rng.randint(-4, 4),
+             lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
+    matrices = [Matrix.zeros(7, 7)]
+    for draw in draws:
+        matrices.append(Matrix.diagonal([draw() for _ in range(7)]))
+        matrices += [Matrix(7, 7, [draw() for _ in range(49)])
+                     for _ in range(3)]
+    forms = [ext.Form(grade, {ext.BLADES_BY_GRADE[grade][0]: 1})]
+    forms += [ext.Form(grade, {m: draw() for m in ext.BLADES_BY_GRADE[grade]})
+              for draw in draws]
+    for A in matrices:
+        for a in forms:
+            got, want = star_action(A, a), reference.star_action_wedges(A, a)
+            assert got == want
+            assert {m: type(c) for m, c in got.terms.items()} == \
+                {m: type(c) for m, c in want.terms.items()}
+
+
+def test_star_action_needs_a_square_matrix_of_size_7(g2frame):
+    with pytest.raises(ValueError):
+        star_action(Matrix.diagonal([1] * 6), g2frame.phi)
+    with pytest.raises(ext.GradeError):
+        star_action(Matrix.diagonal([1] * 7), ext.Form(0, {0: 1}))
+
+
 def test_contraction_endo_acts_on_psi(g2frame):
     # (v -| phi)_* psi = -3 v ^ phi; linear in v, so the basis suffices
     for j in range(1, 8):

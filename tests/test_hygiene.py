@@ -162,21 +162,31 @@ def test_numpy_stays_a_lazy_import(fresh_python):
 
 
 # what each entry point must leave unloaded: eval runs on the core modules
-# alone, and the exterior, g2 and cubic suites never touch aw or pairing
+# alone, and only its b2, q2, Q and P compile cubic; the exterior and g2
+# suites never touch cubic, aw or pairing, and the cubic suite neither aw
+# nor pairing
 NOT_FOR_EVAL = {"g2forge.suites", "g2forge.aw", "g2forge.pairing", "numpy"}
 NOT_FOR_CORE_SUITES = {"g2forge.aw", "g2forge.pairing"}
+NOT_CUBIC = {"g2forge.cubic"}
 _MAIN = "from g2forge.cli import main\nassert main({!r}) == 0\n"
 
 
 @pytest.mark.parametrize("code, loaded, unloaded", [
-    ("import g2forge.cli", "g2forge.cli", NOT_FOR_EVAL),
+    ("import g2forge.cli", "g2forge.cli", NOT_FOR_EVAL | NOT_CUBIC),
     (_MAIN.format(["eval", "P", "b.json", "--output", "P.json"]),
      "g2forge.cubic", NOT_FOR_EVAL),
-    ("import g2forge.suites", "g2forge.suites", NOT_FOR_CORE_SUITES),
+    (_MAIN.format(["eval", "project", "b.json", "--output", "p.json"]),
+     "g2forge.g2", NOT_FOR_EVAL | NOT_CUBIC),
+    ("import g2forge.suites", "g2forge.suites",
+     NOT_FOR_CORE_SUITES | NOT_CUBIC),
     (_MAIN.format(["run", "--suite", "exterior", "--random", "1",
                    "--output", "report.txt"]),
-     "g2forge.suites", NOT_FOR_CORE_SUITES),
-], ids=["import-cli", "eval-P", "import-suites", "run-exterior"])
+     "g2forge.suites", NOT_FOR_CORE_SUITES | NOT_CUBIC),
+    (_MAIN.format(["run", "--suite", "g2", "--random", "1",
+                   "--output", "report.txt"]),
+     "g2forge.suites", NOT_FOR_CORE_SUITES | NOT_CUBIC),
+], ids=["import-cli", "eval-P", "eval-project", "import-suites",
+        "run-exterior", "run-g2"])
 def test_import_layers(fresh_python, tmp_path, g2frame, code, loaded,
                        unloaded):
     """Each command compiles only the modules it runs: with bytecode

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from g2forge import linalg
+from g2forge.exterior import BLADES_BY_GRADE, Form, form_to_coords
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
     rank, solve_exact, sym_inner
 from g2forge.scalars import QuadExt
@@ -59,6 +60,32 @@ def _degenerate(rng, A):
     return Matrix.from_rows([row[:j] + [0] + row[j:] for row in rows])
 
 
+def _permuted_blocks(rng, draw):
+    # blocks on the diagonal, some rank-deficient, with rows and columns
+    # shuffled: most entries of a pivot column are zero
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        k = rng.randint(0, min(r, c))
+        blocks.append(_draw(rng, r, k, draw) * _draw(rng, k, c, draw)
+                      if k else Matrix.zeros(r, c))
+    width = sum(B.cols for B in blocks)
+    rows, col = [], 0
+    for B in blocks:
+        rows += [[0] * col + row + [0] * (width - col - B.cols)
+                 for row in B.to_rows()]
+        col += B.cols
+    rng.shuffle(rows)
+    order = rng.sample(range(width), width)
+    return Matrix.from_rows([[row[j] for j in order] for row in rows])
+
+
+def _common_factors(rng, A):
+    # each row times its own integer, so a row's entries share a factor
+    return Matrix.from_rows([[rng.randint(2, 30) * x for x in row]
+                             for row in A.to_rows()])
+
+
 @pytest.mark.parametrize("kind", sorted(_ENTRIES))
 def test_rank_matches_gauss_jordan(kind):
     rng = random.Random(41)
@@ -72,9 +99,27 @@ def test_rank_matches_gauss_jordan(kind):
             k = rng.randint(0, min(rows, cols) - 1)
             AB = _draw(rng, rows, k, draw) * _draw(rng, k, cols, draw) \
                 if k else Matrix.zeros(rows, cols)
-            for M in (A, AB, _degenerate(rng, A), _degenerate(rng, AB)):
+            for M in (A, AB, _degenerate(rng, A), _degenerate(rng, AB),
+                      _common_factors(rng, A), _common_factors(rng, AB)):
                 assert rank(M) == _echelon_rank(M)
             assert rank(AB) <= k
+        P = _permuted_blocks(rng, draw)
+        for M in (P, _common_factors(rng, P)):
+            assert rank(M) == _echelon_rank(M)
+
+
+def test_rank_matches_gauss_jordan_on_the_g2_suite_matrices(g2frame):
+    # the nine ranks of g2.type-dimensions and g2.pairing-rank: each part
+    # of a split applied to the basis blades, and the pairing matrix
+    matrices = [g2frame.pairing_matrix()]
+    for split, grade in ((g2frame.project2, 2), (g2frame.project3, 3),
+                         (g2frame.project4, 4)):
+        images = [split(Form(grade, {m: 1})) for m in BLADES_BY_GRADE[grade]]
+        matrices += [Matrix.from_rows([form_to_coords(p[k]) for p in images])
+                     for k in range(len(images[0]))]
+    ranks = [rank(M) for M in matrices]
+    assert ranks == [35, 7, 14, 1, 7, 27, 1, 7, 27]
+    assert ranks == [_echelon_rank(M) for M in matrices]
 
 
 def test_rank_runs_no_elimination_and_makes_no_fraction(monkeypatch):
