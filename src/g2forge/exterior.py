@@ -20,6 +20,8 @@ rescale by a Fraction at the end.
 
 from __future__ import annotations
 
+import functools
+from math import comb
 from typing import Iterable, Sequence
 
 from .scalars import clear_denominators, scalar_from_json, scalar_to_json
@@ -56,20 +58,22 @@ def blade_indices(mask: int) -> tuple[int, ...]:
     return tuple(i + 1 for i in range(DIM) if mask >> i & 1)
 
 
+# for every mask m, the positions i at which an odd number of m's bits
+# lie below bit i
+_ODD_BELOW = tuple(sum(1 << i for i in range(DIM)
+                       if (m & ((1 << i) - 1)).bit_count() & 1)
+                   for m in range(1 << DIM))
+
+
 def merge_sign(m1: int, m2: int) -> int:
     """Sign of e^{m1} wedge e^{m2} against the sorted merged blade.
 
-    The masks must be disjoint.  Counts the transpositions needed to
-    interleave the two increasing sequences.
+    The masks must be disjoint.  Interleaving the two increasing
+    sequences moves each factor of m1 past the factors of m2 below it,
+    so the sign is the parity of the bits of m1 that have an odd number
+    of m2's bits below them.
     """
-    swaps = 0
-    m = m1
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        swaps += (m2 & ((1 << i) - 1)).bit_count()
-    return -1 if swaps & 1 else 1
+    return -1 if (m1 & _ODD_BELOW[m2]).bit_count() & 1 else 1
 
 
 # merge_sign(m, FULL_MASK ^ m) for every mask m: the sign of the Hodge
@@ -92,6 +96,14 @@ def _grade_blades():
 
 BLADES_BY_GRADE = _grade_blades()
 _BLADE_SETS = tuple(map(frozenset, BLADES_BY_GRADE))
+
+
+@functools.cache
+def _disjoint_blades(grade: int) -> tuple:
+    """For every mask m, the blades of the grade disjoint from m, in
+    blade order: the only blades a wedge with e^m can meet."""
+    return tuple(tuple(b for b in BLADES_BY_GRADE[grade] if not b & m)
+                 for m in range(1 << DIM))
 
 
 class Form:
@@ -137,7 +149,8 @@ class Form:
             raise GradeError(f"cannot add a {self.grade}-form and a {other.grade}-form")
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
+            acc = terms.get(m)
+            terms[m] = c if acc is None else acc + c
         return Form(self.grade, terms)
 
     def __sub__(self, other):
@@ -229,12 +242,22 @@ def wedge(a: Form, b: Form) -> Form:
                 acc = terms.get(FULL_MASK)
                 terms[FULL_MASK] = c if acc is None else acc + c
         return Form(DIM, terms)
+    odd = _ODD_BELOW
+    get = b.terms.get
+    # when b holds more blades than can meet a blade of a, look up only
+    # those that can
+    disjoint = _disjoint_blades(b.grade) \
+        if len(b.terms) > comb(DIM - a.grade, b.grade) else None
     for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
+        for m2 in disjoint[m1] if disjoint else b.terms:
             if m1 & m2:
                 continue
+            c2 = get(m2)
+            if c2 is None:
+                continue
+            # merge_sign(m1, m2), read off its table
+            c = (-1 if (m1 & odd[m2]).bit_count() & 1 else 1) * c1 * c2
             m = m1 | m2
-            c = merge_sign(m1, m2) * c1 * c2
             acc = terms.get(m)
             terms[m] = c if acc is None else acc + c
     return Form(a.grade + b.grade, terms)

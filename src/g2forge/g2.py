@@ -513,12 +513,19 @@ def two_form_endo(beta: Form) -> Matrix:
     return Matrix.from_rows(entries)
 
 
-def random_traceless(rng, bound: int = 6) -> SymTensor:
-    """Small-height random traceless symmetric tensor, with Fraction
-    entries; the g2 and cubic suites read its draws as ints
-    (suites._int_traceless), and the benchmark's inputs read the
-    Fractions."""
-    upper = [[Fraction(rng.randint(-bound, bound)) for _ in range(i, DIM)]
+def traceless_draw(rng, bound: int = 6) -> list[list[int]]:
+    """The upper triangle of a small-height random traceless symmetric
+    tensor, as ints: one draw per entry in row order, the last diagonal
+    entry then set so the trace vanishes."""
+    upper = [[rng.randint(-bound, bound) for _ in range(i, DIM)]
              for i in range(DIM)]
     upper[6][0] -= sum(row[0] for row in upper)
-    return SymTensor.from_upper(upper)
+    return upper
+
+
+def random_traceless(rng, bound: int = 6) -> SymTensor:
+    """traceless_draw with Fraction entries; the g2 and cubic suites
+    read the draw as ints (suites._int_traceless), and the benchmark's
+    inputs read the Fractions."""
+    return SymTensor.from_upper([[Fraction(x) for x in row]
+                                 for row in traceless_draw(rng, bound)])

@@ -5,12 +5,12 @@ ints, Fractions or QuadExt values, kept as given; elimination
 (Gauss-Jordan, _echelon) multiplies each pivot row by the Fraction
 inverse of a rational pivot, so a rational matrix takes right-hand
 sides over any extension field, and every zero test and comparison is
-exact.  rank is fraction-free over Z instead (Bareiss): it needs no
-reduced form and no right-hand side, so it clears each row to ints and
-eliminates with exact integer divisions.  _echelon stays the one
-Gauss-Jordan routine, since solve_exact reads its solution off the
-reduced rows and takes QuadExt right-hand sides, which Bareiss over Z
-does not.
+exact.  rank is fraction-free over Z instead: it needs no reduced
+form and no right-hand side, so it clears each row to ints and
+eliminates with integer row operations, each new row divided by its
+content.  _echelon stays the one Gauss-Jordan routine, since
+solve_exact reads its solution off the reduced rows and takes QuadExt
+right-hand sides, which elimination over Z does not.
 
 A SymTensor is stored as one upper triangle, row i from the diagonal
 on, the shape the integer cores take and return: a full square given
@@ -345,21 +345,29 @@ def upper_inner(u1: Sequence[Sequence], u2: Sequence[Sequence]):
                       for x, y in zip(r1[1:], r2[1:])))
 
 
+def _upper_numerators(upper: list[list]) -> tuple[list[list], int | None]:
+    """(N, d) with upper = N / d and every entry of N an int; N is upper
+    itself, with d None, when its entries are ints already."""
+    flat = [x for row in upper for x in row]
+    ints, d = clear_denominators(flat)
+    if ints is flat:
+        return upper, None
+    it = iter(ints)
+    return [[next(it) for _ in row] for row in upper], d
+
+
 def sym_inner(S1: SymTensor, S2: SymTensor):
     """tr(S1 S2), the metric pairing of symmetric 2-tensors.
 
     Bilinear, so it runs upper_inner on the integer numerators of the
-    two upper triangles over one common denominator d and rescales once,
-    by 1/d^2; two int tensors give an int.
+    two upper triangles, each over its own denominator d_k, and
+    rescales once, by 1/(d_1 d_2); two int tensors give an int.
     """
     if S1.n != S2.n:
         raise ValueError("size mismatch")
-    n = S1.n
-    rows = S1.upper + S2.upper
-    flat = [x for row in rows for x in row]
-    ints, d = clear_denominators(flat)
-    if ints is flat:
-        return upper_inner(S1.upper, S2.upper)
-    it = iter(ints)
-    rows = [[next(it) for _ in row] for row in rows]
-    return upper_inner(rows[:n], rows[n:]) * Fraction(1, d * d)
+    n1, d1 = _upper_numerators(S1.upper)
+    n2, d2 = (n1, d1) if S2 is S1 else _upper_numerators(S2.upper)
+    value = upper_inner(n1, n2)
+    if d1 is None and d2 is None:
+        return value
+    return value * Fraction(1, (d1 or 1) * (d2 or 1))

@@ -40,7 +40,7 @@ from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
 from . import exterior as ext
 from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
-from .g2 import random_traceless, standard_frame, star_action
+from .g2 import standard_frame, star_action, traceless_draw
 from .linalg import Matrix, SymTensor, rank, sym_inner
 from .scalars import GaussRational, clear_denominators
 
@@ -114,11 +114,10 @@ def _random_form(rng: random.Random, grade: int, bound: int) -> ext.Form:
 
 
 def _int_traceless(rng: random.Random, bound: int = 6) -> SymTensor:
-    """random_traceless(rng, bound) with its int draws kept as ints: the
-    same values from the same draws, so the g2 and cubic checks run
-    their tensors in int arithmetic."""
-    upper = random_traceless(rng, bound).upper
-    return SymTensor.from_upper([[x.numerator for x in row] for row in upper])
+    """random_traceless(rng, bound) with its draws as ints: the same
+    values from the same draws, so the g2 and cubic checks run their
+    tensors in int arithmetic and make no Fraction to draw them."""
+    return SymTensor.from_upper(traceless_draw(rng, bound))
 
 
 @functools.cache

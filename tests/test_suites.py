@@ -226,9 +226,10 @@ print(json.dumps(out))
 
 
 def test_g2_and_cubic_run_counts(fresh_python):
-    """The g2 suite's ranks run no elimination (Bareiss over the ints),
-    and both suites read their random tensors as ints: few Fraction
-    products are left, most of them in the frame build the g2 run pays."""
+    """The g2 suite's ranks run no Gauss-Jordan elimination (rank
+    eliminates primitive integer rows), and both suites read their
+    random tensors as ints: few Fraction products are left, most of
+    them in the frame build the g2 run pays."""
     proc = fresh_python(_COUNT_G2_CUBIC)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
