@@ -284,6 +284,12 @@ class G2Frame:
                 for m, c in wedge(self.kappa[i], vector(j + 1)).terms.items())
             for i in range(DIM) for j in range(DIM)]
         self._inv_index = _blade_index(self._inv_functionals, 3)
+        # i reads the upper triangle of S, entry (i, j), i < j, standing
+        # for both S_ij and S_ji: it weighs f_ij and f_ji together
+        self._iso_functionals = [
+            self._inv_functionals[DIM * i + j]
+            + (self._inv_functionals[DIM * j + i] if i != j else ())
+            for i in range(DIM) for j in range(i, DIM)]
         # the rows of the pairing matrix M of gamma |-> (gamma ^ (e_j -|
         # psi))_j as functionals on 3-forms; row 7 j + p is 6-blade p of
         # block j
@@ -342,17 +348,13 @@ class G2Frame:
     def iso_i(self, S: SymTensor) -> Form:
         """i(S) = S*phi = sum_ij S_ij f_ij, from traceless symmetric
         tensors into Lambda^3_27, on the integer numerators of the 28
-        entries of S.upper."""
+        entries of S.upper, an entry off the diagonal weighing
+        f_ij + f_ji."""
         if S.trace() != 0:
             raise TypeDecompositionError("iso_i needs a traceless tensor")
         entries = [x for row in S.upper for x in row]
         ints, d = clear_denominators(entries)
-        # an entry off the diagonal is both S_ij and S_ji
-        square = [0] * (DIM * DIM)
-        upper = ((i, j) for i in range(DIM) for j in range(i, DIM))
-        for (i, j), s in zip(upper, ints):
-            square[DIM * i + j] = square[DIM * j + i] = s
-        terms = _expanded(square, self._inv_functionals)
+        terms = _expanded(ints, self._iso_functionals)
         if ints is not entries:
             terms = {m: over(c, d) for m, c in terms.items()}
         return Form(3, terms)

@@ -183,9 +183,10 @@ def clear_denominators(values: list) -> tuple[list, int]:
     """(V, d) with v_k = V_k / d, every V_k an int (a QuadExt with int
     parts for QuadExt entries) and d >= 1 the least such integer.  A
     list of ints comes back as the same list, with d = 1."""
-    if all(type(c) is int for c in values):
+    types = set(map(type, values))
+    if types <= {int}:
         return values, 1
-    if all(type(c) is Fraction for c in values):
+    if types == {Fraction}:
         d = math.lcm(*{c.denominator for c in values})
         return [c.numerator * (d // c.denominator) for c in values], d
     d = math.lcm(*{_denominator(c) for c in values})
