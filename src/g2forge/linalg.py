@@ -345,13 +345,13 @@ def upper_inner(u1: Sequence[Sequence], u2: Sequence[Sequence]):
                       for x, y in zip(r1[1:], r2[1:])))
 
 
-def _upper_numerators(upper: list[list]) -> tuple[list[list], int | None]:
+def _upper_numerators(upper: list[list]) -> tuple[list[list], int]:
     """(N, d) with upper = N / d and every entry of N an int; N is upper
-    itself, with d None, when its entries are ints already."""
+    itself, with d = 1, when its entries are ints already."""
     flat = [x for row in upper for x in row]
     ints, d = clear_denominators(flat)
     if ints is flat:
-        return upper, None
+        return upper, 1
     it = iter(ints)
     return [[next(it) for _ in row] for row in upper], d
 
@@ -368,6 +368,6 @@ def sym_inner(S1: SymTensor, S2: SymTensor):
     n1, d1 = _upper_numerators(S1.upper)
     n2, d2 = (n1, d1) if S2 is S1 else _upper_numerators(S2.upper)
     value = upper_inner(n1, n2)
-    if d1 is None and d2 is None:
+    if n1 is S1.upper and n2 is S2.upper:
         return value
-    return value * Fraction(1, (d1 or 1) * (d2 or 1))
+    return value * Fraction(1, d1 * d2)

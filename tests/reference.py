@@ -13,7 +13,8 @@ four component polynomials s^3, s|x|^2, s|y|^2 and R, the six-pass
 even/odd numerator of the block table, the aw suite's tensor displays
 and block products on Fraction tensors, the dense Haar Monte Carlo as
 it ran before it was split into cache-sized chunks of column arrays,
-the derived action as the seven wedges it was before it ran in one pass,
+the sign of a merged blade by counting inversions, the derived action
+as the seven wedges it was before it ran in one pass,
 and the few matrix and polynomial operations that only the tests use.
 None of this runs in the package; each is the independent side of a
 test.
@@ -168,6 +169,14 @@ def quad_op(op: str, x, y, D: int) -> tuple:
 
 
 # -- forms --------------------------------------------------------------------
+
+def inversion_sign(m1: int, m2: int) -> int:
+    """The sign of e^{m1} ^ e^{m2} against the sorted blade, by counting
+    the pairs of a factor of m1 and a factor of m2 below it."""
+    inversions = sum(1 for i in range(7) for j in range(i)
+                     if m1 >> i & 1 and m2 >> j & 1)
+    return -1 if inversions & 1 else 1
+
 
 def pairwise_wedge(a, b):
     """a ^ b over every pair of blades, each disjoint pair with its

@@ -75,6 +75,42 @@ def test_hodge_sign_table():
                                     for m in range(128))
 
 
+def test_merge_sign_counts_inversions():
+    # every pair of disjoint masks, the table read against a count
+    pairs = [(m1, m2) for m1 in range(128) for m2 in range(128)
+             if not m1 & m2]
+    assert len(pairs) == 3 ** 7
+    assert all(ext.merge_sign(m1, m2) == reference.inversion_sign(m1, m2)
+               for m1, m2 in pairs)
+
+
+@pytest.mark.parametrize("kind", [int, Fraction, QuadExt])
+def test_wedge_matches_pairwise(kind):
+    # below the top degree, for every pair of grades: sparse forms run
+    # over the blades of b, dense ones over the blades that can meet
+    rng = random.Random(19)
+
+    def draw():
+        c = rng.randint(-3, 3)
+        if kind is Fraction:
+            return Fraction(c, rng.randint(1, 3))
+        if kind is QuadExt:
+            return QuadExt(Fraction(c, 2), rng.randint(-2, 2))
+        return c
+
+    for ka in range(7):
+        for kb in range(7 - ka):
+            for density in (0.2, 1.0):
+                for _ in range(3):
+                    a, b = (Form(g, {m: draw() for m in ext.BLADES_BY_GRADE[g]
+                                     if rng.random() < density})
+                            for g in (ka, kb))
+                    got, want = wedge(a, b), reference.pairwise_wedge(a, b)
+                    assert got == want
+                    assert ({m: type(c) for m, c in got.terms.items()}
+                            == {m: type(c) for m, c in want.terms.items()})
+
+
 @pytest.mark.parametrize("kind", [int, Fraction, QuadExt])
 def test_top_degree_wedge_matches_pairwise(kind):
     # the complement lookup gives the pairwise wedge for every split

@@ -279,3 +279,21 @@ def test_symtensor_arithmetic_matches_full_square(kind):
                         for i in range(n)])
         assert sym_inner(S, T) == sum(A[i][j] * B[i][j] for i in range(n)
                                       for j in range(n))
+
+
+def test_sym_inner_types_follow_the_entries():
+    # each tensor is cleared over its own denominator: int tensors give an
+    # int, a Fraction in either gives a Fraction, the same object or not
+    rng = random.Random(31)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        A = _random_symmetric(rng, n, lambda r: r.randint(-5, 5))
+        B = _random_symmetric(rng, n, lambda r: Fraction(r.randint(-5, 5),
+                                                         r.randint(1, 6)))
+        S, T = SymTensor(A), SymTensor(B)
+        for X, Y, kind in ((S, S, int), (S, SymTensor(A), int),
+                           (S, T, Fraction), (T, S, Fraction),
+                           (T, T, Fraction)):
+            got = sym_inner(X, Y)
+            assert type(got) is kind
+            assert got == reference.sym_inner(X, Y)
