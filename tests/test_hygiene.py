@@ -163,10 +163,11 @@ def test_numpy_stays_a_lazy_import(fresh_python):
 
 # what each entry point must leave unloaded: eval runs on the core modules
 # alone, and only its b2, q2, Q and P compile cubic; the exterior and g2
-# suites never touch cubic, aw or pairing, and the cubic suite neither aw
-# nor pairing
-NOT_FOR_EVAL = {"g2forge.suites", "g2forge.aw", "g2forge.pairing", "numpy"}
-NOT_FOR_CORE_SUITES = {"g2forge.aw", "g2forge.pairing"}
+# suites never touch cubic, aw, pairing or the su(3) suites, and the cubic
+# suite none but cubic
+NOT_FOR_EVAL = {"g2forge.suites", "g2forge.su3_suites", "g2forge.aw",
+                "g2forge.pairing", "numpy"}
+NOT_FOR_CORE_SUITES = {"g2forge.su3_suites", "g2forge.aw", "g2forge.pairing"}
 NOT_CUBIC = {"g2forge.cubic"}
 _MAIN = "from g2forge.cli import main\nassert main({!r}) == 0\n"
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import aw, pairing, suites
+from g2forge import aw, pairing, su3_suites, suites
 from g2forge.aw import CLOSED_DISPLAY, Su3Element, first_principles_fit, \
     first_principles_value, standard_aw_frame
 from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
@@ -143,7 +143,7 @@ def test_multipoly_at_matches_evaluate():
     rng = random.Random(11007)
     for degree in (1, 2, 3):
         for _ in range(10):
-            poly = suites._random_poly(rng, degree)
+            poly = su3_suites._random_poly(rng, degree)
             values = {n: GaussRational(Fraction(rng.randint(-5, 5),
                                                 rng.randint(1, 3)),
                                        rng.randint(-5, 5)) for n in LETTERS}
