@@ -395,12 +395,13 @@ AW_BY_DESIGN = frozenset({
     "aw.pairing-vs-displays",
 })
 
+# the elements of the pairing suite's Monte-Carlo checks, which the
+# benchmark reads too
 MC_ELEMENTS = (
     ((1, 1, -2), (0, 0, 0, 0, 0, 0)),
     ((1, -2, 1), (1, 0, 0, 1, 0, 1)),
     ((2, -1, -1), (1, 1, -1, 0, 1, 1)),
 )
-
 
 
 def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
