@@ -3,11 +3,14 @@
 Basis blades are 7-bit masks: bit i set means the factor e_{i+1} is
 present, and the blade is the wedge of its factors in increasing index
 order.  A form of grade k is a sparse map from k-bit masks to nonzero
-coefficients.  All signs come from counting transpositions while
-merging masks, so wedge, contraction and the Hodge star are exact for
-any coefficient type that supports ring arithmetic.  The Hodge star and
-a wedge into the top degree read the sign of each blade against its
-complement from one 128-entry table.
+coefficients.  All signs come from the parity of the transpositions
+that merge two masks, so wedge, contraction and the Hodge star are
+exact for any coefficient type that supports ring arithmetic.  The
+Hodge star and a wedge into the top degree read the sign of each blade
+against its complement from one 128-entry table, and merge_sign reads
+its parity off another; a wedge below the top degree looks up, for each
+blade of its first factor, only the blades of the second that can meet
+it when the second holds more than that.
 
 Indices are 1-based everywhere in the public interface (e1..e7), to
 match the usual way these forms are written out.
