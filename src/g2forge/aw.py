@@ -68,7 +68,7 @@ from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
     hodge_m4, norm_sq, numerators, vector, vector_form, wedge
-from .g2 import InternalConsistencyError, TypeDecompositionError, \
+from .g2 import InternalConsistencyError, TypeDecompositionError, _expanded, \
     standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import Matrix, SymTensor, solve_exact, upper_inner
@@ -122,17 +122,6 @@ class AWFrame:
             raise InternalConsistencyError("I1 I2 != -I3")
         if self.J * self.J != -id4:
             raise InternalConsistencyError("J^2 != -id on the block")
-
-    def iy(self, y: Form) -> Matrix:
-        """I_y = y1 I1 + y2 I2 + y3 I3 for a vector y in m3."""
-        c = coords_of(y)
-        if any(c[i] != 0 for i in range(3, 7)):
-            raise FormError("y must lie in span(e1,e2,e3)")
-        out = Matrix.zeros(7, 7)
-        for a in range(3):
-            if c[a] != 0:
-                out = out + c[a] * self.I[a]
-        return out
 
 
 @functools.cache
@@ -318,16 +307,16 @@ def _split_cubic(u: Form, w: Form) -> tuple:
 
 def r_value(y: Form, x: Form):
     """The mixed cubic R = g(Jx, I_y x), compared against its
-    coordinate display before being returned."""
-    fr = standard_aw_frame()
-    xc = coords_of(x)
+    coordinate display before being returned.  The metric route reads
+    the nonzero entries of J and the I_a off the display tables."""
+    yc, xc = coords_of(y), coords_of(x)
+    if any(yc[i] != 0 for i in range(3, 7)):
+        raise FormError("y must lie in span(e1,e2,e3)")
     if any(xc[i] != 0 for i in range(3)):
         raise FormError("x must lie in span(e4..e7)")
-    jx = fr.J.apply(xc)
-    iyx = fr.iy(y).apply(xc)
-    metric_route = sum(a * b for a, b in zip(jx, iyx))
+    metric_route = display_tables().r_metric(yc, xc)
 
-    y1, y2, y3 = coords_of(y)[:3]
+    y1, y2, y3 = yc[:3]
     # m4 placement: x = x3 e5 - x4 e4 + x5 e7 - x6 e6
     x3, x4, x5, x6 = xc[4], -xc[3], xc[6], -xc[5]
     display = (y1 * (x3 * x3 + x4 * x4 - x5 * x5 - x6 * x6)
@@ -461,6 +450,95 @@ def _phitilde_displays() -> tuple[bool, bool]:
             standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
 
 
+def _flat(upper) -> list:
+    """A 7x7 upper triangle (row i from the diagonal on) read row by
+    row: 28 entries, the layout of every display side."""
+    return [t for row in upper for t in row]
+
+
+def _upper_entries(t: SymTensor) -> tuple:
+    """The nonzero entries (k, c) of t's upper triangle, k the position
+    of c in _flat's layout: one unit functional of g2._expanded."""
+    return tuple((k, c) for k, c in enumerate(_flat(t.upper)) if c)
+
+
+def _matrix_entries(M: Matrix) -> tuple:
+    """The nonzero entries (i, j, c) of M."""
+    return tuple((i, j, M.at(i, j)) for i in range(M.rows)
+                 for j in range(M.cols) if M.at(i, j))
+
+
+def _assembled(coefficients, table) -> list:
+    """sum_k c_k t_k over the entries tables t_k, as a flat triangle."""
+    flat = [0] * 28
+    for k, c in _expanded(coefficients, table).items():
+        flat[k] = c
+    return flat
+
+
+class _DisplayTables:
+    """The (y, x)-dependent display sides of tensor_displays and the
+    metric route of r_value, from int tables built once per process.
+
+    Every display side is linear, bilinear or quadratic in (y, x): J I_y
+    is sum_a y_a J I_a, ia2 = 2 e_a . I_a x is sum_i x_i ia2(e_i), and
+    yjx2 = 2 y . Jx and the mix are sum_{a,i} y_a x_i of their values at
+    (e_a, e_i).  The builder evaluates the display formulas (fr.J, fr.I,
+    _outer2, _epsilon_mix) once, at the basis vectors e_a (a = 1..3) and
+    e_i (i = 4..7), and keeps each value as the nonzero entries of its
+    int upper triangle (_upper_entries); each J I_a must be symmetric.
+    The side p(C(x), C(x)) is quadratic in x alone and written directly.
+    r_metric reads the nonzero entries of J and of each I_a.
+    """
+
+    def __init__(self):
+        fr = standard_aw_frame()
+        e = [vector(k) for k in range(1, 8)]
+        ec = [coords_of(v) for v in e]
+        m3, m4 = range(3), range(3, 7)
+        try:
+            jia = [SymTensor((fr.J * I).to_rows()) for I in fr.I]
+        except ValueError:
+            raise InternalConsistencyError("J I_a is not symmetric") from None
+        self.jia = [_upper_entries(t) for t in jia]
+        self.ia2 = [_upper_entries(_outer2([(fr.I[a].apply(ec[i]), ec[a])
+                                            for a in m3])) for i in m4]
+        self.yjx2 = [_upper_entries(_outer2([(ec[a], fr.J.apply(ec[i]))]))
+                     for a in m3 for i in m4]
+        self.mix = [_upper_entries(_epsilon_mix(e[a], e[i]))
+                    for a in m3 for i in m4]
+        self.j = _matrix_entries(fr.J)
+        self.i = [_matrix_entries(I) for I in fr.I]
+
+    def sides(self, ys, xs) -> tuple:
+        """(J I_y, ia2, yjx2, mix, 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)) as
+        flat triangles, for the m3 coordinates ys and the m4 coordinates
+        xs of (y, x); mix is twice the mix, as _epsilon_mix gives it."""
+        yx = [a * b for a in ys for b in xs]
+        xx = sum(t * t for t in xs)
+        c4 = [10 * ((xx if i == j else 0) - xs[i] * xs[j])
+              for i in range(4) for j in range(i, 4)]
+        return (_assembled(ys, self.jia), _assembled(xs, self.ia2),
+                _assembled(yx, self.yjx2), _assembled(yx, self.mix),
+                [2 * xx] + [0] * 6 + [2 * xx] + [0] * 5 + [2 * xx] + [0] * 4
+                + c4)
+
+    def r_metric(self, yc, xc):
+        """g(Jx, I_y x) for the coordinates yc and xc of y and x."""
+        jx, iyx = [0] * 7, [0] * 7
+        for i, j, c in self.j:
+            jx[i] += c * xc[j]
+        for ya, entries in zip(yc, self.i):
+            for i, j, c in entries:
+                iyx[i] += c * ya * xc[j]
+        return sum(a * b for a, b in zip(jx, iyx))
+
+
+@functools.cache
+def display_tables() -> _DisplayTables:
+    return _DisplayTables()
+
+
 def tensor_displays(y: Form, x: Form) -> list[dict]:
     """The displayed closed forms of the block tensors: five p(., .)
     displays and three i^{-1} displays, evaluated at the given (y, x).
@@ -477,8 +555,9 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     triangles with no division: quadratic_upper gives p of a form with
     itself and 2p of two forms, iso_i_inv_upper gives 2 i^{-1}, and each
     display is multiplied by the matching integer (4 i^{-1} for C(x), so
-    that -(1/2) e_a . I_a x is an int tensor).  The two displays of
-    phitilde alone are compared once per process.
+    that -(1/2) e_a . I_a x is an int tensor).  The display sides come
+    from the int tables of display_tables; the two displays of phitilde
+    alone are compared once per process.
     """
     fr = standard_aw_frame()
     g2 = fr.g2
@@ -487,25 +566,14 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     pt = fr.phi_tilde
     yw, cx = _on_basis([0] + z[1:4]), _on_basis([0] * 4 + z[4:])
     _pure27(_OUTSIDE_27, yw, cx)
-    yc, xc = coords_of(y), coords_of(x)
-
-    id3, id4 = _blocks_id(1, 0), _blocks_id(0, 1)
-    jx = fr.J.apply(xc)
-    jiy = fr.J * fr.iy(y)
-    jiy_sym = SymTensor(jiy.to_rows())
-
-    # twice e_a . I_a x and twice y . Jx, integral for integral (y, x)
-    ia2 = _outer2([(fr.I[a].apply(xc), coords_of(vector(a + 1)))
-                   for a in range(3)])
-    yjx2 = _outer2([(yc, jx)])
-    xx = norm_sq(x)
-    x_outer = SymTensor.from_upper([[xc[i] * xc[j] for j in range(i, 7)]
-                                    for i in range(7)])
+    # J I_y, twice e_a . I_a x, twice y . Jx, twice the mix and p(C(x),
+    # C(x))'s display, integral for integral (y, x)
+    jiy, ia2, yjx2, mix, cc = display_tables().sides(z[1:4], z[4:])
     pp_holds, ip_holds = _phitilde_displays()
     # the sides with a corrected form: 2p(phitilde, C(x)), 2p(y^Omega,
     # C(x)) and 4 i^{-1}(C(x))
-    ptc, ywc = quadratic_upper(pt, cx), quadratic_upper(yw, cx)
-    icx = [[2 * t for t in row] for row in g2.iso_i_inv_upper(cx)]
+    ptc, ywc = _flat(quadratic_upper(pt, cx)), _flat(quadratic_upper(yw, cx))
+    icx = [2 * t for t in _flat(g2.iso_i_inv_upper(cx))]
 
     checks = []
 
@@ -517,25 +585,24 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
 
     add("p(phitilde, phitilde) = 38 id3 + 3 id4", pp_holds)
     add("p(phitilde, y^Omega) = -J I_y",
-        quadratic_upper(pt, yw) == jiy_sym.scale(-2).upper)
+        _flat(quadratic_upper(pt, yw)) == [-2 * t for t in jiy])
     add("p(phitilde, C(x)) = -4 I_a x . e_a",
-        ptc == ia2.scale(-4).upper,
+        ptc == [-4 * t for t in ia2],
         # p(phitilde, C(x)) = -11 I_a x . e_a
-        ptc == ia2.scale(-11).upper)
+        ptc == [-11 * t for t in ia2])
     add("p(y^Omega, C(x)) = 6 y . Jx",
-        ywc == yjx2.scale(6).upper,
+        ywc == [6 * t for t in yjx2],
         # p(y^Omega, C(x)) = 3 y . Jx + eps_abc y_a e_c . I_b J x
-        ywc == (yjx2.scale(3) + _epsilon_mix(y, x)).upper)
+        ywc == [3 * t + m for t, m in zip(yjx2, mix)])
     add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
-        quadratic_upper(cx, cx)
-        == (id3.scale(2 * xx) + (id4.scale(xx) - x_outer).scale(10)).upper)
+        _flat(quadratic_upper(cx, cx)) == cc)
     add("i^{-1}(phitilde) = -2 id3 + (3/2) id4", ip_holds)
     add("i^{-1}(y^Omega) = -(1/2) J I_y",
-        g2.iso_i_inv_upper(yw) == (-jiy_sym).upper)
+        _flat(g2.iso_i_inv_upper(yw)) == [-t for t in jiy])
     add("i^{-1}(C(x)) = -(1/2) e_a . I_a x",
-        icx == (-ia2).upper,
+        icx == [-t for t in ia2],
         # i^{-1}(C(x)) = -2 e_a . I_a x
-        icx == ia2.scale(-4).upper)
+        icx == [-4 * t for t in ia2])
     return checks
 
 

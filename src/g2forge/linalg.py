@@ -64,10 +64,6 @@ class Matrix:
         return cls(r, c, flat)
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values: Sequence) -> "Matrix":
         n = len(values)
         return cls(n, n, [values[i] if i == j else 0

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import random
 import time
@@ -43,10 +42,20 @@ from .g2 import standard_frame, star_action, traceless_draw
 from .linalg import Matrix, SymTensor, rank, sym_inner
 from .scalars import clear_denominators
 
+# sha256 from the builtin SHA-2 module, as random takes its sha512: the
+# hashlib import loads OpenSSL, a few ms of every suite process
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def derived_seed(seed: int, check_id: str) -> int:
     """A stable integer sub-seed for one named check."""
-    digest = hashlib.sha256(f"{seed}:{check_id}".encode()).digest()
+    digest = sha256(f"{seed}:{check_id}".encode()).digest()
     return int.from_bytes(digest[:4], "big")
 
 

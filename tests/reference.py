@@ -11,7 +11,8 @@ Form over Q(sqrt(10)) and the term-by-term even/odd split of its cubic,
 the su(3) letter map and its inverse written out by hand, with the
 four component polynomials s^3, s|x|^2, s|y|^2 and R, the six-pass
 even/odd numerator of the block table, the aw suite's tensor displays
-and block products on Fraction tensors, the dense Haar Monte Carlo as
+and block products on Fraction tensors (J I_y and R from Matrix
+products rebuilt at each point), the dense Haar Monte Carlo as
 it ran before it was split into cache-sized chunks of column arrays,
 the sign of a merged blade by counting inversions, the derived action
 as the seven wedges it was before it ran in one pass,
@@ -36,6 +37,10 @@ SQRT10 = QuadExt(0, 1)
 
 
 # -- matrices and letter polynomials ---------------------------------------
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [0] * (rows * cols))
+
 
 def transpose(M: Matrix) -> Matrix:
     return Matrix(M.cols, M.rows,
@@ -450,7 +455,12 @@ def split_cubic(u, w):
 # ran them before they moved onto int triangles: every tensor a
 # SymTensor of Fractions from the scalar-generic kernels above, every
 # display at its own scale, with the symmetric products e_a . I_a x and
-# y . Jx from SymTensor.sym_outer.
+# y . Jx from SymTensor.sym_outer, and J I_y and R from Matrix products
+# rebuilt at each point, as they ran before they moved onto int tables.
+
+_ID3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
+_ID4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
+
 
 def _sym_sum(tensors) -> SymTensor:
     total = SymTensor.diag([0] * 7)
@@ -459,20 +469,25 @@ def _sym_sum(tensors) -> SymTensor:
     return total
 
 
-def aw_tensor_displays(y, x) -> list[dict]:
-    """The eight display records of aw.tensor_displays at (y, x)."""
+def i_y(y) -> Matrix:
+    """I_y = y1 I1 + y2 I2 + y3 I3, the Matrix sum, for y in m3."""
     fr = aw.standard_aw_frame()
-    g2 = fr.g2
-    pt = fr.phi_tilde
-    yw = wedge(y, fr.Omega)
-    cx = aw.c_of(x)
+    c = ext.coords_of(y)
+    out = zeros(7, 7)
+    for a in range(3):
+        out = out + c[a] * fr.I[a]
+    return out
+
+
+def aw_display_tensors(y, x) -> tuple:
+    """(J I_y, e_a . I_a x, y . Jx, the mix, and 2|x|^2 id3 + 10(|x|^2
+    id4 - x(x)x)) at (y, x) as SymTensors from Matrix products and
+    SymTensor.sym_outer, with the mix sum eps_abc y_a e_c . (I_b J x)."""
+    fr = aw.standard_aw_frame()
     xc, yc = ext.coords_of(x), ext.coords_of(y)
-    id3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
-    id4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
     jx = fr.J.apply(xc)
-    jiy = SymTensor((fr.J * fr.iy(y)).to_rows())
+    jiy = SymTensor((fr.J * i_y(y)).to_rows())
     e = [ext.coords_of(vector(a + 1)) for a in range(3)]
-    # e_a . I_a x, y . Jx and sum eps_abc y_a e_c . (I_b J x)
     ia = _sym_sum(SymTensor.sym_outer(fr.I[a].apply(xc), e[a])
                   for a in range(3))
     yjx = SymTensor.sym_outer(yc, jx)
@@ -483,20 +498,38 @@ def aw_tensor_displays(y, x) -> list[dict]:
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     xx = norm_sq(x)
     x_outer = SymTensor([[xc[i] * xc[j] for j in range(7)] for i in range(7)])
+    cc = _ID3.scale(2 * xx) + (_ID4.scale(xx) - x_outer).scale(10)
+    return jiy, ia, yjx, mix, cc
+
+
+def r_metric(y, x):
+    """g(Jx, I_y x) from two dense Matrix applies."""
+    fr = aw.standard_aw_frame()
+    xc = ext.coords_of(x)
+    return sum(a * b for a, b in zip(fr.J.apply(xc), i_y(y).apply(xc)))
+
+
+def aw_tensor_displays(y, x) -> list[dict]:
+    """The eight display records of aw.tensor_displays at (y, x)."""
+    fr = aw.standard_aw_frame()
+    g2 = fr.g2
+    pt = fr.phi_tilde
+    yw = wedge(y, fr.Omega)
+    cx = aw.c_of(x)
+    jiy, ia, yjx, mix, cc = aw_display_tensors(y, x)
     half = Fraction(1, 2)
     rows = [
         ("p(phitilde, phitilde) = 38 id3 + 3 id4", quadratic_form(pt, pt),
-         id3.scale(38) + id4.scale(3), None),
+         _ID3.scale(38) + _ID4.scale(3), None),
         ("p(phitilde, y^Omega) = -J I_y", quadratic_form(pt, yw), -jiy, None),
         ("p(phitilde, C(x)) = -4 I_a x . e_a", quadratic_form(pt, cx),
          ia.scale(-4), ia.scale(-11)),
         ("p(y^Omega, C(x)) = 6 y . Jx", quadratic_form(yw, cx),
          yjx.scale(6), yjx.scale(3) + mix),
         ("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
-         quadratic_form(cx, cx),
-         id3.scale(2 * xx) + (id4.scale(xx) - x_outer).scale(10), None),
+         quadratic_form(cx, cx), cc, None),
         ("i^{-1}(phitilde) = -2 id3 + (3/2) id4", iso_i_inv(g2, pt),
-         id3.scale(-2) + id4.scale(Fraction(3, 2)), None),
+         _ID3.scale(-2) + _ID4.scale(Fraction(3, 2)), None),
         ("i^{-1}(y^Omega) = -(1/2) J I_y", iso_i_inv(g2, yw),
          jiy.scale(-half), None),
         ("i^{-1}(C(x)) = -(1/2) e_a . I_a x", iso_i_inv(g2, cx),

@@ -5,6 +5,7 @@ import contextlib
 import itertools
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -62,10 +63,16 @@ def test_frame_rebuilds_phi(awframe):
     assert awframe.phi_tilde == awframe.g2.phi - 7 * awframe.vol3
 
 
-def test_iy_rejects_bad_vector(awframe):
+def test_r_value_rejects_y_outside_m3(awframe):
     with pytest.raises(FormError):
-        awframe.iy(vector(5))
-    assert awframe.iy(vector(2)) == awframe.I[1]
+        r_value(vector(5), vector(4))
+    with pytest.raises(FormError):
+        r_value(vector(1) + vector(5), vector(4))
+    # at y = e2, I_y is I2
+    x = vector_form([0, 0, 0, 1, -2, 3, 1])
+    xc = coords_of(x)
+    assert r_value(vector(2), x) == sum(
+        a * b for a, b in zip(awframe.J.apply(xc), awframe.I[1].apply(xc)))
 
 
 def test_fresh_frame_constructs():
@@ -624,13 +631,48 @@ def _sweep_points(rng, n_random):
     return points
 
 
+def _suite_points(n=50):
+    """The random points of the aw suite's tensor-display sweep at seed
+    1, drawn from that check's stream after its lattice."""
+    rng = suites.check_rng(1, "aw.tensor-displays")
+    return [aw._random_blocks(rng)[1:] for _ in range(n)]
+
+
 def test_tensor_displays_match_fraction_oracle():
     """The int-triangle sweep gives the records of the Fraction route, at
-    every lattice point of the sweep and at random points."""
-    points = _sweep_points(random.Random(9016), 6)
-    assert len(points) == 36 + 12
+    every lattice point of the sweep, at random points and at the suite's
+    own random points at seed 1."""
+    points = _sweep_points(random.Random(9016), 6) + _suite_points()
+    assert len(points) == 36 + 12 + 50
     for y, x in points:
         assert tensor_displays(y, x) == reference.aw_tensor_displays(y, x)
+
+
+def test_display_sides_match_reference():
+    """Each display side assembled from the int tables equals its Matrix
+    and SymTensor formula in tests/reference.py (twice e_a . I_a x, y . Jx
+    and the mix, as _outer2 scales them), and R's metric route equals
+    g(Jx, I_y x) from two dense applies: at the sweep's lattice points,
+    at random int and Fraction points and at the suite's points."""
+    tables = aw.display_tables()
+    points = _sweep_points(random.Random(9018), 6) + _suite_points(10)
+    for y, x in points:
+        yc, xc = coords_of(y), coords_of(x)
+        got = tables.sides(yc[:3], xc[3:])
+        jiy, ia, yjx, mix, cc = reference.aw_display_tensors(y, x)
+        want = [jiy, ia.scale(2), yjx.scale(2), mix.scale(2), cc]
+        assert list(got) == [aw._flat(t.upper) for t in want]
+        assert tables.r_metric(yc, xc) == reference.r_metric(y, x)
+
+
+def test_display_tables_need_symmetric_j_ia(monkeypatch, awframe):
+    """The build checks each J I_a symmetric, the check SymTensor made
+    at every point before."""
+    bent = types.SimpleNamespace(I=awframe.I, J=Matrix.diagonal(
+        [0, 0, 0, 1, 2, 3, 4]))
+    monkeypatch.setattr(aw, "standard_aw_frame", lambda: bent)
+    with pytest.raises(InternalConsistencyError, match="J I_a"):
+        aw._DisplayTables()
 
 
 def test_block_products_match_fraction_oracle():
@@ -653,7 +695,8 @@ def test_block_products_match_fraction_oracle():
 _COUNT_AW_RUN = """
 import contextlib, io, json
 from g2forge import linalg
-counts = {"fit_model": 0, "quadratic_form": 0, "sym_inner": 0}
+counts = {"fit_model": 0, "quadratic_form": 0, "sym_inner": 0,
+          "Matrix.apply": 0, "Matrix.__mul__": 0}
 entered = {}
 depth = [0]
 
@@ -667,25 +710,33 @@ def inside_only(name, fn):
 
 # patched before the modules that could import them by name load
 linalg.sym_inner = inside_only("sym_inner", linalg.sym_inner)
+for name in ("apply", "__mul__"):
+    setattr(linalg.Matrix, name,
+            inside_only("Matrix." + name, getattr(linalg.Matrix, name)))
 from g2forge import cubic
 cubic.quadratic_form = inside_only("quadratic_form", cubic.quadratic_form)
 from g2forge import aw, cli
 
 
-def window(name, fn):
+def window(name, fn, counted=True):
     def wrapper(*args, **kwargs):
         entered[name] = entered.get(name, 0) + 1
-        depth[0] += 1
+        outer = depth[0]
+        depth[0] = outer + 1 if counted else 0
         try:
             return fn(*args, **kwargs)
         finally:
-            depth[0] -= 1
+            depth[0] = outer
     return wrapper
 
 
 for name in ("verify_tensor_displays", "verify_block_products"):
     setattr(aw, name, window(name, getattr(aw, name)))
 aw._BlockTables.__init__ = window("block_tables", aw._BlockTables.__init__)
+# the display tables are built once, with Matrix code, wherever R or a
+# display side is first read; the sweeps' own work is what is counted
+aw._DisplayTables.__init__ = window(
+    "display_tables", aw._DisplayTables.__init__, counted=False)
 fit_model = aw.fit_model
 
 
@@ -705,15 +756,76 @@ def test_aw_run_counts(fresh_python):
     """One aw run fits twice (the block cubic, and P through its table),
     and its sweeps, block products and block-table build run on int
     triangles: no quadratic_form and no sym_inner, whose Fraction
-    results they used to compare."""
+    results they used to compare.  The display sides and R come from
+    the display tables, built once: the sweeps make no Matrix product
+    and no Matrix.apply."""
     proc = fresh_python(_COUNT_AW_RUN)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["exit"] == 1
     assert out["entered"] == {"block_tables": 1, "verify_tensor_displays": 1,
-                              "verify_block_products": 1}
+                              "verify_block_products": 1,
+                              "display_tables": 1}
     assert out["counts"] == {"fit_model": 2, "quadratic_form": 0,
-                             "sym_inner": 0}
+                             "sym_inner": 0, "Matrix.apply": 0,
+                             "Matrix.__mul__": 0}
+
+
+_AW_MUTANT = """
+import contextlib, io, json, sys
+from g2forge import aw, cli
+tables = aw.display_tables()
+if sys.argv[1] == "ia2":
+    # the first entry of ia2(e4) with its sign flipped
+    (k, c), *rest = tables.ia2[0]
+    tables.ia2[0] = ((k, -c), *rest)
+else:
+    # the first entry of I1 in R's metric route with its sign flipped
+    (i, j, c), *rest = tables.i[0]
+    tables.i[0] = ((i, j, -c), *rest)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1",
+                     "--format", "json", "--output", "report.json"])
+with open("report.json") as fh:
+    checks = json.load(fh)["suites"][0]["checks"]
+print(json.dumps({"exit": code, "failed": {
+    c["id"]: c["actual"] for c in checks if c["status"] == "fail"}}))
+"""
+
+
+def test_flipped_ia2_entry_fails_the_pinned_displays(fresh_python):
+    """One sign of the ia2 table flipped, in a fresh interpreter: of the
+    tensor displays, exactly the three by-design ids and the corrected
+    twins of the two displays that read ia2 fail, and every other
+    failing check is in the ledger."""
+    proc = fresh_python(_AW_MUTANT, "ia2")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exit"] == 1
+    failed = set(out["failed"])
+    displays = {cid for cid in failed
+                if cid.startswith("aw.tensor-display.")}
+    assert displays == {
+        "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a",
+        "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a.corrected",
+        "aw.tensor-display.p(y^Omega,C(x))=6y.Jx",
+        "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax",
+        "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax.corrected"}
+    assert failed - displays == {cid for cid in suites.AW_BY_DESIGN
+                                 if cid not in displays}
+
+
+def test_flipped_r_entry_is_a_recorded_failure(fresh_python):
+    """One sign of I1's entries in R's metric route flipped, in a fresh
+    interpreter: R's two routes disagree, and the run records that as
+    the failed aw.block-products sweep, with the exception as its
+    actual, rather than crashing."""
+    proc = fresh_python(_AW_MUTANT, "r")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exit"] == 1
+    assert out["failed"]["aw.block-products"] == (
+        "InternalConsistencyError: R display disagrees with g(Jx, I_y x)")
 
 
 _COUNT_QUAD = """

@@ -35,12 +35,12 @@ def test_projectors_idempotent_orthogonal_complete(g2frame):
     for grade in (2, 3, 4):
         mats = reference.projector_matrices(g2frame, grade)
         n = len(mats[0].to_rows())
-        total = Matrix.zeros(n, n)
+        total = reference.zeros(n, n)
         for i, P in enumerate(mats):
             assert P * P == P
             for j, Q in enumerate(mats):
                 if j != i:
-                    assert P * Q == Matrix.zeros(n, n)
+                    assert P * Q == reference.zeros(n, n)
             total = total + P
         assert total == Matrix.diagonal([1] * n)
 
@@ -486,7 +486,7 @@ def test_star_action_matches_seven_wedges(grade):
     rng = random.Random(4700 + grade)
     draws = (lambda: rng.randint(-4, 4),
              lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)))
-    matrices = [Matrix.zeros(7, 7)]
+    matrices = [reference.zeros(7, 7)]
     for draw in draws:
         matrices.append(Matrix.diagonal([draw() for _ in range(7)]))
         matrices += [Matrix(7, 7, [draw() for _ in range(49)])

@@ -198,6 +198,17 @@ def test_int_traceless_is_the_same_draw():
         assert r1.getstate() == r2.getstate()
 
 
+def test_derived_seed_digests_are_hashlibs():
+    """derived_seed takes sha256 from the builtin SHA-2 module; its
+    sub-seeds are those of hashlib's sha256."""
+    import hashlib
+    for seed, cid in ((1, "aw.tensor-displays"), (3, "g2.type-dimensions"),
+                      (2 ** 40, "pairing.mc.0"), (-7, "")):
+        digest = hashlib.sha256(f"{seed}:{cid}".encode()).digest()
+        assert suites.derived_seed(seed, cid) == \
+            int.from_bytes(digest[:4], "big")
+
+
 _COUNT_G2_CUBIC = """
 import json
 from fractions import Fraction
