@@ -58,6 +58,15 @@ y3, x4..x7).  Its structure constants on the block basis are 58 nonzero
 integers, built once and checked fully symmetric; the lattice sweeps
 and fits evaluate that table; random points, and two probes of the
 table when it is built, take the solver route.
+
+The display sides of the tensor sweep that depend on (y, x) (J I_y,
+e_a . I_a x, y . Jx and the eps mix) are linear or bilinear in (y, x),
+so display_tables evaluates their formulas once per process at the
+basis vectors and keeps the nonzero entries of each int upper
+triangle; a point combines those entries with its coordinates, and
+the x-quadratic side of p(C(x), C(x)) is written out.  R's metric
+route g(Jx, I_y x) reads the nonzero entries of J and the I_a from the
+same tables.  The kernel side runs at every point.
 """
 
 from __future__ import annotations
@@ -310,10 +319,10 @@ def r_value(y: Form, x: Form):
     coordinate display before being returned.  The metric route reads
     the nonzero entries of J and the I_a off the display tables."""
     yc, xc = coords_of(y), coords_of(x)
-    if any(yc[i] != 0 for i in range(3, 7)):
-        raise FormError("y must lie in span(e1,e2,e3)")
     if any(xc[i] != 0 for i in range(3)):
         raise FormError("x must lie in span(e4..e7)")
+    if any(yc[i] != 0 for i in range(3, 7)):
+        raise FormError("y must lie in span(e1,e2,e3)")
     metric_route = display_tables().r_metric(yc, xc)
 
     y1, y2, y3 = yc[:3]
@@ -516,12 +525,13 @@ class _DisplayTables:
         xs of (y, x); mix is twice the mix, as _epsilon_mix gives it."""
         yx = [a * b for a in ys for b in xs]
         xx = sum(t * t for t in xs)
-        c4 = [10 * ((xx if i == j else 0) - xs[i] * xs[j])
-              for i in range(4) for j in range(i, 4)]
+        # rows 0..2 of the triangle hold 2|x|^2 on the diagonal, rows
+        # 3..6 are the m4 block's triangle
+        cc = [2 * xx] + [0] * 6 + [2 * xx] + [0] * 5 + [2 * xx] + [0] * 4
+        cc += [10 * ((xx if i == j else 0) - xs[i] * xs[j])
+               for i in range(4) for j in range(i, 4)]
         return (_assembled(ys, self.jia), _assembled(xs, self.ia2),
-                _assembled(yx, self.yjx2), _assembled(yx, self.mix),
-                [2 * xx] + [0] * 6 + [2 * xx] + [0] * 5 + [2 * xx] + [0] * 4
-                + c4)
+                _assembled(yx, self.yjx2), _assembled(yx, self.mix), cc)
 
     def r_metric(self, yc, xc):
         """g(Jx, I_y x) for the coordinates yc and xc of y and x."""

@@ -456,7 +456,7 @@ def split_cubic(u, w):
 # SymTensor of Fractions from the scalar-generic kernels above, every
 # display at its own scale, with the symmetric products e_a . I_a x and
 # y . Jx from SymTensor.sym_outer, and J I_y and R from Matrix products
-# rebuilt at each point, as they ran before they moved onto int tables.
+# at each point.
 
 _ID3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
 _ID4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
