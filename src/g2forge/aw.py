@@ -492,10 +492,11 @@ class _DisplayTables:
     Every display side is linear, bilinear or quadratic in (y, x): J I_y
     is sum_a y_a J I_a, ia2 = 2 e_a . I_a x is sum_i x_i ia2(e_i), and
     yjx2 = 2 y . Jx and the mix are sum_{a,i} y_a x_i of their values at
-    (e_a, e_i).  The builder evaluates the display formulas (fr.J, fr.I,
-    _outer2, _epsilon_mix) once, at the basis vectors e_a (a = 1..3) and
-    e_i (i = 4..7), and keeps each value as the nonzero entries of its
-    int upper triangle (_upper_entries); each J I_a must be symmetric.
+    (e_a, e_i).  The constructor evaluates the display formulas (fr.J,
+    fr.I, _outer2, _epsilon_mix) once, at the basis vectors e_a (a =
+    1..3) and e_i (i = 4..7), and keeps each value as the nonzero entries
+    of its int upper triangle (_upper_entries); each J I_a must be
+    symmetric.
     The side p(C(x), C(x)) is quadratic in x alone and written directly.
     r_metric reads the nonzero entries of J and of each I_a.
     """
