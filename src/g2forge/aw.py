@@ -28,7 +28,9 @@ and W gated as pure 27.  The cubic is composed from the int parts of the
 kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
 linalg.upper_inner, on U + sqrt(10) W (route one, cubic.p_numerator)
 and on the ints U and W (route two), and divided once, by 2 D^3.  The
-first two read precomputed signed blade tables and build no Form.
+first two read precomputed signed blade tables and build no Form, and
+all three pass flat upper triangles in linalg's layout.  A route that
+fails names both routes' values of P and xi.
 Route two reads the full symmetry of the trilinear form T(a, b, c) =
 <p(a, b), i^{-1}(c)>: T(U, W, W) = T(W, W, U) lets p(U, U) and p(W, W)
 carry all four terms of the expansion, two pair-table passes where the
@@ -62,9 +64,10 @@ table when it is built, take the solver route.
 The display sides of the tensor sweep that depend on (y, x) (J I_y,
 e_a . I_a x, y . Jx and the eps mix) are linear or bilinear in (y, x),
 so display_tables evaluates their formulas once per process at the
-basis vectors and keeps the nonzero entries of each int upper
-triangle; a point combines those entries with its coordinates, and
-the x-quadratic side of p(C(x), C(x)) is written out.  R's metric
+basis vectors and keeps the nonzero entries of each int flat upper
+triangle; a point combines those entries with its coordinates into
+the flat triangle the kernels return, and the x-quadratic side of
+p(C(x), C(x)) is written out over linalg.TRIANGLE.  R's metric
 route g(Jx, I_y x) reads the nonzero entries of J and the I_a from the
 same tables.  The kernel side runs at every point.
 """
@@ -73,6 +76,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
@@ -80,7 +84,7 @@ from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
 from .g2 import InternalConsistencyError, TypeDecompositionError, _expanded, \
     standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
-from .linalg import Matrix, SymTensor, solve_exact, upper_inner
+from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import GaussRational, QuadExt, ScalarError, _element, \
     clear_denominators, scalar_to_json
 
@@ -269,18 +273,23 @@ def first_principles_value(xi: Su3Element, *,
     u, w, d = comparison_form(xi)
     a = _quad_form(u, w)
     native = p_numerator(a, standard_frame().iso_i_inv_upper(a))
-    if isinstance(native, QuadExt):
-        if native.irr != 0:
-            raise InternalConsistencyError("P has a sqrt(10) component")
-        native = native.rat
+    rat, irr = (native.rat, native.irr) if isinstance(native, QuadExt) \
+        else (native, 0)
+    routes = {"native": (rat, irr)}
     if not single_route:
-        even, odd = _split_cubic(u, w)
-        if odd != 0:
+        routes["even/odd"] = _split_cubic(u, w)
+    even, odd = routes.get("even/odd", (rat, 0))
+    for what, failed in (("P has a sqrt(10) component", irr),
+                         ("sqrt(10)-odd part of P does not vanish", odd),
+                         ("the two routes to P disagree", even != rat)):
+        if failed:
+            # each route's P as r + q sqrt(10), over 2 D^3, and xi
+            values = ", ".join(f"{name} {Fraction(r, 2 * d ** 3)} + "
+                               f"{Fraction(q, 2 * d ** 3)} sqrt(10)"
+                               for name, (r, q) in routes.items())
             raise InternalConsistencyError(
-                "sqrt(10)-odd part of P does not vanish")
-        if even != native:
-            raise InternalConsistencyError("the two routes to P disagree")
-    return Fraction(native, 2 * d ** 3)
+                f"{what}: {values} at {json.dumps(xi.to_json())}")
+    return Fraction(rat, 2 * d ** 3)
 
 
 def _quad_form(u: Form, w: Form) -> Form:
@@ -332,7 +341,10 @@ def r_value(y: Form, x: Form):
                + 2 * y2 * (-x3 * x6 + x4 * x5)
                + 2 * y3 * (x3 * x5 + x4 * x6))
     if metric_route != display:
-        raise InternalConsistencyError("R display disagrees with g(Jx, I_y x)")
+        raise InternalConsistencyError(
+            f"R display disagrees with g(Jx, I_y x): metric {metric_route}, "
+            f"display {display} at y = ({', '.join(map(str, yc[:3]))}) on "
+            f"e1..e3 and x = ({', '.join(map(str, xc[3:]))}) on e4..e7")
     return metric_route
 
 
@@ -406,16 +418,15 @@ def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     return out
 
 
-def _outer2(pairs) -> SymTensor:
-    """sum over (v, w) of v w^T + w v^T, twice the symmetric products:
-    integer vectors give an integer tensor, with no division."""
-    n = 7
-    return SymTensor.from_upper(
-        [[sum(v[i] * w[j] + v[j] * w[i] for v, w in pairs)
-          for j in range(i, n)] for i in range(n)])
+def _outer2(pairs) -> list:
+    """sum over (v, w) of v w^T + w v^T, twice the symmetric products,
+    as a flat upper triangle: integer vectors give an integer tensor,
+    with no division."""
+    return [sum(v[i] * w[j] + v[j] * w[i] for v, w in pairs)
+            for i, j in TRIANGLE]
 
 
-def _epsilon_mix(y: Form, x: Form) -> SymTensor:
+def _epsilon_mix(y: Form, x: Form) -> list:
     """Twice sum_{abc} eps_{abc} y_a e_c . (I_b J x), the second
     equivariant bilinear map from (m3, m4) into the off-diagonal
     symmetric block, as _outer2 gives it.  J commutes with each I_a, so
@@ -459,16 +470,10 @@ def _phitilde_displays() -> tuple[bool, bool]:
             standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
 
 
-def _flat(upper) -> list:
-    """A 7x7 upper triangle (row i from the diagonal on) read row by
-    row: 28 entries, the layout of every display side."""
-    return [t for row in upper for t in row]
-
-
-def _upper_entries(t: SymTensor) -> tuple:
-    """The nonzero entries (k, c) of t's upper triangle, k the position
-    of c in _flat's layout: one unit functional of g2._expanded."""
-    return tuple((k, c) for k, c in enumerate(_flat(t.upper)) if c)
+def _upper_entries(upper: list) -> tuple:
+    """The nonzero entries (k, c) of a flat upper triangle, k the
+    position of c: one unit functional of g2._expanded."""
+    return tuple((k, c) for k, c in enumerate(upper) if c)
 
 
 def _matrix_entries(M: Matrix) -> tuple:
@@ -479,7 +484,7 @@ def _matrix_entries(M: Matrix) -> tuple:
 
 def _assembled(coefficients, table) -> list:
     """sum_k c_k t_k over the entries tables t_k, as a flat triangle."""
-    flat = [0] * 28
+    flat = [0] * len(TRIANGLE)
     for k, c in _expanded(coefficients, table).items():
         flat[k] = c
     return flat
@@ -510,7 +515,7 @@ class _DisplayTables:
             jia = [SymTensor((fr.J * I).to_rows()) for I in fr.I]
         except ValueError:
             raise InternalConsistencyError("J I_a is not symmetric") from None
-        self.jia = [_upper_entries(t) for t in jia]
+        self.jia = [_upper_entries(t.upper) for t in jia]
         self.ia2 = [_upper_entries(_outer2([(fr.I[a].apply(ec[i]), ec[a])
                                             for a in m3])) for i in m4]
         self.yjx2 = [_upper_entries(_outer2([(ec[a], fr.J.apply(ec[i]))]))
@@ -526,11 +531,9 @@ class _DisplayTables:
         xs of (y, x); mix is twice the mix, as _epsilon_mix gives it."""
         yx = [a * b for a in ys for b in xs]
         xx = sum(t * t for t in xs)
-        # rows 0..2 of the triangle hold 2|x|^2 on the diagonal, rows
-        # 3..6 are the m4 block's triangle
-        cc = [2 * xx] + [0] * 6 + [2 * xx] + [0] * 5 + [2 * xx] + [0] * 4
-        cc += [10 * ((xx if i == j else 0) - xs[i] * xs[j])
-               for i in range(4) for j in range(i, 4)]
+        x = [0] * 3 + list(xs)
+        cc = [(xx * (2 if i < 3 else 10) if i == j else 0) - 10 * x[i] * x[j]
+              for i, j in TRIANGLE]
         return (_assembled(ys, self.jia), _assembled(xs, self.ia2),
                 _assembled(yx, self.yjx2), _assembled(yx, self.mix), cc)
 
@@ -583,8 +586,8 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     pp_holds, ip_holds = _phitilde_displays()
     # the sides with a corrected form: 2p(phitilde, C(x)), 2p(y^Omega,
     # C(x)) and 4 i^{-1}(C(x))
-    ptc, ywc = _flat(quadratic_upper(pt, cx)), _flat(quadratic_upper(yw, cx))
-    icx = [2 * t for t in _flat(g2.iso_i_inv_upper(cx))]
+    ptc, ywc = quadratic_upper(pt, cx), quadratic_upper(yw, cx)
+    icx = [2 * t for t in g2.iso_i_inv_upper(cx)]
 
     checks = []
 
@@ -596,7 +599,7 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
 
     add("p(phitilde, phitilde) = 38 id3 + 3 id4", pp_holds)
     add("p(phitilde, y^Omega) = -J I_y",
-        _flat(quadratic_upper(pt, yw)) == [-2 * t for t in jiy])
+        quadratic_upper(pt, yw) == [-2 * t for t in jiy])
     add("p(phitilde, C(x)) = -4 I_a x . e_a",
         ptc == [-4 * t for t in ia2],
         # p(phitilde, C(x)) = -11 I_a x . e_a
@@ -606,10 +609,10 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
         # p(y^Omega, C(x)) = 3 y . Jx + eps_abc y_a e_c . I_b J x
         ywc == [3 * t + m for t, m in zip(yjx2, mix)])
     add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
-        _flat(quadratic_upper(cx, cx)) == cc)
+        quadratic_upper(cx, cx) == cc)
     add("i^{-1}(phitilde) = -2 id3 + (3/2) id4", ip_holds)
     add("i^{-1}(y^Omega) = -(1/2) J I_y",
-        _flat(g2.iso_i_inv_upper(yw)) == [-t for t in jiy])
+        g2.iso_i_inv_upper(yw) == [-t for t in jiy])
     add("i^{-1}(C(x)) = -(1/2) e_a . I_a x",
         icx == [-t for t in ia2],
         # i^{-1}(C(x)) = -2 e_a . I_a x

@@ -18,8 +18,9 @@ hat(a2) ^ (e_j -| a1)), one flat vector of 49 entries, are both
 bilinear, and one kernel (_bilinear) reads both off a blade-major sign
 table: each blade m of the first form holds the triples (k, m', sign)
 that add sign a[m] b[m'] to entry k.  In the pair table of a grade, e_i
-is in m, e_j in m', m - e_i = m' - e_j and k is the upper-triangle
-entry (i, j) (315 triples in all on 3-forms, 350 on 4-forms).  In the
+is in m, e_j in m', m - e_i = m' - e_j and k is the position of the
+upper-triangle entry (i, j) in linalg.TRIANGLE (315 triples in all on
+3-forms, 350 on 4-forms).  In the
 right-hand side's table m is a 4-blade, e_j is in m, m' a 3-blade
 disjoint from the rest of m and k the row of the 6-blade they make,
 with the minus folded into the sign (560 triples).  The kernel loops
@@ -30,7 +31,8 @@ Every kernel runs on integer numerators, a = n / d (exterior.numerators),
 takes each product, sum and cross-check in int and divides once at the
 end (scalars.over), keeping the values and entry types of the same
 computation in the coefficients' own type.  quadratic_upper is d^2 p
-(2 d^2 p for a pair), U on the diagonal.  b2 solves on the ints
+(2 d^2 p for a pair), U on the diagonal, as the flat upper triangle
+of linalg's layout, the list _bilinear fills.  b2 solves on the ints
 h_k = L hat(n_k) (G2Frame.hat_numerators, L = 28;
 G2Frame.solve_three_form_numerators, x / D) and divides by D L d^2.
 On the 27 type (G2Frame.is_pure27 on *n),
@@ -54,20 +56,19 @@ from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
     numerators, vol_coefficient, wedge
 from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
     standard_frame, star_action
-from .linalg import SymTensor, sym_inner, upper_inner
+from .linalg import DIAGONAL, TRIANGLE, SymTensor, sym_inner, upper_inner
 from .scalars import over
 
 @functools.cache
 def _pair_table(grade: int) -> dict[int, tuple]:
     """p on k-forms blade-major: each k-blade m as the triples (k, m',
     sign) with <e_i -| a1, e_j -| a2> = sum sign a1[m] a2[m'] for the
-    upper-triangle entry k = (i, j), i <= j, numbered row by row, sign
+    upper-triangle entry k = (i, j), i <= j, at linalg.TRIANGLE[k], sign
     the product of the two contraction signs."""
-    upper = [(i, j) for i in range(7) for j in range(i, 7)]
     table = {}
     for m in BLADES_BY_GRADE[grade]:
         triples = []
-        for k, (i, j) in enumerate(upper):
+        for k, (i, j) in enumerate(TRIANGLE):
             rest = m ^ 1 << i
             if m >> i & 1 and not rest >> j & 1:
                 mm = rest | 1 << j
@@ -100,13 +101,12 @@ def _bilinear(table: dict, pairs, count: int) -> list:
     return [0 if s is None else s for s in flat]
 
 
-def quadratic_upper(n1: Form, n2: Form) -> list[list]:
-    """The upper triangle of p(n, n) for n1 is n2 = n, and of 2 p(n1, n2)
-    for two distinct forms, read off the pair table (_bilinear), a pair
-    in both orders."""
+def quadratic_upper(n1: Form, n2: Form) -> list:
+    """The flat upper triangle of p(n, n) for n1 is n2 = n, and of
+    2 p(n1, n2) for two distinct forms, read off the pair table
+    (_bilinear), a pair in both orders."""
     pairs = ((n1, n2),) if n1 is n2 else ((n1, n2), (n2, n1))
-    it = iter(_bilinear(_pair_table(n1.grade), pairs, 28))
-    return [[next(it) for _ in range(i, 7)] for i in range(7)]
+    return _bilinear(_pair_table(n1.grade), pairs, len(TRIANGLE))
 
 
 def quadratic_form(a1: Form, a2: Form) -> SymTensor:
@@ -116,8 +116,7 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
         raise GradeError("quadratic_form needs two forms of equal grade >= 1")
     (n1, n2), d = numerators(a1, a2)
     s = d * d if n1 is n2 else 2 * d * d
-    return SymTensor.from_upper([[over(x, s) for x in row]
-                                 for row in quadratic_upper(n1, n2)])
+    return SymTensor.from_upper([over(x, s) for x in quadratic_upper(n1, n2)])
 
 
 @functools.cache
@@ -187,9 +186,9 @@ def _pure27_numerators(a: Form, fr: G2Frame) -> tuple[Form, Form, int]:
 def _closed_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
     """(U, N) = (quadratic_upper(n, n), 7 d^2 Q2(n / d))."""
     U = quadratic_upper(n, n)
-    t = sum(row[0] for row in U)
+    t = sum(U[k] for k in DIAGONAL)
     return U, 2 * norm_sq(n) * fr.phi - fr.iso_i(SymTensor.from_upper(
-        [[7 * row[0] - t] + [7 * x for x in row[1:]] for row in U]))
+        [7 * x - t if k in DIAGONAL else 7 * x for k, x in enumerate(U)]))
 
 
 def _solved_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
@@ -201,7 +200,7 @@ def _solved_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
     return U, N
 
 
-def _q_numerator(n: Form, inv_star: list[list], fr: G2Frame):
+def _q_numerator(n: Form, inv_star: list, fr: G2Frame):
     """vol(N ^ n) = 7 d^3 Q(n / d) by both routes, inv_star the upper
     triangle of 2 i^{-1}(*n) (G2Frame.iso_i_inv_upper), which the caller
     holds."""
@@ -244,7 +243,7 @@ def q_value(a: Form, frame: G2Frame | None = None):
     return over(v, 7 * d ** 3) if v else v
 
 
-def p_numerator(n: Form, inv: list[list]):
+def p_numerator(n: Form, inv: list):
     """d^3 P(n / d) = 2 <p(n, n), i^{-1}(n)>, n of pure 27 type (unchecked),
     inv the upper triangle of 2 i^{-1}(n) (G2Frame.iso_i_inv_upper)."""
     return upper_inner(quadratic_upper(n, n), inv)

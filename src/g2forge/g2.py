@@ -42,7 +42,10 @@ f_ij: by Schur's lemma the equivariant map b |-> (<b, f_ij>)_ij sends
 Lambda^3_1 to multiples of g and Lambda^3_7 to skew tensors, so for
 traceless symmetric S the sum pairs to zero with both and lies in
 Lambda^3_27, where it pairs with every b as 2 <S, i^{-1} b> = <i(S), b>
-(|i(S)|^2 = 2 |S|^2).  S*psi = -*i(S); no derived action runs.
+(|i(S)|^2 = 2 |S|^2).  S*psi = -*i(S); no derived action runs.  Both
+directions pass linalg's flat upper triangle: i reads S.upper through
+functionals built over linalg.TRIANGLE, and iso_i_inv_upper returns the
+49 sums at the positions of TRIANGLE.
 
 The b2 solve runs on integer data computed once, too.  The pairing map
 M: gamma |-> (gamma ^ (e_j -| psi))_j, Lambda^3 -> R^49, is
@@ -88,7 +91,8 @@ from math import lcm
 from . import exterior as ext
 from .exterior import Form, BLADES_BY_GRADE, FULL_MASK, blade, contract, \
     hodge, merge_sign, vector, vector_form, vol_coefficient, wedge
-from .linalg import InconsistentSystemError, Matrix, SymTensor
+from .linalg import DIAGONAL, TRIANGLE, InconsistentSystemError, Matrix, \
+    SymTensor
 from .scalars import clear_denominators, over
 
 DIM = 7
@@ -289,7 +293,7 @@ class G2Frame:
         self._iso_functionals = [
             self._inv_functionals[DIM * i + j]
             + (self._inv_functionals[DIM * j + i] if i != j else ())
-            for i in range(DIM) for j in range(i, DIM)]
+            for i, j in TRIANGLE]
         # the rows of the pairing matrix M of gamma |-> (gamma ^ (e_j -|
         # psi))_j as functionals on 3-forms; row 7 j + p is 6-blade p of
         # block j
@@ -352,10 +356,9 @@ class G2Frame:
         f_ij + f_ji."""
         if S.trace() != 0:
             raise TypeDecompositionError("iso_i needs a traceless tensor")
-        entries = [x for row in S.upper for x in row]
-        ints, d = clear_denominators(entries)
+        ints, d = clear_denominators(S.upper)
         terms = _expanded(ints, self._iso_functionals)
-        if ints is not entries:
+        if ints is not S.upper:
             terms = {m: over(c, d) for m, c in terms.items()}
         return Form(3, terms)
 
@@ -373,22 +376,22 @@ class G2Frame:
         fs, index, _, _ = self._span3
         return not any(_scattered_sums(b, index, len(fs)))
 
-    def iso_i_inv_upper(self, n: Form) -> list[list]:
-        """The upper triangle of 2 i^{-1}(n) for a 3-form n of pure 27
-        type (the caller's to check), in the coefficients' own type with
-        no rescale: i^{-1}(b) of b = n / d is this triangle over 2 d.
-        All 49 signed sums <n, f_ij> are taken, each blade of n scattered
-        into the sums that read it (_inv_index), int 0 when n has none of
-        the blades of f_ij, so that symmetry and trace stay real checks.
+    def iso_i_inv_upper(self, n: Form) -> list:
+        """The flat upper triangle of 2 i^{-1}(n) for a 3-form n of pure
+        27 type (the caller's to check), in the coefficients' own type
+        with no rescale: i^{-1}(b) of b = n / d is this triangle over
+        2 d.  All 49 signed sums <n, f_ij> are taken, each blade of n
+        scattered into the sums that read it (_inv_index), int 0 when n
+        has none of the blades of f_ij, so that symmetry and trace stay
+        real checks.
         """
-        flat = _scattered_sums(n, self._inv_index, DIM * DIM)
-        sums = [flat[DIM * i:DIM * (i + 1)] for i in range(DIM)]
-        if any(sums[i][j] != sums[j][i]
-               for i in range(DIM) for j in range(i + 1, DIM)):
+        sums = _scattered_sums(n, self._inv_index, DIM * DIM)
+        if any(sums[DIM * i + j] != sums[DIM * j + i] for i, j in TRIANGLE):
             raise InternalConsistencyError("recovered tensor is not symmetric")
-        if sum(sums[i][i] for i in range(DIM)) != 0:
+        upper = [sums[DIM * i + j] for i, j in TRIANGLE]
+        if sum(upper[k] for k in DIAGONAL) != 0:
             raise InternalConsistencyError("recovered tensor is not traceless")
-        return [row[i:] for i, row in enumerate(sums)]
+        return upper
 
     def iso_i_inv(self, b: Form) -> SymTensor:
         """Invert i on Lambda^3_27: iso_i_inv_upper over 2 d for b = n / d.
@@ -403,8 +406,8 @@ class G2Frame:
         # a sum that cancels is taken as int 0, so that entry is
         # Fraction(0) for every scalar type, as vol_coefficient(b ^ chi_ij)
         # gives it
-        return SymTensor.from_upper([[over(x if x else 0, 2 * d) for x in row]
-                                     for row in self.iso_i_inv_upper(n)])
+        return SymTensor.from_upper([over(x if x else 0, 2 * d)
+                                     for x in self.iso_i_inv_upper(n)])
 
     def extract_v7(self, a: Form) -> Form:
         """Vector part of a 4-form: V with P_7 a = V ^ phi, read as
@@ -515,13 +518,12 @@ def two_form_endo(beta: Form) -> Matrix:
     return Matrix.from_rows(entries)
 
 
-def traceless_draw(rng, bound: int = 6) -> list[list[int]]:
-    """The upper triangle of a small-height random traceless symmetric
-    tensor, as ints: one draw per entry in row order, the last diagonal
-    entry then set so the trace vanishes."""
-    upper = [[rng.randint(-bound, bound) for _ in range(i, DIM)]
-             for i in range(DIM)]
-    upper[6][0] -= sum(row[0] for row in upper)
+def traceless_draw(rng, bound: int = 6) -> list[int]:
+    """The flat upper triangle of a small-height random traceless
+    symmetric tensor, as ints: one draw per entry in linalg.TRIANGLE's
+    order, the last diagonal entry then set so the trace vanishes."""
+    upper = [rng.randint(-bound, bound) for _ in TRIANGLE]
+    upper[DIAGONAL[-1]] -= sum(upper[k] for k in DIAGONAL)
     return upper
 
 
@@ -529,5 +531,4 @@ def random_traceless(rng, bound: int = 6) -> SymTensor:
     """traceless_draw with Fraction entries; the g2 and cubic suites
     read the draw as ints (suites._int_traceless), and the benchmark's
     inputs read the Fractions."""
-    return SymTensor.from_upper([[Fraction(x) for x in row]
-                                 for row in traceless_draw(rng, bound)])
+    return SymTensor.from_upper([Fraction(x) for x in traceless_draw(rng, bound)])

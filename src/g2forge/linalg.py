@@ -12,15 +12,19 @@ content.  _echelon stays the one Gauss-Jordan routine, since
 solve_exact reads its solution off the reduced rows and takes QuadExt
 right-hand sides, which elimination over Z does not.
 
-A SymTensor is stored as one upper triangle, row i from the diagonal
-on, the shape the integer cores take and return: a full square given
-to the constructor is checked for symmetry and its triangle kept, its
-own arithmetic (sums, differences, multiples, symmetric products) runs
-on the triangle, and the full square is only built, mirrored, when a
-caller reads entries.  upper_inner pairs two such triangles, the
-diagonal plus twice the strict upper triangle with no rescale;
-sym_inner runs it on the integer numerators of two SymTensors and
-rescales once.
+A SymTensor is a symmetric 7x7 tensor, the only size the package
+pairs, stored as one flat upper triangle: 28 entries, row i from the
+diagonal on, entry k at TRIANGLE[k] and the diagonal at DIAGONAL.  This
+module owns that layout; the integer cores (cubic.quadratic_upper,
+G2Frame.iso_i_inv_upper) return such triangles, G2Frame.iso_i reads
+one, and every other module takes positions from TRIANGLE and
+DIAGONAL.  A full square given to the constructor is checked for
+symmetry and its triangle kept, its own arithmetic (sums, differences,
+multiples, symmetric products) runs on the triangle, and the full
+square is only built, mirrored, when a caller reads entries.
+upper_inner pairs two triangles position by position, the diagonal
+once and the rest twice, with no rescale; sym_inner runs it on the
+integer numerators of two SymTensors and rescales once.
 """
 
 from __future__ import annotations
@@ -230,126 +234,113 @@ def solve_exact(A: Matrix, b: Sequence) -> tuple[list, int]:
     return x, A.cols - len(pivots)
 
 
-class SymTensor:
-    """A symmetric bilinear form / symmetric endomorphism in coordinates.
+# The one layout of a symmetric tensor: its upper triangle read row by
+# row, row i from the diagonal on, 28 entries; entry k is the (i, j) of
+# TRIANGLE[k], and the diagonal (i, i) sits at DIAGONAL[i]
+TRIANGLE = tuple((i, j) for i in range(7) for j in range(i, 7))
+DIAGONAL = tuple(k for k, (i, j) in enumerate(TRIANGLE) if i == j)
+_OFF_DIAGONAL = tuple(k for k, (i, j) in enumerate(TRIANGLE) if i != j)
+# the position in TRIANGLE of entry (i, j) of the square, either order
+_SQUARE = [[TRIANGLE.index((min(i, j), max(i, j))) for j in range(7)]
+           for i in range(7)]
 
-    Stored as its upper triangle only: upper[i] is row i from the
-    diagonal on (n - i entries), the shape the integer cores
-    (quadratic_upper, iso_i_inv_upper, upper_inner) pass around.  A full
-    square given to the constructor is checked for symmetry and its
-    triangle kept; the optional traceless flag additionally asserts
-    vanishing trace, which is how the domain of the 27-dimensional
-    isomorphism is enforced downstream.  from_upper wraps a triangle
-    with no check, and arithmetic, equality and the trace run on the
-    triangles.  entries is a mirrored full-square copy, built on each
-    read, for the callers that need the square.
+
+class SymTensor:
+    """A symmetric bilinear form / symmetric endomorphism of R^7 in
+    coordinates, stored as its flat upper triangle only: upper[k] is
+    the entry TRIANGLE[k].  A full 7x7 square given to the constructor
+    is checked for symmetry and its triangle kept; the optional
+    traceless flag additionally asserts vanishing trace, which is how
+    the domain of the 27-dimensional isomorphism is enforced downstream.
+    from_upper wraps a triangle with no check but its length, and
+    arithmetic, equality and the trace run on the triangles.  entries
+    is a mirrored full-square copy, built on each read, for the callers
+    that need the square.
     """
 
-    __slots__ = ("n", "upper")
+    __slots__ = ("upper",)
 
     def __init__(self, entries: Sequence[Sequence], traceless: bool = False):
-        n = len(entries)
         rows = [list(row) for row in entries]
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("not square")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(f"not symmetric at ({i},{j})")
-        self.n = n
-        self.upper = [row[i:] for i, row in enumerate(rows)]
+        if len(rows) != 7 or any(len(row) != 7 for row in rows):
+            raise ValueError("need a 7x7 square")
+        for i, j in TRIANGLE:
+            if rows[i][j] != rows[j][i]:
+                raise ValueError(f"not symmetric at ({i},{j})")
+        self.upper = [rows[i][j] for i, j in TRIANGLE]
         if traceless and self.trace() != 0:
             raise ValueError("trace is nonzero")
 
     @classmethod
-    def from_upper(cls, upper: Sequence[Sequence]) -> "SymTensor":
-        """The symmetric tensor whose row i from the diagonal on is
-        upper[i] (n - i entries)."""
-        n = len(upper)
-        for i, row in enumerate(upper):
-            if len(row) != n - i:
-                raise ValueError(f"upper row {i} needs {n - i} entries")
+    def from_upper(cls, upper: Sequence) -> "SymTensor":
+        """The symmetric tensor whose upper triangle is upper, entry k
+        at TRIANGLE[k]."""
+        if len(upper) != len(TRIANGLE):
+            raise ValueError(f"need {len(TRIANGLE)} upper entries, "
+                             f"got {len(upper)}")
         out = object.__new__(cls)
-        out.n = n
-        out.upper = [list(row) for row in upper]
+        out.upper = list(upper)
         return out
 
     @classmethod
     def diag(cls, values: Sequence) -> "SymTensor":
-        n = len(values)
-        return cls.from_upper([[values[i]] + [0] * (n - 1 - i) for i in range(n)])
+        return cls(Matrix.diagonal(values).to_rows())
 
     @classmethod
     def sym_outer(cls, v: Sequence, w: Sequence) -> "SymTensor":
         """Symmetric product v.w, i.e. (v w^T + w v^T)/2."""
-        n = len(v)
+        if len(v) != 7 or len(w) != 7:
+            raise ValueError("need two vectors of length 7")
         half = Fraction(1, 2)
-        return cls.from_upper([[half * (v[i] * w[j] + v[j] * w[i])
-                                for j in range(i, n)] for i in range(n)])
+        return cls.from_upper([half * (v[i] * w[j] + v[j] * w[i])
+                               for i, j in TRIANGLE])
 
     @property
     def entries(self) -> list[list]:
         """The full square, the lower triangle mirrored from the upper."""
         u = self.upper
-        return [[u[j][i - j] for j in range(i)] + list(u[i])
-                for i in range(self.n)]
+        return [[u[k] for k in row] for row in _SQUARE]
 
     def trace(self):
-        return sum(row[0] for row in self.upper)
+        return sum(self.upper[k] for k in DIAGONAL)
 
     def apply(self, vec: Sequence) -> list:
-        return [sum(row[j] * vec[j] for j in range(self.n)) for row in self.entries]
+        return self.to_matrix().apply(vec)
 
     def to_matrix(self) -> Matrix:
         return Matrix.from_rows(self.entries)
 
     def __add__(self, other):
-        if not isinstance(other, SymTensor) or other.n != self.n:
+        if not isinstance(other, SymTensor):
             return NotImplemented
-        return SymTensor.from_upper([[x + y for x, y in zip(r1, r2)]
-                                     for r1, r2 in zip(self.upper, other.upper)])
+        return SymTensor.from_upper([x + y for x, y in zip(self.upper, other.upper)])
 
     def __sub__(self, other):
-        if not isinstance(other, SymTensor) or other.n != self.n:
+        if not isinstance(other, SymTensor):
             return NotImplemented
-        return SymTensor.from_upper([[x - y for x, y in zip(r1, r2)]
-                                     for r1, r2 in zip(self.upper, other.upper)])
+        return SymTensor.from_upper([x - y for x, y in zip(self.upper, other.upper)])
 
     def __neg__(self):
-        return SymTensor.from_upper([[-x for x in row] for row in self.upper])
+        return SymTensor.from_upper([-x for x in self.upper])
 
     def scale(self, s) -> "SymTensor":
-        return SymTensor.from_upper([[s * x for x in row] for row in self.upper])
+        return SymTensor.from_upper([s * x for x in self.upper])
 
     def __eq__(self, other):
         if not isinstance(other, SymTensor):
             return NotImplemented
-        return self.n == other.n and self.upper == other.upper
+        return self.upper == other.upper
 
     def __repr__(self):
-        return f"SymTensor({self.n}x{self.n}, trace={self.trace()})"
+        return f"SymTensor(7x7, trace={self.trace()})"
 
 
-def upper_inner(u1: Sequence[Sequence], u2: Sequence[Sequence]):
-    """tr(S1 S2) from the upper triangles of two symmetric tensors, row i
-    from the diagonal on as SymTensor.from_upper takes them: the
-    diagonal plus twice the strict upper triangle, in the entries' own
-    type and with no rescale."""
-    return (sum(r1[0] * r2[0] for r1, r2 in zip(u1, u2))
-            + 2 * sum(x * y for r1, r2 in zip(u1, u2)
-                      for x, y in zip(r1[1:], r2[1:])))
-
-
-def _upper_numerators(upper: list[list]) -> tuple[list[list], int]:
-    """(N, d) with upper = N / d and every entry of N an int; N is upper
-    itself, with d = 1, when its entries are ints already."""
-    flat = [x for row in upper for x in row]
-    ints, d = clear_denominators(flat)
-    if ints is flat:
-        return upper, 1
-    it = iter(ints)
-    return [[next(it) for _ in row] for row in upper], d
+def upper_inner(u1: Sequence, u2: Sequence):
+    """tr(S1 S2) from the flat upper triangles of two symmetric tensors:
+    the diagonal once plus twice the rest, in the entries' own type and
+    with no rescale."""
+    return (sum(u1[k] * u2[k] for k in DIAGONAL)
+            + 2 * sum(u1[k] * u2[k] for k in _OFF_DIAGONAL))
 
 
 def sym_inner(S1: SymTensor, S2: SymTensor):
@@ -359,10 +350,8 @@ def sym_inner(S1: SymTensor, S2: SymTensor):
     two upper triangles, each over its own denominator d_k, and
     rescales once, by 1/(d_1 d_2); two int tensors give an int.
     """
-    if S1.n != S2.n:
-        raise ValueError("size mismatch")
-    n1, d1 = _upper_numerators(S1.upper)
-    n2, d2 = (n1, d1) if S2 is S1 else _upper_numerators(S2.upper)
+    n1, d1 = clear_denominators(S1.upper)
+    n2, d2 = (n1, d1) if S2 is S1 else clear_denominators(S2.upper)
     value = upper_inner(n1, n2)
     if n1 is S1.upper and n2 is S2.upper:
         return value

@@ -39,7 +39,7 @@ from . import exterior as ext
 from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
 from .g2 import standard_frame, star_action, traceless_draw
-from .linalg import Matrix, SymTensor, rank, sym_inner
+from .linalg import TRIANGLE, Matrix, SymTensor, rank, sym_inner
 from .scalars import clear_denominators
 
 # sha256 from the builtin SHA-2 module, as random takes its sha512: the
@@ -131,14 +131,11 @@ def _int_traceless(rng: random.Random, bound: int = 6) -> SymTensor:
 @functools.cache
 def _traceless_basis() -> tuple[SymTensor, ...]:
     """The 27 standard traceless symmetric tensors: 21 off-diagonal
-    symmetrized pairs and 6 consecutive diagonal differences, built once
-    per process for the two g2 checks that read them."""
-    basis = []
-    for i in range(7):
-        for j in range(i + 1, 7):
-            ei = coords_of(vector(i + 1))
-            ej = coords_of(vector(j + 1))
-            basis.append(SymTensor.sym_outer(ei, ej))
+    symmetrized pairs, in linalg.TRIANGLE's order, and 6 consecutive
+    diagonal differences, built once per process for the two g2 checks
+    that read them."""
+    e = [coords_of(vector(k)) for k in range(1, 8)]
+    basis = [SymTensor.sym_outer(e[i], e[j]) for i, j in TRIANGLE if i != j]
     for i in range(6):
         diag = [0] * 7
         diag[i], diag[i + 1] = 1, -1
@@ -288,14 +285,11 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
         fr = standard_frame()
         hits = 0
         for B in _traceless_basis():
-            ints = iter(clear_denominators([x for row in B.upper
-                                            for x in row])[0])
-            T = SymTensor.from_upper([[next(ints) for _ in range(i, 7)]
-                                      for i in range(7)])
+            T = SymTensor.from_upper(clear_denominators(B.upper)[0])
             # iso_i_inv_upper gives 2 i^{-1}
             b = fr.iso_i(T)
             hits += fr.is_pure27(b) and fr.iso_i_inv_upper(b) == \
-                [[2 * x for x in row] for row in T.upper]
+                [2 * x for x in T.upper]
         c.ok = hits == 27
         c.actual = f"{hits} of 27 round-trip"
 

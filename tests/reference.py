@@ -35,6 +35,10 @@ from g2forge.scalars import GaussRational, QuadExt
 # sqrt(10) in Q(sqrt(10)), which no package code reads as a constant
 SQRT10 = QuadExt(0, 1)
 
+# the (i, j) of each entry of a flat upper triangle, row i from the
+# diagonal on, stated here rather than read from linalg
+UPPER = [(i, j) for i in range(7) for j in range(i, 7)]
+
 
 # -- matrices and letter polynomials ---------------------------------------
 
@@ -300,22 +304,22 @@ def pairing_matrix(fr):
 # -- scalar-generic kernels -------------------------------------------------
 
 def quadratic_upper(a1, a2):
-    """The upper triangle of <e_i -| a1, e_j -| a2> for a1 is a2, and of
-    its two cross terms summed for a pair, by contract and inner."""
+    """The flat upper triangle (UPPER) of <e_i -| a1, e_j -| a2> for a1
+    is a2, and of its two cross terms summed for a pair, by contract and
+    inner."""
     c1 = [ext.contract(vector(i), a1) for i in range(1, 8)]
     if a1 is a2:
-        return [[inner(c1[i], c1[j]) for j in range(i, 7)] for i in range(7)]
+        return [inner(c1[i], c1[j]) for i, j in UPPER]
     c2 = [ext.contract(vector(i), a2) for i in range(1, 8)]
-    return [[inner(c1[i], c2[j]) + inner(c2[i], c1[j]) for j in range(i, 7)]
-            for i in range(7)]
+    return [inner(c1[i], c2[j]) + inner(c2[i], c1[j]) for i, j in UPPER]
 
 
 def quadratic_form(a1, a2):
     half = Fraction(1, 2)
     upper = quadratic_upper(a1, a2)
     if a1 is a2:
-        upper = [[x + x for x in row] for row in upper]
-    return SymTensor.from_upper([[half * x for x in row] for row in upper])
+        upper = [x + x for x in upper]
+    return SymTensor.from_upper([half * x for x in upper])
 
 
 def type_split(fr, a):
@@ -349,11 +353,17 @@ def iso_i_inv_pairings(fr, b):
              for j in range(7)] for i in range(7)]
 
 
+def upper_of(square):
+    """The flat upper triangle (UPPER) of a square given as rows."""
+    return [square[i][j] for i, j in UPPER]
+
+
 def traceless_part(S):
-    """S - tr(S)/n; multiplying by 1/n keeps int and QuadExt entries
+    """S - tr(S)/7; multiplying by 1/7 keeps int and QuadExt entries
     exact, and the off-diagonal entries keep their type."""
-    t = S.trace() * Fraction(1, S.n)
-    return SymTensor.from_upper([[row[0] - t] + row[1:] for row in S.upper])
+    t = S.trace() * Fraction(1, 7)
+    return SymTensor.from_upper([x - t if i == j else x
+                                 for (i, j), x in zip(UPPER, S.upper)])
 
 
 def iso_i_inv(fr, b):

@@ -298,22 +298,45 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
                                            single_route=single_route)
 
 
-@pytest.mark.parametrize("bump, message", [
-    ((1, 0), "the two routes to P disagree"),
-    ((0, 1), r"sqrt\(10\)-odd part of P does not vanish")],
-    ids=["even", "odd"])
-def test_first_principles_split_route_checked(monkeypatch, bump, message):
-    split = aw._split_cubic
-
-    def patched(u, w):
-        even, odd = split(u, w)
-        return even + bump[0], odd + bump[1]
-
-    monkeypatch.setattr(aw, "_split_cubic", patched)
+@pytest.mark.parametrize("route, bump, message", [
+    ("split", (1, 0), "the two routes to P disagree"),
+    ("split", (0, 1), "sqrt(10)-odd part of P does not vanish"),
+    ("native", (0, 1), "P has a sqrt(10) component")],
+    ids=["even", "odd", "native"])
+def test_first_principles_split_route_checked(monkeypatch, route, bump,
+                                              message):
+    """Each raise of first_principles_value names the value of P on both
+    routes, r + q sqrt(10) for the numerator cubic over 2 D^3, and xi
+    as JSON; single_route checks only the native value."""
     xi = _xi_with_m4_part()
-    first_principles_value(xi, single_route=True)
-    with pytest.raises(InternalConsistencyError, match=message):
+    u, w, d = aw.comparison_form(xi)
+    den = 2 * d ** 3
+    even, odd = aw._split_cubic(u, w)
+    value = first_principles_value(xi)
+    assert value == Fraction(even, den) and odd == 0
+    if route == "split":
+        split = aw._split_cubic
+        monkeypatch.setattr(aw, "_split_cubic", lambda u, w: tuple(
+            t + b for t, b in zip(split(u, w), bump)))
+        native, routes = (value, 0), (Fraction(even + bump[0], den),
+                                      Fraction(odd + bump[1], den))
+        assert first_principles_value(xi, single_route=True) == value
+    else:
+        numerator = aw.p_numerator
+        monkeypatch.setattr(aw, "p_numerator", lambda n, inv: numerator(
+            n, inv) + QuadExt(*bump))
+        native, routes = (value, Fraction(bump[1], den)), (value, 0)
+    where = f"at {json.dumps(xi.to_json())}"
+    with pytest.raises(InternalConsistencyError) as err:
         first_principles_value(xi)
+    assert str(err.value) == (
+        f"{message}: native {native[0]} + {native[1]} sqrt(10), "
+        f"even/odd {routes[0]} + {routes[1]} sqrt(10) {where}")
+    if route == "native":
+        with pytest.raises(InternalConsistencyError) as err:
+            first_principles_value(xi, single_route=True)
+        assert str(err.value) == (
+            f"{message}: native {native[0]} + {native[1]} sqrt(10) {where}")
 
 
 def _split_oracle_elements() -> list:
@@ -661,7 +684,7 @@ def test_display_sides_match_reference():
         got = tables.sides(yc[:3], xc[3:])
         jiy, ia, yjx, mix, cc = reference.aw_display_tensors(y, x)
         want = [jiy, ia.scale(2), yjx.scale(2), mix.scale(2), cc]
-        assert list(got) == [aw._flat(t.upper) for t in want]
+        assert list(got) == [t.upper for t in want]
         assert tables.r_metric(yc, xc) == reference.r_metric(y, x)
 
 
@@ -818,14 +841,18 @@ def test_flipped_ia2_entry_fails_the_pinned_displays(fresh_python):
 def test_flipped_r_entry_is_a_recorded_failure(fresh_python):
     """One sign of I1's entries in R's metric route flipped, in a fresh
     interpreter: R's two routes disagree, and the run records that as
-    the failed aw.block-products sweep, with the exception as its
-    actual, rather than crashing."""
+    the failed aw.block-products sweep, with the exception, both values
+    and the point as its actual, rather than crashing."""
     proc = fresh_python(_AW_MUTANT, "r")
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["exit"] == 1
+    # the first lattice point whose R reads I1, with both routes' values:
+    # the display y1 (x3^2 + x4^2 - x5^2 - x6^2) is 0 there
     assert out["failed"]["aw.block-products"] == (
-        "InternalConsistencyError: R display disagrees with g(Jx, I_y x)")
+        "InternalConsistencyError: R display disagrees with g(Jx, I_y x): "
+        "metric -2, display 0 at y = (1, 0, 0) on e1..e3 and "
+        "x = (0, 1, 0, 1) on e4..e7")
 
 
 _COUNT_QUAD = """

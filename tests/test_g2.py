@@ -267,7 +267,7 @@ def test_pure27_gate_matches_projection(g2frame, kind):
     seen = set()
     for k in range(60):
         S = reference.traceless_part(SymTensor.from_upper(
-            [[draw(rng) for _ in range(i, 7)] for i in range(7)]))
+            [draw(rng) for _ in reference.UPPER]))
         b = g2frame.iso_i(S)
         if k % 3 == 1:
             b = b + draw(rng) * rng.choice(strays)

@@ -1,11 +1,12 @@
 """Exact dense linear algebra and symmetric tensors."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from g2forge import linalg
+from g2forge import linalg, suites
 from g2forge.exterior import BLADES_BY_GRADE, Form, form_to_coords
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
     rank, solve_exact, sym_inner
@@ -172,22 +173,58 @@ def test_solve_exact_detects_inconsistency():
 
 
 def test_symtensor_construction_checks():
-    with pytest.raises(ValueError):
-        SymTensor([[0, 1], [2, 0]])
+    entries = [[Fraction(i + j) for j in range(7)] for i in range(7)]
+    entries[0][1] += 1
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        SymTensor(entries)
     entries = [[Fraction(i + j) for j in range(7)] for i in range(7)]
     entries[5][2] += Fraction(1, 7)
     with pytest.raises(ValueError):
         SymTensor(entries)
-    with pytest.raises(ValueError):
-        SymTensor.from_upper([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        SymTensor([[1, 0], [0, 1]], traceless=True)
-    SymTensor([[1, 0], [0, -1]], traceless=True)
+    for size in (27, 29):
+        with pytest.raises(ValueError, match=f"need 28 upper entries, got {size}"):
+            SymTensor.from_upper(list(range(size)))
+    for square in ([[1, 0], [0, 1]], [[0] * 7] * 6, [[0] * 7] * 6 + [[0] * 6]):
+        with pytest.raises(ValueError, match="need a 7x7 square"):
+            SymTensor(square)
+    with pytest.raises(ValueError, match="need a 7x7 square"):
+        SymTensor.diag([1, -1, 0])
+    for v in ([1, 2, 3], list(range(8))):
+        with pytest.raises(ValueError, match="need two vectors of length 7"):
+            SymTensor.sym_outer(v, v)
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        SymTensor.diag(range(7)).apply([1, 2, 3])
+    identity = [[int(i == j) for j in range(7)] for i in range(7)]
+    with pytest.raises(ValueError, match="trace is nonzero"):
+        SymTensor(identity, traceless=True)
+    identity[6][6] = -6
+    SymTensor(identity, traceless=True)
+
+
+def test_symtensor_layout():
+    """The flat triangle is the only stored form: entry k of from_upper's
+    list is entry (i, j) of the square and its mirror (j, i), for the
+    k-th (i, j) of the rows from the diagonal on (reference.UPPER), and
+    a tensor rebuilt from its square equals it."""
+    assert linalg.TRIANGLE == tuple(reference.UPPER)
+    assert linalg.DIAGONAL == tuple(k for k, (i, j) in
+                                    enumerate(reference.UPPER) if i == j)
+    t = list(range(1, 29))
+    S = SymTensor.from_upper(t)
+    for k, (i, j) in enumerate(reference.UPPER):
+        assert S.entries[i][j] == S.entries[j][i] == t[k]
+    assert S.trace() == sum(t[k] for k in linalg.DIAGONAL)
+    rng = random.Random(33)
+    for draw in _SCALARS.values():
+        S = SymTensor.from_upper([draw(rng) for _ in range(28)])
+        assert SymTensor(S.entries) == S
 
 
 def test_sym_outer_and_inner():
-    v = [Fraction(1), Fraction(2), Fraction(0)]
-    w = [Fraction(0), Fraction(1), Fraction(3)]
+    v = [Fraction(1), Fraction(2), Fraction(0), Fraction(-1), Fraction(3),
+         Fraction(0), Fraction(2)]
+    w = [Fraction(0), Fraction(1), Fraction(3), Fraction(2), Fraction(0),
+         Fraction(-1), Fraction(1)]
     S = SymTensor.sym_outer(v, w)
     assert S.entries[0][1] == Fraction(1, 2)
     assert S.entries[1][1] == 2
@@ -199,32 +236,32 @@ def test_sym_outer_and_inner():
 
 
 def test_traceless_part():
-    S = SymTensor.diag([3, 1, 2])
+    S = SymTensor.diag([3, 1, 2, 0, -1, 4, 5])
     T = reference.traceless_part(S)
     assert T.trace() == 0
-    assert T.entries == [[1, 0, 0], [0, -1, 0], [0, 0, 0]]
+    assert T.entries == Matrix.diagonal([1, -1, 0, -2, -3, 2, 3]).to_rows()
     # the shifted diagonal is exact (never float); off-diagonal entries
     # keep their type
-    assert [type(T.entries[i][i]) for i in range(3)] == [Fraction] * 3
+    assert [type(T.entries[i][i]) for i in range(7)] == [Fraction] * 7
     assert all(type(T.entries[i][j]) is int
-               for i in range(3) for j in range(3) if i != j)
-    Q = SymTensor.diag([QuadExt(1, 1), QuadExt(2), QuadExt(0, -1)])
+               for i in range(7) for j in range(7) if i != j)
+    Q = SymTensor.diag([QuadExt(1, 1), QuadExt(2), QuadExt(0, -1), QuadExt(1),
+                        QuadExt(0), QuadExt(2, 1), QuadExt(1, -1)])
     U = reference.traceless_part(Q)
     assert U.trace() == 0
     assert U.entries[0][0] == QuadExt(0, 1)
-    assert [type(U.entries[i][i]) for i in range(3)] == [QuadExt] * 3
+    assert [type(U.entries[i][i]) for i in range(7)] == [QuadExt] * 7
 
 
 def test_sym_inner_symmetric_random():
     rng = random.Random(7)
     for _ in range(40):
-        n = rng.randint(2, 5)
-        A = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
+        A = [[Fraction(rng.randint(-4, 4)) for _ in range(7)] for _ in range(7)]
+        for i in range(7):
             for j in range(i):
                 A[i][j] = A[j][i]
-        B = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
+        B = [[Fraction(rng.randint(-4, 4)) for _ in range(7)] for _ in range(7)]
+        for i in range(7):
             for j in range(i):
                 B[i][j] = B[j][i]
         S, T = SymTensor(A), SymTensor(B)
@@ -260,8 +297,8 @@ def test_symtensor_arithmetic_matches_full_square(kind):
     rng = random.Random(29)
     draw = _SCALARS[kind]
     half = Fraction(1, 2)
+    n = 7
     for _ in range(20):
-        n = rng.randint(1, 7)
         A, B = _random_symmetric(rng, n, draw), _random_symmetric(rng, n, draw)
         S, T = SymTensor(A), SymTensor(B)
         s = draw(rng)
@@ -286,9 +323,8 @@ def test_sym_inner_types_follow_the_entries():
     # int, a Fraction in either gives a Fraction, the same object or not
     rng = random.Random(31)
     for _ in range(20):
-        n = rng.randint(1, 7)
-        A = _random_symmetric(rng, n, lambda r: r.randint(-5, 5))
-        B = _random_symmetric(rng, n, lambda r: Fraction(r.randint(-5, 5),
+        A = _random_symmetric(rng, 7, lambda r: r.randint(-5, 5))
+        B = _random_symmetric(rng, 7, lambda r: Fraction(r.randint(-5, 5),
                                                          r.randint(1, 6)))
         S, T = SymTensor(A), SymTensor(B)
         for X, Y, kind in ((S, S, int), (S, SymTensor(A), int),
@@ -297,3 +333,74 @@ def test_sym_inner_types_follow_the_entries():
             got = sym_inner(X, Y)
             assert type(got) is kind
             assert got == reference.sym_inner(X, Y)
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+def test_upper_inner_is_the_trace_of_the_product(kind):
+    """upper_inner on two flat triangles is tr(AB) on their full squares,
+    in the entries' own arithmetic."""
+    rng = random.Random(37)
+    draw = _SCALARS[kind]
+    for _ in range(20):
+        A, B = _random_symmetric(rng, 7, draw), _random_symmetric(rng, 7, draw)
+        want = sum(A[i][j] * B[j][i] for i in range(7) for j in range(7))
+        got = linalg.upper_inner(reference.upper_of(A), reference.upper_of(B))
+        assert got == want
+        assert type(got) is type(want)
+
+
+_LAYOUT_MUTANT = """
+import json, sys
+from g2forge import aw, cubic, g2, linalg, suites
+if sys.argv[1] == "upper_inner":
+    # entry (0, 6), position 6 of the triangle, weighed once, not twice
+    inner = linalg.upper_inner
+    for module in (linalg, cubic, aw):
+        module.upper_inner = lambda u1, u2: inner(u1, u2) - u1[6] * u2[6]
+else:
+    # the diagonal entry (6, 6) read at position 26, which is (5, 6)
+    wrong = linalg.DIAGONAL[:-1] + (26,)
+    for module in (linalg, cubic, g2):
+        module.DIAGONAL = wrong
+report = suites.run_suites(["exterior", "g2", "cubic", "aw"], 1, n_random=5)
+print(json.dumps(sorted(c["id"] for r in report["suites"]
+                        for c in r["checks"] if c["status"] == "fail")))
+"""
+
+# the aw ids that fail by design and that a raising sweep leaves out:
+# the block-products sweep raises before its rows exist, and under the
+# wrong diagonal so does the tensor-displays sweep
+_BLOCK_ROWS = {"aw.block-product.p(phitilde,C(x))",
+               "aw.block-product.p(y^Omega,C(x))"}
+_DISPLAY_ROWS = {"aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a",
+                 "aw.tensor-display.p(y^Omega,C(x))=6y.Jx",
+                 "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax"}
+
+
+@pytest.mark.parametrize("mutant, caught, unreached", [
+    ("upper_inner",
+     {"g2.iso-identities", "cubic.q-and-p-displays", "cubic.trilinear-routes",
+      "cubic.trilinear-symmetry", "aw.block-products", "aw.revert-map",
+      "aw.value-two-routes"},
+     _BLOCK_ROWS),
+    ("diagonal",
+     {"g2.iso-identities", "g2.iso-inner-product", "g2.iso-inverse-roundtrip",
+      "cubic.q-and-p-displays", "cubic.q2-closed-form",
+      "cubic.trilinear-routes", "cubic.trilinear-symmetry",
+      "aw.block-products", "aw.revert-map", "aw.tensor-displays",
+      "aw.value-two-routes"},
+     _BLOCK_ROWS | _DISPLAY_ROWS),
+], ids=["upper_inner-entry-0-6", "diagonal-position"])
+def test_layout_mutants_fail_the_pinned_checks(fresh_python, mutant, caught,
+                                               unreached):
+    """Two one-entry defects of the triangle layout, in a fresh
+    interpreter, against the exterior, g2, cubic and aw suites at seed 1
+    with five random points: upper_inner weighing entry (0, 6) once,
+    and one wrong position in DIAGONAL, which the traceless gates of
+    iso_i, is_pure27 and iso_i_inv_upper catch.  Exactly the pinned
+    checks fail besides the ledger ids, and the ledger ids of a sweep
+    that raises are not reached."""
+    proc = fresh_python(_LAYOUT_MUTANT, mutant)
+    assert proc.returncode == 0, proc.stderr
+    failed = set(json.loads(proc.stdout))
+    assert failed == caught | (suites.AW_BY_DESIGN - unreached)

@@ -194,7 +194,7 @@ def test_int_traceless_is_the_same_draw():
             S = suites._int_traceless(r1, bound)
             T = g2.random_traceless(r2, bound)
             assert S == T and S.trace() == 0
-            assert {type(x) for row in S.upper for x in row} == {int}
+            assert {type(x) for x in S.upper} == {int}
         assert r1.getstate() == r2.getstate()
 
 
