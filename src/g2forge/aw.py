@@ -12,9 +12,10 @@ of the self-dual Omega).  An element xi of su(3) determines the blocks
 
 and the comparison 3-form
 
-    A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x),
+    A(xi) = s phitilde + Y y ^ Omega + K sqrt(10) C(x),
 
-a pure-27 form whose cubic P(xi) = <p(A, A), i^{-1}(A)> is the
+with its two coefficients (Y, K) written once, in FAMILY; the sqrt(10)
+is the field's.  It is a pure-27 form whose cubic P(xi) = <p(A, A), i^{-1}(A)> is the
 second-order obstruction polynomial.  P is evaluated along two exact
 routes (native sqrt(10) arithmetic, and a rational even/odd split in
 sqrt(10)) that must agree; the sqrt(10)-odd part must vanish.
@@ -22,12 +23,14 @@ sqrt(10)) that must agree; the sqrt(10)-odd part must vanish.
 Every block form is an integer combination of one block basis,
 (phitilde, e_a ^ Omega, C(e_i)), built once by block_basis, the only
 place the module builds y ^ Omega and C(x).  comparison_form gives A(xi)
-as D A = U + sqrt(10) W on it: for the integer element Xi = e xi,
-U = 6e (s phitilde - (5/3) y ^ Omega), W = C(X) and D = 6e, each of U
-and W gated as pure 27.  The cubic is composed from the int parts of the
-kernels, cubic.quadratic_upper, G2Frame.iso_i_inv_upper and
-linalg.upper_inner, on U + sqrt(10) W (route one, cubic.p_numerator)
-and on the ints U and W (route two), and divided once, by 2 D^3.  The
+as D A = U + sqrt(10) W on it: for the integer element Xi = e xi and
+the common denominator M of Y and K, D = 2Me, U = D (s phitilde + Y y ^
+Omega) and W = D K C(x), each of U and W gated as pure 27.  Every
+integer the module derives from (Y, K) comes from _family_ints.  The
+cubic is composed from the int parts of the kernels,
+cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
+on U + sqrt(10) W (route one, cubic.p_numerator) and on the ints U and
+W (route two, split by _split), and divided once, by 2 D^3.  The
 first two read precomputed signed blade tables and build no Form, and
 all three pass flat upper triangles in linalg's layout.  A route that
 fails names both routes' values of P and xi.
@@ -242,20 +245,33 @@ def c_of(x: Form) -> Form:
     return direct
 
 
+# (Y, K): A(xi) = s phitilde + Y y ^ Omega + K sqrt(10) C(x), the one
+# place the comparison family's coefficients are written
+FAMILY = (Fraction(-5, 3), Fraction(1, 6))
+
+
+@functools.cache
+def _family_ints() -> tuple[list, int]:
+    """((M Y, M K), M) for the coefficients (Y, K) of FAMILY and their
+    least common denominator M."""
+    return clear_denominators(FAMILY)
+
+
 def comparison_form(xi: Su3Element) -> tuple[Form, Form, int]:
-    """A(xi) = s phitilde - (5/3) y ^ Omega + (sqrt(10)/6) C(x) as the
-    integer numerators (U, W, D) with D A(xi) = U + sqrt(10) W on the
-    block basis (see the module docstring).  A(xi) is of pure 27 type
-    iff U and W are (1 and sqrt(10) are independent over Q); both are
+    """A(xi) = s phitilde + Y y ^ Omega + K sqrt(10) C(x) as the integer
+    numerators (U, W, D) with D A(xi) = U + sqrt(10) W on the block
+    basis (see the module docstring).  A(xi) is of pure 27 type iff U
+    and W are (1 and sqrt(10) are independent over Q); both are
     checked."""
     (v1, v2, _, x1, x2, x3, x4, x5, x6), e = clear_denominators(
         list(xi.v + xi.x))
+    (my, mk), m = _family_ints()
     # the blocks of Xi: 2s = V1 + V2, 2y = (V1 - V2, -2 X1, 2 X2) and
-    # x = (-X4, X3, -X6, X5) on e4..e7
-    u = _on_basis((3 * (v1 + v2), -5 * (v1 - v2), 10 * x1, -10 * x2))
-    w = _on_basis((0, 0, 0, 0, -x4, x3, -x6, x5))
+    # x = (-X4, X3, -X6, X5) on e4..e7, at D = 2Me
+    u = _on_basis((m * (v1 + v2), my * (v1 - v2), -2 * my * x1, 2 * my * x2))
+    w = _on_basis([0] * 4 + [2 * mk * t for t in (-x4, x3, -x6, x5)])
     _pure27("comparison form is not of pure 27 type", u, w)
-    return u, w, 6 * e
+    return u, w, 2 * m * e
 
 
 def first_principles_value(xi: Su3Element, *,
@@ -304,23 +320,31 @@ def _quad_form(u: Form, w: Form) -> Form:
     return Form(3, terms)
 
 
+def _split(uuu, wwu, uuw, www) -> tuple:
+    """The even and the odd part in sqrt(10) of T(a, a, a), a = u +
+    sqrt(10) w, for a fully symmetric trilinear T, from T(u,u,u),
+    T(w,w,u), T(u,u,w) and T(w,w,w): T(a, a, a) = T(u,u,u) + 3 sqrt(10)
+    T(u,u,w) + 30 T(u,w,w) + 10 sqrt(10) T(w,w,w)."""
+    return uuu + 30 * wwu, 3 * uuw + 10 * www
+
+
 def _split_cubic(u: Form, w: Form) -> tuple:
     """The even and the odd part in sqrt(10) of the numerator cubic
     (cubic.p_numerator) of u + sqrt(10) w, for 3-forms u and w of pure
     27 type with int coefficients; both are ints.
 
-    With T(a, b, c) = <p(a, b), 2 i^{-1}(c)>, fully symmetric, the cubic
-    is T(u,u,u) + 3 sqrt(10) T(u,u,w) + 30 T(u,w,w) + 10 sqrt(10)
-    T(w,w,w), and T(u,w,w) = T(w,w,u): two pair-table passes, p(u, u)
-    and p(w, w), serve all four terms.  The native route reads T only
-    on the diagonal, so a pair table that keeps p symmetric but breaks
-    the symmetry of T makes the two routes disagree.
+    The cubic is T(a, a, a) for T(a, b, c) = <p(a, b), 2 i^{-1}(c)>,
+    fully symmetric, split by _split; with T(u,w,w) = T(w,w,u) two
+    pair-table passes, p(u, u) and p(w, w), serve all four terms.  The
+    native route reads T only on the diagonal, so a pair table that
+    keeps p symmetric but breaks the symmetry of T makes the two routes
+    disagree.
     """
     g2 = standard_frame()
     puu, pww = quadratic_upper(u, u), quadratic_upper(w, w)
     su, sw = g2.iso_i_inv_upper(u), g2.iso_i_inv_upper(w)
-    return (upper_inner(puu, su) + 30 * upper_inner(pww, su),
-            3 * upper_inner(puu, sw) + 10 * upper_inner(pww, sw))
+    return _split(upper_inner(puu, su), upper_inner(pww, su),
+                  upper_inner(puu, sw), upper_inner(pww, sw))
 
 
 def r_value(y: Form, x: Form):
@@ -622,23 +646,17 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
 
 def principal_lattice(nvars: int, degree: int):
     """Nonnegative integer points with coordinate sum == degree."""
+    # stars and bars: the nvars - 1 bars cut degree + nvars - 1 slots
     for cut in itertools.combinations(range(degree + nvars - 1), nvars - 1):
-        prev = -1
-        point = []
-        for c in cut:
-            point.append(c - prev - 1)
-            prev = c
-        point.append(degree + nvars - 2 - prev)
-        yield tuple(point)
+        ends = (-1,) + cut + (degree + nvars - 1,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
 def _lattice_blocks(point):
     """The blocks (s, y, x) of the block coordinates (s, y1, y2, y3,
     x4, ..., x7)."""
-    s = point[0]
-    y = vector_form([point[1], point[2], point[3], 0, 0, 0, 0])
-    x = vector_form([0, 0, 0, point[4], point[5], point[6], point[7]])
-    return s, y, x
+    return (point[0], vector_form([*point[1:4], 0, 0, 0, 0]),
+            vector_form([0, 0, 0, *point[4:8]]))
 
 
 def _random_blocks(rng):
@@ -776,29 +794,26 @@ class _BlockTables:
                 tri(zy, zy, z), tri(zy, zc, z), tri(zc, zc, z))
 
     def fp_numerator(self, s, y: Form, x: Form):
-        """54 P(xi) for the blocks (s, y, x) of xi, through the even/odd
-        split in k = sqrt(10)/6: the rational part is B = s phitilde
-        - (5/3) y^Omega and the k-coefficient part is C(x); the k-odd
-        combination must cancel.  B is taken as 3B, so int blocks give
-        int t_k: t0, t1, t2 are 27, 9 and 3 times those of B, and with
-        k^2 = 5/18 the odd part vanishes iff 2 t1 + 5 t3 = 0 and
-        54 P = 2 t0 + 5 t2.  T is fully symmetric (checked at build),
-        so each mixed term is one table pass: 4 passes in all."""
-        zb = [3 * s] + [-5 * c for c in coords_of(y)[:3]] + [0] * 4
-        zc = [0] * 4 + coords_of(x)[3:7]
-        tri = self.tri
-        t0 = tri(zb, zb, zb)
-        t1 = 3 * tri(zb, zb, zc)
-        t2 = 3 * tri(zc, zc, zb)
-        t3 = tri(zc, zc, zc)
-        if 2 * t1 + 5 * t3 != 0:
+        """M^3 P(xi) for the blocks (s, y, x) of xi, M as in _family_ints
+        (216 P for FAMILY's coefficients): M A(xi) = zu + sqrt(10) zw on
+        the block basis, zu = (M s, M Y y) and zw = M K x, ints for int
+        blocks, and the cubic of zu + sqrt(10) zw splits as on the
+        kernels (_split); its sqrt(10)-odd part must vanish.  T is fully
+        symmetric (checked at build), so each mixed term is one table
+        pass: 4 passes in all."""
+        (my, mk), m = _family_ints()
+        zu = [m * s] + [my * c for c in coords_of(y)[:3]] + [0] * 4
+        zw = [0] * 4 + [mk * c for c in coords_of(x)[3:7]]
+        even, odd = _split(self.tri(zu, zu, zu), self.tri(zw, zw, zu),
+                           self.tri(zu, zu, zw), self.tri(zw, zw, zw))
+        if odd:
             raise InternalConsistencyError(
                 "sqrt(10)-odd part of the assembled P does not vanish")
-        return 2 * t0 + 5 * t2
+        return even
 
     def fp_value(self, s, y: Form, x: Form) -> Fraction:
-        """P(xi) for the blocks (s, y, x) of xi: fp_numerator over 54."""
-        return Fraction(self.fp_numerator(s, y, x), 54)
+        """P(xi) for the blocks (s, y, x) of xi: fp_numerator over M^3."""
+        return Fraction(self.fp_numerator(s, y, x), _family_ints()[1] ** 3)
 
 
 @functools.cache
@@ -856,9 +871,10 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 def revert_block_fit(coeffs) -> tuple:
     """Model coefficients of a block cubic pushed through the
-    reparametrization y -> -(5/3) y, x -> (sqrt(10)/6) x, which scales
-    s^3, s|x|^2, s|y|^2 and R by 1, 5/18, 25/9 and -25/54."""
-    scale = (1, Fraction(5, 18), Fraction(25, 9), Fraction(-25, 54))
+    reparametrization y -> Y y, x -> K sqrt(10) x of FAMILY, which
+    scales s^3, s|x|^2, s|y|^2 and R by 1, 10 K^2, Y^2 and 10 Y K^2."""
+    y, k = FAMILY
+    scale = (1, 10 * k * k, y * y, 10 * y * k * k)
     return tuple(c * f for c, f in zip(coeffs, scale))
 
 
@@ -873,7 +889,8 @@ def direct_p_fit() -> tuple:
             compose(*blocks), single_route=True):
         raise InternalConsistencyError(
             "assembled P disagrees with the full evaluator")
-    return tuple(c / 54 for c in fit_model(tab.fp_numerator))
+    return tuple(c / _family_ints()[1] ** 3
+                 for c in fit_model(tab.fp_numerator))
 
 
 @functools.cache

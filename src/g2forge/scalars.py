@@ -6,7 +6,7 @@ Three exact scalar types are used throughout:
   everywhere and means the same thing),
 * :class:`QuadExt`, elements ``a + b*sqrt(10)`` of the real quadratic
   field Q(sqrt(10)), needed because the su(3) comparison cocycle carries
-  a sqrt(10)/6 coefficient,
+  sqrt(10) in the coefficient of its C(x) block,
 * :class:`GaussRational`, elements ``a + b*i`` of Q(i), used for the
   complex letter polynomials of the invariant pairing.
 

@@ -96,17 +96,17 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
                    "block basis (phitilde, e_a ^ Omega, C(e_i))") as c:
         basis = awmod.block_basis()
         norms = [norm_sq(b) for b in basis]
+        fy, fk = awmod.FAMILY
         good = 0
         for _ in range(n_random):
             xi = _random_su3(c.rng)
             s, y, x = awmod.decompose(xi)
             back = awmod.compose(s, y, x)
-            # D A(xi) = U + sqrt(10) W: U carries D (s, -(5/3) y) and W
-            # carries (D/6) x, since 1 and sqrt(10) are independent over Q
+            # D A(xi) = U + sqrt(10) W: U carries D (s, Y y) and W carries
+            # D K x, since 1 and sqrt(10) are independent over Q
             u, w, d = awmod.comparison_form(xi)
-            want_u = [d * s] + [Fraction(-5 * d, 3) * t
-                                for t in coords_of(y)[:3]] + [0] * 4
-            want_w = [0] * 4 + [Fraction(d, 6) * t for t in coords_of(x)[3:]]
+            want_u = [d * s] + [d * fy * t for t in coords_of(y)[:3]] + [0] * 4
+            want_w = [0] * 4 + [d * fk * t for t in coords_of(x)[3:]]
             read = all(inner(u, b) == n * wu and inner(w, b) == n * ww
                        for b, n, wu, ww in zip(basis, norms, want_u, want_w))
             good += ((back.v, back.x) == (xi.v, xi.x) and read

@@ -573,17 +573,18 @@ def aw_block_products(s, y, x) -> list:
 
 
 def fp_numerator(tab, s, y, x):
-    """54 P(xi) as _BlockTables.fp_numerator, with each mixed term of
+    """216 P(xi) as _BlockTables.fp_numerator, with each mixed term of
     the even/odd split expanded term by term: six table passes, and no
-    use of the table's symmetry."""
-    zb = [3 * s] + [-5 * c for c in ext.coords_of(y)[:3]] + [0] * 4
+    use of the table's symmetry.  6 A(xi) = zb + sqrt(10) zc, with
+    zb = 6 (s, -(5/3) y) and zc = 6 (1/6) x."""
+    zb = [6 * s] + [-10 * c for c in ext.coords_of(y)[:3]] + [0] * 4
     zc = [0] * 4 + ext.coords_of(x)[3:7]
     t0 = tab.tri(zb, zb, zb)
     t1 = 2 * tab.tri(zb, zc, zb) + tab.tri(zb, zb, zc)
     t2 = tab.tri(zc, zc, zb) + 2 * tab.tri(zb, zc, zc)
     t3 = tab.tri(zc, zc, zc)
-    assert 2 * t1 + 5 * t3 == 0
-    return 2 * t0 + 5 * t2
+    assert t1 + 10 * t3 == 0
+    return t0 + 10 * t2
 
 
 # -- the dense Haar Monte Carlo ----------------------------------------------

@@ -530,6 +530,26 @@ def test_fp_numerator_reads_the_table_symmetry(monkeypatch):
     assert len(calls) == 4
 
 
+def test_record_texts_state_the_family():
+    """The aw records that state A(xi)'s coefficients keep their literal
+    texts, so the report bytes stay; each text is the one FAMILY's
+    (Y, K) gives, and the revert scale is revert_block_fit's."""
+    y, k = aw.FAMILY
+    assert k.numerator == 1
+    blocks = f"(s, -({-y})y, (sqrt(10)/{k.denominator})x)"
+    scale = ", ".join(map(str, aw.revert_block_fit((1, 1, 1, 1))))
+    assert blocks == "(s, -(5/3)y, (sqrt(10)/6)x)"
+    assert scale == "1, 5/18, 25/9, -25/54"
+    records = {c["id"]: c for c in suites.suite_aw(0, n_random=1)["checks"]}
+    assert records["aw.decompose-roundtrip"]["expected"].endswith(
+        "A(xi) has block coordinates " + blocks)
+    revert = records["aw.revert-map"]
+    assert revert["expected"].startswith(
+        "block fit pushed through y -> -(%s)y, x -> (sqrt(10)/%d)x "
+        % (-y, k.denominator))
+    assert revert["anchor"].startswith(f"model coefficients scale by {scale};")
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_block_tables_probe_checks_each_product(monkeypatch, index):
     """The build compares the six products and the cubic the table
@@ -853,6 +873,34 @@ def test_flipped_r_entry_is_a_recorded_failure(fresh_python):
         "InternalConsistencyError: R display disagrees with g(Jx, I_y x): "
         "metric -2, display 0 at y = (1, 0, 0) on e1..e3 and "
         "x = (0, 1, 0, 1) on e4..e7")
+
+
+_FAMILY_MUTANT = """
+import json
+from fractions import Fraction
+from g2forge import aw, pairing, suites
+aw.FAMILY = (Fraction(-4, 3), aw.FAMILY[1])
+report = suites.suite_aw(1, n_random=5)
+print(json.dumps({
+    "failed": [c["id"] for c in report["checks"] if c["status"] != "pass"],
+    "pairing": str(pairing.pairing_report()["first_principles_pairing"]),
+    "ints": aw._family_ints()}))
+"""
+
+
+def test_family_owner_moves_every_reader(fresh_python):
+    """Y = -5/3 -> -4/3 at the owner alone, in a fresh interpreter:
+    comparison_form, fp_numerator, revert_block_fit and the round-trip
+    check all move with it, so every two-route check still agrees and
+    the aw suite fails exactly its ledger ids, while <P, i det> moves
+    from 760/3 to 196.  A reader that kept its own copy of the
+    coefficients would fail a check here."""
+    proc = fresh_python(_FAMILY_MUTANT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert sorted(out["failed"]) == sorted(suites.AW_BY_DESIGN)
+    assert out["pairing"] == "196"
+    assert out["ints"] == [[-8, 1], 6]
 
 
 _COUNT_QUAD = """
