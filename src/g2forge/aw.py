@@ -15,10 +15,11 @@ and the comparison 3-form
     A(xi) = s phitilde + Y y ^ Omega + K sqrt(10) C(x),
 
 with its two coefficients (Y, K) written once, in FAMILY; the sqrt(10)
-is the field's.  It is a pure-27 form whose cubic P(xi) = <p(A, A), i^{-1}(A)> is the
-second-order obstruction polynomial.  P is evaluated along two exact
-routes (native sqrt(10) arithmetic, and a rational even/odd split in
-sqrt(10)) that must agree; the sqrt(10)-odd part must vanish.
+is the field's.  It is a pure-27 form whose cubic P(xi) = <p(A, A),
+i^{-1}(A)> is the second-order obstruction polynomial.  P is evaluated
+along two exact routes (native sqrt(10) arithmetic, and a rational
+even/odd split in sqrt(10)) that must agree; the sqrt(10)-odd part must
+vanish.
 
 Every block form is an integer combination of one block basis,
 (phitilde, e_a ^ Omega, C(e_i)), built once by block_basis, the only
@@ -367,9 +368,15 @@ def r_value(y: Form, x: Form):
     if metric_route != display:
         raise InternalConsistencyError(
             f"R display disagrees with g(Jx, I_y x): metric {metric_route}, "
-            f"display {display} at y = ({', '.join(map(str, yc[:3]))}) on "
-            f"e1..e3 and x = ({', '.join(map(str, xc[3:]))}) on e4..e7")
+            f"display {display} at {_where(y, x)}")
     return metric_route
+
+
+def _where(y: Form, x: Form) -> str:
+    """The coordinates of the blocks y and x, as a raise names them."""
+    yc, xc = coords_of(y), coords_of(x)
+    return (f"y = ({', '.join(map(str, yc[:3]))}) on e1..e3 and "
+            f"x = ({', '.join(map(str, xc[3:]))}) on e4..e7")
 
 
 def _solver_products(s, y: Form, x: Form) -> tuple[tuple, Fraction]:
@@ -808,7 +815,9 @@ class _BlockTables:
                            self.tri(zu, zu, zw), self.tri(zw, zw, zw))
         if odd:
             raise InternalConsistencyError(
-                "sqrt(10)-odd part of the assembled P does not vanish")
+                "sqrt(10)-odd part of the assembled P does not vanish: P = "
+                f"{Fraction(even, m ** 3)} + {Fraction(odd, m ** 3)} sqrt(10) "
+                f"at s = {s}, {_where(y, x)}")
         return even
 
     def fp_value(self, s, y: Form, x: Form) -> Fraction:
@@ -863,9 +872,12 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     # slice of the lattice (120 points, the unisolvent count for cubics
     # in eight variables) certifies the identity everywhere
     for blocks, model in _cubic_lattice():
-        if sum(c * m for c, m in zip(coeffs, model)) != D * fn(*blocks):
+        fitted, value = sum(c * m for c, m in zip(coeffs, model)), fn(*blocks)
+        if fitted != D * value:
             raise InternalConsistencyError(
-                "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R")
+                "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
+                f"{Fraction(fitted, D)}, cubic {value} at s = {blocks[0]}, "
+                f"{_where(*blocks[1:])}")
     return tuple(sol)
 
 
@@ -885,10 +897,13 @@ def direct_p_fit() -> tuple:
     against the full evaluator at a generic point."""
     tab = block_tables()
     blocks = _lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
-    if tab.fp_value(*blocks) != first_principles_value(
-            compose(*blocks), single_route=True):
+    xi = compose(*blocks)
+    table = tab.fp_value(*blocks)
+    full = first_principles_value(xi, single_route=True)
+    if table != full:
         raise InternalConsistencyError(
-            "assembled P disagrees with the full evaluator")
+            f"assembled P disagrees with the full evaluator: table {table}, "
+            f"evaluator {full} at {json.dumps(xi.to_json())}")
     return tuple(c / _family_ints()[1] ** 3
                  for c in fit_model(tab.fp_numerator))
 
@@ -901,10 +916,11 @@ def first_principles_fit() -> tuple:
     push it through revert_block_fit, or fit P itself through its table
     assembly (direct_p_fit).
     """
-    direct = direct_p_fit()
-    if direct != revert_block_fit(fit_block_cubic()):
+    direct, pushed = direct_p_fit(), revert_block_fit(fit_block_cubic())
+    if direct != pushed:
         raise InternalConsistencyError(
-            "reverted block fit and direct fit of P disagree")
+            "reverted block fit and direct fit of P disagree: reverted (%s, "
+            "%s, %s, %s), direct (%s, %s, %s, %s)" % (pushed + direct))
     return direct
 
 

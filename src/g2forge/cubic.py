@@ -172,10 +172,12 @@ def b2(a1: Form, a2: Form, frame: G2Frame | None = None) -> Form:
     return form_from_coords(3, [over(v, s * d * d) for v in x])
 
 
-def _pure27_numerators(a: Form, fr: G2Frame) -> tuple[Form, Form, int]:
-    """(n, *n, d), a = n / d, for a 4-form a of pure 27 type (checked)."""
+def _pure27_numerators(a: Form, fr: G2Frame,
+                       caller: str) -> tuple[Form, Form, int]:
+    """(n, *n, d), a = n / d, for a 4-form a of pure 27 type (checked);
+    the grade error names the caller."""
     if a.grade != 4:
-        raise GradeError("q2_closed_form needs a 4-form")
+        raise GradeError(f"{caller} needs a 4-form")
     (n,), d = numerators(a)
     star = hodge(n)
     if not fr.is_pure27(star):
@@ -219,7 +221,7 @@ def q2_closed_form(a: Form, frame: G2Frame | None = None) -> Form:
     valid only for a of pure 27 type (checked).
     """
     fr = frame or standard_frame()
-    n, _, d = _pure27_numerators(a, fr)
+    n, _, d = _pure27_numerators(a, fr, "q2_closed_form")
     N = _closed_numerator(n, fr)[1]
     return Form(3, {m: over(c, 7 * d * d) for m, c in N.terms.items()})
 
@@ -228,7 +230,7 @@ def q2(a: Form, frame: G2Frame | None = None) -> Form:
     """Q2 on the 27-summand, computed through the closed form and through
     the linear solve, cross-checked."""
     fr = frame or standard_frame()
-    n, _, d = _pure27_numerators(a, fr)
+    n, _, d = _pure27_numerators(a, fr, "q2")
     N = _solved_numerator(n, fr)[1]
     return Form(3, {m: over(c, 7 * d * d) for m, c in N.terms.items()})
 
@@ -238,7 +240,7 @@ def q_value(a: Form, frame: G2Frame | None = None):
     27 type.  Checked against -2 <q(a,a), i^{-1}(*a)>.  Q = 0 is int 0,
     the volume coefficient of a wedge that vanishes."""
     fr = frame or standard_frame()
-    n, star, d = _pure27_numerators(a, fr)
+    n, star, d = _pure27_numerators(a, fr, "q_value")
     v = _q_numerator(n, fr.iso_i_inv_upper(star), fr)
     return over(v, 7 * d ** 3) if v else v
 

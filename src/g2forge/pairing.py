@@ -54,6 +54,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .g2 import InternalConsistencyError
+from .linalg import Matrix, solve_exact
 from .scalars import GaussRational, ScalarError
 from .aw import CLOSED_DISPLAY, Su3Element, _model_row, decompose, \
     first_principles_fit, first_principles_value, sign_resolution
@@ -237,33 +238,44 @@ def gram_entry(a: str, b: str) -> Fraction:
     return GRAM.get((a, b), 0)
 
 
+def _killing(m1, m2):
+    """b(xi, eta) = -1/2 tr(xi eta) on the matrix entries of xi and eta,
+    the polarization of b(xi, xi) = -1/2 tr(xi^2)."""
+    return Fraction(-1, 2) * sum(
+        (m1[i][j] * m2[j][i] for i in range(3) for j in range(3)),
+        GaussRational(0, 0))
+
+
 def derive_gram_from_killing() -> dict:
     """The same table computed from b(xi, xi) = -1/2 tr(xi^2).
 
-    In the real coordinates (v1, v2, x1..x6) the quadratic form b is
-    v1^2 + v1 v2 + v2^2 + sum x_i^2; the dual inner product of two
-    linear forms is ell B^{-1} ell'^T (complex-bilinear, no conjugation),
-    and the letters enter as the linear forms of _letter_rows, read off
-    the matrix by letter_values.
+    B is b (_killing) on the eight unit elements of the real coordinates
+    (v1, v2, x1..x6), inverted exactly (linalg.solve_exact, one unit
+    column at a time; B is symmetric, so the columns of B^{-1} are its
+    rows).  The dual inner product of two linear forms is
+    ell B^{-1} ell'^T (complex-bilinear, no conjugation), and the letters
+    enter as the linear forms of _letter_rows, read off the matrix by
+    letter_values.
     """
-    # B^{-1} on the v-block of [[1, 1/2], [1/2, 1]]; the x-block is id
-    binv_v = ((Fraction(4, 3), Fraction(-2, 3)),
-              (Fraction(-2, 3), Fraction(4, 3)))
+    units = [_xi_from_coords([int(k == i) for k in range(8)]).matrix_entries()
+             for i in range(8)]
+    # tr(xi eta) is real for skew-hermitian xi and eta
+    B = Matrix.from_rows([[_killing(mi, mj).re for mj in units]
+                          for mi in units])
+    binv = []
+    for k in range(8):
+        column, kdim = solve_exact(B, [int(i == k) for i in range(8)])
+        if kdim:
+            raise InternalConsistencyError("the Killing form is degenerate")
+        binv.append(column)
     rows = _letter_rows()
-
-    def pair(ra, rb):
-        total = GaussRational(0, 0)
-        for i in range(2):
-            for j in range(2):
-                total = total + ra[i] * rb[j] * binv_v[i][j]
-        for k in range(2, 8):
-            total = total + ra[k] * rb[k]
-        return total
-
     table = {}
     for a in LETTERS:
         for b in LETTERS:
-            val = pair(rows[a], rows[b])
+            ra, rb = rows[a], rows[b]
+            val = sum((binv[i][j] * ra[i] * rb[j] for i in range(8)
+                       for j in range(8) if ra[i] and rb[j]),
+                      GaussRational(0, 0))
             if val != 0:
                 if val.im != 0:
                     raise InternalConsistencyError(

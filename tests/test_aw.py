@@ -903,6 +903,92 @@ def test_family_owner_moves_every_reader(fresh_python):
     assert out["ints"] == [[-8, 1], 6]
 
 
+_FIT_MUTANT = """
+import contextlib, io, json, sys
+from fractions import Fraction
+from g2forge import aw, cli
+if sys.argv[1] == "native":
+    # the native route to P off by one in its numerator cubic
+    numerator = aw.p_numerator
+    aw.p_numerator = lambda n, inv: numerator(n, inv) + 1
+else:
+    # the block fit pushed through the reparametrization, R doubled
+    revert = aw.revert_block_fit
+    aw.revert_block_fit = lambda c: revert(c[:3] + (2 * c[3],))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1",
+                     "--format", "json", "--output", "report.json"])
+with open("report.json") as fh:
+    checks = json.load(fh)["suites"][0]["checks"]
+print(json.dumps({"exit": code, "failed": {
+    c["id"]: c["actual"] for c in checks if c["status"] == "fail"}}))
+"""
+
+
+@pytest.mark.parametrize("route", ["native", "revert"])
+def test_broken_fit_route_is_a_recorded_failure(fresh_python, route):
+    """One route of P's fit broken, in a fresh interpreter: the raise of
+    direct_p_fit (the native route off by one) or of first_principles_fit
+    (the pushed block fit with R doubled) becomes the failed
+    aw.closed-display record, and its actual names both values and the
+    input: the table's and the evaluator's P and xi, or the two fits."""
+    proc = fresh_python(_FIT_MUTANT, route)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["exit"] == 1
+    if route == "native":
+        blocks = aw._lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
+        xi = compose(*blocks)
+        table = block_tables().fp_value(*blocks)
+        d = aw.comparison_form(xi)[2]
+        want = ("assembled P disagrees with the full evaluator: table "
+                f"{table}, evaluator {table + Fraction(1, 2 * d ** 3)} at "
+                f"{json.dumps(xi.to_json())}")
+    else:
+        direct = first_principles_fit()
+        pushed = direct[:3] + (2 * direct[3],)
+        want = ("reverted block fit and direct fit of P disagree: reverted "
+                "(%s, %s, %s, %s), direct (%s, %s, %s, %s)" % (pushed + direct))
+    assert out["failed"]["aw.closed-display"] == \
+        "InternalConsistencyError: " + want
+
+
+def test_block_fits_name_both_values(monkeypatch):
+    """The raises of the table route name both values and the blocks:
+    fp_numerator's odd part, as P = even + odd sqrt(10), and fit_model's
+    span check, as the fitted model's value and the cubic's, at the
+    first lattice point where they differ."""
+    tab = block_tables()
+    blocks = aw._lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
+    p = tab.fp_value(*blocks)
+    # an odd part of 216 = M^3 is 1 sqrt(10) in P
+    split = aw._split
+    monkeypatch.setattr(aw, "_split", lambda *t: (split(*t)[0], 216))
+    with pytest.raises(InternalConsistencyError) as err:
+        tab.fp_numerator(*blocks)
+    assert str(err.value) == (
+        f"sqrt(10)-odd part of the assembled P does not vanish: P = {p} + 1 "
+        "sqrt(10) at s = 1, y = (1, -1, 2) on e1..e3 and x = (1, 0, 1, -1) "
+        "on e4..e7")
+    monkeypatch.undo()
+
+    def cubic_plus_y3_cubed(s, y, x):
+        # y3^3 lies outside the model and vanishes at the four probes
+        return tab.cubic(s, y, x) + coords_of(y)[2] ** 3
+
+    blocks, model = next((b, m) for b, m in aw._cubic_lattice()
+                         if coords_of(b[1])[2])
+    with pytest.raises(InternalConsistencyError) as err:
+        aw.fit_model(cubic_plus_y3_cubed)
+    fitted = sum(c * m for c, m in zip(fit_block_cubic(), model))
+    s, y, x = blocks
+    assert str(err.value) == (
+        "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
+        f"{fitted}, cubic {cubic_plus_y3_cubed(s, y, x)} at s = {s}, "
+        f"y = ({', '.join(map(str, coords_of(y)[:3]))}) on e1..e3 and "
+        f"x = ({', '.join(map(str, coords_of(x)[3:]))}) on e4..e7")
+
+
 _COUNT_QUAD = """
 from g2forge import scalars
 calls = [0]

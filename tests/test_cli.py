@@ -449,11 +449,11 @@ def test_eval_precondition_violations(capsys, tmp_path, g2frame):
 
 @pytest.mark.parametrize("op,build,stderr", [
     ("q2", lambda fr: fr.phi,
-     "GradeError: q2_closed_form needs a 4-form"),
+     "GradeError: q2 needs a 4-form"),
     ("q2", lambda fr: fr.psi,
      "TypeDecompositionError: form is not of pure 27 type"),
     ("Q", lambda fr: fr.phi,
-     "GradeError: q2_closed_form needs a 4-form"),
+     "GradeError: q_value needs a 4-form"),
     ("Q", lambda fr: wedge(ext.vector(1), fr.phi),
      "TypeDecompositionError: form is not of pure 27 type"),
     ("P", lambda fr: fr.psi, "GradeError: p_value needs a 3-form"),

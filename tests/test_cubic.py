@@ -438,9 +438,8 @@ _OUTSIDE = "form has components outside the 27-dimensional summand"
 # (label, input, exception class, message) outside the domain of q2,
 # q2_closed_form and q_value, and of p_value
 _Q_DOMAIN_ERRORS = [
-    ("phi", lambda fr: fr.phi, ext.GradeError, "q2_closed_form needs a 4-form"),
-    ("2-form", lambda fr: blade([1, 2]), ext.GradeError,
-     "q2_closed_form needs a 4-form"),
+    ("phi", lambda fr: fr.phi, ext.GradeError, "{} needs a 4-form"),
+    ("2-form", lambda fr: blade([1, 2]), ext.GradeError, "{} needs a 4-form"),
     ("psi", lambda fr: fr.psi, TypeDecompositionError, _NOT_PURE),
     ("e1^phi", lambda fr: wedge(vector(1), fr.phi), TypeDecompositionError,
      _NOT_PURE),
@@ -472,8 +471,10 @@ def _raises_exactly(fn, exc, message):
                          ids=[c[0] for c in _Q_DOMAIN_ERRORS])
 def test_q_error_surface(g2frame, fn, label, build, exc, message):
     """Wrong grades and forms outside the 27 type raise the class and
-    message of the closed form's gate, whichever of the three runs."""
-    _raises_exactly(lambda: fn(build(g2frame), g2frame), exc, message)
+    message of the closed form's gate, whichever of the three runs; the
+    grade error names the function that was called."""
+    _raises_exactly(lambda: fn(build(g2frame), g2frame), exc,
+                    message.format(fn.__name__))
 
 
 @pytest.mark.parametrize("label,build,exc,message", _P_DOMAIN_ERRORS,

@@ -146,6 +146,17 @@ def test_gram_from_killing_can_fail(monkeypatch, uncached_pairing_report):
     assert _pairing_check("pairing.gram-from-killing")["status"] == "fail"
 
 
+def test_gram_from_killing_reads_the_trace(monkeypatch,
+                                           uncached_pairing_report):
+    # the table is derived from b(xi, eta) = -1/2 tr(xi eta) itself, so b
+    # normalised as -tr(xi eta) halves every derived entry and fails
+    killing = pairing._killing
+    monkeypatch.setattr(pairing, "_killing",
+                        lambda m1, m2: 2 * killing(m1, m2))
+    assert pairing.derive_gram_from_killing()[("v1", "v2")] == Fraction(-1, 3)
+    assert _pairing_check("pairing.gram-from-killing")["status"] == "fail"
+
+
 def test_sym_inner_symmetric_can_fail(monkeypatch, uncached_pairing_report):
     inner = pairing.monomial_inner
     monkeypatch.setattr(pairing, "monomial_inner",
