@@ -25,8 +25,8 @@ Every block form is an integer combination of one block basis,
 (phitilde, e_a ^ Omega, C(e_i)), built once by block_basis, the only
 place the module builds y ^ Omega and C(x).  comparison_form gives A(xi)
 as D A = U + sqrt(10) W on it: for the integer element Xi = e xi and
-the common denominator M of Y and K, D = 2Me, U = D (s phitilde + Y y ^
-Omega) and W = D K C(x), each of U and W gated as pure 27.  Every
+the least M that makes M/2, MY/2 and MK ints, D = Me, U = D (s phitilde
++ Y y ^ Omega) and W = D K C(x), each of U and W gated as pure 27.  Every
 integer the module derives from (Y, K) comes from _family_ints.  The
 cubic is composed from the int parts of the kernels,
 cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
@@ -252,10 +252,14 @@ FAMILY = (Fraction(-5, 3), Fraction(1, 6))
 
 
 @functools.cache
-def _family_ints() -> tuple[list, int]:
-    """((M Y, M K), M) for the coefficients (Y, K) of FAMILY and their
-    least common denominator M."""
-    return clear_denominators(FAMILY)
+def _family_ints() -> tuple[tuple[int, int, int, int], int]:
+    """((M/2, MY/2, MY, MK), M) for the coefficients (Y, K) of FAMILY, M
+    the least integer that makes M/2, MY/2 and MK ints: M A(xi) is then
+    integral on the block basis for the int blocks (s, y, x) and for
+    the half-integer blocks of an int element alike."""
+    (half, half_y, mk), m = clear_denominators((Fraction(1, 2), FAMILY[0] / 2,
+                                                FAMILY[1]))
+    return (half, half_y, 2 * half_y, mk), m
 
 
 def comparison_form(xi: Su3Element) -> tuple[Form, Form, int]:
@@ -266,13 +270,13 @@ def comparison_form(xi: Su3Element) -> tuple[Form, Form, int]:
     checked."""
     (v1, v2, _, x1, x2, x3, x4, x5, x6), e = clear_denominators(
         list(xi.v + xi.x))
-    (my, mk), m = _family_ints()
+    (half, half_y, my, mk), m = _family_ints()
     # the blocks of Xi: 2s = V1 + V2, 2y = (V1 - V2, -2 X1, 2 X2) and
-    # x = (-X4, X3, -X6, X5) on e4..e7, at D = 2Me
-    u = _on_basis((m * (v1 + v2), my * (v1 - v2), -2 * my * x1, 2 * my * x2))
-    w = _on_basis([0] * 4 + [2 * mk * t for t in (-x4, x3, -x6, x5)])
+    # x = (-X4, X3, -X6, X5) on e4..e7, at D = Me
+    u = _on_basis((half * (v1 + v2), half_y * (v1 - v2), -my * x1, my * x2))
+    w = _on_basis((0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5))
     _pure27("comparison form is not of pure 27 type", u, w)
-    return u, w, 2 * m * e
+    return u, w, m * e
 
 
 def first_principles_value(xi: Su3Element, *,
@@ -808,7 +812,7 @@ class _BlockTables:
         kernels (_split); its sqrt(10)-odd part must vanish.  T is fully
         symmetric (checked at build), so each mixed term is one table
         pass: 4 passes in all."""
-        (my, mk), m = _family_ints()
+        (_, _, my, mk), m = _family_ints()
         zu = [m * s] + [my * c for c in coords_of(y)[:3]] + [0] * 4
         zw = [0] * 4 + [mk * c for c in coords_of(x)[3:7]]
         even, odd = _split(self.tri(zu, zu, zu), self.tri(zw, zw, zu),

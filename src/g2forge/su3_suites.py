@@ -105,8 +105,9 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
             # D A(xi) = U + sqrt(10) W: U carries D (s, Y y) and W carries
             # D K x, since 1 and sqrt(10) are independent over Q
             u, w, d = awmod.comparison_form(xi)
-            want_u = [d * s] + [d * fy * t for t in coords_of(y)[:3]] + [0] * 4
-            want_w = [0] * 4 + [d * fk * t for t in coords_of(x)[3:]]
+            dy, dk = d * fy, d * fk
+            want_u = [d * s] + [dy * t for t in coords_of(y)[:3]] + [0] * 4
+            want_w = [0] * 4 + [dk * t for t in coords_of(x)[3:]]
             read = all(inner(u, b) == n * wu and inner(w, b) == n * ww
                        for b, n, wu, ww in zip(basis, norms, want_u, want_w))
             good += ((back.v, back.x) == (xi.v, xi.x) and read

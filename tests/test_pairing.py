@@ -257,19 +257,19 @@ def test_component_polys_match_the_hand_formulas():
 def test_integer_kernels_run_on_the_ring():
     """The even/odd route to P and the block table's numerator run
     unchanged on polynomial coefficients.  At the generic element, with
-    comparison_form's formulas (D = 2M = 12 for the common denominator
-    M = 6 of the family's coefficients), the sqrt(10)-odd part is the
-    zero polynomial and both give P: the routes agree for every xi."""
+    comparison_form's formulas (D = M = 6, M as in aw._family_ints), the
+    sqrt(10)-odd part is the zero polynomial and both give P: the routes
+    agree for every xi."""
     coords = pairing._coordinate_polys()
     v1, v2, x1, x2, x3, x4, x5, x6 = coords
-    (my, mk), m = aw._family_ints()
-    assert (my, mk, m) == (-10, 1, 6)
-    u = aw._on_basis((m * (v1 + v2), my * (v1 - v2), -2 * my * x1,
-                      2 * my * x2))
-    w = aw._on_basis([0] * 4 + [2 * mk * t for t in (-x4, x3, -x6, x5)])
+    (half, half_y, my, mk), m = aw._family_ints()
+    assert (half, half_y, my, mk, m) == (3, -5, -10, 1, 6)
+    u = aw._on_basis((half * (v1 + v2), half_y * (v1 - v2), -my * x1,
+                      my * x2))
+    w = aw._on_basis((0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5))
     even, odd = aw._split_cubic(u, w)
     assert odd == 0
-    assert Fraction(1, 2 * (2 * m) ** 3) * even == first_principles_p_poly()
+    assert Fraction(1, 2 * m ** 3) * even == first_principles_p_poly()
     generic = aw.decompose(pairing._xi_from_coords(coords))
     assert aw.block_tables().fp_numerator(*generic) == \
         m ** 3 * first_principles_p_poly()
