@@ -17,9 +17,9 @@ and the comparison 3-form
 with its two coefficients (Y, K) written once, in FAMILY; the sqrt(10)
 is the field's.  It is a pure-27 form whose cubic P(xi) = <p(A, A),
 i^{-1}(A)> is the second-order obstruction polynomial.  P is evaluated
-along two exact routes (native sqrt(10) arithmetic, and a rational
-even/odd split in sqrt(10)) that must agree; the sqrt(10)-odd part must
-vanish.
+along two exact routes (native sqrt(10) arithmetic on the kernels, and
+the block table's even/odd split in sqrt(10)) that must agree; the
+sqrt(10)-odd part must vanish.
 
 Every block form is an integer combination of one block basis,
 (phitilde, e_a ^ Omega, C(e_i)), built once by block_basis, the only
@@ -27,22 +27,24 @@ place the module builds y ^ Omega and C(x).  comparison_form gives A(xi)
 as D A = U + sqrt(10) W on it: for the integer element Xi = e xi and
 the least M that makes M/2, MY/2 and MK ints, D = Me, U = D (s phitilde
 + Y y ^ Omega) and W = D K C(x), each of U and W gated as pure 27.  Every
-integer the module derives from (Y, K) comes from _family_ints.  The
-cubic is composed from the int parts of the kernels,
+integer the module derives from (Y, K) comes from _family_ints.
+Route one composes the cubic from the int parts of the kernels,
 cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
-on U + sqrt(10) W (route one, cubic.p_numerator) and on the ints U and
-W (route two, split by _split), and divided once, by 2 D^3.  The
-first two read precomputed signed blade tables and build no Form, and
-all three pass flat upper triangles in linalg's layout.  A route that
-fails names both routes' values of P and xi.
+on U + sqrt(10) W (cubic.p_numerator), and divides once, by 2 D^3; the
+kernels read precomputed signed blade tables, build no Form and pass
+flat upper triangles in linalg's layout.  Route two is the block
+table's even/odd split in sqrt(10) (_BlockTables.even_part) at the int
+block coordinates comparison_form builds U and W from: it is D^3 P,
+half the native value, and its sqrt(10)-odd part must vanish.  A route
+that fails names both routes' values of P and xi.
 Route two reads the full symmetry of the trilinear form T(a, b, c) =
-<p(a, b), i^{-1}(c)>: T(U, W, W) = T(W, W, U) lets p(U, U) and p(W, W)
-carry all four terms of the expansion, two pair-table passes where the
-term-by-term expansion takes four, and a pair table that breaks the
-symmetry makes the routes disagree.  The type-27 gate is
-G2Frame.is_pure27, the eight signed sums that pair with phi and the
-e_j -| psi; the symmetry and trace checks of the recovered tensors run
-on both routes.
+<p(a, b), i^{-1}(c)>: the table is built from the kernels at the block
+basis and checked fully symmetric, so T(U, W, W) = T(W, W, U) and four
+table passes carry the four terms of the expansion, and a pair table
+that breaks the symmetry of T on the block basis fails the build.  The
+type-27 gate is G2Frame.is_pure27, the eight signed sums that pair with
+phi and the e_j -| psi; the symmetry and trace checks of the recovered
+tensors run in the native route and in the table's build.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
@@ -61,9 +63,9 @@ the corrected closed form where the two differ.
 
 The generic cubic is trilinear in the block coordinates (s, y1, y2,
 y3, x4..x7).  Its structure constants on the block basis are 58 nonzero
-integers, built once and checked fully symmetric; the lattice sweeps
-and fits evaluate that table; random points, and two probes of the
-table when it is built, take the solver route.
+integers, built once and checked fully symmetric; the lattice sweeps,
+the fits and route two of P evaluate that table; random points, and two
+probes of the table when it is built, take the solver route.
 
 The display sides of the tensor sweep that depend on (y, x) (J I_y,
 e_a . I_a x, y . Jx and the eps mix) are linear or bilinear in (y, x),
@@ -262,21 +264,23 @@ def _family_ints() -> tuple[tuple[int, int, int, int], int]:
     return (half, half_y, 2 * half_y, mk), m
 
 
-def comparison_form(xi: Su3Element) -> tuple[Form, Form, int]:
+def comparison_form(xi: Su3Element) -> tuple[Form, Form, int, list, list]:
     """A(xi) = s phitilde + Y y ^ Omega + K sqrt(10) C(x) as the integer
     numerators (U, W, D) with D A(xi) = U + sqrt(10) W on the block
-    basis (see the module docstring).  A(xi) is of pure 27 type iff U
-    and W are (1 and sqrt(10) are independent over Q); both are
-    checked."""
+    basis (see the module docstring), and the int coordinates zu and zw
+    of U and W on it, read off xi by this function's own block map, not
+    decompose's.  A(xi) is of pure 27 type iff U and W are (1 and
+    sqrt(10) are independent over Q); both are checked."""
     (v1, v2, _, x1, x2, x3, x4, x5, x6), e = clear_denominators(
         list(xi.v + xi.x))
     (half, half_y, my, mk), m = _family_ints()
     # the blocks of Xi: 2s = V1 + V2, 2y = (V1 - V2, -2 X1, 2 X2) and
     # x = (-X4, X3, -X6, X5) on e4..e7, at D = Me
-    u = _on_basis((half * (v1 + v2), half_y * (v1 - v2), -my * x1, my * x2))
-    w = _on_basis((0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5))
+    zu = [half * (v1 + v2), half_y * (v1 - v2), -my * x1, my * x2, 0, 0, 0, 0]
+    zw = [0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5]
+    u, w = _on_basis(zu), _on_basis(zw)
     _pure27("comparison form is not of pure 27 type", u, w)
-    return u, w, m * e
+    return u, w, m * e, zu, zw
 
 
 def first_principles_value(xi: Su3Element, *,
@@ -285,32 +289,37 @@ def first_principles_value(xi: Su3Element, *,
     numerator cubic (cubic.p_numerator) of U + sqrt(10) W over 2 D^3.
 
     Route one evaluates it natively in Q(sqrt(10)), on the form
-    _quad_form builds; route two splits it on the ints U and W into an
-    even and an odd part in sqrt(10) (_split_cubic), read through the
-    full symmetry of the trilinear form, and the odd part must vanish.
-    The routes must agree; single_route skips the second for bulk
-    sweeps that verify route agreement separately.
+    _quad_form builds; route two is the block table's even/odd split
+    (_BlockTables.even_part) at the int block coordinates of U and W,
+    which is D^3 P: half the native value, whose sqrt(10) part must
+    vanish.  single_route skips the second for bulk sweeps that verify
+    route agreement separately.  Each raise names P on each route run,
+    as r + q sqrt(10), and xi.
     """
-    u, w, d = comparison_form(xi)
+    u, w, d, zu, zw = comparison_form(xi)
     a = _quad_form(u, w)
     native = p_numerator(a, standard_frame().iso_i_inv_upper(a))
     rat, irr = (native.rat, native.irr) if isinstance(native, QuadExt) \
         else (native, 0)
-    routes = {"native": (rat, irr)}
-    if not single_route:
-        routes["even/odd"] = _split_cubic(u, w)
-    even, odd = routes.get("even/odd", (rat, 0))
+
+    def values(even=None, odd=0):
+        # P on each route run, and xi
+        runs = [f"native {_sqrt10(rat, irr, 2 * d ** 3)}"] + (
+            [] if even is None else [f"even/odd {_sqrt10(even, odd, d ** 3)}"])
+        return f"{', '.join(runs)} at {json.dumps(xi.to_json())}"
+
+    even = None if single_route else block_tables().even_part(zu, zw, values)
     for what, failed in (("P has a sqrt(10) component", irr),
-                         ("sqrt(10)-odd part of P does not vanish", odd),
-                         ("the two routes to P disagree", even != rat)):
+                         ("the two routes to P disagree",
+                          even is not None and 2 * even != rat)):
         if failed:
-            # each route's P as r + q sqrt(10), over 2 D^3, and xi
-            values = ", ".join(f"{name} {Fraction(r, 2 * d ** 3)} + "
-                               f"{Fraction(q, 2 * d ** 3)} sqrt(10)"
-                               for name, (r, q) in routes.items())
-            raise InternalConsistencyError(
-                f"{what}: {values} at {json.dumps(xi.to_json())}")
+            raise InternalConsistencyError(f"{what}: {values(even)}")
     return Fraction(rat, 2 * d ** 3)
+
+
+def _sqrt10(r, q, scale) -> str:
+    """(r + q sqrt(10)) / scale, as a raise names a value of P."""
+    return f"{Fraction(r, scale)} + {Fraction(q, scale)} sqrt(10)"
 
 
 def _quad_form(u: Form, w: Form) -> Form:
@@ -319,9 +328,8 @@ def _quad_form(u: Form, w: Form) -> Form:
     u where w lacks the blade, QuadExt(0, w) where u lacks it, and
     QuadExt(u, w) where both hold it."""
     terms = dict(u.terms)
-    get = u.terms.get
     for m, c in w.terms.items():
-        terms[m] = _element(QuadExt, get(m, 0), c)
+        terms[m] = _element(QuadExt, terms.get(m, 0), c)
     return Form(3, terms)
 
 
@@ -331,25 +339,6 @@ def _split(uuu, wwu, uuw, www) -> tuple:
     T(w,w,u), T(u,u,w) and T(w,w,w): T(a, a, a) = T(u,u,u) + 3 sqrt(10)
     T(u,u,w) + 30 T(u,w,w) + 10 sqrt(10) T(w,w,w)."""
     return uuu + 30 * wwu, 3 * uuw + 10 * www
-
-
-def _split_cubic(u: Form, w: Form) -> tuple:
-    """The even and the odd part in sqrt(10) of the numerator cubic
-    (cubic.p_numerator) of u + sqrt(10) w, for 3-forms u and w of pure
-    27 type with int coefficients; both are ints.
-
-    The cubic is T(a, a, a) for T(a, b, c) = <p(a, b), 2 i^{-1}(c)>,
-    fully symmetric, split by _split; with T(u,w,w) = T(w,w,u) two
-    pair-table passes, p(u, u) and p(w, w), serve all four terms.  The
-    native route reads T only on the diagonal, so a pair table that
-    keeps p symmetric but breaks the symmetry of T makes the two routes
-    disagree.
-    """
-    g2 = standard_frame()
-    puu, pww = quadratic_upper(u, u), quadratic_upper(w, w)
-    su, sw = g2.iso_i_inv_upper(u), g2.iso_i_inv_upper(w)
-    return _split(upper_inner(puu, su), upper_inner(pww, su),
-                  upper_inner(puu, sw), upper_inner(pww, sw))
 
 
 def r_value(y: Form, x: Form):
@@ -804,25 +793,30 @@ class _BlockTables:
         return (tri(e0, e0, z), tri(e0, zy, z), tri(e0, zc, z),
                 tri(zy, zy, z), tri(zy, zc, z), tri(zc, zc, z))
 
-    def fp_numerator(self, s, y: Form, x: Form):
-        """M^3 P(xi) for the blocks (s, y, x) of xi, M as in _family_ints
-        (216 P for FAMILY's coefficients): M A(xi) = zu + sqrt(10) zw on
-        the block basis, zu = (M s, M Y y) and zw = M K x, ints for int
-        blocks, and the cubic of zu + sqrt(10) zw splits as on the
-        kernels (_split); its sqrt(10)-odd part must vanish.  T is fully
-        symmetric (checked at build), so each mixed term is one table
-        pass: 4 passes in all."""
-        (_, _, my, mk), m = _family_ints()
-        zu = [m * s] + [my * c for c in coords_of(y)[:3]] + [0] * 4
-        zw = [0] * 4 + [mk * c for c in coords_of(x)[3:7]]
+    def even_part(self, zu, zw, values) -> int:
+        """The even part in sqrt(10) of the cubic of zu + sqrt(10) zw, for
+        int block coordinates zu and zw, split by _split.  T is fully
+        symmetric (checked at build), so T(w, w, u) serves for T(u, w, w)
+        and each term is one table pass: 4 passes in all.  The odd part
+        must vanish; its raise names values(even, odd), the caller's
+        values of P and its input."""
         even, odd = _split(self.tri(zu, zu, zu), self.tri(zw, zw, zu),
                            self.tri(zu, zu, zw), self.tri(zw, zw, zw))
         if odd:
             raise InternalConsistencyError(
-                "sqrt(10)-odd part of the assembled P does not vanish: P = "
-                f"{Fraction(even, m ** 3)} + {Fraction(odd, m ** 3)} sqrt(10) "
-                f"at s = {s}, {_where(y, x)}")
+                f"sqrt(10)-odd part of P does not vanish: {values(even, odd)}")
         return even
+
+    def fp_numerator(self, s, y: Form, x: Form):
+        """M^3 P(xi) for the blocks (s, y, x) of xi, M as in _family_ints
+        (216 P for FAMILY's coefficients): M A(xi) = zu + sqrt(10) zw on
+        the block basis, zu = (M s, M Y y) and zw = M K x, ints for int
+        blocks, and P is the even part of its cubic (even_part)."""
+        (_, _, my, mk), m = _family_ints()
+        zu = [m * s] + [my * c for c in coords_of(y)[:3]] + [0] * 4
+        zw = [0] * 4 + [mk * c for c in coords_of(x)[3:7]]
+        return self.even_part(zu, zw, lambda even, odd: (
+            f"P = {_sqrt10(even, odd, m ** 3)} at s = {s}, {_where(y, x)}"))
 
     def fp_value(self, s, y: Form, x: Form) -> Fraction:
         """P(xi) for the blocks (s, y, x) of xi: fp_numerator over M^3."""

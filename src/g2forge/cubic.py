@@ -45,19 +45,23 @@ vol(N ^ n) = -7 <U, 2 i^{-1}(*n)> over 7 d^3, and P is p_numerator,
 p_value scatters 2 i^{-1}(n) once and hands it to both.  The closed
 form and the tensor route share U; the independent evidence is the
 solve against the closed form and the wedge against i^{-1}.
+trilinear_direct pairs quadratic_upper of the numerators of i(S1) and
+i(S2) with those of S3 by upper_inner and rescales once; each route
+raise names both values and the input form as JSON.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 
 from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
-    form_from_coords, form_to_coords, hodge, inner, merge_sign, norm_sq, \
-    numerators, vol_coefficient, wedge
+    blade_indices, form_from_coords, form_to_coords, form_to_json, hodge, \
+    inner, merge_sign, norm_sq, numerators, vol_coefficient, wedge
 from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
     standard_frame, star_action
-from .linalg import DIAGONAL, TRIANGLE, SymTensor, sym_inner, upper_inner
-from .scalars import over
+from .linalg import DIAGONAL, TRIANGLE, SymTensor, upper_inner
+from .scalars import clear_denominators, over
 
 @functools.cache
 def _pair_table(grade: int) -> dict[int, tuple]:
@@ -193,23 +197,40 @@ def _closed_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
         [7 * x - t if k in DIAGONAL else 7 * x for k, x in enumerate(U)]))
 
 
-def _solved_numerator(n: Form, fr: G2Frame) -> tuple[list, Form]:
-    """_closed_numerator, with N / 7 checked against b2(n, n)."""
+def _route_error(what: str, n: Form, d: int, scale: int, *routes):
+    """The error of a failed route check: what failed, each route's
+    value by name (routes holds (name, numerator) pairs, each numerator
+    over scale) and the input form n / d as JSON."""
+    values = ", ".join(f"{name} {over(x, scale)}" for name, x in routes)
+    form = Form(n.grade, {m: over(c, d) for m, c in n.terms.items()})
+    return InternalConsistencyError(
+        f"{what}: {values} at {json.dumps(form_to_json(form))}")
+
+
+def _solved_numerator(n: Form, d: int, fr: G2Frame) -> tuple[list, Form]:
+    """_closed_numerator, with N / 7 checked against b2(n, n); a raise
+    names both routes' coefficient of Q2(n / d) on the first blade where
+    they differ."""
     U, N = _closed_numerator(n, fr)
     x, s = _b2_numerators(n, n, fr)
-    if [7 * v for v in x] != [s * c for c in form_to_coords(N)]:
-        raise InternalConsistencyError("Q2 closed form disagrees with the b2 solve")
+    for v, c, m in zip(x, form_to_coords(N), BLADES_BY_GRADE[3]):
+        if 7 * v != s * c:
+            raise _route_error("Q2 closed form disagrees with the b2 solve on "
+                               f"blade {blade_indices(m)}", n, d,
+                               7 * s * d * d, ("closed form", s * c),
+                               ("b2 solve", 7 * v))
     return U, N
 
 
-def _q_numerator(n: Form, inv_star: list, fr: G2Frame):
+def _q_numerator(n: Form, d: int, inv_star: list, fr: G2Frame):
     """vol(N ^ n) = 7 d^3 Q(n / d) by both routes, inv_star the upper
     triangle of 2 i^{-1}(*n) (G2Frame.iso_i_inv_upper), which the caller
     holds."""
-    U, N = _solved_numerator(n, fr)
-    v = vol_coefficient(wedge(N, n))
-    if v != -7 * upper_inner(U, inv_star):
-        raise InternalConsistencyError("the two routes to Q disagree")
+    U, N = _solved_numerator(n, d, fr)
+    v, tensor = vol_coefficient(wedge(N, n)), -7 * upper_inner(U, inv_star)
+    if v != tensor:
+        raise _route_error("the two routes to Q disagree", n, d, 7 * d ** 3,
+                           ("wedge", v), ("tensor", tensor))
     return v
 
 
@@ -231,7 +252,7 @@ def q2(a: Form, frame: G2Frame | None = None) -> Form:
     the linear solve, cross-checked."""
     fr = frame or standard_frame()
     n, _, d = _pure27_numerators(a, fr, "q2")
-    N = _solved_numerator(n, fr)[1]
+    N = _solved_numerator(n, d, fr)[1]
     return Form(3, {m: over(c, 7 * d * d) for m, c in N.terms.items()})
 
 
@@ -241,7 +262,7 @@ def q_value(a: Form, frame: G2Frame | None = None):
     the volume coefficient of a wedge that vanishes."""
     fr = frame or standard_frame()
     n, star, d = _pure27_numerators(a, fr, "q_value")
-    v = _q_numerator(n, fr.iso_i_inv_upper(star), fr)
+    v = _q_numerator(n, d, fr.iso_i_inv_upper(star), fr)
     return over(v, 7 * d ** 3) if v else v
 
 
@@ -267,9 +288,10 @@ def p_value(b: Form, frame: G2Frame | None = None):
     # P and Q's tensor route share 2 i^{-1}(n); the wedge value of Q,
     # which P is compared with, reads no i^{-1}
     inv = fr.iso_i_inv_upper(n)
-    direct = p_numerator(n, inv)
-    if 7 * direct != _q_numerator(hodge(n), inv, fr):
-        raise InternalConsistencyError("P(b) != Q(*b)")
+    direct, q = p_numerator(n, inv), _q_numerator(hodge(n), d, inv, fr)
+    if 7 * direct != q:
+        raise _route_error("P(b) != Q(*b)", n, d, 7 * d ** 3,
+                           ("P(b)", 7 * direct), ("Q(*b)", q))
     return over(direct, d ** 3)
 
 
@@ -277,22 +299,23 @@ def trilinear(S1: SymTensor, S2: SymTensor, S3: SymTensor):
     """The trilinear form <b2(*i(S1), *i(S2)), i(S3)> on traceless
     symmetric tensors.  Fully symmetric under permutations."""
     fr = standard_frame()
-    b_1 = fr.iso_i(S1)
-    b_2 = fr.iso_i(S2)
+    b_1, b_2 = fr.iso_i(S1), fr.iso_i(S2)
     return inner(b2(hodge(b_1), hodge(b_2), fr), fr.iso_i(S3))
 
 
 def trilinear_direct(S1: SymTensor, S2: SymTensor, S3: SymTensor):
     """<p(i(S1), i(S2)), S3>, the same form up to the overall factor 2
-    carried by the cocycle route: trilinear = 2 * trilinear_direct."""
+    carried by the cocycle route: trilinear = 2 * trilinear_direct.  It
+    pairs 2 p(n1, n2) with the numerators of S3, for i(S_k) = n_k / d
+    and S3's triangle over e, and rescales once, by 1/(2 d^2 e)."""
     fr = standard_frame()
-    return sym_inner(quadratic_form(fr.iso_i(S1), fr.iso_i(S2)), S3)
+    (n1, n2), d = numerators(fr.iso_i(S1), fr.iso_i(S2))
+    t, e = clear_denominators(S3.upper)
+    return over(upper_inner(quadratic_upper(n1, n2), t), 2 * d * d * e)
 
 
 def trilinear_star_route(S1: SymTensor, S2: SymTensor, S3: SymTensor):
     """Derived-action route: <S3 * i(S1), i(S2)> + <S3 * i(S2), i(S1)>."""
     fr = standard_frame()
-    b_1 = fr.iso_i(S1)
-    b_2 = fr.iso_i(S2)
-    A3 = S3.to_matrix()
+    b_1, b_2, A3 = fr.iso_i(S1), fr.iso_i(S2), S3.to_matrix()
     return inner(star_action(A3, b_1), b_2) + inner(star_action(A3, b_2), b_1)

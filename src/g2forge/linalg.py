@@ -22,9 +22,10 @@ DIAGONAL.  A full square given to the constructor is checked for
 symmetry and its triangle kept, its own arithmetic (sums, differences,
 multiples, symmetric products) runs on the triangle, and the full
 square is only built, mirrored, when a caller reads entries.
-upper_inner pairs two triangles position by position, the diagonal
-once and the rest twice, with no rescale; sym_inner runs it on the
-integer numerators of two SymTensors and rescales once.
+upper_inner, the one metric pairing tr(S1 S2) of symmetric tensors,
+pairs two triangles position by position, the diagonal once and the
+rest twice, with no rescale; a caller that holds Fraction tensors
+pairs their integer numerators and rescales once.
 """
 
 from __future__ import annotations
@@ -342,17 +343,3 @@ def upper_inner(u1: Sequence, u2: Sequence):
     return (sum(u1[k] * u2[k] for k in DIAGONAL)
             + 2 * sum(u1[k] * u2[k] for k in _OFF_DIAGONAL))
 
-
-def sym_inner(S1: SymTensor, S2: SymTensor):
-    """tr(S1 S2), the metric pairing of symmetric 2-tensors.
-
-    Bilinear, so it runs upper_inner on the integer numerators of the
-    two upper triangles, each over its own denominator d_k, and
-    rescales once, by 1/(d_1 d_2); two int tensors give an int.
-    """
-    n1, d1 = clear_denominators(S1.upper)
-    n2, d2 = (n1, d1) if S2 is S1 else clear_denominators(S2.upper)
-    value = upper_inner(n1, n2)
-    if n1 is S1.upper and n2 is S2.upper:
-        return value
-    return value * Fraction(1, d1 * d2)

@@ -104,7 +104,7 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
             back = awmod.compose(s, y, x)
             # D A(xi) = U + sqrt(10) W: U carries D (s, Y y) and W carries
             # D K x, since 1 and sqrt(10) are independent over Q
-            u, w, d = awmod.comparison_form(xi)
+            u, w, d, _, _ = awmod.comparison_form(xi)
             dy, dk = d * fy, d * fk
             want_u = [d * s] + [dy * t for t in coords_of(y)[:3]] + [0] * 4
             want_w = [0] * 4 + [dk * t for t in coords_of(x)[3:]]

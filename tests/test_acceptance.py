@@ -20,7 +20,9 @@ from g2forge import aw, cubic, exterior as ext, pairing, suites
 from g2forge.exterior import blade, contract, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
 from g2forge.g2 import random_traceless, star_action
-from g2forge.linalg import Matrix, SymTensor, rank, sym_inner
+from g2forge.linalg import Matrix, SymTensor, rank
+
+import reference
 
 LEDGER = "see notes/decisions.md"
 
@@ -94,7 +96,7 @@ def iso_identities_hold(fr, tensors) -> bool:
     """*(S * psi) = -(S * phi), S * psi by the derived action and so
     independent of the table behind i, and |i(S)|^2 = 2|S|^2."""
     return all(hodge(star_action(S.to_matrix(), fr.psi)) == -fr.iso_i(S)
-               and norm_sq(fr.iso_i(S)) == 2 * sym_inner(S, S)
+               and norm_sq(fr.iso_i(S)) == 2 * reference.sym_inner(S, S)
                for S in tensors)
 
 

@@ -7,10 +7,11 @@ import json
 import random
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from g2forge import aw, cubic, linalg, pairing, suites
+from g2forge import aw, cubic, pairing, suites
 from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
     CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, c_of, \
     compose, decompose, first_principles_fit, first_principles_value, \
@@ -230,7 +231,7 @@ def test_comparison_form_numerators(kind):
     rng = random.Random(9018)
     for _ in range(4):
         xi = _su3_of_kind(rng, kind)
-        u, w, d = aw.comparison_form(xi)
+        u, w, d, _, _ = aw.comparison_form(xi)
         assert type(d) is int and d >= 1
         assert all(type(c) is int
                    for c in [*u.terms.values(), *w.terms.values()])
@@ -298,6 +299,12 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
                                            single_route=single_route)
 
 
+def _odd(even, odd):
+    """The message of an even/odd split whose odd part a test expects
+    to vanish."""
+    return f"odd part {odd}"
+
+
 @pytest.mark.parametrize("route, bump, message", [
     ("split", (1, 0), "the two routes to P disagree"),
     ("split", (0, 1), "sqrt(10)-odd part of P does not vanish"),
@@ -306,20 +313,21 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
 def test_first_principles_split_route_checked(monkeypatch, route, bump,
                                               message):
     """Each raise of first_principles_value names the value of P on both
-    routes, r + q sqrt(10) for the numerator cubic over 2 D^3, and xi
-    as JSON; single_route checks only the native value."""
+    routes, r + q sqrt(10) over 2 D^3, and xi as JSON; single_route
+    checks only the native value.  The split route is the block
+    table's, D^3 P, so a unit bump of its even or odd part moves P by
+    2 over 2 D^3."""
     xi = _xi_with_m4_part()
-    u, w, d = aw.comparison_form(xi)
+    _, _, d, zu, zw = aw.comparison_form(xi)
     den = 2 * d ** 3
-    even, odd = aw._split_cubic(u, w)
     value = first_principles_value(xi)
-    assert value == Fraction(even, den) and odd == 0
+    assert value == Fraction(2 * block_tables().even_part(zu, zw, _odd), den)
     if route == "split":
-        split = aw._split_cubic
-        monkeypatch.setattr(aw, "_split_cubic", lambda u, w: tuple(
-            t + b for t, b in zip(split(u, w), bump)))
-        native, routes = (value, 0), (Fraction(even + bump[0], den),
-                                      Fraction(odd + bump[1], den))
+        split = aw._split
+        monkeypatch.setattr(aw, "_split", lambda *t: tuple(
+            x + b for x, b in zip(split(*t), bump)))
+        native, routes = (value, 0), (value + Fraction(2 * bump[0], den),
+                                      Fraction(2 * bump[1], den))
         assert first_principles_value(xi, single_route=True) == value
     else:
         numerator = aw.p_numerator
@@ -357,22 +365,28 @@ def _split_oracle_elements() -> list:
 
 
 def test_split_cubic_matches_four_pass_expansion():
-    """The two-pass even/odd split, which reads the full symmetry of the
-    trilinear form, against the term-by-term four-pass expansion."""
+    """The block table's even/odd split, four table passes at the block
+    coordinates of U and W that read the full symmetry of the trilinear
+    form, against the term-by-term four-pass expansion on the kernels
+    (reference.split_cubic), which needs only the symmetry of p: the
+    table's even part is an int, half the kernels' even part, and the
+    kernels' odd part vanishes."""
+    tab = block_tables()
     for xi in _split_oracle_elements():
-        u, w, _ = aw.comparison_form(xi)
-        got = aw._split_cubic(u, w)
-        assert got == reference.split_cubic(u, w)
-        assert [type(t) for t in got] == [int, int]
+        u, w, _, zu, zw = aw.comparison_form(xi)
+        even = tab.even_part(zu, zw, _odd)
+        assert type(even) is int
+        assert reference.split_cubic(u, w) == (2 * even, 0)
 
 
 def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     """One sign of the grade-3 pair table flipped (the second triple of
     e123) keeps p symmetric in its two arguments but breaks the full
-    symmetry of the trilinear form T: the block table refuses to build,
-    and the even/odd route, which reads T(U, W, W) as T(W, W, U),
-    disagrees with the native route, which reads T only on the
-    diagonal and still returns on its own."""
+    symmetry of the trilinear form T on the block basis: the block
+    table refuses to build, so the two-route call, which reads the
+    table, raises, while the native route, which reads T only on the
+    diagonal, still returns on its own.  The table is cached per
+    process; its cache is cleared under the flip and again after it."""
     xi = _xi_with_m4_part()
     want = first_principles_value(xi)
     table = cubic._pair_table(3)
@@ -380,47 +394,113 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     k, mm, sign = table[e123][1]
     monkeypatch.setitem(table, e123,
                         table[e123][:1] + ((k, mm, -sign),) + table[e123][2:])
-    with pytest.raises(InternalConsistencyError,
-                       match="block trilinear table is not fully symmetric"):
-        aw._BlockTables()
-    first_principles_value(xi, single_route=True)
-    with pytest.raises(InternalConsistencyError,
-                       match="the two routes to P disagree"):
-        first_principles_value(xi)
-    monkeypatch.undo()
+    block_tables.cache_clear()
+    try:
+        first_principles_value(xi, single_route=True)
+        with pytest.raises(InternalConsistencyError,
+                           match="block trilinear table is not fully "
+                                 "symmetric"):
+            first_principles_value(xi)
+    finally:
+        monkeypatch.undo()
+        block_tables.cache_clear()
     assert first_principles_value(xi) == want
 
 
+_PAIR_TABLE_FLIP = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+from g2forge import aw, cubic, suites
+import workloads
+# one sign of the grade-3 pair table flipped before anything reads it:
+# the triple at index of the blade mask
+mask, index = map(int, sys.argv[1].split(","))
+table = cubic._pair_table(3)
+k, mm, sign = table[mask][index]
+table[mask] = table[mask][:index] + ((k, mm, -sign),) + table[mask][index + 1:]
+_, elements = workloads.su3_inputs(1, 30)
+two = []
+for xi in elements:
+    one = aw.first_principles_value(xi, single_route=True)
+    try:
+        two.append(str(aw.first_principles_value(xi) == one))
+    except aw.InternalConsistencyError as exc:
+        two.append(str(exc))
+failed = []
+if "--suites" in sys.argv:
+    report = suites.run_suites(["cubic", "aw"], 1, n_random=5)
+    failed = sorted(c["id"] for r in report["suites"] for c in r["checks"]
+                    if c["status"] == "fail")
+print(json.dumps({"two": two, "failed": failed}))
+"""
+
+
+@pytest.mark.parametrize("flip, symmetric", [
+    ((7, 1), False), ((42, 2), False), ((21, 10), False), ((52, 5), False),
+    ((11, 9), True), ((13, 8), True)],
+    ids=["7-1", "42-2", "21-10", "52-5", "11-9-symmetric", "13-8-symmetric"])
+def test_pair_table_flips_on_the_su3_stream(fresh_python, flip, symmetric):
+    """Each one-sign flip of the grade-3 pair table that notes/decisions.md
+    tabulates, in a fresh interpreter (the block table is cached per
+    process), on the first 30 elements of the benchmark's su3 stream at
+    seed 1.  single_route returns at every element.  A flip that breaks
+    the symmetry of T on the block basis makes every two-route call
+    raise, since the table the even/odd split reads refuses to build;
+    (52, 5) passed the split on the kernels at all 30.  A flip that
+    keeps T symmetric leaves the two routes agreeing at all 30, and of
+    the cubic and aw suites only the cubic suite catches it."""
+    benchmark = str(Path(__file__).resolve().parents[1] / "perfbench")
+    argv = ["%d,%d" % flip, benchmark] + (["--suites"] if symmetric else [])
+    proc = fresh_python(_PAIR_TABLE_FLIP, *argv)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    if symmetric:
+        assert out["two"] == ["True"] * 30
+        assert set(out["failed"]) == {
+            "cubic.q-and-p-displays", "cubic.trilinear-routes",
+            "cubic.trilinear-symmetry"} | suites.AW_BY_DESIGN
+    else:
+        assert out["two"] == \
+            ["block trilinear table is not fully symmetric"] * 30
+
+
 def test_two_route_value_kernel_passes(monkeypatch):
-    """One two-route evaluation runs three pair-table passes, one per
-    quadratic_upper call (p of U + sqrt(10) W, p(U, U) and p(W, W)),
-    and three i^{-1} scatters (of U + sqrt(10) W, U and W)."""
+    """One two-route evaluation runs one pair-table pass, in its one
+    quadratic_upper call (p of U + sqrt(10) W), one i^{-1} scatter and
+    one upper_inner, all on the native route, and four passes over the
+    block table for the even/odd split."""
     xi = _xi_with_m4_part()
     first_principles_value(xi)
-    calls = {"passes": 0, "quadratic_upper": 0, "iso_i_inv_upper": 0}
-    bilinear, quadratic, inverse = (cubic._bilinear, cubic.quadratic_upper,
-                                    G2Frame.iso_i_inv_upper)
+    calls = {"passes": 0, "quadratic_upper": 0, "iso_i_inv_upper": 0,
+             "upper_inner": 0, "tri": 0}
+    bilinear, quadratic, inverse, inner, tri = (
+        cubic._bilinear, cubic.quadratic_upper, G2Frame.iso_i_inv_upper,
+        cubic.upper_inner, aw._BlockTables.tri)
 
     def passes(table, pairs, count):
         calls["passes"] += len(pairs)
         return bilinear(table, pairs, count)
 
-    def counted_quadratic(n1, n2):
-        calls["quadratic_upper"] += 1
-        return quadratic(n1, n2)
-
-    def counted_inverse(self, n):
-        calls["iso_i_inv_upper"] += 1
-        return inverse(self, n)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
     monkeypatch.setattr(cubic, "_bilinear", passes)
-    # aw imports quadratic_upper; count it there and where p_numerator
-    # reads it
+    # aw imports quadratic_upper and upper_inner; count them there and
+    # where p_numerator reads them
     for module in (cubic, aw):
-        monkeypatch.setattr(module, "quadratic_upper", counted_quadratic)
-    monkeypatch.setattr(G2Frame, "iso_i_inv_upper", counted_inverse)
+        monkeypatch.setattr(module, "quadratic_upper",
+                            counted("quadratic_upper", quadratic))
+        monkeypatch.setattr(module, "upper_inner",
+                            counted("upper_inner", inner))
+    monkeypatch.setattr(G2Frame, "iso_i_inv_upper",
+                        counted("iso_i_inv_upper", inverse))
+    monkeypatch.setattr(aw._BlockTables, "tri", counted("tri", tri))
     first_principles_value(xi)
-    assert calls == {"passes": 3, "quadratic_upper": 3, "iso_i_inv_upper": 3}
+    assert calls == {"passes": 1, "quadratic_upper": 1, "iso_i_inv_upper": 1,
+                     "upper_inner": 1, "tri": 4}
 
 
 def test_first_principles_runs_each_block_once(monkeypatch):
@@ -445,9 +525,9 @@ def test_first_principles_runs_each_block_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(aw, name, counted(name))
-    # aw imports neither per-kernel entry point; refuse them where they live
+    # aw does not import the per-kernel entry point; refuse it where it
+    # lives
     monkeypatch.setattr(cubic, "quadratic_form", refuse)
-    monkeypatch.setattr(linalg, "sym_inner", refuse)
     for name in ("project3", "iso_i_inv"):
         monkeypatch.setattr(G2Frame, name, refuse)
     assert first_principles_value(xi) == want
@@ -738,8 +818,8 @@ def test_block_products_match_fraction_oracle():
 _COUNT_AW_RUN = """
 import contextlib, io, json
 from g2forge import linalg
-counts = {"fit_model": 0, "quadratic_form": 0, "sym_inner": 0,
-          "Matrix.apply": 0, "Matrix.__mul__": 0}
+counts = {"fit_model": 0, "quadratic_form": 0, "Matrix.apply": 0,
+          "Matrix.__mul__": 0}
 entered = {}
 depth = [0]
 
@@ -752,7 +832,6 @@ def inside_only(name, fn):
 
 
 # patched before the modules that could import them by name load
-linalg.sym_inner = inside_only("sym_inner", linalg.sym_inner)
 for name in ("apply", "__mul__"):
     setattr(linalg.Matrix, name,
             inside_only("Matrix." + name, getattr(linalg.Matrix, name)))
@@ -798,8 +877,8 @@ print(json.dumps({"exit": code, "counts": counts, "entered": entered}))
 def test_aw_run_counts(fresh_python):
     """One aw run fits twice (the block cubic, and P through its table),
     and its sweeps, block products and block-table build run on int
-    triangles: no quadratic_form and no sym_inner, whose Fraction
-    results they used to compare.  The display sides and R come from
+    triangles: no quadratic_form, whose Fraction results they used to
+    compare.  The display sides and R come from
     the display tables, built once: the sweeps make no Matrix product
     and no Matrix.apply."""
     proc = fresh_python(_COUNT_AW_RUN)
@@ -810,8 +889,7 @@ def test_aw_run_counts(fresh_python):
                               "verify_block_products": 1,
                               "display_tables": 1}
     assert out["counts"] == {"fit_model": 2, "quadratic_form": 0,
-                             "sym_inner": 0, "Matrix.apply": 0,
-                             "Matrix.__mul__": 0}
+                             "Matrix.apply": 0, "Matrix.__mul__": 0}
 
 
 _AW_MUTANT = """
@@ -966,9 +1044,8 @@ def test_block_fits_name_both_values(monkeypatch):
     with pytest.raises(InternalConsistencyError) as err:
         tab.fp_numerator(*blocks)
     assert str(err.value) == (
-        f"sqrt(10)-odd part of the assembled P does not vanish: P = {p} + 1 "
-        "sqrt(10) at s = 1, y = (1, -1, 2) on e1..e3 and x = (1, 0, 1, -1) "
-        "on e4..e7")
+        f"sqrt(10)-odd part of P does not vanish: P = {p} + 1 sqrt(10) at "
+        "s = 1, y = (1, -1, 2) on e1..e3 and x = (1, 0, 1, -1) on e4..e7")
     monkeypatch.undo()
 
     def cubic_plus_y3_cubed(s, y, x):

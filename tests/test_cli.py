@@ -370,7 +370,7 @@ def test_eval_p_with_sqrt10_parts(capsys, tmp_path):
     # A(xi) of an element with an m4 part has sqrt(10) coefficients: P
     # of it is rational, P of sqrt(10) A(xi) is 10 sqrt(10) times that
     xi = Su3Element((1, 1, -2), (1, -2, 3, 0, -1, 2))
-    u, w, d = comparison_form(xi)
+    u, w, d, _, _ = comparison_form(xi)
     a = Fraction(1, d) * (u + SQRT10 * w)
     want = first_principles_value(xi)
     for form, value in ((a, want), (SQRT10 * a, QuadExt(0, 10 * want))):
@@ -469,7 +469,8 @@ def test_eval_precondition_messages(capsys, tmp_path, g2frame, op, build,
 
 
 @pytest.mark.parametrize("op,perturb,message", [
-    ("q2", perturb_solve, "Q2 closed form disagrees with the b2 solve"),
+    ("q2", perturb_solve,
+     "Q2 closed form disagrees with the b2 solve on blade (1, 2, 3)"),
     ("Q", perturb_inverse, "the two routes to Q disagree"),
     ("P", perturb_three_form_route, "P(b) != Q(*b)"),
 ], ids=["q2", "Q", "P"])
@@ -481,7 +482,9 @@ def test_eval_failed_cross_check_exits_1(capsys, tmp_path, monkeypatch,
     perturb(monkeypatch)
     rc, out, err = run_cli(capsys, "eval", op, path)
     assert (rc, out) == (1, "")
-    assert err == f"g2forge: internal consistency failure: {message}\n"
+    # the raise names both routes' values and the input form
+    assert err.startswith(f"g2forge: internal consistency failure: {message}: ")
+    assert err.endswith(f" at {json.dumps(form_to_json(form))}\n")
 
 
 def test_eval_output_file(capsys, tmp_path, g2frame):

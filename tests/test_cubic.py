@@ -1,6 +1,7 @@
 """Tests for the cocycle b2 and the cubic scalars Q and P."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -12,11 +13,11 @@ from g2forge import exterior as ext
 from g2forge.cubic import _pair_table, b2, b2_rhs, p_value, q2, \
     q2_closed_form, q_value, quadratic_form, quadratic_upper, trilinear, \
     trilinear_direct, trilinear_star_route
-from g2forge.exterior import blade, hodge, inner, vector, \
-    vol_coefficient, wedge
+from g2forge.exterior import blade, form_from_json, form_to_json, hodge, \
+    inner, vector, vol_coefficient, wedge
 from g2forge.g2 import G2Frame, InternalConsistencyError, \
     TypeDecompositionError, random_traceless, star_action
-from g2forge.linalg import SymTensor, sym_inner
+from g2forge.linalg import SymTensor, upper_inner
 from g2forge.scalars import QuadExt
 
 import reference
@@ -156,7 +157,8 @@ def test_q_value_diagonal_example(g2frame):
     a = g2frame.iso_i_psi(S)
     val = q_value(a, g2frame)
     assert val == vol_coefficient(wedge(q2(a, g2frame), a))
-    assert val == -2 * sym_inner(quadratic_form(a, a), g2frame.iso_i_inv(hodge(a)))
+    assert val == -2 * reference.sym_inner(quadratic_form(a, a),
+                                           g2frame.iso_i_inv(hodge(a)))
 
 
 def test_p_equals_q_of_star(g2frame):
@@ -246,7 +248,7 @@ def _tensor_entries(S):
 @pytest.mark.parametrize("kind", sorted(_PARITY_KINDS))
 def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
     """quadratic_form, iso_i, iso_i_psi, iso_i_inv, the type splits,
-    sym_inner, b2, q2_closed_form, q2, q_value and p_value clear
+    upper_inner, b2, q2_closed_form, q2, q_value and p_value clear
     denominators on entry and rescale once; values and entry types must
     equal the generic routes'."""
     fr = g2frame
@@ -284,7 +286,8 @@ def test_integer_numerator_kernels_match_generic_routes(g2frame, kind):
             assert got == want
             assert _types(_tensor_entries(got)) == _types(_tensor_entries(want))
             for T1, T2 in ((got, S), (S, S), (got, quadratic_form(b, b))):
-                value, ref = sym_inner(T1, T2), reference.sym_inner(T1, T2)
+                value = upper_inner(T1.upper, T2.upper)
+                ref = reference.sym_inner(T1, T2)
                 assert value == ref and type(value) is type(ref)
             cancelled_zero = cancelled_zero or any(
                 type(x) is Fraction and x == 0 for x in _tensor_entries(got))
@@ -542,16 +545,29 @@ def perturb_three_form_route(monkeypatch):
                         lambda n, inv: numerator(n, inv) + 1)
 
 
+def _raises_naming(fn, message, form):
+    """fn raises an InternalConsistencyError with the message, then both
+    routes' values, then the form it names as JSON."""
+    with pytest.raises(InternalConsistencyError) as info:
+        fn()
+    text = str(info.value)
+    assert type(info.value) is InternalConsistencyError
+    assert text.startswith(message + ": ")
+    assert text.endswith(f" at {json.dumps(form_to_json(form))}")
+
+
 def test_perturbed_solve_fails_q2(g2frame, monkeypatch):
     """A b2 solve that is off in one coordinate makes q2, and so Q and
-    P, raise: the closed form is cross-multiplied with the solve."""
+    P, raise: the closed form is cross-multiplied with the solve.  The
+    raise names the first blade where the two differ, both values there
+    and the 4-form whose Q2 failed, *b for P."""
     S = SymTensor.diag([1, 1, -2, 0, 0, 0, 0])
     a, b = g2frame.iso_i_psi(S), g2frame.iso_i(S)
     perturb_solve(monkeypatch)
-    message = "Q2 closed form disagrees with the b2 solve"
-    for fn, arg in ((q2, a), (q_value, a), (p_value, b)):
-        _raises_exactly(lambda: fn(arg, g2frame), InternalConsistencyError,
-                        message)
+    message = "Q2 closed form disagrees with the b2 solve on blade (1, 2, 3)"
+    for fn, arg, named in ((q2, a, a), (q_value, a, a),
+                           (p_value, b, hodge(b))):
+        _raises_naming(lambda: fn(arg, g2frame), message, named)
     q2_closed_form(a, g2frame)
 
 
@@ -560,15 +576,72 @@ def test_perturbed_inverse_fails_q(g2frame, monkeypatch):
     of Q disagree with the wedge; q2 does not use it."""
     a = g2frame.iso_i_psi(SymTensor.diag([1, 1, -2, 0, 0, 0, 0]))
     perturb_inverse(monkeypatch)
-    _raises_exactly(lambda: q_value(a, g2frame), InternalConsistencyError,
-                    "the two routes to Q disagree")
+    _raises_naming(lambda: q_value(a, g2frame),
+                   "the two routes to Q disagree", a)
     q2(a, g2frame)
 
 
 def test_perturbed_three_form_route_fails_p(g2frame, monkeypatch):
-    """A 3-form route that is off by one makes P disagree with Q(*b)."""
+    """A 3-form route that is off by one makes P disagree with Q(*b),
+    and the raise names both values and b."""
     b = g2frame.iso_i(SymTensor.diag([2, -1, -1, 1, 0, -1, 0]))
+    p = p_value(b, g2frame)
     perturb_three_form_route(monkeypatch)
     _raises_exactly(lambda: p_value(b, g2frame), InternalConsistencyError,
-                    "P(b) != Q(*b)")
+                    f"P(b) != Q(*b): P(b) {p + 1}, Q(*b) {p} at "
+                    f"{json.dumps(form_to_json(b))}")
     q_value(hodge(b), g2frame)
+
+
+_INVERSE_MUTANT = """
+import contextlib, io, json
+from g2forge import cli
+from g2forge.g2 import G2Frame
+# the first diagonal entry of every i^{-1} triangle off by one
+inverse = G2Frame.iso_i_inv_upper
+G2Frame.iso_i_inv_upper = lambda self, n: (
+    lambda upper: [upper[0] + 1] + upper[1:])(inverse(self, n))
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()):
+        run = cli.main(["run", "--suite", "cubic", "--seed", "1",
+                        "--random", "1", "--format", "json",
+                        "--output", "report.json"])
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "Q", "form.json"])
+with open("report.json") as fh:
+    checks = json.load(fh)["suites"][0]["checks"]
+print(json.dumps({"run": run, "eval": code, "stderr": err.getvalue(),
+                  "failed": {c["id"]: c["actual"] for c in checks
+                             if c["status"] == "fail"}}))
+"""
+
+
+def test_perturbed_inverse_is_a_recorded_failure(fresh_python, tmp_path,
+                                                 g2frame):
+    """The first diagonal entry of every i^{-1} triangle off by one, in a
+    fresh interpreter: Q's tensor route disagrees with its wedge, the
+    cubic suite records that as the failed cubic.q-and-p-displays check
+    and eval Q exits 1, each naming both values and the input form.  On
+    an int form a the tensor route reads Q(a) - p(a, a)_11."""
+    a = g2frame.iso_i_psi(SymTensor.diag([2, -1, -1, 1, 0, -1, 0]))
+    (tmp_path / "form.json").write_text(json.dumps(form_to_json(a)))
+    proc = fresh_python(_INVERSE_MUTANT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+
+    def message(form):
+        wedge = q_value(form, g2frame)
+        tensor = wedge - reference.quadratic_form(form, form).entries[0][0]
+        return (f"the two routes to Q disagree: wedge {wedge}, tensor "
+                f"{tensor} at {json.dumps(form_to_json(form))}")
+
+    assert out["eval"] == 1
+    assert out["stderr"] == \
+        f"g2forge: internal consistency failure: {message(a)}\n"
+    assert out["run"] == 1
+    assert list(out["failed"]) == ["cubic.q-and-p-displays"]
+    # the check's first form, *b for its first random b, as it names it
+    actual = out["failed"]["cubic.q-and-p-displays"]
+    form = form_from_json(json.loads(actual.rpartition(" at ")[2]))
+    assert actual == "InternalConsistencyError: " + message(form)

@@ -66,15 +66,19 @@ def test_no_unused_import(path):
     assert unused == []
 
 
-def _names_read():
-    """Every name and attribute the package and the benchmark read."""
+def _names_read(paths=SOURCES + BENCHMARK):
+    """Every name and attribute the files read; the traced spans that
+    perfbench/layers.py names as strings are read too."""
     read = set()
-    for path in SOURCES + BENCHMARK:
+    for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif path.name == "layers.py" and isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                read.add(node.value)
     return read
 
 
@@ -105,18 +109,44 @@ def test_every_module_level_name_is_read():
     assert unused == []
 
 
+def _functions_and_methods():
+    """(qualified name, name) of every module-level function, as
+    module.name, and of every method but the dunders, as Class.name."""
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node.name
+            elif isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{m.name}", m.name)
+                            for m in node.body if isinstance(m, ast.FunctionDef)
+                            and not _is_dunder(m.name))
+
+
 def test_every_method_is_used():
-    # the same one level down, for methods and properties; the traced
-    # spans that perfbench/layers.py names as strings are read too
-    read = _names_read() | {
-        node.value for node in ast.walk(_tree(ROOT / "perfbench" / "layers.py"))
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    # the same one level down, for methods and properties
+    read = _names_read()
     unused = [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
               for path in SOURCES for cls in _tree(path).body
               if isinstance(cls, ast.ClassDef)
               for node in cls.body if isinstance(node, ast.FunctionDef)
               and not _is_dunder(node.name) and node.name not in read]
     assert unused == []
+
+
+# the functions and methods that the package keeps for the benchmark
+# alone: perfbench calls or traces them, and nothing in src/ reads them
+BENCHMARK_ONLY = {"G2Frame.iso_i_inv", "G2Frame.solve_three_form",
+                  "g2.random_traceless", "cubic.q2_closed_form",
+                  "cubic.quadratic_form", "pairing.haar_average_check"}
+
+
+def test_benchmark_only_names_are_listed():
+    """The functions and methods that only perfbench/ reads are exactly
+    BENCHMARK_ONLY: one that loses its last reader in src/ joins the
+    list, and one that gains a reader there leaves it."""
+    read = _names_read(SOURCES)
+    assert {qualified for qualified, name in _functions_and_methods()
+            if name not in read} == BENCHMARK_ONLY
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

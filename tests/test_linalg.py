@@ -9,7 +9,7 @@ import pytest
 from g2forge import linalg, suites
 from g2forge.exterior import BLADES_BY_GRADE, Form, form_to_coords
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
-    rank, solve_exact, sym_inner
+    rank, solve_exact, upper_inner
 from g2forge.scalars import QuadExt
 
 import reference
@@ -232,7 +232,7 @@ def test_sym_outer_and_inner():
     T = SymTensor.sym_outer(v, v)
     dot = sum(x * y for x, y in zip(v, w))
     vv = sum(x * x for x in v)
-    assert sym_inner(S, T) == dot * vv
+    assert upper_inner(S.upper, T.upper) == dot * vv
 
 
 def test_traceless_part():
@@ -265,8 +265,10 @@ def test_sym_inner_symmetric_random():
             for j in range(i):
                 B[i][j] = B[j][i]
         S, T = SymTensor(A), SymTensor(B)
-        assert sym_inner(S, T) == sym_inner(T, S)
-        assert sym_inner(S, T) == reference.trace(S.to_matrix() * T.to_matrix())
+        trace = reference.trace(S.to_matrix() * T.to_matrix())
+        assert upper_inner(S.upper, T.upper) == \
+            upper_inner(T.upper, S.upper) == trace
+        assert reference.sym_inner(S, T) == reference.sym_inner(T, S) == trace
 
 
 _SCALARS = {
@@ -314,13 +316,14 @@ def test_symtensor_arithmetic_matches_full_square(kind):
         _assert_square(SymTensor.sym_outer(v, w),
                        [[half * (v[i] * w[j] + v[j] * w[i]) for j in range(n)]
                         for i in range(n)])
-        assert sym_inner(S, T) == sum(A[i][j] * B[i][j] for i in range(n)
-                                      for j in range(n))
+        assert upper_inner(S.upper, T.upper) == sum(
+            A[i][j] * B[i][j] for i in range(n) for j in range(n))
 
 
 def test_sym_inner_types_follow_the_entries():
-    # each tensor is cleared over its own denominator: int tensors give an
-    # int, a Fraction in either gives a Fraction, the same object or not
+    # the pairing of two triangles keeps the entries' type: int tensors
+    # give an int, a Fraction in either gives a Fraction, the same object
+    # or not, as the Fraction oracle does
     rng = random.Random(31)
     for _ in range(20):
         A = _random_symmetric(rng, 7, lambda r: r.randint(-5, 5))
@@ -330,9 +333,9 @@ def test_sym_inner_types_follow_the_entries():
         for X, Y, kind in ((S, S, int), (S, SymTensor(A), int),
                            (S, T, Fraction), (T, S, Fraction),
                            (T, T, Fraction)):
-            got = sym_inner(X, Y)
-            assert type(got) is kind
-            assert got == reference.sym_inner(X, Y)
+            got, want = upper_inner(X.upper, Y.upper), reference.sym_inner(X, Y)
+            assert type(got) is type(want) is kind
+            assert got == want
 
 
 @pytest.mark.parametrize("kind", sorted(_SCALARS))
@@ -355,7 +358,7 @@ from g2forge import aw, cubic, g2, linalg, suites
 if sys.argv[1] == "upper_inner":
     # entry (0, 6), position 6 of the triangle, weighed once, not twice
     inner = linalg.upper_inner
-    for module in (linalg, cubic, aw):
+    for module in (linalg, cubic, aw, suites):
         module.upper_inner = lambda u1, u2: inner(u1, u2) - u1[6] * u2[6]
 else:
     # the diagonal entry (6, 6) read at position 26, which is (5, 6)

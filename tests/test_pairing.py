@@ -255,24 +255,29 @@ def test_component_polys_match_the_hand_formulas():
 
 
 def test_integer_kernels_run_on_the_ring():
-    """The even/odd route to P and the block table's numerator run
-    unchanged on polynomial coefficients.  At the generic element, with
-    comparison_form's formulas (D = M = 6, M as in aw._family_ints), the
-    sqrt(10)-odd part is the zero polynomial and both give P: the routes
-    agree for every xi."""
+    """The kernels, the block table's even/odd split and its numerator
+    run unchanged on polynomial coefficients.  At the generic element,
+    with comparison_form's formulas (D = M = 6, M as in aw._family_ints)
+    for the block coordinates of U and W: the kernels' term-by-term
+    expansion (reference.split_cubic) has the zero polynomial as its
+    sqrt(10)-odd part, and it, the table's split and fp_numerator all
+    give P, so the two routes of first_principles_value agree for
+    every xi."""
     coords = pairing._coordinate_polys()
     v1, v2, x1, x2, x3, x4, x5, x6 = coords
     (half, half_y, my, mk), m = aw._family_ints()
     assert (half, half_y, my, mk, m) == (3, -5, -10, 1, 6)
-    u = aw._on_basis((half * (v1 + v2), half_y * (v1 - v2), -my * x1,
-                      my * x2))
-    w = aw._on_basis((0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5))
-    even, odd = aw._split_cubic(u, w)
+    zu = [half * (v1 + v2), half_y * (v1 - v2), -my * x1, my * x2, 0, 0, 0, 0]
+    zw = [0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5]
+    even, odd = reference.split_cubic(aw._on_basis(zu), aw._on_basis(zw))
     assert odd == 0
     assert Fraction(1, 2 * m ** 3) * even == first_principles_p_poly()
+    tab = aw.block_tables()
+    assert Fraction(1, m ** 3) * tab.even_part(
+        zu, zw, lambda even, odd: f"odd part {odd}") == \
+        first_principles_p_poly()
     generic = aw.decompose(pairing._xi_from_coords(coords))
-    assert aw.block_tables().fp_numerator(*generic) == \
-        m ** 3 * first_principles_p_poly()
+    assert tab.fp_numerator(*generic) == m ** 3 * first_principles_p_poly()
 
 
 def test_component_polys_are_real():

@@ -82,12 +82,13 @@ def test_decompose_roundtrip_catches_a_consistent_sign_flip(monkeypatch):
 
 
 @pytest.mark.parametrize("skew", [
-    lambda u, w, d: (u, 2 * w, d),
-    lambda u, w, d: (u + aw.block_basis()[4], w, d)],
+    lambda u, w, d, *z: (u, 2 * w, d, *z),
+    lambda u, w, d, *z: (u + aw.block_basis()[4], w, d, *z)],
     ids=["doubled-w", "u-shifted-by-c-e4"])
 def test_decompose_roundtrip_read_can_fail(monkeypatch, skew):
     # the read half: the numerators (U, W, D) of A(xi) against the block
-    # coordinates; a wrong read is a failed record, not an exception
+    # coordinates (zu and zw pass through); a wrong read is a failed
+    # record, not an exception
     comparison_form = aw.comparison_form
     monkeypatch.setattr(aw, "comparison_form",
                         lambda xi: skew(*comparison_form(xi)))
@@ -255,8 +256,8 @@ def test_g2_and_cubic_run_counts(fresh_python):
     proc = fresh_python(_COUNT_G2_CUBIC)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "g2": {"echelon": 0, "fraction_mul": 1758, "passed": True},
-        "cubic": {"echelon": 0, "fraction_mul": 413, "passed": True}}
+        "g2": {"echelon": 0, "fraction_mul": 1737, "passed": True},
+        "cubic": {"echelon": 0, "fraction_mul": 333, "passed": True}}
 
 
 def test_iso_identities_check_can_fail(flip_iso_i):
