@@ -61,11 +61,19 @@ closed polynomial the suite vindicates is
 Every verifier reports the displayed value, the computed value, and
 the corrected closed form where the two differ.
 
-The generic cubic is trilinear in the block coordinates (s, y1, y2,
-y3, x4..x7).  Its structure constants on the block basis are 58 nonzero
-integers, built once and checked fully symmetric; the lattice sweeps,
-the fits and route two of P evaluate that table; random points, and two
-probes of the table when it is built, take the solver route.
+The generic cubic is trilinear in the block coordinates z = (s, y1,
+y2, y3, x4..x7), the coordinates of A_ on the block basis.  Its
+structure constants on the block basis are 58 nonzero integers, built
+once and checked fully symmetric; the lattice sweeps, the fits and
+route two of P evaluate that table; random points, and two probes of
+the table when it is built, take the solver route.
+
+z is the one shape of block data: the table, the solver route, the
+displays, the model row and R (_r), the fits and compose all take it.
+Block Forms stay only at the boundary the benchmark reads: decompose
+gives the blocks (s, y, x) of xi as vector Forms, block_coords is the
+one converter from them to z (it refuses a y outside m3 or an x outside
+m4), and r_value is R of Form blocks, read through it.
 
 The display sides of the tensor sweep that depend on (y, x) (J I_y,
 e_a . I_a x, y . Jx and the eps mix) are linear or bilinear in (y, x),
@@ -86,7 +94,7 @@ import json
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
-    hodge_m4, norm_sq, numerators, vector, vector_form, wedge
+    hodge_m4, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, _expanded, \
     standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
@@ -149,6 +157,15 @@ def standard_aw_frame() -> AWFrame:
     return AWFrame()
 
 
+def det3(m):
+    """The determinant of the 3x3 matrix m by cofactor expansion along its
+    first row, for entries of any coefficient ring (GaussRational, or
+    pairing's MultiPoly)."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
 class Su3Element:
     """Element of su(3) in the coordinates (v1, v2, v3; x1..x6).
 
@@ -185,11 +202,7 @@ class Su3Element:
 
     def i_det(self):
         """i * det(xi), real-valued on skew-hermitian traceless matrices."""
-        m = self.matrix_entries()
-        det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-               - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-               + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-        val = GaussRational(0, 1) * det
+        val = GaussRational(0, 1) * det3(self.matrix_entries())
         if val.im != 0:
             raise InternalConsistencyError("i det is not real")
         return val.re
@@ -212,11 +225,20 @@ def decompose(xi: Su3Element):
     return s, y, x
 
 
-def compose(s, y: Form, x: Form) -> Su3Element:
-    """The element of su(3) with blocks (s, y, x); inverse of decompose."""
-    yc, xc = coords_of(y), coords_of(x)
-    return Su3Element((s + yc[0], s - yc[0], -2 * s),
-                      (-yc[1], yc[2], xc[4], -xc[3], xc[6], -xc[5]))
+def block_coords(s, y: Form, x: Form) -> list:
+    """The block coordinates z = (s, y1, y2, y3, x4, ..., x7) of the
+    blocks (s, y, x), the one reader of block Forms: y must lie in
+    span(e1,e2,e3) and x in span(e4..e7)."""
+    if y.support_mask() & M4_MASK or x.support_mask() & ~M4_MASK:
+        raise FormError("y must lie in span(e1,e2,e3) and x in span(e4..e7)")
+    return [s] + coords_of(y)[:3] + coords_of(x)[3:7]
+
+
+def compose(z) -> Su3Element:
+    """The element of su(3) with block coordinates z; inverse of
+    decompose (read through block_coords)."""
+    s, y1, y2, y3, x4, x5, x6, x7 = z
+    return Su3Element((s + y1, s - y1, -2 * s), (-y2, y3, x5, -x4, x7, -x6))
 
 
 def c_direct(x: Form) -> Form:
@@ -342,51 +364,50 @@ def _split(uuu, wwu, uuw, www) -> tuple:
 
 
 def r_value(y: Form, x: Form):
-    """The mixed cubic R = g(Jx, I_y x), compared against its
-    coordinate display before being returned.  The metric route reads
-    the nonzero entries of J and the I_a off the display tables."""
-    yc, xc = coords_of(y), coords_of(x)
-    if any(xc[i] != 0 for i in range(3)):
-        raise FormError("x must lie in span(e4..e7)")
-    if any(yc[i] != 0 for i in range(3, 7)):
-        raise FormError("y must lie in span(e1,e2,e3)")
-    metric_route = display_tables().r_metric(yc, xc)
+    """The mixed cubic R = g(Jx, I_y x) of the blocks y and x (_r)."""
+    return _r(block_coords(0, y, x))
 
-    y1, y2, y3 = yc[:3]
+
+def _r(z):
+    """The mixed cubic R = g(Jx, I_y x) at the block coordinates z,
+    compared against its coordinate display before being returned.  The
+    metric route reads the nonzero entries of J and the I_a off the
+    display tables."""
+    y1, y2, y3 = z[1:4]
+    metric_route = display_tables().r_metric(z[1:4], [0, 0, 0, *z[4:]])
     # m4 placement: x = x3 e5 - x4 e4 + x5 e7 - x6 e6
-    x3, x4, x5, x6 = xc[4], -xc[3], xc[6], -xc[5]
+    x3, x4, x5, x6 = z[5], -z[4], z[7], -z[6]
     display = (y1 * (x3 * x3 + x4 * x4 - x5 * x5 - x6 * x6)
                + 2 * y2 * (-x3 * x6 + x4 * x5)
                + 2 * y3 * (x3 * x5 + x4 * x6))
     if metric_route != display:
         raise InternalConsistencyError(
             f"R display disagrees with g(Jx, I_y x): metric {metric_route}, "
-            f"display {display} at {_where(y, x)}")
+            f"display {display} at {_where(z)}")
     return metric_route
 
 
-def _where(y: Form, x: Form) -> str:
-    """The coordinates of the blocks y and x, as a raise names them."""
-    yc, xc = coords_of(y), coords_of(x)
-    return (f"y = ({', '.join(map(str, yc[:3]))}) on e1..e3 and "
-            f"x = ({', '.join(map(str, xc[3:]))}) on e4..e7")
+def _where(z) -> str:
+    """The y and x of the block coordinates z, as a raise names them."""
+    return (f"y = ({', '.join(map(str, z[1:4]))}) on e1..e3 and "
+            f"x = ({', '.join(map(str, z[4:]))}) on e4..e7")
 
 
-def _solver_products(s, y: Form, x: Form) -> tuple[tuple, Fraction]:
+def _solver_products(z) -> tuple[tuple, Fraction]:
     """The six products <p(block, block), i^{-1}(A_)> in display order and
     the cubic <p(A_, A_), i^{-1}(A_)> of the generic combination A_ =
     s phitilde + y ^ Omega + C(x), by the solver.
 
-    It runs on the block coordinates z = (s, y, x) cleared to Z = d z:
-    the blocks (PT, YW, CX) = d (phitilde, y^Omega, C(x)) and A = d A_
-    are integer combinations of the block basis.  quadratic_upper is
+    It runs on the block coordinates z cleared to Z = d z: the blocks
+    (PT, YW, CX) = d (phitilde, y^Omega, C(x)) and A = d A_ are integer
+    combinations of the block basis.  quadratic_upper is
     d^2 p for a block with itself and 2 d^2 p for two blocks,
     iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each product is one int
     over 2 d^3 or 4 d^3, and the cubic one int over 2 d^3.
     """
-    z, d = clear_denominators(_block_coords(s, y, x))
-    pt, yw, cx = (_on_basis([d]), _on_basis([0] + z[1:4]),
-                  _on_basis([0] * 4 + z[4:]))
+    z, d = clear_denominators(z)
+    pt, yw, cx = (_on_basis([d]), _on_basis([0, *z[1:4]]),
+                  _on_basis([0, 0, 0, 0, *z[4:]]))
     a = _on_basis(z)
     _pure27(_OUTSIDE_27, a)
     S = standard_frame().iso_i_inv_upper(a)
@@ -398,9 +419,10 @@ def _solver_products(s, y: Form, x: Form) -> tuple[tuple, Fraction]:
     return six, Fraction(upper_inner(quadratic_upper(a, a), S), 2 * d3)
 
 
-def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
+def block_products(z, tables=None) -> list[dict]:
     """The six displayed products <p(block, block), i^{-1}(A_)> of the
-    generic combination, evaluated and compared with their displays.
+    generic combination at the block coordinates z, evaluated and
+    compared with their displays.
 
     Returns one record per product with the computed and displayed
     values; the multiplicity column is the coefficient each product
@@ -409,11 +431,11 @@ def block_products(s, y: Form, x: Form, tables=None) -> list[dict]:
     (_solver_products).
     """
     if tables is not None:
-        got6, full = tables.products(s, y, x), tables.cubic(s, y, x)
+        got6, full = tables.products(z), tables.tri(z, z, z)
     else:
-        got6, full = _solver_products(s, y, x)
-    r = r_value(y, x)
-    xx, yy = norm_sq(x), norm_sq(y)
+        got6, full = _solver_products(z)
+    s, r = z[0], _r(z)
+    xx, yy = sum(t * t for t in z[4:]), sum(t * t for t in z[1:4])
     # display column: the six values as displayed; corrected column: the
     # value the exact computation gives in closed form, where it differs.
     # Full symmetry of the trilinear form ties the corrected entries to
@@ -450,20 +472,20 @@ def _outer2(pairs) -> list:
             for i, j in TRIANGLE]
 
 
-def _epsilon_mix(y: Form, x: Form) -> list:
-    """Twice sum_{abc} eps_{abc} y_a e_c . (I_b J x), the second
-    equivariant bilinear map from (m3, m4) into the off-diagonal
-    symmetric block, as _outer2 gives it.  J commutes with each I_a, so
-    the composite is unambiguous."""
+def _epsilon_mix(z) -> list:
+    """Twice sum_{abc} eps_{abc} y_a e_c . (I_b J x) at the block
+    coordinates z, the second equivariant bilinear map from (m3, m4)
+    into the off-diagonal symmetric block, as _outer2 gives it.  J
+    commutes with each I_a, so the composite is unambiguous."""
     fr = standard_aw_frame()
-    yc = coords_of(y)
-    jx = fr.J.apply(coords_of(x))
+    y = z[1:4]
+    jx = fr.J.apply([0, 0, 0, *z[4:]])
     ijx = [I.apply(jx) for I in fr.I]
     pairs = []
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        ec = coords_of(vector(c + 1))
-        pairs.append((ec, [yc[a] * t for t in ijx[b]]))
-        pairs.append((ec, [-yc[b] * t for t in ijx[a]]))
+        ec = [int(k == c) for k in range(7)]
+        pairs.append((ec, [y[a] * t for t in ijx[b]]))
+        pairs.append((ec, [-y[b] * t for t in ijx[a]]))
     return _outer2(pairs)
 
 
@@ -532,8 +554,7 @@ class _DisplayTables:
 
     def __init__(self):
         fr = standard_aw_frame()
-        e = [vector(k) for k in range(1, 8)]
-        ec = [coords_of(v) for v in e]
+        ec = [[int(i == k) for i in range(7)] for k in range(7)]
         m3, m4 = range(3), range(3, 7)
         try:
             jia = [SymTensor((fr.J * I).to_rows()) for I in fr.I]
@@ -544,7 +565,8 @@ class _DisplayTables:
                                             for a in m3])) for i in m4]
         self.yjx2 = [_upper_entries(_outer2([(ec[a], fr.J.apply(ec[i]))]))
                      for a in m3 for i in m4]
-        self.mix = [_upper_entries(_epsilon_mix(e[a], e[i]))
+        # the block coordinates of (y, x) = (e_a, e_i)
+        self.mix = [_upper_entries(_epsilon_mix([0, *ec[a][:3], *ec[i][3:]]))
                     for a in m3 for i in m4]
         self.j = _matrix_entries(fr.J)
         self.i = [_matrix_entries(I) for I in fr.I]
@@ -577,9 +599,10 @@ def display_tables() -> _DisplayTables:
     return _DisplayTables()
 
 
-def tensor_displays(y: Form, x: Form) -> list[dict]:
+def tensor_displays(z) -> list[dict]:
     """The displayed closed forms of the block tensors: five p(., .)
-    displays and three i^{-1} displays, evaluated at the given (y, x).
+    displays and three i^{-1} displays, evaluated at the (y, x) of the
+    block coordinates z (s is not read).
 
     Three of the eight displays fail as stated; for those the record
     also says whether the corrected closed form that the exact
@@ -599,14 +622,13 @@ def tensor_displays(y: Form, x: Form) -> list[dict]:
     """
     fr = standard_aw_frame()
     g2 = fr.g2
-    (y, x), _ = numerators(y, x)
-    z = _block_coords(0, y, x)
+    yx, _ = clear_denominators(z[1:])
     pt = fr.phi_tilde
-    yw, cx = _on_basis([0] + z[1:4]), _on_basis([0] * 4 + z[4:])
+    yw, cx = _on_basis([0, *yx[:3]]), _on_basis([0, 0, 0, 0, *yx[3:]])
     _pure27(_OUTSIDE_27, yw, cx)
     # J I_y, twice e_a . I_a x, twice y . Jx, twice the mix and p(C(x),
     # C(x))'s display, integral for integral (y, x)
-    jiy, ia2, yjx2, mix, cc = display_tables().sides(z[1:4], z[4:])
+    jiy, ia2, yjx2, mix, cc = display_tables().sides(yx[:3], yx[3:])
     pp_holds, ip_holds = _phitilde_displays()
     # the sides with a corrected form: 2p(phitilde, C(x)), 2p(y^Omega,
     # C(x)) and 4 i^{-1}(C(x))
@@ -652,17 +674,6 @@ def principal_lattice(nvars: int, degree: int):
         yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
-def _lattice_blocks(point):
-    """The blocks (s, y, x) of the block coordinates (s, y1, y2, y3,
-    x4, ..., x7)."""
-    return (point[0], vector_form([*point[1:4], 0, 0, 0, 0]),
-            vector_form([0, 0, 0, *point[4:8]]))
-
-
-def _random_blocks(rng):
-    return _lattice_blocks([rng.randint(-4, 4) for _ in range(8)])
-
-
 def _tally(key: str, batches) -> list[dict]:
     """One summary per name over batches of per-point records: matches
     (and corrected_matches, where present) hold iff they hold at every
@@ -683,9 +694,9 @@ def verify_tensor_displays(rng, n_random: int) -> list[dict]:
     (y, x) plus seeded random points.  Returns one summary per display."""
     # the points of (y, x) with coordinate sum <= 2, the first coordinate
     # of a sum-2 point in eight variables taking up the slack
-    blocks = [_lattice_blocks((0,) + p[1:]) for p in principal_lattice(8, 2)]
-    blocks += [_random_blocks(rng) for _ in range(n_random)]
-    return _tally("identity", (tensor_displays(y, x) for _, y, x in blocks))
+    points = [(0,) + p[1:] for p in principal_lattice(8, 2)]
+    points += [[rng.randint(-4, 4) for _ in range(8)] for _ in range(n_random)]
+    return _tally("identity", map(tensor_displays, points))
 
 
 def verify_block_products(rng, n_random: int) -> list[dict]:
@@ -693,10 +704,10 @@ def verify_block_products(rng, n_random: int) -> list[dict]:
     polynomial identities: a full degree-3 principal lattice in the
     eight block coordinates, then seeded random points."""
     tab = block_tables()
-    lattice = (block_products(*_lattice_blocks(p), tables=tab)
-               for p in principal_lattice(8, 3))
+    lattice = (block_products(z, tables=tab) for z in principal_lattice(8, 3))
     # random points take the direct solver route, independent of the table
-    direct = (block_products(*_random_blocks(rng)) for _ in range(n_random))
+    direct = (block_products([rng.randint(-4, 4) for _ in range(8)])
+              for _ in range(n_random))
     return _tally("product", itertools.chain(lattice, direct))
 
 
@@ -722,12 +733,6 @@ def _on_basis(z) -> Form:
     return Form(3, terms)
 
 
-def _block_coords(s, y: Form, x: Form) -> list:
-    if y.support_mask() & M4_MASK or x.support_mask() & ~M4_MASK:
-        raise FormError("y must lie in span(e1,e2,e3) and x in span(e4..e7)")
-    return [s] + coords_of(y)[:3] + coords_of(x)[3:7]
-
-
 class _BlockTables:
     """The generic block cubic as its structure constants, built once
     per process.
@@ -736,11 +741,12 @@ class _BlockTables:
     the cubic of A_ = sum z_u B_u is sum T[u][v][w] z_u z_v z_w.  Only
     the 58 nonzero entries are kept, all integers (16 up to permutation,
     e.g. T[0][0][0] = -210, T[0][4][4] = 33, T[1][4][4] = -5); every
-    block value is tri on coordinate vectors.  At build time T must be
-    invariant under all permutations of (u, v, w), the full symmetry of
-    the trilinear form, and the six products and the cubic it assembles
-    are cross-checked against the solver (_solver_products) at two probe
-    points.
+    block value is tri on coordinate vectors, the cubic tri(z, z, z).
+    At build time T must be invariant under all permutations of (u, v,
+    w), the full symmetry of the trilinear form, and the six products
+    and the cubic it assembles are cross-checked against the solver
+    (_solver_products) at two probe points; each raise names the entries
+    or the values that differ.
     """
 
     def __init__(self):
@@ -756,18 +762,26 @@ class _BlockTables:
             k = 2 if u == v else 1
             for w in range(8):
                 T4[u, v, w] = T4[v, u, w] = k * upper_inner(p, inv[w])
-        if any(T4[perm] != c for key, c in T4.items()
-               for perm in itertools.permutations(key)):
-            raise InternalConsistencyError(
-                "block trilinear table is not fully symmetric")
+        for key, c in T4.items():
+            for perm in itertools.permutations(key):
+                if T4[perm] != c:
+                    raise InternalConsistencyError(
+                        "block trilinear table is not fully symmetric: "
+                        f"T{key} = {Fraction(c, 4)}, "
+                        f"T{perm} = {Fraction(T4[perm], 4)}")
         self.terms = tuple((u, v, w, c // 4 if c % 4 == 0 else Fraction(c, 4))
                            for (u, v, w), c in sorted(T4.items()) if c)
-        for point in ((1, 1, 0, 0, 0, 1, 0, 0), (2, 0, 1, -1, 1, 0, 0, 1)):
-            blocks = _lattice_blocks(point)
-            if (self.products(*blocks), self.cubic(*blocks)) \
-                    != _solver_products(*blocks):
+
+        def shown(six, full):
+            return f"products ({', '.join(map(str, six))}), cubic {full}"
+
+        for z in ((1, 1, 0, 0, 0, 1, 0, 0), (2, 0, 1, -1, 1, 0, 0, 1)):
+            table, solver = (self.products(z), self.tri(z, z, z)), \
+                _solver_products(z)
+            if table != solver:
                 raise InternalConsistencyError(
-                    "table assembly disagrees with the direct route")
+                    f"table assembly disagrees with the direct route at z = "
+                    f"{z}: table {shown(*table)}; solver {shown(*solver)}")
 
     def tri(self, z1, z2, z3):
         """sum T[u][v][w] z1[u] z2[v] z3[w] over block coordinates."""
@@ -778,17 +792,12 @@ class _BlockTables:
                 total += c * z1[u] * z2[v] * z3[w]
         return total
 
-    def cubic(self, s, y: Form, x: Form):
-        """<p(A_, A_), i^{-1}(A_)> from the table."""
-        z = _block_coords(s, y, x)
-        return self.tri(z, z, z)
-
-    def products(self, s, y: Form, x: Form):
-        """The six block products against i^{-1}(A_), in display order."""
-        z = _block_coords(s, y, x)
-        e0 = [1] + [0] * 7
-        zy = [0] + z[1:4] + [0] * 4
-        zc = [0] * 4 + z[4:]
+    def products(self, z):
+        """The six block products against i^{-1}(A_) at the block
+        coordinates z, in display order."""
+        e0 = [1, 0, 0, 0, 0, 0, 0, 0]
+        zy = [0, *z[1:4], 0, 0, 0, 0]
+        zc = [0, 0, 0, 0, *z[4:]]
         tri = self.tri
         return (tri(e0, e0, z), tri(e0, zy, z), tri(e0, zc, z),
                 tri(zy, zy, z), tri(zy, zc, z), tri(zc, zc, z))
@@ -807,20 +816,20 @@ class _BlockTables:
                 f"sqrt(10)-odd part of P does not vanish: {values(even, odd)}")
         return even
 
-    def fp_numerator(self, s, y: Form, x: Form):
-        """M^3 P(xi) for the blocks (s, y, x) of xi, M as in _family_ints
-        (216 P for FAMILY's coefficients): M A(xi) = zu + sqrt(10) zw on
-        the block basis, zu = (M s, M Y y) and zw = M K x, ints for int
-        blocks, and P is the even part of its cubic (even_part)."""
+    def fp_numerator(self, z):
+        """M^3 P(xi) for the block coordinates z = (s, y, x) of xi, M as in
+        _family_ints (216 P for FAMILY's coefficients): M A(xi) = zu +
+        sqrt(10) zw on the block basis, zu = (M s, M Y y) and zw = M K x,
+        ints for int z, and P is the even part of its cubic (even_part)."""
         (_, _, my, mk), m = _family_ints()
-        zu = [m * s] + [my * c for c in coords_of(y)[:3]] + [0] * 4
-        zw = [0] * 4 + [mk * c for c in coords_of(x)[3:7]]
+        zu = [m * z[0], *(my * c for c in z[1:4]), 0, 0, 0, 0]
+        zw = [0, 0, 0, 0, *(mk * c for c in z[4:])]
         return self.even_part(zu, zw, lambda even, odd: (
-            f"P = {_sqrt10(even, odd, m ** 3)} at s = {s}, {_where(y, x)}"))
+            f"P = {_sqrt10(even, odd, m ** 3)} at s = {z[0]}, {_where(z)}"))
 
-    def fp_value(self, s, y: Form, x: Form) -> Fraction:
-        """P(xi) for the blocks (s, y, x) of xi: fp_numerator over M^3."""
-        return Fraction(self.fp_numerator(s, y, x), _family_ints()[1] ** 3)
+    def fp_value(self, z) -> Fraction:
+        """P(xi) for the block coordinates z of xi: fp_numerator over M^3."""
+        return Fraction(self.fp_numerator(z), _family_ints()[1] ** 3)
 
 
 @functools.cache
@@ -832,20 +841,23 @@ def block_tables() -> _BlockTables:
 def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The generic block cubic <p(A_, A_), i^{-1}(A_)> fitted over the
     model (s^3, s|x|^2, s|y|^2, R); see fit_model."""
-    return fit_model(block_tables().cubic)
+    tab = block_tables()
+    return fit_model(lambda z: tab.tri(z, z, z))
 
 
-def _model_row(s, y: Form, x: Form) -> tuple:
-    """The model terms (s^3, s|x|^2, s|y|^2, R) at the blocks (s, y, x)."""
-    return s * s * s, s * norm_sq(x), s * norm_sq(y), r_value(y, x)
+def _model_row(z) -> tuple:
+    """The model terms (s^3, s|x|^2, s|y|^2, R) at the block coordinates
+    z."""
+    s = z[0]
+    return (s * s * s, s * sum(t * t for t in z[4:]),
+            s * sum(t * t for t in z[1:4]), _r(z))
 
 
 @functools.cache
 def _cubic_lattice() -> tuple:
-    """(blocks, model) at each point of the degree-3 lattice, model the
-    int values of s^3, s|x|^2, s|y|^2 and R there."""
-    return tuple((blocks, _model_row(*blocks))
-                 for blocks in map(_lattice_blocks, principal_lattice(8, 3)))
+    """(z, model) at each point z of the degree-3 lattice, model the int
+    values of s^3, s|x|^2, s|y|^2 and R there."""
+    return tuple((z, _model_row(z)) for z in principal_lattice(8, 3))
 
 
 def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -854,28 +866,27 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     probe points (the model functions are linearly independent) and then
     verified on the full degree-3 lattice, which certifies that the
     cubic lies in the span (an internal-inconsistency error otherwise).
-    The sweep runs on ints: with c_k = C_k / D it compares sum C_k m_k
-    with D fn, for an fn that gives ints on int blocks.
+    fn takes the block coordinates z.  The sweep runs on ints: with c_k =
+    C_k / D it compares sum C_k m_k with D fn, for an fn that gives ints
+    on int z.
     """
-    probes = [_lattice_blocks(point) for point in (
-        (1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0),
-        (1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1, 0, 0))]
-    sol, kdim = solve_exact(
-        Matrix.from_rows([_model_row(*blocks) for blocks in probes]),
-        [fn(*blocks) for blocks in probes])
+    probes = ((1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0),
+              (1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1, 0, 0))
+    sol, kdim = solve_exact(Matrix.from_rows([_model_row(z) for z in probes]),
+                            [fn(z) for z in probes])
     if kdim != 0:
         raise InternalConsistencyError("cubic probe points are degenerate")
     coeffs, D = clear_denominators(sol)
     # the cubic is jointly homogeneous in (s, y, x), so the degree-3
     # slice of the lattice (120 points, the unisolvent count for cubics
     # in eight variables) certifies the identity everywhere
-    for blocks, model in _cubic_lattice():
-        fitted, value = sum(c * m for c, m in zip(coeffs, model)), fn(*blocks)
+    for z, model in _cubic_lattice():
+        fitted, value = sum(c * m for c, m in zip(coeffs, model)), fn(z)
         if fitted != D * value:
             raise InternalConsistencyError(
                 "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
-                f"{Fraction(fitted, D)}, cubic {value} at s = {blocks[0]}, "
-                f"{_where(*blocks[1:])}")
+                f"{Fraction(fitted, D)}, cubic {value} at s = {z[0]}, "
+                f"{_where(z)}")
     return tuple(sol)
 
 
@@ -894,9 +905,9 @@ def direct_p_fit() -> tuple:
     fitted through P's table assembly once that assembly is certified
     against the full evaluator at a generic point."""
     tab = block_tables()
-    blocks = _lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
-    xi = compose(*blocks)
-    table = tab.fp_value(*blocks)
+    z = (1, 1, -1, 2, 1, 0, 1, -1)
+    xi = compose(z)
+    table = tab.fp_value(z)
     full = first_principles_value(xi, single_route=True)
     if table != full:
         raise InternalConsistencyError(

@@ -56,8 +56,9 @@ from types import MappingProxyType
 from .g2 import InternalConsistencyError
 from .linalg import Matrix, solve_exact
 from .scalars import GaussRational, ScalarError
-from .aw import CLOSED_DISPLAY, Su3Element, _model_row, decompose, \
-    first_principles_fit, first_principles_value, sign_resolution
+from .aw import CLOSED_DISPLAY, Su3Element, _model_row, block_coords, \
+    decompose, det3, first_principles_fit, first_principles_value, \
+    sign_resolution
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -369,7 +370,8 @@ def idet_determinant_poly() -> MultiPoly:
 
         [[i v1, -zb3, z2], [z3, i v2, -zb1], [-zb2, z1, i v3]]
 
-    with v3 = -v1 - v2 eliminated during the expansion."""
+    with v3 = -v1 - v2 eliminated, expanded by aw.det3, the cofactor
+    expansion Su3Element.i_det reads too."""
     iv3 = -_I * (MultiPoly.letter("v1") + MultiPoly.letter("v2"))
     m = [[_I * MultiPoly.letter("v1"), None, None],
          [None, _I * MultiPoly.letter("v2"), None],
@@ -377,10 +379,7 @@ def idet_determinant_poly() -> MultiPoly:
     for j, (r, c) in enumerate(Z_ENTRIES, 1):
         m[r][c] = MultiPoly.letter(f"z{j}")
         m[c][r] = -MultiPoly.letter(f"zb{j}")
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    return _I * det
+    return _I * det3(m)
 
 
 def idet_report() -> dict:
@@ -425,9 +424,11 @@ def idet_poly() -> MultiPoly:
 @functools.cache
 def component_polys() -> tuple:
     """(s^3, s|x|^2, s|y|^2, R): aw's model row at the generic element,
-    whose coordinates are _coordinate_polys, so aw.decompose's block map
-    and R's two routes in aw.r_value hold as polynomials: for every xi."""
-    return _model_row(*decompose(_xi_from_coords(_coordinate_polys())))
+    whose coordinates are _coordinate_polys, read through
+    aw.block_coords, so aw.decompose's block map and R's two routes in
+    aw._r hold as polynomials: for every xi."""
+    return _model_row(block_coords(
+        *decompose(_xi_from_coords(_coordinate_polys()))))
 
 
 def closed_p_poly() -> MultiPoly:

@@ -1,9 +1,12 @@
 """Count the lines of the package's modules, all and code only.
 
-    python tests/code_lines.py [DIRECTORY]
+    python tests/code_lines.py [DIRECTORY] [--baseline BASELINE]
 
 For each module in DIRECTORY (default src/g2forge) prints its name, its
-line count as `wc -l` gives it, and its code lines, then the totals.  A
+line count as `wc -l` gives it, and its code lines, then the totals.
+With --baseline, a directory of the same modules at an earlier
+revision (for example a `git archive` copy's src/g2forge), each count
+reads `before -> after`, a module missing on one side counting 0.  A
 code line holds a token that is not a comment and lies outside every
 docstring: tokenize finds the lines that hold code tokens, and ast the
 line spans of the module, class and function docstrings, which are
@@ -14,6 +17,7 @@ test suite: a line count is a measure to quote, not an invariant.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -51,17 +55,34 @@ def code_lines(text: str) -> int:
     return len(code - docstring_lines(text))
 
 
-def main(argv: list[str]) -> int:
-    folder = Path(argv[0]) if argv else ROOT / "src" / "g2forge"
-    total_wc = total_code = 0
-    print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
+def counts(folder: Path) -> dict[str, tuple[int, int]]:
+    """{module file name: (wc -l, code lines)} for the modules in folder."""
+    out = {}
     for path in sorted(folder.glob("*.py")):
         text = path.read_text()
-        wc, code = text.count("\n"), code_lines(text)
-        total_wc += wc
-        total_code += code
-        print(f"{path.name:<16}{wc:>8}{code:>8}")
-    print(f"{'total':<16}{total_wc:>8}{total_code:>8}")
+        out[path.name] = text.count("\n"), code_lines(text)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Count module lines.")
+    parser.add_argument("directory", nargs="?", type=Path,
+                        default=ROOT / "src" / "g2forge")
+    parser.add_argument("--baseline", type=Path,
+                        help="the same modules before a change")
+    args = parser.parse_args(argv)
+    after = counts(args.directory)
+    before = after if args.baseline is None else counts(args.baseline)
+    rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0)))
+            for name in sorted(before.keys() | after.keys())]
+    rows.append(("total", *(tuple(map(sum, zip(*column)))
+                            for column in list(zip(*rows))[1:])))
+    width = 8 if args.baseline is None else 14
+    print(f"{'module':<16}{'wc -l':>{width}}{'code':>{width}}")
+    for name, old, new in rows:
+        cells = new if args.baseline is None else \
+            [f"{b} -> {a}" for b, a in zip(old, new)]
+        print(f"{name:<16}" + "".join(f"{c:>{width}}" for c in cells))
     return 0
 
 

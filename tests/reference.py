@@ -572,13 +572,14 @@ def aw_block_products(s, y, x) -> list:
                   sym_inner(quadratic_form(a_, a_), S)]
 
 
-def fp_numerator(tab, s, y, x):
-    """216 P(xi) as _BlockTables.fp_numerator, with each mixed term of
-    the even/odd split expanded term by term: six table passes, and no
-    use of the table's symmetry.  6 A(xi) = zb + sqrt(10) zc, with
-    zb = 6 (s, -(5/3) y) and zc = 6 (1/6) x."""
-    zb = [6 * s] + [-10 * c for c in ext.coords_of(y)[:3]] + [0] * 4
-    zc = [0] * 4 + ext.coords_of(x)[3:7]
+def fp_numerator(tab, z):
+    """216 P(xi) as _BlockTables.fp_numerator at the block coordinates
+    z = (s, y, x), with each mixed term of the even/odd split expanded
+    term by term: six table passes, and no use of the table's symmetry.
+    6 A(xi) = zb + sqrt(10) zc, with zb = 6 (s, -(5/3) y) and
+    zc = 6 (1/6) x."""
+    zb = [6 * z[0]] + [-10 * c for c in z[1:4]] + [0] * 4
+    zc = [0] * 4 + list(z[4:])
     t0 = tab.tri(zb, zb, zb)
     t1 = 2 * tab.tri(zb, zc, zb) + tab.tri(zb, zb, zc)
     t2 = tab.tri(zc, zc, zb) + 2 * tab.tri(zb, zc, zc)

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from g2forge import aw, cubic, pairing, suites
-from g2forge.aw import AWFrame, Su3Element, block_products, block_tables, \
-    CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, c_of, \
+from g2forge.aw import AWFrame, Su3Element, block_coords, block_products, \
+    block_tables, CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, \
+    c_of, \
     compose, decompose, first_principles_fit, first_principles_value, \
     fit_block_cubic, principal_lattice, r_value, \
     standard_aw_frame, tensor_displays, verify_block_products, \
@@ -43,6 +44,13 @@ def random_blocks(rng, bound=4):
     x = vector_form([0, 0, 0] + [Fraction(rng.randint(-bound, bound))
                                  for _ in range(4)])
     return s, y, x
+
+
+def blocks_of(z):
+    """The blocks (s, y, x) as Forms at the block coordinates z, the
+    inverse of block_coords, for the Form oracles of tests/reference.py."""
+    return (z[0], vector_form([*z[1:4], 0, 0, 0, 0]),
+            vector_form([0, 0, 0, *z[4:]]))
 
 
 # -- frame structure ---------------------------------------------------------
@@ -435,33 +443,69 @@ print(json.dumps({"two": two, "failed": failed}))
 """
 
 
-@pytest.mark.parametrize("flip, symmetric", [
-    ((7, 1), False), ((42, 2), False), ((21, 10), False), ((52, 5), False),
-    ((11, 9), True), ((13, 8), True)],
+_ASYMMETRIC = "block trilinear table is not fully symmetric: "
+
+
+@pytest.mark.parametrize("flip, broken", [
+    ((7, 1), "T(0, 5, 5) = 21, T(5, 5, 0) = 33"),
+    ((42, 2), "T(0, 7, 7) = 27, T(7, 7, 0) = 33"),
+    ((21, 10), "T(2, 4, 7) = 5, T(4, 7, 2) = 6"),
+    ((52, 5), "T(0, 0, 1) = 1, T(0, 1, 0) = 0"),
+    ((11, 9), None), ((13, 8), None)],
     ids=["7-1", "42-2", "21-10", "52-5", "11-9-symmetric", "13-8-symmetric"])
-def test_pair_table_flips_on_the_su3_stream(fresh_python, flip, symmetric):
+def test_pair_table_flips_on_the_su3_stream(fresh_python, flip, broken):
     """Each one-sign flip of the grade-3 pair table that notes/decisions.md
     tabulates, in a fresh interpreter (the block table is cached per
     process), on the first 30 elements of the benchmark's su3 stream at
     seed 1.  single_route returns at every element.  A flip that breaks
     the symmetry of T on the block basis makes every two-route call
-    raise, since the table the even/odd split reads refuses to build;
+    raise, since the table the even/odd split reads refuses to build,
+    naming the first entry whose permutation differs and both entries;
     (52, 5) passed the split on the kernels at all 30.  A flip that
     keeps T symmetric leaves the two routes agreeing at all 30, and of
     the cubic and aw suites only the cubic suite catches it."""
     benchmark = str(Path(__file__).resolve().parents[1] / "perfbench")
-    argv = ["%d,%d" % flip, benchmark] + (["--suites"] if symmetric else [])
+    argv = ["%d,%d" % flip, benchmark] + (["--suites"] if broken is None
+                                          else [])
     proc = fresh_python(_PAIR_TABLE_FLIP, *argv)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    if symmetric:
+    if broken is None:
         assert out["two"] == ["True"] * 30
         assert set(out["failed"]) == {
             "cubic.q-and-p-displays", "cubic.trilinear-routes",
             "cubic.trilinear-symmetry"} | suites.AW_BY_DESIGN
     else:
-        assert out["two"] == \
-            ["block trilinear table is not fully symmetric"] * 30
+        assert out["two"] == [_ASYMMETRIC + broken] * 30
+
+
+_FLIPPED_AW_RUN = """
+import json
+from g2forge import cubic, suites
+table = cubic._pair_table(3)
+k, mm, sign = table[7][1]
+table[7] = table[7][:1] + ((k, mm, -sign),) + table[7][2:]
+report = suites.suite_aw(1, n_random=5)
+print(json.dumps({c["id"]: c["actual"] for c in report["checks"]
+                  if c["status"] == "fail"}))
+"""
+
+
+def test_asymmetric_table_build_is_a_recorded_failure(fresh_python):
+    """Pair-table flip (7, 1), in a fresh interpreter: every aw record
+    that reads the block table records the build's raise, which names
+    the first entry of T whose permutation differs and both values."""
+    proc = fresh_python(_FLIPPED_AW_RUN)
+    assert proc.returncode == 0, proc.stderr
+    failed = json.loads(proc.stdout)
+    raised = {cid for cid, actual in failed.items()
+              if actual.startswith("InternalConsistencyError")}
+    assert raised == {"aw.block-products", "aw.closed-display",
+                      "aw.generic-sum-display", "aw.pairing-vs-displays",
+                      "aw.revert-map", "aw.value-two-routes"}
+    for cid in raised:
+        assert failed[cid] == ("InternalConsistencyError: " + _ASYMMETRIC
+                               + "T(0, 5, 5) = 21, T(5, 5, 0) = 33")
 
 
 def test_two_route_value_kernel_passes(monkeypatch):
@@ -509,7 +553,7 @@ def test_first_principles_runs_each_block_once(monkeypatch):
     and stays on the numerator cores: no per-kernel entry point (each
     clears and rescales again) and no full type split runs."""
     xi = _xi_with_m4_part()
-    want = block_tables().fp_value(*decompose(xi))
+    want = block_tables().fp_value(block_coords(*decompose(xi)))
     calls = {"c_of": 0, "decompose": 0, "comparison_form": 0}
 
     def counted(name):
@@ -582,13 +626,15 @@ def test_block_tables_match_solver():
     rng = random.Random(9010)
     for _ in range(5):
         s, y, x = random_blocks(rng)
-        assert tab.cubic(s, y, x) == reference.aw_block_products(s, y, x)[-1]
+        z = block_coords(s, y, x)
+        assert tab.tri(z, z, z) == reference.aw_block_products(s, y, x)[-1]
         # the six products against the solver route of block_products
-        direct = [r["computed"] for r in block_products(s, y, x)[:6]]
-        assert list(tab.products(s, y, x)) == direct
+        direct = [r["computed"] for r in block_products(z)[:6]]
+        assert list(tab.products(z)) == direct
     for _ in range(3):
         xi = random_su3(rng, 3)
-        assert tab.fp_value(*decompose(xi)) == first_principles_value(xi)
+        assert tab.fp_value(block_coords(*decompose(xi))) == \
+            first_principles_value(xi)
 
 
 def test_fp_numerator_reads_the_table_symmetry(monkeypatch):
@@ -597,16 +643,15 @@ def test_fp_numerator_reads_the_table_symmetry(monkeypatch):
     lattice and at seeded random blocks."""
     tab = block_tables()
     rng = random.Random(9016)
-    points = [blocks for blocks, _ in aw._cubic_lattice()]
-    points += [random_blocks(rng) for _ in range(200)]
-    for blocks in points:
-        assert tab.fp_numerator(*blocks) == \
-            reference.fp_numerator(tab, *blocks)
+    points = [z for z, _ in aw._cubic_lattice()]
+    points += [block_coords(*random_blocks(rng)) for _ in range(200)]
+    for z in points:
+        assert tab.fp_numerator(z) == reference.fp_numerator(tab, z)
     calls = []
     tri = aw._BlockTables.tri
     monkeypatch.setattr(aw._BlockTables, "tri",
                         lambda self, *z: calls.append(z) or tri(self, *z))
-    tab.fp_numerator(*points[-1])
+    tab.fp_numerator(points[-1])
     assert len(calls) == 4
 
 
@@ -634,19 +679,31 @@ def test_record_texts_state_the_family():
 def test_block_tables_probe_checks_each_product(monkeypatch, index):
     """The build compares the six products and the cubic the table
     assembles with the solver route at its probe points: one product
-    (or the cubic) off by one there fails the build."""
+    (or the cubic) off by one there fails the build, and the raise
+    names the probe point and both routes' six products and cubic."""
     solver = aw._solver_products
+    z = (1, 1, 0, 0, 0, 1, 0, 0)
+    values = [-210, 2, 33, 2, -5, 28, -120]
+    assert solver(z) == (tuple(values[:6]), values[6])
 
-    def bumped(s, y, x):
-        six, full = solver(s, y, x)
+    def bumped(z):
+        six, full = solver(z)
         values = list(six) + [full]
         values[index] += 1
         return tuple(values[:6]), values[6]
 
+    def shown(values):
+        return (f"products ({', '.join(map(str, values[:6]))}), "
+                f"cubic {values[6]}")
+
     monkeypatch.setattr(aw, "_solver_products", bumped)
-    with pytest.raises(InternalConsistencyError,
-                       match="table assembly disagrees with the direct route"):
+    with pytest.raises(InternalConsistencyError) as err:
         aw._BlockTables()
+    off = list(values)
+    off[index] += 1
+    assert str(err.value) == (
+        f"table assembly disagrees with the direct route at z = {z}: "
+        f"table {shown(values)}; solver {shown(off)}")
 
 
 def test_block_table_symmetric_integer():
@@ -665,7 +722,7 @@ def test_compose_inverts_decompose():
     rng = random.Random(9014)
     for _ in range(10):
         xi = random_su3(rng)
-        back = compose(*decompose(xi))
+        back = compose(block_coords(*decompose(xi)))
         assert (back.v, back.x) == (xi.v, xi.x)
 
 
@@ -685,15 +742,14 @@ def test_principal_lattice_counts():
 # -- displays versus exact values --------------------------------------------
 
 def test_block_routes_reject_misplaced_blocks():
-    # every route that reads block coordinates needs y in the m3 block
-    # and x in the m4 block, rather than dropping the misplaced part
+    # block_coords, the one reader of block Forms, and r_value, which
+    # reads through it, need y in the m3 block and x in the m4 block,
+    # rather than dropping the misplaced part
     for y, x in ((vector(4), vector(5)), (vector(1), vector(2))):
-        with pytest.raises(FormError):
-            tensor_displays(y, x)
-        with pytest.raises(FormError):
-            block_products(0, y, x)
-        with pytest.raises(FormError):
-            block_tables().cubic(0, y, x)
+        with pytest.raises(FormError, match="y must lie in span"):
+            block_coords(0, y, x)
+        with pytest.raises(FormError, match="y must lie in span"):
+            r_value(y, x)
 
 
 def test_tensor_displays_partition():
@@ -732,7 +788,7 @@ def test_block_products_partition():
 def test_block_products_single_point():
     s, y, x = 1, vector_form([1, 0, 0, 0, 0, 0, 0]), \
         vector_form([0, 0, 0, 1, 0, 0, 0])
-    rows = block_products(s, y, x)
+    rows = block_products(block_coords(s, y, x))
     by_name = {r["product"]: r for r in rows}
     assert by_name["p(phitilde, phitilde)"]["computed"] == -210
     assert by_name["p(phitilde, C(x))"]["computed"] == 33
@@ -744,8 +800,7 @@ def test_block_products_single_point():
 def _sweep_points(rng, n_random):
     """The 36 points of verify_tensor_displays' lattice, then seeded
     random points with int and with Fraction coordinates."""
-    points = [aw._lattice_blocks((0,) + p[1:])[1:]
-              for p in principal_lattice(8, 2)]
+    points = [blocks_of((0,) + p[1:])[1:] for p in principal_lattice(8, 2)]
     for _ in range(n_random):
         _, y, x = random_blocks(rng)
         points.append((y, x))
@@ -758,7 +813,8 @@ def _suite_points(n=50):
     """The random points of the aw suite's tensor-display sweep at seed
     1, drawn from that check's stream after its lattice."""
     rng = suites.check_rng(1, "aw.tensor-displays")
-    return [aw._random_blocks(rng)[1:] for _ in range(n)]
+    return [blocks_of([rng.randint(-4, 4) for _ in range(8)])[1:]
+            for _ in range(n)]
 
 
 def test_tensor_displays_match_fraction_oracle():
@@ -768,7 +824,8 @@ def test_tensor_displays_match_fraction_oracle():
     points = _sweep_points(random.Random(9016), 6) + _suite_points()
     assert len(points) == 36 + 12 + 50
     for y, x in points:
-        assert tensor_displays(y, x) == reference.aw_tensor_displays(y, x)
+        assert tensor_displays(block_coords(0, y, x)) == \
+            reference.aw_tensor_displays(y, x)
 
 
 def test_display_sides_match_reference():
@@ -806,10 +863,10 @@ def test_block_products_match_fraction_oracle():
     points = [random_blocks(rng) for _ in range(4)]
     points += [(s * Fraction(1, 3), y * Fraction(2, 5), x * Fraction(1, 2))
                for s, y, x in points[:2]]
-    points += [aw._lattice_blocks(p) for p in
+    points += [blocks_of(p) for p in
                itertools.islice(principal_lattice(8, 3), 0, 120, 30)]
     for s, y, x in points:
-        rows = block_products(s, y, x)
+        rows = block_products(block_coords(s, y, x))
         got = [r["computed"] for r in rows] + [rows[-1]["display"]]
         assert got == reference.aw_block_products(s, y, x)
         assert all(type(v) is Fraction for v in got)
@@ -817,9 +874,9 @@ def test_block_products_match_fraction_oracle():
 
 _COUNT_AW_RUN = """
 import contextlib, io, json
-from g2forge import linalg
-counts = {"fit_model": 0, "quadratic_form": 0, "Matrix.apply": 0,
-          "Matrix.__mul__": 0}
+from g2forge import exterior, linalg
+counts = {"quadratic_form": 0, "Matrix.apply": 0, "Matrix.__mul__": 0,
+          "vector_form": 0, "coords_of": 0, "norm_sq": 0, "numerators": 0}
 entered = {}
 depth = [0]
 
@@ -835,6 +892,9 @@ def inside_only(name, fn):
 for name in ("apply", "__mul__"):
     setattr(linalg.Matrix, name,
             inside_only("Matrix." + name, getattr(linalg.Matrix, name)))
+# the block Form helpers, in exterior before any module binds them
+for name in ("vector_form", "coords_of", "norm_sq", "numerators"):
+    setattr(exterior, name, inside_only(name, getattr(exterior, name)))
 from g2forge import cubic
 cubic.quadratic_form = inside_only("quadratic_form", cubic.quadratic_form)
 from g2forge import aw, cli
@@ -852,22 +912,14 @@ def window(name, fn, counted=True):
     return wrapper
 
 
-for name in ("verify_tensor_displays", "verify_block_products"):
+for name in ("verify_tensor_displays", "verify_block_products",
+             "fit_block_cubic", "direct_p_fit", "fit_model"):
     setattr(aw, name, window(name, getattr(aw, name)))
 aw._BlockTables.__init__ = window("block_tables", aw._BlockTables.__init__)
 # the display tables are built once, with Matrix code, wherever R or a
 # display side is first read; the sweeps' own work is what is counted
 aw._DisplayTables.__init__ = window(
     "display_tables", aw._DisplayTables.__init__, counted=False)
-fit_model = aw.fit_model
-
-
-def counted_fit(fn):
-    counts["fit_model"] += 1
-    return fit_model(fn)
-
-
-aw.fit_model = counted_fit
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1"])
 print(json.dumps({"exit": code, "counts": counts, "entered": entered}))
@@ -880,16 +932,23 @@ def test_aw_run_counts(fresh_python):
     triangles: no quadratic_form, whose Fraction results they used to
     compare.  The display sides and R come from
     the display tables, built once: the sweeps make no Matrix product
-    and no Matrix.apply."""
+    and no Matrix.apply.  The sweeps, the fits and the table build read
+    the eight block coordinates and build no block Form: no
+    vector_form, coords_of, norm_sq or numerators call (774, 1860, 596
+    and 86 when each point went through (s, y, x) vector Forms)."""
     proc = fresh_python(_COUNT_AW_RUN)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["exit"] == 1
+    # fit_block_cubic and direct_p_fit are cached: three and two reads,
+    # two fits
     assert out["entered"] == {"block_tables": 1, "verify_tensor_displays": 1,
                               "verify_block_products": 1,
-                              "display_tables": 1}
-    assert out["counts"] == {"fit_model": 2, "quadratic_form": 0,
-                             "Matrix.apply": 0, "Matrix.__mul__": 0}
+                              "fit_block_cubic": 3, "direct_p_fit": 2,
+                              "fit_model": 2, "display_tables": 1}
+    assert out["counts"] == {"quadratic_form": 0, "Matrix.apply": 0,
+                             "Matrix.__mul__": 0, "vector_form": 0,
+                             "coords_of": 0, "norm_sq": 0, "numerators": 0}
 
 
 _AW_MUTANT = """
@@ -981,6 +1040,44 @@ def test_family_owner_moves_every_reader(fresh_python):
     assert out["ints"] == [[3, -4, -8, 1], 6]
 
 
+_BLOCK_COORDS_MUTANT = """
+import json
+from g2forge import aw, pairing, suites
+right = aw.block_coords
+
+
+def swapped(s, y, x):
+    z = right(s, y, x)
+    z[5], z[6] = z[6], z[5]
+    return z
+
+
+aw.block_coords = pairing.block_coords = swapped
+aw_rep = suites.suite_aw(1, n_random=5, samples=10 ** 4)
+pr = suites.suite_pairing(1, n_random=5, samples=10 ** 4)
+print(json.dumps(sorted(
+    c["id"] for r in (aw_rep, pr) for c in r["checks"]
+    if c["status"] != "pass" and c["id"] not in suites.AW_BY_DESIGN)))
+"""
+
+
+def test_swapped_block_coords_fail_checks(fresh_python):
+    """block_coords with x5 and x6 swapped, in a fresh interpreter (the
+    component polynomials are cached per process; pairing imports
+    block_coords by name, so both names are patched): the round trip and
+    the two routes to P of the aw suite fail, and so do the pairing
+    checks that read the component polynomials, whose R follows the
+    converter, while the sweeps and fits, which take block coordinates
+    directly, pass."""
+    proc = fresh_python(_BLOCK_COORDS_MUTANT)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "aw.decompose-roundtrip", "aw.value-two-routes",
+        "pairing.closed-assembly", "pairing.component-values",
+        "pairing.first-principles-nonzero", "pairing.idet-self",
+        "pairing.montecarlo-agreement"]
+
+
 _FIT_MUTANT = """
 import contextlib, io, json, sys
 from g2forge import aw, cli
@@ -1014,9 +1111,9 @@ def test_broken_fit_route_is_a_recorded_failure(fresh_python, route):
     out = json.loads(proc.stdout)
     assert out["exit"] == 1
     if route == "native":
-        blocks = aw._lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
-        xi = compose(*blocks)
-        table = block_tables().fp_value(*blocks)
+        z = (1, 1, -1, 2, 1, 0, 1, -1)
+        xi = compose(z)
+        table = block_tables().fp_value(z)
         d = aw.comparison_form(xi)[2]
         want = ("assembled P disagrees with the full evaluator: table "
                 f"{table}, evaluator {table + Fraction(1, 2 * d ** 3)} at "
@@ -1036,33 +1133,31 @@ def test_block_fits_name_both_values(monkeypatch):
     span check, as the fitted model's value and the cubic's, at the
     first lattice point where they differ."""
     tab = block_tables()
-    blocks = aw._lattice_blocks((1, 1, -1, 2, 1, 0, 1, -1))
-    p = tab.fp_value(*blocks)
+    z = (1, 1, -1, 2, 1, 0, 1, -1)
+    p = tab.fp_value(z)
     # an odd part of 216 = M^3 is 1 sqrt(10) in P
     split = aw._split
     monkeypatch.setattr(aw, "_split", lambda *t: (split(*t)[0], 216))
     with pytest.raises(InternalConsistencyError) as err:
-        tab.fp_numerator(*blocks)
+        tab.fp_numerator(z)
     assert str(err.value) == (
         f"sqrt(10)-odd part of P does not vanish: P = {p} + 1 sqrt(10) at "
         "s = 1, y = (1, -1, 2) on e1..e3 and x = (1, 0, 1, -1) on e4..e7")
     monkeypatch.undo()
 
-    def cubic_plus_y3_cubed(s, y, x):
+    def cubic_plus_y3_cubed(z):
         # y3^3 lies outside the model and vanishes at the four probes
-        return tab.cubic(s, y, x) + coords_of(y)[2] ** 3
+        return tab.tri(z, z, z) + z[3] ** 3
 
-    blocks, model = next((b, m) for b, m in aw._cubic_lattice()
-                         if coords_of(b[1])[2])
+    z, model = next((z, m) for z, m in aw._cubic_lattice() if z[3])
     with pytest.raises(InternalConsistencyError) as err:
         aw.fit_model(cubic_plus_y3_cubed)
     fitted = sum(c * m for c, m in zip(fit_block_cubic(), model))
-    s, y, x = blocks
     assert str(err.value) == (
         "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
-        f"{fitted}, cubic {cubic_plus_y3_cubed(s, y, x)} at s = {s}, "
-        f"y = ({', '.join(map(str, coords_of(y)[:3]))}) on e1..e3 and "
-        f"x = ({', '.join(map(str, coords_of(x)[3:]))}) on e4..e7")
+        f"{fitted}, cubic {cubic_plus_y3_cubed(z)} at s = {z[0]}, "
+        f"y = ({', '.join(map(str, z[1:4]))}) on e1..e3 and "
+        f"x = ({', '.join(map(str, z[4:]))}) on e4..e7")
 
 
 _COUNT_QUAD = """

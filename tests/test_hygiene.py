@@ -137,7 +137,8 @@ def test_every_method_is_used():
 # alone: perfbench calls or traces them, and nothing in src/ reads them
 BENCHMARK_ONLY = {"G2Frame.iso_i_inv", "G2Frame.solve_three_form",
                   "g2.random_traceless", "cubic.q2_closed_form",
-                  "cubic.quadratic_form", "pairing.haar_average_check"}
+                  "cubic.quadratic_form", "pairing.haar_average_check",
+                  "aw.r_value"}
 
 
 def test_benchmark_only_names_are_listed():

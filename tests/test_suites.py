@@ -59,7 +59,8 @@ def test_dual_constructions_can_fail(monkeypatch):
 
 def test_decompose_roundtrip_can_fail(monkeypatch):
     compose = aw.compose
-    monkeypatch.setattr(aw, "compose", lambda s, y, x: compose(s, -y, x))
+    monkeypatch.setattr(aw, "compose", lambda z: compose(
+        [z[0], *(-t for t in z[1:4]), *z[4:]]))
     check = _aw_check("aw.decompose-roundtrip")
     assert check["status"] == "fail"
     assert check["actual"] != "5 of 5 elements round-trip"
@@ -75,7 +76,8 @@ def test_decompose_roundtrip_catches_a_consistent_sign_flip(monkeypatch):
         return s, -y, x
 
     monkeypatch.setattr(aw, "decompose", flipped)
-    monkeypatch.setattr(aw, "compose", lambda s, y, x: compose(s, -y, x))
+    monkeypatch.setattr(aw, "compose", lambda z: compose(
+        [z[0], *(-t for t in z[1:4]), *z[4:]]))
     check = _aw_check("aw.decompose-roundtrip")
     assert (check["status"], check["actual"]) == (
         "fail", "0 of 5 elements round-trip")
