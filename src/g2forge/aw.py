@@ -93,8 +93,8 @@ import itertools
 import json
 from fractions import Fraction
 
-from .exterior import Form, FormError, M4_MASK, blade, coords_of, contract, \
-    hodge_m4, vector, vector_form, wedge
+from .exterior import Form, FormError, M4_MASK, blade, blade_indices, \
+    coords_of, contract, hodge_m4, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, _expanded, \
     standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
@@ -204,7 +204,9 @@ class Su3Element:
         """i * det(xi), real-valued on skew-hermitian traceless matrices."""
         val = GaussRational(0, 1) * det3(self.matrix_entries())
         if val.im != 0:
-            raise InternalConsistencyError("i det is not real")
+            raise InternalConsistencyError(
+                f"i det is not real: imaginary part {val.im} at "
+                f"{json.dumps(self.to_json())}")
         return val.re
 
     def to_json(self) -> dict:
@@ -259,14 +261,21 @@ def c_display(x: Form) -> Form:
 
 def c_of(x: Form) -> Form:
     """The cocycle block C(x) for a vector x in the m4 block; the two
-    constructions c_direct and c_display must agree."""
+    constructions c_direct and c_display must agree; a raise names x,
+    the first blade where they differ and both coefficients."""
     if x.grade != 1:
         raise FormError("C needs a vector")
     if x.support_mask() & ~M4_MASK:
         raise FormError("C needs a vector in span(e4..e7)")
-    direct = c_direct(x)
-    if direct != c_display(x):
-        raise InternalConsistencyError("the two constructions of C disagree")
+    direct, display = c_direct(x), c_display(x)
+    if direct != display:
+        m = min((direct - display).terms, key=blade_indices)
+        raise InternalConsistencyError(
+            f"the two constructions of C disagree at x = "
+            f"({', '.join(map(str, coords_of(x)[3:]))}) on e4..e7: "
+            f"e{''.join(map(str, blade_indices(m)))} is "
+            f"{direct.terms.get(m, 0)} directly, "
+            f"{display.terms.get(m, 0)} as displayed")
     return direct
 
 
@@ -833,8 +842,22 @@ class _BlockTables:
 
 
 @functools.cache
+def _built_block_tables():
+    """The block table, or the InternalConsistencyError its build raised:
+    a failed build is cached like a passing one and never rerun."""
+    try:
+        return _BlockTables()
+    except InternalConsistencyError as exc:
+        return exc
+
+
 def block_tables() -> _BlockTables:
-    return _BlockTables()
+    """The process's block table; after a failed build each call raises
+    a fresh InternalConsistencyError with the build's text."""
+    tab = _built_block_tables()
+    if isinstance(tab, InternalConsistencyError):
+        raise InternalConsistencyError(str(tab))
+    return tab
 
 
 @functools.cache

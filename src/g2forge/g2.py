@@ -386,11 +386,18 @@ class G2Frame:
         real checks.
         """
         sums = _scattered_sums(n, self._inv_index, DIM * DIM)
-        if any(sums[DIM * i + j] != sums[DIM * j + i] for i, j in TRIANGLE):
-            raise InternalConsistencyError("recovered tensor is not symmetric")
+        skew = next(((i, j) for i, j in TRIANGLE
+                     if sums[DIM * i + j] != sums[DIM * j + i]), None)
+        if skew is not None:
+            i, j = skew
+            raise InternalConsistencyError(
+                f"recovered tensor is not symmetric: entry ({i}, {j}) = "
+                f"{sums[DIM * i + j]}, entry ({j}, {i}) = {sums[DIM * j + i]}")
         upper = [sums[DIM * i + j] for i, j in TRIANGLE]
-        if sum(upper[k] for k in DIAGONAL) != 0:
-            raise InternalConsistencyError("recovered tensor is not traceless")
+        trace = sum(upper[k] for k in DIAGONAL)
+        if trace != 0:
+            raise InternalConsistencyError(
+                f"recovered tensor is not traceless: trace {trace}")
         return upper
 
     def iso_i_inv(self, b: Form) -> SymTensor:

@@ -12,20 +12,25 @@ content.  _echelon stays the one Gauss-Jordan routine, since
 solve_exact reads its solution off the reduced rows and takes QuadExt
 right-hand sides, which elimination over Z does not.
 
-A SymTensor is a symmetric 7x7 tensor, the only size the package
-pairs, stored as one flat upper triangle: 28 entries, row i from the
-diagonal on, entry k at TRIANGLE[k] and the diagonal at DIAGONAL.  This
-module owns that layout; the integer cores (cubic.quadratic_upper,
-G2Frame.iso_i_inv_upper) return such triangles, G2Frame.iso_i reads
-one, and every other module takes positions from TRIANGLE and
-DIAGONAL.  A full square given to the constructor is checked for
-symmetry and its triangle kept, its own arithmetic (sums, differences,
-multiples, symmetric products) runs on the triangle, and the full
-square is only built, mirrored, when a caller reads entries.
-upper_inner, the one metric pairing tr(S1 S2) of symmetric tensors,
-pairs two triangles position by position, the diagonal once and the
-rest twice, with no rescale; a caller that holds Fraction tensors
-pairs their integer numerators and rescales once.
+A Matrix offers what the package runs on it: entry, row and column
+reads, the matrix-vector product apply, negation, the matrix product
+and equality.  A SymTensor is a symmetric 7x7 tensor, the only size the
+package pairs, stored as one flat upper triangle: 28 entries, row i
+from the diagonal on, entry k at TRIANGLE[k] and the diagonal at
+DIAGONAL.  This module owns that layout; the integer cores
+(cubic.quadratic_upper, G2Frame.iso_i_inv_upper) return such
+triangles, G2Frame.iso_i reads one, and every other module takes
+positions from TRIANGLE and DIAGONAL.  A full square given to the
+constructor is checked for symmetry and its triangle kept; the
+symmetric product sym_outer, a multiple (scale), the trace and
+equality run on the triangle, and the full square is only built,
+mirrored, when a caller reads entries.  Neither type adds, subtracts
+or scales by operators: a sum of tensors is a sum of their triangles,
+written where it is needed.  upper_inner, the one metric pairing
+tr(S1 S2) of symmetric tensors, pairs two triangles position by
+position, the diagonal once and the rest twice, with no rescale; a
+caller that holds Fraction tensors pairs their integer numerators and
+rescales once.
 """
 
 from __future__ import annotations
@@ -96,42 +101,23 @@ class Matrix:
             out.append(sum(self.entries[base + j] * vec[j] for j in range(self.cols)))
         return out
 
-    def __add__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
-
     def __neg__(self):
         return Matrix(self.rows, self.cols, [-a for a in self.entries])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch in product")
-            n, m, k = self.rows, other.cols, self.cols
-            cols = [other.column(j) for j in range(m)]
-            flat = []
-            for i in range(n):
-                row = self.row(i)
-                for j in range(m):
-                    col = cols[j]
-                    flat.append(sum(row[t] * col[t] for t in range(k)))
-            return Matrix(n, m, flat)
-        return Matrix(self.rows, self.cols, [a * other for a in self.entries])
-
-    def __rmul__(self, other):
-        return Matrix(self.rows, self.cols, [other * a for a in self.entries])
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in product")
+        n, m, k = self.rows, other.cols, self.cols
+        cols = [other.column(j) for j in range(m)]
+        flat = []
+        for i in range(n):
+            row = self.row(i)
+            for j in range(m):
+                col = cols[j]
+                flat.append(sum(row[t] * col[t] for t in range(k)))
+        return Matrix(n, m, flat)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -254,7 +240,7 @@ class SymTensor:
     traceless flag additionally asserts vanishing trace, which is how
     the domain of the 27-dimensional isomorphism is enforced downstream.
     from_upper wraps a triangle with no check but its length, and
-    arithmetic, equality and the trace run on the triangles.  entries
+    scale, equality and the trace run on the triangles.  entries
     is a mirrored full-square copy, built on each read, for the callers
     that need the square.
     """
@@ -310,19 +296,6 @@ class SymTensor:
 
     def to_matrix(self) -> Matrix:
         return Matrix.from_rows(self.entries)
-
-    def __add__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return SymTensor.from_upper([x + y for x, y in zip(self.upper, other.upper)])
-
-    def __sub__(self, other):
-        if not isinstance(other, SymTensor):
-            return NotImplemented
-        return SymTensor.from_upper([x - y for x, y in zip(self.upper, other.upper)])
-
-    def __neg__(self):
-        return SymTensor.from_upper([-x for x in self.upper])
 
     def scale(self, s) -> "SymTensor":
         return SymTensor.from_upper([s * x for x in self.upper])

@@ -22,7 +22,8 @@ they are compared with tests/golden/pairing_full_seed1.json.
 
 Prints one line per interpreter and suite, and exits 1 when any report
 or exit code differs (an interpreter that cannot run the package
-differs too), 0 otherwise.  It is not part of the test suite: which
+differs too: a suite it writes no report for reads "did not run" with
+its exit code and last stderr line), 0 otherwise.  It is not part of the test suite: which
 interpreters a host has is not the package's business.
 """
 
@@ -38,6 +39,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SUITES = ("exterior", "g2", "cubic", "aw")
 
 
+def _tail(proc) -> str:
+    """The last line the process wrote to stderr, in parentheses after
+    a space, or nothing when it wrote none."""
+    tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
+    return f" ({tail[0].strip()})" if tail else ""
+
+
 def compare(interpreter: str, suite: str) -> str | None:
     """None when the interpreter's report and exit code match the
     golden ones, else what differs."""
@@ -51,9 +59,10 @@ def compare(interpreter: str, suite: str) -> str | None:
             cwd=ROOT, env=env, capture_output=True, timeout=600)
     except OSError as exc:
         return f"did not start: {exc}"
+    if not proc.stdout:
+        return f"did not run: exit {proc.returncode}{_tail(proc)}"
     if proc.stdout != golden:
-        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
-        return "report differs" + (f" ({tail[0]})" if tail else "")
+        return "report differs" + _tail(proc)
     if proc.returncode != want_code:
         return f"exit {proc.returncode}, golden implies {want_code}"
     return None
@@ -73,8 +82,7 @@ def compare_operators(interpreter: str) -> str | None:
     except OSError as exc:
         return f"did not start: {exc}"
     if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
-        return f"exit {proc.returncode}" + (f" ({tail[0]})" if tail else "")
+        return f"exit {proc.returncode}{_tail(proc)}"
     if proc.stdout != golden:
         return "operator results differ"
     return None
@@ -104,8 +112,7 @@ def compare_pairing(interpreter: str) -> str | None:
     except OSError as exc:
         return f"did not start: {exc}"
     if proc.returncode != 0:
-        tail = proc.stderr.decode(errors="replace").strip().splitlines()[-1:]
-        return f"exit {proc.returncode}" + (f" ({tail[0]})" if tail else "")
+        return f"exit {proc.returncode}{_tail(proc)}"
     got = json.loads(proc.stdout)
     want = {k: golden["suites"][0][k] for k in got}
     return None if got == want else "pairing fields differ"

@@ -57,6 +57,23 @@ def trace(M: Matrix):
     return sum(M.at(i, i) for i in range(M.rows))
 
 
+def matrix_combination(*terms) -> Matrix:
+    """sum c M over the (c, M) pairs, matrices of one shape, entry by
+    entry on their flat entries."""
+    rows, cols = terms[0][1].rows, terms[0][1].cols
+    if any((M.rows, M.cols) != (rows, cols) for _, M in terms):
+        raise ValueError("shape mismatch")
+    return Matrix(rows, cols, [sum(c * M.entries[k] for c, M in terms)
+                               for k in range(rows * cols)])
+
+
+def sym_combination(*terms) -> SymTensor:
+    """sum c S over the (c, S) pairs of symmetric tensors, entry by entry
+    on their flat upper triangles."""
+    return SymTensor.from_upper([sum(c * S.upper[k] for c, S in terms)
+                                 for k in range(len(UPPER))])
+
+
 def evaluate(poly, values: dict) -> GaussRational:
     """A letter polynomial at exact letter values, as a GaussRational."""
     total = GaussRational(0, 0)
@@ -231,7 +248,8 @@ def _dense_projectors(grade: int, span1: list[Form], span7: list[Form]):
     """(P1, P7, P27) as dense matrices, with P27 = 1 - P1 - P7."""
     p1, p7 = _outer_projector(span1, grade), _outer_projector(span7, grade)
     n = len(BLADES_BY_GRADE[grade])
-    return p1, p7, Matrix.diagonal([1] * n) - p1 - p7
+    return p1, p7, matrix_combination((1, Matrix.diagonal([1] * n)),
+                                      (-1, p1), (-1, p7))
 
 
 def _rational_sqrt(x: Fraction) -> Fraction:
@@ -262,8 +280,10 @@ def _two_form_split(fr):
     lam_a = (c1 + disc) / 2
     lam_b = (c1 - disc) / 2
     one = Matrix.diagonal([1] * n)
-    proj_a = (T - lam_b * one) * Fraction(1, lam_a - lam_b)
-    proj_b = one - proj_a
+    # (T - lam_b) / (lam_a - lam_b) and its complement
+    f = Fraction(1, lam_a - lam_b)
+    proj_a = matrix_combination((f, T), (-lam_b * f, one))
+    proj_b = matrix_combination((1, one), (-1, proj_a))
     if trace(proj_a) == 7:
         p7, p14, lam7, lam14 = proj_a, proj_b, lam_a, lam_b
     elif trace(proj_b) == 7:
@@ -472,21 +492,11 @@ _ID3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
 _ID4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
 
 
-def _sym_sum(tensors) -> SymTensor:
-    total = SymTensor.diag([0] * 7)
-    for t in tensors:
-        total = total + t
-    return total
-
-
 def i_y(y) -> Matrix:
     """I_y = y1 I1 + y2 I2 + y3 I3, the Matrix sum, for y in m3."""
     fr = aw.standard_aw_frame()
     c = ext.coords_of(y)
-    out = zeros(7, 7)
-    for a in range(3):
-        out = out + c[a] * fr.I[a]
-    return out
+    return matrix_combination(*((c[a], fr.I[a]) for a in range(3)))
 
 
 def aw_display_tensors(y, x) -> tuple:
@@ -498,17 +508,21 @@ def aw_display_tensors(y, x) -> tuple:
     jx = fr.J.apply(xc)
     jiy = SymTensor((fr.J * i_y(y)).to_rows())
     e = [ext.coords_of(vector(a + 1)) for a in range(3)]
-    ia = _sym_sum(SymTensor.sym_outer(fr.I[a].apply(xc), e[a])
-                  for a in range(3))
+    ia = sym_combination(*((1, SymTensor.sym_outer(fr.I[a].apply(xc), e[a]))
+                           for a in range(3)))
     yjx = SymTensor.sym_outer(yc, jx)
     ijx = [I.apply(jx) for I in fr.I]
-    mix = _sym_sum(
-        SymTensor.sym_outer(e[c], [yc[a] * t for t in ijx[b]])
-        - SymTensor.sym_outer(e[c], [yc[b] * t for t in ijx[a]])
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+    def outer(c, a, b):
+        # e_c . (y_a I_b J x)
+        return SymTensor.sym_outer(e[c], [yc[a] * t for t in ijx[b]])
+    mix = sym_combination(*(
+        term for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        for term in ((1, outer(c, a, b)), (-1, outer(c, b, a)))))
     xx = norm_sq(x)
     x_outer = SymTensor([[xc[i] * xc[j] for j in range(7)] for i in range(7)])
-    cc = _ID3.scale(2 * xx) + (_ID4.scale(xx) - x_outer).scale(10)
+    # 2|x|^2 id3 + 10 (|x|^2 id4 - x(x)x)
+    cc = sym_combination((2 * xx, _ID3), (10 * xx, _ID4), (-10, x_outer))
     return jiy, ia, yjx, mix, cc
 
 
@@ -530,16 +544,17 @@ def aw_tensor_displays(y, x) -> list[dict]:
     half = Fraction(1, 2)
     rows = [
         ("p(phitilde, phitilde) = 38 id3 + 3 id4", quadratic_form(pt, pt),
-         _ID3.scale(38) + _ID4.scale(3), None),
-        ("p(phitilde, y^Omega) = -J I_y", quadratic_form(pt, yw), -jiy, None),
+         sym_combination((38, _ID3), (3, _ID4)), None),
+        ("p(phitilde, y^Omega) = -J I_y", quadratic_form(pt, yw),
+         jiy.scale(-1), None),
         ("p(phitilde, C(x)) = -4 I_a x . e_a", quadratic_form(pt, cx),
          ia.scale(-4), ia.scale(-11)),
         ("p(y^Omega, C(x)) = 6 y . Jx", quadratic_form(yw, cx),
-         yjx.scale(6), yjx.scale(3) + mix),
+         yjx.scale(6), sym_combination((3, yjx), (1, mix))),
         ("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
          quadratic_form(cx, cx), cc, None),
         ("i^{-1}(phitilde) = -2 id3 + (3/2) id4", iso_i_inv(g2, pt),
-         _ID3.scale(-2) + _ID4.scale(Fraction(3, 2)), None),
+         sym_combination((-2, _ID3), (Fraction(3, 2), _ID4)), None),
         ("i^{-1}(y^Omega) = -(1/2) J I_y", iso_i_inv(g2, yw),
          jiy.scale(-half), None),
         ("i^{-1}(C(x)) = -(1/2) e_a . I_a x", iso_i_inv(g2, cx),

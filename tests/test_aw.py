@@ -157,6 +157,17 @@ def test_idet_letter_display():
         assert display == GaussRational(xi.i_det(), 0)
 
 
+def test_idet_raise_names_the_imaginary_part_and_xi(monkeypatch):
+    # a real 1 added to det makes i det gain the imaginary part 1
+    det3 = aw.det3
+    monkeypatch.setattr(aw, "det3", lambda m: det3(m) + GaussRational(1, 0))
+    xi = Su3Element((1, 1, -2), (1, 0, 2, -1, 0, 1))
+    with pytest.raises(InternalConsistencyError) as raised:
+        xi.i_det()
+    assert str(raised.value) == (
+        f"i det is not real: imaginary part 1 at {json.dumps(xi.to_json())}")
+
+
 def test_su3_to_json():
     # int and Fraction coordinates alike become exact rational records
     xi = Su3Element((1, Fraction(-7, 2), Fraction(5, 2)), (1, 0, -2, 5, 4, -1))
@@ -290,6 +301,15 @@ def test_first_principles_c_constructions_checked(monkeypatch):
             first_principles_value(_xi_with_m4_part())
 
 
+def test_c_raise_names_x_and_the_first_differing_blade(monkeypatch):
+    monkeypatch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
+    with pytest.raises(InternalConsistencyError) as raised:
+        aw.c_of(vector(4) + 2 * vector(6))
+    assert str(raised.value) == (
+        "the two constructions of C disagree at x = (1, 0, 2, 0) on "
+        "e4..e7: e125 is 2 directly, 4 as displayed")
+
+
 def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
     # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in the C(e_i) of the basis
     # lands in W; one in phitilde lands in U, the rational half, and W
@@ -393,8 +413,9 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     symmetry of the trilinear form T on the block basis: the block
     table refuses to build, so the two-route call, which reads the
     table, raises, while the native route, which reads T only on the
-    diagonal, still returns on its own.  The table is cached per
-    process; its cache is cleared under the flip and again after it."""
+    diagonal, still returns on its own.  The table, or its failed
+    build, is cached per process; the builder's cache is cleared under
+    the flip and again after it."""
     xi = _xi_with_m4_part()
     want = first_principles_value(xi)
     table = cubic._pair_table(3)
@@ -402,7 +423,7 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     k, mm, sign = table[e123][1]
     monkeypatch.setitem(table, e123,
                         table[e123][:1] + ((k, mm, -sign),) + table[e123][2:])
-    block_tables.cache_clear()
+    aw._built_block_tables.cache_clear()
     try:
         first_principles_value(xi, single_route=True)
         with pytest.raises(InternalConsistencyError,
@@ -411,7 +432,7 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
             first_principles_value(xi)
     finally:
         monkeypatch.undo()
-        block_tables.cache_clear()
+        aw._built_block_tables.cache_clear()
     assert first_principles_value(xi) == want
 
 
@@ -506,6 +527,42 @@ def test_asymmetric_table_build_is_a_recorded_failure(fresh_python):
     for cid in raised:
         assert failed[cid] == ("InternalConsistencyError: " + _ASYMMETRIC
                                + "T(0, 5, 5) = 21, T(5, 5, 0) = 33")
+
+
+_FAILED_BUILD_KEPT = """
+import json
+from g2forge import aw, cubic
+from g2forge.aw import Su3Element
+builds = []
+init = aw._BlockTables.__init__
+def counted(self):
+    builds.append(1)
+    init(self)
+aw._BlockTables.__init__ = counted
+table = cubic._pair_table(3)
+k, mm, sign = table[7][1]
+table[7] = table[7][:1] + ((k, mm, -sign),) + table[7][2:]
+raised = []
+for v, x in (((1, 1, -2), (1, 0, 2, -1, 0, 1)),
+             ((2, -1, -1), (0, 1, 1, 0, -2, 3)),
+             ((0, 3, -3), (1, 1, 1, 1, 1, 1))):
+    try:
+        aw.first_principles_value(Su3Element(v, x))
+    except aw.InternalConsistencyError as exc:
+        raised.append(str(exc))
+print(json.dumps({"builds": len(builds), "raised": raised}))
+"""
+
+
+def test_failed_table_build_runs_once(fresh_python):
+    """Pair-table flip (7, 1), in a fresh interpreter: the block table's
+    build fails once, and every later two-route call raises the build's
+    text again without rebuilding the 36 pair products."""
+    proc = fresh_python(_FAILED_BUILD_KEPT)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out == {"builds": 1, "raised": [
+        _ASYMMETRIC + "T(0, 5, 5) = 21, T(5, 5, 0) = 33"] * 3}
 
 
 def test_two_route_value_kernel_passes(monkeypatch):

@@ -188,7 +188,9 @@ def test_run_records_a_raising_suite(fresh_python, tmp_path):
     assert checks["aw.dual-constructions"]["actual"] == \
         "agree on 0 of 24 vectors"
     raised = {cid for cid, c in checks.items() if c["actual"] ==
-              "InternalConsistencyError: the two constructions of C disagree"}
+              "InternalConsistencyError: the two constructions of C disagree "
+              "at x = (1, 0, 0, 0) on e4..e7: e123 is 0 directly, 1 as "
+              "displayed"}
     # the two display sweeps raise before their rows exist, so each is
     # one record under its stream's name
     assert raised == {

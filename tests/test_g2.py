@@ -35,13 +35,12 @@ def test_projectors_idempotent_orthogonal_complete(g2frame):
     for grade in (2, 3, 4):
         mats = reference.projector_matrices(g2frame, grade)
         n = len(mats[0].to_rows())
-        total = reference.zeros(n, n)
         for i, P in enumerate(mats):
             assert P * P == P
             for j, Q in enumerate(mats):
                 if j != i:
                     assert P * Q == reference.zeros(n, n)
-            total = total + P
+        total = reference.matrix_combination(*((1, P) for P in mats))
         assert total == Matrix.diagonal([1] * n)
 
 
@@ -184,6 +183,26 @@ def test_recovered_tensor_checks(g2frame):
         damaged._inv_index = g2._blade_index(damaged._inv_functionals, 3)
         with pytest.raises(InternalConsistencyError, match=message):
             damaged.iso_i_inv_upper(b)
+
+
+def test_recovered_tensor_raises_name_the_values(g2frame, monkeypatch):
+    """One signed sum of 2 i^{-1}(n) off by one: the symmetry raise names
+    the first entry whose mirror differs and both sums, and the trace
+    raise the trace."""
+    n = g2frame.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
+    scattered = g2._scattered_sums
+    for k, message in (
+            (1, "recovered tensor is not symmetric: entry (0, 1) = 1, "
+                "entry (1, 0) = 0"),
+            (0, "recovered tensor is not traceless: trace 1")):
+        def skewed(form, index, count, k=k):
+            sums = scattered(form, index, count)
+            sums[k] += 1
+            return sums
+        monkeypatch.setattr(g2, "_scattered_sums", skewed)
+        with pytest.raises(InternalConsistencyError) as raised:
+            g2frame.iso_i_inv_upper(n)
+        assert str(raised.value) == message
 
 
 def test_iso_pairing_identity(g2frame):
@@ -407,7 +426,8 @@ def test_pairing_normal_matrix_is_scalar_on_types(g2frame):
     # Schur's lemma: M is equivariant, so M^T M is one scalar per type
     M = g2frame.pairing_matrix()
     p1, p7, p27 = reference.projector_matrices(g2frame, 3)
-    assert reference.transpose(M) * M == 16 * p1 + 6 * p7 + 2 * p27
+    assert reference.transpose(M) * M == \
+        reference.matrix_combination((16, p1), (6, p7), (2, p27))
 
 
 def test_frame_build_checks_the_normal_matrix(monkeypatch):

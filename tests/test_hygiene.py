@@ -4,16 +4,23 @@ method is used by the package or the benchmark, no module rebinds a
 global or runs a loop at module level, per-process state is built by
 functools.cache builders alone (no cached_property or lru_cache), numpy
 is imported only by what samples, and each command imports only the
-modules it runs."""
+modules it runs.  Its dynamic twin, the reach scan of tests/reach.py,
+runs the commands and requires every def they leave unreached to be
+listed."""
 
 import ast
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from g2forge.exterior import form_to_json
 from g2forge.linalg import SymTensor
+
+import reach
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "g2forge").glob("*.py"))
@@ -134,20 +141,67 @@ def test_every_method_is_used():
 
 
 # the functions and methods that the package keeps for the benchmark
-# alone: perfbench calls or traces them, and nothing in src/ reads them
+# alone: perfbench calls or traces them, and nothing in src/ calls them
 BENCHMARK_ONLY = {"G2Frame.iso_i_inv", "G2Frame.solve_three_form",
                   "g2.random_traceless", "cubic.q2_closed_form",
                   "cubic.quadratic_form", "pairing.haar_average_check",
-                  "aw.r_value"}
+                  "aw.r_value", "SymTensor.scale"}
+# the BENCHMARK_ONLY methods whose name src/ reads for something else (a
+# variable scale), which a scan of names cannot tell from a call; the
+# reach scan tells them apart
+NAME_READ_ELSEWHERE = {"SymTensor.scale"}
 
 
 def test_benchmark_only_names_are_listed():
     """The functions and methods that only perfbench/ reads are exactly
-    BENCHMARK_ONLY: one that loses its last reader in src/ joins the
-    list, and one that gains a reader there leaves it."""
+    BENCHMARK_ONLY, less the ones whose name src/ reads for something
+    else: one that loses its last reader in src/ joins the list, and one
+    that gains a reader there leaves it."""
     read = _names_read(SOURCES)
     assert {qualified for qualified, name in _functions_and_methods()
-            if name not in read} == BENCHMARK_ONLY
+            if name not in read} == BENCHMARK_ONLY - NAME_READ_ELSEWHERE
+    assert {qualified.rsplit(".", 1)[1]
+            for qualified in NAME_READ_ELSEWHERE} <= read
+
+
+def _reach_scan(folder, cwd):
+    """What tests/reach.py prints for the package in folder, run in a
+    fresh interpreter (the script unsets G2FORGE_SEED itself)."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "reach.py"), str(folder)],
+        cwd=cwd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_every_def_is_reached_or_listed(tmp_path):
+    """The dynamic twin of test_benchmark_only_names_are_listed: every
+    def in src/ that the five suites and the six eval operations leave
+    unreached is in BENCHMARK_ONLY or reach.ALLOWED, and every listed
+    def is left unreached, so a listed name that gains a caller leaves
+    its list."""
+    found = _reach_scan(ROOT / "src" / "g2forge", tmp_path)
+    assert reach.compare(found, BENCHMARK_ONLY | reach.ALLOWED) == []
+
+
+def test_reach_scan_reports_both_directions(tmp_path):
+    """On a copy of the package with a def that nothing calls added and
+    a listed failure-path helper called on every decompose, the scan's
+    comparison reports both, and nothing else."""
+    copy = tmp_path / "src" / "g2forge"
+    shutil.copytree(ROOT / "src" / "g2forge", copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "linalg.py", "a") as fh:
+        fh.write("\n\ndef _never_called():\n    return None\n")
+    aw_py = copy / "aw.py"
+    anchor = "    v, c = xi.v, xi.x\n"
+    assert aw_py.read_text().count(anchor) == 1
+    aw_py.write_text(aw_py.read_text().replace(
+        anchor, "    _sqrt10(1, 0, 1)\n" + anchor))
+    found = _reach_scan(copy, tmp_path)
+    assert reach.compare(found, BENCHMARK_ONLY | reach.ALLOWED) == [
+        "unreached, not listed: linalg._never_called",
+        "listed, not unreached: aw._sqrt10"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -34,6 +34,32 @@ def test_rank_product_bound_random():
         assert rank(A * B) <= min(rank(A), rank(B))
 
 
+def test_matrix_offers_negation_and_the_product_alone():
+    """A Matrix negates and multiplies a Matrix of matching shape, and
+    compares by shape and entries; a scalar on either side, a sum and a
+    difference are declined."""
+    A = Matrix.from_rows([[1, 2], [3, 4]])
+    assert -A == Matrix.from_rows([[-1, -2], [-3, -4]])
+    assert A * Matrix.diagonal([1, 1]) == A != Matrix.diagonal([1, 4])
+    one = Matrix.diagonal([1])
+    for operation in (lambda: one * 2, lambda: 2 * one, lambda: A + A,
+                      lambda: A - A):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_symtensor_compares_by_value_and_has_no_arithmetic():
+    """Two tensors with equal triangles are equal, whatever object holds
+    them, and unequal triangles differ; sums, differences and negation
+    are declined."""
+    S = SymTensor.from_upper(list(range(28)))
+    assert S == SymTensor.from_upper(list(range(28))) == SymTensor(S.entries)
+    assert S != SymTensor.from_upper(list(range(1, 29)))
+    for operation in (lambda: S + S, lambda: S - S, lambda: -S):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def _echelon_rank(A):
     # the Gauss-Jordan reference: the pivots of the reduced echelon form
     return len(linalg._echelon(A.to_rows(), A.cols, list(range(A.rows))))
@@ -295,7 +321,10 @@ def _assert_square(S, rows):
 
 
 @pytest.mark.parametrize("kind", sorted(_SCALARS))
-def test_symtensor_arithmetic_matches_full_square(kind):
+def test_symtensor_scale_and_products_match_full_square(kind):
+    """A multiple, a symmetric product and the pairing, each on the
+    triangle, against the full square entry by entry with the same
+    scalar types."""
     rng = random.Random(29)
     draw = _SCALARS[kind]
     half = Fraction(1, 2)
@@ -304,11 +333,6 @@ def test_symtensor_arithmetic_matches_full_square(kind):
         A, B = _random_symmetric(rng, n, draw), _random_symmetric(rng, n, draw)
         S, T = SymTensor(A), SymTensor(B)
         s = draw(rng)
-        _assert_square(S + T, [[A[i][j] + B[i][j] for j in range(n)]
-                               for i in range(n)])
-        _assert_square(S - T, [[A[i][j] - B[i][j] for j in range(n)]
-                               for i in range(n)])
-        _assert_square(-S, [[-A[i][j] for j in range(n)] for i in range(n)])
         _assert_square(S.scale(s), [[s * A[i][j] for j in range(n)]
                                     for i in range(n)])
         v = [draw(rng) for _ in range(n)]

@@ -73,8 +73,9 @@ def test_multipoly_is_a_coefficient_ring():
         p + 1
     with pytest.raises(TypeError):
         p * 1.5
-    # poly * Matrix falls through to Matrix.__rmul__
-    assert p * Matrix.diagonal([1, 2]) == Matrix.diagonal([p, 2 * p])
+    # a Matrix is not a scalar: MultiPoly declines it, and so does Matrix
+    with pytest.raises(TypeError):
+        p * Matrix.diagonal([1, 2])
 
 
 def test_multipoly_evaluate_matches_letters():
