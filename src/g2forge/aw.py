@@ -96,7 +96,7 @@ from fractions import Fraction
 from .exterior import Form, FormError, M4_MASK, blade, blade_indices, \
     coords_of, contract, hodge_m4, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, TypeDecompositionError, _expanded, \
-    standard_frame, two_form_endo
+    first_difference, standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import GaussRational, QuadExt, ScalarError, _element, \
@@ -122,33 +122,35 @@ class AWFrame:
         self._check_structure()
 
     def _check_structure(self):
+        """Check the block relations as (relation, its indices, computed,
+        expected), forms or matrices, and raise on the first that fails,
+        naming it, its first differing blade or entry and both values."""
+        id4 = Matrix.diagonal([0, 0, 0, 1, 1, 1, 1])
+        w, I, J = self.omega, self.I, self.J
         # phi = vol3 + sum_a e^a ^ omega_a ties the triple to the calibration
         rebuilt = self.vol3
         for a in range(3):
-            rebuilt = rebuilt + wedge(vector(a + 1), self.omega[a])
-        if rebuilt != self.g2.phi:
-            raise InternalConsistencyError("block frame does not rebuild phi")
+            rebuilt = rebuilt + wedge(vector(a + 1), w[a])
+        checks = [("phi = vol3 + sum_a e^a ^ omega_a", (), rebuilt, self.g2.phi)]
         # omega_a are anti-self-dual on the block, Omega is self-dual
-        for w in self.omega:
-            if hodge_m4(w) != -w:
-                raise InternalConsistencyError("omega_a is not anti-self-dual")
-        if hodge_m4(self.Omega) != self.Omega:
-            raise InternalConsistencyError("Omega is not self-dual")
+        checks += [("*omega_%d = -omega_%d", (a + 1, a + 1), hodge_m4(w[a]),
+                    -w[a]) for a in range(3)]
+        checks.append(("*Omega = Omega", (), hodge_m4(self.Omega), self.Omega))
         # wedge table omega_a ^ omega_b = -2 delta_ab vol4
-        for a in range(3):
-            for b in range(3):
-                want = -2 * self.vol4 if a == b else Form(4)
-                if wedge(self.omega[a], self.omega[b]) != want:
-                    raise InternalConsistencyError("omega wedge table broken")
+        checks += [("omega_%d ^ omega_%d = -2 vol4" if a == b
+                    else "omega_%d ^ omega_%d = 0", (a + 1, b + 1),
+                    wedge(w[a], w[b]), -2 * self.vol4 if a == b else Form(4))
+                   for a in range(3) for b in range(3)]
         # quaternion relations on the block: I_a^2 = -id4, I1 I2 = -I3
-        id4 = Matrix.diagonal([0, 0, 0, 1, 1, 1, 1])
-        for A in self.I:
-            if A * A != -id4:
-                raise InternalConsistencyError("I_a^2 != -id on the block")
-        if self.I[0] * self.I[1] != -self.I[2]:
-            raise InternalConsistencyError("I1 I2 != -I3")
-        if self.J * self.J != -id4:
-            raise InternalConsistencyError("J^2 != -id on the block")
+        checks += [("I_%d^2 = -id4", (a + 1,), I[a] * I[a], -id4)
+                   for a in range(3)]
+        checks.append(("I1 I2 = -I3", (), I[0] * I[1], -I[2]))
+        checks.append(("J^2 = -id4", (), J * J, -id4))
+        for relation, where, got, want in checks:
+            if got != want:
+                raise InternalConsistencyError(
+                    f"the block frame fails {relation % where}: "
+                    f"{first_difference(got, want)}")
 
 
 @functools.cache
@@ -565,11 +567,15 @@ class _DisplayTables:
         fr = standard_aw_frame()
         ec = [[int(i == k) for i in range(7)] for k in range(7)]
         m3, m4 = range(3), range(3, 7)
-        try:
-            jia = [SymTensor((fr.J * I).to_rows()) for I in fr.I]
-        except ValueError:
-            raise InternalConsistencyError("J I_a is not symmetric") from None
-        self.jia = [_upper_entries(t.upper) for t in jia]
+        self.jia = []
+        for a, I in enumerate(fr.I, start=1):
+            M = fr.J * I
+            Mt = Matrix.from_rows([M.column(j) for j in range(7)])
+            if M != Mt:
+                raise InternalConsistencyError(
+                    f"J I_a is not symmetric at a = {a}, J I_a = (J I_a)^T "
+                    f"fails: {first_difference(M, Mt)}")
+            self.jia.append(_upper_entries([M.at(i, j) for i, j in TRIANGLE]))
         self.ia2 = [_upper_entries(_outer2([(fr.I[a].apply(ec[i]), ec[a])
                                             for a in m3])) for i in m4]
         self.yjx2 = [_upper_entries(_outer2([(ec[a], fr.J.apply(ec[i]))]))
@@ -898,7 +904,8 @@ def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     sol, kdim = solve_exact(Matrix.from_rows([_model_row(z) for z in probes]),
                             [fn(z) for z in probes])
     if kdim != 0:
-        raise InternalConsistencyError("cubic probe points are degenerate")
+        raise InternalConsistencyError(
+            f"cubic probe points are degenerate: kernel dimension {kdim}")
     coeffs, D = clear_denominators(sol)
     # the cubic is jointly homogeneous in (s, y, x), so the degree-3
     # slice of the lattice (120 points, the unisolvent count for cubics

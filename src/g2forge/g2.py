@@ -64,7 +64,8 @@ All of these kernels are linear: they clear the argument's denominators
 on entry (b = n/d, a QuadExt with int parts for QuadExt coefficients),
 do every product and sum in int and divide once on exit (scalars.over),
 so each result keeps the value and entry type of the same computation
-in the coefficients' own type.  A longer composition (q2, Q and P in
+in the coefficients' own type; hat divides every blade, so its entries
+are Fractions for int input too.  A longer composition (q2, Q and P in
 cubic, the cubic in aw) chains the int parts, i on an int tensor,
 iso_i_inv_upper with its type gate is_pure27 (the eight pairings with
 phi and the e_j -| psi) and solve_three_form_numerators, and divides
@@ -155,15 +156,31 @@ def star_action(A: Matrix, a: Form) -> Form:
     return Form(a.grade, terms)
 
 
+def first_difference(got, want) -> str:
+    """Where two unequal forms, or two unequal matrices of one shape,
+    first differ and both values there: the least blade of a form, the
+    first entry of a matrix in row order.  The text of a failed check."""
+    if isinstance(got, Form):
+        m = min((got - want).terms, key=ext.blade_indices)
+        return (f"e{''.join(map(str, ext.blade_indices(m)))} is "
+                f"{got.terms.get(m, 0)}, not {want.terms.get(m, 0)}")
+    k = next(k for k, (x, y) in enumerate(zip(got.entries, want.entries))
+             if x != y)
+    return (f"entry {divmod(k, got.cols)} is {got.entries[k]}, "
+            f"not {want.entries[k]}")
+
+
 def _unit_functional(pairs) -> tuple:
     """A linear functional b |-> sum_m c b[m] as its (m, c) pairs, every
     c +1 or -1, so that it pairs as a signed sum (_scattered_sums) with
-    no product; raises InternalConsistencyError on any other
-    coefficient."""
+    no product; raises InternalConsistencyError naming the first blade
+    with any other coefficient."""
     pairs = tuple(pairs)
-    if any(c not in (1, -1) for _, c in pairs):
-        raise InternalConsistencyError(
-            "a pairing functional has a coefficient other than +-1")
+    for m, c in pairs:
+        if c not in (1, -1):
+            raise InternalConsistencyError(
+                "a pairing functional has a coefficient other than +-1: "
+                f"e{''.join(map(str, ext.blade_indices(m)))} has {c}")
     return pairs
 
 
@@ -220,7 +237,10 @@ def _split_spans(span1: list[Form], span7: list[Form]):
     for k, f in enumerate(fs):
         gram = _scattered_sums(Form(grade, dict(f)), index, len(fs))
         if any(gram[:k] + gram[k + 1:]):
-            raise InternalConsistencyError("spanning forms are not orthogonal")
+            j = next(j for j, x in enumerate(gram) if x and j != k)
+            raise InternalConsistencyError(
+                f"spanning forms are not orthogonal: <w_{k}, w_{j}> = "
+                f"{gram[j]}, not 0")
     L = lcm(*map(len, fs))
     return fs, index, [L // len(f) for f in fs], L
 
@@ -266,7 +286,9 @@ class G2Frame:
         self.psi = hodge(self.phi)
         self.vol = wedge(self.phi, self.psi) * Fraction(1, 7)
         if vol_coefficient(self.vol) != 1:
-            raise InternalConsistencyError("phi ^ psi != 7 vol")
+            raise InternalConsistencyError(
+                f"phi ^ psi != 7 vol: e1234567 is "
+                f"{7 * vol_coefficient(self.vol)}, not 7")
 
         # contractions e_j -| phi span Lambda^2_7, e_j -| psi span
         # Lambda^3_7 and wedges e_j ^ phi span Lambda^4_7
@@ -308,12 +330,15 @@ class G2Frame:
         # type; a form of each type pins the three, and nonzero ones make
         # M injective
         probe27 = self.iso_i(SymTensor.diag([1, -1, 0, 0, 0, 0, 0]))
-        for a, lam in zip((self.phi, self.kappa[0], probe27), _NORMAL_EIGENVALUES):
+        for a, lam, kind in zip((self.phi, self.kappa[0], probe27),
+                                _NORMAL_EIGENVALUES, (1, 7, 27)):
             Ma = _scattered_sums(a, self._pairing_index, DIM * DIM)
-            MtMa = _expanded(Ma, self._pairing_functionals)
-            if Form(3, MtMa).terms != {m: lam * c for m, c in a.terms.items()}:
+            MtMa = Form(3, _expanded(Ma, self._pairing_functionals))
+            if MtMa != lam * a:
                 raise InternalConsistencyError(
-                    "M^T M is not 16 P1 + 6 P7 + 2 P27 on the pairing matrix")
+                    "M^T M is not 16 P1 + 6 P7 + 2 P27 on the pairing "
+                    f"matrix: M^T M a = {lam} a fails on the type-{kind} "
+                    f"probe a: {first_difference(MtMa, lam * a)}")
 
     # -- projections ------------------------------------------------------
 
@@ -427,39 +452,27 @@ class G2Frame:
         return vector_form([quarter * x for x in
                             _scattered_sums(a, index, len(fs))[-DIM:]])
 
-    def _hat_touched(self, n: Form) -> dict:
-        """L (2 P7 n - n) on the blades that t7 = L P7 n touches, for an
-        integer 4-form n: 2 t7 - L n there.  Only the 7-type sums are
-        expanded."""
-        fs, _, _, L = self._span4
-        nt = n.terms
-        t7 = _expanded(_span_sums(n, self._span4)[-DIM:], fs[-DIM:])
-        return {m: 2 * c - L * nt.get(m, 0) for m, c in t7.items()}
-
     def hat_numerators(self, n: Form) -> tuple[Form, int]:
-        """(h, L) with hat(n) = h / L: h = *(2 t7 - L n), L = 28, the int
-        core of hat for an integer 4-form n."""
-        L = self._span4[3]
+        """(h, L) with hat(n) = h / L: h = *(2 t7 - L n), t7 = L P7 n and
+        L = 28, the int core of hat for an integer 4-form n.  Only the
+        7-type sums are expanded."""
+        fs, _, _, L = self._span4
         terms = {m: -L * c for m, c in n.terms.items()}
-        terms.update(self._hat_touched(n))
+        t7 = _expanded(_span_sums(n, self._span4)[-DIM:], fs[-DIM:])
+        for m, c in t7.items():
+            terms[m] = terms.get(m, 0) + 2 * c
         return hodge(Form(4, terms)), L
 
     def hat(self, a: Form) -> Form:
         """The 3-form solving hat(a) ^ (v -| psi) + phi ^ (v -| a) = 0,
-        which is -*a_1 + *a_7 - *a_27 = *(2 P7 a - a) by type.
-
-        The core runs on the integer numerators of a (hat_numerators) and
-        divides once; a blade that P7 a does not touch keeps its
-        coefficient type, negated.
-        """
+        which is -*a_1 + *a_7 - *a_27 = *(2 P7 a - a) by type: the core
+        hat_numerators on the integer numerators n = d a, each blade
+        divided once by L d."""
         if a.grade != 4:
             raise ext.GradeError("hat needs a 4-form")
         (n,), d = ext.numerators(a)
-        s = self._span4[3] * d
-        terms = {m: -c for m, c in a.terms.items()}
-        for m, c in self._hat_touched(n).items():
-            terms[m] = over(c, s)
-        return hodge(Form(4, terms))
+        h, L = self.hat_numerators(n)
+        return Form(3, {m: over(c, L * d) for m, c in h.terms.items()})
 
     # -- the cocycle linear solver -----------------------------------------
 

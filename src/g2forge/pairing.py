@@ -267,7 +267,9 @@ def derive_gram_from_killing() -> dict:
     for k in range(8):
         column, kdim = solve_exact(B, [int(i == k) for i in range(8)])
         if kdim:
-            raise InternalConsistencyError("the Killing form is degenerate")
+            raise InternalConsistencyError(
+                f"the Killing form is degenerate: solving for column {k} "
+                f"leaves a kernel of dimension {kdim}")
         binv.append(column)
     rows = _letter_rows()
     table = {}
@@ -280,7 +282,8 @@ def derive_gram_from_killing() -> dict:
             if val != 0:
                 if val.im != 0:
                     raise InternalConsistencyError(
-                        "derived Gram entry is not rational")
+                        f"derived Gram entry ({a}, {b}) is not rational: "
+                        f"real part {val.re}, imaginary part {val.im}")
                 table[(a, b)] = val.re
     return table
 
@@ -382,6 +385,14 @@ def idet_determinant_poly() -> MultiPoly:
     return _I * det3(m)
 
 
+def _first_difference(p: MultiPoly, q: MultiPoly) -> tuple:
+    """(m, p_m, q_m) at the least monomial m where two unequal
+    polynomials differ: the evidence of a failed comparison."""
+    m = min(m for m in p.terms.keys() | q.terms.keys()
+            if p.terms.get(m) != q.terms.get(m))
+    return m, p.terms.get(m, 0), q.terms.get(m, 0)
+
+
 def idet_report() -> dict:
     """Both routes to i det, compared in the reduced alphabet, plus how
     the product-term notation must be read; when they differ, the first
@@ -399,12 +410,10 @@ def idet_report() -> dict:
         "reading": "i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3)",
     }
     if disp != det:
-        mono = min(m for m in disp.terms.keys() | det.terms.keys()
-                   if disp.terms.get(m) != det.terms.get(m))
+        mono, a, b = _first_difference(disp, det)
         rep["difference"] = (
-            f"at {'*'.join(mono)} the display has {disp.terms.get(mono, 0)} "
-            f"and the determinant {det.terms.get(mono, 0)}; "
-            f"display {disp!r}; determinant {det!r}")
+            f"at {'*'.join(mono)} the display has {a} and the determinant "
+            f"{b}; display {disp!r}; determinant {det!r}")
     return rep
 
 
@@ -413,8 +422,13 @@ def idet_poly() -> MultiPoly:
     """The displayed i det, after the dual-route comparison has run."""
     rep = idet_report()
     if not rep["matches"]:
+        # the polynomials are pairing.idet-construction's evidence; the
+        # records that read this raise name the monomial alone
+        mono, a, b = _first_difference(idet_display_poly().eliminate_v3(),
+                                       idet_determinant_poly().eliminate_v3())
         raise InternalConsistencyError(
-            "the two routes to i det disagree; see pairing.idet-construction")
+            f"the two routes to i det disagree at {' '.join(mono)}: display "
+            f"{a}, determinant {b}; see pairing.idet-construction")
     return idet_display_poly()
 
 
@@ -505,7 +519,12 @@ def first_principles_p_poly() -> MultiPoly:
     out = sum(c * (coords[i] * coords[j] * coords[k])
               for (i, j, k), c in interpolate_p_coefficients().items())
     if not out.is_real_on_su3():
-        raise InternalConsistencyError("interpolated P is not real-valued")
+        mono, c, _ = _first_difference(out, out.conjugate())
+        partner = tuple(sorted(_CONJUGATE[n] for n in mono))
+        raise InternalConsistencyError(
+            f"interpolated P is not real-valued: {'*'.join(mono)} has {c}, "
+            f"not the conjugate of {out.terms.get(partner, 0)}, the "
+            f"coefficient of its partner {'*'.join(partner)}")
     return out
 
 
@@ -519,7 +538,8 @@ COMPONENT_PAIRINGS = {"s3": Fraction(-4, 9), "sx2": Fraction(-8, 3),
 def _real_pairing(p: MultiPoly, q: MultiPoly, what: str) -> Fraction:
     val = sym_inner_poly(p, q)
     if val.im != 0:
-        raise InternalConsistencyError(f"{what} is not real")
+        raise InternalConsistencyError(
+            f"{what} is not real: imaginary part {val.im}")
     return val.re
 
 
@@ -538,16 +558,20 @@ def pairing_report() -> MappingProxyType:
     # the interpolation and the fit -210 s^3 + (55/2) s|x|^2
     # + (50/3) s|y|^2 + (125/18) R cannot both be exact if they differ;
     # both are v3-free by construction, so they compare as they are
-    if p_poly != sum(c * p for c, p in zip(fitted, component_polys())):
+    model = sum(c * p for c, p in zip(fitted, component_polys()))
+    if p_poly != model:
+        mono, a, b = _first_difference(p_poly, model)
         raise InternalConsistencyError(
-            "interpolated P does not match the fitted four-term model")
+            "interpolated P does not match the fitted four-term model: "
+            f"{'*'.join(mono)} has {a} interpolated, {b} in the model")
     first = _real_pairing(p_poly, idet, "<P, i det>")
     components = {name: _real_pairing(poly, idet, f"<{name}, i det>")
                   for name, poly in zip(COMPONENT_PAIRINGS, component_polys())}
     idet_self = sym_inner_poly(idet, idet)
     if idet_self.im != 0 or idet_self.re <= 0:
-        raise InternalConsistencyError("<i det, i det> must be a positive "
-                                       "rational")
+        raise InternalConsistencyError(
+            "<i det, i det> must be a positive rational: real part "
+            f"{idet_self.re}, imaginary part {idet_self.im}")
 
     def assembled(coefficients) -> Fraction:
         return sum(c * v for c, v in zip(coefficients, components.values()))

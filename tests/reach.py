@@ -49,6 +49,7 @@ ALLOWED = frozenset({
     "aw._sqrt10", "aw._where", "Su3Element.to_json",
     "aw.first_principles_value.values", "_BlockTables.__init__.shown",
     "cubic._route_error", "InconsistentSystemError.__init__",
+    "g2.first_difference", "pairing._first_difference",
     # printing
     "Form.__repr__", "Matrix.__repr__", "MultiPoly.__repr__",
     "QuadExt.__repr__", "GaussRational.__repr__", "Su3Element.__repr__",

@@ -908,8 +908,44 @@ def test_display_tables_need_symmetric_j_ia(monkeypatch, awframe):
     bent = types.SimpleNamespace(I=awframe.I, J=Matrix.diagonal(
         [0, 0, 0, 1, 2, 3, 4]))
     monkeypatch.setattr(aw, "standard_aw_frame", lambda: bent)
-    with pytest.raises(InternalConsistencyError, match="J I_a"):
+    with pytest.raises(InternalConsistencyError, match="J I_a") as err:
         aw._DisplayTables()
+    assert str(err.value) == ("J I_a is not symmetric at a = 1, "
+                              "J I_a = (J I_a)^T fails: entry (3, 4) is -1, "
+                              "not 2")
+
+
+def _doubled(fn):
+    return lambda *args: 2 * fn(*args)
+
+
+def _negated(fn):
+    return lambda *args: -fn(*args)
+
+
+@pytest.mark.parametrize("name, patch, text", [
+    ("vector", _doubled(aw.vector),
+     "phi = vol3 + sum_a e^a ^ omega_a: e145 is 2, not 1"),
+    ("hodge_m4", lambda a: a, "*omega_1 = -omega_1: e45 is 1, not -1"),
+    ("two_form_endo", _negated(aw.two_form_endo),
+     "I1 I2 = -I3: entry (3, 6) is 1, not -1"),
+], ids=["rebuild-phi", "anti-self-dual", "quaternions"])
+def test_block_frame_raises_name_what_failed(monkeypatch, name, patch, text):
+    monkeypatch.setattr(aw, name, patch)
+    with pytest.raises(InternalConsistencyError) as err:
+        AWFrame()
+    assert str(err.value) == "the block frame fails " + text
+
+
+def test_degenerate_probe_points_name_the_kernel(monkeypatch):
+    # R's column zeroed: the four probe rows span three dimensions.  The
+    # lattice the sweep caches is not reached
+    model_row = aw._model_row
+    monkeypatch.setattr(aw, "_model_row", lambda z: model_row(z)[:3] + (0,))
+    with pytest.raises(InternalConsistencyError) as err:
+        aw.fit_model(lambda z: 0)
+    assert str(err.value) == \
+        "cubic probe points are degenerate: kernel dimension 1"
 
 
 def test_block_products_match_fraction_oracle():

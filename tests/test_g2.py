@@ -392,8 +392,9 @@ def test_iso_inverse_matches_wedge_formula(g2frame, kind):
 
 @pytest.mark.parametrize("kind", sorted(_COEFFICIENT_KINDS))
 def test_hat_matches_reference_with_entry_types(g2frame, kind):
-    # the int core over L = 28, divided once, against *(2 P7 a - a) in
-    # the coefficients' own type: a blade P7 a does not touch keeps -a[m]
+    # the int core over L = 28, each blade divided once by scalars.over,
+    # against *(2 P7 a - a) in the coefficients' own type: every entry
+    # has the type over gives, a Fraction for int and Fraction input
     rng = random.Random(7026)
     draw = _COEFFICIENT_KINDS[kind]
     blades = ext.BLADES_BY_GRADE[4]
@@ -402,11 +403,33 @@ def test_hat_matches_reference_with_entry_types(g2frame, kind):
                          for m in rng.sample(blades, rng.randint(1, 35))})
         got, want = g2frame.hat(a), reference.hat(g2frame, a)
         assert got == want
-        assert ({m: type(c) for m, c in got.terms.items()}
-                == {m: type(c) for m, c in want.terms.items()})
         (n,), d = ext.numerators(a)
         h, L = g2frame.hat_numerators(n)
         assert L == 28 and h * Fraction(1, L * d) == got
+        assert {type(c) for c in got.terms.values()} \
+            == {QuadExt if kind == "quadext" else Fraction}
+
+
+def test_hat_runs_through_its_integer_core(g2frame, monkeypatch):
+    # hat and b2 both read hat_numerators: negating one blade of its
+    # result moves hat and leaves the b2 system with no solution
+    rng = random.Random(7027)
+    a1, a2 = random_form(rng, 4), random_form(rng, 4)
+    before = g2frame.hat(a1)
+    cubic.b2(a1, a2, g2frame)
+    core = G2Frame.hat_numerators
+
+    def flipped(self, n):
+        h, L = core(self, n)
+        terms = dict(h.terms)
+        m = min(terms)
+        terms[m] = -terms[m]
+        return ext.Form(3, terms), L
+
+    monkeypatch.setattr(G2Frame, "hat_numerators", flipped)
+    assert g2frame.hat(a1) != before
+    with pytest.raises(InconsistentSystemError):
+        cubic.b2(a1, a2, g2frame)
 
 
 def test_dense_projectors_are_built_lazily():
@@ -432,8 +455,34 @@ def test_pairing_normal_matrix_is_scalar_on_types(g2frame):
 
 def test_frame_build_checks_the_normal_matrix(monkeypatch):
     monkeypatch.setattr(g2, "_NORMAL_EIGENVALUES", (16, 6, 3))
-    with pytest.raises(InternalConsistencyError):
+    with pytest.raises(InternalConsistencyError) as err:
         G2Frame()
+    assert str(err.value) == (
+        "M^T M is not 16 P1 + 6 P7 + 2 P27 on the pairing matrix: "
+        "M^T M a = 3 a fails on the type-27 probe a: e145 is 2, not 3")
+
+
+def _doubled(fn):
+    return lambda *args: 2 * fn(*args)
+
+
+def _second_contraction_as_first(v, a):
+    # e_2 -| a read as e_1 -| a: two spanning forms coincide
+    return contract(vector(1) if v == vector(2) else v, a)
+
+
+@pytest.mark.parametrize("name, patch, text", [
+    ("hodge", _doubled(hodge), "phi ^ psi != 7 vol: e1234567 is 14, not 7"),
+    ("contract", _doubled(contract),
+     "a pairing functional has a coefficient other than +-1: e23 has 2"),
+    ("contract", _second_contraction_as_first,
+     "spanning forms are not orthogonal: <w_0, w_1> = 3, not 0"),
+], ids=["volume", "unit-functional", "orthogonality"])
+def test_frame_build_raises_name_what_failed(monkeypatch, name, patch, text):
+    monkeypatch.setattr(g2, name, patch)
+    with pytest.raises(InternalConsistencyError) as err:
+        G2Frame()
+    assert str(err.value) == text
 
 
 def test_frame_build_and_solve_run_no_elimination(monkeypatch):

@@ -204,6 +204,33 @@ def test_reach_scan_reports_both_directions(tmp_path):
         "listed, not unreached: aw._sqrt10"]
 
 
+def _fixed_text_consistency_errors(tree):
+    """The lines that build an InternalConsistencyError with a constant
+    text or none, a raise that names none of the values it compared."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "InternalConsistencyError" in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None))
+            and all(isinstance(a, ast.Constant) for a in node.args)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_consistency_errors_name_their_values(path):
+    # a failed cross-check names the values it compared, built in the
+    # failing branch; TypeDecompositionError texts stay fixed, since the
+    # command line prints them as they are
+    assert [f"{path.name}:{line}"
+            for line in _fixed_text_consistency_errors(_tree(path))] == []
+
+
+def test_fixed_text_consistency_errors_are_found():
+    tree = ast.parse('raise InternalConsistencyError("a" "b")\n'
+                     'raise g2.InternalConsistencyError()\n'
+                     'raise InternalConsistencyError(f"{x}")\n'
+                     'raise TypeDecompositionError("c")\n')
+    assert _fixed_text_consistency_errors(tree) == [1, 2]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_global_statement(path):
     found = [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))

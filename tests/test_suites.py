@@ -13,6 +13,7 @@ from g2forge import aw, g2, pairing, suites
 from g2forge import exterior as ext
 from g2forge.exterior import blade
 from g2forge.linalg import Matrix
+from g2forge.scalars import GaussRational
 
 
 def _check(report, cid):
@@ -167,6 +168,104 @@ def test_sym_inner_symmetric_can_fail(monkeypatch, uncached_pairing_report):
     assert _pairing_check("pairing.sym-inner-symmetric")["status"] == "fail"
 
 
+@pytest.fixture
+def uncached_pairing_polys(uncached_pairing_report):
+    """The caches of i det and of the interpolated P cleared on entry and
+    on exit as well, for a patch that reaches either."""
+    builders = (pairing.idet_poly, pairing.first_principles_p_poly)
+    for builder in builders:
+        builder.cache_clear()
+    yield
+    for builder in builders:
+        builder.cache_clear()
+
+
+def _recorded(cid):
+    check = _pairing_check(cid)
+    assert check["status"] == "fail"
+    return check["actual"]
+
+
+def test_degenerate_killing_form_names_the_column(monkeypatch):
+    solve_exact = pairing.solve_exact
+    monkeypatch.setattr(pairing, "solve_exact",
+                        lambda A, b: (solve_exact(A, b)[0], 1))
+    assert _recorded("pairing.gram-from-killing") == (
+        "InternalConsistencyError: the Killing form is degenerate: solving "
+        "for column 0 leaves a kernel of dimension 1")
+
+
+def test_complex_gram_entry_names_the_letters(monkeypatch):
+    # v1's row times i: <v1, v1> stays real, <v1, v2> turns imaginary.  A
+    # direct call, since x_letter_polys would cache the bent rows
+    rows = dict(pairing._letter_rows())
+    rows["v1"] = [GaussRational(0, 1) * x for x in rows["v1"]]
+    monkeypatch.setattr(pairing, "_letter_rows", lambda: rows)
+    with pytest.raises(g2.InternalConsistencyError) as err:
+        pairing.derive_gram_from_killing()
+    assert str(err.value) == ("derived Gram entry (v1, v2) is not rational: "
+                              "real part 0, imaginary part -2/3")
+
+
+def test_disagreeing_idet_routes_name_the_difference(monkeypatch,
+                                                     uncached_pairing_polys):
+    determinant = pairing.idet_determinant_poly
+    monkeypatch.setattr(pairing, "idet_determinant_poly",
+                        lambda: 2 * determinant())
+    assert pairing.idet_report()["difference"].startswith(
+        "at v1*v1*v2 the display has -1 and the determinant "
+        "GaussRational(-2, 0); display ")
+    # the records that read the pairing report name the first monomial
+    # that differs and leave the polynomials to idet-construction's
+    assert _recorded("pairing.component-values") == (
+        "InternalConsistencyError: the two routes to i det disagree at "
+        "v1 v1 v2: display -1, determinant GaussRational(-2, 0); see "
+        "pairing.idet-construction")
+
+
+def test_complex_p_names_the_monomial(monkeypatch, uncached_pairing_polys):
+    # the v1^3 coefficient of P times i
+    coefficients = dict(pairing.interpolate_p_coefficients())
+    coefficients[(0, 0, 0)] *= GaussRational(0, 1)
+    monkeypatch.setattr(pairing, "interpolate_p_coefficients",
+                        lambda: coefficients)
+    c = "GaussRational(Fraction(0, 1), Fraction(-145, 6))"
+    assert _recorded("pairing.pure-z-support") == (
+        "InternalConsistencyError: interpolated P is not real-valued: "
+        f"v1*v1*v1 has {c}, not the conjugate of {c}, the coefficient of "
+        "its partner v1*v1*v1")
+
+
+def test_complex_pairing_names_its_imaginary_part(monkeypatch,
+                                                  uncached_pairing_report):
+    inner = pairing.sym_inner_poly
+    monkeypatch.setattr(pairing, "sym_inner_poly",
+                        lambda p, q: inner(p, q) + GaussRational(0, 1))
+    assert _recorded("pairing.component-values") == (
+        "InternalConsistencyError: <P, i det> is not real: imaginary part 1")
+
+
+def test_model_mismatch_names_the_monomial(monkeypatch,
+                                           uncached_pairing_report):
+    fit = pairing.first_principles_fit()
+    monkeypatch.setattr(pairing, "first_principles_fit",
+                        lambda: (fit[0] + 1,) + fit[1:])
+    assert _recorded("pairing.component-values") == (
+        "InternalConsistencyError: interpolated P does not match the fitted "
+        "four-term model: v1*v1*v1 has -145/6 interpolated, -577/24 in the "
+        "model")
+
+
+def test_negative_idet_norm_names_the_value(monkeypatch,
+                                            uncached_pairing_report):
+    inner = pairing.sym_inner_poly
+    monkeypatch.setattr(pairing, "sym_inner_poly",
+                        lambda p, q: -inner(p, q) if p is q else inner(p, q))
+    assert _recorded("pairing.component-values") == (
+        "InternalConsistencyError: <i det, i det> must be a positive "
+        "rational: real part -320/9, imaginary part 0")
+
+
 def test_g2_suite_builds_no_dense_projector():
     # the frame has no dense projector to build: g2.type-dimensions
     # reads the ranks off the split in use (the next test breaks it)
@@ -258,7 +357,7 @@ def test_g2_and_cubic_run_counts(fresh_python):
     proc = fresh_python(_COUNT_G2_CUBIC)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "g2": {"echelon": 0, "fraction_mul": 1737, "passed": True},
+        "g2": {"echelon": 0, "fraction_mul": 1681, "passed": True},
         "cubic": {"echelon": 0, "fraction_mul": 333, "passed": True}}
 
 
