@@ -42,8 +42,8 @@ Route two reads the full symmetry of the trilinear form T(a, b, c) =
 basis and checked fully symmetric, so T(U, W, W) = T(W, W, U) and four
 table passes carry the four terms of the expansion, and a pair table
 that breaks the symmetry of T on the block basis fails the build.  The
-type-27 gate is G2Frame.is_pure27, the eight signed sums that pair with
-phi and the e_j -| psi; the symmetry and trace checks of the recovered
+type-27 gate is G2Frame.require_pure27 on is_pure27, the eight signed
+sums that pair with phi and the e_j -| psi; the symmetry and trace checks of the recovered
 tensors run in the native route and in the table's build.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
@@ -93,9 +93,9 @@ import itertools
 import json
 from fractions import Fraction
 
-from .exterior import Form, FormError, M4_MASK, blade, blade_indices, \
+from .exterior import Form, FormError, M4_MASK, blade, \
     coords_of, contract, hodge_m4, vector, vector_form, wedge
-from .g2 import InternalConsistencyError, TypeDecompositionError, _expanded, \
+from .g2 import OUTSIDE_27, InternalConsistencyError, _expanded, \
     first_difference, standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
@@ -264,20 +264,18 @@ def c_display(x: Form) -> Form:
 def c_of(x: Form) -> Form:
     """The cocycle block C(x) for a vector x in the m4 block; the two
     constructions c_direct and c_display must agree; a raise names x,
-    the first blade where they differ and both coefficients."""
+    the direct and the displayed side and their first difference
+    (g2.first_difference)."""
     if x.grade != 1:
         raise FormError("C needs a vector")
     if x.support_mask() & ~M4_MASK:
         raise FormError("C needs a vector in span(e4..e7)")
     direct, display = c_direct(x), c_display(x)
     if direct != display:
-        m = min((direct - display).terms, key=blade_indices)
         raise InternalConsistencyError(
             f"the two constructions of C disagree at x = "
-            f"({', '.join(map(str, coords_of(x)[3:]))}) on e4..e7: "
-            f"e{''.join(map(str, blade_indices(m)))} is "
-            f"{direct.terms.get(m, 0)} directly, "
-            f"{display.terms.get(m, 0)} as displayed")
+            f"({', '.join(map(str, coords_of(x)[3:]))}) on e4..e7, direct "
+            f"against displayed: {first_difference(direct, display)}")
     return direct
 
 
@@ -312,7 +310,8 @@ def comparison_form(xi: Su3Element) -> tuple[Form, Form, int, list, list]:
     zu = [half * (v1 + v2), half_y * (v1 - v2), -my * x1, my * x2, 0, 0, 0, 0]
     zw = [0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5]
     u, w = _on_basis(zu), _on_basis(zw)
-    _pure27("comparison form is not of pure 27 type", u, w)
+    standard_frame().require_pure27("comparison form is not of pure 27 type",
+                                    u, w)
     return u, w, m * e, zu, zw
 
 
@@ -420,7 +419,7 @@ def _solver_products(z) -> tuple[tuple, Fraction]:
     pt, yw, cx = (_on_basis([d]), _on_basis([0, *z[1:4]]),
                   _on_basis([0, 0, 0, 0, *z[4:]]))
     a = _on_basis(z)
-    _pure27(_OUTSIDE_27, a)
+    standard_frame().require_pure27(OUTSIDE_27, a)
     S = standard_frame().iso_i_inv_upper(a)
     d3 = d ** 3
     six = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
@@ -505,24 +504,13 @@ def _blocks_id(a, b) -> SymTensor:
     return SymTensor.diag([a] * 3 + [b] * 4)
 
 
-_OUTSIDE_27 = "form has components outside the 27-dimensional summand"
-
-
-def _pure27(message: str, *forms: Form) -> None:
-    """The type-27 gate of this module: raise with the message unless
-    every form is of pure 27 type (G2Frame.is_pure27)."""
-    g2 = standard_frame()
-    if not all(g2.is_pure27(b) for b in forms):
-        raise TypeDecompositionError(message)
-
-
 @functools.cache
 def _phitilde_displays() -> tuple[bool, bool]:
     """Whether p(phitilde, phitilde) = 38 id3 + 3 id4 and
     i^{-1}(phitilde) = -2 id3 + (3/2) id4, the two displays that do not
     depend on (y, x), compared at the scales p and 2 i^{-1}."""
     pt = standard_aw_frame().phi_tilde
-    _pure27(_OUTSIDE_27, pt)
+    standard_frame().require_pure27(OUTSIDE_27, pt)
     return (quadratic_upper(pt, pt) == _blocks_id(38, 3).upper,
             standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
 
@@ -640,7 +628,7 @@ def tensor_displays(z) -> list[dict]:
     yx, _ = clear_denominators(z[1:])
     pt = fr.phi_tilde
     yw, cx = _on_basis([0, *yx[:3]]), _on_basis([0, 0, 0, 0, *yx[3:]])
-    _pure27(_OUTSIDE_27, yw, cx)
+    g2.require_pure27(OUTSIDE_27, yw, cx)
     # J I_y, twice e_a . I_a x, twice y . Jx, twice the mix and p(C(x),
     # C(x))'s display, integral for integral (y, x)
     jiy, ia2, yjx2, mix, cc = display_tables().sides(yx[:3], yx[3:])
@@ -766,7 +754,7 @@ class _BlockTables:
 
     def __init__(self):
         basis = block_basis()
-        _pure27(_OUTSIDE_27, *basis)
+        standard_frame().require_pure27(OUTSIDE_27, *basis)
         # on int forms quadratic_upper is p(B_u, B_u) on the diagonal and
         # 2 p(B_u, B_v) off it, iso_i_inv_upper is 2 i^{-1}(B_w): every
         # entry of 4T is one int

@@ -58,7 +58,7 @@ import json
 from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
     blade_indices, form_from_coords, form_to_coords, form_to_json, hodge, \
     inner, merge_sign, norm_sq, numerators, vol_coefficient, wedge
-from .g2 import G2Frame, InternalConsistencyError, TypeDecompositionError, \
+from .g2 import OUTSIDE_27, G2Frame, InternalConsistencyError, \
     standard_frame, star_action
 from .linalg import DIAGONAL, TRIANGLE, SymTensor, upper_inner
 from .scalars import clear_denominators, over
@@ -184,8 +184,7 @@ def _pure27_numerators(a: Form, fr: G2Frame,
         raise GradeError(f"{caller} needs a 4-form")
     (n,), d = numerators(a)
     star = hodge(n)
-    if not fr.is_pure27(star):
-        raise TypeDecompositionError("form is not of pure 27 type")
+    fr.require_pure27("form is not of pure 27 type", star)
     return n, star, d
 
 
@@ -282,9 +281,7 @@ def p_value(b: Form, frame: G2Frame | None = None):
     if b.grade != 3:
         raise GradeError("p_value needs a 3-form")
     (n,), d = numerators(b)
-    if not fr.is_pure27(n):
-        raise TypeDecompositionError(
-            "form has components outside the 27-dimensional summand")
+    fr.require_pure27(OUTSIDE_27, n)
     # P and Q's tensor route share 2 i^{-1}(n); the wedge value of Q,
     # which P is compared with, reads no i^{-1}
     inv = fr.iso_i_inv_upper(n)

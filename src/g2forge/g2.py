@@ -69,7 +69,8 @@ are Fractions for int input too.  A longer composition (q2, Q and P in
 cubic, the cubic in aw) chains the int parts, i on an int tensor,
 iso_i_inv_upper with its type gate is_pure27 (the eight pairings with
 phi and the e_j -| psi) and solve_three_form_numerators, and divides
-once at its own end.
+once at its own end.  require_pure27 is the one gate that raises on a
+form outside Lambda^3_27, with the caller's text or OUTSIDE_27.
 
 Every table these kernels read, the spanning forms of the three splits,
 the f_ij and the rows of M, has coefficients +-1, checked when the
@@ -103,6 +104,10 @@ _NORMAL_EIGENVALUES = (16, 6, 2)
 
 class TypeDecompositionError(ValueError):
     """A form failed a required type condition (wrong irreducible parts)."""
+
+
+# the text of a failed type-27 gate where the caller names no form
+OUTSIDE_27 = "form has components outside the 27-dimensional summand"
 
 
 class InternalConsistencyError(RuntimeError):
@@ -401,6 +406,12 @@ class G2Frame:
         fs, index, _, _ = self._span3
         return not any(_scattered_sums(b, index, len(fs)))
 
+    def require_pure27(self, message: str, *forms: Form) -> None:
+        """The type-27 gate: raise TypeDecompositionError(message) unless
+        every 3-form is of pure 27 type (is_pure27)."""
+        if not all(self.is_pure27(b) for b in forms):
+            raise TypeDecompositionError(message)
+
     def iso_i_inv_upper(self, n: Form) -> list:
         """The flat upper triangle of 2 i^{-1}(n) for a 3-form n of pure
         27 type (the caller's to check), in the coefficients' own type
@@ -432,9 +443,7 @@ class G2Frame:
         if b.grade != 3:
             raise ext.GradeError("iso_i_inv needs a 3-form")
         (n,), d = ext.numerators(b)
-        if not self.is_pure27(n):
-            raise TypeDecompositionError(
-                "form has components outside the 27-dimensional summand")
+        self.require_pure27(OUTSIDE_27, n)
         # a sum that cancels is taken as int 0, so that entry is
         # Fraction(0) for every scalar type, as vol_coefficient(b ^ chi_ij)
         # gives it

@@ -1,16 +1,14 @@
 """Dense exact linear algebra: matrices, linear solves, symmetric tensors.
 
-Everything here is scalar-generic over exact fields.  Entries may be
-ints, Fractions or QuadExt values, kept as given; elimination
-(Gauss-Jordan, _echelon) multiplies each pivot row by the Fraction
-inverse of a rational pivot, so a rational matrix takes right-hand
-sides over any extension field, and every zero test and comparison is
-exact.  rank is fraction-free over Z instead: it needs no reduced
-form and no right-hand side, so it clears each row to ints and
-eliminates with integer row operations, each new row divided by its
-content.  _echelon stays the one Gauss-Jordan routine, since
-solve_exact reads its solution off the reduced rows and takes QuadExt
-right-hand sides, which elimination over Z does not.
+A Matrix keeps its entries as given: ints, Fractions or QuadExt
+values.  The one elimination, _echelon, is fraction-free over Z: it
+takes int rows and brings them to row echelon form by integer row
+operations, each new row divided by its content (_eliminate), so every
+zero test is exact and no Fraction is built on the way.  rank is its
+pivot count on the rows cleared to ints; solve_exact, for int and
+Fraction systems, runs it on the cleared rows of (A | b), clears the
+pivot columns upward with the same row operation and divides once per
+pivot unknown.
 
 A Matrix offers what the package runs on it: entry, row and column
 reads, the matrix-vector product apply, negation, the matrix product
@@ -129,95 +127,85 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _echelon(rows: list[list], width: int, track: list[int]):
-    """In-place reduced row echelon over a field.
+def _eliminate(row: list, pivot: list, c: int) -> list:
+    """p row - f pivot divided by its content, the gcd of its entries,
+    for the entries p of the pivot row and f of row in column c: an
+    integer row operation with p != 0 that clears column c of row."""
+    p, f = pivot[c], row[c]
+    new = [p * x - f * y for x, y in zip(row, pivot)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
 
-    Returns the list of (row, col) pivot positions.  ``track`` carries
-    original row indices through swaps so error reports stay meaningful.
+
+def _echelon(rows: list[list], width: int, track: list[int]) -> list[int]:
+    """Row echelon form over Z of int rows, in place, fraction-free, on
+    the first width columns; returns the pivot columns, pivot k in row k.
+
+    At each pivot column the first row at or below the next pivot row
+    with a nonzero entry there is swapped up, track swapped with it so
+    that it carries the original row indices, and every row below with
+    a nonzero entry in that column is cleared by _eliminate; a row with
+    a zero there is left as it is.  Every step is an integer row
+    operation or the division of a row by a nonzero integer, so the row
+    space never changes and no remainder needs a check, and the entries
+    stay as small as a primitive row allows.  Each row is p times the
+    Gauss-Jordan row, up to its content, so the zero pattern, the swaps
+    and the pivots are those of Gauss-Jordan elimination over Q.
     """
     pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(width):
-        # the first nonzero entry at or below row r is the pivot
-        best = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        track[r], track[best] = track[best], track[r]
-        # a rational pivot: QuadExt entries (right-hand sides) are only
-        # multiplied by its inverse, never divided; an int pivot gets a
-        # Fraction inverse, since true division of ints is float
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def rank(A: Matrix) -> int:
-    """The rank of A, whose entries are ints or Fractions, as every
-    caller passes.
-
-    Primitive-row elimination over Z: each row is scaled to ints by
-    clear_denominators and the zero rows are dropped.  At each pivot p
-    in column c, a row below it with a nonzero entry f there becomes
-    p r - f r_pivot divided by its content, the gcd of its entries;
-    a row with a zero there is left as it is.  Every step is an integer
-    row operation with p != 0 or the division of a row by a nonzero
-    integer, so the row space never changes and no remainder needs a
-    check, and the entries stay as small as a primitive row allows.
-    """
-    rows = [row for row in (clear_denominators(A.row(i))[0]
-                            for i in range(A.rows)) if any(row)]
     nrows, r = len(rows), 0
-    for c in range(A.cols):
+    for c in range(width):
         if r == nrows:
             break
         best = next((i for i in range(r, nrows) if rows[i][c]), None)
         if best is None:
             continue
         rows[r], rows[best] = rows[best], rows[r]
-        pr = rows[r]
-        p = pr[c]
+        track[r], track[best] = track[best], track[r]
         for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            if not f:
-                continue
-            new = [p * x - f * y for x, y in zip(ri, pr)]
-            g = gcd(*new)
-            rows[i] = [x // g for x in new] if g > 1 else new
+            if rows[i][c]:
+                rows[i] = _eliminate(rows[i], rows[r], c)
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def rank(A: Matrix) -> int:
+    """The rank of A, whose entries are ints or Fractions, as every
+    caller passes: the pivot count of _echelon on the rows of A, each
+    scaled to ints by clear_denominators, the zero rows dropped."""
+    rows = [row for row in (clear_denominators(A.row(i))[0]
+                            for i in range(A.rows)) if any(row)]
+    return len(_echelon(rows, A.cols, list(range(len(rows)))))
 
 
 def solve_exact(A: Matrix, b: Sequence) -> tuple[list, int]:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly, for int or Fraction entries of A and b.
 
-    Returns (x, kernel_dim) where free variables are set to zero.
-    Raises InconsistentSystemError naming an original row of A that
-    reduces to 0 = nonzero.
+    Returns (x, kernel_dim): x[c] is a Fraction for each pivot unknown
+    and the int 0 for each free one.  The rows of (A | b), each scaled
+    to ints, are brought to echelon form by _echelon; each pivot column
+    is then cleared above its pivot, from the last pivot up, by the
+    same integer row operation, and each pivot unknown is its row's
+    right-hand side over its pivot, one division.  Raises
+    InconsistentSystemError naming the original row of the first row
+    below the last pivot that reduces to 0 = nonzero.
     """
     if len(b) != A.rows:
         raise ValueError("right hand side length mismatch")
-    rows = [A.row(i) + [b[i]] for i in range(A.rows)]
+    rows = [clear_denominators(A.row(i) + [b[i]])[0] for i in range(A.rows)]
     track = list(range(A.rows))
     pivots = _echelon(rows, A.cols, track)
-    pivot_rows = {r for r, _ in pivots}
-    for i in range(A.rows):
-        if i not in pivot_rows and rows[i][A.cols] != 0:
-            raise InconsistentSystemError(track[i])
+    bad = next((i for i in range(len(pivots), A.rows) if rows[i][-1]), None)
+    if bad is not None:
+        raise InconsistentSystemError(track[bad])
+    for r in range(len(pivots) - 1, 0, -1):
+        for i in range(r):
+            if rows[i][pivots[r]]:
+                rows[i] = _eliminate(rows[i], rows[r], pivots[r])
     x = [0] * A.cols
-    for r, c in pivots:
-        x[c] = rows[r][A.cols]
+    for r, c in enumerate(pivots):
+        x[c] = Fraction(rows[r][-1], rows[r][c])
     return x, A.cols - len(pivots)
 
 

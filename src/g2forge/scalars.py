@@ -160,7 +160,11 @@ class GaussRational(_QuadraticField):
         return _element(GaussRational, self.rat, -self.irr)
 
     def __repr__(self):
-        return f"GaussRational({self.rat!r}, {self.irr!r})"
+        # an int-valued part prints as an int, any other as a Fraction,
+        # so equal values print alike however they were built
+        rat, irr = (int(q) if q.denominator == 1 else q
+                    for q in (self.rat, self.irr))
+        return f"GaussRational({rat!r}, {irr!r})"
 
     def __complex__(self):
         return complex(float(self.rat), float(self.irr))

@@ -29,7 +29,8 @@ from g2forge import aw, cubic, exterior as ext, pairing
 from g2forge.exterior import BLADES_BY_GRADE, Form, contract, hodge, inner, \
     norm_sq, vector, vector_form, vol_coefficient, wedge
 from g2forge.g2 import InternalConsistencyError, standard_frame, star_action
-from g2forge.linalg import Matrix, SymTensor, solve_exact, upper_inner
+from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
+    solve_exact, upper_inner
 from g2forge.scalars import GaussRational, QuadExt
 
 # sqrt(10) in Q(sqrt(10)), which no package code reads as a constant
@@ -72,6 +73,72 @@ def sym_combination(*terms) -> SymTensor:
     on their flat upper triangles."""
     return SymTensor.from_upper([sum(c * S.upper[k] for c, S in terms)
                                  for k in range(len(UPPER))])
+
+
+def gauss_jordan(rows: list[list], width: int, track: list[int]) -> list:
+    """Reduced row echelon over Q, in place, on the first width columns:
+    each pivot row is multiplied by the Fraction inverse of its pivot
+    and its column cleared in every other row.  track carries the
+    original row indices through the swaps.  Returns the (row, col)
+    pivot positions.  The package's elimination before it went
+    fraction-free; the oracle of linalg.rank and linalg.solve_exact."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(width):
+        # the first nonzero entry at or below row r is the pivot
+        best = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if best is None:
+            continue
+        rows[r], rows[best] = rows[best], rows[r]
+        track[r], track[best] = track[best], track[r]
+        # an int pivot gets a Fraction inverse, since true division of
+        # ints is float
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+        pivots.append((r, c))
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def gauss_jordan_rank(A: Matrix) -> int:
+    return len(gauss_jordan(A.to_rows(), A.cols, list(range(A.rows))))
+
+
+def gauss_jordan_solve(A: Matrix, b) -> tuple[list, int]:
+    """(x, kernel_dim) of A x = b off the reduced rows, the free unknowns
+    the int 0; raises InconsistentSystemError naming the original row of
+    the first non-pivot row that reduces to 0 = nonzero."""
+    rows = [A.row(i) + [b[i]] for i in range(A.rows)]
+    track = list(range(A.rows))
+    pivots = gauss_jordan(rows, A.cols, track)
+    pivot_rows = {r for r, _ in pivots}
+    for i in range(A.rows):
+        if i not in pivot_rows and rows[i][A.cols] != 0:
+            raise InconsistentSystemError(track[i])
+    x = [0] * A.cols
+    for r, c in pivots:
+        x[c] = rows[r][A.cols]
+    return x, A.cols - len(pivots)
+
+
+def solve_over_q10(A: Matrix, b) -> tuple[list, int]:
+    """solve_exact for a right-hand side that may hold QuadExt entries:
+    by linearity its rational and sqrt(10) parts are solved as two
+    rational systems and x = x_rat + sqrt(10) x_irr, every entry a
+    QuadExt.  A rational b is solved as it is."""
+    if not any(isinstance(c, QuadExt) for c in b):
+        return solve_exact(A, b)
+    parts = [(c.rat, c.irr) if isinstance(c, QuadExt) else (c, 0) for c in b]
+    (xr, kernel_dim), (xi, _) = (solve_exact(A, list(p)) for p in zip(*parts))
+    return [r + SQRT10 * i for r, i in zip(xr, xi)], kernel_dim
 
 
 def evaluate(poly, values: dict) -> GaussRational:
@@ -418,7 +485,7 @@ def b2(fr, a1, a2):
     # the dense normal equations M^T M x = M^T rhs, and the residual
     M = fr.pairing_matrix()
     Mt = transpose(M)
-    x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
+    x, kernel_dim = solve_over_q10(Mt * M, Mt.apply(rhs))
     assert kernel_dim == 0 and M.apply(x) == rhs
     return ext.form_from_coords(3, x)
 

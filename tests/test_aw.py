@@ -307,7 +307,7 @@ def test_c_raise_names_x_and_the_first_differing_blade(monkeypatch):
         aw.c_of(vector(4) + 2 * vector(6))
     assert str(raised.value) == (
         "the two constructions of C disagree at x = (1, 0, 2, 0) on "
-        "e4..e7: e125 is 2 directly, 4 as displayed")
+        "e4..e7, direct against displayed: e125 is 2, not 4")
 
 
 def test_first_principles_type_gate(monkeypatch, awframe, g2frame):

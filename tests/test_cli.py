@@ -189,8 +189,8 @@ def test_run_records_a_raising_suite(fresh_python, tmp_path):
         "agree on 0 of 24 vectors"
     raised = {cid for cid, c in checks.items() if c["actual"] ==
               "InternalConsistencyError: the two constructions of C disagree "
-              "at x = (1, 0, 0, 0) on e4..e7: e123 is 0 directly, 1 as "
-              "displayed"}
+              "at x = (1, 0, 0, 0) on e4..e7, direct against displayed: "
+              "e123 is 0, not 1"}
     # the two display sweeps raise before their rows exist, so each is
     # one record under its stream's name
     assert raised == {

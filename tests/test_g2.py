@@ -12,7 +12,7 @@ from g2forge.exterior import blade, contract, coords_of, hodge, inner, \
 from g2forge.g2 import G2Frame, InconsistentSystemError, \
     InternalConsistencyError, TypeDecompositionError, random_traceless, \
     standard_frame, star_action, two_form_endo
-from g2forge.linalg import Matrix, SymTensor, rank, solve_exact
+from g2forge.linalg import Matrix, SymTensor, rank
 from g2forge.scalars import QuadExt
 
 import reference
@@ -254,7 +254,7 @@ def _dense_solve(frame, rhs_blocks):
     M = frame.pairing_matrix()
     Mt = reference.transpose(M)
     rhs = [c for w in rhs_blocks for c in ext.form_to_coords(w)]
-    x, kernel_dim = solve_exact(Mt * M, Mt.apply(rhs))
+    x, kernel_dim = reference.solve_over_q10(Mt * M, Mt.apply(rhs))
     assert kernel_dim == 0
     bad = [r for r, (got, want) in enumerate(zip(M.apply(x), rhs))
            if got != want]

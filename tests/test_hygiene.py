@@ -314,3 +314,22 @@ def test_import_layers(fresh_python, tmp_path, g2frame, code, loaded,
     modules = set(json.loads(done.stdout.splitlines()[-1]))
     assert loaded in modules
     assert modules & unloaded == set()
+
+
+def test_one_type_27_gate():
+    """The gate's text is written once, and every gate that raises on
+    is_pure27 is require_pure27: is_pure27 is read there and by the one
+    check that counts the forms that pass."""
+    texts = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Constant) and node.value ==
+             "form has components outside the 27-dimensional summand"]
+    callers = sorted(f"{path.name}:{fn.name}" for path in SOURCES
+                     for fn in ast.walk(_tree(path))
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr == "is_pure27")
+    assert len(texts) == 1 and texts[0].startswith("g2.py:")
+    # g2.iso-inverse-roundtrip counts the basis forms that pass the gate
+    assert callers == ["g2.py:require_pure27", "suites.py:suite_g2"]

@@ -70,6 +70,20 @@ def test_gauss_rational_keeps_int_parts():
             GaussRational(*bad)
 
 
+def test_equal_gauss_rationals_print_alike():
+    # an int-valued part prints as an int and any other as a Fraction,
+    # whether the part was given or made as an int or a Fraction
+    half = Fraction(1, 2)
+    for z in (GaussRational(-2, 0), GaussRational(Fraction(-2), Fraction(0)),
+              GaussRational(-4, 0) * half, GaussRational(0, 0) - 2):
+        assert repr(z) == "GaussRational(-2, 0)"
+    for z in (GaussRational(0, Fraction(-145, 6)),
+              GaussRational(Fraction(0), Fraction(-145, 6)),
+              GaussRational(0, 1) * Fraction(-145, 6)):
+        assert repr(z) == "GaussRational(0, Fraction(-145, 6))"
+    assert repr(GaussRational(half, 3)) == "GaussRational(Fraction(1, 2), 3)"
+
+
 def test_scalar_json_roundtrip():
     values = [Fraction(-22, 7), Fraction(0), Fraction(5),
               QuadExt(Fraction(1, 3), Fraction(-2, 9)), QuadExt(4)]
