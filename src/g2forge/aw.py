@@ -43,8 +43,9 @@ basis and checked fully symmetric, so T(U, W, W) = T(W, W, U) and four
 table passes carry the four terms of the expansion, and a pair table
 that breaks the symmetry of T on the block basis fails the build.  The
 type-27 gate is G2Frame.require_pure27 on is_pure27, the eight signed
-sums that pair with phi and the e_j -| psi; the symmetry and trace checks of the recovered
-tensors run in the native route and in the table's build.
+sums that pair with phi and the e_j -| psi; the symmetry and trace
+checks of the recovered tensors run in the native route and in the
+table's build.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
