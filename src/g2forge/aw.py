@@ -26,26 +26,31 @@ Every block form is an integer combination of one block basis,
 place the module builds y ^ Omega and C(x).  comparison_form gives A(xi)
 as D A = U + sqrt(10) W on it: for the integer element Xi = e xi and
 the least M that makes M/2, MY/2 and MK ints, D = Me, U = D (s phitilde
-+ Y y ^ Omega) and W = D K C(x), each of U and W gated as pure 27.  Every
-integer the module derives from (Y, K) comes from _family_ints.
++ Y y ^ Omega) and W = D K C(x).  Every integer the module derives from
+(Y, K) comes from _family_ints.
 Route one composes the cubic from the int parts of the kernels,
 cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
 on U + sqrt(10) W (cubic.p_numerator), and divides once, by 2 D^3; the
 kernels read precomputed signed blade tables, build no Form and pass
 flat upper triangles in linalg's layout.  Route two is the block
-table's even/odd split in sqrt(10) (_BlockTables.even_part) at the int
-block coordinates comparison_form builds U and W from: it is D^3 P,
-half the native value, and its sqrt(10)-odd part must vanish.  A route
-that fails names both routes' values of P and xi.
+table's split in sqrt(10) (_BlockTables.split) at the int block
+coordinates comparison_form builds U and W from: its even part is D^3
+P, half the native value, and its sqrt(10)-odd part must vanish.  A
+route that fails names both routes' values of P and xi.
 Route two reads the full symmetry of the trilinear form T(a, b, c) =
 <p(a, b), i^{-1}(c)>: the table is built from the kernels at the block
 basis and checked fully symmetric, so T(U, W, W) = T(W, W, U) and four
 table passes carry the four terms of the expansion, and a pair table
-that breaks the symmetry of T on the block basis fails the build.  The
-type-27 gate is G2Frame.require_pure27 on is_pure27, the eight signed
-sums that pair with phi and the e_j -| psi; the symmetry and trace
-checks of the recovered tensors run in the native route and in the
-table's build.
+that breaks the symmetry of T on the block basis fails the build.
+
+The module has one type-27 gate: block_basis runs
+G2Frame.require_pure27 (is_pure27, the eight signed sums that pair with
+phi and the e_j -| psi) once, on its eight forms.  is_pure27 and
+_on_basis are linear and Lambda^3_27 is a subspace, so every form the
+module builds from the basis passes too, and none is gated again.  A
+form outside the span still meets iso_i_inv_upper's symmetry and trace
+checks, which catch a 7-part and a 1-part, on every route that reads
+i^{-1}: the native route, the solver route and the table's build.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
@@ -96,8 +101,8 @@ from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, \
     coords_of, contract, hodge_m4, vector, vector_form, wedge
-from .g2 import OUTSIDE_27, InternalConsistencyError, _expanded, \
-    first_difference, standard_frame, two_form_endo
+from .g2 import InternalConsistencyError, _expanded, first_difference, \
+    standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import GaussRational, QuadExt, ScalarError, _element, \
@@ -301,8 +306,8 @@ def comparison_form(xi: Su3Element) -> tuple[Form, Form, int, list, list]:
     numerators (U, W, D) with D A(xi) = U + sqrt(10) W on the block
     basis (see the module docstring), and the int coordinates zu and zw
     of U and W on it, read off xi by this function's own block map, not
-    decompose's.  A(xi) is of pure 27 type iff U and W are (1 and
-    sqrt(10) are independent over Q); both are checked."""
+    decompose's.  U and W are combinations of the block basis, so both
+    are of pure 27 type, and so is A(xi)."""
     (v1, v2, _, x1, x2, x3, x4, x5, x6), e = clear_denominators(
         list(xi.v + xi.x))
     (half, half_y, my, mk), m = _family_ints()
@@ -310,10 +315,7 @@ def comparison_form(xi: Su3Element) -> tuple[Form, Form, int, list, list]:
     # x = (-X4, X3, -X6, X5) on e4..e7, at D = Me
     zu = [half * (v1 + v2), half_y * (v1 - v2), -my * x1, my * x2, 0, 0, 0, 0]
     zw = [0, 0, 0, 0, -mk * x4, mk * x3, -mk * x6, mk * x5]
-    u, w = _on_basis(zu), _on_basis(zw)
-    standard_frame().require_pure27("comparison form is not of pure 27 type",
-                                    u, w)
-    return u, w, m * e, zu, zw
+    return _on_basis(zu), _on_basis(zw), m * e, zu, zw
 
 
 def first_principles_value(xi: Su3Element, *,
@@ -323,30 +325,31 @@ def first_principles_value(xi: Su3Element, *,
 
     Route one evaluates it natively in Q(sqrt(10)), on the form
     _quad_form builds; route two is the block table's even/odd split
-    (_BlockTables.even_part) at the int block coordinates of U and W,
-    which is D^3 P: half the native value, whose sqrt(10) part must
-    vanish.  single_route skips the second for bulk sweeps that verify
-    route agreement separately.  Each raise names P on each route run,
-    as r + q sqrt(10), and xi.
+    (_BlockTables.split) at the int block coordinates of U and W, whose
+    even part is D^3 P, half the native value, and whose sqrt(10) part
+    must vanish.
+    single_route skips the second for bulk sweeps that verify route
+    agreement separately.  The checks run in the order odd part, native
+    sqrt(10) part, agreement; each raise names P on each route run, as
+    r + q sqrt(10), and xi.
     """
     u, w, d, zu, zw = comparison_form(xi)
     a = _quad_form(u, w)
     native = p_numerator(a, standard_frame().iso_i_inv_upper(a))
     rat, irr = (native.rat, native.irr) if isinstance(native, QuadExt) \
         else (native, 0)
-
-    def values(even=None, odd=0):
-        # P on each route run, and xi
-        runs = [f"native {_sqrt10(rat, irr, 2 * d ** 3)}"] + (
-            [] if even is None else [f"even/odd {_sqrt10(even, odd, d ** 3)}"])
-        return f"{', '.join(runs)} at {json.dumps(xi.to_json())}"
-
-    even = None if single_route else block_tables().even_part(zu, zw, values)
-    for what, failed in (("P has a sqrt(10) component", irr),
+    even, odd = (None, 0) if single_route else block_tables().split(zu, zw)
+    for what, failed in (("sqrt(10)-odd part of P does not vanish", odd),
+                         ("P has a sqrt(10) component", irr),
                          ("the two routes to P disagree",
                           even is not None and 2 * even != rat)):
         if failed:
-            raise InternalConsistencyError(f"{what}: {values(even)}")
+            # P on each route run, and xi
+            runs = [f"native {_sqrt10(rat, irr, 2 * d ** 3)}"] + (
+                [] if even is None else
+                [f"even/odd {_sqrt10(even, odd, d ** 3)}"])
+            raise InternalConsistencyError(
+                f"{what}: {', '.join(runs)} at {json.dumps(xi.to_json())}")
     return Fraction(rat, 2 * d ** 3)
 
 
@@ -364,14 +367,6 @@ def _quad_form(u: Form, w: Form) -> Form:
     for m, c in w.terms.items():
         terms[m] = _element(QuadExt, terms.get(m, 0), c)
     return Form(3, terms)
-
-
-def _split(uuu, wwu, uuw, www) -> tuple:
-    """The even and the odd part in sqrt(10) of T(a, a, a), a = u +
-    sqrt(10) w, for a fully symmetric trilinear T, from T(u,u,u),
-    T(w,w,u), T(u,u,w) and T(w,w,w): T(a, a, a) = T(u,u,u) + 3 sqrt(10)
-    T(u,u,w) + 30 T(u,w,w) + 10 sqrt(10) T(w,w,w)."""
-    return uuu + 30 * wwu, 3 * uuw + 10 * www
 
 
 def r_value(y: Form, x: Form):
@@ -420,7 +415,6 @@ def _solver_products(z) -> tuple[tuple, Fraction]:
     pt, yw, cx = (_on_basis([d]), _on_basis([0, *z[1:4]]),
                   _on_basis([0, 0, 0, 0, *z[4:]]))
     a = _on_basis(z)
-    standard_frame().require_pure27(OUTSIDE_27, a)
     S = standard_frame().iso_i_inv_upper(a)
     d3 = d ** 3
     six = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
@@ -430,21 +424,17 @@ def _solver_products(z) -> tuple[tuple, Fraction]:
     return six, Fraction(upper_inner(quadratic_upper(a, a), S), 2 * d3)
 
 
-def block_products(z, tables=None) -> list[dict]:
+def block_products(z, six, full) -> list[dict]:
     """The six displayed products <p(block, block), i^{-1}(A_)> of the
-    generic combination at the block coordinates z, evaluated and
-    compared with their displays.
+    generic combination at the block coordinates z, compared with their
+    displays: six are their values and full the cubic, from either
+    route, the block table's (products and tri) or the solver's
+    (_solver_products).
 
     Returns one record per product with the computed and displayed
     values; the multiplicity column is the coefficient each product
-    carries in the full expansion of P(A_).  Pass a block table to
-    assemble the values multilinearly instead of running the solver
-    (_solver_products).
+    carries in the full expansion of P(A_).
     """
-    if tables is not None:
-        got6, full = tables.products(z), tables.tri(z, z, z)
-    else:
-        got6, full = _solver_products(z)
     s, r = z[0], _r(z)
     xx, yy = sum(t * t for t in z[4:]), sum(t * t for t in z[1:4])
     # display column: the six values as displayed; corrected column: the
@@ -462,7 +452,7 @@ def block_products(z, tables=None) -> list[dict]:
     ]
     out = []
     total = 0
-    for (name, display, corrected, mult), got in zip(rows, got6):
+    for (name, display, corrected, mult), got in zip(rows, six):
         total += mult * got
         rec = {"product": name, "computed": got, "display": display,
                "multiplicity": mult, "matches": got == display}
@@ -510,8 +500,7 @@ def _phitilde_displays() -> tuple[bool, bool]:
     """Whether p(phitilde, phitilde) = 38 id3 + 3 id4 and
     i^{-1}(phitilde) = -2 id3 + (3/2) id4, the two displays that do not
     depend on (y, x), compared at the scales p and 2 i^{-1}."""
-    pt = standard_aw_frame().phi_tilde
-    standard_frame().require_pure27(OUTSIDE_27, pt)
+    pt = block_basis()[0]
     return (quadratic_upper(pt, pt) == _blocks_id(38, 3).upper,
             standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
 
@@ -624,12 +613,10 @@ def tensor_displays(z) -> list[dict]:
     from the int tables of display_tables; the two displays of phitilde
     alone are compared once per process.
     """
-    fr = standard_aw_frame()
-    g2 = fr.g2
+    g2 = standard_frame()
     yx, _ = clear_denominators(z[1:])
-    pt = fr.phi_tilde
+    pt = block_basis()[0]
     yw, cx = _on_basis([0, *yx[:3]]), _on_basis([0, 0, 0, 0, *yx[3:]])
-    g2.require_pure27(OUTSIDE_27, yw, cx)
     # J I_y, twice e_a . I_a x, twice y . Jx, twice the mix and p(C(x),
     # C(x))'s display, integral for integral (y, x)
     jiy, ia2, yjx2, mix, cc = display_tables().sides(yx[:3], yx[3:])
@@ -708,10 +695,11 @@ def verify_block_products(rng, n_random: int) -> list[dict]:
     polynomial identities: a full degree-3 principal lattice in the
     eight block coordinates, then seeded random points."""
     tab = block_tables()
-    lattice = (block_products(z, tables=tab) for z in principal_lattice(8, 3))
-    # random points take the direct solver route, independent of the table
-    direct = (block_products([rng.randint(-4, 4) for _ in range(8)])
-              for _ in range(n_random))
+    lattice = (block_products(z, tab.products(z), tab.tri(z, z, z))
+               for z in principal_lattice(8, 3))
+    # random points take the solver route, independent of the table
+    randoms = ([rng.randint(-4, 4) for _ in range(8)] for _ in range(n_random))
+    direct = (block_products(z, *_solver_products(z)) for z in randoms)
     return _tally("product", itertools.chain(lattice, direct))
 
 
@@ -720,10 +708,14 @@ def block_basis() -> tuple[Form, ...]:
     """The forms (phitilde, e1^Omega, e2^Omega, e3^Omega, C(e4), ...,
     C(e7)), orthogonal with squared norms 42, 2 and 12 on the three
     blocks; A_ has the coordinates (s, y1, y2, y3, x4, ..., x7) on them,
-    and every other block form is a combination of them (_on_basis)."""
+    and every other block form is a combination of them (_on_basis).
+    The module's one type-27 gate: the eight forms must be of pure 27
+    type, and is_pure27 is linear, so every combination is too."""
     fr = standard_aw_frame()
     yws = tuple(wedge(vector(a), fr.Omega) for a in (1, 2, 3))
-    return (fr.phi_tilde,) + yws + tuple(c_of(vector(i)) for i in range(4, 8))
+    basis = (fr.phi_tilde,) + yws + tuple(c_of(vector(i)) for i in range(4, 8))
+    fr.g2.require_pure27("block basis is not of pure 27 type", *basis)
+    return basis
 
 
 def _on_basis(z) -> Form:
@@ -755,7 +747,6 @@ class _BlockTables:
 
     def __init__(self):
         basis = block_basis()
-        standard_frame().require_pure27(OUTSIDE_27, *basis)
         # on int forms quadratic_upper is p(B_u, B_u) on the diagonal and
         # 2 p(B_u, B_v) off it, iso_i_inv_upper is 2 i^{-1}(B_w): every
         # entry of 4T is one int
@@ -806,30 +797,32 @@ class _BlockTables:
         return (tri(e0, e0, z), tri(e0, zy, z), tri(e0, zc, z),
                 tri(zy, zy, z), tri(zy, zc, z), tri(zc, zc, z))
 
-    def even_part(self, zu, zw, values) -> int:
-        """The even part in sqrt(10) of the cubic of zu + sqrt(10) zw, for
-        int block coordinates zu and zw, split by _split.  T is fully
-        symmetric (checked at build), so T(w, w, u) serves for T(u, w, w)
-        and each term is one table pass: 4 passes in all.  The odd part
-        must vanish; its raise names values(even, odd), the caller's
-        values of P and its input."""
-        even, odd = _split(self.tri(zu, zu, zu), self.tri(zw, zw, zu),
-                           self.tri(zu, zu, zw), self.tri(zw, zw, zw))
-        if odd:
-            raise InternalConsistencyError(
-                f"sqrt(10)-odd part of P does not vanish: {values(even, odd)}")
-        return even
+    def split(self, zu, zw) -> tuple:
+        """(even, odd), the two parts in sqrt(10) of the cubic of a = zu +
+        sqrt(10) zw for block coordinates zu and zw: T(a, a, a) =
+        T(u,u,u) + 3 sqrt(10) T(u,u,w) + 30 T(u,w,w) + 10 sqrt(10)
+        T(w,w,w).  T is fully symmetric (checked at build), so T(w, w, u)
+        serves for T(u, w, w) and each term is one table pass: 4 passes
+        in all."""
+        tri = self.tri
+        return (tri(zu, zu, zu) + 30 * tri(zw, zw, zu),
+                3 * tri(zu, zu, zw) + 10 * tri(zw, zw, zw))
 
     def fp_numerator(self, z):
         """M^3 P(xi) for the block coordinates z = (s, y, x) of xi, M as in
         _family_ints (216 P for FAMILY's coefficients): M A(xi) = zu +
         sqrt(10) zw on the block basis, zu = (M s, M Y y) and zw = M K x,
-        ints for int z, and P is the even part of its cubic (even_part)."""
+        ints for int z, and P is the even part of its cubic (split), whose
+        odd part must vanish."""
         (_, _, my, mk), m = _family_ints()
         zu = [m * z[0], *(my * c for c in z[1:4]), 0, 0, 0, 0]
         zw = [0, 0, 0, 0, *(mk * c for c in z[4:])]
-        return self.even_part(zu, zw, lambda even, odd: (
-            f"P = {_sqrt10(even, odd, m ** 3)} at s = {z[0]}, {_where(z)}"))
+        even, odd = self.split(zu, zw)
+        if odd:
+            raise InternalConsistencyError(
+                "sqrt(10)-odd part of P does not vanish: P = "
+                f"{_sqrt10(even, odd, m ** 3)} at s = {z[0]}, {_where(z)}")
+        return even
 
     def fp_value(self, z) -> Fraction:
         """P(xi) for the block coordinates z of xi: fp_numerator over M^3."""

@@ -414,12 +414,18 @@ class G2Frame:
 
     def iso_i_inv_upper(self, n: Form) -> list:
         """The flat upper triangle of 2 i^{-1}(n) for a 3-form n of pure
-        27 type (the caller's to check), in the coefficients' own type
-        with no rescale: i^{-1}(b) of b = n / d is this triangle over
-        2 d.  All 49 signed sums <n, f_ij> are taken, each blade of n
-        scattered into the sums that read it (_inv_index), int 0 when n
-        has none of the blades of f_ij, so that symmetry and trace stay
-        real checks.
+        27 type, in the coefficients' own type with no rescale: i^{-1}(b)
+        of b = n / d is this triangle over 2 d.  All 49 signed sums
+        <n, f_ij> are taken, each blade of n scattered into the sums that
+        read it (_inv_index), int 0 when n has none of the blades of
+        f_ij, so that symmetry and trace stay real checks.
+
+        By Schur's lemma a 1-part of n shows in these sums as a trace and
+        a 7-part as a skew part, so any n outside Lambda^3_27 raises
+        InternalConsistencyError here.  A caller that holds outside input
+        gates it first (require_pure27), for the TypeDecompositionError
+        that names it; an internal caller that holds combinations of
+        gated forms needs no gate of its own.
         """
         sums = _scattered_sums(n, self._inv_index, DIM * DIM)
         skew = next(((i, j) for i, j in TRIANGLE

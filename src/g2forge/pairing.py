@@ -787,16 +787,13 @@ def haar_average(xi: Su3Element, samples: int, seed: int) -> dict:
 
 def with_prediction(xi: Su3Element, sampled: dict) -> dict:
     """A haar_average record with the projection it must approach,
-    (<P, i det>/<i det, i det>) i det(xi), and its relative error; the
-    keys in haar_average_check's order, std_error last."""
+    (<P, i det>/<i det, i det>) i det(xi), and its relative error."""
     rep = pairing_report()
     factor = rep["first_principles_pairing"] / rep["idet_self"]
     predicted = float(factor) * float(xi.i_det())
     denom = max(abs(predicted), 1e-12)
-    out = dict(sampled, predicted=predicted,
-               relative_error=abs(sampled["empirical"] - predicted) / denom)
-    out["std_error"] = out.pop("std_error")
-    return out
+    return dict(sampled, predicted=predicted,
+                relative_error=abs(sampled["empirical"] - predicted) / denom)
 
 
 def haar_average_check(xi: Su3Element, samples: int, seed: int) -> dict:

@@ -311,26 +311,58 @@ def test_c_raise_names_x_and_the_first_differing_blade(monkeypatch):
 
 
 def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
-    # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in the C(e_i) of the basis
-    # lands in W; one in phitilde lands in U, the rational half, and W
-    # stays pure 27
+    # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in the C(e_i) of the basis,
+    # which W reads, or in phitilde, which U reads, fails the one gate,
+    # block_basis's, on both routes to P, at a tensor-display point, at
+    # a solver point and in the table's build (its cache cleared on entry
+    # and on exit, so that the build reruns under the patch)
     stray = g2frame.kappa[1]
+    xi, z = _xi_with_m4_part(), (1, 1, -1, 2, 1, 0, 1, -1)
+    calls = [lambda: first_principles_value(xi),
+             lambda: first_principles_value(xi, single_route=True),
+             lambda: tensor_displays(z), lambda: aw._solver_products(z),
+             block_tables]
     for target, name, value in (
             (aw, "c_of", lambda x: c_direct(x) + stray),
             (awframe, "phi_tilde", awframe.phi_tilde + stray)):
         with patched_basis(monkeypatch) as patch:
             patch.setattr(target, name, value)
-            for single_route in (False, True):
-                with pytest.raises(TypeDecompositionError,
-                                   match="comparison form is not of pure 27 type"):
-                    first_principles_value(_xi_with_m4_part(),
-                                           single_route=single_route)
+            aw._built_block_tables.cache_clear()
+            try:
+                for call in calls:
+                    with pytest.raises(TypeDecompositionError) as err:
+                        call()
+                    assert str(err.value) == \
+                        "block basis is not of pure 27 type"
+            finally:
+                aw._built_block_tables.cache_clear()
 
 
-def _odd(even, odd):
-    """The message of an even/odd split whose odd part a test expects
-    to vanish."""
-    return f"odd part {odd}"
+def test_block_forms_pass_one_gate(monkeypatch):
+    """The type-27 gate runs on the eight forms of the block basis and on
+    no combination of them: once the basis is built, a two-route P, a
+    tensor-display point and a solver point make no is_pure27 call, and
+    a fresh basis makes 8."""
+    xi, z = _xi_with_m4_part(), (1, 1, -1, 2, 1, 0, 1, -1)
+    calls = (lambda: first_principles_value(xi), lambda: tensor_displays(z),
+             lambda: aw._solver_products(z))
+    # the basis, the block table and the phitilde displays are built here
+    for call in calls:
+        call()
+    count = [0]
+    is_pure27 = G2Frame.is_pure27
+
+    def counted(self, b):
+        count[0] += 1
+        return is_pure27(self, b)
+
+    monkeypatch.setattr(G2Frame, "is_pure27", counted)
+    made = []
+    for call in calls + (aw.block_basis.cache_clear, aw.block_basis):
+        count[0] = 0
+        call()
+        made.append(count[0])
+    assert made == [0, 0, 0, 0, 8]
 
 
 @pytest.mark.parametrize("route, bump, message", [
@@ -349,10 +381,10 @@ def test_first_principles_split_route_checked(monkeypatch, route, bump,
     _, _, d, zu, zw = aw.comparison_form(xi)
     den = 2 * d ** 3
     value = first_principles_value(xi)
-    assert value == Fraction(2 * block_tables().even_part(zu, zw, _odd), den)
+    assert value == Fraction(2 * block_tables().split(zu, zw)[0], den)
     if route == "split":
-        split = aw._split
-        monkeypatch.setattr(aw, "_split", lambda *t: tuple(
+        split = aw._BlockTables.split
+        monkeypatch.setattr(aw._BlockTables, "split", lambda *t: tuple(
             x + b for x, b in zip(split(*t), bump)))
         native, routes = (value, 0), (value + Fraction(2 * bump[0], den),
                                       Fraction(2 * bump[1], den))
@@ -402,8 +434,8 @@ def test_split_cubic_matches_four_pass_expansion():
     tab = block_tables()
     for xi in _split_oracle_elements():
         u, w, _, zu, zw = aw.comparison_form(xi)
-        even = tab.even_part(zu, zw, _odd)
-        assert type(even) is int
+        even, odd = tab.split(zu, zw)
+        assert type(even) is int and odd == 0
         assert reference.split_cubic(u, w) == (2 * even, 0)
 
 
@@ -686,7 +718,8 @@ def test_block_tables_match_solver():
         z = block_coords(s, y, x)
         assert tab.tri(z, z, z) == reference.aw_block_products(s, y, x)[-1]
         # the six products against the solver route of block_products
-        direct = [r["computed"] for r in block_products(z)[:6]]
+        direct = [r["computed"] for r in
+                  block_products(z, *aw._solver_products(z))[:6]]
         assert list(tab.products(z)) == direct
     for _ in range(3):
         xi = random_su3(rng, 3)
@@ -845,7 +878,8 @@ def test_block_products_partition():
 def test_block_products_single_point():
     s, y, x = 1, vector_form([1, 0, 0, 0, 0, 0, 0]), \
         vector_form([0, 0, 0, 1, 0, 0, 0])
-    rows = block_products(block_coords(s, y, x))
+    z = block_coords(s, y, x)
+    rows = block_products(z, *aw._solver_products(z))
     by_name = {r["product"]: r for r in rows}
     assert by_name["p(phitilde, phitilde)"]["computed"] == -210
     assert by_name["p(phitilde, C(x))"]["computed"] == 33
@@ -959,7 +993,8 @@ def test_block_products_match_fraction_oracle():
     points += [blocks_of(p) for p in
                itertools.islice(principal_lattice(8, 3), 0, 120, 30)]
     for s, y, x in points:
-        rows = block_products(block_coords(s, y, x))
+        z = block_coords(s, y, x)
+        rows = block_products(z, *aw._solver_products(z))
         got = [r["computed"] for r in rows] + [rows[-1]["display"]]
         assert got == reference.aw_block_products(s, y, x)
         assert all(type(v) is Fraction for v in got)
@@ -1171,6 +1206,58 @@ def test_swapped_block_coords_fail_checks(fresh_python):
         "pairing.montecarlo-agreement"]
 
 
+_BASIS_MUTANT = """
+import inspect, json, sys
+from g2forge import aw, g2, suites
+if sys.argv[1] == "stray-kappa":
+    # a Lambda^3_7 part, kappa_2 = e_2 -| psi, in each C(e_i) of the basis
+    c_of, stray = aw.c_of, g2.standard_frame().kappa[1]
+    aw.c_of = lambda x: c_of(x) + stray
+else:
+    # _on_basis overwriting a blade's coefficient instead of adding to it
+    source = inspect.getsource(aw._on_basis)
+    old = "terms[m] = terms.get(m, 0) + c * t"
+    assert source.count(old) == 1
+    exec(source.replace(old, "terms[m] = c * t"), vars(aw))
+failed = [c for r in (suites.suite_aw(1, n_random=5),
+                      suites.suite_pairing(1, n_random=5, samples=10 ** 4))
+          for c in r["checks"]
+          if c["status"] != "pass" and c["id"] not in suites.AW_BY_DESIGN]
+print(json.dumps([[c["id"] for c in failed], failed[0]["actual"]]))
+"""
+
+# the pairing checks that read P, all of which a raising P fails
+_P_READERS = ["pairing.closed-assembly", "pairing.component-values",
+              "pairing.first-principles-nonzero", "pairing.idet-self",
+              "pairing.montecarlo-agreement", "pairing.montecarlo-deterministic",
+              "pairing.montecarlo-scaling", "pairing.p-poly-real",
+              "pairing.pure-z-support"]
+
+
+@pytest.mark.parametrize("mutant, aw_failed, first", [
+    ("stray-kappa",
+     ["aw.block-products", "aw.decompose-roundtrip", "aw.revert-map",
+      "aw.tensor-displays", "aw.value-two-routes"],
+     "TypeDecompositionError: block basis is not of pure 27 type"),
+    ("overwriting-on-basis",
+     ["aw.block-products", "aw.decompose-roundtrip", "aw.revert-map",
+      "aw.value-two-routes"],
+     "InternalConsistencyError: recovered tensor is not traceless: trace 8"),
+], ids=["stray-kappa", "overwriting-on-basis"])
+def test_block_basis_mutants_fail_the_pinned_checks(fresh_python, mutant,
+                                                    aw_failed, first):
+    """Two defects of the block forms, in a fresh interpreter, against the
+    aw and pairing suites at seed 1 with five random points and 10^4
+    samples: a stray 7-part in each C(e_i), which the one gate at
+    block_basis catches, and _on_basis overwriting where blades of the
+    basis overlap (phitilde with the e_a ^ Omega), whose combinations
+    iso_i_inv_upper's trace check catches.  Exactly the pinned checks
+    fail besides the ledger ids, the first with the pinned actual."""
+    proc = fresh_python(_BASIS_MUTANT, mutant)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [aw_failed + _P_READERS, first]
+
+
 _FIT_MUTANT = """
 import contextlib, io, json, sys
 from g2forge import aw, cli
@@ -1229,8 +1316,9 @@ def test_block_fits_name_both_values(monkeypatch):
     z = (1, 1, -1, 2, 1, 0, 1, -1)
     p = tab.fp_value(z)
     # an odd part of 216 = M^3 is 1 sqrt(10) in P
-    split = aw._split
-    monkeypatch.setattr(aw, "_split", lambda *t: (split(*t)[0], 216))
+    split = aw._BlockTables.split
+    monkeypatch.setattr(aw._BlockTables, "split",
+                        lambda *t: (split(*t)[0], 216))
     with pytest.raises(InternalConsistencyError) as err:
         tab.fp_numerator(z)
     assert str(err.value) == (

@@ -319,17 +319,24 @@ def test_import_layers(fresh_python, tmp_path, g2frame, code, loaded,
 def test_one_type_27_gate():
     """The gate's text is written once, and every gate that raises on
     is_pure27 is require_pure27: is_pure27 is read there and by the one
-    check that counts the forms that pass."""
+    check that counts the forms that pass.  aw gates its block forms
+    once, at the block basis, whose combinations they all are."""
     texts = [f"{path.name}:{node.lineno}" for path in SOURCES
              for node in ast.walk(_tree(path))
              if isinstance(node, ast.Constant) and node.value ==
              "form has components outside the 27-dimensional summand"]
-    callers = sorted(f"{path.name}:{fn.name}" for path in SOURCES
-                     for fn in ast.walk(_tree(path))
-                     if isinstance(fn, ast.FunctionDef)
-                     for node in ast.walk(fn)
-                     if isinstance(node, ast.Attribute)
-                     and node.attr == "is_pure27")
+
+    def readers(attr, paths):
+        return sorted(f"{path.name}:{fn.name}" for path in paths
+                      for fn in ast.walk(_tree(path))
+                      if isinstance(fn, ast.FunctionDef)
+                      for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == attr)
+
     assert len(texts) == 1 and texts[0].startswith("g2.py:")
     # g2.iso-inverse-roundtrip counts the basis forms that pass the gate
-    assert callers == ["g2.py:require_pure27", "suites.py:suite_g2"]
+    assert readers("is_pure27", SOURCES) == \
+        ["g2.py:require_pure27", "suites.py:suite_g2"]
+    aw = [path for path in SOURCES if path.name == "aw.py"]
+    assert readers("require_pure27", aw) == ["aw.py:block_basis"]

@@ -149,7 +149,7 @@ def test_rank_matches_gauss_jordan_on_the_g2_suite_matrices(g2frame):
     assert ranks == [_echelon_rank(M) for M in matrices]
 
 
-def test_rank_runs_no_elimination_and_makes_no_fraction(monkeypatch):
+def test_rank_makes_no_fraction(monkeypatch):
     made = []
     new = Fraction.__new__
 

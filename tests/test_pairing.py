@@ -274,9 +274,9 @@ def test_integer_kernels_run_on_the_ring():
     assert odd == 0
     assert Fraction(1, 2 * m ** 3) * even == first_principles_p_poly()
     tab = aw.block_tables()
-    assert Fraction(1, m ** 3) * tab.even_part(
-        zu, zw, lambda even, odd: f"odd part {odd}") == \
-        first_principles_p_poly()
+    table_even, table_odd = tab.split(zu, zw)
+    assert table_odd == 0
+    assert Fraction(1, m ** 3) * table_even == first_principles_p_poly()
     generic = aw.block_coords(*aw.decompose(pairing._xi_from_coords(coords)))
     assert tab.fp_numerator(generic) == m ** 3 * first_principles_p_poly()
 
