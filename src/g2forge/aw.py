@@ -101,8 +101,8 @@ from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, \
     coords_of, contract, hodge_m4, vector, vector_form, wedge
-from .g2 import InternalConsistencyError, _expanded, first_difference, \
-    standard_frame, two_form_endo
+from .g2 import InternalConsistencyError, TypeDecompositionError, \
+    _expanded, first_difference, standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import GaussRational, QuadExt, ScalarError, _element, \
@@ -704,6 +704,29 @@ def verify_block_products(rng, n_random: int) -> list[dict]:
 
 
 @functools.cache
+def _built(build):
+    """What build() returns, or the InternalConsistencyError or
+    TypeDecompositionError it raises: keyed by the build callable, a
+    failed build is cached like a passing one and never rerun."""
+    try:
+        return build()
+    except (InternalConsistencyError, TypeDecompositionError) as exc:
+        return exc
+
+
+def _once(build):
+    """build as the process's value, built once (_built); after a failed
+    build each call raises a fresh error of its class with its text."""
+    @functools.wraps(build)
+    def value():
+        got = _built(build)
+        if isinstance(got, Exception):
+            raise type(got)(str(got))
+        return got
+    return value
+
+
+@_once
 def block_basis() -> tuple[Form, ...]:
     """The forms (phitilde, e1^Omega, e2^Omega, e3^Omega, C(e4), ...,
     C(e7)), orthogonal with squared norms 42, 2 and 12 on the three
@@ -829,23 +852,10 @@ class _BlockTables:
         return Fraction(self.fp_numerator(z), _family_ints()[1] ** 3)
 
 
-@functools.cache
-def _built_block_tables():
-    """The block table, or the InternalConsistencyError its build raised:
-    a failed build is cached like a passing one and never rerun."""
-    try:
-        return _BlockTables()
-    except InternalConsistencyError as exc:
-        return exc
-
-
+@_once
 def block_tables() -> _BlockTables:
-    """The process's block table; after a failed build each call raises
-    a fresh InternalConsistencyError with the build's text."""
-    tab = _built_block_tables()
-    if isinstance(tab, InternalConsistencyError):
-        raise InternalConsistencyError(str(tab))
-    return tab
+    """The process's block table."""
+    return _BlockTables()
 
 
 @functools.cache

@@ -55,9 +55,9 @@ from __future__ import annotations
 import functools
 import json
 
-from .exterior import BLADES_BY_GRADE, Form, GradeError, _contract_sign, \
-    blade_indices, form_from_coords, form_to_coords, form_to_json, hodge, \
-    inner, merge_sign, norm_sq, numerators, vol_coefficient, wedge
+from .exterior import BLADES_BY_GRADE, Form, GradeError, blade_indices, \
+    form_from_coords, form_to_coords, form_to_json, hodge, inner, \
+    merge_sign, norm_sq, numerators, vol_coefficient, wedge
 from .g2 import OUTSIDE_27, G2Frame, InternalConsistencyError, \
     standard_frame, star_action
 from .linalg import DIAGONAL, TRIANGLE, SymTensor, upper_inner
@@ -68,7 +68,8 @@ def _pair_table(grade: int) -> dict[int, tuple]:
     """p on k-forms blade-major: each k-blade m as the triples (k, m',
     sign) with <e_i -| a1, e_j -| a2> = sum sign a1[m] a2[m'] for the
     upper-triangle entry k = (i, j), i <= j, at linalg.TRIANGLE[k], sign
-    the product of the two contraction signs."""
+    the product of the two contraction signs: both leave the same rest
+    of m, so each is the merge sign of e_i or e_j against it."""
     table = {}
     for m in BLADES_BY_GRADE[grade]:
         triples = []
@@ -76,8 +77,8 @@ def _pair_table(grade: int) -> dict[int, tuple]:
             rest = m ^ 1 << i
             if m >> i & 1 and not rest >> j & 1:
                 mm = rest | 1 << j
-                triples.append(
-                    (k, mm, _contract_sign(i, m) * _contract_sign(j, mm)))
+                triples.append((k, mm, merge_sign(1 << i, rest)
+                                * merge_sign(1 << j, rest)))
         table[m] = tuple(triples)
     return table
 
@@ -136,7 +137,7 @@ def _rhs_table() -> dict[int, tuple]:
         for j in range(7):
             if m4 >> j & 1:
                 rest = m4 ^ (1 << j)
-                sign = _contract_sign(j, m4)
+                sign = merge_sign(1 << j, rest)
                 # each 6-blade m6 that contains rest, with m3 = m6 - rest
                 rows += [(7 * j + p, m6 ^ rest,
                           -sign * merge_sign(m6 ^ rest, rest))

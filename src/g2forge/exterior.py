@@ -3,14 +3,16 @@
 Basis blades are 7-bit masks: bit i set means the factor e_{i+1} is
 present, and the blade is the wedge of its factors in increasing index
 order.  A form of grade k is a sparse map from k-bit masks to nonzero
-coefficients.  All signs come from the parity of the transpositions
-that merge two masks, so wedge, contraction and the Hodge star are
-exact for any coefficient type that supports ring arithmetic.  The
-Hodge star and a wedge into the top degree read the sign of each blade
-against its complement from one 128-entry table, and merge_sign reads
-its parity off another; a wedge below the top degree looks up, for each
-blade of its first factor, only the blades of the second that can meet
-it when the second holds more than that.
+coefficients.  Every sign is one parity, the transpositions that merge
+two masks, read off one 128-entry table (_ODD_BELOW, through
+merge_sign), so wedge, contraction and the Hodge star are exact for any
+coefficient type that supports ring arithmetic.  A contraction e_i -|
+e^m is the merge of e_i with the rest of m read backwards, and the
+Hodge star reads the sign of each blade against its complement from
+_HODGE_SIGN, that parity tabulated once.  A wedge runs one loop for
+every pair of grades: for each blade of its first factor it looks up
+only the blades of the second that can meet it when the second holds
+more than that, which at the top degree is the complement alone.
 
 Indices are 1-based everywhere in the public interface (e1..e7), to
 match the usual way these forms are written out.
@@ -80,13 +82,8 @@ def merge_sign(m1: int, m2: int) -> int:
 
 
 # merge_sign(m, FULL_MASK ^ m) for every mask m: the sign of the Hodge
-# star on e^m, and of e^m ^ e^{m^c} in a top-degree wedge
+# star on e^m
 _HODGE_SIGN = tuple(merge_sign(m, FULL_MASK ^ m) for m in range(1 << DIM))
-
-
-def _contract_sign(bit_pos: int, mask: int) -> int:
-    below = (mask & ((1 << bit_pos) - 1)).bit_count()
-    return -1 if below & 1 else 1
 
 
 def _grade_blades():
@@ -169,8 +166,8 @@ class Form:
             return NotImplemented
         return Form(self.grade, {m: c * scalar for m, c in self.terms.items()})
 
-    def __rmul__(self, scalar):
-        return Form(self.grade, {m: scalar * c for m, c in self.terms.items()})
+    # the scalars commute
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Form):
@@ -235,20 +232,10 @@ def wedge(a: Form, b: Form) -> Form:
     if a.grade + b.grade > DIM:
         raise GradeError(f"wedge of grades {a.grade}+{b.grade} exceeds {DIM}")
     terms = {}
-    if a.grade + b.grade == DIM:
-        # only complementary blades meet, each pair with its Hodge sign
-        get = b.terms.get
-        for m1, c1 in a.terms.items():
-            c2 = get(FULL_MASK ^ m1)
-            if c2 is not None:
-                c = _HODGE_SIGN[m1] * c1 * c2
-                acc = terms.get(FULL_MASK)
-                terms[FULL_MASK] = c if acc is None else acc + c
-        return Form(DIM, terms)
     odd = _ODD_BELOW
     get = b.terms.get
     # when b holds more blades than can meet a blade of a, look up only
-    # those that can
+    # those that can (at the top degree, the complement alone)
     disjoint = _disjoint_blades(b.grade) \
         if len(b.terms) > comb(DIM - a.grade, b.grade) else None
     for m1, c1 in a.terms.items():
@@ -274,12 +261,12 @@ def contract(v: Form, a: Form) -> Form:
         raise GradeError("cannot contract into a 0-form")
     terms = {}
     for mv, cv in v.terms.items():
-        pos = mv.bit_length() - 1
         for ma, ca in a.terms.items():
-            if not ma >> pos & 1:
+            if not ma & mv:
                 continue
+            # e_i -| e^{ma} = s e^m for e^{ma} = s e_i ^ e^m
             m = ma ^ mv
-            c = _contract_sign(pos, ma) * cv * ca
+            c = merge_sign(mv, m) * cv * ca
             acc = terms.get(m)
             terms[m] = c if acc is None else acc + c
     return Form(a.grade - 1, terms)

@@ -155,8 +155,6 @@ def _echelon(rows: list[list], width: int, track: list[int]) -> list[int]:
     pivots = []
     nrows, r = len(rows), 0
     for c in range(width):
-        if r == nrows:
-            break
         best = next((i for i in range(r, nrows) if rows[i][c]), None)
         if best is None:
             continue

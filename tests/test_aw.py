@@ -282,15 +282,16 @@ def _xi_with_m4_part():
 
 @contextlib.contextmanager
 def patched_basis(monkeypatch):
-    """A monkeypatch context that the block basis is rebuilt under: its
-    cache is cleared on entry and again on exit, so the patches reach
-    the basis and no patched basis outlives the context."""
+    """A monkeypatch context that the block basis and the block table
+    are rebuilt under: the cache of their builds is cleared on entry and
+    again on exit, so the patches reach both and no patched build
+    outlives the context."""
     with monkeypatch.context() as patch:
-        aw.block_basis.cache_clear()
+        aw._built.cache_clear()
         try:
             yield patch
         finally:
-            aw.block_basis.cache_clear()
+            aw._built.cache_clear()
 
 
 def test_first_principles_c_constructions_checked(monkeypatch):
@@ -314,8 +315,8 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
     # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in the C(e_i) of the basis,
     # which W reads, or in phitilde, which U reads, fails the one gate,
     # block_basis's, on both routes to P, at a tensor-display point, at
-    # a solver point and in the table's build (its cache cleared on entry
-    # and on exit, so that the build reruns under the patch)
+    # a solver point and in the table's build (patched_basis clears the
+    # table's cache too, so that the build reruns under the patch)
     stray = g2frame.kappa[1]
     xi, z = _xi_with_m4_part(), (1, 1, -1, 2, 1, 0, 1, -1)
     calls = [lambda: first_principles_value(xi),
@@ -327,15 +328,10 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
             (awframe, "phi_tilde", awframe.phi_tilde + stray)):
         with patched_basis(monkeypatch) as patch:
             patch.setattr(target, name, value)
-            aw._built_block_tables.cache_clear()
-            try:
-                for call in calls:
-                    with pytest.raises(TypeDecompositionError) as err:
-                        call()
-                    assert str(err.value) == \
-                        "block basis is not of pure 27 type"
-            finally:
-                aw._built_block_tables.cache_clear()
+            for call in calls:
+                with pytest.raises(TypeDecompositionError) as err:
+                    call()
+                assert str(err.value) == "block basis is not of pure 27 type"
 
 
 def test_block_forms_pass_one_gate(monkeypatch):
@@ -358,7 +354,7 @@ def test_block_forms_pass_one_gate(monkeypatch):
 
     monkeypatch.setattr(G2Frame, "is_pure27", counted)
     made = []
-    for call in calls + (aw.block_basis.cache_clear, aw.block_basis):
+    for call in calls + (aw._built.cache_clear, aw.block_basis):
         count[0] = 0
         call()
         made.append(count[0])
@@ -455,7 +451,7 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     k, mm, sign = table[e123][1]
     monkeypatch.setitem(table, e123,
                         table[e123][:1] + ((k, mm, -sign),) + table[e123][2:])
-    aw._built_block_tables.cache_clear()
+    aw._built.cache_clear()
     try:
         first_principles_value(xi, single_route=True)
         with pytest.raises(InternalConsistencyError,
@@ -464,7 +460,7 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
             first_principles_value(xi)
     finally:
         monkeypatch.undo()
-        aw._built_block_tables.cache_clear()
+        aw._built.cache_clear()
     assert first_principles_value(xi) == want
 
 
@@ -1256,6 +1252,33 @@ def test_block_basis_mutants_fail_the_pinned_checks(fresh_python, mutant,
     proc = fresh_python(_BASIS_MUTANT, mutant)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [aw_failed + _P_READERS, first]
+
+
+_FAILED_BASIS_KEPT = """
+from g2forge import aw, g2, suites
+c_of, stray = aw.c_of, g2.standard_frame().kappa[1]
+aw.c_of = lambda x: c_of(x) + stray
+builds = []
+gate = g2.G2Frame.require_pure27
+def counted(self, message, *forms):
+    if message == "block basis is not of pure 27 type":
+        builds.append(1)
+    return gate(self, message, *forms)
+g2.G2Frame.require_pure27 = counted
+suites.suite_aw(1, n_random=5)
+suites.suite_pairing(1, n_random=5, samples=10 ** 4)
+print(len(builds))
+"""
+
+
+def test_failed_basis_build_runs_once(fresh_python):
+    """A stray 7-part in each C(e_i), in a fresh interpreter: the block
+    basis fails its gate once, and the aw and pairing suites at seed 1,
+    whose every reader of the basis then raises, never build it again
+    (17 builds when a failed build was not kept)."""
+    proc = fresh_python(_FAILED_BASIS_KEPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 _FIT_MUTANT = """

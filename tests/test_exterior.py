@@ -1,5 +1,6 @@
 """The seven-dimensional exterior algebra over the orthonormal frame."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -84,6 +85,38 @@ def test_merge_sign_counts_inversions():
                for m1, m2 in pairs)
 
 
+def _oracle_contract(v, a):
+    """v -| a by counting inversions: e_i -| e^m is s e^{m - i} for
+    e^m = s e_i ^ e^{m - i}."""
+    terms = {}
+    for mv, cv in v.terms.items():
+        for ma, ca in a.terms.items():
+            if ma & mv:
+                c = reference.inversion_sign(mv, ma ^ mv) * cv * ca
+                acc = terms.get(ma ^ mv)
+                terms[ma ^ mv] = c if acc is None else acc + c
+    return Form(a.grade - 1, terms)
+
+
+@pytest.mark.parametrize("coeff", [
+    3, Fraction(-2, 3), QuadExt(Fraction(1, 2), -1)],
+    ids=["int", "fraction", "quadext"])
+def test_contract_matches_inversion_count(coeff):
+    # each unit vector against every blade of grades 1..7, as a
+    # coefficient on either side, entry types included
+    for i in range(1, 8):
+        for grade in range(1, 8):
+            for m in ext.BLADES_BY_GRADE[grade]:
+                for v, a in ((vector(i), Form(grade, {m: coeff})),
+                             (Form(1, {1 << i - 1: coeff}),
+                              Form(grade, {m: 1}))):
+                    got, want = contract(v, a), _oracle_contract(v, a)
+                    assert got == want
+                    assert ({m: type(c) for m, c in got.terms.items()}
+                            == {m: type(c) for m, c in want.terms.items()})
+                    assert got.is_zero() != bool(m >> i - 1 & 1)
+
+
 @pytest.mark.parametrize("kind", [int, Fraction, QuadExt])
 def test_wedge_matches_pairwise(kind):
     # below the top degree, for every pair of grades: sparse forms run
@@ -113,7 +146,8 @@ def test_wedge_matches_pairwise(kind):
 
 @pytest.mark.parametrize("kind", [int, Fraction, QuadExt])
 def test_top_degree_wedge_matches_pairwise(kind):
-    # the complement lookup gives the pairwise wedge for every split
+    # the one wedge loop, which at the top degree looks up only the
+    # complement of each blade, gives the pairwise wedge for every split
     # (k, 7 - k), entry types and cancelled sums included
     rng = random.Random(17)
 
@@ -302,3 +336,36 @@ def test_numerators_of_quadext_forms_have_integral_parts():
         else:
             assert type(c) is int
     assert _scaled_back(n, d) == a
+
+
+_SIGN_FLIP = """
+import json, sys
+from g2forge import exterior as ext
+# one bit of the parity table flipped, the Hodge signs rederived from
+# it, before anything reads either
+mask, bit = map(int, sys.argv[1].split(","))
+odd = list(ext._ODD_BELOW)
+odd[mask] ^= 1 << bit
+ext._ODD_BELOW = tuple(odd)
+ext._HODGE_SIGN = tuple(ext.merge_sign(m, ext.FULL_MASK ^ m)
+                        for m in range(128))
+from g2forge import suites
+report = suites.run_suites(["exterior", "g2", "cubic"], 1, n_random=5)
+print(json.dumps(sorted(c["id"] for r in report["suites"]
+                        for c in r["checks"] if c["status"] != "pass")))
+"""
+
+
+@pytest.mark.parametrize("flip", ["3,5", "10,6"])
+def test_sign_table_flips_fail_the_pinned_checks(fresh_python, flip):
+    """One bit of _ODD_BELOW flipped, in a fresh interpreter, against the
+    exterior, g2 and cubic suites at seed 1 with five random points.
+    Wedge, contraction, the Hodge star and the cubic's sign tables all
+    read the one table, so the flip reaches the cubic's pair table and
+    its checks on the trilinear form fail besides the exterior's."""
+    proc = fresh_python(_SIGN_FLIP, flip)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "cubic.q-and-p-displays", "cubic.trilinear-routes",
+        "cubic.trilinear-symmetry", "exterior.contraction-antiderivation",
+        "exterior.hodge-involution", "exterior.metric-recovery"]
