@@ -17,9 +17,9 @@ and the comparison 3-form
 with its two coefficients (Y, K) written once, in FAMILY; the sqrt(10)
 is the field's.  It is a pure-27 form whose cubic P(xi) = <p(A, A),
 i^{-1}(A)> is the second-order obstruction polynomial.  P is evaluated
-along two exact routes (native sqrt(10) arithmetic on the kernels, and
-the block table's even/odd split in sqrt(10)) that must agree; the
-sqrt(10)-odd part must vanish.
+along two exact routes (the int kernels once on U + 2^k W, read back in
+Q(sqrt(10)), and the block table's even/odd split in sqrt(10)) that
+must agree; the sqrt(10)-odd part must vanish.
 
 Every block form is an integer combination of one block basis,
 (phitilde, e_a ^ Omega, C(e_i)), built once by block_basis, the only
@@ -28,11 +28,18 @@ as D A = U + sqrt(10) W on it: for the integer element Xi = e xi and
 the least M that makes M/2, MY/2 and MK ints, D = Me, U = D (s phitilde
 + Y y ^ Omega) and W = D K C(x).  Every integer the module derives from
 (Y, K) comes from _family_ints.
-Route one composes the cubic from the int parts of the kernels,
-cubic.quadratic_upper, G2Frame.iso_i_inv_upper and linalg.upper_inner,
-on U + sqrt(10) W (cubic.p_numerator), and divides once, by 2 D^3; the
-kernels read precomputed signed blade tables, build no Form and pass
-flat upper triangles in linalg's layout.  Route two is the block
+Route one evaluates the numerator cubic of U + sqrt(10) W
+(cubic.p_numerator, on the int kernels cubic.quadratic_upper,
+G2Frame.iso_i_inv_upper and linalg.upper_inner) in Z[t] at t = 2^k, by
+Kronecker substitution: the kernels run once, on the int 3-form
+U + 2^k W, and the four balanced base-2^k digits c0..c3 of the result
+are the coefficients of the cubic in t, so t^2 = 10 gives r + q sqrt(10)
+= (c0 + 10 c2) + (c1 + 10 c3) sqrt(10).  With S the sum of the sizes of
+the coefficients of U and W, every c_j is at most 6 S^3 in size, and k
+is the least width with 6 S^3 < 2^(k-1) (_digit_bits).  Route one
+divides once, by 2 D^3; the kernels read precomputed signed blade
+tables, build no Form and pass flat upper triangles in linalg's layout,
+and no QuadExt is built.  Route two is the block
 table's split in sqrt(10) (_BlockTables.split) at the int block
 coordinates comparison_form builds U and W from: its even part is D^3
 P, half the native value, and its sqrt(10)-odd part must vanish.  A
@@ -105,8 +112,8 @@ from .g2 import InternalConsistencyError, TypeDecompositionError, \
     _expanded, first_difference, standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
-from .scalars import GaussRational, QuadExt, ScalarError, _element, \
-    clear_denominators, scalar_to_json
+from .scalars import GaussRational, ScalarError, clear_denominators, \
+    scalar_to_json
 
 
 class AWFrame:
@@ -323,8 +330,8 @@ def first_principles_value(xi: Su3Element, *,
     """P(xi) on the integer numerators (U, W, D) of comparison_form: the
     numerator cubic (cubic.p_numerator) of U + sqrt(10) W over 2 D^3.
 
-    Route one evaluates it natively in Q(sqrt(10)), on the form
-    _quad_form builds; route two is the block table's even/odd split
+    Route one evaluates it in Z[t] at t = 2^k, by Kronecker substitution
+    (_route_one); route two is the block table's even/odd split
     (_BlockTables.split) at the int block coordinates of U and W, whose
     even part is D^3 P, half the native value, and whose sqrt(10) part
     must vanish.
@@ -334,10 +341,7 @@ def first_principles_value(xi: Su3Element, *,
     r + q sqrt(10), and xi.
     """
     u, w, d, zu, zw = comparison_form(xi)
-    a = _quad_form(u, w)
-    native = p_numerator(a, standard_frame().iso_i_inv_upper(a))
-    rat, irr = (native.rat, native.irr) if isinstance(native, QuadExt) \
-        else (native, 0)
+    rat, irr = _route_one(u, w)
     even, odd = (None, 0) if single_route else block_tables().split(zu, zw)
     for what, failed in (("sqrt(10)-odd part of P does not vanish", odd),
                          ("P has a sqrt(10) component", irr),
@@ -358,15 +362,48 @@ def _sqrt10(r, q, scale) -> str:
     return f"{Fraction(r, scale)} + {Fraction(q, scale)} sqrt(10)"
 
 
-def _quad_form(u: Form, w: Form) -> Form:
-    """u + sqrt(10) w for int 3-forms u and w, in one pass over their
-    terms, each coefficient of the type the Form sum gives it: the int of
-    u where w lacks the blade, QuadExt(0, w) where u lacks it, and
-    QuadExt(u, w) where both hold it."""
+def _route_one(u: Form, w: Form) -> tuple[int, int]:
+    """(r, q) with r + q sqrt(10) the numerator cubic p_numerator of
+    U + sqrt(10) W, for int 3-forms U and W of pure 27 type.
+
+    The cubic is a polynomial c0 + c1 t + c2 t^2 + c3 t^3 over Z in t,
+    the value at t = sqrt(10) of the int kernels run on U + t W.  They
+    run once, on the int 3-form U + 2^k W (k from _digit_bits), and the
+    c_j are the balanced base-2^k digits of the result (_digits); t^2 =
+    10 gives r = c0 + 10 c2 and q = c1 + 10 c3.  The symmetry and trace
+    checks of iso_i_inv_upper hold on the packed ints exactly when they
+    hold on U and on W: a difference or the trace of its linear digits
+    is at most 7 S in size (S as in _digit_bits), below 2^k."""
+    k = _digit_bits(u, w)
     terms = dict(u.terms)
     for m, c in w.terms.items():
-        terms[m] = _element(QuadExt, terms.get(m, 0), c)
-    return Form(3, terms)
+        terms[m] = terms.get(m, 0) + (c << k)
+    a = Form(3, terms)
+    c0, c1, c2, c3 = _digits(
+        p_numerator(a, standard_frame().iso_i_inv_upper(a)), k)
+    return c0 + 10 * c2, c1 + 10 * c3
+
+
+def _digit_bits(u: Form, w: Form) -> int:
+    """The digit width k of _route_one: the least k with 6 S^3 < 2^(k-1),
+    S = sum |U_m| + sum |W_m|.  Each c_j is at most the cubic at t = 1
+    with every sign made +: each entry of 2 i^{-1} reads a blade once,
+    with sign +-1, so it is at most S; the pair table holds at most 3
+    triples, of sign +-1, per ordered pair of blades, so the entries of
+    p(a, a) sum to at most 3 S^2; upper_inner weighs by at most 2, so
+    |c_j| <= 2 S 3 S^2 = 6 S^3."""
+    s = sum(map(abs, u.terms.values())) + sum(map(abs, w.terms.values()))
+    return (6 * s ** 3).bit_length() + 1
+
+
+def _digits(n: int, k: int) -> list:
+    """c0..c3 with n = c0 + c1 2^k + c2 4^k + c3 8^k, c0..c2 the balanced
+    base-2^k digits of n, each in [-2^(k-1), 2^(k-1)), and c3 the rest."""
+    half, digits = 1 << (k - 1), []
+    for _ in range(3):
+        n, c = divmod(n + half, 2 * half)
+        digits.append(c - half)
+    return digits + [n]
 
 
 def r_value(y: Form, x: Form):

@@ -54,9 +54,12 @@ ALLOWED = frozenset({
     "Form.__repr__", "Matrix.__repr__", "MultiPoly.__repr__",
     "QuadExt.__repr__", "GaussRational.__repr__", "Su3Element.__repr__",
     "SymTensor.__repr__",
-    # value semantics: a hashable value that defines __eq__, and the
-    # equality of SymTensor, without which == falls back to identity
+    # value semantics: a hashable value that defines __eq__, the
+    # equality of SymTensor, without which == falls back to identity, and
+    # a rational minus a field element, which no command computes
+    # (tests/test_scalars.py pins it against the generic formula)
     "_QuadraticField.__hash__", "SymTensor.__eq__",
+    "_QuadraticField.__init_subclass__.rsub",
 })
 
 _RUN = ["run", "--suite", "all", "--random", "5", "--samples", "10000"]

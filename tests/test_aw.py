@@ -5,6 +5,7 @@ import contextlib
 import itertools
 import json
 import random
+import re
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -372,7 +373,8 @@ def test_first_principles_split_route_checked(monkeypatch, route, bump,
     routes, r + q sqrt(10) over 2 D^3, and xi as JSON; single_route
     checks only the native value.  The split route is the block
     table's, D^3 P, so a unit bump of its even or odd part moves P by
-    2 over 2 D^3."""
+    2 over 2 D^3; the native route's bump is added to the (r, q) that
+    _route_one reads off the digits."""
     xi = _xi_with_m4_part()
     _, _, d, zu, zw = aw.comparison_form(xi)
     den = 2 * d ** 3
@@ -386,9 +388,9 @@ def test_first_principles_split_route_checked(monkeypatch, route, bump,
                                       Fraction(2 * bump[1], den))
         assert first_principles_value(xi, single_route=True) == value
     else:
-        numerator = aw.p_numerator
-        monkeypatch.setattr(aw, "p_numerator", lambda n, inv: numerator(
-            n, inv) + QuadExt(*bump))
+        route_one = aw._route_one
+        monkeypatch.setattr(aw, "_route_one", lambda u, w: tuple(
+            x + b for x, b in zip(route_one(u, w), bump)))
         native, routes = (value, Fraction(bump[1], den)), (value, 0)
     where = f"at {json.dumps(xi.to_json())}"
     with pytest.raises(InternalConsistencyError) as err:
@@ -401,6 +403,106 @@ def test_first_principles_split_route_checked(monkeypatch, route, bump,
             first_principles_value(xi, single_route=True)
         assert str(err.value) == (
             f"{message}: native {native[0]} + {native[1]} sqrt(10) {where}")
+
+
+def _route_one_oracle(g2frame, a):
+    """The numerator cubic 2 <p(a, a), i^{-1}(a)> of a 3-form a over
+    Q(sqrt(10)) on the scalar-generic reference kernels, as (r, q)."""
+    value = 2 * reference.sym_inner(reference.quadratic_form(a, a),
+                                    reference.iso_i_inv(g2frame, a))
+    return reference.quad_parts(value)
+
+
+def _route_one_elements() -> list:
+    """The 36 points of the degree-2 lattice in the eight coordinates of
+    xi, then seeded elements with int entries up to 10^6 in size and
+    with Fraction entries whose denominators reach 997."""
+    points = [pairing._xi_from_coords(p) for p in principal_lattice(8, 2)]
+    rng = random.Random(9031)
+    draws = (lambda: rng.randint(-10 ** 6, 10 ** 6),
+             lambda: Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                              rng.randint(1, 997)))
+    for draw in draws:
+        points += [pairing._xi_from_coords([draw() for _ in range(8)])
+                   for _ in range(4)]
+    return points
+
+
+def test_route_one_matches_quadext_oracle(g2frame):
+    """Route one's (r, q) read off the digits of one int evaluation
+    equals the numerator cubic of U + sqrt(10) W on the reference
+    kernels over Q(sqrt(10)): at the comparison form of each element,
+    D^3 times the cubic of the reference's A(xi), and, so that the
+    sqrt(10) digits c1 and c3 are read too, at U of one element with W
+    of the next (disjoint blades) and with U + W of the next (shared
+    blades), whose q need not vanish."""
+    elements = _route_one_elements()
+    assert len(elements) == 36 + 8
+    forms = [aw.comparison_form(xi) for xi in elements]
+    for xi, (u, w, d, _, _) in zip(elements, forms):
+        want = _route_one_oracle(g2frame, reference.comparison_form(xi))
+        assert aw._route_one(u, w) == tuple(d ** 3 * x for x in want)
+    odd = 0
+    for (u, _, _, _, _), (u2, w2, _, _, _) in zip(forms, forms[1:]):
+        for v in (w2, u2 + w2):
+            got = aw._route_one(u, v)
+            assert got == _route_one_oracle(g2frame, u + SQRT10 * v)
+            odd += got[1] != 0
+    assert odd == 23
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_digits_round_trip_at_their_bound(k):
+    """Every digit pattern of +-(2^(k-1) - 1) and 0 packs into one int
+    and unpacks to itself, the top digit taking the rest."""
+    top = (1 << (k - 1)) - 1
+    for digits in itertools.product((-top, 0, top), repeat=4):
+        n = sum(c << (k * j) for j, c in enumerate(digits))
+        assert aw._digits(n, k) == list(digits)
+    assert aw._digits(-5 << (3 * k), k) == [0, 0, 0, -5]
+
+
+_NARROW_DIGITS = """
+import contextlib, io, json
+from g2forge import aw, cli
+# digits two bits wide: the cubic's coefficients overflow them
+aw._digit_bits = lambda u, w: 2
+xi = aw.Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1))
+try:
+    aw.first_principles_value(xi)
+    raised = None
+except aw.InternalConsistencyError as exc:
+    raised = str(exc)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1",
+                     "--format", "json", "--output", "report.json"])
+with open("report.json") as fh:
+    checks = json.load(fh)["suites"][0]["checks"]
+print(json.dumps({"raised": raised, "exit": code, "failed": {
+    c["id"]: c["actual"] for c in checks if c["status"] == "fail"}}))
+"""
+
+
+def test_narrow_digits_fail_the_route_check(fresh_python):
+    """Route one with the digit width forced to 2, in a fresh
+    interpreter: the coefficients of the cubic overflow their digits,
+    and the two-route call raises with the native value, which is not
+    P, and the even/odd value, which is; the aw run records
+    aw.value-two-routes as failed with that raise and exits 1."""
+    proc = fresh_python(_NARROW_DIGITS)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    where = json.dumps(Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1)).to_json())
+    found = re.fullmatch(
+        r"(P has a sqrt\(10\) component|the two routes to P disagree): "
+        r"native (\S+) \+ (\S+) sqrt\(10\), even/odd -2645/9 \+ 0 "
+        r"sqrt\(10\) at " + re.escape(where), out["raised"])
+    assert found, out["raised"]
+    assert (found[2], found[3]) != ("-2645/9", "0")
+    assert out["exit"] == 1
+    actual = out["failed"]["aw.value-two-routes"]
+    assert actual.startswith("InternalConsistencyError: ")
+    assert "native " in actual and "even/odd " in actual
 
 
 def _split_oracle_elements() -> list:
@@ -1387,15 +1489,14 @@ print(calls[0], value)
 
 def test_two_route_value_quadext_count(fresh_python):
     """One two-route first_principles_value at a fixed element, after a
-    first call has built the frame and the tables, builds 302 QuadExt
+    first call has built the frame and the tables, builds no QuadExt
     through scalars._element, which builds every field element an
-    operation returns: QuadExt arithmetic builds no QuadExt for an int or
-    Fraction operand, the kernels start each sum from its first term,
-    not from int 0, and U + sqrt(10) W is built with one QuadExt per
-    blade of W."""
+    operation returns: route one runs the int kernels once on
+    U + 2^k W and reads r + q sqrt(10) off the digits, and route two
+    splits the block table's passes in ints."""
     proc = fresh_python(_COUNT_QUAD)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["302", "-2645/9"]
+    assert proc.stdout.split() == ["0", "-2645/9"]
 
 
 def test_intermediate_display_report():
