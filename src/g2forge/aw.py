@@ -116,6 +116,29 @@ from .scalars import GaussRational, ScalarError, clear_denominators, \
     scalar_to_json
 
 
+@functools.cache
+def _built(build):
+    """What build() returns, or the InternalConsistencyError or
+    TypeDecompositionError it raises: keyed by the build callable, a
+    failed build is cached like a passing one and never rerun."""
+    try:
+        return build()
+    except (InternalConsistencyError, TypeDecompositionError) as exc:
+        return exc
+
+
+def _once(build):
+    """build as the process's value, built once (_built); after a failed
+    build each call raises a fresh error of its class with its text."""
+    @functools.wraps(build)
+    def value():
+        got = _built(build)
+        if isinstance(got, Exception):
+            raise type(got)(str(got))
+        return got
+    return value
+
+
 class AWFrame:
     """Block data of the reductive splitting, checked at construction."""
 
@@ -166,7 +189,7 @@ class AWFrame:
                     f"{first_difference(got, want)}")
 
 
-@functools.cache
+@_once
 def standard_aw_frame() -> AWFrame:
     """The shared block frame (built once)."""
     return AWFrame()
@@ -624,7 +647,7 @@ class _DisplayTables:
         return sum(a * b for a, b in zip(jx, iyx))
 
 
-@functools.cache
+@_once
 def display_tables() -> _DisplayTables:
     return _DisplayTables()
 
@@ -738,29 +761,6 @@ def verify_block_products(rng, n_random: int) -> list[dict]:
     randoms = ([rng.randint(-4, 4) for _ in range(8)] for _ in range(n_random))
     direct = (block_products(z, *_solver_products(z)) for z in randoms)
     return _tally("product", itertools.chain(lattice, direct))
-
-
-@functools.cache
-def _built(build):
-    """What build() returns, or the InternalConsistencyError or
-    TypeDecompositionError it raises: keyed by the build callable, a
-    failed build is cached like a passing one and never rerun."""
-    try:
-        return build()
-    except (InternalConsistencyError, TypeDecompositionError) as exc:
-        return exc
-
-
-def _once(build):
-    """build as the process's value, built once (_built); after a failed
-    build each call raises a fresh error of its class with its text."""
-    @functools.wraps(build)
-    def value():
-        got = _built(build)
-        if isinstance(got, Exception):
-            raise type(got)(str(got))
-        return got
-    return value
 
 
 @_once

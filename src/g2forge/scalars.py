@@ -5,8 +5,12 @@ Three exact scalar types are used throughout:
 * plain rationals (stdlib ``fractions.Fraction``; ``int`` is accepted
   everywhere and means the same thing),
 * :class:`QuadExt`, elements ``a + b*sqrt(10)`` of the real quadratic
-  field Q(sqrt(10)), needed because the su(3) comparison cocycle carries
-  sqrt(10) in the coefficient of its C(x) block,
+  field Q(sqrt(10)).  The su(3) comparison form carries sqrt(10) in the
+  coefficient of its C(x) block, but both routes to P keep its rational
+  and sqrt(10) parts apart in ints (``aw``), so no suite and no su(3)
+  route builds a QuadExt: it is reached by ``eval`` on input with
+  sqrt(10) coefficients (``tests/golden/operators_seed1.json`` holds
+  such cases) and by the tests' oracles,
 * :class:`GaussRational`, elements ``a + b*i`` of Q(i), used for the
   complex letter polynomials of the invariant pairing.
 

@@ -5,10 +5,8 @@ import contextlib
 import itertools
 import json
 import random
-import re
 import types
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -93,7 +91,8 @@ def test_fresh_frame_constructs():
 def test_standard_aw_frame_is_built_once():
     assert standard_aw_frame() is standard_aw_frame()
     assert standard_aw_frame().g2 is standard_frame()
-    assert standard_aw_frame.cache_info().currsize == 1
+    # the one value the failed-build cache keeps for its build
+    assert aw._built(standard_aw_frame.__wrapped__) is standard_aw_frame()
 
 
 # -- su(3) elements ----------------------------------------------------------
@@ -283,10 +282,10 @@ def _xi_with_m4_part():
 
 @contextlib.contextmanager
 def patched_basis(monkeypatch):
-    """A monkeypatch context that the block basis and the block table
-    are rebuilt under: the cache of their builds is cleared on entry and
-    again on exit, so the patches reach both and no patched build
-    outlives the context."""
+    """A monkeypatch context that the block frame, the display tables,
+    the block basis and the block table are rebuilt under: the cache of
+    their builds is cleared on entry and again on exit, so the patches
+    reach them and no patched build outlives the context."""
     with monkeypatch.context() as patch:
         aw._built.cache_clear()
         try:
@@ -317,7 +316,8 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
     # which W reads, or in phitilde, which U reads, fails the one gate,
     # block_basis's, on both routes to P, at a tensor-display point, at
     # a solver point and in the table's build (patched_basis clears the
-    # table's cache too, so that the build reruns under the patch)
+    # table's cache too, so that the build reruns under the patch, and
+    # the frame's, so phitilde is patched on the frame built inside it)
     stray = g2frame.kappa[1]
     xi, z = _xi_with_m4_part(), (1, 1, -1, 2, 1, 0, 1, -1)
     calls = [lambda: first_principles_value(xi),
@@ -325,10 +325,10 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
              lambda: tensor_displays(z), lambda: aw._solver_products(z),
              block_tables]
     for target, name, value in (
-            (aw, "c_of", lambda x: c_direct(x) + stray),
-            (awframe, "phi_tilde", awframe.phi_tilde + stray)):
+            (lambda: aw, "c_of", lambda x: c_direct(x) + stray),
+            (standard_aw_frame, "phi_tilde", awframe.phi_tilde + stray)):
         with patched_basis(monkeypatch) as patch:
-            patch.setattr(target, name, value)
+            patch.setattr(target(), name, value)
             for call in calls:
                 with pytest.raises(TypeDecompositionError) as err:
                     call()
@@ -462,49 +462,6 @@ def test_digits_round_trip_at_their_bound(k):
     assert aw._digits(-5 << (3 * k), k) == [0, 0, 0, -5]
 
 
-_NARROW_DIGITS = """
-import contextlib, io, json
-from g2forge import aw, cli
-# digits two bits wide: the cubic's coefficients overflow them
-aw._digit_bits = lambda u, w: 2
-xi = aw.Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1))
-try:
-    aw.first_principles_value(xi)
-    raised = None
-except aw.InternalConsistencyError as exc:
-    raised = str(exc)
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1",
-                     "--format", "json", "--output", "report.json"])
-with open("report.json") as fh:
-    checks = json.load(fh)["suites"][0]["checks"]
-print(json.dumps({"raised": raised, "exit": code, "failed": {
-    c["id"]: c["actual"] for c in checks if c["status"] == "fail"}}))
-"""
-
-
-def test_narrow_digits_fail_the_route_check(fresh_python):
-    """Route one with the digit width forced to 2, in a fresh
-    interpreter: the coefficients of the cubic overflow their digits,
-    and the two-route call raises with the native value, which is not
-    P, and the even/odd value, which is; the aw run records
-    aw.value-two-routes as failed with that raise and exits 1."""
-    proc = fresh_python(_NARROW_DIGITS)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    where = json.dumps(Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1)).to_json())
-    found = re.fullmatch(
-        r"(P has a sqrt\(10\) component|the two routes to P disagree): "
-        r"native (\S+) \+ (\S+) sqrt\(10\), even/odd -2645/9 \+ 0 "
-        r"sqrt\(10\) at " + re.escape(where), out["raised"])
-    assert found, out["raised"]
-    assert (found[2], found[3]) != ("-2645/9", "0")
-    assert out["exit"] == 1
-    actual = out["failed"]["aw.value-two-routes"]
-    assert actual.startswith("InternalConsistencyError: ")
-    assert "native " in actual and "even/odd " in actual
-
-
 def _split_oracle_elements() -> list:
     """The 120 interpolation points of P (pairing._coordinate_points:
     singles, pairs of both signs, triples), the three Monte-Carlo
@@ -566,97 +523,7 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     assert first_principles_value(xi) == want
 
 
-_PAIR_TABLE_FLIP = """
-import json, sys
-sys.path.insert(0, sys.argv[2])
-from g2forge import aw, cubic, suites
-import workloads
-# one sign of the grade-3 pair table flipped before anything reads it:
-# the triple at index of the blade mask
-mask, index = map(int, sys.argv[1].split(","))
-table = cubic._pair_table(3)
-k, mm, sign = table[mask][index]
-table[mask] = table[mask][:index] + ((k, mm, -sign),) + table[mask][index + 1:]
-_, elements = workloads.su3_inputs(1, 30)
-two = []
-for xi in elements:
-    one = aw.first_principles_value(xi, single_route=True)
-    try:
-        two.append(str(aw.first_principles_value(xi) == one))
-    except aw.InternalConsistencyError as exc:
-        two.append(str(exc))
-failed = []
-if "--suites" in sys.argv:
-    report = suites.run_suites(["cubic", "aw"], 1, n_random=5)
-    failed = sorted(c["id"] for r in report["suites"] for c in r["checks"]
-                    if c["status"] == "fail")
-print(json.dumps({"two": two, "failed": failed}))
-"""
-
-
 _ASYMMETRIC = "block trilinear table is not fully symmetric: "
-
-
-@pytest.mark.parametrize("flip, broken", [
-    ((7, 1), "T(0, 5, 5) = 21, T(5, 5, 0) = 33"),
-    ((42, 2), "T(0, 7, 7) = 27, T(7, 7, 0) = 33"),
-    ((21, 10), "T(2, 4, 7) = 5, T(4, 7, 2) = 6"),
-    ((52, 5), "T(0, 0, 1) = 1, T(0, 1, 0) = 0"),
-    ((11, 9), None), ((13, 8), None)],
-    ids=["7-1", "42-2", "21-10", "52-5", "11-9-symmetric", "13-8-symmetric"])
-def test_pair_table_flips_on_the_su3_stream(fresh_python, flip, broken):
-    """Each one-sign flip of the grade-3 pair table that notes/decisions.md
-    tabulates, in a fresh interpreter (the block table is cached per
-    process), on the first 30 elements of the benchmark's su3 stream at
-    seed 1.  single_route returns at every element.  A flip that breaks
-    the symmetry of T on the block basis makes every two-route call
-    raise, since the table the even/odd split reads refuses to build,
-    naming the first entry whose permutation differs and both entries;
-    (52, 5) passed the split on the kernels at all 30.  A flip that
-    keeps T symmetric leaves the two routes agreeing at all 30, and of
-    the cubic and aw suites only the cubic suite catches it."""
-    benchmark = str(Path(__file__).resolve().parents[1] / "perfbench")
-    argv = ["%d,%d" % flip, benchmark] + (["--suites"] if broken is None
-                                          else [])
-    proc = fresh_python(_PAIR_TABLE_FLIP, *argv)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    if broken is None:
-        assert out["two"] == ["True"] * 30
-        assert set(out["failed"]) == {
-            "cubic.q-and-p-displays", "cubic.trilinear-routes",
-            "cubic.trilinear-symmetry"} | suites.AW_BY_DESIGN
-    else:
-        assert out["two"] == [_ASYMMETRIC + broken] * 30
-
-
-_FLIPPED_AW_RUN = """
-import json
-from g2forge import cubic, suites
-table = cubic._pair_table(3)
-k, mm, sign = table[7][1]
-table[7] = table[7][:1] + ((k, mm, -sign),) + table[7][2:]
-report = suites.suite_aw(1, n_random=5)
-print(json.dumps({c["id"]: c["actual"] for c in report["checks"]
-                  if c["status"] == "fail"}))
-"""
-
-
-def test_asymmetric_table_build_is_a_recorded_failure(fresh_python):
-    """Pair-table flip (7, 1), in a fresh interpreter: every aw record
-    that reads the block table records the build's raise, which names
-    the first entry of T whose permutation differs and both values."""
-    proc = fresh_python(_FLIPPED_AW_RUN)
-    assert proc.returncode == 0, proc.stderr
-    failed = json.loads(proc.stdout)
-    raised = {cid for cid, actual in failed.items()
-              if actual.startswith("InternalConsistencyError")}
-    assert raised == {"aw.block-products", "aw.closed-display",
-                      "aw.generic-sum-display", "aw.pairing-vs-displays",
-                      "aw.revert-map", "aw.value-two-routes"}
-    for cid in raised:
-        assert failed[cid] == ("InternalConsistencyError: " + _ASYMMETRIC
-                               + "T(0, 5, 5) = 21, T(5, 5, 0) = 33")
 
 
 _FAILED_BUILD_KEPT = """
@@ -1177,185 +1044,6 @@ def test_aw_run_counts(fresh_python):
                              "coords_of": 0, "norm_sq": 0, "numerators": 0}
 
 
-_AW_MUTANT = """
-import contextlib, io, json, sys
-from g2forge import aw, cli
-tables = aw.display_tables()
-if sys.argv[1] == "ia2":
-    # the first entry of ia2(e4) with its sign flipped
-    (k, c), *rest = tables.ia2[0]
-    tables.ia2[0] = ((k, -c), *rest)
-else:
-    # the first entry of I1 in R's metric route with its sign flipped
-    (i, j, c), *rest = tables.i[0]
-    tables.i[0] = ((i, j, -c), *rest)
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1",
-                     "--format", "json", "--output", "report.json"])
-with open("report.json") as fh:
-    checks = json.load(fh)["suites"][0]["checks"]
-print(json.dumps({"exit": code, "failed": {
-    c["id"]: c["actual"] for c in checks if c["status"] == "fail"}}))
-"""
-
-
-def test_flipped_ia2_entry_fails_the_pinned_displays(fresh_python):
-    """One sign of the ia2 table flipped, in a fresh interpreter: of the
-    tensor displays, exactly the three by-design ids and the corrected
-    twins of the two displays that read ia2 fail, and every other
-    failing check is in the ledger."""
-    proc = fresh_python(_AW_MUTANT, "ia2")
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["exit"] == 1
-    failed = set(out["failed"])
-    displays = {cid for cid in failed
-                if cid.startswith("aw.tensor-display.")}
-    assert displays == {
-        "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a",
-        "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a.corrected",
-        "aw.tensor-display.p(y^Omega,C(x))=6y.Jx",
-        "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax",
-        "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax.corrected"}
-    assert failed - displays == {cid for cid in suites.AW_BY_DESIGN
-                                 if cid not in displays}
-
-
-def test_flipped_r_entry_is_a_recorded_failure(fresh_python):
-    """One sign of I1's entries in R's metric route flipped, in a fresh
-    interpreter: R's two routes disagree, and the run records that as
-    the failed aw.block-products sweep, with the exception, both values
-    and the point as its actual, rather than crashing."""
-    proc = fresh_python(_AW_MUTANT, "r")
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["exit"] == 1
-    # the first lattice point whose R reads I1, with both routes' values:
-    # the display y1 (x3^2 + x4^2 - x5^2 - x6^2) is 0 there
-    assert out["failed"]["aw.block-products"] == (
-        "InternalConsistencyError: R display disagrees with g(Jx, I_y x): "
-        "metric -2, display 0 at y = (1, 0, 0) on e1..e3 and "
-        "x = (0, 1, 0, 1) on e4..e7")
-
-
-_FAMILY_MUTANT = """
-import json
-from fractions import Fraction
-from g2forge import aw, pairing, suites
-aw.FAMILY = (Fraction(-4, 3), aw.FAMILY[1])
-report = suites.suite_aw(1, n_random=5)
-print(json.dumps({
-    "failed": [c["id"] for c in report["checks"] if c["status"] != "pass"],
-    "pairing": str(pairing.pairing_report()["first_principles_pairing"]),
-    "ints": aw._family_ints()}))
-"""
-
-
-def test_family_owner_moves_every_reader(fresh_python):
-    """Y = -5/3 -> -4/3 at the owner alone, in a fresh interpreter:
-    comparison_form, fp_numerator, revert_block_fit and the round-trip
-    check all move with it, so every two-route check still agrees and
-    the aw suite fails exactly its ledger ids, while <P, i det> moves
-    from 760/3 to 196.  A reader that kept its own copy of the
-    coefficients would fail a check here."""
-    proc = fresh_python(_FAMILY_MUTANT)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert sorted(out["failed"]) == sorted(suites.AW_BY_DESIGN)
-    assert out["pairing"] == "196"
-    assert out["ints"] == [[3, -4, -8, 1], 6]
-
-
-_BLOCK_COORDS_MUTANT = """
-import json
-from g2forge import aw, pairing, suites
-right = aw.block_coords
-
-
-def swapped(s, y, x):
-    z = right(s, y, x)
-    z[5], z[6] = z[6], z[5]
-    return z
-
-
-aw.block_coords = pairing.block_coords = swapped
-aw_rep = suites.suite_aw(1, n_random=5, samples=10 ** 4)
-pr = suites.suite_pairing(1, n_random=5, samples=10 ** 4)
-print(json.dumps(sorted(
-    c["id"] for r in (aw_rep, pr) for c in r["checks"]
-    if c["status"] != "pass" and c["id"] not in suites.AW_BY_DESIGN)))
-"""
-
-
-def test_swapped_block_coords_fail_checks(fresh_python):
-    """block_coords with x5 and x6 swapped, in a fresh interpreter (the
-    component polynomials are cached per process; pairing imports
-    block_coords by name, so both names are patched): the round trip and
-    the two routes to P of the aw suite fail, and so do the pairing
-    checks that read the component polynomials, whose R follows the
-    converter, while the sweeps and fits, which take block coordinates
-    directly, pass."""
-    proc = fresh_python(_BLOCK_COORDS_MUTANT)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        "aw.decompose-roundtrip", "aw.value-two-routes",
-        "pairing.closed-assembly", "pairing.component-values",
-        "pairing.first-principles-nonzero", "pairing.idet-self",
-        "pairing.montecarlo-agreement"]
-
-
-_BASIS_MUTANT = """
-import inspect, json, sys
-from g2forge import aw, g2, suites
-if sys.argv[1] == "stray-kappa":
-    # a Lambda^3_7 part, kappa_2 = e_2 -| psi, in each C(e_i) of the basis
-    c_of, stray = aw.c_of, g2.standard_frame().kappa[1]
-    aw.c_of = lambda x: c_of(x) + stray
-else:
-    # _on_basis overwriting a blade's coefficient instead of adding to it
-    source = inspect.getsource(aw._on_basis)
-    old = "terms[m] = terms.get(m, 0) + c * t"
-    assert source.count(old) == 1
-    exec(source.replace(old, "terms[m] = c * t"), vars(aw))
-failed = [c for r in (suites.suite_aw(1, n_random=5),
-                      suites.suite_pairing(1, n_random=5, samples=10 ** 4))
-          for c in r["checks"]
-          if c["status"] != "pass" and c["id"] not in suites.AW_BY_DESIGN]
-print(json.dumps([[c["id"] for c in failed], failed[0]["actual"]]))
-"""
-
-# the pairing checks that read P, all of which a raising P fails
-_P_READERS = ["pairing.closed-assembly", "pairing.component-values",
-              "pairing.first-principles-nonzero", "pairing.idet-self",
-              "pairing.montecarlo-agreement", "pairing.montecarlo-deterministic",
-              "pairing.montecarlo-scaling", "pairing.p-poly-real",
-              "pairing.pure-z-support"]
-
-
-@pytest.mark.parametrize("mutant, aw_failed, first", [
-    ("stray-kappa",
-     ["aw.block-products", "aw.decompose-roundtrip", "aw.revert-map",
-      "aw.tensor-displays", "aw.value-two-routes"],
-     "TypeDecompositionError: block basis is not of pure 27 type"),
-    ("overwriting-on-basis",
-     ["aw.block-products", "aw.decompose-roundtrip", "aw.revert-map",
-      "aw.value-two-routes"],
-     "InternalConsistencyError: recovered tensor is not traceless: trace 8"),
-], ids=["stray-kappa", "overwriting-on-basis"])
-def test_block_basis_mutants_fail_the_pinned_checks(fresh_python, mutant,
-                                                    aw_failed, first):
-    """Two defects of the block forms, in a fresh interpreter, against the
-    aw and pairing suites at seed 1 with five random points and 10^4
-    samples: a stray 7-part in each C(e_i), which the one gate at
-    block_basis catches, and _on_basis overwriting where blades of the
-    basis overlap (phitilde with the e_a ^ Omega), whose combinations
-    iso_i_inv_upper's trace check catches.  Exactly the pinned checks
-    fail besides the ledger ids, the first with the pinned actual."""
-    proc = fresh_python(_BASIS_MUTANT, mutant)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [aw_failed + _P_READERS, first]
-
-
 _FAILED_BASIS_KEPT = """
 from g2forge import aw, g2, suites
 c_of, stray = aw.c_of, g2.standard_frame().kappa[1]
@@ -1383,53 +1071,34 @@ def test_failed_basis_build_runs_once(fresh_python):
     assert proc.stdout == "1\n"
 
 
-_FIT_MUTANT = """
-import contextlib, io, json, sys
-from g2forge import aw, cli
-if sys.argv[1] == "native":
-    # the native route to P off by one in its numerator cubic
-    numerator = aw.p_numerator
-    aw.p_numerator = lambda n, inv: numerator(n, inv) + 1
-else:
-    # the block fit pushed through the reparametrization, R doubled
-    revert = aw.revert_block_fit
-    aw.revert_block_fit = lambda c: revert(c[:3] + (2 * c[3],))
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1",
-                     "--format", "json", "--output", "report.json"])
-with open("report.json") as fh:
-    checks = json.load(fh)["suites"][0]["checks"]
-print(json.dumps({"exit": code, "failed": {
-    c["id"]: c["actual"] for c in checks if c["status"] == "fail"}}))
+_FAILED_FRAME_KEPT = """
+import sys
+from g2forge import aw, suites
+builds = []
+
+
+def failing(*args):
+    builds.append(1)
+    raise aw.InternalConsistencyError("the build fails")
+
+
+setattr(getattr(aw, sys.argv[1]), sys.argv[2], failing)
+suites.suite_aw(1, n_random=5)
+print(len(builds))
 """
 
 
-@pytest.mark.parametrize("route", ["native", "revert"])
-def test_broken_fit_route_is_a_recorded_failure(fresh_python, route):
-    """One route of P's fit broken, in a fresh interpreter: the raise of
-    direct_p_fit (the native route off by one) or of first_principles_fit
-    (the pushed block fit with R doubled) becomes the failed
-    aw.closed-display record, and its actual names both values and the
-    input: the table's and the evaluator's P and xi, or the two fits."""
-    proc = fresh_python(_FIT_MUTANT, route)
+@pytest.mark.parametrize("owner, step", [("AWFrame", "_check_structure"),
+                                         ("_DisplayTables", "__init__")])
+def test_failed_frame_and_display_builds_run_once(fresh_python, owner, step):
+    """The block frame's structure check or the display tables' build
+    raising, in a fresh interpreter: the build fails once, and the aw
+    suite at seed 1, whose every reader of it then raises, never runs
+    it again (4 frame builds and 6 display-table builds when a failed
+    build was not kept)."""
+    proc = fresh_python(_FAILED_FRAME_KEPT, owner, step)
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
-    assert out["exit"] == 1
-    if route == "native":
-        z = (1, 1, -1, 2, 1, 0, 1, -1)
-        xi = compose(z)
-        table = block_tables().fp_value(z)
-        d = aw.comparison_form(xi)[2]
-        want = ("assembled P disagrees with the full evaluator: table "
-                f"{table}, evaluator {table + Fraction(1, 2 * d ** 3)} at "
-                f"{json.dumps(xi.to_json())}")
-    else:
-        direct = first_principles_fit()
-        pushed = direct[:3] + (2 * direct[3],)
-        want = ("reverted block fit and direct fit of P disagree: reverted "
-                "(%s, %s, %s, %s), direct (%s, %s, %s, %s)" % (pushed + direct))
-    assert out["failed"]["aw.closed-display"] == \
-        "InternalConsistencyError: " + want
+    assert proc.stdout == "1\n"
 
 
 def test_block_fits_name_both_values(monkeypatch):

@@ -1,6 +1,5 @@
 """The seven-dimensional exterior algebra over the orthonormal frame."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -336,36 +335,3 @@ def test_numerators_of_quadext_forms_have_integral_parts():
         else:
             assert type(c) is int
     assert _scaled_back(n, d) == a
-
-
-_SIGN_FLIP = """
-import json, sys
-from g2forge import exterior as ext
-# one bit of the parity table flipped, the Hodge signs rederived from
-# it, before anything reads either
-mask, bit = map(int, sys.argv[1].split(","))
-odd = list(ext._ODD_BELOW)
-odd[mask] ^= 1 << bit
-ext._ODD_BELOW = tuple(odd)
-ext._HODGE_SIGN = tuple(ext.merge_sign(m, ext.FULL_MASK ^ m)
-                        for m in range(128))
-from g2forge import suites
-report = suites.run_suites(["exterior", "g2", "cubic"], 1, n_random=5)
-print(json.dumps(sorted(c["id"] for r in report["suites"]
-                        for c in r["checks"] if c["status"] != "pass")))
-"""
-
-
-@pytest.mark.parametrize("flip", ["3,5", "10,6"])
-def test_sign_table_flips_fail_the_pinned_checks(fresh_python, flip):
-    """One bit of _ODD_BELOW flipped, in a fresh interpreter, against the
-    exterior, g2 and cubic suites at seed 1 with five random points.
-    Wedge, contraction, the Hodge star and the cubic's sign tables all
-    read the one table, so the flip reaches the cubic's pair table and
-    its checks on the trilinear form fail besides the exterior's."""
-    proc = fresh_python(_SIGN_FLIP, flip)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        "cubic.q-and-p-displays", "cubic.trilinear-routes",
-        "cubic.trilinear-symmetry", "exterior.contraction-antiderivation",
-        "exterior.hodge-involution", "exterior.metric-recovery"]

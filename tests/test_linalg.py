@@ -1,12 +1,11 @@
 """Exact dense linear algebra and symmetric tensors."""
 
-import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from g2forge import linalg, suites
+from g2forge import linalg
 from g2forge.exterior import BLADES_BY_GRADE, Form, form_to_coords
 from g2forge.linalg import InconsistentSystemError, Matrix, SymTensor, \
     rank, solve_exact, upper_inner
@@ -449,94 +448,3 @@ def test_upper_inner_is_the_trace_of_the_product(kind):
         got = linalg.upper_inner(reference.upper_of(A), reference.upper_of(B))
         assert got == want
         assert type(got) is type(want)
-
-
-_LAYOUT_MUTANT = """
-import json, sys
-from g2forge import aw, cubic, g2, linalg, suites
-if sys.argv[1] == "upper_inner":
-    # entry (0, 6), position 6 of the triangle, weighed once, not twice
-    inner = linalg.upper_inner
-    for module in (linalg, cubic, aw, suites):
-        module.upper_inner = lambda u1, u2: inner(u1, u2) - u1[6] * u2[6]
-else:
-    # the diagonal entry (6, 6) read at position 26, which is (5, 6)
-    wrong = linalg.DIAGONAL[:-1] + (26,)
-    for module in (linalg, cubic, g2):
-        module.DIAGONAL = wrong
-report = suites.run_suites(["exterior", "g2", "cubic", "aw"], 1, n_random=5)
-print(json.dumps(sorted(c["id"] for r in report["suites"]
-                        for c in r["checks"] if c["status"] == "fail")))
-"""
-
-# the aw ids that fail by design and that a raising sweep leaves out:
-# the block-products sweep raises before its rows exist, and under the
-# wrong diagonal so does the tensor-displays sweep
-_BLOCK_ROWS = {"aw.block-product.p(phitilde,C(x))",
-               "aw.block-product.p(y^Omega,C(x))"}
-_DISPLAY_ROWS = {"aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a",
-                 "aw.tensor-display.p(y^Omega,C(x))=6y.Jx",
-                 "aw.tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax"}
-
-
-@pytest.mark.parametrize("mutant, caught, unreached", [
-    ("upper_inner",
-     {"g2.iso-identities", "cubic.q-and-p-displays", "cubic.trilinear-routes",
-      "cubic.trilinear-symmetry", "aw.block-products", "aw.revert-map",
-      "aw.value-two-routes"},
-     _BLOCK_ROWS),
-    ("diagonal",
-     {"g2.iso-identities", "g2.iso-inner-product", "g2.iso-inverse-roundtrip",
-      "cubic.q-and-p-displays", "cubic.q2-closed-form",
-      "cubic.trilinear-routes", "cubic.trilinear-symmetry",
-      "aw.block-products", "aw.revert-map", "aw.tensor-displays",
-      "aw.value-two-routes"},
-     _BLOCK_ROWS | _DISPLAY_ROWS),
-], ids=["upper_inner-entry-0-6", "diagonal-position"])
-def test_layout_mutants_fail_the_pinned_checks(fresh_python, mutant, caught,
-                                               unreached):
-    """Two one-entry defects of the triangle layout, in a fresh
-    interpreter, against the exterior, g2, cubic and aw suites at seed 1
-    with five random points: upper_inner weighing entry (0, 6) once,
-    and one wrong position in DIAGONAL, which the traceless gates of
-    iso_i, is_pure27 and iso_i_inv_upper catch.  Exactly the pinned
-    checks fail besides the ledger ids, and the ledger ids of a sweep
-    that raises are not reached."""
-    proc = fresh_python(_LAYOUT_MUTANT, mutant)
-    assert proc.returncode == 0, proc.stderr
-    failed = set(json.loads(proc.stdout))
-    assert failed == caught | (suites.AW_BY_DESIGN - unreached)
-
-
-_ELIMINATION_MUTANT = """
-import inspect, json
-from g2forge import linalg, suites
-# the shared row operation forming p r + f r_pivot: invertible, so the
-# row space stays, but the pivot column is left uncleared
-source = inspect.getsource(linalg._eliminate)
-assert source.count("p * x - f * y") == 1
-exec(source.replace("p * x - f * y", "p * x + f * y"), vars(linalg))
-report = suites.run_suites(["exterior", "g2", "cubic", "aw", "pairing"], 1,
-                           n_random=5, samples=10 ** 4)
-print(json.dumps(sorted(c["id"] for r in report["suites"]
-                        for c in r["checks"] if c["status"] == "fail")))
-"""
-
-
-def test_shared_elimination_mutant_fails_the_pinned_checks(fresh_python):
-    """The one elimination broken, in a fresh interpreter, against the
-    five suites at seed 1 with five random points and 10^4 samples:
-    _eliminate forming p r + f r_pivot.  The ranks of the g2 type
-    dimensions and of the Gram table grow, P's four-term fit no longer
-    spans the block cubic (aw.revert-map and the pairing checks that
-    read the fit), and the Gram table from the Killing form moves.
-    Exactly these checks fail besides the ledger ids, which all still
-    fail."""
-    proc = fresh_python(_ELIMINATION_MUTANT)
-    assert proc.returncode == 0, proc.stderr
-    failed = set(json.loads(proc.stdout))
-    assert failed == suites.AW_BY_DESIGN | {
-        "g2.type-dimensions", "aw.revert-map", "pairing.gram-from-killing",
-        "pairing.gram-v-rank", "pairing.closed-assembly",
-        "pairing.component-values", "pairing.first-principles-nonzero",
-        "pairing.idet-self", "pairing.montecarlo-agreement"}
