@@ -309,23 +309,25 @@ REGISTRY: tuple[Mutant, ...] = (
             "even/odd -2645/9 + 0 sqrt(10)"
             + at((1, -3, 2), (2, -1, 4, 0, -3, 1)),
         tier1=True),
-    # every aw record that reads the block table, and only those, records
-    # the build's raise
-    _pair_flip(7, 1, "T(0, 5, 5) = 21, T(5, 5, 0) = 33", suites=("aw",),
-               sizes=SMALL, failed=LEDGER - BLOCK_ROWS | ids(
-                   aw="block-products revert-map value-two-routes "
-                   "tensor-display.p(phitilde,C(x))=-4I_ax.e_a.corrected"),
-               actual={**dict.fromkeys(ids(
-                   aw="block-products closed-display generic-sum-display "
-                   "pairing-vs-displays revert-map value-two-routes"),
-                   "InternalConsistencyError: " + _ASYMMETRIC
-                   + "T(0, 5, 5) = 21, T(5, 5, 0) = 33"),
-                   **dict.fromkeys(DISPLAY_ROWS, "fails at basis points; "
-                                   "corrected form verified"),
-                   "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a":
-                       "fails at basis points; corrected form also fails",
-                   "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a"
-                   ".corrected": "fails"}),
+    _pair_flip(7, 1, "T(0, 5, 5) = 21, T(5, 5, 0) = 33"),
+    # the same flip under the aw suite: every aw record that reads the
+    # block table, and only those, records the build's raise
+    Mutant("asymmetric-table-build", "from g2forge import cubic; "
+           "negate(cubic._pair_table(3), 7, 1)", "caught", suites=("aw",),
+           sizes=SMALL, tier1=True, failed=LEDGER - BLOCK_ROWS | ids(
+               aw="block-products revert-map value-two-routes "
+               "tensor-display.p(phitilde,C(x))=-4I_ax.e_a.corrected"),
+           actual={**dict.fromkeys(ids(
+               aw="block-products closed-display generic-sum-display "
+               "pairing-vs-displays revert-map value-two-routes"),
+               "InternalConsistencyError: " + _ASYMMETRIC
+               + "T(0, 5, 5) = 21, T(5, 5, 0) = 33"),
+               **dict.fromkeys(DISPLAY_ROWS, "fails at basis points; "
+                               "corrected form verified"),
+               "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a":
+                   "fails at basis points; corrected form also fails",
+               "aw.tensor-display.p(phitilde,C(x))=-4I_ax.e_a"
+               ".corrected": "fails"}),
     _pair_flip(42, 2, "T(0, 7, 7) = 27, T(7, 7, 0) = 33"),
     _pair_flip(21, 10, "T(2, 4, 7) = 5, T(4, 7, 2) = 6"),
     # the kernel split that the table split replaced missed this one at
