@@ -97,46 +97,28 @@ the flat triangle the kernels return, and the x-quadratic side of
 p(C(x), C(x)) is written out over linalg.TRIANGLE.  R's metric
 route g(Jx, I_y x) reads the nonzero entries of J and the I_a from the
 same tables.  The kernel side runs at every point.
+
+The block frame, the block basis, the display tables, the block table,
+the integers of FAMILY, the phitilde displays, the cubic lattice and
+the three fits are per-process values built through g2.once: each is
+built on first use, and a build that raises is kept, so every later
+reader raises its text again and none reruns it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, \
     coords_of, contract, hodge_m4, vector, vector_form, wedge
-from .g2 import InternalConsistencyError, TypeDecompositionError, \
-    _expanded, first_difference, standard_frame, two_form_endo
+from .g2 import InternalConsistencyError, _expanded, first_difference, \
+    once, standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
 from .scalars import GaussRational, ScalarError, clear_denominators, \
     scalar_to_json
-
-
-@functools.cache
-def _built(build):
-    """What build() returns, or the InternalConsistencyError or
-    TypeDecompositionError it raises: keyed by the build callable, a
-    failed build is cached like a passing one and never rerun."""
-    try:
-        return build()
-    except (InternalConsistencyError, TypeDecompositionError) as exc:
-        return exc
-
-
-def _once(build):
-    """build as the process's value, built once (_built); after a failed
-    build each call raises a fresh error of its class with its text."""
-    @functools.wraps(build)
-    def value():
-        got = _built(build)
-        if isinstance(got, Exception):
-            raise type(got)(str(got))
-        return got
-    return value
 
 
 class AWFrame:
@@ -189,7 +171,7 @@ class AWFrame:
                     f"{first_difference(got, want)}")
 
 
-@_once
+@once
 def standard_aw_frame() -> AWFrame:
     """The shared block frame (built once)."""
     return AWFrame()
@@ -320,7 +302,7 @@ def c_of(x: Form) -> Form:
 FAMILY = (Fraction(-5, 3), Fraction(1, 6))
 
 
-@functools.cache
+@once
 def _family_ints() -> tuple[tuple[int, int, int, int], int]:
     """((M/2, MY/2, MY, MK), M) for the coefficients (Y, K) of FAMILY, M
     the least integer that makes M/2, MY/2 and MK ints: M A(xi) is then
@@ -555,7 +537,7 @@ def _blocks_id(a, b) -> SymTensor:
     return SymTensor.diag([a] * 3 + [b] * 4)
 
 
-@functools.cache
+@once
 def _phitilde_displays() -> tuple[bool, bool]:
     """Whether p(phitilde, phitilde) = 38 id3 + 3 id4 and
     i^{-1}(phitilde) = -2 id3 + (3/2) id4, the two displays that do not
@@ -647,7 +629,7 @@ class _DisplayTables:
         return sum(a * b for a, b in zip(jx, iyx))
 
 
-@_once
+@once
 def display_tables() -> _DisplayTables:
     return _DisplayTables()
 
@@ -763,7 +745,7 @@ def verify_block_products(rng, n_random: int) -> list[dict]:
     return _tally("product", itertools.chain(lattice, direct))
 
 
-@_once
+@once
 def block_basis() -> tuple[Form, ...]:
     """The forms (phitilde, e1^Omega, e2^Omega, e3^Omega, C(e4), ...,
     C(e7)), orthogonal with squared norms 42, 2 and 12 on the three
@@ -889,13 +871,13 @@ class _BlockTables:
         return Fraction(self.fp_numerator(z), _family_ints()[1] ** 3)
 
 
-@_once
+@once
 def block_tables() -> _BlockTables:
     """The process's block table."""
     return _BlockTables()
 
 
-@functools.cache
+@once
 def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The generic block cubic <p(A_, A_), i^{-1}(A_)> fitted over the
     model (s^3, s|x|^2, s|y|^2, R); see fit_model."""
@@ -911,7 +893,7 @@ def _model_row(z) -> tuple:
             s * sum(t * t for t in z[1:4]), _r(z))
 
 
-@functools.cache
+@once
 def _cubic_lattice() -> tuple:
     """(z, model) at each point z of the degree-3 lattice, model the int
     values of s^3, s|x|^2, s|y|^2 and R there."""
@@ -958,7 +940,7 @@ def revert_block_fit(coeffs) -> tuple:
     return tuple(c * f for c, f in zip(coeffs, scale))
 
 
-@functools.cache
+@once
 def direct_p_fit() -> tuple:
     """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R),
     fitted through P's table assembly once that assembly is certified
@@ -976,7 +958,7 @@ def direct_p_fit() -> tuple:
                  for c in fit_model(tab.fp_numerator))
 
 
-@functools.cache
+@once
 def first_principles_fit() -> tuple:
     """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R).
 

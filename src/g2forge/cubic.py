@@ -58,7 +58,7 @@ import json
 from .exterior import BLADES_BY_GRADE, Form, GradeError, blade_indices, \
     form_from_coords, form_to_coords, form_to_json, hodge, inner, \
     merge_sign, norm_sq, numerators, vol_coefficient, wedge
-from .g2 import OUTSIDE_27, G2Frame, InternalConsistencyError, \
+from .g2 import OUTSIDE_27, G2Frame, InternalConsistencyError, once, \
     standard_frame, star_action
 from .linalg import DIAGONAL, TRIANGLE, SymTensor, upper_inner
 from .scalars import clear_denominators, over
@@ -124,7 +124,7 @@ def quadratic_form(a1: Form, a2: Form) -> SymTensor:
     return SymTensor.from_upper([over(x, s) for x in quadratic_upper(n1, n2)])
 
 
-@functools.cache
+@once
 def _rhs_table() -> dict[int, tuple]:
     """For each 4-blade m4, the 16 triples (row, m3, sign) with e_j in
     m4 and m3 a 3-blade disjoint from m4 minus e_j, such that

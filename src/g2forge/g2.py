@@ -82,6 +82,16 @@ or subtracted from the sums that read it, so a sparse form costs its
 own blades and every sum is still taken on its own.  One helper,
 _expanded, writes sums back as the form sum_k c_k f_k: the projections,
 i and M^T.
+
+Every value the package builds once per process, from standard_frame
+to aw's block tables and fits and pairing's report, is built through
+once, defined here next to the two error classes it keeps: _built,
+keyed by the build, holds what the build returned or the
+InternalConsistencyError or TypeDecompositionError it raised, so a
+failed build is not rerun and each later call raises a fresh error of
+its class with its text.  _built.cache_clear() resets them all.
+functools.cache stays only on tables keyed by a grade
+(exterior._disjoint_blades, cubic._pair_table).
 """
 
 from __future__ import annotations
@@ -112,6 +122,31 @@ OUTSIDE_27 = "form has components outside the 27-dimensional summand"
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
+
+
+@functools.cache
+def _built(build):
+    """What build() returns, or the InternalConsistencyError or
+    TypeDecompositionError it raises: keyed by the build callable, a
+    failed build is cached like a passing one and never rerun.  The
+    one cache of the package's per-process values; cache_clear resets
+    them all."""
+    try:
+        return build()
+    except (InternalConsistencyError, TypeDecompositionError) as exc:
+        return exc
+
+
+def once(build):
+    """build as the process's value, built once (_built); after a failed
+    build each call raises a fresh error of its class with its text."""
+    @functools.wraps(build)
+    def value():
+        got = _built(build)
+        if isinstance(got, Exception):
+            raise type(got)(str(got))
+        return got
+    return value
 
 
 def _signed_blades(spec: str, grade: int) -> Form:
@@ -534,7 +569,7 @@ class G2Frame:
         return ext.form_from_coords(3, [over(v, s * d) for v in x])
 
 
-@functools.cache
+@once
 def standard_frame() -> G2Frame:
     """The shared frame for the standard calibration (built once)."""
     return G2Frame()

@@ -53,7 +53,7 @@ import os
 from fractions import Fraction
 from types import MappingProxyType
 
-from .g2 import InternalConsistencyError
+from .g2 import InternalConsistencyError, once
 from .linalg import Matrix, solve_exact
 from .scalars import GaussRational, ScalarError
 from .aw import CLOSED_DISPLAY, Su3Element, _model_row, block_coords, \
@@ -212,7 +212,7 @@ def _xi_from_coords(c: list) -> Su3Element:
     return Su3Element((v1, v2, -v1 - v2), tuple(c[2:8]))
 
 
-@functools.cache
+@once
 def _letter_rows() -> MappingProxyType:
     """Each letter as a linear form in the real coordinates
     (v1, v2, x1..x6): the row of its values at the eight unit
@@ -329,7 +329,7 @@ def sym_inner_poly(p: MultiPoly, q: MultiPoly) -> GaussRational:
 # ---------------------------------------------------------------------------
 # The coordinate dictionary: x-letters as z-polynomials
 
-@functools.cache
+@once
 def x_letter_polys() -> MappingProxyType:
     """x1..x6 as polynomials in the z-alphabet, by inverting the letter
     rows: each z_j is a x_p + i b x_q with a, b = +-1, so
@@ -417,7 +417,7 @@ def idet_report() -> dict:
     return rep
 
 
-@functools.cache
+@once
 def idet_poly() -> MultiPoly:
     """The displayed i det, after the dual-route comparison has run."""
     rep = idet_report()
@@ -435,7 +435,7 @@ def idet_poly() -> MultiPoly:
 # ---------------------------------------------------------------------------
 # The obstruction polynomial as a letter polynomial
 
-@functools.cache
+@once
 def component_polys() -> tuple:
     """(s^3, s|x|^2, s|y|^2, R): aw's model row at the generic element,
     whose coordinates are _coordinate_polys, read through
@@ -505,7 +505,7 @@ def interpolate_p_coefficients() -> dict:
     return coeff
 
 
-@functools.cache
+@once
 def first_principles_p_poly() -> MultiPoly:
     """P as a letter polynomial, interpolated from exact evaluations.
 
@@ -543,7 +543,7 @@ def _real_pairing(p: MultiPoly, q: MultiPoly, what: str) -> Fraction:
     return val.re
 
 
-@functools.cache
+@once
 def pairing_report() -> MappingProxyType:
     """The headline numbers: <P, i det> for both sources of P, the four
     component pairings and <i det, i det>, each computed once, with the

@@ -28,7 +28,6 @@ and pairing suites live in su3_suites, imported when one of them runs.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import random
 import time
@@ -38,7 +37,8 @@ from . import DEFAULT_RANDOM, DEFAULT_SAMPLES, SUITE_NAMES
 from . import exterior as ext
 from .exterior import blade, contract, coords_of, hodge, inner, norm_sq, \
     vector, vector_form, vol_coefficient, wedge
-from .g2 import standard_frame, star_action, traceless_draw
+from .g2 import OUTSIDE_27, TypeDecompositionError, once, standard_frame, \
+    star_action, traceless_draw
 from .linalg import TRIANGLE, Matrix, SymTensor, rank, upper_inner
 from .scalars import clear_denominators
 
@@ -128,7 +128,7 @@ def _int_traceless(rng: random.Random, bound: int = 6) -> SymTensor:
     return SymTensor.from_upper(traceless_draw(rng, bound))
 
 
-@functools.cache
+@once
 def _traceless_basis() -> tuple[SymTensor, ...]:
     """The 27 standard traceless symmetric tensors: 21 off-diagonal
     symmetrized pairs, in linalg.TRIANGLE's order, and 6 consecutive
@@ -296,6 +296,22 @@ def suite_g2(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
         c.ok = hits == 27
         c.actual = f"{hits} of 27 round-trip"
 
+    with run.check("g2.type-gate",
+                   "is_pure27 rejects phi and the seven e_j -| psi, and "
+                   "require_pure27 raises on each",
+                   "phi spans Lambda^3_1 and the e_j -| psi span "
+                   "Lambda^3_7, which meet Lambda^3_27 in 0") as c:
+        fr = standard_frame()
+        rejected = raised = 0
+        for b in [fr.phi] + [contract(vector(j), fr.psi) for j in range(1, 8)]:
+            rejected += not fr.is_pure27(b)
+            try:
+                fr.require_pure27(OUTSIDE_27, b)
+            except TypeDecompositionError:
+                raised += 1
+        c.ok = rejected == raised == 8
+        c.actual = f"{rejected} of 8 rejected, {raised} of 8 raise"
+
     with run.check("g2.iso-inner-product",
                    "i(S) ^ (v -| psi) ^ w = 2 g(Sv, w) vol",
                    f"{n_random} random triples (S, v, w)") as c:
@@ -334,9 +350,10 @@ def suite_cubic(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
                    "b2 exists, is unique, symmetric, bilinear",
                    f"{n_pairs} random pairs; the 49 x 35 solve has full column rank") as c:
         fr = standard_frame()
-        for _ in range(n_pairs):
-            a1 = fr.iso_i_psi(_int_traceless(c.rng))
-            a2 = fr.iso_i_psi(_int_traceless(c.rng))
+        for k in range(n_pairs):
+            # the first pair generic, so the solve meets a 7-part
+            a1, a2 = (fr.iso_i_psi(_int_traceless(c.rng)) if k
+                      else _random_form(c.rng, 4, 3) for _ in range(2))
             g12 = cubicmod.b2(a1, a2, fr)
             c.ok = c.ok and g12 == cubicmod.b2(a2, a1, fr)
             a3 = fr.iso_i_psi(_int_traceless(c.rng))

@@ -5,19 +5,35 @@ from pathlib import Path
 
 import pytest
 
+from g2forge import g2
 from g2forge.aw import standard_aw_frame
 from g2forge.exterior import Form
 from g2forge.g2 import G2Frame, standard_frame
 
 
-@pytest.fixture(scope="session")
+# the frames as the test finds them, read again for each test: a reset
+# (rebuilt) makes the package build new ones, which a test that patches
+# the frame must reach
+@pytest.fixture
 def g2frame():
     return standard_frame()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def awframe():
     return standard_aw_frame()
+
+
+@pytest.fixture
+def rebuilt():
+    """Every per-process value (g2.once) built afresh under the test's
+    patches: the kept builds, g2._built, are cleared on entry and again
+    on exit, so no value built under a patch outlives the test.  Its
+    value is the reset itself, for a test that clears them again; a
+    frame fixture that should see the reset is listed after it."""
+    g2._built.cache_clear()
+    yield g2._built.cache_clear
+    g2._built.cache_clear()
 
 
 @pytest.fixture

@@ -501,7 +501,8 @@ REGISTRY: tuple[Mutant, ...] = (
                         exterior="hodge-phi structure-norms",
                         g2="hat-defining-identity hat-of-psi iso-identities "
                         "iso-inner-product iso-inverse-roundtrip pairing-rank "
-                        "projector-algebra type-dimensions vector-extraction",
+                        "projector-algebra type-dimensions type-gate "
+                        "vector-extraction",
                         cubic="b2-solve q2-closed-form",
                         aw="block-products decompose-roundtrip "
                         "dual-constructions quaternionic-relations "
@@ -536,13 +537,12 @@ REGISTRY: tuple[Mutant, ...] = (
            "z1, z2, z3 = pairing.Z_ENTRIES; pairing.Z_ENTRIES = (z2, z1, z3)",
            "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | P_VALUES
            | ids(aw="idet-two-routes", pairing="idet-construction")),
-    # the type-27 gate admits every 3-form
+    # the type-27 gate admits every 3-form: only g2.type-gate gives a gate
+    # a form with a 1- or 7-part
     Mutant("is-pure27-always", "from g2forge.g2 import G2Frame; "
-           "G2Frame.is_pure27 = lambda self, b: True", "gap", suites=FIVE,
-           sizes=SMALL_MC, failed=LEDGER,
-           why="ROADMAP item 9: no suite check gives a gate a form with a 1- "
-               "or 7-part; the error-path tests of tests/test_cubic.py and "
-               "tests/test_g2.py catch it in tier-1"),
+           "G2Frame.is_pure27 = lambda self, b: True", "caught", suites=FIVE,
+           sizes=SMALL_MC, failed=LEDGER | ids(g2="type-gate"),
+           actual={"g2.type-gate": "0 of 8 rejected, 0 of 8 raise"}),
     Mutant("decompose-y2-sign", "from g2forge import aw; "
            "rewrite(aw, 'decompose', '-c[0], c[1]', '-c[0], -c[1]')",
            "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | P_VALUES
@@ -609,14 +609,13 @@ REGISTRY: tuple[Mutant, ...] = (
         """, "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
             g2="iso-inverse-roundtrip", cubic="q-and-p-displays")),
     # the solve's 7-weight off by one: M^T rhs has no 7-part on a pair of
-    # 27-type forms, the only inputs the suites give the solve, while
-    # tests/golden/operators_seed1.json, whose generic pairs have one,
-    # raises InconsistentSystemError under it
+    # 27-type forms, so only cubic.b2-solve's generic first pair reads it
     Mutant("solve-7-weight", "from g2forge.g2 import G2Frame; rewrite("
            "G2Frame, 'solve_three_form_numerators', '(w7 - w27)', "
-           "'(w7 + 1 - w27)')", "gap", suites=FIVE, sizes=SMALL_MC,
-           failed=LEDGER, why="ROADMAP item 2: cubic.b2-solve on a generic "
-           "pair"),
+           "'(w7 + 1 - w27)')", "caught", suites=FIVE, sizes=SMALL_MC,
+           failed=LEDGER | ids(cubic="b2-solve"),
+           actual={"cubic.b2-solve": "InconsistentSystemError: inconsistent "
+                   "linear system: row 0 reduces to 0 = nonzero"}),
     # the Haar sampler's third column without its conjugation
     Mutant("haar-third-column-unconjugated", "from g2forge import pairing; "
            "rewrite(pairing, 'haar_su3', 'np.conjugate(', 'np.positive(')",

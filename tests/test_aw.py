@@ -1,7 +1,6 @@
 """Tests for the reductive block frame, su(3) elements, and the block
 expansion of the obstruction cubic."""
 
-import contextlib
 import itertools
 import json
 import random
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2forge import aw, cubic, pairing, suites
+from g2forge import aw, cubic, g2, pairing, suites
 from g2forge.aw import AWFrame, Su3Element, block_coords, block_products, \
     block_tables, CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, \
     c_of, \
@@ -92,7 +91,7 @@ def test_standard_aw_frame_is_built_once():
     assert standard_aw_frame() is standard_aw_frame()
     assert standard_aw_frame().g2 is standard_frame()
     # the one value the failed-build cache keeps for its build
-    assert aw._built(standard_aw_frame.__wrapped__) is standard_aw_frame()
+    assert g2._built(standard_aw_frame.__wrapped__) is standard_aw_frame()
 
 
 # -- su(3) elements ----------------------------------------------------------
@@ -280,26 +279,11 @@ def _xi_with_m4_part():
                       (1, -2, Fraction(3, 2), 0, -1, 2))
 
 
-@contextlib.contextmanager
-def patched_basis(monkeypatch):
-    """A monkeypatch context that the block frame, the display tables,
-    the block basis and the block table are rebuilt under: the cache of
-    their builds is cleared on entry and again on exit, so the patches
-    reach them and no patched build outlives the context."""
-    with monkeypatch.context() as patch:
-        aw._built.cache_clear()
-        try:
-            yield patch
-        finally:
-            aw._built.cache_clear()
-
-
-def test_first_principles_c_constructions_checked(monkeypatch):
-    with patched_basis(monkeypatch) as patch:
-        patch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
-        with pytest.raises(InternalConsistencyError,
-                           match="the two constructions of C disagree"):
-            first_principles_value(_xi_with_m4_part())
+def test_first_principles_c_constructions_checked(rebuilt, monkeypatch):
+    monkeypatch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
+    with pytest.raises(InternalConsistencyError,
+                       match="the two constructions of C disagree"):
+        first_principles_value(_xi_with_m4_part())
 
 
 def test_c_raise_names_x_and_the_first_differing_blade(monkeypatch):
@@ -311,13 +295,14 @@ def test_c_raise_names_x_and_the_first_differing_blade(monkeypatch):
         "e4..e7, direct against displayed: e125 is 2, not 4")
 
 
-def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
+def test_first_principles_type_gate(rebuilt, monkeypatch, awframe, g2frame):
     # a Lambda^3_7 part (<A, e_2 -| psi> != 0) in the C(e_i) of the basis,
     # which W reads, or in phitilde, which U reads, fails the one gate,
     # block_basis's, on both routes to P, at a tensor-display point, at
-    # a solver point and in the table's build (patched_basis clears the
-    # table's cache too, so that the build reruns under the patch, and
-    # the frame's, so phitilde is patched on the frame built inside it)
+    # a solver point and in the table's build (every kept build is reset
+    # before each patch, the table's too, so that the build reruns under
+    # the patch, and the frame's, so phitilde is patched on the frame
+    # built after the reset)
     stray = g2frame.kappa[1]
     xi, z = _xi_with_m4_part(), (1, 1, -1, 2, 1, 0, 1, -1)
     calls = [lambda: first_principles_value(xi),
@@ -327,7 +312,8 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
     for target, name, value in (
             (lambda: aw, "c_of", lambda x: c_direct(x) + stray),
             (standard_aw_frame, "phi_tilde", awframe.phi_tilde + stray)):
-        with patched_basis(monkeypatch) as patch:
+        rebuilt()
+        with monkeypatch.context() as patch:
             patch.setattr(target(), name, value)
             for call in calls:
                 with pytest.raises(TypeDecompositionError) as err:
@@ -335,7 +321,7 @@ def test_first_principles_type_gate(monkeypatch, awframe, g2frame):
                 assert str(err.value) == "block basis is not of pure 27 type"
 
 
-def test_block_forms_pass_one_gate(monkeypatch):
+def test_block_forms_pass_one_gate(rebuilt, monkeypatch):
     """The type-27 gate runs on the eight forms of the block basis and on
     no combination of them: once the basis is built, a two-route P, a
     tensor-display point and a solver point make no is_pure27 call, and
@@ -355,7 +341,7 @@ def test_block_forms_pass_one_gate(monkeypatch):
 
     monkeypatch.setattr(G2Frame, "is_pure27", counted)
     made = []
-    for call in calls + (aw._built.cache_clear, aw.block_basis):
+    for call in calls + (rebuilt, aw.block_basis):
         count[0] = 0
         call()
         made.append(count[0])
@@ -494,15 +480,15 @@ def test_split_cubic_matches_four_pass_expansion():
         assert reference.split_cubic(u, w) == (2 * even, 0)
 
 
-def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
+def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch, rebuilt):
     """One sign of the grade-3 pair table flipped (the second triple of
     e123) keeps p symmetric in its two arguments but breaks the full
     symmetry of the trilinear form T on the block basis: the block
     table refuses to build, so the two-route call, which reads the
     table, raises, while the native route, which reads T only on the
     diagonal, still returns on its own.  The table, or its failed
-    build, is cached per process; the builder's cache is cleared under
-    the flip and again after it."""
+    build, is kept per process; the kept builds are reset under the
+    flip and again after it."""
     xi = _xi_with_m4_part()
     want = first_principles_value(xi)
     table = cubic._pair_table(3)
@@ -510,16 +496,13 @@ def test_two_routes_catch_an_asymmetric_pair_table(monkeypatch):
     k, mm, sign = table[e123][1]
     monkeypatch.setitem(table, e123,
                         table[e123][:1] + ((k, mm, -sign),) + table[e123][2:])
-    aw._built.cache_clear()
-    try:
-        first_principles_value(xi, single_route=True)
-        with pytest.raises(InternalConsistencyError,
-                           match="block trilinear table is not fully "
-                                 "symmetric"):
-            first_principles_value(xi)
-    finally:
-        monkeypatch.undo()
-        aw._built.cache_clear()
+    rebuilt()
+    first_principles_value(xi, single_route=True)
+    with pytest.raises(InternalConsistencyError,
+                       match="block trilinear table is not fully symmetric"):
+        first_principles_value(xi)
+    monkeypatch.undo()
+    rebuilt()
     assert first_principles_value(xi) == want
 
 

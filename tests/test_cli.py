@@ -281,8 +281,9 @@ def test_run_usage_errors_load_no_suites(fresh_python, argv, env):
 
 def test_cli_import_builds_no_table(fresh_python):
     # a cold `eval hat` or `eval project` never pays for the b2, pair or
-    # frame tables: the import loads no cubic, and every functools.cache
-    # builder of the loaded package is still empty after it
+    # frame tables: the import loads no cubic, and g2._built, which keeps
+    # every per-process value, and each grade-keyed table of the loaded
+    # package are still empty after it
     code = ("import sys\n"
             "import g2forge.cli\n"
             "print('cubic', 'g2forge.cubic' in sys.modules)\n"
@@ -295,7 +296,7 @@ def test_cli_import_builds_no_table(fresh_python):
     first, *rest = done.stdout.splitlines()
     assert first == "cubic False", done.stderr
     builders = {tuple(line.split()[:2]): line.split()[2] for line in rest}
-    assert ("g2forge.g2", "standard_frame") in builders, done.stderr
+    assert ("g2forge.g2", "_built") in builders, done.stderr
     assert set(builders.values()) == {"0"}
 
 

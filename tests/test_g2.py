@@ -604,7 +604,8 @@ def test_two_form_endo(g2frame):
 
 def test_standard_frame_is_built_once():
     assert standard_frame() is standard_frame()
-    assert standard_frame.cache_info().currsize == 1
+    # the one value the failed-build cache keeps for its build
+    assert g2._built(standard_frame.__wrapped__) is standard_frame()
 
 
 def test_frame_constructor_consistency():

@@ -1,8 +1,9 @@
 """Source hygiene of the package, read off its syntax trees: every import
 is used, every module-level function, class and assigned name and every
 method is used by the package or the benchmark, no module rebinds a
-global or runs a loop at module level, per-process state is built by
-functools.cache builders alone (no cached_property or lru_cache), numpy
+global or runs a loop at module level, every per-process value is
+built through g2.once and functools.cache keeps only tables keyed by an
+argument (no cached_property or lru_cache), numpy
 is imported only by what samples, and each command imports only the
 modules it runs.  Its dynamic twin, the reach scan of tests/reach.py,
 runs the commands and requires every def they leave unreached to be
@@ -239,7 +240,7 @@ def test_no_global_statement(path):
 
 
 def test_one_cache_mechanism():
-    # per-process state is built by functools.cache builders alone
+    # per-process state is built by g2.once and functools.cache alone
     found = [f"{path.name}:{node.lineno} {node.attr}"
              for path in SOURCES for node in ast.walk(_tree(path))
              if isinstance(node, ast.Attribute)
@@ -248,6 +249,20 @@ def test_one_cache_mechanism():
               for path in SOURCES for node in ast.walk(_tree(path))
               if isinstance(node, ast.ImportFrom)
               for a in node.names if a.name in ("cached_property", "lru_cache")]
+    assert found == []
+
+
+def test_per_process_values_are_built_once():
+    # a def with no parameters cached by functools.cache is a per-process
+    # value that would rebuild and re-raise at every caller after a failed
+    # build, and that g2._built.cache_clear would not reset: it goes
+    # through g2.once
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in SOURCES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.FunctionDef)
+             and not any(ast.iter_child_nodes(node.args))
+             and any(ast.unparse(d) in ("cache", "functools.cache")
+                     for d in node.decorator_list)]
     assert found == []
 
 
@@ -318,9 +333,10 @@ def test_import_layers(fresh_python, tmp_path, g2frame, code, loaded,
 
 def test_one_type_27_gate():
     """The gate's text is written once, and every gate that raises on
-    is_pure27 is require_pure27: is_pure27 is read there and by the one
-    check that counts the forms that pass.  aw gates its block forms
-    once, at the block basis, whose combinations they all are."""
+    is_pure27 is require_pure27: is_pure27 is read there and by the two
+    checks that count the forms it passes and rejects.  aw gates its
+    block forms once, at the block basis, whose combinations they all
+    are."""
     texts = [f"{path.name}:{node.lineno}" for path in SOURCES
              for node in ast.walk(_tree(path))
              if isinstance(node, ast.Constant) and node.value ==
@@ -335,8 +351,9 @@ def test_one_type_27_gate():
                       and node.attr == attr)
 
     assert len(texts) == 1 and texts[0].startswith("g2.py:")
-    # g2.iso-inverse-roundtrip counts the basis forms that pass the gate
+    # g2.iso-inverse-roundtrip counts the basis forms that pass the gate,
+    # g2.type-gate the 1- and 7-parts it rejects
     assert readers("is_pure27", SOURCES) == \
-        ["g2.py:require_pure27", "suites.py:suite_g2"]
+        ["g2.py:require_pure27"] + ["suites.py:suite_g2"] * 2
     aw = [path for path in SOURCES if path.name == "aw.py"]
     assert readers("require_pure27", aw) == ["aw.py:block_basis"]

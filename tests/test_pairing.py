@@ -409,7 +409,7 @@ def test_first_principles_pairing():
         GaussRational(Fraction(760, 3), 0)
 
 
-def test_pairing_report_computes_each_pairing_once(monkeypatch):
+def test_pairing_report_computes_each_pairing_once(rebuilt, monkeypatch):
     # seven pairings from cold (both P sources, four components,
     # <i det, i det>), none warm, and none for the Monte-Carlo prediction
     calls = []
@@ -420,17 +420,53 @@ def test_pairing_report_computes_each_pairing_once(monkeypatch):
         return inner(p, q)
 
     monkeypatch.setattr(pairing, "sym_inner_poly", counted)
-    pairing_report.cache_clear()
-    try:
-        first = pairing_report()
-        assert len(calls) == 7
-        assert pairing_report() is first
-        assert len(calls) == 7
-        haar_average_check(Su3Element(*MC_ELEMENTS[1]), samples=10 ** 4,
-                           seed=5)
-        assert len(calls) == 7
-    finally:
-        pairing_report.cache_clear()
+    first = pairing_report()
+    assert len(calls) == 7
+    assert pairing_report() is first
+    assert len(calls) == 7
+    haar_average_check(Su3Element(*MC_ELEMENTS[1]), samples=10 ** 4, seed=5)
+    assert len(calls) == 7
+
+
+_FAILED_REPORT_KEPT = """
+import collections
+import sys
+from g2forge import aw, pairing, suites
+
+
+def failing(*args):
+    raise aw.InternalConsistencyError("the block map fails")
+
+
+pairing.block_coords = failing
+names = ("component_polys", "pairing_report")
+codes = {getattr(pairing, n).__wrapped__.__code__: n for n in names}
+builds = collections.Counter()
+
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in codes:
+        builds[codes[frame.f_code]] += 1
+
+
+sys.setprofile(profile)
+suites.suite_aw(1, n_random=5)
+suites.suite_pairing(1, n_random=5, samples=10 ** 4)
+sys.setprofile(None)
+print(*(builds[n] for n in names))
+"""
+
+
+def test_failed_report_build_runs_once(fresh_python):
+    """pairing.block_coords raising, in a fresh interpreter: the component
+    polynomials and the pairing report fail their builds once each, and
+    the aw and pairing suites at seed 1, whose every reader of them then
+    raises, never build them again (6 builds each when a failed build
+    was not kept).  Builds are counted as calls of the builders' own
+    code."""
+    proc = fresh_python(_FAILED_REPORT_KEPT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 1\n"
 
 
 def test_pairing_report_is_read_only():

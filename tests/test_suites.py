@@ -131,27 +131,17 @@ def test_idet_two_routes_can_fail(monkeypatch):
     assert _aw_check("aw.idet-two-routes")["status"] == "fail"
 
 
-@pytest.fixture
-def uncached_pairing_report():
-    """pairing_report's cache cleared on entry and on exit, so no report
-    made under a patch outlives its test."""
-    pairing.pairing_report.cache_clear()
-    yield
-    pairing.pairing_report.cache_clear()
-
-
 def _pairing_check(cid):
     return _check(suites.suite_pairing(0, n_random=1, samples=10 ** 4), cid)
 
 
-def test_gram_from_killing_can_fail(monkeypatch, uncached_pairing_report):
+def test_gram_from_killing_can_fail(monkeypatch, rebuilt):
     assert _pairing_check("pairing.gram-from-killing")["status"] == "pass"
     monkeypatch.setitem(pairing.GRAM, ("v1", "v2"), Fraction(-1, 3))
     assert _pairing_check("pairing.gram-from-killing")["status"] == "fail"
 
 
-def test_gram_from_killing_reads_the_trace(monkeypatch,
-                                           uncached_pairing_report):
+def test_gram_from_killing_reads_the_trace(monkeypatch, rebuilt):
     # the table is derived from b(xi, eta) = -1/2 tr(xi eta) itself, so b
     # normalised as -tr(xi eta) halves every derived entry and fails
     killing = pairing._killing
@@ -161,23 +151,11 @@ def test_gram_from_killing_reads_the_trace(monkeypatch,
     assert _pairing_check("pairing.gram-from-killing")["status"] == "fail"
 
 
-def test_sym_inner_symmetric_can_fail(monkeypatch, uncached_pairing_report):
+def test_sym_inner_symmetric_can_fail(monkeypatch, rebuilt):
     inner = pairing.monomial_inner
     monkeypatch.setattr(pairing, "monomial_inner",
                         lambda m1, m2: inner(m1, m2) + (1 if m1 < m2 else 0))
     assert _pairing_check("pairing.sym-inner-symmetric")["status"] == "fail"
-
-
-@pytest.fixture
-def uncached_pairing_polys(uncached_pairing_report):
-    """The caches of i det and of the interpolated P cleared on entry and
-    on exit as well, for a patch that reaches either."""
-    builders = (pairing.idet_poly, pairing.first_principles_p_poly)
-    for builder in builders:
-        builder.cache_clear()
-    yield
-    for builder in builders:
-        builder.cache_clear()
 
 
 def _recorded(cid):
@@ -207,8 +185,7 @@ def test_complex_gram_entry_names_the_letters(monkeypatch):
                               "real part 0, imaginary part -2/3")
 
 
-def test_disagreeing_idet_routes_name_the_difference(monkeypatch,
-                                                     uncached_pairing_polys):
+def test_disagreeing_idet_routes_name_the_difference(monkeypatch, rebuilt):
     determinant = pairing.idet_determinant_poly
     monkeypatch.setattr(pairing, "idet_determinant_poly",
                         lambda: 2 * determinant())
@@ -223,7 +200,7 @@ def test_disagreeing_idet_routes_name_the_difference(monkeypatch,
         "pairing.idet-construction")
 
 
-def test_complex_p_names_the_monomial(monkeypatch, uncached_pairing_polys):
+def test_complex_p_names_the_monomial(monkeypatch, rebuilt):
     # the v1^3 coefficient of P times i
     coefficients = dict(pairing.interpolate_p_coefficients())
     coefficients[(0, 0, 0)] *= GaussRational(0, 1)
@@ -236,8 +213,7 @@ def test_complex_p_names_the_monomial(monkeypatch, uncached_pairing_polys):
         "its partner v1*v1*v1")
 
 
-def test_complex_pairing_names_its_imaginary_part(monkeypatch,
-                                                  uncached_pairing_report):
+def test_complex_pairing_names_its_imaginary_part(monkeypatch, rebuilt):
     inner = pairing.sym_inner_poly
     monkeypatch.setattr(pairing, "sym_inner_poly",
                         lambda p, q: inner(p, q) + GaussRational(0, 1))
@@ -245,8 +221,7 @@ def test_complex_pairing_names_its_imaginary_part(monkeypatch,
         "InternalConsistencyError: <P, i det> is not real: imaginary part 1")
 
 
-def test_model_mismatch_names_the_monomial(monkeypatch,
-                                           uncached_pairing_report):
+def test_model_mismatch_names_the_monomial(monkeypatch, rebuilt):
     fit = pairing.first_principles_fit()
     monkeypatch.setattr(pairing, "first_principles_fit",
                         lambda: (fit[0] + 1,) + fit[1:])
@@ -256,8 +231,7 @@ def test_model_mismatch_names_the_monomial(monkeypatch,
         "model")
 
 
-def test_negative_idet_norm_names_the_value(monkeypatch,
-                                            uncached_pairing_report):
+def test_negative_idet_norm_names_the_value(monkeypatch, rebuilt):
     inner = pairing.sym_inner_poly
     monkeypatch.setattr(pairing, "sym_inner_poly",
                         lambda p, q: -inner(p, q) if p is q else inner(p, q))
@@ -377,7 +351,7 @@ def test_a_raising_check_fails_alone(monkeypatch):
 
     monkeypatch.setattr(g2.G2Frame, "pairing_matrix", broken)
     report = suites.suite_g2(0, n_random=1)
-    assert len(report["checks"]) == 9
+    assert len(report["checks"]) == 10
     assert [c for c in report["checks"] if c["status"] == "fail"] == [{
         "id": "g2.pairing-rank",
         "status": "fail",
