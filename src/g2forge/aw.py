@@ -81,6 +81,13 @@ once and checked fully symmetric; the lattice sweeps, the fits and
 route two of P evaluate that table; random points, and two probes of
 the table when it is built, take the solver route.
 
+Every cubic of eight coordinates is read through one exact
+interpolator, cubic_coefficients, from its values at the 120
+cubic_points; pairing reads P's coefficients with it.  The two fits
+read the block cubic and P's table assembly through it: fit_model reads
+each model coefficient off one monomial, then requires the model to
+equal the cubic on every monomial.
+
 z is the one shape of block data: the table, the solver route, the
 displays, the model row and R (_r), the fits and compose all take it.
 Block Forms stay only at the boundary the benchmark reads: decompose
@@ -99,9 +106,9 @@ route g(Jx, I_y x) reads the nonzero entries of J and the I_a from the
 same tables.  The kernel side runs at every point.
 
 The block frame, the block basis, the display tables, the block table,
-the integers of FAMILY, the phitilde displays, the cubic lattice and
-the three fits are per-process values built through g2.once: each is
-built on first use, and a build that raises is kept, so every later
+the integers of FAMILY, the phitilde displays, the model coefficients
+and the three fits are per-process values built through g2.once: each
+is built on first use, and a build that raises is kept, so every later
 reader raises its text again and none reruns it.
 """
 
@@ -116,7 +123,7 @@ from .exterior import Form, FormError, M4_MASK, blade, \
 from .g2 import InternalConsistencyError, _expanded, first_difference, \
     once, standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
-from .linalg import TRIANGLE, Matrix, SymTensor, solve_exact, upper_inner
+from .linalg import TRIANGLE, Matrix, SymTensor, upper_inner
 from .scalars import GaussRational, ScalarError, clear_denominators, \
     scalar_to_json
 
@@ -878,11 +885,49 @@ def block_tables() -> _BlockTables:
 
 
 @once
+def cubic_points() -> tuple:
+    """The 120 points at which cubic_coefficients reads a cubic in eight
+    coordinates, in its order: the e_i, then e_i + e_j and e_i - e_j for
+    each i < j, then e_i + e_j + e_k for each i < j < k."""
+    def point(steps):
+        return tuple(steps.get(i, 0) for i in range(8))
+    pairs = itertools.combinations(range(8), 2)
+    return tuple([point({i: 1}) for i in range(8)]
+                 + [point({i: 1, j: e}) for i, j in pairs for e in (1, -1)]
+                 + [point(dict.fromkeys(t, 1))
+                    for t in itertools.combinations(range(8), 3)])
+
+
+def cubic_coefficients(f) -> dict:
+    """The coefficients of a homogeneous cubic f of eight coordinates,
+    as Fractions keyed by sorted index triples, the zero ones left out:
+    f is called once at each of the 120 cubic_points and gives ints or
+    Fractions.
+
+    With f_i = f(e_i) = c_iii, f(e_i +- e_j) = f_i +- f_j + c_iij +- c_ijj
+    gives c_iij and c_ijj, and f(e_i + e_j + e_k), less the three pair
+    sums f(e_i + e_j) and plus the three f_i, is c_ijk.  The map from
+    values to coefficients is linear and exact; it forms twice each
+    coefficient and halves the nonzero ones once."""
+    values = iter([f(p) for p in cubic_points()])
+    fs = [next(values) for _ in range(8)]
+    twice, pair = {(i, i, i): 2 * fs[i] for i in range(8)}, {}
+    for i, j in itertools.combinations(range(8), 2):
+        pair[i, j], minus = next(values), next(values)
+        s_sum, d_sum = pair[i, j] - fs[i] - fs[j], minus - fs[i] + fs[j]
+        twice[i, i, j], twice[i, j, j] = (s_sum - d_sum, s_sum + d_sum)
+    for i, j, k in itertools.combinations(range(8), 3):
+        twice[i, j, k] = 2 * (next(values) - pair[i, j] - pair[i, k]
+                              - pair[j, k] + fs[i] + fs[j] + fs[k])
+    return {key: Fraction(c, 2) for key, c in twice.items() if c}
+
+
+@once
 def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The generic block cubic <p(A_, A_), i^{-1}(A_)> fitted over the
     model (s^3, s|x|^2, s|y|^2, R); see fit_model."""
     tab = block_tables()
-    return fit_model(lambda z: tab.tri(z, z, z))
+    return fit_model(cubic_coefficients(lambda z: tab.tri(z, z, z)))
 
 
 def _model_row(z) -> tuple:
@@ -894,41 +939,41 @@ def _model_row(z) -> tuple:
 
 
 @once
-def _cubic_lattice() -> tuple:
-    """(z, model) at each point z of the degree-3 lattice, model the int
-    values of s^3, s|x|^2, s|y|^2 and R there."""
-    return tuple((z, _model_row(z)) for z in principal_lattice(8, 3))
+def _model_coefficients() -> tuple:
+    """The coefficients (cubic_coefficients) of the model terms s^3,
+    s|x|^2, s|y|^2 and R in the block coordinates, read off one table of
+    _model_row at the 120 cubic_points."""
+    rows = {z: _model_row(z) for z in cubic_points()}
+    return tuple(cubic_coefficients(lambda z, k=k: rows[z][k])
+                 for k in range(4))
 
 
-def fit_model(fn) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Exact coefficients (c1, c2, c3, c4) of the block cubic fn in the
-    model c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x), fitted at four
-    probe points (the model functions are linearly independent) and then
-    verified on the full degree-3 lattice, which certifies that the
-    cubic lies in the span (an internal-inconsistency error otherwise).
-    fn takes the block coordinates z.  The sweep runs on ints: with c_k =
-    C_k / D it compares sum C_k m_k with D fn, for an fn that gives ints
-    on int z.
-    """
-    probes = ((1, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0),
-              (1, 1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 1, 1, 0, 0))
-    sol, kdim = solve_exact(Matrix.from_rows([_model_row(z) for z in probes]),
-                            [fn(z) for z in probes])
-    if kdim != 0:
-        raise InternalConsistencyError(
-            f"cubic probe points are degenerate: kernel dimension {kdim}")
-    coeffs, D = clear_denominators(sol)
-    # the cubic is jointly homogeneous in (s, y, x), so the degree-3
-    # slice of the lattice (120 points, the unisolvent count for cubics
-    # in eight variables) certifies the identity everywhere
-    for z, model in _cubic_lattice():
-        fitted, value = sum(c * m for c, m in zip(coeffs, model)), fn(z)
-        if fitted != D * value:
+# the block coordinates z by name, as a raise names a monomial in them
+_Z_NAMES = ("s", "y1", "y2", "y3", "x4", "x5", "x6", "x7")
+
+
+def fit_model(cubic: dict) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Exact coefficients (c1, c2, c3, c4) of a block cubic in the model
+    c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x), for the cubic's
+    coefficients in the block coordinates (cubic_coefficients).
+
+    c_k is read off the least monomial of the k-th model term that no
+    other term has; the fitted model must then equal the cubic on every
+    monomial, which certifies that the cubic lies in the span (an
+    internal-inconsistency error naming the monomial and both values
+    otherwise)."""
+    model = _model_coefficients()
+    own = [min(t.keys() - set().union(*(u for u in model if u is not t)))
+           for t in model]
+    coeffs = [cubic.get(m, 0) / t[m] for m, t in zip(own, model)]
+    for m in sorted(cubic.keys() | {k for t in model for k in t}):
+        fitted = sum(c * t[m] for c, t in zip(coeffs, model) if m in t)
+        if fitted != cubic.get(m, 0):
             raise InternalConsistencyError(
                 "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
-                f"{Fraction(fitted, D)}, cubic {value} at s = {z[0]}, "
-                f"{_where(z)}")
-    return tuple(sol)
+                f"{fitted}, cubic {cubic.get(m, 0)} at "
+                f"{'*'.join(_Z_NAMES[i] for i in m)}")
+    return tuple(coeffs)
 
 
 def revert_block_fit(coeffs) -> tuple:
@@ -955,7 +1000,7 @@ def direct_p_fit() -> tuple:
             f"assembled P disagrees with the full evaluator: table {table}, "
             f"evaluator {full} at {json.dumps(xi.to_json())}")
     return tuple(c / _family_ints()[1] ** 3
-                 for c in fit_model(tab.fp_numerator))
+                 for c in fit_model(cubic_coefficients(tab.fp_numerator)))
 
 
 @once

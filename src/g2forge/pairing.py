@@ -19,9 +19,11 @@ induced by b(xi, xi) = -1/2 tr(xi^2); both the table and its derivation
 from b are implemented and compared.
 
 i det(xi) is computed two ways (the displayed six-term cubic, and the
-symbolic determinant of the coordinate matrix) and the obstruction
-polynomial P enters either as the closed displayed cubic or as the
-first-principles interpolation through the exact evaluator.  The final
+symbolic determinant of the coordinate matrix), built once per process
+for both readers, and the obstruction polynomial P enters either as the
+closed displayed cubic or as the first-principles interpolation through
+the exact evaluator (aw.cubic_coefficients, the package's one cubic
+interpolator).  The final
 number is <P, i det>, assembled from the pairings of the four
 components, aw's model row run on the generic element, whose
 coordinates are letter polynomials (MultiPoly is a coefficient ring):
@@ -57,8 +59,8 @@ from .g2 import InternalConsistencyError, once
 from .linalg import Matrix, solve_exact
 from .scalars import GaussRational, ScalarError
 from .aw import CLOSED_DISPLAY, Su3Element, _model_row, block_coords, \
-    decompose, det3, first_principles_fit, first_principles_value, \
-    sign_resolution
+    cubic_coefficients, decompose, det3, first_principles_fit, \
+    first_principles_value, sign_resolution
 
 LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
 
@@ -393,6 +395,18 @@ def _first_difference(p: MultiPoly, q: MultiPoly) -> tuple:
     return m, p.terms.get(m, 0), q.terms.get(m, 0)
 
 
+@once
+def _idet_routes() -> tuple:
+    """(display, reduced display, reduced determinant, difference): the
+    displayed i det, both routes reduced to the v3-free alphabet, and
+    their first difference (_first_difference), None where they agree;
+    built once per process for idet_report and idet_poly."""
+    display = idet_display_poly()
+    disp, det = display.eliminate_v3(), idet_determinant_poly().eliminate_v3()
+    return display, disp, det, None if disp == det else \
+        _first_difference(disp, det)
+
+
 def idet_report() -> dict:
     """Both routes to i det, compared in the reduced alphabet, plus how
     the product-term notation must be read; when they differ, the first
@@ -402,34 +416,31 @@ def idet_report() -> dict:
     determinant expansion shows the intended term is
     i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3).
     """
-    display = idet_display_poly()
-    disp, det = display.eliminate_v3(), idet_determinant_poly().eliminate_v3()
+    display, disp, det, diff = _idet_routes()
     rep = {
-        "matches": disp == det,
+        "matches": diff is None,
         "display_is_real": display.is_real_on_su3(),
         "reading": "i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3)",
     }
-    if disp != det:
-        mono, a, b = _first_difference(disp, det)
+    if diff:
+        mono, a, b = diff
         rep["difference"] = (
             f"at {'*'.join(mono)} the display has {a} and the determinant "
             f"{b}; display {disp!r}; determinant {det!r}")
     return rep
 
 
-@once
 def idet_poly() -> MultiPoly:
     """The displayed i det, after the dual-route comparison has run."""
-    rep = idet_report()
-    if not rep["matches"]:
+    display, _, _, diff = _idet_routes()
+    if diff:
         # the polynomials are pairing.idet-construction's evidence; the
         # records that read this raise name the monomial alone
-        mono, a, b = _first_difference(idet_display_poly().eliminate_v3(),
-                                       idet_determinant_poly().eliminate_v3())
+        mono, a, b = diff
         raise InternalConsistencyError(
             f"the two routes to i det disagree at {' '.join(mono)}: display "
             f"{a}, determinant {b}; see pairing.idet-construction")
-    return idet_display_poly()
+    return display
 
 
 # ---------------------------------------------------------------------------
@@ -450,59 +461,12 @@ def closed_p_poly() -> MultiPoly:
     return sum(c * p for c, p in zip(CLOSED_DISPLAY, component_polys()))
 
 
-def _coordinate_points():
-    """The 120 probe points of the cubic interpolation: all singles,
-    signed pairs and triples of the eight coordinate directions."""
-    singles = [(i,) for i in range(8)]
-    pairs = list(itertools.combinations(range(8), 2))
-    triples = list(itertools.combinations(range(8), 3))
-    return singles, pairs, triples
-
-
 def interpolate_p_coefficients() -> dict:
-    """Exact coefficients of P in the coordinates (v1, v2, x1..x6).
-
-    A homogeneous cubic is pinned by its values on singles e_i, pairs
-    e_i +- e_j and triples e_i + e_j + e_k of coordinate directions:
-    120 evaluations in all.  Keys are sorted index triples.
-    """
-    def f(c):
-        return first_principles_value(_xi_from_coords(c), single_route=True)
-
-    singles, pairs, triples = _coordinate_points()
-    coeff: dict[tuple, Fraction] = {}
-    fs = {}
-    for (i,) in singles:
-        c = [0] * 8
-        c[i] = 1
-        fs[i] = f(c)
-        if fs[i] != 0:
-            coeff[(i, i, i)] = fs[i]
-    fpair = {}
-    for i, j in pairs:
-        c = [0] * 8
-        c[i] = c[j] = 1
-        plus = f(c)
-        c[j] = -1
-        minus = f(c)
-        fpair[(i, j)] = plus
-        # f(ei + ej) = fi + fj + c_iij + c_ijj; f(ei - ej) = fi - fj - c_iij + c_ijj
-        s_sum = plus - fs[i] - fs[j]
-        d_sum = minus - fs[i] + fs[j]
-        c_iij = (s_sum - d_sum) / 2
-        c_ijj = (s_sum + d_sum) / 2
-        if c_iij != 0:
-            coeff[(i, i, j)] = c_iij
-        if c_ijj != 0:
-            coeff[(i, j, j)] = c_ijj
-    for i, j, k in triples:
-        c = [0] * 8
-        c[i] = c[j] = c[k] = 1
-        val = (f(c) - fpair[(i, j)] - fpair[(i, k)] - fpair[(j, k)]
-               + fs[i] + fs[j] + fs[k])
-        if val != 0:
-            coeff[(i, j, k)] = val
-    return coeff
+    """Exact coefficients of P in the coordinates (v1, v2, x1..x6), keyed
+    by sorted index triples: aw.cubic_coefficients on single-route P, 120
+    evaluations in all."""
+    return cubic_coefficients(lambda c: first_principles_value(
+        _xi_from_coords(c), single_route=True))
 
 
 @once

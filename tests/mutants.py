@@ -473,11 +473,12 @@ REGISTRY: tuple[Mutant, ...] = (
                "tensor-displays value-two-routes"), tier1=True),
     # p r + f r_pivot, invertible, so the row space stays, but the pivot
     # column is left uncleared: the g2 type ranks and the Gram table's
-    # grow, and P's four-term fit no longer spans the block cubic
+    # grow; the fits read their cubics off the interpolation map and run
+    # no elimination
     Mutant("eliminate-plus", "from g2forge import linalg; rewrite(linalg, "
            "'_eliminate', 'p * x - f * y', 'p * x + f * y')", "caught",
-           suites=FIVE, sizes=SMALL_MC, failed=LEDGER | P_VALUES | ids(
-               g2="type-dimensions", aw="revert-map",
+           suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
+               g2="type-dimensions",
                pairing="gram-from-killing gram-v-rank"), tier1=True),
 
     # the entries below run in the script form only, against the five
@@ -573,6 +574,24 @@ REGISTRY: tuple[Mutant, ...] = (
            "lambda A, a: -action(A, a)", "caught", suites=FIVE,
            sizes=SMALL_MC, failed=LEDGER | ids(g2="iso-identities",
                                                cubic="trilinear-routes")),
+    # the interpolation map with its c_iij and c_ijj halves swapped: the
+    # fits read the cubic and the model through the same map and stay, and
+    # interpolated P's letter polynomial misses the fitted model
+    Mutant("interpolation-halves-swapped", "from g2forge import aw; rewrite("
+           "aw, 'cubic_coefficients', '(s_sum - d_sum, s_sum + d_sum)', "
+           "'(s_sum + d_sum, s_sum - d_sum)')", "caught", suites=FIVE,
+           sizes=SMALL_MC, failed=LEDGER | P_VALUES,
+           actual={"pairing.first-principles-nonzero": "InternalConsistency"
+                   "Error: interpolated P does not match the fitted four-term "
+                   "model: v1*v1*z1 has GaussRational(Fraction(-185, 36), "
+                   "Fraction(-185, 36)) interpolated, 0 in the model"}),
+    # the single f(e_k) in the triple formula negated
+    Mutant("interpolation-triple-sign", "from g2forge import aw; rewrite("
+           "aw, 'cubic_coefficients', '+ fs[k]', '- fs[k]')", "equivalent",
+           suites=FIVE, sizes=SMALL_MC, failed=LEDGER,
+           why="k >= 2 in every triple i < j < k, and f(e_k) is 0 there for "
+               "P in (v1, v2, x1..x6) and for the block cubic alike: a "
+               "cubic with c_kkk != 0 for some k >= 2 is never interpolated"),
     # the table split's odd part forced to 0
     Mutant("split-odd-zero", "from g2forge import aw; "
            "rewrite(aw._BlockTables, "

@@ -449,16 +449,11 @@ def test_digits_round_trip_at_their_bound(k):
 
 
 def _split_oracle_elements() -> list:
-    """The 120 interpolation points of P (pairing._coordinate_points:
-    singles, pairs of both signs, triples), the three Monte-Carlo
-    elements of the pairing suite and 100 seeded int elements with
-    entries in [-4, 4], as the benchmark's su3 stream draws them."""
-    singles, pairs, triples = pairing._coordinate_points()
-    steps = ([{i: 1} for (i,) in singles]
-             + [{i: 1, j: e} for i, j in pairs for e in (1, -1)]
-             + [dict.fromkeys(t, 1) for t in triples])
-    points = [pairing._xi_from_coords([step.get(i, 0) for i in range(8)])
-              for step in steps]
+    """The 120 interpolation points of P (aw.cubic_points: singles,
+    pairs of both signs, triples), the three Monte-Carlo elements of the
+    pairing suite and 100 seeded int elements with entries in [-4, 4],
+    as the benchmark's su3 stream draws them."""
+    points = [pairing._xi_from_coords(c) for c in aw.cubic_points()]
     assert len(points) == 120
     rng = random.Random(9029)
     return (points + [Su3Element(*e) for e in suites.MC_ELEMENTS]
@@ -681,7 +676,7 @@ def test_fp_numerator_reads_the_table_symmetry(monkeypatch):
     lattice and at seeded random blocks."""
     tab = block_tables()
     rng = random.Random(9016)
-    points = [z for z, _ in aw._cubic_lattice()]
+    points = list(principal_lattice(8, 3))
     points += [block_coords(*random_blocks(rng)) for _ in range(200)]
     for z in points:
         assert tab.fp_numerator(z) == reference.fp_numerator(tab, z)
@@ -919,17 +914,6 @@ def test_block_frame_raises_name_what_failed(monkeypatch, name, patch, text):
     assert str(err.value) == "the block frame fails " + text
 
 
-def test_degenerate_probe_points_name_the_kernel(monkeypatch):
-    # R's column zeroed: the four probe rows span three dimensions.  The
-    # lattice the sweep caches is not reached
-    model_row = aw._model_row
-    monkeypatch.setattr(aw, "_model_row", lambda z: model_row(z)[:3] + (0,))
-    with pytest.raises(InternalConsistencyError) as err:
-        aw.fit_model(lambda z: 0)
-    assert str(err.value) == \
-        "cubic probe points are degenerate: kernel dimension 1"
-
-
 def test_block_products_match_fraction_oracle():
     """The solver route of block_products on integer numerators gives the
     six products, their weighted sum and the full cubic of the Fraction
@@ -1027,6 +1011,62 @@ def test_aw_run_counts(fresh_python):
                              "coords_of": 0, "norm_sq": 0, "numerators": 0}
 
 
+def test_fit_and_interpolation_counts(monkeypatch, rebuilt):
+    """Every cubic is read at the 120 cubic_points: the model
+    coefficients run _r 120 times, the block fit evaluates the block
+    table 120 times and the direct fit fp_numerator 120 times, after one
+    call at its certification point (124 and 125 when each fit solved at
+    four probes and then swept the 120-point lattice), and interpolating P
+    makes 120 single-route first_principles_value calls."""
+    calls = {"_r": [], "tri": [], "fp_numerator": [], "value": []}
+    r = aw._r
+    monkeypatch.setattr(aw, "_r", lambda z: calls["_r"].append(z) or r(z))
+    aw._model_coefficients()
+    block_tables()
+    tri, numerator = aw._BlockTables.tri, aw._BlockTables.fp_numerator
+    monkeypatch.setattr(aw._BlockTables, "tri",
+                        lambda self, *z: calls["tri"].append(z)
+                        or tri(self, *z))
+    fit_block_cubic()
+    monkeypatch.setattr(aw._BlockTables, "tri", tri)
+    monkeypatch.setattr(aw._BlockTables, "fp_numerator",
+                        lambda self, z: calls["fp_numerator"].append(z)
+                        or numerator(self, z))
+    aw.direct_p_fit()
+    value = pairing.first_principles_value
+    monkeypatch.setattr(pairing, "first_principles_value",
+                        lambda xi, **kw: calls["value"].append(kw)
+                        or value(xi, **kw))
+    pairing.interpolate_p_coefficients()
+    points = aw.cubic_points()
+    assert len(set(points)) == 120
+    assert calls["_r"] == list(points)
+    assert calls["tri"] == [(z, z, z) for z in points]
+    assert calls["fp_numerator"] == [(1, 1, -1, 2, 1, 0, 1, -1), *points]
+    assert calls["value"] == [{"single_route": True}] * 120
+
+
+def test_cubic_coefficients_recover_a_seeded_cubic():
+    """cubic_coefficients reads a cubic with Fraction coefficients back
+    exactly, on each monomial shape iii, iij, ijj and ijk: the keys are
+    sorted index triples, and a zero coefficient has no key."""
+    rng = random.Random(9031)
+    monomials = list(itertools.combinations_with_replacement(range(8), 3))
+    cubic = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             for m in rng.sample(monomials, 30)}
+    cubic.update({(2, 2, 2): Fraction(-3, 7), (1, 1, 5): Fraction(5, 2),
+                  (0, 6, 6): Fraction(1, 3), (3, 4, 7): Fraction(-4, 5),
+                  (0, 0, 0): Fraction(0)})
+    want = {m: c for m, c in cubic.items() if c}
+
+    def f(z):
+        return sum(c * z[i] * z[j] * z[k] for (i, j, k), c in cubic.items())
+
+    got = aw.cubic_coefficients(f)
+    assert got == want and (0, 0, 0) not in got
+    assert all(type(c) is Fraction for c in got.values())
+
+
 _FAILED_BASIS_KEPT = """
 from g2forge import aw, g2, suites
 c_of, stray = aw.c_of, g2.standard_frame().kappa[1]
@@ -1088,7 +1128,7 @@ def test_block_fits_name_both_values(monkeypatch):
     """The raises of the table route name both values and the blocks:
     fp_numerator's odd part, as P = even + odd sqrt(10), and fit_model's
     span check, as the fitted model's value and the cubic's, at the
-    first lattice point where they differ."""
+    first monomial where they differ."""
     tab = block_tables()
     z = (1, 1, -1, 2, 1, 0, 1, -1)
     p = tab.fp_value(z)
@@ -1103,19 +1143,18 @@ def test_block_fits_name_both_values(monkeypatch):
         "s = 1, y = (1, -1, 2) on e1..e3 and x = (1, 0, 1, -1) on e4..e7")
     monkeypatch.undo()
 
-    def cubic_plus_y3_cubed(z):
-        # y3^3 lies outside the model and vanishes at the four probes
-        return tab.tri(z, z, z) + z[3] ** 3
-
-    z, model = next((z, m) for z, m in aw._cubic_lattice() if z[3])
-    with pytest.raises(InternalConsistencyError) as err:
-        aw.fit_model(cubic_plus_y3_cubed)
-    fitted = sum(c * m for c, m in zip(fit_block_cubic(), model))
-    assert str(err.value) == (
-        "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
-        f"{fitted}, cubic {cubic_plus_y3_cubed(z)} at s = {z[0]}, "
-        f"y = ({', '.join(map(str, z[1:4]))}) on e1..e3 and "
-        f"x = ({', '.join(map(str, z[4:]))}) on e4..e7")
+    # s y1^2 added: c3 is read off s*y1*y1 as 6 + 1, and the model then
+    # misses the cubic at s*y2*y2, the first monomial where they differ;
+    # y3^3 added lies outside the model, which is 0 there
+    for extra, text in ((lambda z: z[0] * z[1] ** 2, "model 7, cubic 6 at "
+                         "s*y2*y2"),
+                        (lambda z: z[3] ** 3, "model 0, cubic 1 at y3*y3*y3")):
+        cubic = aw.cubic_coefficients(
+            lambda z: tab.tri(z, z, z) + extra(z))
+        with pytest.raises(InternalConsistencyError) as err:
+            aw.fit_model(cubic)
+        assert str(err.value) == (
+            "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: " + text)
 
 
 _COUNT_QUAD = """

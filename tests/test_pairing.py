@@ -361,6 +361,21 @@ def test_idet_report():
     assert literal.eliminate_v3() != idet_determinant_poly().eliminate_v3()
 
 
+def test_idet_routes_are_built_once(monkeypatch, rebuilt):
+    """idet_report and idet_poly read one build of the two routes: the
+    displayed and the determinant polynomial are built once each, and
+    idet_poly hands back the displayed one."""
+    calls = []
+    for name in ("idet_display_poly", "idet_determinant_poly"):
+        build = getattr(pairing, name)
+        monkeypatch.setattr(pairing, name, lambda build=build, name=name:
+                            calls.append(name) or build())
+    assert idet_report()["matches"]
+    assert idet_poly() is idet_poly()
+    assert idet_report()["matches"]
+    assert calls == ["idet_display_poly", "idet_determinant_poly"]
+
+
 def test_idet_poly_evaluates_to_idet():
     rng = random.Random(11004)
     poly = idet_poly()
