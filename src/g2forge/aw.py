@@ -61,13 +61,13 @@ i^{-1}: the native route, the solver route and the table's build.
 
 The generic rational combination A_ = s phitilde + y ^ Omega + C(x) is
 kept separate: its cubic expands into six displayed block products,
-and the verification suite checks every display pointwise.  Four of
-the six hold; the exact computation replaces "3|x|^2" by "33|x|^2"
-and "-(3/2) R" by "-5 R", which full symmetry of the trilinear form
-forces once the undisputed "33 s|x|^2 - 5R" product is granted.  The
-generic sum is therefore -210 s^3 + s(99|x|^2 + 6|y|^2) - 15 R rather
-than the displayed -210 s^3 + s(39|x|^2 + 6|y|^2) - 8 R, and the
-closed polynomial the suite vindicates is
+and the verification suite checks every display as a polynomial
+identity.  Four of the six hold; the exact computation replaces
+"3|x|^2" by "33|x|^2" and "-(3/2) R" by "-5 R", which full symmetry of
+the trilinear form forces once the undisputed "33 s|x|^2 - 5R" product
+is granted.  The generic sum is therefore -210 s^3 + s(99|x|^2 +
+6|y|^2) - 15 R rather than the displayed -210 s^3 + s(39|x|^2 +
+6|y|^2) - 8 R, and the closed polynomial the suite vindicates is
 
     P(xi) = -210 s^3 + (55/2) s|x|^2 + (50/3) s|y|^2 + (125/18) R.
 
@@ -77,16 +77,28 @@ the corrected closed form where the two differ.
 The generic cubic is trilinear in the block coordinates z = (s, y1,
 y2, y3, x4..x7), the coordinates of A_ on the block basis.  Its
 structure constants on the block basis are 58 nonzero integers, built
-once and checked fully symmetric; the lattice sweeps, the fits and
-route two of P evaluate that table; random points, and two probes of
-the table when it is built, take the solver route.
+once and checked fully symmetric; the block-product sweep, the fits
+and route two of P evaluate that table.  The sweep also takes the
+solver route, which does not read it, as do two probes of the table
+when it is built.
 
-Every cubic of eight coordinates is read through one exact
-interpolator, cubic_coefficients, from its values at the 120
-cubic_points; pairing reads P's coefficients with it.  The two fits
-read the block cubic and P's table assembly through it: fit_model reads
-each model coefficient off one monomial, then requires the model to
-equal the cubic on every monomial.
+The sweeps and the fits run once each, at the symbolic point
+(_symbolic_point): the block coordinates as the polynomial variables
+s, y1..y3, x4..x7 of poly.MultiPoly, the one place this module imports
+poly.  The display sides, the kernels, the block table, the solver
+route, R and the model row are ring-generic code, so at the symbolic
+point each gives the polynomial whose value at every point is the
+value computed there, and one comparison there is an identity of
+polynomials.  verify_tensor_displays is tensor_displays at the
+symbolic (0, y, x), and verify_block_products runs block_products there
+on the table and on the solver route.  fit_block_cubic and direct_p_fit
+each make one polynomial call, tri(z, z, z) and fp_numerator(z), and
+fit_model reads each model coefficient off one monomial of the model
+terms at the symbolic point, then requires the fitted model to equal
+the cubic.  A raise at the symbolic point names the first monomial
+where two values differ.  P's coefficients in the coordinates of xi
+are still read from 120 values by one exact interpolator,
+cubic_coefficients at the cubic_points, which pairing calls.
 
 z is the one shape of block data: the table, the solver route, the
 displays, the model row and R (_r), the fits and compose all take it.
@@ -96,20 +108,16 @@ one converter from them to z (it refuses a y outside m3 or an x outside
 m4), and r_value is R of Form blocks, read through it.
 
 The display sides of the tensor sweep that depend on (y, x) (J I_y,
-e_a . I_a x, y . Jx and the eps mix) are linear or bilinear in (y, x),
-so display_tables evaluates their formulas once per process at the
-basis vectors and keeps the nonzero entries of each int flat upper
-triangle; a point combines those entries with its coordinates into
-the flat triangle the kernels return, and the x-quadratic side of
-p(C(x), C(x)) is written out over linalg.TRIANGLE.  R's metric
-route g(Jx, I_y x) reads the nonzero entries of J and the I_a from the
-same tables.  The kernel side runs at every point.
+e_a . I_a x, y . Jx, the eps mix and the display of p(C(x), C(x))) come
+from their formulas at the sweep's point (_display_sides), and each
+J I_a is checked symmetric there.  R's metric route g(Jx, I_y x) reads
+the nonzero entries of J and the I_a (_r_entries).
 
-The block frame, the block basis, the display tables, the block table,
-the integers of FAMILY, the phitilde displays, the model coefficients
-and the three fits are per-process values built through g2.once: each
-is built on first use, and a build that raises is kept, so every later
-reader raises its text again and none reruns it.
+The block frame, the block basis, the entries R reads, the block table,
+the integers of FAMILY, the symbolic point, the cubic_points and the
+three fits are per-process values built through g2.once: each is built
+on first use, and a build that raises is kept, so every later reader
+raises its text again and none reruns it.
 """
 
 from __future__ import annotations
@@ -120,8 +128,8 @@ from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, \
     coords_of, contract, hodge_m4, vector, vector_form, wedge
-from .g2 import InternalConsistencyError, _expanded, first_difference, \
-    once, standard_frame, two_form_endo
+from .g2 import InternalConsistencyError, first_difference, once, \
+    standard_frame, two_form_endo
 from .cubic import p_numerator, quadratic_upper
 from .linalg import TRIANGLE, Matrix, SymTensor, upper_inner
 from .scalars import GaussRational, ScalarError, clear_denominators, \
@@ -187,7 +195,7 @@ def standard_aw_frame() -> AWFrame:
 def det3(m):
     """The determinant of the 3x3 matrix m by cofactor expansion along its
     first row, for entries of any coefficient ring (GaussRational, or
-    pairing's MultiPoly)."""
+    poly.MultiPoly)."""
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
@@ -423,22 +431,44 @@ def r_value(y: Form, x: Form):
     return _r(block_coords(0, y, x))
 
 
+@once
+def _r_entries() -> list:
+    """The nonzero entries (i, j, c) of J, I1, I2 and I3, in that order,
+    which R's metric route reads: through Matrix.apply, R ran about 50
+    times slower at numeric points."""
+    fr = standard_aw_frame()
+    return [tuple((i, j, M.at(i, j)) for i in range(7) for j in range(7)
+                  if M.at(i, j)) for M in (fr.J, *fr.I)]
+
+
 def _r(z):
     """The mixed cubic R = g(Jx, I_y x) at the block coordinates z,
-    compared against its coordinate display before being returned.  The
-    metric route reads the nonzero entries of J and the I_a off the
-    display tables."""
-    y1, y2, y3 = z[1:4]
-    metric_route = display_tables().r_metric(z[1:4], [0, 0, 0, *z[4:]])
+    compared against its coordinate display before being returned; a
+    raise at a polynomial point names the first monomial where the two
+    differ.  The metric route reads the nonzero entries of J and the I_a
+    (_r_entries)."""
+    (j, *i), x = _r_entries(), [0, 0, 0, *z[4:]]
+    jx, iyx = [0] * 7, [0] * 7
+    for a, b, c in j:
+        jx[a] += c * x[b]
+    for ya, entries in zip(z[1:4], i):
+        for a, b, c in entries:
+            iyx[a] += c * ya * x[b]
+    metric_route = sum(p * q for p, q in zip(jx, iyx))
     # m4 placement: x = x3 e5 - x4 e4 + x5 e7 - x6 e6
+    y1, y2, y3 = z[1:4]
     x3, x4, x5, x6 = z[5], -z[4], z[7], -z[6]
     display = (y1 * (x3 * x3 + x4 * x4 - x5 * x5 - x6 * x6)
                + 2 * y2 * (-x3 * x6 + x4 * x5)
                + 2 * y3 * (x3 * x5 + x4 * x6))
     if metric_route != display:
+        got, want, where = metric_route, display, _where(z)
+        if hasattr(got, "terms"):
+            mono, got, want = got.first_difference(want)
+            where = "*".join(mono)
         raise InternalConsistencyError(
-            f"R display disagrees with g(Jx, I_y x): metric {metric_route}, "
-            f"display {display} at {_where(z)}")
+            f"R display disagrees with g(Jx, I_y x): metric {got}, "
+            f"display {want} at {where}")
     return metric_route
 
 
@@ -451,26 +481,24 @@ def _where(z) -> str:
 def _solver_products(z) -> tuple[tuple, Fraction]:
     """The six products <p(block, block), i^{-1}(A_)> in display order and
     the cubic <p(A_, A_), i^{-1}(A_)> of the generic combination A_ =
-    s phitilde + y ^ Omega + C(x), by the solver.
+    s phitilde + y ^ Omega + C(x), by the solver, in the coefficients'
+    own type.
 
-    It runs on the block coordinates z cleared to Z = d z: the blocks
-    (PT, YW, CX) = d (phitilde, y^Omega, C(x)) and A = d A_ are integer
-    combinations of the block basis.  quadratic_upper is
-    d^2 p for a block with itself and 2 d^2 p for two blocks,
-    iso_i_inv_upper(A) is 2 d i^{-1}(A_), so each product is one int
-    over 2 d^3 or 4 d^3, and the cubic one int over 2 d^3.
+    A_ and its blocks (phitilde, y^Omega, C(x)) are combinations of the
+    block basis at the block coordinates z: quadratic_upper is p for a
+    block with itself and 2 p for two blocks, and iso_i_inv_upper(A_) is
+    2 i^{-1}(A_), so each product is one upper_inner over 2 or 4, and
+    the cubic one over 2.
     """
-    z, d = clear_denominators(z)
-    pt, yw, cx = (_on_basis([d]), _on_basis([0, *z[1:4]]),
+    pt, yw, cx = (block_basis()[0], _on_basis([0, *z[1:4]]),
                   _on_basis([0, 0, 0, 0, *z[4:]]))
     a = _on_basis(z)
     S = standard_frame().iso_i_inv_upper(a)
-    d3 = d ** 3
-    six = tuple(Fraction(upper_inner(quadratic_upper(b1, b2), S),
-                         (2 if b1 is b2 else 4) * d3)
+    six = tuple(Fraction(1, 2 if b1 is b2 else 4)
+                * upper_inner(quadratic_upper(b1, b2), S)
                 for b1, b2 in ((pt, pt), (pt, yw), (pt, cx),
                                (yw, yw), (yw, cx), (cx, cx)))
-    return six, Fraction(upper_inner(quadratic_upper(a, a), S), 2 * d3)
+    return six, Fraction(1, 2) * upper_inner(quadratic_upper(a, a), S)
 
 
 def block_products(z, six, full) -> list[dict]:
@@ -539,106 +567,34 @@ def _epsilon_mix(z) -> list:
     return _outer2(pairs)
 
 
+def _display_sides(z) -> tuple:
+    """The display sides of tensor_displays that depend on (y, x), at the
+    block coordinates z, as flat upper triangles from their formulas:
+    J I_y = sum_a y_a J I_a, each J I_a checked symmetric; twice
+    e_a . I_a x, twice y . Jx and twice the mix (_outer2, _epsilon_mix);
+    and 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x), the display of p(C(x), C(x))."""
+    fr = standard_aw_frame()
+    y, x = [*z[1:4], 0, 0, 0, 0], [0, 0, 0, *z[4:]]
+    jiy = [0] * len(TRIANGLE)
+    for a, I in enumerate(fr.I):
+        M = fr.J * I
+        Mt = Matrix.from_rows([M.column(j) for j in range(7)])
+        if M != Mt:
+            raise InternalConsistencyError(
+                f"J I_a is not symmetric at a = {a + 1}, J I_a = (J I_a)^T "
+                f"fails: {first_difference(M, Mt)}")
+        jiy = [t + y[a] * M.at(i, j) for t, (i, j) in zip(jiy, TRIANGLE)]
+    ia2 = _outer2([(I.apply(x), [int(k == a) for k in range(7)])
+                   for a, I in enumerate(fr.I)])
+    xx = sum(t * t for t in z[4:])
+    cc = [(xx * (2 if i < 3 else 10) if i == j else 0) - 10 * x[i] * x[j]
+          for i, j in TRIANGLE]
+    return jiy, ia2, _outer2([(y, fr.J.apply(x))]), _epsilon_mix(z), cc
+
+
 def _blocks_id(a, b) -> SymTensor:
     """a id3 + b id4."""
     return SymTensor.diag([a] * 3 + [b] * 4)
-
-
-@once
-def _phitilde_displays() -> tuple[bool, bool]:
-    """Whether p(phitilde, phitilde) = 38 id3 + 3 id4 and
-    i^{-1}(phitilde) = -2 id3 + (3/2) id4, the two displays that do not
-    depend on (y, x), compared at the scales p and 2 i^{-1}."""
-    pt = block_basis()[0]
-    return (quadratic_upper(pt, pt) == _blocks_id(38, 3).upper,
-            standard_frame().iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
-
-
-def _upper_entries(upper: list) -> tuple:
-    """The nonzero entries (k, c) of a flat upper triangle, k the
-    position of c: one unit functional of g2._expanded."""
-    return tuple((k, c) for k, c in enumerate(upper) if c)
-
-
-def _matrix_entries(M: Matrix) -> tuple:
-    """The nonzero entries (i, j, c) of M."""
-    return tuple((i, j, M.at(i, j)) for i in range(M.rows)
-                 for j in range(M.cols) if M.at(i, j))
-
-
-def _assembled(coefficients, table) -> list:
-    """sum_k c_k t_k over the entries tables t_k, as a flat triangle."""
-    flat = [0] * len(TRIANGLE)
-    for k, c in _expanded(coefficients, table).items():
-        flat[k] = c
-    return flat
-
-
-class _DisplayTables:
-    """The (y, x)-dependent display sides of tensor_displays and the
-    metric route of r_value, from int tables built once per process.
-
-    Every display side is linear, bilinear or quadratic in (y, x): J I_y
-    is sum_a y_a J I_a, ia2 = 2 e_a . I_a x is sum_i x_i ia2(e_i), and
-    yjx2 = 2 y . Jx and the mix are sum_{a,i} y_a x_i of their values at
-    (e_a, e_i).  The constructor evaluates the display formulas (fr.J,
-    fr.I, _outer2, _epsilon_mix) once, at the basis vectors e_a (a =
-    1..3) and e_i (i = 4..7), and keeps each value as the nonzero entries
-    of its int upper triangle (_upper_entries); each J I_a must be
-    symmetric.
-    The side p(C(x), C(x)) is quadratic in x alone and written directly.
-    r_metric reads the nonzero entries of J and of each I_a.
-    """
-
-    def __init__(self):
-        fr = standard_aw_frame()
-        ec = [[int(i == k) for i in range(7)] for k in range(7)]
-        m3, m4 = range(3), range(3, 7)
-        self.jia = []
-        for a, I in enumerate(fr.I, start=1):
-            M = fr.J * I
-            Mt = Matrix.from_rows([M.column(j) for j in range(7)])
-            if M != Mt:
-                raise InternalConsistencyError(
-                    f"J I_a is not symmetric at a = {a}, J I_a = (J I_a)^T "
-                    f"fails: {first_difference(M, Mt)}")
-            self.jia.append(_upper_entries([M.at(i, j) for i, j in TRIANGLE]))
-        self.ia2 = [_upper_entries(_outer2([(fr.I[a].apply(ec[i]), ec[a])
-                                            for a in m3])) for i in m4]
-        self.yjx2 = [_upper_entries(_outer2([(ec[a], fr.J.apply(ec[i]))]))
-                     for a in m3 for i in m4]
-        # the block coordinates of (y, x) = (e_a, e_i)
-        self.mix = [_upper_entries(_epsilon_mix([0, *ec[a][:3], *ec[i][3:]]))
-                    for a in m3 for i in m4]
-        self.j = _matrix_entries(fr.J)
-        self.i = [_matrix_entries(I) for I in fr.I]
-
-    def sides(self, ys, xs) -> tuple:
-        """(J I_y, ia2, yjx2, mix, 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)) as
-        flat triangles, for the m3 coordinates ys and the m4 coordinates
-        xs of (y, x); mix is twice the mix, as _epsilon_mix gives it."""
-        yx = [a * b for a in ys for b in xs]
-        xx = sum(t * t for t in xs)
-        x = [0] * 3 + list(xs)
-        cc = [(xx * (2 if i < 3 else 10) if i == j else 0) - 10 * x[i] * x[j]
-              for i, j in TRIANGLE]
-        return (_assembled(ys, self.jia), _assembled(xs, self.ia2),
-                _assembled(yx, self.yjx2), _assembled(yx, self.mix), cc)
-
-    def r_metric(self, yc, xc):
-        """g(Jx, I_y x) for the coordinates yc and xc of y and x."""
-        jx, iyx = [0] * 7, [0] * 7
-        for i, j, c in self.j:
-            jx[i] += c * xc[j]
-        for ya, entries in zip(yc, self.i):
-            for i, j, c in entries:
-                iyx[i] += c * ya * xc[j]
-        return sum(a * b for a, b in zip(jx, iyx))
-
-
-@once
-def display_tables() -> _DisplayTables:
-    return _DisplayTables()
 
 
 def tensor_displays(z) -> list[dict]:
@@ -653,23 +609,19 @@ def tensor_displays(z) -> list[dict]:
     2|S|^2, which pins i^{-1}(C) at -2 e_a . I_a x, and the full
     symmetry of the trilinear form then pins the p(., C) rows.
 
-    Every display is homogeneous in (y, x), so the sides are compared at
-    the integer numerators (Y, X) = d (y, x), and each on int upper
-    triangles with no division: quadratic_upper gives p of a form with
-    itself and 2p of two forms, iso_i_inv_upper gives 2 i^{-1}, and each
-    display is multiplied by the matching integer (4 i^{-1} for C(x), so
-    that -(1/2) e_a . I_a x is an int tensor).  The display sides come
-    from the int tables of display_tables; the two displays of phitilde
-    alone are compared once per process.
+    Each side is compared on flat upper triangles, in the coordinates'
+    own type: quadratic_upper gives p of a form with itself and 2p of
+    two forms, iso_i_inv_upper gives 2 i^{-1}, and each display is
+    multiplied by the matching integer (4 i^{-1} for C(x), so that the
+    display -(1/2) e_a . I_a x is -ia2, with no fraction).  The display
+    sides come from their formulas (_display_sides).
     """
     g2 = standard_frame()
-    yx, _ = clear_denominators(z[1:])
     pt = block_basis()[0]
-    yw, cx = _on_basis([0, *yx[:3]]), _on_basis([0, 0, 0, 0, *yx[3:]])
+    yw, cx = _on_basis([0, *z[1:4]]), _on_basis([0, 0, 0, 0, *z[4:]])
     # J I_y, twice e_a . I_a x, twice y . Jx, twice the mix and p(C(x),
-    # C(x))'s display, integral for integral (y, x)
-    jiy, ia2, yjx2, mix, cc = display_tables().sides(yx[:3], yx[3:])
-    pp_holds, ip_holds = _phitilde_displays()
+    # C(x))'s display
+    jiy, ia2, yjx2, mix, cc = _display_sides(z)
     # the sides with a corrected form: 2p(phitilde, C(x)), 2p(y^Omega,
     # C(x)) and 4 i^{-1}(C(x))
     ptc, ywc = quadratic_upper(pt, cx), quadratic_upper(yw, cx)
@@ -683,7 +635,8 @@ def tensor_displays(z) -> list[dict]:
             rec["corrected_matches"] = corrected_matches
         checks.append(rec)
 
-    add("p(phitilde, phitilde) = 38 id3 + 3 id4", pp_holds)
+    add("p(phitilde, phitilde) = 38 id3 + 3 id4",
+        quadratic_upper(pt, pt) == _blocks_id(38, 3).upper)
     add("p(phitilde, y^Omega) = -J I_y",
         quadratic_upper(pt, yw) == [-2 * t for t in jiy])
     add("p(phitilde, C(x)) = -4 I_a x . e_a",
@@ -696,7 +649,9 @@ def tensor_displays(z) -> list[dict]:
         ywc == [3 * t + m for t, m in zip(yjx2, mix)])
     add("p(C(x), C(x)) = 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x)",
         quadratic_upper(cx, cx) == cc)
-    add("i^{-1}(phitilde) = -2 id3 + (3/2) id4", ip_holds)
+    # compared at the scale of 2 i^{-1}
+    add("i^{-1}(phitilde) = -2 id3 + (3/2) id4",
+        g2.iso_i_inv_upper(pt) == _blocks_id(-4, 3).upper)
     add("i^{-1}(y^Omega) = -(1/2) J I_y",
         g2.iso_i_inv_upper(yw) == [-t for t in jiy])
     add("i^{-1}(C(x)) = -(1/2) e_a . I_a x",
@@ -706,18 +661,22 @@ def tensor_displays(z) -> list[dict]:
     return checks
 
 
-def principal_lattice(nvars: int, degree: int):
-    """Nonnegative integer points with coordinate sum == degree."""
-    # stars and bars: the nvars - 1 bars cut degree + nvars - 1 slots
-    for cut in itertools.combinations(range(degree + nvars - 1), nvars - 1):
-        ends = (-1,) + cut + (degree + nvars - 1,)
-        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+@once
+def _symbolic_point() -> tuple:
+    """The block coordinates z as the polynomial variables s, y1..y3,
+    x4..x7 (poly.MultiPoly).  Every display side, block product, block
+    cubic and model term is a polynomial in z, computed by ring-generic
+    code, so its value here is the polynomial whose value at each point
+    is the point's: one evaluation here checks an identity at every
+    point."""
+    from .poly import BLOCK_LETTERS, MultiPoly
+    return tuple(MultiPoly.letter(name) for name in BLOCK_LETTERS)
 
 
 def _tally(key: str, batches) -> list[dict]:
-    """One summary per name over batches of per-point records: matches
-    (and corrected_matches, where present) hold iff they hold at every
-    point."""
+    """One summary per name over batches of records: matches (and
+    corrected_matches, where present) hold iff they hold in every
+    batch."""
     out: dict[str, dict] = {}
     for rows in batches:
         for row in rows:
@@ -729,27 +688,21 @@ def _tally(key: str, batches) -> list[dict]:
     return list(out.values())
 
 
-def verify_tensor_displays(rng, n_random: int) -> list[dict]:
-    """Check the eight displayed block tensors on a degree-2 lattice in
-    (y, x) plus seeded random points.  Returns one summary per display."""
-    # the points of (y, x) with coordinate sum <= 2, the first coordinate
-    # of a sum-2 point in eight variables taking up the slack
-    points = [(0,) + p[1:] for p in principal_lattice(8, 2)]
-    points += [[rng.randint(-4, 4) for _ in range(8)] for _ in range(n_random)]
-    return _tally("identity", map(tensor_displays, points))
+def verify_tensor_displays() -> list[dict]:
+    """The eight displayed block tensors as polynomial identities:
+    tensor_displays at the symbolic (0, y, x).  One record per display."""
+    return tensor_displays((0, *_symbolic_point()[1:]))
 
 
-def verify_block_products(rng, n_random: int) -> list[dict]:
-    """Check the six displayed products (and their weighted sum) as
-    polynomial identities: a full degree-3 principal lattice in the
-    eight block coordinates, then seeded random points."""
-    tab = block_tables()
-    lattice = (block_products(z, tab.products(z), tab.tri(z, z, z))
-               for z in principal_lattice(8, 3))
-    # random points take the solver route, independent of the table
-    randoms = ([rng.randint(-4, 4) for _ in range(8)] for _ in range(n_random))
-    direct = (block_products(z, *_solver_products(z)) for z in randoms)
-    return _tally("product", itertools.chain(lattice, direct))
+def verify_block_products() -> list[dict]:
+    """The six displayed products and their weighted sum as polynomial
+    identities, at the symbolic point on two routes: the block table's
+    (products and tri) and the solver's (_solver_products), which does
+    not read the table.  One summary per product."""
+    z, tab = _symbolic_point(), block_tables()
+    return _tally("product", (
+        block_products(z, tab.products(z), tab.tri(z, z, z)),
+        block_products(z, *_solver_products(z))))
 
 
 @once
@@ -862,15 +815,23 @@ class _BlockTables:
         _family_ints (216 P for FAMILY's coefficients): M A(xi) = zu +
         sqrt(10) zw on the block basis, zu = (M s, M Y y) and zw = M K x,
         ints for int z, and P is the even part of its cubic (split), whose
-        odd part must vanish."""
+        odd part must vanish.  A raise names P at a numeric z, and at a
+        polynomial z the odd part's first monomial and its coefficient."""
         (_, _, my, mk), m = _family_ints()
         zu = [m * z[0], *(my * c for c in z[1:4]), 0, 0, 0, 0]
         zw = [0, 0, 0, 0, *(mk * c for c in z[4:])]
         even, odd = self.split(zu, zw)
         if odd:
+            if hasattr(odd, "terms"):
+                mono = min(odd.terms)
+                where = (f"{Fraction(odd.terms[mono], m ** 3)} sqrt(10) "
+                         f"at {'*'.join(mono)}, the first monomial of P's "
+                         "odd part")
+            else:
+                where = (f"P = {_sqrt10(even, odd, m ** 3)} at s = {z[0]}, "
+                         f"{_where(z)}")
             raise InternalConsistencyError(
-                "sqrt(10)-odd part of P does not vanish: P = "
-                f"{_sqrt10(even, odd, m ** 3)} at s = {z[0]}, {_where(z)}")
+                "sqrt(10)-odd part of P does not vanish: " + where)
         return even
 
     def fp_value(self, z) -> Fraction:
@@ -925,9 +886,10 @@ def cubic_coefficients(f) -> dict:
 @once
 def fit_block_cubic() -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """The generic block cubic <p(A_, A_), i^{-1}(A_)> fitted over the
-    model (s^3, s|x|^2, s|y|^2, R); see fit_model."""
-    tab = block_tables()
-    return fit_model(cubic_coefficients(lambda z: tab.tri(z, z, z)))
+    model (s^3, s|x|^2, s|y|^2, R): fit_model on the block table's cubic
+    at the symbolic point."""
+    z = _symbolic_point()
+    return fit_model(block_tables().tri(z, z, z))
 
 
 def _model_row(z) -> tuple:
@@ -938,42 +900,31 @@ def _model_row(z) -> tuple:
             s * sum(t * t for t in z[1:4]), _r(z))
 
 
-@once
-def _model_coefficients() -> tuple:
-    """The coefficients (cubic_coefficients) of the model terms s^3,
-    s|x|^2, s|y|^2 and R in the block coordinates, read off one table of
-    _model_row at the 120 cubic_points."""
-    rows = {z: _model_row(z) for z in cubic_points()}
-    return tuple(cubic_coefficients(lambda z, k=k: rows[z][k])
-                 for k in range(4))
-
-
-# the block coordinates z by name, as a raise names a monomial in them
-_Z_NAMES = ("s", "y1", "y2", "y3", "x4", "x5", "x6", "x7")
-
-
-def fit_model(cubic: dict) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def fit_model(cubic) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Exact coefficients (c1, c2, c3, c4) of a block cubic in the model
-    c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x), for the cubic's
-    coefficients in the block coordinates (cubic_coefficients).
+    c1 s^3 + c2 s|x|^2 + c3 s|y|^2 + c4 R(y, x), for the cubic as a
+    polynomial in the block coordinates (its value at the symbolic
+    point).
 
-    c_k is read off the least monomial of the k-th model term that no
-    other term has; the fitted model must then equal the cubic on every
-    monomial, which certifies that the cubic lies in the span (an
-    internal-inconsistency error naming the monomial and both values
+    The model terms are _model_row at the symbolic point.  c_k is read
+    off the least monomial of the k-th term that no other term has; the
+    fitted model must then equal the cubic, which certifies that the
+    cubic lies in the span (an internal-inconsistency error naming the
+    first monomial where they differ and both coefficients there
     otherwise)."""
-    model = _model_coefficients()
-    own = [min(t.keys() - set().union(*(u for u in model if u is not t)))
+    model = _model_row(_symbolic_point())
+    own = [min(t.terms.keys() - set().union(*(u.terms for u in model
+                                              if u is not t)))
            for t in model]
-    coeffs = [cubic.get(m, 0) / t[m] for m, t in zip(own, model)]
-    for m in sorted(cubic.keys() | {k for t in model for k in t}):
-        fitted = sum(c * t[m] for c, t in zip(coeffs, model) if m in t)
-        if fitted != cubic.get(m, 0):
-            raise InternalConsistencyError(
-                "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
-                f"{fitted}, cubic {cubic.get(m, 0)} at "
-                f"{'*'.join(_Z_NAMES[i] for i in m)}")
-    return tuple(coeffs)
+    coeffs = tuple(Fraction(cubic.terms.get(m, 0), t.terms[m])
+                   for m, t in zip(own, model))
+    fitted = sum(c * t for c, t in zip(coeffs, model))
+    if fitted != cubic:
+        mono, got, want = fitted.first_difference(cubic)
+        raise InternalConsistencyError(
+            "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: model "
+            f"{got}, cubic {want} at {'*'.join(mono)}")
+    return coeffs
 
 
 def revert_block_fit(coeffs) -> tuple:
@@ -987,9 +938,10 @@ def revert_block_fit(coeffs) -> tuple:
 
 @once
 def direct_p_fit() -> tuple:
-    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R),
-    fitted through P's table assembly once that assembly is certified
-    against the full evaluator at a generic point."""
+    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R):
+    fit_model on P's table assembly at the symbolic point, over M^3,
+    once that assembly is certified against the full evaluator at a
+    generic point."""
     tab = block_tables()
     z = (1, 1, -1, 2, 1, 0, 1, -1)
     xi = compose(z)
@@ -1000,7 +952,7 @@ def direct_p_fit() -> tuple:
             f"assembled P disagrees with the full evaluator: table {table}, "
             f"evaluator {full} at {json.dumps(xi.to_json())}")
     return tuple(c / _family_ints()[1] ** 3
-                 for c in fit_model(cubic_coefficients(tab.fp_numerator)))
+                 for c in fit_model(tab.fp_numerator(_symbolic_point())))
 
 
 @once

@@ -1,6 +1,7 @@
 """Cubic polynomials on su(3) and the invariant pairing <P, i det>.
 
-Polynomials live in the nine-letter alphabet
+Polynomials (poly.MultiPoly, whose names MultiPoly and LETTERS this
+module imports back) live in the nine-letter alphabet
 
     v1, v2, v3, z1, z2, z3, zb1, zb2, zb3
 
@@ -26,7 +27,8 @@ the exact evaluator (aw.cubic_coefficients, the package's one cubic
 interpolator).  The final
 number is <P, i det>, assembled from the pairings of the four
 components, aw's model row run on the generic element, whose
-coordinates are letter polynomials (MultiPoly is a coefficient ring):
+coordinates are letter polynomials (a MultiPoly is a coefficient
+ring):
 
     <s^3, i det> = -4/9,   <s|x|^2, i det> = -8/3,
     <s|y|^2, i det> = 4,   <R, i det> = 24.
@@ -57,139 +59,13 @@ from types import MappingProxyType
 
 from .g2 import InternalConsistencyError, once
 from .linalg import Matrix, solve_exact
+from .poly import _CONJUGATE, LETTERS, MultiPoly
 from .scalars import GaussRational, ScalarError
 from .aw import CLOSED_DISPLAY, Su3Element, _model_row, block_coords, \
     cubic_coefficients, decompose, det3, first_principles_fit, \
     first_principles_value, sign_resolution
 
-LETTERS = ("v1", "v2", "v3", "z1", "z2", "z3", "zb1", "zb2", "zb3")
-
-_CONJUGATE = {"v1": "v1", "v2": "v2", "v3": "v3",
-              "z1": "zb1", "z2": "zb2", "z3": "zb3",
-              "zb1": "z1", "zb2": "z2", "zb3": "z3"}
-
 _I = GaussRational(0, 1)
-
-
-class MultiPoly:
-    """Homogeneous polynomial: sorted letter tuples -> coefficients.
-
-    A coefficient is an int, a Fraction or a GaussRational, kept as
-    given; sums and products pick the type they make.  The exact kernels
-    run on it as a coefficient ring: a scalar multiplies on either side,
-    0 and the zero polynomial add to any polynomial (so sum() works),
-    and other operand types are left to their own operators."""
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict | None = None):
-        self.degree = degree
-        self.terms: dict = {}
-        if terms:
-            for mono, c in terms.items():
-                self._add_term(mono, c)
-
-    def _add_term(self, mono, c):
-        mono = tuple(sorted(mono))
-        if len(mono) != self.degree:
-            raise ScalarError("monomial degree does not match the tag")
-        for name in mono:
-            if name not in LETTERS:
-                raise ScalarError(f"unknown letter {name!r}")
-        cur = self.terms.get(mono, 0) + c
-        if cur == 0:
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = cur
-
-    @classmethod
-    def letter(cls, name: str) -> "MultiPoly":
-        return cls(1, {(name,): 1})
-
-    def __add__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if not (self.terms and other.terms):
-            return other if other.terms else self
-        if self.degree != other.degree:
-            raise ScalarError("cannot add polynomials of different degrees")
-        out = MultiPoly(self.degree, self.terms)
-        for mono, c in other.terms.items():
-            out._add_term(mono, c)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        return self * -1
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        out = MultiPoly(self.degree + other.degree)
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out._add_term(m1 + m2, c1 * c2)
-        return out
-
-    # a scalar commutes with every coefficient
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def conjugate(self) -> "MultiPoly":
-        out = MultiPoly(self.degree)
-        for mono, c in self.terms.items():
-            out._add_term(tuple(_CONJUGATE[n] for n in mono), c.conjugate())
-        return out
-
-    def at(self, values: dict):
-        """The exact value at the letter values given by name."""
-        total = 0
-        for mono, c in self.terms.items():
-            for name in mono:
-                c = c * values[name]
-            total = total + c
-        return total
-
-    def is_real_on_su3(self) -> bool:
-        """True when the polynomial is fixed by conjugating both the
-        coefficients and the letters (zj <-> zbj), i.e. real-valued."""
-        return self.terms == self.conjugate().terms
-
-    def eliminate_v3(self) -> "MultiPoly":
-        """Substitute v3 = -v1 - v2, the canonical reduced form."""
-        v3 = -MultiPoly.letter("v1") - MultiPoly.letter("v2")
-        out = MultiPoly(self.degree)
-        for mono, c in self.terms.items():
-            for name in mono:
-                c = c * (v3 if name == "v3" else MultiPoly.letter(name))
-            out = out + c
-        return out
-
-    def __eq__(self, other):
-        # equal nonzero terms have equal degrees: all zeros are one
-        other = _as_poly(other)
-        return NotImplemented if other is None else self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiPoly(0)"
-        bits = [f"({c})*{'*'.join(m)}" for m, c in sorted(self.terms.items())]
-        return " + ".join(bits)
-
-
-def _as_poly(value) -> MultiPoly | None:
-    """value as a MultiPoly, a scalar as one of degree 0; None otherwise."""
-    if isinstance(value, (int, Fraction, GaussRational)):
-        return MultiPoly(0, {(): value})
-    return value if isinstance(value, MultiPoly) else None
 
 
 # The one letter map: z_j is the entry of xi's matrix at Z_ENTRIES[j - 1]
@@ -387,24 +263,16 @@ def idet_determinant_poly() -> MultiPoly:
     return _I * det3(m)
 
 
-def _first_difference(p: MultiPoly, q: MultiPoly) -> tuple:
-    """(m, p_m, q_m) at the least monomial m where two unequal
-    polynomials differ: the evidence of a failed comparison."""
-    m = min(m for m in p.terms.keys() | q.terms.keys()
-            if p.terms.get(m) != q.terms.get(m))
-    return m, p.terms.get(m, 0), q.terms.get(m, 0)
-
-
 @once
 def _idet_routes() -> tuple:
     """(display, reduced display, reduced determinant, difference): the
     displayed i det, both routes reduced to the v3-free alphabet, and
-    their first difference (_first_difference), None where they agree;
+    their first difference (MultiPoly.first_difference), None where they agree;
     built once per process for idet_report and idet_poly."""
     display = idet_display_poly()
     disp, det = display.eliminate_v3(), idet_determinant_poly().eliminate_v3()
     return display, disp, det, None if disp == det else \
-        _first_difference(disp, det)
+        disp.first_difference(det)
 
 
 def idet_report() -> dict:
@@ -483,7 +351,7 @@ def first_principles_p_poly() -> MultiPoly:
     out = sum(c * (coords[i] * coords[j] * coords[k])
               for (i, j, k), c in interpolate_p_coefficients().items())
     if not out.is_real_on_su3():
-        mono, c, _ = _first_difference(out, out.conjugate())
+        mono, c, _ = out.first_difference(out.conjugate())
         partner = tuple(sorted(_CONJUGATE[n] for n in mono))
         raise InternalConsistencyError(
             f"interpolated P is not real-valued: {'*'.join(mono)} has {c}, "
@@ -524,7 +392,7 @@ def pairing_report() -> MappingProxyType:
     # both are v3-free by construction, so they compare as they are
     model = sum(c * p for c, p in zip(fitted, component_polys()))
     if p_poly != model:
-        mono, a, b = _first_difference(p_poly, model)
+        mono, a, b = p_poly.first_difference(model)
         raise InternalConsistencyError(
             "interpolated P does not match the fitted four-term model: "
             f"{'*'.join(mono)} has {a} interpolated, {b} in the model")

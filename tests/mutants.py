@@ -339,24 +339,47 @@ REGISTRY: tuple[Mutant, ...] = (
                failed=LEDGER | CUBIC_3),
     _pair_flip(13, 8, suites=("cubic", "aw"), sizes=SMALL,
                failed=LEDGER | CUBIC_3),
-    # the first entry of ia2(e4) with its sign flipped: the corrected twins
-    # of the two displays that read ia2 fail
-    Mutant("display-table-ia2", "from g2forge import aw; "
-           "negate(aw.display_tables().ia2, 0)", "caught", argv=AW_RUN,
-           exit=1, failed=LEDGER | ids(aw=(
+    # the e_1 term of the formula side ia2 = 2 e_a . I_a x with its sign
+    # flipped: the corrected twins of the two displays that read ia2 fail
+    Mutant("display-table-ia2", "from g2forge import aw; rewrite(aw, "
+           "'_display_sides', '[(I.apply(x), ', "
+           "'[([-t for t in I.apply(x)] if a == 0 else I.apply(x), ')",
+           "caught", argv=AW_RUN, exit=1, failed=LEDGER | ids(aw=(
                "tensor-display.p(phitilde,C(x))=-4I_ax.e_a.corrected "
                "tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax.corrected")),
            tier1=True),
     # the first entry of I1 in R's metric route with its sign flipped: R's
-    # routes disagree at the first lattice point whose R reads I1, where
-    # the display y1 (x3^2 + x4^2 - x5^2 - x6^2) is 0
+    # routes disagree at the symbolic point, the raise naming the first
+    # monomial where they differ and its two coefficients
     Mutant("display-table-r-metric", "from g2forge import aw; "
-           "negate(aw.display_tables().i, 0)", "caught", argv=AW_RUN, exit=1,
+           "negate(aw._r_entries(), 1)", "caught", argv=AW_RUN, exit=1,
            failed=LEDGER - BLOCK_ROWS | ids(aw="block-products revert-map"),
            actual={"aw.block-products": "InternalConsistencyError: R display "
-                   "disagrees with g(Jx, I_y x): metric -2, display 0 at y = "
-                   "(1, 0, 0) on e1..e3 and x = (0, 1, 0, 1) on e4..e7"},
+                   "disagrees with g(Jx, I_y x): metric -1, display 1 at "
+                   "x5*x5*y1"},
            tier1=True),
+    # y1 and x4 swapped in the symbolic point: a change of variables
+    Mutant("symbolic-point-permuted", """
+        from g2forge import aw
+        point = aw._symbolic_point
+        aw._symbolic_point = lambda: (
+            lambda z: (z[0], z[4], *z[2:4], z[1], *z[5:]))(point())
+        """, "equivalent", suites=("aw", "pairing"), sizes=SMALL_MC,
+        failed=LEDGER,
+        why="the sweeps and fits are identities of polynomials, and an "
+            "identity holds in any variables: every side of a comparison "
+            "is evaluated at the same permuted point", tier1=True),
+    # the mix alone evaluated with y1 and y2 swapped, off the symbolic
+    # point that the other sides read: the corrected form of p(y^Omega,
+    # C(x)) fails, where symbolic-point-permuted moves every side at once
+    Mutant("mix-off-the-point", "from g2forge import aw; rewrite(aw, "
+           "'_display_sides', '_epsilon_mix(z)', "
+           "'_epsilon_mix((z[0], z[2], z[1], *z[3:]))')", "caught",
+           argv=AW_RUN, exit=1,
+           failed=LEDGER | ids(aw="tensor-display.p(y^Omega,C(x))=6y.Jx"
+                               ".corrected"),
+           actual={"aw.tensor-display.p(y^Omega,C(x))=6y.Jx": "fails at "
+                   "basis points; corrected form also fails"}, tier1=True),
     # Y = -5/3 -> -4/3 at the owner alone: every reader of A(xi)'s
     # coefficients moves with it, so every two-route check agrees while
     # <P, i det> moves from 760/3 to 196
@@ -473,8 +496,8 @@ REGISTRY: tuple[Mutant, ...] = (
                "tensor-displays value-two-routes"), tier1=True),
     # p r + f r_pivot, invertible, so the row space stays, but the pivot
     # column is left uncleared: the g2 type ranks and the Gram table's
-    # grow; the fits read their cubics off the interpolation map and run
-    # no elimination
+    # grow; the fits read their cubics at the symbolic point and run no
+    # elimination
     Mutant("eliminate-plus", "from g2forge import linalg; rewrite(linalg, "
            "'_eliminate', 'p * x - f * y', 'p * x + f * y')", "caught",
            suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
@@ -575,7 +598,7 @@ REGISTRY: tuple[Mutant, ...] = (
            sizes=SMALL_MC, failed=LEDGER | ids(g2="iso-identities",
                                                cubic="trilinear-routes")),
     # the interpolation map with its c_iij and c_ijj halves swapped: the
-    # fits read the cubic and the model through the same map and stay, and
+    # fits, which read their cubics at the symbolic point, stay, and
     # interpolated P's letter polynomial misses the fitted model
     Mutant("interpolation-halves-swapped", "from g2forge import aw; rewrite("
            "aw, 'cubic_coefficients', '(s_sum - d_sum, s_sum + d_sum)', "
@@ -590,8 +613,8 @@ REGISTRY: tuple[Mutant, ...] = (
            "aw, 'cubic_coefficients', '+ fs[k]', '- fs[k]')", "equivalent",
            suites=FIVE, sizes=SMALL_MC, failed=LEDGER,
            why="k >= 2 in every triple i < j < k, and f(e_k) is 0 there for "
-               "P in (v1, v2, x1..x6) and for the block cubic alike: a "
-               "cubic with c_kkk != 0 for some k >= 2 is never interpolated"),
+               "P in (v1, v2, x1..x6), the one cubic interpolated: a cubic "
+               "with c_kkk != 0 for some k >= 2 is never interpolated"),
     # the table split's odd part forced to 0
     Mutant("split-odd-zero", "from g2forge import aw; "
            "rewrite(aw._BlockTables, "

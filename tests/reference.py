@@ -12,7 +12,8 @@ the su(3) letter map and its inverse written out by hand, with the
 four component polynomials s^3, s|x|^2, s|y|^2 and R, the six-pass
 even/odd numerator of the block table, the aw suite's tensor displays
 and block products on Fraction tensors (J I_y and R from Matrix
-products rebuilt at each point), the dense Haar Monte Carlo as
+products rebuilt at each point), the aw sweeps and fits at the points
+of a lattice and at seeded random points, the dense Haar Monte Carlo as
 it ran before it was split into cache-sized chunks of column arrays,
 the sign of a merged blade by counting inversions, the derived action
 as the seven wedges it was before it ran in one pass,
@@ -22,6 +23,7 @@ test.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 from math import isqrt
 
@@ -668,6 +670,59 @@ def fp_numerator(tab, z):
     t3 = tab.tri(zc, zc, zc)
     assert t1 + 10 * t3 == 0
     return t0 + 10 * t2
+
+
+# -- the aw sweeps and fits at points ----------------------------------------
+#
+# The sweeps and fits as the package ran them before they evaluated once
+# at the symbolic point: the tensor displays at the 36 points of (y, x)
+# with coordinate sum <= 2 and at seeded random points, the block
+# products on the block table at the 120 points of coordinate sum 3 and
+# on the solver route at seeded random points, and each fit read off the
+# coefficients that aw.cubic_coefficients interpolates from 120 values.
+
+def principal_lattice(nvars: int, degree: int):
+    """Nonnegative integer points with coordinate sum == degree."""
+    # stars and bars: the nvars - 1 bars cut degree + nvars - 1 slots
+    for cut in itertools.combinations(range(degree + nvars - 1), nvars - 1):
+        ends = (-1,) + cut + (degree + nvars - 1,)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def point_sweeps(rng, n_random: int) -> tuple:
+    """The summaries of aw.verify_tensor_displays and
+    aw.verify_block_products over the lattices and n_random seeded int
+    points each (aw._tally)."""
+    displays = [(0,) + p[1:] for p in principal_lattice(8, 2)]
+    displays += [[rng.randint(-4, 4) for _ in range(8)]
+                 for _ in range(n_random)]
+    tab = aw.block_tables()
+    table = [aw.block_products(z, tab.products(z), tab.tri(z, z, z))
+             for z in principal_lattice(8, 3)]
+    solver = [aw.block_products(z, *aw._solver_products(z)) for z in
+              ([rng.randint(-4, 4) for _ in range(8)]
+               for _ in range(n_random))]
+    return (aw._tally("identity", map(aw.tensor_displays, displays)),
+            aw._tally("product", table + solver))
+
+
+def fit_coefficients(cubic: dict) -> tuple:
+    """aw.fit_model on a cubic's coefficients keyed by sorted index
+    triples (aw.cubic_coefficients), with the model terms' coefficients
+    read through the same map from aw._model_row at the 120 points."""
+    rows = {z: aw._model_row(z) for z in aw.cubic_points()}
+    model = [aw.cubic_coefficients(lambda z, k=k: rows[z][k])
+             for k in range(4)]
+    own = [min(t.keys() - set().union(*(u for u in model if u is not t)))
+           for t in model]
+    coeffs = [cubic.get(m, 0) / t[m] for m, t in zip(own, model)]
+    for m in cubic.keys() | {k for t in model for k in t}:
+        fitted = sum(c * t[m] for c, t in zip(coeffs, model) if m in t)
+        if fitted != cubic.get(m, 0):
+            raise InternalConsistencyError(
+                f"the cubic is off the model at {m}: model {fitted}, "
+                f"cubic {cubic.get(m, 0)}")
+    return tuple(coeffs)
 
 
 # -- the dense Haar Monte Carlo ----------------------------------------------

@@ -14,9 +14,8 @@ from g2forge.aw import AWFrame, Su3Element, block_coords, block_products, \
     block_tables, CLOSED_DISPLAY, INTERMEDIATE_DISPLAY, c_direct, c_display, \
     c_of, \
     compose, decompose, first_principles_fit, first_principles_value, \
-    fit_block_cubic, principal_lattice, r_value, \
-    standard_aw_frame, tensor_displays, verify_block_products, \
-    verify_tensor_displays
+    fit_block_cubic, r_value, standard_aw_frame, tensor_displays, \
+    verify_block_products, verify_tensor_displays
 from g2forge.exterior import FormError, blade_mask, coords_of, norm_sq, \
     vector, vector_form, wedge
 from g2forge.g2 import G2Frame, InternalConsistencyError, \
@@ -25,7 +24,7 @@ from g2forge.linalg import Matrix
 from g2forge.scalars import GaussRational, QuadExt, ScalarError
 
 import reference
-from reference import SQRT10
+from reference import SQRT10, principal_lattice
 
 
 def random_su3(rng, bound=4):
@@ -329,7 +328,7 @@ def test_block_forms_pass_one_gate(rebuilt, monkeypatch):
     xi, z = _xi_with_m4_part(), (1, 1, -1, 2, 1, 0, 1, -1)
     calls = (lambda: first_principles_value(xi), lambda: tensor_displays(z),
              lambda: aw._solver_products(z))
-    # the basis, the block table and the phitilde displays are built here
+    # the basis and the block table are built here
     for call in calls:
         call()
     count = [0]
@@ -786,8 +785,7 @@ def test_block_routes_reject_misplaced_blocks():
 
 
 def test_tensor_displays_partition():
-    rng = random.Random(9011)
-    rows = verify_tensor_displays(rng, 5)
+    rows = verify_tensor_displays()
     status = {r["identity"]: r["matches"] for r in rows}
     assert status["p(phitilde, phitilde) = 38 id3 + 3 id4"]
     assert status["p(phitilde, y^Omega) = -J I_y"]
@@ -804,8 +802,7 @@ def test_tensor_displays_partition():
 
 
 def test_block_products_partition():
-    rng = random.Random(9012)
-    rows = verify_block_products(rng, 3)
+    rows = verify_block_products()
     status = {r["product"]: r["matches"] for r in rows}
     assert status["p(phitilde, phitilde)"]
     assert status["p(phitilde, y^Omega)"]
@@ -832,7 +829,7 @@ def test_block_products_single_point():
 
 
 def _sweep_points(rng, n_random):
-    """The 36 points of verify_tensor_displays' lattice, then seeded
+    """The 36 points of (y, x) with coordinate sum <= 2, then seeded
     random points with int and with Fraction coordinates."""
     points = [blocks_of((0,) + p[1:])[1:] for p in principal_lattice(8, 2)]
     for _ in range(n_random):
@@ -844,17 +841,18 @@ def _sweep_points(rng, n_random):
 
 
 def _suite_points(n=50):
-    """The random points of the aw suite's tensor-display sweep at seed
-    1, drawn from that check's stream after its lattice."""
+    """Seeded points from the stream of the aw suite's tensor-display
+    sweep at seed 1, as its random points were drawn."""
     rng = suites.check_rng(1, "aw.tensor-displays")
     return [blocks_of([rng.randint(-4, 4) for _ in range(8)])[1:]
             for _ in range(n)]
 
 
 def test_tensor_displays_match_fraction_oracle():
-    """The int-triangle sweep gives the records of the Fraction route, at
-    every lattice point of the sweep, at random points and at the suite's
-    own random points at seed 1."""
+    """tensor_displays on flat triangles gives the records of the
+    Fraction route at the 36 points of (y, x) with coordinate sum <= 2,
+    at random int and Fraction points and at seeded points of the
+    suite's stream."""
     points = _sweep_points(random.Random(9016), 6) + _suite_points()
     assert len(points) == 36 + 12 + 50
     for y, x in points:
@@ -863,30 +861,29 @@ def test_tensor_displays_match_fraction_oracle():
 
 
 def test_display_sides_match_reference():
-    """Each display side assembled from the int tables equals its Matrix
-    and SymTensor formula in tests/reference.py (twice e_a . I_a x, y . Jx
-    and the mix, as _outer2 scales them), and R's metric route equals
-    g(Jx, I_y x) from two dense applies: at the sweep's lattice points,
-    at random int and Fraction points and at the suite's points."""
-    tables = aw.display_tables()
+    """Each display side from its formula equals its Matrix and SymTensor
+    formula in tests/reference.py (twice e_a . I_a x, y . Jx and the mix,
+    as _outer2 scales them), and R's metric route on the nonzero entries
+    of J and the I_a equals g(Jx, I_y x) from two dense applies: at the
+    36 points of (y, x) with coordinate sum <= 2, at random int and
+    Fraction points and at seeded points of the suite's stream."""
     points = _sweep_points(random.Random(9018), 6) + _suite_points(10)
     for y, x in points:
-        yc, xc = coords_of(y), coords_of(x)
-        got = tables.sides(yc[:3], xc[3:])
+        z = block_coords(0, y, x)
         jiy, ia, yjx, mix, cc = reference.aw_display_tensors(y, x)
         want = [jiy, ia.scale(2), yjx.scale(2), mix.scale(2), cc]
-        assert list(got) == [t.upper for t in want]
-        assert tables.r_metric(yc, xc) == reference.r_metric(y, x)
+        assert list(aw._display_sides(z)) == [t.upper for t in want]
+        assert aw._r(z) == reference.r_metric(y, x)
 
 
-def test_display_tables_need_symmetric_j_ia(monkeypatch, awframe):
-    """The build checks each J I_a symmetric, the check SymTensor made
-    at every point before."""
+def test_display_sides_need_symmetric_j_ia(monkeypatch, awframe):
+    """The display sides check each J I_a symmetric, the check SymTensor
+    made at every point before."""
     bent = types.SimpleNamespace(I=awframe.I, J=Matrix.diagonal(
         [0, 0, 0, 1, 2, 3, 4]))
     monkeypatch.setattr(aw, "standard_aw_frame", lambda: bent)
     with pytest.raises(InternalConsistencyError, match="J I_a") as err:
-        aw._DisplayTables()
+        aw._display_sides(aw._symbolic_point())
     assert str(err.value) == ("J I_a is not symmetric at a = 1, "
                               "J I_a = (J I_a)^T fails: entry (3, 4) is -1, "
                               "not 2")
@@ -960,11 +957,11 @@ cubic.quadratic_form = inside_only("quadratic_form", cubic.quadratic_form)
 from g2forge import aw, cli
 
 
-def window(name, fn, counted=True):
+def window(name, fn):
     def wrapper(*args, **kwargs):
         entered[name] = entered.get(name, 0) + 1
         outer = depth[0]
-        depth[0] = outer + 1 if counted else 0
+        depth[0] = outer + 1
         try:
             return fn(*args, **kwargs)
         finally:
@@ -976,10 +973,6 @@ for name in ("verify_tensor_displays", "verify_block_products",
              "fit_block_cubic", "direct_p_fit", "fit_model"):
     setattr(aw, name, window(name, getattr(aw, name)))
 aw._BlockTables.__init__ = window("block_tables", aw._BlockTables.__init__)
-# the display tables are built once, with Matrix code, wherever R or a
-# display side is first read; the sweeps' own work is what is counted
-aw._DisplayTables.__init__ = window(
-    "display_tables", aw._DisplayTables.__init__, counted=False)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(["run", "--suite", "aw", "--seed", "1", "--random", "1"])
 print(json.dumps({"exit": code, "counts": counts, "entered": entered}))
@@ -988,14 +981,16 @@ print(json.dumps({"exit": code, "counts": counts, "entered": entered}))
 
 def test_aw_run_counts(fresh_python):
     """One aw run fits twice (the block cubic, and P through its table),
-    and its sweeps, block products and block-table build run on int
+    and its sweeps, block products and block-table build run on flat
     triangles: no quadratic_form, whose Fraction results they used to
-    compare.  The display sides and R come from
-    the display tables, built once: the sweeps make no Matrix product
-    and no Matrix.apply.  The sweeps, the fits and the table build read
-    the eight block coordinates and build no block Form: no
-    vector_form, coords_of, norm_sq or numerators call (774, 1860, 596
-    and 86 when each point went through (s, y, x) vector Forms)."""
+    compare.  The display sides come from their formulas once, at the
+    symbolic point: three Matrix products J I_a and eight Matrix.apply
+    (three I_a x for e_a . I_a x, Jx for y . Jx, and Jx and the three
+    I_a Jx for the mix); R reads the nonzero entries of J and the I_a
+    and makes none.  The sweeps, the fits and the table build read the
+    eight block coordinates and build no block Form: no vector_form,
+    coords_of, norm_sq or numerators call (774, 1860, 596 and 86 when
+    each point went through (s, y, x) vector Forms)."""
     proc = fresh_python(_COUNT_AW_RUN)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
@@ -1005,24 +1000,25 @@ def test_aw_run_counts(fresh_python):
     assert out["entered"] == {"block_tables": 1, "verify_tensor_displays": 1,
                               "verify_block_products": 1,
                               "fit_block_cubic": 3, "direct_p_fit": 2,
-                              "fit_model": 2, "display_tables": 1}
-    assert out["counts"] == {"quadratic_form": 0, "Matrix.apply": 0,
-                             "Matrix.__mul__": 0, "vector_form": 0,
+                              "fit_model": 2}
+    assert out["counts"] == {"quadratic_form": 0, "Matrix.apply": 8,
+                             "Matrix.__mul__": 3, "vector_form": 0,
                              "coords_of": 0, "norm_sq": 0, "numerators": 0}
 
 
 def test_fit_and_interpolation_counts(monkeypatch, rebuilt):
-    """Every cubic is read at the 120 cubic_points: the model
-    coefficients run _r 120 times, the block fit evaluates the block
-    table 120 times and the direct fit fp_numerator 120 times, after one
-    call at its certification point (124 and 125 when each fit solved at
-    four probes and then swept the 120-point lattice), and interpolating P
-    makes 120 single-route first_principles_value calls."""
+    """Each fit makes one polynomial call at the symbolic point: the block
+    fit one tri(z, z, z), the direct fit one fp_numerator after the one at
+    its certification point (120 and 121 when each read its cubic through
+    the 120-point interpolation map), and each fit reads the model terms
+    there, one _r call (120 when the model's coefficients were
+    interpolated too).  Interpolating P still makes 120 single-route
+    first_principles_value calls."""
     calls = {"_r": [], "tri": [], "fp_numerator": [], "value": []}
+    block_tables()
+    z = aw._symbolic_point()
     r = aw._r
     monkeypatch.setattr(aw, "_r", lambda z: calls["_r"].append(z) or r(z))
-    aw._model_coefficients()
-    block_tables()
     tri, numerator = aw._BlockTables.tri, aw._BlockTables.fp_numerator
     monkeypatch.setattr(aw._BlockTables, "tri",
                         lambda self, *z: calls["tri"].append(z)
@@ -1038,12 +1034,11 @@ def test_fit_and_interpolation_counts(monkeypatch, rebuilt):
                         lambda xi, **kw: calls["value"].append(kw)
                         or value(xi, **kw))
     pairing.interpolate_p_coefficients()
-    points = aw.cubic_points()
-    assert len(set(points)) == 120
-    assert calls["_r"] == list(points)
-    assert calls["tri"] == [(z, z, z) for z in points]
-    assert calls["fp_numerator"] == [(1, 1, -1, 2, 1, 0, 1, -1), *points]
+    assert calls["_r"] == [z, z]
+    assert calls["tri"] == [(z, z, z)]
+    assert calls["fp_numerator"] == [(1, 1, -1, 2, 1, 0, 1, -1), z]
     assert calls["value"] == [{"single_route": True}] * 120
+    assert len(set(aw.cubic_points())) == 120
 
 
 def test_cubic_coefficients_recover_a_seeded_cubic():
@@ -1065,6 +1060,25 @@ def test_cubic_coefficients_recover_a_seeded_cubic():
     got = aw.cubic_coefficients(f)
     assert got == want and (0, 0, 0) not in got
     assert all(type(c) is Fraction for c in got.values())
+
+
+def test_symbolic_sweeps_and_fits_match_the_point_routes():
+    """The sweeps at the symbolic point give the summaries of the numeric
+    route over the 36 points of (y, x) with coordinate sum <= 2 and the
+    120 points of coordinate sum 3 (each lattice unisolvent for its
+    degrees) plus seeded random int points, and the symbolic fits equal
+    fit_model over the coefficients that cubic_coefficients interpolates
+    from the table, with the model's coefficients interpolated too."""
+    tensors, products = reference.point_sweeps(random.Random(9032), 20)
+    assert verify_tensor_displays() == tensors
+    assert verify_block_products() == products
+    tab = block_tables()
+    m3 = aw._family_ints()[1] ** 3
+    assert fit_block_cubic() == reference.fit_coefficients(
+        aw.cubic_coefficients(lambda z: tab.tri(z, z, z)))
+    direct = reference.fit_coefficients(
+        aw.cubic_coefficients(tab.fp_numerator))
+    assert aw.direct_p_fit() == tuple(c / m3 for c in direct)
 
 
 _FAILED_BASIS_KEPT = """
@@ -1112,13 +1126,12 @@ print(len(builds))
 
 
 @pytest.mark.parametrize("owner, step", [("AWFrame", "_check_structure"),
-                                         ("_DisplayTables", "__init__")])
-def test_failed_frame_and_display_builds_run_once(fresh_python, owner, step):
-    """The block frame's structure check or the display tables' build
+                                         ("_BlockTables", "__init__")])
+def test_failed_frame_and_table_builds_run_once(fresh_python, owner, step):
+    """The block frame's structure check or the block table's build
     raising, in a fresh interpreter: the build fails once, and the aw
     suite at seed 1, whose every reader of it then raises, never runs
-    it again (4 frame builds and 6 display-table builds when a failed
-    build was not kept)."""
+    it again (4 frame builds when a failed build was not kept)."""
     proc = fresh_python(_FAILED_FRAME_KEPT, owner, step)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
@@ -1127,7 +1140,7 @@ def test_failed_frame_and_display_builds_run_once(fresh_python, owner, step):
 def test_block_fits_name_both_values(monkeypatch):
     """The raises of the table route name both values and the blocks:
     fp_numerator's odd part, as P = even + odd sqrt(10), and fit_model's
-    span check, as the fitted model's value and the cubic's, at the
+    span check, as the fitted model's coefficient and the cubic's, at the
     first monomial where they differ."""
     tab = block_tables()
     z = (1, 1, -1, 2, 1, 0, 1, -1)
@@ -1146,15 +1159,44 @@ def test_block_fits_name_both_values(monkeypatch):
     # s y1^2 added: c3 is read off s*y1*y1 as 6 + 1, and the model then
     # misses the cubic at s*y2*y2, the first monomial where they differ;
     # y3^3 added lies outside the model, which is 0 there
-    for extra, text in ((lambda z: z[0] * z[1] ** 2, "model 7, cubic 6 at "
-                         "s*y2*y2"),
-                        (lambda z: z[3] ** 3, "model 0, cubic 1 at y3*y3*y3")):
-        cubic = aw.cubic_coefficients(
-            lambda z: tab.tri(z, z, z) + extra(z))
+    z = aw._symbolic_point()
+    for extra, text in ((z[0] * z[1] * z[1], "model 7, cubic 6 at s*y2*y2"),
+                        (z[3] * z[3] * z[3], "model 0, cubic 1 at y3*y3*y3")):
         with pytest.raises(InternalConsistencyError) as err:
-            aw.fit_model(cubic)
+            aw.fit_model(tab.tri(z, z, z) + extra)
         assert str(err.value) == (
             "block cubic is not spanned by s^3, s|x|^2, s|y|^2, R: " + text)
+
+
+def test_symbolic_odd_part_raise_names_a_monomial(monkeypatch, rebuilt):
+    """A nonzero odd part at the symbolic point, and there only, raises
+    an InternalConsistencyError naming the odd part's first monomial and
+    P's sqrt(10) coefficient there; direct_p_fit, whose certification
+    point passes, raises it from its fit and keeps it: a second read
+    raises the same text without reading the table again."""
+    z = aw._symbolic_point()
+    split = aw._BlockTables.split
+    calls = []
+
+    def odd(self, zu, zw):
+        calls.append(1)
+        even, odd = split(self, zu, zw)
+        if hasattr(even, "terms"):
+            odd = 432 * z[0] * z[4] * z[4] + 216 * z[1] * z[1] * z[2]
+        return even, odd
+
+    monkeypatch.setattr(aw._BlockTables, "split", odd)
+    text = ("sqrt(10)-odd part of P does not vanish: 2 sqrt(10) at s*x4*x4, "
+            "the first monomial of P's odd part")
+    with pytest.raises(InternalConsistencyError) as err:
+        block_tables().fp_numerator(z)
+    assert str(err.value) == text
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError) as err:
+            aw.direct_p_fit()
+        assert str(err.value) == text
+    # the call above, and the fit's certification point and symbolic point
+    assert len(calls) == 3
 
 
 _COUNT_QUAD = """

@@ -290,11 +290,17 @@ def test_numpy_stays_a_lazy_import(fresh_python):
 
 # what each entry point must leave unloaded: eval runs on the core modules
 # alone, and only its b2, q2, Q and P compile cubic; the exterior and g2
-# suites never touch cubic, aw, pairing or the su(3) suites, and the cubic
-# suite none but cubic
+# suites never touch cubic, aw, pairing, the polynomial module or the su(3)
+# suites, and the cubic suite none but cubic
 NOT_FOR_EVAL = {"g2forge.suites", "g2forge.su3_suites", "g2forge.aw",
-                "g2forge.pairing", "numpy"}
-NOT_FOR_CORE_SUITES = {"g2forge.su3_suites", "g2forge.aw", "g2forge.pairing"}
+                "g2forge.pairing", "g2forge.poly", "numpy"}
+NOT_FOR_CORE_SUITES = {"g2forge.su3_suites", "g2forge.aw", "g2forge.pairing",
+                       "g2forge.poly"}
+# the benchmark's set-up probe builds both frames: aw compiles the
+# polynomial module only where it builds its symbolic point
+_SETUP = ("import g2forge.cli\nfrom g2forge.aw import standard_aw_frame\n"
+          "from g2forge.g2 import standard_frame\n"
+          "standard_frame(); standard_aw_frame()\n")
 NOT_CUBIC = {"g2forge.cubic"}
 # a suite run takes sha256 from the builtin SHA-2 module, not OpenSSL's
 NOT_OPENSSL = {"hashlib", "_hashlib"}
@@ -315,8 +321,9 @@ _MAIN = "from g2forge.cli import main\nassert main({!r}) == 0\n"
     (_MAIN.format(["run", "--suite", "g2", "--random", "1",
                    "--output", "report.txt"]),
      "g2forge.suites", NOT_FOR_CORE_SUITES | NOT_CUBIC | NOT_OPENSSL),
+    (_SETUP, "g2forge.aw", {"g2forge.poly", "g2forge.pairing", "numpy"}),
 ], ids=["import-cli", "eval-P", "eval-project", "import-suites",
-        "run-exterior", "run-g2"])
+        "run-exterior", "run-g2", "setup-probe"])
 def test_import_layers(fresh_python, tmp_path, g2frame, code, loaded,
                        unloaded):
     """Each command compiles only the modules it runs: with bytecode
