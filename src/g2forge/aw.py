@@ -79,26 +79,36 @@ y2, y3, x4..x7), the coordinates of A_ on the block basis.  Its
 structure constants on the block basis are 58 nonzero integers, built
 once and checked fully symmetric; the block-product sweep, the fits
 and route two of P evaluate that table.  The sweep also takes the
-solver route, which does not read it, as do two probes of the table
-when it is built.
+solver route, which does not read it.
+
+Each comparison is made once, by the check that records it: a builder
+that fed the readers of a value would also abort the readers that never
+use it.  So c_of returns c_direct and the suite compares it with
+c_display (verify_c_constructions), the table build checks only its
+full symmetry and the suite's block-product sweep compares it with the
+solver route, and first_principles_fit is the direct fit of P, which
+the suite compares with the reverted block fit (aw.revert-map) and the
+pairing report with interpolated P.
 
 The sweeps and the fits run once each, at the symbolic point
-(_symbolic_point): the block coordinates as the polynomial variables
-s, y1..y3, x4..x7 of poly.MultiPoly, the one place this module imports
-poly.  The display sides, the kernels, the block table, the solver
-route, R and the model row are ring-generic code, so at the symbolic
-point each gives the polynomial whose value at every point is the
-value computed there, and one comparison there is an identity of
-polynomials.  verify_tensor_displays is tensor_displays at the
-symbolic (0, y, x), and verify_block_products runs block_products there
-on the table and on the solver route.  fit_block_cubic and direct_p_fit
-each make one polynomial call, tri(z, z, z) and fp_numerator(z), and
-fit_model reads each model coefficient off one monomial of the model
-terms at the symbolic point, then requires the fitted model to equal
-the cubic.  A raise at the symbolic point names the first monomial
-where two values differ.  P's coefficients in the coordinates of xi
-are still read from 120 values by one exact interpolator,
-cubic_coefficients at the cubic_points, which pairing calls.
+(_symbolic_point): the block coordinates as the polynomial variables s,
+y1..y3, x4..x7 of poly.MultiPoly, the one place this module imports
+poly.  The two constructions of C, the display sides, the kernels, the
+block table, the solver route, R and the model row are ring-generic
+code, so at the symbolic point each gives the polynomial whose value at
+every point is the value computed there, and one comparison there is an
+identity of polynomials.  verify_c_constructions compares the two
+constructions of C at the symbolic x, verify_tensor_displays is
+tensor_displays at the symbolic (0, y, x), and verify_block_products
+runs block_products there on the table and on the solver route.
+fit_block_cubic and first_principles_fit each make one polynomial call,
+tri(z, z, z) and fp_numerator(z), and fit_model reads each model
+coefficient off one monomial of the model terms at the symbolic point,
+then requires the fitted model to equal the cubic.  A raise at the
+symbolic point names the first monomial where two values differ.  P's
+coefficients in the coordinates of xi are still read from 120 values by
+one exact interpolator, cubic_coefficients at the cubic_points, which
+pairing calls.
 
 z is the one shape of block data: the table, the solver route, the
 displays, the model row and R (_r), the fits and compose all take it.
@@ -115,7 +125,7 @@ the nonzero entries of J and the I_a (_r_entries).
 
 The block frame, the block basis, the entries R reads, the block table,
 the integers of FAMILY, the symbolic point, the cubic_points and the
-three fits are per-process values built through g2.once: each is built
+two fits are per-process values built through g2.once: each is built
 on first use, and a build that raises is kept, so every later reader
 raises its text again and none reruns it.
 """
@@ -295,21 +305,14 @@ def c_display(x: Form) -> Form:
 
 
 def c_of(x: Form) -> Form:
-    """The cocycle block C(x) for a vector x in the m4 block; the two
-    constructions c_direct and c_display must agree; a raise names x,
-    the direct and the displayed side and their first difference
-    (g2.first_difference)."""
+    """The cocycle block C(x) for a vector x in the m4 block, by
+    c_direct; the aw suite's aw.dual-constructions compares it with
+    c_display as a polynomial identity in x."""
     if x.grade != 1:
         raise FormError("C needs a vector")
     if x.support_mask() & ~M4_MASK:
         raise FormError("C needs a vector in span(e4..e7)")
-    direct, display = c_direct(x), c_display(x)
-    if direct != display:
-        raise InternalConsistencyError(
-            f"the two constructions of C disagree at x = "
-            f"({', '.join(map(str, coords_of(x)[3:]))}) on e4..e7, direct "
-            f"against displayed: {first_difference(direct, display)}")
-    return direct
+    return c_direct(x)
 
 
 # (Y, K): A(xi) = s phitilde + Y y ^ Omega + K sqrt(10) C(x), the one
@@ -694,6 +697,15 @@ def verify_tensor_displays() -> list[dict]:
     return tensor_displays((0, *_symbolic_point()[1:]))
 
 
+def verify_c_constructions() -> str | None:
+    """c_direct against c_display as a polynomial identity, at the
+    symbolic x = (0, 0, 0, x4..x7): None when the two agree, else their
+    first difference (g2.first_difference)."""
+    x = vector_form([0, 0, 0, *_symbolic_point()[4:]])
+    direct, display = c_direct(x), c_display(x)
+    return None if direct == display else first_difference(direct, display)
+
+
 def verify_block_products() -> list[dict]:
     """The six displayed products and their weighted sum as polynomial
     identities, at the symbolic point on two routes: the block table's
@@ -741,10 +753,10 @@ class _BlockTables:
     e.g. T[0][0][0] = -210, T[0][4][4] = 33, T[1][4][4] = -5); every
     block value is tri on coordinate vectors, the cubic tri(z, z, z).
     At build time T must be invariant under all permutations of (u, v,
-    w), the full symmetry of the trilinear form, and the six products
-    and the cubic it assembles are cross-checked against the solver
-    (_solver_products) at two probe points; each raise names the entries
-    or the values that differ.
+    w), the full symmetry of the trilinear form; the raise names two
+    entries that differ.  The aw suite's aw.block-products compares the
+    six products and the cubic the table assembles with the solver
+    route (_solver_products) as polynomial identities.
     """
 
     def __init__(self):
@@ -768,17 +780,6 @@ class _BlockTables:
                         f"T{perm} = {Fraction(T4[perm], 4)}")
         self.terms = tuple((u, v, w, c // 4 if c % 4 == 0 else Fraction(c, 4))
                            for (u, v, w), c in sorted(T4.items()) if c)
-
-        def shown(six, full):
-            return f"products ({', '.join(map(str, six))}), cubic {full}"
-
-        for z in ((1, 1, 0, 0, 0, 1, 0, 0), (2, 0, 1, -1, 1, 0, 0, 1)):
-            table, solver = (self.products(z), self.tri(z, z, z)), \
-                _solver_products(z)
-            if table != solver:
-                raise InternalConsistencyError(
-                    f"table assembly disagrees with the direct route at z = "
-                    f"{z}: table {shown(*table)}; solver {shown(*solver)}")
 
     def tri(self, z1, z2, z3):
         """sum T[u][v][w] z1[u] z2[v] z3[w] over block coordinates."""
@@ -937,38 +938,16 @@ def revert_block_fit(coeffs) -> tuple:
 
 
 @once
-def direct_p_fit() -> tuple:
-    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R):
-    fit_model on P's table assembly at the symbolic point, over M^3,
-    once that assembly is certified against the full evaluator at a
-    generic point."""
-    tab = block_tables()
-    z = (1, 1, -1, 2, 1, 0, 1, -1)
-    xi = compose(z)
-    table = tab.fp_value(z)
-    full = first_principles_value(xi, single_route=True)
-    if table != full:
-        raise InternalConsistencyError(
-            f"assembled P disagrees with the full evaluator: table {table}, "
-            f"evaluator {full} at {json.dumps(xi.to_json())}")
-    return tuple(c / _family_ints()[1] ** 3
-                 for c in fit_model(tab.fp_numerator(_symbolic_point())))
-
-
-@once
 def first_principles_fit() -> tuple:
-    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R).
-
-    Two derivations that must agree: fit the generic block cubic and
-    push it through revert_block_fit, or fit P itself through its table
-    assembly (direct_p_fit).
-    """
-    direct, pushed = direct_p_fit(), revert_block_fit(fit_block_cubic())
-    if direct != pushed:
-        raise InternalConsistencyError(
-            "reverted block fit and direct fit of P disagree: reverted (%s, "
-            "%s, %s, %s), direct (%s, %s, %s, %s)" % (pushed + direct))
-    return direct
+    """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R):
+    fit_model on P's table assembly (fp_numerator) at the symbolic
+    point, over M^3.  Its comparisons are the aw suite's and the
+    pairing report's: aw.revert-map against the block fit pushed through
+    revert_block_fit, aw.value-two-routes of the table assembly against
+    the full evaluator, and pairing_report's of the fitted model against
+    interpolated P."""
+    return tuple(c / _family_ints()[1] ** 3 for c in
+                 fit_model(block_tables().fp_numerator(_symbolic_point())))
 
 
 def sign_resolution(fit) -> str:

@@ -4,7 +4,8 @@ interpreter, the checks each one runs and what they record.
     python tests/mutants.py
 
 reruns every entry, prints each one whose outcome differs from its
-record, and exits 1 if any does.  It takes no options.
+record, then the check ids that no caught entry fails (coverage), and
+exits 1 if any entry differs.  It takes no options.
 
 An entry (Mutant) holds a short patch, Python source run in a fresh
 interpreter before anything reads the names it patches; its runs, the
@@ -300,7 +301,7 @@ REGISTRY: tuple[Mutant, ...] = (
                 aw.Su3Element((1, -3, 2), (2, -1, 4, 0, -3, 1)))
         except aw.InternalConsistencyError as exc:
             out = str(exc)
-        """, exit=1, failed=LEDGER | ids(aw="revert-map value-two-routes"),
+        """, exit=1, failed=LEDGER | ids(aw="value-two-routes"),
         actual={"aw.value-two-routes": "InternalConsistencyError: P has a "
                 "sqrt(10) component: native 0 + -2885/72 sqrt(10), even/odd "
                 "-11075/18 + 0 sqrt(10)"
@@ -420,35 +421,63 @@ REGISTRY: tuple[Mutant, ...] = (
            "'_on_basis', 'terms[m] = terms.get(m, 0) + c * t', "
            "'terms[m] = c * t')", "caught", suites=("aw", "pairing"),
            sizes=SMALL_MC, failed=LEDGER - BLOCK_ROWS | P_READERS | ids(
-               aw="block-products decompose-roundtrip revert-map "
-               "value-two-routes"),
+               aw="block-products decompose-roundtrip value-two-routes"),
            actual={"aw.block-products": "InternalConsistencyError: recovered "
-                   "tensor is not traceless: trace 8"}, tier1=True),
-    # the native route to P off by one in its numerator cubic:
-    # direct_p_fit's raise at its certification point compose((1, 1, -1,
-    # 2, 1, 0, 1, -1)) becomes the failed aw.closed-display record, the
-    # evaluator's P the table's plus 1 / (2 d^3)
+                   "tensor is not traceless: trace (8)*s"}, tier1=True),
+    # the native route to P off by one in its numerator cubic: the
+    # two-route check names both routes' P, the native one the table's
+    # plus 1 / (2 d^3), and the element
     Mutant("native-p-off-by-one", """
         from g2forge import aw
         numerator = aw.p_numerator
         aw.p_numerator = lambda n, inv: numerator(n, inv) + 1
         """, "caught", argv=AW_RUN, exit=1,
-        failed=LEDGER | ids(aw="revert-map value-two-routes"),
-        actual={"aw.closed-display": "InternalConsistencyError: assembled P "
-                "disagrees with the full evaluator: table -185/9, evaluator "
-                "-8879/432" + at((2, 0, -2), (1, 2, 0, -1, -1, -1))},
+        failed=LEDGER | ids(aw="value-two-routes"),
+        actual={"aw.value-two-routes": "InternalConsistencyError: the two "
+                "routes to P disagree: native -265799/432 + 0 sqrt(10), "
+                "even/odd -11075/18 + 0 sqrt(10)"
+                + at((1, 3, -4), (-3, -2, 0, -3, -1, -1))},
         tier1=True),
     # the block fit pushed through the reparametrization with R doubled:
-    # first_principles_fit's raise names both fits
+    # aw.revert-map records both fits
     Mutant("revert-fit-r-doubled", """
         from g2forge import aw
         revert = aw.revert_block_fit
         aw.revert_block_fit = lambda c: revert(c[:3] + (2 * c[3],))
         """, "caught", argv=AW_RUN, exit=1,
         failed=LEDGER | ids(aw="revert-map"),
-        actual={"aw.closed-display": "InternalConsistencyError: reverted "
-                "block fit and direct fit of P disagree: reverted (-210, "
-                "55/2, 50/3, 125/9), direct (-210, 55/2, 50/3, 125/18)"},
+        actual={"aw.revert-map": "pushed (-210, 55/2, 50/3, 125/9); direct "
+                "(-210, 55/2, 50/3, 125/18)"},
+        tier1=True),
+    # every product the block table assembles doubled (a scale: an added
+    # constant is no polynomial of the homogeneous symbolic point): the
+    # products and their sum fail on the table route, and nothing else
+    # reads the products, so every other check keeps its record
+    Mutant("table-products-doubled", """
+        from g2forge import aw
+        products = aw._BlockTables.products
+        aw._BlockTables.products = lambda self, z: tuple(
+            2 * p for p in products(self, z))
+        """, "caught", suites=("aw", "pairing"), sizes=SMALL_MC,
+        failed=LEDGER | ids(aw="block-product.p(phitilde,phitilde) "
+                            "block-product.p(phitilde,y^Omega) "
+                            "block-product.p(phitilde,C(x)).corrected "
+                            "block-product.p(y^Omega,y^Omega) "
+                            "block-product.p(y^Omega,C(x)).corrected "
+                            "block-product.p(C(x),C(x)) "
+                            "block-product.sumwithmultiplicities"),
+        actual=dict.fromkeys(BLOCK_ROWS, "differs; corrected value fails"),
+        tier1=True),
+    # the displayed construction of C negated: aw.dual-constructions, the
+    # one reader of c_display, fails and names the first blade where the
+    # two constructions differ; the block basis reads c_direct
+    Mutant("c-display-negated", """
+        from g2forge import aw
+        display = aw.c_display
+        aw.c_display = lambda x: -display(x)
+        """, "caught", suites=("aw", "pairing"), sizes=SMALL_MC,
+        failed=LEDGER | ids(aw="dual-constructions"),
+        actual={"aw.dual-constructions": "e124 is (-1)*x7, not (1)*x7"},
         tier1=True),
     # the first diagonal entry of every i^{-1} triangle off by one: Q's
     # tensor route disagrees with its wedge, and the cubic suite and eval Q
@@ -666,6 +695,21 @@ REGISTRY: tuple[Mutant, ...] = (
 )
 
 
+def coverage() -> dict[str, list[str]]:
+    """For each check id of the full-size golden reports
+    (SUITE_full_seed1.json) outside the ledger, the names of the caught
+    entries whose record fails it, read off the records alone: an id
+    with none is a check that no defect in the registry is shown to
+    fail."""
+    cids = set()
+    for path in sorted((ROOT / "tests" / "golden").glob("*_full_seed1.json")):
+        cids.update(c["id"] for r in json.loads(path.read_text())["suites"]
+                    for c in r["checks"])
+    return {cid: [m.name for m in REGISTRY
+                  if m.outcome == "caught" and cid in m.failed]
+            for cid in sorted(cids - LEDGER)}
+
+
 def main() -> int:
     start, changed = time.perf_counter(), 0
     for entry in REGISTRY:
@@ -677,6 +721,9 @@ def main() -> int:
                        for o in OUTCOMES)
     print(f"{len(REGISTRY)} entries ({counts}), {changed} differ from their "
           f"record, {time.perf_counter() - start:.1f} s")
+    uncovered = [cid for cid, names in coverage().items() if not names]
+    print(f"{len(uncovered)} checks no caught entry fails:",
+          *uncovered, sep="\n  ")
     return 1 if changed else 0
 
 

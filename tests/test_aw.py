@@ -192,8 +192,7 @@ def test_c_of_input_checks(awframe):
         c_of(vector(1))
     with pytest.raises(FormError):
         c_of(awframe.Omega)
-    # the two internal constructions agree (asserted inside) and the
-    # norm carries the block factor |C(x)|^2 = 12 |x|^2
+    # the norm carries the block factor |C(x)|^2 = 12 |x|^2
     assert norm_sq(c_of(vector(4))) == 12
     x = vector_form([0, 0, 0, 2, -1, 3, 5])
     assert norm_sq(c_of(x)) == 12 * norm_sq(x)
@@ -279,19 +278,27 @@ def _xi_with_m4_part():
 
 
 def test_first_principles_c_constructions_checked(rebuilt, monkeypatch):
+    """The two constructions of C are compared once, by
+    verify_c_constructions (aw.dual-constructions): a broken c_display
+    fails that comparison, and P, which reads C through c_of (c_direct)
+    alone, keeps its value."""
+    xi = _xi_with_m4_part()
+    value = first_principles_value(xi)
+    assert aw.verify_c_constructions() is None
+    rebuilt()
     monkeypatch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
-    with pytest.raises(InternalConsistencyError,
-                       match="the two constructions of C disagree"):
-        first_principles_value(_xi_with_m4_part())
+    assert aw.verify_c_constructions() is not None
+    assert first_principles_value(xi) == value
 
 
 def test_c_raise_names_x_and_the_first_differing_blade(monkeypatch):
+    """At the symbolic x = (0, 0, 0, x4..x7) the comparison names the
+    first blade where the two constructions differ, as a polynomial in
+    the coordinates of x; c_of does not compare and returns c_direct."""
     monkeypatch.setattr(aw, "c_display", lambda x: 2 * c_direct(x))
-    with pytest.raises(InternalConsistencyError) as raised:
-        aw.c_of(vector(4) + 2 * vector(6))
-    assert str(raised.value) == (
-        "the two constructions of C disagree at x = (1, 0, 2, 0) on "
-        "e4..e7, direct against displayed: e125 is 2, not 4")
+    assert aw.verify_c_constructions() == "e124 is (-1)*x7, not (-2)*x7"
+    x = vector(4) + 2 * vector(6)
+    assert aw.c_of(x) == c_direct(x)
 
 
 def test_first_principles_type_gate(rebuilt, monkeypatch, awframe, g2frame):
@@ -641,7 +648,9 @@ def test_first_principles_fit():
     assert fitted == (Fraction(-210), Fraction(55, 2), Fraction(50, 3),
                       Fraction(125, 18))
     # the push-through of the generic fit under y -> -(5/3)y,
-    # x -> (sqrt(10)/6)x is asserted inside; spot check the model
+    # x -> (sqrt(10)/6)x gives the same fit (aw.revert-map records it)
+    assert aw.revert_block_fit(fit_block_cubic()) == fitted
+    # spot check the model
     c1, c2, c3, c4 = fitted
     rng = random.Random(9009)
     for _ in range(3):
@@ -709,33 +718,37 @@ def test_record_texts_state_the_family():
 
 @pytest.mark.parametrize("index", range(7))
 def test_block_tables_probe_checks_each_product(monkeypatch, index):
-    """The build compares the six products and the cubic the table
-    assembles with the solver route at its probe points: one product
-    (or the cubic) off by one there fails the build, and the raise
-    names the probe point and both routes' six products and cubic."""
+    """verify_block_products compares the six products and the cubic of
+    both routes, the table's and the solver's, with their displays: one
+    product (or the cubic) doubled on the solver route fails that
+    product's record (its corrected value where it has one) and the
+    weighted sum's, and leaves every other record as it was."""
     solver = aw._solver_products
     z = (1, 1, 0, 0, 0, 1, 0, 0)
     values = [-210, 2, 33, 2, -5, 28, -120]
     assert solver(z) == (tuple(values[:6]), values[6])
+    before = verify_block_products()
+    assert all(row.get("corrected_matches", row["matches"])
+               for row in before)
 
-    def bumped(z):
+    def doubled(z):
         six, full = solver(z)
         values = list(six) + [full]
-        values[index] += 1
+        values[index] *= 2
         return tuple(values[:6]), values[6]
 
-    def shown(values):
-        return (f"products ({', '.join(map(str, values[:6]))}), "
-                f"cubic {values[6]}")
-
-    monkeypatch.setattr(aw, "_solver_products", bumped)
-    with pytest.raises(InternalConsistencyError) as err:
-        aw._BlockTables()
-    off = list(values)
-    off[index] += 1
-    assert str(err.value) == (
-        f"table assembly disagrees with the direct route at z = {z}: "
-        f"table {shown(values)}; solver {shown(off)}")
+    monkeypatch.setattr(aw, "_solver_products", doubled)
+    after = verify_block_products()
+    assert [row["product"] for row in after] == [
+        row["product"] for row in before]
+    broken = {index, 6}
+    for i, (was, now) in enumerate(zip(before, after)):
+        if i not in broken:
+            assert now == was
+        elif "corrected_matches" in was:
+            assert now == dict(was, corrected_matches=False)
+        else:
+            assert now == dict(was, matches=False)
 
 
 def test_block_table_symmetric_integer():
@@ -970,7 +983,7 @@ def window(name, fn):
 
 
 for name in ("verify_tensor_displays", "verify_block_products",
-             "fit_block_cubic", "direct_p_fit", "fit_model"):
+             "fit_block_cubic", "first_principles_fit", "fit_model"):
     setattr(aw, name, window(name, getattr(aw, name)))
 aw._BlockTables.__init__ = window("block_tables", aw._BlockTables.__init__)
 with contextlib.redirect_stdout(io.StringIO()):
@@ -995,12 +1008,13 @@ def test_aw_run_counts(fresh_python):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["exit"] == 1
-    # fit_block_cubic and direct_p_fit are cached: three and two reads,
-    # two fits
+    # fit_block_cubic and first_principles_fit are cached, two fits: the
+    # block fit read by its record and aw.revert-map, the fit of P by
+    # aw.closed-display, the pairing report and aw.revert-map
     assert out["entered"] == {"block_tables": 1, "verify_tensor_displays": 1,
                               "verify_block_products": 1,
-                              "fit_block_cubic": 3, "direct_p_fit": 2,
-                              "fit_model": 2}
+                              "fit_block_cubic": 2,
+                              "first_principles_fit": 3, "fit_model": 2}
     assert out["counts"] == {"quadratic_form": 0, "Matrix.apply": 8,
                              "Matrix.__mul__": 3, "vector_form": 0,
                              "coords_of": 0, "norm_sq": 0, "numerators": 0}
@@ -1008,9 +1022,9 @@ def test_aw_run_counts(fresh_python):
 
 def test_fit_and_interpolation_counts(monkeypatch, rebuilt):
     """Each fit makes one polynomial call at the symbolic point: the block
-    fit one tri(z, z, z), the direct fit one fp_numerator after the one at
-    its certification point (120 and 121 when each read its cubic through
-    the 120-point interpolation map), and each fit reads the model terms
+    fit one tri(z, z, z) and the direct fit one fp_numerator (120 and 121,
+    with a certification point, when each read its cubic through the
+    120-point interpolation map), and each fit reads the model terms
     there, one _r call (120 when the model's coefficients were
     interpolated too).  Interpolating P still makes 120 single-route
     first_principles_value calls."""
@@ -1028,7 +1042,7 @@ def test_fit_and_interpolation_counts(monkeypatch, rebuilt):
     monkeypatch.setattr(aw._BlockTables, "fp_numerator",
                         lambda self, z: calls["fp_numerator"].append(z)
                         or numerator(self, z))
-    aw.direct_p_fit()
+    first_principles_fit()
     value = pairing.first_principles_value
     monkeypatch.setattr(pairing, "first_principles_value",
                         lambda xi, **kw: calls["value"].append(kw)
@@ -1036,7 +1050,7 @@ def test_fit_and_interpolation_counts(monkeypatch, rebuilt):
     pairing.interpolate_p_coefficients()
     assert calls["_r"] == [z, z]
     assert calls["tri"] == [(z, z, z)]
-    assert calls["fp_numerator"] == [(1, 1, -1, 2, 1, 0, 1, -1), z]
+    assert calls["fp_numerator"] == [z]
     assert calls["value"] == [{"single_route": True}] * 120
     assert len(set(aw.cubic_points())) == 120
 
@@ -1078,7 +1092,7 @@ def test_symbolic_sweeps_and_fits_match_the_point_routes():
         aw.cubic_coefficients(lambda z: tab.tri(z, z, z)))
     direct = reference.fit_coefficients(
         aw.cubic_coefficients(tab.fp_numerator))
-    assert aw.direct_p_fit() == tuple(c / m3 for c in direct)
+    assert first_principles_fit() == tuple(c / m3 for c in direct)
 
 
 _FAILED_BASIS_KEPT = """
@@ -1171,9 +1185,9 @@ def test_block_fits_name_both_values(monkeypatch):
 def test_symbolic_odd_part_raise_names_a_monomial(monkeypatch, rebuilt):
     """A nonzero odd part at the symbolic point, and there only, raises
     an InternalConsistencyError naming the odd part's first monomial and
-    P's sqrt(10) coefficient there; direct_p_fit, whose certification
-    point passes, raises it from its fit and keeps it: a second read
-    raises the same text without reading the table again."""
+    P's sqrt(10) coefficient there; first_principles_fit raises it from
+    its fit and keeps it: a second read raises the same text without
+    reading the table again."""
     z = aw._symbolic_point()
     split = aw._BlockTables.split
     calls = []
@@ -1193,10 +1207,10 @@ def test_symbolic_odd_part_raise_names_a_monomial(monkeypatch, rebuilt):
     assert str(err.value) == text
     for _ in range(2):
         with pytest.raises(InternalConsistencyError) as err:
-            aw.direct_p_fit()
+            first_principles_fit()
         assert str(err.value) == text
-    # the call above, and the fit's certification point and symbolic point
-    assert len(calls) == 3
+    # the call above, and the fit's one at the symbolic point
+    assert len(calls) == 2
 
 
 _COUNT_QUAD = """

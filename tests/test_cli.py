@@ -163,14 +163,17 @@ def test_run_seed_from_environment(capsys, monkeypatch):
 
 
 def test_run_records_a_raising_suite(fresh_python, tmp_path):
-    # a broken construction makes c_of raise inside the aw suite; each
-    # check that reaches it fails with the exception, the others still
-    # run, and the run writes its report.  A fresh process, so that no
-    # cached table spares a check the call
+    # one entry of I1 in R's metric route negated makes R's two routes
+    # disagree, and _r raise, inside the aw suite; each check that reads
+    # R fails with the exception, the others still run, and the run
+    # writes its report.  A fresh process, so that no cached table or fit
+    # spares a check the call
     code = ("import sys\n"
-            "from g2forge import aw, exterior as ext\n"
+            "from g2forge import aw\n"
             "from g2forge.cli import main\n"
-            "aw.c_display = lambda x: aw.c_direct(x) + ext.blade([1, 2, 3])\n"
+            "rows = aw._r_entries()\n"
+            "(i, j, c), *rest = rows[1]\n"
+            "rows[1] = ((i, j, -c), *rest)\n"
             "sys.exit(main(sys.argv[1:]))\n")
     done = fresh_python(code, "run", "--suite", "aw", "--seed", "1",
                         "--random", "1", "--format", "json",
@@ -182,28 +185,34 @@ def test_run_records_a_raising_suite(fresh_python, tmp_path):
     (sub,) = report["suites"]
     checks = {c["id"]: c for c in sub["checks"]}
     assert len(checks) == len(sub["checks"])
-    assert checks["aw.quaternionic-relations"]["status"] == "pass"
-    assert checks["aw.idet-two-routes"]["status"] == "pass"
-    assert checks["aw.dual-constructions"]["status"] == "fail"
-    assert checks["aw.dual-constructions"]["actual"] == \
-        "agree on 0 of 24 vectors"
-    raised = {cid for cid, c in checks.items() if c["actual"] ==
-              "InternalConsistencyError: the two constructions of C disagree "
-              "at x = (1, 0, 0, 0) on e4..e7, direct against displayed: "
-              "e123 is 0, not 1"}
-    # the two display sweeps raise before their rows exist, so each is
-    # one record under its stream's name
-    assert raised == {
-        "aw.decompose-roundtrip", "aw.value-two-routes", "aw.tensor-displays",
-        "aw.block-products", "aw.generic-sum-display", "aw.closed-display",
-        "aw.pairing-vs-displays", "aw.revert-map"}
-    assert set(checks) == raised | {"aw.quaternionic-relations",
-                                    "aw.dual-constructions",
-                                    "aw.idet-two-routes"}
+    raise_text = ("InternalConsistencyError: R display disagrees with "
+                  "g(Jx, I_y x): metric ")
+    raised = {cid for cid, c in checks.items()
+              if c["actual"].startswith(raise_text)}
+    # the block-products sweep raises before its rows exist, so it is
+    # one record under its stream's name; the fits read R at the
+    # symbolic point, the pairing report reads it at the letters
+    assert raised == {"aw.block-products", "aw.generic-sum-display",
+                      "aw.closed-display", "aw.revert-map",
+                      "aw.pairing-vs-displays"}
+    for cid in raised - {"aw.pairing-vs-displays"}:
+        assert checks[cid]["actual"] == \
+            raise_text + "-1, display 1 at x5*x5*y1"
+    assert checks["aw.pairing-vs-displays"]["actual"] == raise_text + (
+        "GaussRational(Fraction(-1, 4), 0), display 0 at v1*z2*z2")
     for cid in raised:
         assert checks[cid]["status"] == "fail"
         assert checks[cid]["anchor"].endswith(
             "; raised at seed 1 with --random 1, rerun it to reproduce")
+    # every other check passes, but the three tensor displays that fail by
+    # design, which read no R
+    unread = AW_BY_DESIGN & {cid for cid in checks
+                             if cid.startswith("aw.tensor-display.")}
+    assert len(unread) == 3
+    assert {cid for cid, c in checks.items() if c["status"] == "fail"} == \
+        raised | unread
+    assert checks["aw.dual-constructions"]["actual"] == "holds"
+    assert checks["aw.value-two-routes"]["status"] == "pass"
 
 
 def test_run_lets_interrupts_through(capsys, monkeypatch):

@@ -110,3 +110,26 @@ def test_patches_name_what_exists():
                 source = inspect.getsource(getattr(owner, name))
                 assert source.count(old) == 1, (m.name, name, old)
     assert seen >= len(REGISTRY)
+
+
+# the non-ledger check ids of the full-size goldens that no caught entry
+# fails (ROADMAP item 25): an entry that fails one of them takes it out,
+# and a check that loses its last entry, or a new check with none, adds
+# one
+UNCOVERED = frozenset({
+    "aw.tensor-display.i^{-1}(phitilde)=-2id3+(3/2)id4",
+    "aw.tensor-display.i^{-1}(y^Omega)=-(1/2)JI_y",
+    "aw.tensor-display.p(phitilde,y^Omega)=-JI_y",
+    "exterior.json-roundtrip",
+    "exterior.wedge-algebra",
+    "pairing.sym-inner-symmetric",
+})
+
+
+def test_uncovered_checks_are_pinned():
+    """Read off the records alone, without running an entry: the check
+    ids no caught entry fails are UNCOVERED, and every other non-ledger
+    id of the full-size goldens is failed by at least one."""
+    found = mutants.coverage()
+    assert not found.keys() & LEDGER
+    assert {cid for cid, names in found.items() if not names} == UNCOVERED
