@@ -31,6 +31,9 @@ _CONJUGATE = {**{name: name for name in LETTERS + BLOCK_LETTERS},
               "z1": "zb1", "z2": "zb2", "z3": "zb3",
               "zb1": "z1", "zb2": "z2", "zb3": "z3"}
 
+# the coefficient types, each of which multiplies a polynomial directly
+_SCALARS = (int, Fraction, GaussRational)
+
 
 class MultiPoly:
     """Homogeneous polynomial: sorted letter tuples -> coefficients.
@@ -39,29 +42,38 @@ class MultiPoly:
     given; sums and products pick the type they make.  The exact kernels
     run on it as a coefficient ring: a scalar multiplies on either side,
     0 and the zero polynomial add to any polynomial (so sum() works),
-    and other operand types are left to their own operators."""
+    and other operand types are left to their own operators.
+
+    The constructor is the one place a monomial's degree and letters are
+    checked.  Every sum, product, scalar multiple and conjugate is built
+    from checked terms by _summed, which only sorts a monomial."""
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: dict | None = None):
-        self.degree = degree
-        self.terms: dict = {}
+        self.degree, self.terms = degree, {}
+        for mono in terms or ():
+            if len(mono) != degree:
+                raise ScalarError("monomial degree does not match the tag")
+            for name in sorted(mono):
+                if name not in _CONJUGATE:
+                    raise ScalarError(f"unknown letter {name!r}")
         if terms:
-            for mono, c in terms.items():
-                self._add_term(mono, c)
+            self._summed(terms.items())
 
-    def _add_term(self, mono, c):
-        mono = tuple(sorted(mono))
-        if len(mono) != self.degree:
-            raise ScalarError("monomial degree does not match the tag")
-        for name in mono:
-            if name not in _CONJUGATE:
-                raise ScalarError(f"unknown letter {name!r}")
-        cur = self.terms.get(mono, 0) + c
-        if cur == 0:
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = cur
+    def _summed(self, pairs) -> "MultiPoly":
+        """self with each (monomial, coefficient) of pairs added in order:
+        the monomial sorted, the coefficient added after the one already
+        there, and a zero sum dropped."""
+        terms = self.terms
+        for mono, c in pairs:
+            mono = tuple(sorted(mono))
+            c = terms[mono] + c if mono in terms else c
+            if c == 0:
+                terms.pop(mono, None)
+            else:
+                terms[mono] = c
+        return self
 
     @classmethod
     def letter(cls, name: str) -> "MultiPoly":
@@ -75,10 +87,8 @@ class MultiPoly:
             return other if other.terms else self
         if self.degree != other.degree:
             raise ScalarError("cannot add polynomials of different degrees")
-        out = MultiPoly(self.degree, self.terms)
-        for mono, c in other.terms.items():
-            out._add_term(mono, c)
-        return out
+        return MultiPoly(self.degree)._summed(
+            [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -92,14 +102,14 @@ class MultiPoly:
         return -self + other
 
     def __mul__(self, other):
-        other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        out = MultiPoly(self.degree + other.degree)
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out._add_term(m1 + m2, c1 * c2)
-        return out
+        if isinstance(other, MultiPoly):
+            return MultiPoly(self.degree + other.degree)._summed(
+                (m1 + m2, c1 * c2) for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items())
+        if isinstance(other, _SCALARS):
+            return MultiPoly(self.degree)._summed(
+                (m, c * other) for m, c in self.terms.items())
+        return NotImplemented
 
     # a scalar commutes with every coefficient
     __rmul__ = __mul__
@@ -108,10 +118,9 @@ class MultiPoly:
         return bool(self.terms)
 
     def conjugate(self) -> "MultiPoly":
-        out = MultiPoly(self.degree)
-        for mono, c in self.terms.items():
-            out._add_term(tuple(_CONJUGATE[n] for n in mono), c.conjugate())
-        return out
+        return MultiPoly(self.degree)._summed(
+            (map(_CONJUGATE.get, m), c.conjugate())
+            for m, c in self.terms.items())
 
     def at(self, values: dict):
         """The exact value at the letter values given by name."""
@@ -159,7 +168,8 @@ class MultiPoly:
 
 
 def _as_poly(value) -> MultiPoly | None:
-    """value as a MultiPoly, a scalar as one of degree 0; None otherwise."""
-    if isinstance(value, (int, Fraction, GaussRational)):
+    """value as a MultiPoly, a scalar as one of degree 0, for ==, + and
+    first_difference; None otherwise."""
+    if isinstance(value, _SCALARS):
         return MultiPoly(0, {(): value})
     return value if isinstance(value, MultiPoly) else None

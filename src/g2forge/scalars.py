@@ -170,6 +170,13 @@ class GaussRational(_QuadraticField):
                     for q in (self.rat, self.irr))
         return f"GaussRational({rat!r}, {irr!r})"
 
+    def __str__(self):
+        # as a raise text prints a coefficient: a real value as its
+        # rational, any other as a + b i
+        if self.irr == 0:
+            return str(self.rat)
+        return f"{self.rat} {'-' if self.irr < 0 else '+'} {abs(self.irr)} i"
+
     def __complex__(self):
         return complex(float(self.rat), float(self.irr))
 

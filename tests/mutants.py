@@ -635,8 +635,8 @@ REGISTRY: tuple[Mutant, ...] = (
            sizes=SMALL_MC, failed=LEDGER | P_VALUES,
            actual={"pairing.first-principles-nonzero": "InternalConsistency"
                    "Error: interpolated P does not match the fitted four-term "
-                   "model: v1*v1*z1 has GaussRational(Fraction(-185, 36), "
-                   "Fraction(-185, 36)) interpolated, 0 in the model"}),
+                   "model: v1*v1*z1 has -185/36 - 185/36 i interpolated, 0 "
+                   "in the model"}),
     # the single f(e_k) in the triple formula negated
     Mutant("interpolation-triple-sign", "from g2forge import aw; rewrite("
            "aw, 'cubic_coefficients', '+ fs[k]', '- fs[k]')", "equivalent",
@@ -687,6 +687,43 @@ REGISTRY: tuple[Mutant, ...] = (
            failed=LEDGER | ids(cubic="b2-solve"),
            actual={"cubic.b2-solve": "InconsistentSystemError: inconsistent "
                    "linear system: row 0 reduces to 0 = nonzero"}),
+    # MultiPoly's builder keeps a zero sum of two coefficients as a 0
+    # coefficient, so equal polynomials compare unequal
+    Mutant("poly-keeps-zero-sums", "from g2forge.poly import MultiPoly; "
+           "rewrite(MultiPoly, '_summed', 'if c == 0:', "
+           "'if c == 0 and mono not in terms:')", "caught", suites=FIVE,
+           sizes=SMALL_MC, failed=LEDGER - BLOCK_ROWS - DISPLAY_ROWS
+           | P_READERS | ids(aw="block-products tensor-displays"),
+           actual={"aw.tensor-displays": "InternalConsistencyError: "
+                   "recovered tensor is not symmetric: entry (0, 1) = 0, "
+                   "entry (1, 0) = (0)*y2",
+                   "pairing.p-poly-real": "InternalConsistencyError: "
+                   "interpolated P is not real-valued: z1*z2*zb3 has 0, not "
+                   "the conjugate of 0, the coefficient of its partner "
+                   "z3*zb1*zb2"}, tier1=True),
+    # MultiPoly's builder without its sort: a product's m1 + m2 and a
+    # conjugate's monomial keep the order they are made in
+    Mutant("poly-products-unsorted", "from g2forge.poly import MultiPoly; "
+           "rewrite(MultiPoly, '_summed', 'tuple(sorted(mono))', "
+           "'tuple(mono)')", "caught", suites=FIVE, sizes=SMALL_MC,
+           failed=LEDGER - BLOCK_ROWS | P_VALUES | ids(
+               aw="block-products revert-map "
+               "tensor-display.p(C(x),C(x))=2|x|^2id3+10(|x|^2id4-x(x)x) "
+               "tensor-display.p(y^Omega,C(x))=6y.Jx.corrected",
+               pairing="idet-construction pure-z-support"),
+           actual={"aw.block-products": "InternalConsistencyError: R "
+                   "display disagrees with g(Jx, I_y x): metric 1, display 0 "
+                   "at x4*y1*x4"}, tier1=True),
+    # the permanent inner product conjugating its second argument's
+    # coefficients: a hermitian form, not a symmetric one
+    Mutant("sym-inner-conjugates-q", "from g2forge import pairing; "
+           "rewrite(pairing, 'sym_inner_poly', 'c1 * c2 * g', "
+           "'c1 * c2.conjugate() * g')", "caught", suites=FIVE,
+           sizes=SMALL_MC, failed=LEDGER | ids(
+               pairing="closed-assembly component-values "
+               "montecarlo-agreement sym-inner-symmetric"),
+           actual={"pairing.component-values": "-4/9; -8/3; 4; -8"},
+           tier1=True),
     # the Haar sampler's third column without its conjugation
     Mutant("haar-third-column-unconjugated", "from g2forge import pairing; "
            "rewrite(pairing, 'haar_su3', 'np.conjugate(', 'np.positive(')",

@@ -51,8 +51,8 @@ ALLOWED = frozenset({
     "g2.first_difference", "MultiPoly.first_difference",
     # printing
     "Form.__repr__", "Matrix.__repr__", "MultiPoly.__repr__",
-    "QuadExt.__repr__", "GaussRational.__repr__", "Su3Element.__repr__",
-    "SymTensor.__repr__",
+    "QuadExt.__repr__", "GaussRational.__repr__", "GaussRational.__str__",
+    "Su3Element.__repr__", "SymTensor.__repr__",
     # value semantics: a hashable value that defines __eq__, the
     # equality of SymTensor, without which == falls back to identity, and
     # a rational minus a field element, which no command computes

@@ -122,7 +122,6 @@ UNCOVERED = frozenset({
     "aw.tensor-display.p(phitilde,y^Omega)=-JI_y",
     "exterior.json-roundtrip",
     "exterior.wedge-algebra",
-    "pairing.sym-inner-symmetric",
 })
 
 

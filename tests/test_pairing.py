@@ -42,10 +42,21 @@ def test_multipoly_arithmetic():
     assert p == 2 * (v1 * z1)
     assert (p - p) == MultiPoly(2)
     assert p.conjugate() == 2 * (v1 * MultiPoly.letter("zb1"))
+    # the constructor checks a monomial and sorts it; a product and a
+    # conjugate only sort theirs
+    zb1z2 = MultiPoly.letter("zb1") * MultiPoly.letter("z2")
+    for got, mono in ((z1 * v1, ("v1", "z1")), (zb1z2, ("z2", "zb1")),
+                      (zb1z2.conjugate(), ("z1", "zb2"))):
+        assert list(got.terms) == [mono]
+        assert got == MultiPoly(2, {mono[::-1]: 1})
     with pytest.raises(ScalarError):
         v1 + v1 * z1  # mixed degrees never add
+    with pytest.raises(ScalarError, match="degree"):
+        MultiPoly(2, {("v1",): 1})
     with pytest.raises(ScalarError):
         MultiPoly.letter("w9")
+    with pytest.raises(ScalarError, match="unknown letter 'w9'"):
+        MultiPoly(2, {("v1", "w9"): 1})
 
 
 def test_multipoly_is_a_coefficient_ring():

@@ -72,16 +72,21 @@ def test_gauss_rational_keeps_int_parts():
 
 def test_equal_gauss_rationals_print_alike():
     # an int-valued part prints as an int and any other as a Fraction,
-    # whether the part was given or made as an int or a Fraction
+    # whether the part was given or made as an int or a Fraction; str, as
+    # a raise text prints a coefficient, reads a real value as its
+    # rational and any other as a + b i
     half = Fraction(1, 2)
     for z in (GaussRational(-2, 0), GaussRational(Fraction(-2), Fraction(0)),
               GaussRational(-4, 0) * half, GaussRational(0, 0) - 2):
-        assert repr(z) == "GaussRational(-2, 0)"
+        assert repr(z) == "GaussRational(-2, 0)" and str(z) == "-2"
     for z in (GaussRational(0, Fraction(-145, 6)),
               GaussRational(Fraction(0), Fraction(-145, 6)),
               GaussRational(0, 1) * Fraction(-145, 6)):
         assert repr(z) == "GaussRational(0, Fraction(-145, 6))"
+        assert str(z) == "0 - 145/6 i"
     assert repr(GaussRational(half, 3)) == "GaussRational(Fraction(1, 2), 3)"
+    assert str(GaussRational(half, 3)) == "1/2 + 3 i"
+    assert str(GaussRational(Fraction(-1, 4), 0)) == "-1/4"
 
 
 def test_scalar_json_roundtrip():
