@@ -2,9 +2,11 @@
 polynomial.
 
 The tangent space splits as m3 + m4 = span(e1,e2,e3) + span(e4..e7).
-The m4 block carries the quaternionic triple I1, I2, I3 (metric duals
-of the anti-self-dual forms omega_a) and the complex structure J (dual
-of the self-dual Omega).  An element xi of su(3) determines the blocks
+The m4 block carries the anti-self-dual forms omega_a and the self-dual
+Omega, and the frame keeps only these forms: the quaternionic triple
+and the complex structure are their metric duals, applied as
+contractions, I_a v = v -| omega_a and J v = v -| Omega.  An element xi
+of su(3) determines the blocks
 
     s = (v1 + v2)/2,
     y = ((v1 - v2)/2) e1 - x1 e2 + x2 e3,
@@ -120,10 +122,11 @@ m4), and r_value is R of Form blocks, read through it.
 The display sides of the tensor sweep that depend on (y, x) (J I_y,
 e_a . I_a x, y . Jx, the eps mix and the display of p(C(x), C(x))) come
 from their formulas at the sweep's point (_display_sides), and each
-J I_a is checked symmetric there.  R's metric route g(Jx, I_y x) reads
-the nonzero entries of J and the I_a (_r_entries).
+J I_a is checked symmetric there.  Every I_a and J there and in R's
+metric route g(Jx, I_y x) = sum_a y_a <x -| Omega, x -| omega_a> is a
+contraction with its form.
 
-The block frame, the block basis, the entries R reads, the block table,
+The block frame, the block basis, the block table,
 the integers of FAMILY, the symbolic point, the cubic_points and the
 two fits are per-process values built through g2.once: each is built
 on first use, and a build that raises is kept, so every later reader
@@ -137,17 +140,20 @@ import json
 from fractions import Fraction
 
 from .exterior import Form, FormError, M4_MASK, blade, \
-    coords_of, contract, hodge_m4, vector, vector_form, wedge
+    coords_of, contract, hodge_m4, inner, vector, vector_form, wedge
 from .g2 import InternalConsistencyError, first_difference, once, \
-    standard_frame, two_form_endo
+    standard_frame
 from .cubic import p_numerator, quadratic_upper
-from .linalg import TRIANGLE, Matrix, SymTensor, upper_inner
+from .linalg import TRIANGLE, SymTensor, upper_inner
 from .scalars import GaussRational, ScalarError, clear_denominators, \
     scalar_to_json
 
 
 class AWFrame:
-    """Block data of the reductive splitting, checked at construction."""
+    """Block data of the reductive splitting, checked at construction.
+    The forms are the one description of the m4 block's structure: its
+    endomorphisms act by contraction, I_a v = v -| omega_a and J v = v -|
+    Omega, the metric duals g(A u, w) = beta(u, w)."""
 
     def __init__(self):
         self.g2 = standard_frame()
@@ -157,19 +163,18 @@ class AWFrame:
                       blade([4, 6]) + blade([5, 7]),
                       blade([4, 7]) - blade([5, 6]))
         self.Omega = blade([4, 5]) + blade([6, 7])
-        self.I = tuple(two_form_endo(w) for w in self.omega)
-        self.J = two_form_endo(self.Omega)
         self.phi_tilde = self.g2.phi - 7 * self.vol3
         # the 4-form that c_direct contracts with, C(x) = x -| c_target
         self.c_target = 4 * self.vol4 - self.g2.psi
         self._check_structure()
 
     def _check_structure(self):
-        """Check the block relations as (relation, its indices, computed,
-        expected), forms or matrices, and raise on the first that fails,
-        naming it, its first differing blade or entry and both values."""
-        id4 = Matrix.diagonal([0, 0, 0, 1, 1, 1, 1])
-        w, I, J = self.omega, self.I, self.J
+        """Check the block relations as (relation, its indices, computed
+        form, expected form), and raise on the first that fails, naming
+        it, its first differing blade and both values there; a relation
+        of endomorphisms is checked on e1..e7 in turn and names the
+        vector where it fails."""
+        w, Omega = self.omega, self.Omega
         # phi = vol3 + sum_a e^a ^ omega_a ties the triple to the calibration
         rebuilt = self.vol3
         for a in range(3):
@@ -184,11 +189,19 @@ class AWFrame:
                     else "omega_%d ^ omega_%d = 0", (a + 1, b + 1),
                     wedge(w[a], w[b]), -2 * self.vol4 if a == b else Form(4))
                    for a in range(3) for b in range(3)]
-        # quaternion relations on the block: I_a^2 = -id4, I1 I2 = -I3
-        checks += [("I_%d^2 = -id4", (a + 1,), I[a] * I[a], -id4)
-                   for a in range(3)]
-        checks.append(("I1 I2 = -I3", (), I[0] * I[1], -I[2]))
-        checks.append(("J^2 = -id4", (), J * J, -id4))
+        # quaternion relations on the block, I_a^2 = -id4, I1 I2 = -I3
+        # and J^2 = -id4, with A B v = (v -| B's form) -| A's form
+        e = [vector(j) for j in range(1, 8)]
+        minus_id4 = [Form(1) if j < 3 else -e[j] for j in range(7)]
+        checks += [("I_%d^2 = -id4 on e%d", (a + 1, j + 1),
+                    contract(contract(e[j], w[a]), w[a]), minus_id4[j])
+                   for a in range(3) for j in range(7)]
+        checks += [("I1 I2 = -I3 on e%d", (j + 1,),
+                    contract(contract(e[j], w[1]), w[0]),
+                    -contract(e[j], w[2])) for j in range(7)]
+        checks += [("J^2 = -id4 on e%d", (j + 1,),
+                    contract(contract(e[j], Omega), Omega), minus_id4[j])
+                   for j in range(7)]
         for relation, where, got, want in checks:
             if got != want:
                 raise InternalConsistencyError(
@@ -434,30 +447,15 @@ def r_value(y: Form, x: Form):
     return _r(block_coords(0, y, x))
 
 
-@once
-def _r_entries() -> list:
-    """The nonzero entries (i, j, c) of J, I1, I2 and I3, in that order,
-    which R's metric route reads: through Matrix.apply, R ran about 50
-    times slower at numeric points."""
-    fr = standard_aw_frame()
-    return [tuple((i, j, M.at(i, j)) for i in range(7) for j in range(7)
-                  if M.at(i, j)) for M in (fr.J, *fr.I)]
-
-
 def _r(z):
     """The mixed cubic R = g(Jx, I_y x) at the block coordinates z,
     compared against its coordinate display before being returned; a
     raise at a polynomial point names the first monomial where the two
-    differ.  The metric route reads the nonzero entries of J and the I_a
-    (_r_entries)."""
-    (j, *i), x = _r_entries(), [0, 0, 0, *z[4:]]
-    jx, iyx = [0] * 7, [0] * 7
-    for a, b, c in j:
-        jx[a] += c * x[b]
-    for ya, entries in zip(z[1:4], i):
-        for a, b, c in entries:
-            iyx[a] += c * ya * x[b]
-    metric_route = sum(p * q for p, q in zip(jx, iyx))
+    differ.  The metric route is sum_a y_a <x -| Omega, x -| omega_a>."""
+    fr, x = standard_aw_frame(), vector_form([0, 0, 0, *z[4:]])
+    jx = contract(x, fr.Omega)
+    metric_route = sum(ya * inner(jx, contract(x, w))
+                       for ya, w in zip(z[1:4], fr.omega))
     # m4 placement: x = x3 e5 - x4 e4 + x5 e7 - x6 e6
     y1, y2, y3 = z[1:4]
     x3, x4, x5, x6 = z[5], -z[4], z[7], -z[6]
@@ -557,11 +555,12 @@ def _epsilon_mix(z) -> list:
     """Twice sum_{abc} eps_{abc} y_a e_c . (I_b J x) at the block
     coordinates z, the second equivariant bilinear map from (m3, m4)
     into the off-diagonal symmetric block, as _outer2 gives it.  J
-    commutes with each I_a, so the composite is unambiguous."""
+    commutes with each I_a, so the composite is unambiguous; I_b J x is
+    (x -| Omega) -| omega_b."""
     fr = standard_aw_frame()
     y = z[1:4]
-    jx = fr.J.apply([0, 0, 0, *z[4:]])
-    ijx = [I.apply(jx) for I in fr.I]
+    jx = contract(vector_form([0, 0, 0, *z[4:]]), fr.Omega)
+    ijx = [coords_of(contract(jx, w)) for w in fr.omega]
     pairs = []
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         ec = [int(k == c) for k in range(7)]
@@ -573,26 +572,33 @@ def _epsilon_mix(z) -> list:
 def _display_sides(z) -> tuple:
     """The display sides of tensor_displays that depend on (y, x), at the
     block coordinates z, as flat upper triangles from their formulas:
-    J I_y = sum_a y_a J I_a, each J I_a checked symmetric; twice
-    e_a . I_a x, twice y . Jx and twice the mix (_outer2, _epsilon_mix);
-    and 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x), the display of p(C(x), C(x))."""
+    J I_y = sum_a y_a J I_a, each J I_a checked symmetric (column j is
+    (e_j -| omega_a) -| Omega); twice e_a . I_a x, twice y . Jx and
+    twice the mix (_outer2, _epsilon_mix), with I_a x = x -| omega_a and
+    Jx = x -| Omega; and 2|x|^2 id3 + 10(|x|^2 id4 - x(x)x), the display
+    of p(C(x), C(x))."""
     fr = standard_aw_frame()
     y, x = [*z[1:4], 0, 0, 0, 0], [0, 0, 0, *z[4:]]
+    xf = vector_form(x)
     jiy = [0] * len(TRIANGLE)
-    for a, I in enumerate(fr.I):
-        M = fr.J * I
-        Mt = Matrix.from_rows([M.column(j) for j in range(7)])
-        if M != Mt:
-            raise InternalConsistencyError(
-                f"J I_a is not symmetric at a = {a + 1}, J I_a = (J I_a)^T "
-                f"fails: {first_difference(M, Mt)}")
-        jiy = [t + y[a] * M.at(i, j) for t, (i, j) in zip(jiy, TRIANGLE)]
-    ia2 = _outer2([(I.apply(x), [int(k == a) for k in range(7)])
-                   for a, I in enumerate(fr.I)])
+    for a, w in enumerate(fr.omega):
+        col = [coords_of(contract(contract(vector(j), w), fr.Omega))
+               for j in range(1, 8)]
+        for i, j in TRIANGLE:
+            if col[j][i] != col[i][j]:
+                raise InternalConsistencyError(
+                    f"J I_a is not symmetric at a = {a + 1}, J I_a = "
+                    f"(J I_a)^T fails: entry ({i}, {j}) is {col[j][i]}, "
+                    f"not {col[i][j]}")
+        jiy = [t + y[a] * col[j][i] for t, (i, j) in zip(jiy, TRIANGLE)]
+    ia2 = _outer2([(coords_of(contract(xf, w)),
+                    [int(k == a) for k in range(7)])
+                   for a, w in enumerate(fr.omega)])
     xx = sum(t * t for t in z[4:])
     cc = [(xx * (2 if i < 3 else 10) if i == j else 0) - 10 * x[i] * x[j]
           for i, j in TRIANGLE]
-    return jiy, ia2, _outer2([(y, fr.J.apply(x))]), _epsilon_mix(z), cc
+    return (jiy, ia2, _outer2([(y, coords_of(contract(xf, fr.Omega)))]),
+            _epsilon_mix(z), cc)
 
 
 def _blocks_id(a, b) -> SymTensor:

@@ -196,18 +196,13 @@ def star_action(A: Matrix, a: Form) -> Form:
     return Form(a.grade, terms)
 
 
-def first_difference(got, want) -> str:
-    """Where two unequal forms, or two unequal matrices of one shape,
-    first differ and both values there: the least blade of a form, the
-    first entry of a matrix in row order.  The text of a failed check."""
-    if isinstance(got, Form):
-        m = min((got - want).terms, key=ext.blade_indices)
-        return (f"e{''.join(map(str, ext.blade_indices(m)))} is "
-                f"{got.terms.get(m, 0)}, not {want.terms.get(m, 0)}")
-    k = next(k for k, (x, y) in enumerate(zip(got.entries, want.entries))
-             if x != y)
-    return (f"entry {divmod(k, got.cols)} is {got.entries[k]}, "
-            f"not {want.entries[k]}")
+def first_difference(got: Form, want: Form) -> str:
+    """Where two unequal forms of one grade first differ, their least
+    differing blade, and both coefficients there.  The text of a failed
+    check."""
+    m = min((got - want).terms, key=ext.blade_indices)
+    return (f"e{''.join(map(str, ext.blade_indices(m)))} is "
+            f"{got.terms.get(m, 0)}, not {want.terms.get(m, 0)}")
 
 
 def _unit_functional(pairs) -> tuple:
@@ -324,11 +319,10 @@ class G2Frame:
     def __init__(self):
         self.phi = standard_phi()
         self.psi = hodge(self.phi)
-        self.vol = wedge(self.phi, self.psi) * Fraction(1, 7)
-        if vol_coefficient(self.vol) != 1:
+        seven = vol_coefficient(wedge(self.phi, self.psi))
+        if seven != 7:
             raise InternalConsistencyError(
-                f"phi ^ psi != 7 vol: e1234567 is "
-                f"{7 * vol_coefficient(self.vol)}, not 7")
+                f"phi ^ psi != 7 vol: e1234567 is {seven}, not 7")
 
         # contractions e_j -| phi span Lambda^2_7, e_j -| psi span
         # Lambda^3_7 and wedges e_j ^ phi span Lambda^4_7
@@ -573,19 +567,6 @@ class G2Frame:
 def standard_frame() -> G2Frame:
     """The shared frame for the standard calibration (built once)."""
     return G2Frame()
-
-
-def two_form_endo(beta: Form) -> Matrix:
-    """Skew endomorphism A with g(A u, w) = beta(u, w)."""
-    if beta.grade != 2:
-        raise ext.GradeError("two_form_endo needs a 2-form")
-    entries = [[0] * DIM for _ in range(DIM)]
-    for m, c in beta.terms.items():
-        i, j = ext.blade_indices(m)
-        # g(A e_j, e_i) = beta(e_j, e_i): column j row i gets -c
-        entries[i - 1][j - 1] = -c
-        entries[j - 1][i - 1] = c
-    return Matrix.from_rows(entries)
 
 
 def traceless_draw(rng, bound: int = 6) -> list[int]:

@@ -11,11 +11,12 @@ pivot columns upward with the same row operation and divides once per
 pivot unknown.
 
 A Matrix offers what the package runs on it: entry, row and column
-reads, the matrix-vector product apply, negation, the matrix product
-and equality.  A SymTensor is a symmetric 7x7 tensor, the only size the
-package pairs, stored as one flat upper triangle: 28 entries, row i
-from the diagonal on, entry k at TRIANGLE[k] and the diagonal at
-DIAGONAL.  This module owns that layout; the integer cores
+reads, the matrix-vector product apply and equality; no module of the
+package multiplies two matrices.  A SymTensor is a symmetric 7x7
+tensor, the only size the package pairs, stored as one flat upper
+triangle: 28 entries, row i from the diagonal on, entry k at
+TRIANGLE[k] and the diagonal at DIAGONAL.  This module owns that
+layout; the integer cores
 (cubic.quadratic_upper, G2Frame.iso_i_inv_upper) return such
 triangles, G2Frame.iso_i reads one, and every other module takes
 positions from TRIANGLE and DIAGONAL.  A full square given to the
@@ -71,12 +72,6 @@ class Matrix:
             flat.extend(row)
         return cls(r, c, flat)
 
-    @classmethod
-    def diagonal(cls, values: Sequence) -> "Matrix":
-        n = len(values)
-        return cls(n, n, [values[i] if i == j else 0
-                          for i in range(n) for j in range(n)])
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -85,9 +80,6 @@ class Matrix:
 
     def column(self, j: int) -> list:
         return self.entries[j::self.cols]
-
-    def to_rows(self) -> list[list]:
-        return [self.row(i) for i in range(self.rows)]
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product, vec given as a plain coordinate list."""
@@ -98,24 +90,6 @@ class Matrix:
             base = i * self.cols
             out.append(sum(self.entries[base + j] * vec[j] for j in range(self.cols)))
         return out
-
-    def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        n, m, k = self.rows, other.cols, self.cols
-        cols = [other.column(j) for j in range(m)]
-        flat = []
-        for i in range(n):
-            row = self.row(i)
-            for j in range(m):
-                col = cols[j]
-                flat.append(sum(row[t] * col[t] for t in range(k)))
-        return Matrix(n, m, flat)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -257,7 +231,11 @@ class SymTensor:
 
     @classmethod
     def diag(cls, values: Sequence) -> "SymTensor":
-        return cls(Matrix.diagonal(values).to_rows())
+        """The diagonal tensor with the 7 given diagonal entries."""
+        if len(values) != 7:
+            raise ValueError(f"need 7 diagonal entries, got {len(values)}")
+        return cls.from_upper([values[i] if i == j else 0
+                               for i, j in TRIANGLE])
 
     @classmethod
     def sym_outer(cls, v: Sequence, w: Sequence) -> "SymTensor":

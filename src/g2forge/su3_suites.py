@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import DEFAULT_RANDOM, DEFAULT_SAMPLES
 from . import aw as awmod
 from . import pairing as pairmod
-from .exterior import inner, norm_sq
+from .exterior import contract, inner, norm_sq, vector
 from .linalg import Matrix, rank
 from .scalars import GaussRational
 from .suites import MC_ELEMENTS, _SuiteRun, derived_seed
@@ -66,9 +66,14 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
                    "I1 I2 = -I3 and J commutes with each I_a",
                    "endomorphisms of the 4-block induced by the anti-self-dual "
                    "2-forms and the self-dual Omega") as c:
+        # on e1..e7, with I_a v = v -| omega_a and J v = v -| Omega
         fr = awmod.standard_aw_frame()
-        I1, I2, I3 = fr.I
-        c.ok = I1 * I2 == -I3 and all(fr.J * Ia == Ia * fr.J for Ia in fr.I)
+        w, Omega = fr.omega, fr.Omega
+        c.ok = all(
+            contract(contract(v, w[1]), w[0]) == -contract(v, w[2])
+            and all(contract(contract(v, wa), Omega)
+                    == contract(contract(v, Omega), wa) for wa in w)
+            for v in map(vector, range(1, 8)))
 
     with run.check("aw.dual-constructions",
                    "x -| (4 vol4 - psi) equals the omega-expansion of C(x)",

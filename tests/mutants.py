@@ -340,24 +340,44 @@ REGISTRY: tuple[Mutant, ...] = (
                failed=LEDGER | CUBIC_3),
     _pair_flip(13, 8, suites=("cubic", "aw"), sizes=SMALL,
                failed=LEDGER | CUBIC_3),
-    # the e_1 term of the formula side ia2 = 2 e_a . I_a x with its sign
-    # flipped: the corrected twins of the two displays that read ia2 fail
+    # the e_1 term of the formula side ia2 = 2 e_a . I_a x, I_1 x = x -|
+    # omega_1, with its sign flipped: the corrected twins of the two
+    # displays that read ia2 fail
     Mutant("display-table-ia2", "from g2forge import aw; rewrite(aw, "
-           "'_display_sides', '[(I.apply(x), ', "
-           "'[([-t for t in I.apply(x)] if a == 0 else I.apply(x), ')",
+           "'_display_sides', '[(coords_of(contract(xf, w)),', "
+           "'[([-t for t in coords_of(contract(xf, w))] if a == 0 "
+           "else coords_of(contract(xf, w)),')",
            "caught", argv=AW_RUN, exit=1, failed=LEDGER | ids(aw=(
                "tensor-display.p(phitilde,C(x))=-4I_ax.e_a.corrected "
                "tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax.corrected")),
            tier1=True),
-    # the first entry of I1 in R's metric route with its sign flipped: R's
-    # routes disagree at the symbolic point, the raise naming the first
-    # monomial where they differ and its two coefficients
-    Mutant("display-table-r-metric", "from g2forge import aw; "
-           "negate(aw._r_entries(), 1)", "caught", argv=AW_RUN, exit=1,
+    # the e45 term of omega_1 with its sign flipped in R's metric route
+    # alone, so that x -| omega_1 is wrong there: R's routes disagree at
+    # the symbolic point, the raise naming the first monomial where they
+    # differ and its two coefficients
+    Mutant("display-table-r-metric", "from g2forge import aw; rewrite(aw, "
+           "'_r', 'zip(z[1:4], fr.omega)', "
+           "'zip(z[1:4], (fr.omega[0] - 2 * blade([4, 5]), *fr.omega[1:]))')",
+           "caught", argv=AW_RUN, exit=1,
            failed=LEDGER - BLOCK_ROWS | ids(aw="block-products revert-map"),
            actual={"aw.block-products": "InternalConsistencyError: R display "
                    "disagrees with g(Jx, I_y x): metric -1, display 1 at "
-                   "x5*x5*y1"},
+                   "x4*x4*y1"},
+           tier1=True),
+    # the display side J I_y with its sign flipped: the two displays that
+    # read it fail, and nothing else reads it
+    Mutant("display-jiy-negated", "from g2forge import aw; rewrite(aw, "
+           "'_display_sides', 't + y[a] * col[j][i]', 't - y[a] * col[j][i]')",
+           "caught", argv=AW_RUN, exit=1, failed=LEDGER | ids(aw=(
+               "tensor-display.p(phitilde,y^Omega)=-JI_y "
+               "tensor-display.i^{-1}(y^Omega)=-(1/2)JI_y")), tier1=True),
+    # the constant display of i^{-1}(phitilde) with the sign of its id3
+    # term flipped, +2 id3 + (3/2) id4
+    Mutant("display-inverse-phitilde-sign", "from g2forge import aw; "
+           "rewrite(aw, 'tensor_displays', '_blocks_id(-4, 3)', "
+           "'_blocks_id(4, 3)')", "caught", argv=AW_RUN, exit=1,
+           failed=LEDGER | ids(
+               aw="tensor-display.i^{-1}(phitilde)=-2id3+(3/2)id4"),
            tier1=True),
     # y1 and x4 swapped in the symbolic point: a change of variables
     Mutant("symbolic-point-permuted", """
@@ -532,6 +552,23 @@ REGISTRY: tuple[Mutant, ...] = (
            suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
                g2="type-dimensions",
                pairing="gram-from-killing gram-v-rank"), tier1=True),
+
+    # the JSON reader drops a form's last term: the codec's round trip is
+    # the one check that reads JSON
+    Mutant("json-drops-last-term", "from g2forge import exterior as ext; "
+           "rewrite(ext, 'form_from_json', 'for entry in data[\"terms\"]:', "
+           "'for entry in data[\"terms\"][:-1]:')", "caught", suites=FIVE,
+           sizes=SMALL_MC, failed=LEDGER | ids(exterior="json-roundtrip"),
+           tier1=True),
+    # wedge's sign flipped when its first factor is a 0-form alone: graded
+    # commutativity fails, and so does the antiderivation rule, whose
+    # (v -| a) ^ b has a 0-form first factor for a vector a
+    Mutant("wedge-scalar-first-sign", "from g2forge import exterior as ext; "
+           "rewrite(ext, 'wedge', '* c1 * c2', "
+           "'* c1 * c2 * (-1 if a.grade == 0 else 1)')", "caught",
+           suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
+               exterior="contraction-antiderivation wedge-algebra"),
+           tier1=True),
 
     # the entries below run in the script form only, against the five
     # suites at seed 1 with n_random=5 and samples=10^4
@@ -712,8 +749,8 @@ REGISTRY: tuple[Mutant, ...] = (
                "tensor-display.p(y^Omega,C(x))=6y.Jx.corrected",
                pairing="idet-construction pure-z-support"),
            actual={"aw.block-products": "InternalConsistencyError: R "
-                   "display disagrees with g(Jx, I_y x): metric 1, display 0 "
-                   "at x4*y1*x4"}, tier1=True),
+                   "display disagrees with g(Jx, I_y x): metric -1, display -2 "
+                   "at y2*x4*x7"}, tier1=True),
     # the permanent inner product conjugating its second argument's
     # coefficients: a hermitian form, not a symmetric one
     Mutant("sym-inner-conjugates-q", "from g2forge import pairing; "

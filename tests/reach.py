@@ -54,10 +54,10 @@ ALLOWED = frozenset({
     "QuadExt.__repr__", "GaussRational.__repr__", "GaussRational.__str__",
     "Su3Element.__repr__", "SymTensor.__repr__",
     # value semantics: a hashable value that defines __eq__, the
-    # equality of SymTensor, without which == falls back to identity, and
-    # a rational minus a field element, which no command computes
-    # (tests/test_scalars.py pins it against the generic formula)
-    "_QuadraticField.__hash__", "SymTensor.__eq__",
+    # equalities of SymTensor and Matrix, without which == falls back to
+    # identity, and a rational minus a field element, which no command
+    # computes (tests/test_scalars.py pins it against the generic formula)
+    "_QuadraticField.__hash__", "SymTensor.__eq__", "Matrix.__eq__",
     "_QuadraticField.__init_subclass__.rsub",
 })
 

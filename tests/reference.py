@@ -12,7 +12,8 @@ the su(3) letter map and its inverse written out by hand, with the
 four component polynomials s^3, s|x|^2, s|y|^2 and R, the six-pass
 even/odd numerator of the block table, the aw suite's tensor displays
 and block products on Fraction tensors (J I_y and R from Matrix
-products rebuilt at each point), the aw sweeps and fits at the points
+products rebuilt at each point, the matrices of J and the I_a written
+entry by entry from the forms by two_form_endo), the aw sweeps and fits at the points
 of a lattice and at seeded random points, the dense Haar Monte Carlo as
 it ran before it was split into cache-sized chunks of column arrays,
 the sign of a merged blade by counting inversions, the derived action
@@ -47,6 +48,42 @@ UPPER = [(i, j) for i in range(7) for j in range(i, 7)]
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix(rows, cols, [0] * (rows * cols))
+
+
+def diagonal(values) -> Matrix:
+    """The square matrix with the given diagonal and zeros elsewhere."""
+    n = len(values)
+    return Matrix(n, n, [values[i] if i == j else 0
+                         for i in range(n) for j in range(n)])
+
+
+def rows_of(M: Matrix) -> list[list]:
+    """The rows of M as lists."""
+    return [M.row(i) for i in range(M.rows)]
+
+
+def product(A: Matrix, B: Matrix) -> Matrix:
+    """The matrix product A B: entry (i, j) is row i of A against column
+    j of B."""
+    if A.cols != B.rows:
+        raise ValueError("shape mismatch in product")
+    cols = [B.column(j) for j in range(B.cols)]
+    return Matrix(A.rows, B.cols, [sum(a * b for a, b in zip(A.row(i), col))
+                                   for i in range(A.rows) for col in cols])
+
+
+def two_form_endo(beta: Form) -> Matrix:
+    """The skew endomorphism A of a 2-form beta with g(A u, w) =
+    beta(u, w), entry by entry: the coefficient c of e_i ^ e_j, i < j,
+    puts c at row j, column i and -c at row i, column j."""
+    if beta.grade != 2:
+        raise ext.GradeError("two_form_endo needs a 2-form")
+    entries = [[0] * 7 for _ in range(7)]
+    for m, c in beta.terms.items():
+        i, j = ext.blade_indices(m)
+        entries[i - 1][j - 1] = -c
+        entries[j - 1][i - 1] = c
+    return Matrix.from_rows(entries)
 
 
 def transpose(M: Matrix) -> Matrix:
@@ -111,7 +148,7 @@ def gauss_jordan(rows: list[list], width: int, track: list[int]) -> list:
 
 
 def gauss_jordan_rank(A: Matrix) -> int:
-    return len(gauss_jordan(A.to_rows(), A.cols, list(range(A.rows))))
+    return len(gauss_jordan(rows_of(A), A.cols, list(range(A.rows))))
 
 
 def gauss_jordan_solve(A: Matrix, b) -> tuple[list, int]:
@@ -317,7 +354,7 @@ def _dense_projectors(grade: int, span1: list[Form], span7: list[Form]):
     """(P1, P7, P27) as dense matrices, with P27 = 1 - P1 - P7."""
     p1, p7 = _outer_projector(span1, grade), _outer_projector(span7, grade)
     n = len(BLADES_BY_GRADE[grade])
-    return p1, p7, matrix_combination((1, Matrix.diagonal([1] * n)),
+    return p1, p7, matrix_combination((1, diagonal([1] * n)),
                                       (-1, p1), (-1, p7))
 
 
@@ -342,13 +379,13 @@ def _two_form_split(fr):
     # derive the minimal polynomial T^2 = c1 T + c0: a 2-parameter
     # exact solve over all matrix entries
     rows = [[T.at(i, j), 1 if i == j else 0] for i in range(n) for j in range(n)]
-    (c1, c0), _ = solve_exact(Matrix.from_rows(rows), (T * T).entries)
+    (c1, c0), _ = solve_exact(Matrix.from_rows(rows), product(T, T).entries)
     disc = _rational_sqrt(c1 * c1 + 4 * c0)
     if disc == 0:
         raise InternalConsistencyError("wedge operator has a repeated eigenvalue")
     lam_a = (c1 + disc) / 2
     lam_b = (c1 - disc) / 2
-    one = Matrix.diagonal([1] * n)
+    one = diagonal([1] * n)
     # (T - lam_b) / (lam_a - lam_b) and its complement
     f = Fraction(1, lam_a - lam_b)
     proj_a = matrix_combination((f, T), (-lam_b * f, one))
@@ -487,7 +524,7 @@ def b2(fr, a1, a2):
     # the dense normal equations M^T M x = M^T rhs, and the residual
     M = fr.pairing_matrix()
     Mt = transpose(M)
-    x, kernel_dim = solve_over_q10(Mt * M, Mt.apply(rhs))
+    x, kernel_dim = solve_over_q10(product(Mt, M), Mt.apply(rhs))
     assert kernel_dim == 0 and M.apply(x) == rhs
     return ext.form_from_coords(3, x)
 
@@ -561,26 +598,33 @@ _ID3 = SymTensor.diag([1, 1, 1, 0, 0, 0, 0])
 _ID4 = SymTensor.diag([0, 0, 0, 1, 1, 1, 1])
 
 
+def block_endos() -> tuple:
+    """(J, (I1, I2, I3)), the metric duals of the block frame's Omega and
+    omega_a as matrices (two_form_endo)."""
+    fr = aw.standard_aw_frame()
+    return two_form_endo(fr.Omega), tuple(map(two_form_endo, fr.omega))
+
+
 def i_y(y) -> Matrix:
     """I_y = y1 I1 + y2 I2 + y3 I3, the Matrix sum, for y in m3."""
-    fr = aw.standard_aw_frame()
     c = ext.coords_of(y)
-    return matrix_combination(*((c[a], fr.I[a]) for a in range(3)))
+    I = block_endos()[1]
+    return matrix_combination(*((c[a], I[a]) for a in range(3)))
 
 
 def aw_display_tensors(y, x) -> tuple:
     """(J I_y, e_a . I_a x, y . Jx, the mix, and 2|x|^2 id3 + 10(|x|^2
     id4 - x(x)x)) at (y, x) as SymTensors from Matrix products and
     SymTensor.sym_outer, with the mix sum eps_abc y_a e_c . (I_b J x)."""
-    fr = aw.standard_aw_frame()
+    J, I = block_endos()
     xc, yc = ext.coords_of(x), ext.coords_of(y)
-    jx = fr.J.apply(xc)
-    jiy = SymTensor((fr.J * i_y(y)).to_rows())
+    jx = J.apply(xc)
+    jiy = SymTensor(rows_of(product(J, i_y(y))))
     e = [ext.coords_of(vector(a + 1)) for a in range(3)]
-    ia = sym_combination(*((1, SymTensor.sym_outer(fr.I[a].apply(xc), e[a]))
+    ia = sym_combination(*((1, SymTensor.sym_outer(I[a].apply(xc), e[a]))
                            for a in range(3)))
     yjx = SymTensor.sym_outer(yc, jx)
-    ijx = [I.apply(jx) for I in fr.I]
+    ijx = [Ia.apply(jx) for Ia in I]
 
     def outer(c, a, b):
         # e_c . (y_a I_b J x)
@@ -597,9 +641,9 @@ def aw_display_tensors(y, x) -> tuple:
 
 def r_metric(y, x):
     """g(Jx, I_y x) from two dense Matrix applies."""
-    fr = aw.standard_aw_frame()
     xc = ext.coords_of(x)
-    return sum(a * b for a, b in zip(fr.J.apply(xc), i_y(y).apply(xc)))
+    return sum(a * b for a, b in zip(block_endos()[0].apply(xc),
+                                     i_y(y).apply(xc)))
 
 
 def aw_tensor_displays(y, x) -> list[dict]:

@@ -20,7 +20,6 @@ from g2forge.exterior import FormError, blade_mask, coords_of, norm_sq, \
     vector, vector_form, wedge
 from g2forge.g2 import G2Frame, InternalConsistencyError, \
     TypeDecompositionError, standard_frame
-from g2forge.linalg import Matrix
 from g2forge.scalars import GaussRational, QuadExt, ScalarError
 
 import reference
@@ -53,12 +52,19 @@ def blocks_of(z):
 # -- frame structure ---------------------------------------------------------
 
 def test_frame_quaternion_relations(awframe):
-    I1, I2, I3, J = awframe.I[0], awframe.I[1], awframe.I[2], awframe.J
-    assert I1 * I2 == -I3
-    assert I2 * I3 == -I1
-    assert I3 * I1 == -I2
-    for Ia in awframe.I:
-        assert J * Ia == Ia * J
+    """The metric duals of the frame's forms, as matrices written entry
+    by entry (reference.two_form_endo), form a quaternionic triple that
+    commutes with J."""
+    J, I = reference.block_endos()
+    product = reference.product
+
+    def minus(M):
+        return reference.matrix_combination((-1, M))
+    assert product(I[0], I[1]) == minus(I[2])
+    assert product(I[1], I[2]) == minus(I[0])
+    assert product(I[2], I[0]) == minus(I[1])
+    for Ia in I:
+        assert product(J, Ia) == product(Ia, J)
 
 
 def test_frame_rebuilds_phi(awframe):
@@ -77,8 +83,9 @@ def test_r_value_rejects_y_outside_m3(awframe):
     # at y = e2, I_y is I2
     x = vector_form([0, 0, 0, 1, -2, 3, 1])
     xc = coords_of(x)
+    J, I = reference.block_endos()
     assert r_value(vector(2), x) == sum(
-        a * b for a, b in zip(awframe.J.apply(xc), awframe.I[1].apply(xc)))
+        a * b for a, b in zip(J.apply(xc), I[1].apply(xc)))
 
 
 def test_fresh_frame_constructs():
@@ -891,15 +898,16 @@ def test_display_sides_match_reference():
 
 def test_display_sides_need_symmetric_j_ia(monkeypatch, awframe):
     """The display sides check each J I_a symmetric, the check SymTensor
-    made at every point before."""
-    bent = types.SimpleNamespace(I=awframe.I, J=Matrix.diagonal(
-        [0, 0, 0, 1, 2, 3, 4]))
+    made at every point before, and name the first upper-triangle entry
+    where J I_a and its transpose differ."""
+    # J = I1 commutes with I1, not with I2: J I2 = I1 I2 = -I3 is skew
+    bent = types.SimpleNamespace(omega=awframe.omega, Omega=awframe.omega[0])
     monkeypatch.setattr(aw, "standard_aw_frame", lambda: bent)
     with pytest.raises(InternalConsistencyError, match="J I_a") as err:
         aw._display_sides(aw._symbolic_point())
-    assert str(err.value) == ("J I_a is not symmetric at a = 1, "
-                              "J I_a = (J I_a)^T fails: entry (3, 4) is -1, "
-                              "not 2")
+    assert str(err.value) == ("J I_a is not symmetric at a = 2, "
+                              "J I_a = (J I_a)^T fails: entry (3, 6) is 1, "
+                              "not -1")
 
 
 def _doubled(fn):
@@ -914,8 +922,8 @@ def _negated(fn):
     ("vector", _doubled(aw.vector),
      "phi = vol3 + sum_a e^a ^ omega_a: e145 is 2, not 1"),
     ("hodge_m4", lambda a: a, "*omega_1 = -omega_1: e45 is 1, not -1"),
-    ("two_form_endo", _negated(aw.two_form_endo),
-     "I1 I2 = -I3: entry (3, 6) is 1, not -1"),
+    ("contract", _negated(aw.contract),
+     "I1 I2 = -I3 on e4: e7 is -1, not 1"),
 ], ids=["rebuild-phi", "anti-self-dual", "quaternions"])
 def test_block_frame_raises_name_what_failed(monkeypatch, name, patch, text):
     monkeypatch.setattr(aw, name, patch)
@@ -945,7 +953,7 @@ def test_block_products_match_fraction_oracle():
 _COUNT_AW_RUN = """
 import contextlib, io, json
 from g2forge import exterior, linalg
-counts = {"quadratic_form": 0, "Matrix.apply": 0, "Matrix.__mul__": 0,
+counts = {"quadratic_form": 0, "Matrix.apply": 0, "contract": 0,
           "vector_form": 0, "coords_of": 0, "norm_sq": 0, "numerators": 0}
 entered = {}
 depth = [0]
@@ -959,11 +967,10 @@ def inside_only(name, fn):
 
 
 # patched before the modules that could import them by name load
-for name in ("apply", "__mul__"):
-    setattr(linalg.Matrix, name,
-            inside_only("Matrix." + name, getattr(linalg.Matrix, name)))
+linalg.Matrix.apply = inside_only("Matrix.apply", linalg.Matrix.apply)
 # the block Form helpers, in exterior before any module binds them
-for name in ("vector_form", "coords_of", "norm_sq", "numerators"):
+for name in ("contract", "vector_form", "coords_of", "norm_sq",
+             "numerators"):
     setattr(exterior, name, inside_only(name, getattr(exterior, name)))
 from g2forge import cubic
 cubic.quadratic_form = inside_only("quadratic_form", cubic.quadratic_form)
@@ -996,14 +1003,21 @@ def test_aw_run_counts(fresh_python):
     """One aw run fits twice (the block cubic, and P through its table),
     and its sweeps, block products and block-table build run on flat
     triangles: no quadratic_form, whose Fraction results they used to
-    compare.  The display sides come from their formulas once, at the
-    symbolic point: three Matrix products J I_a and eight Matrix.apply
-    (three I_a x for e_a . I_a x, Jx for y . Jx, and Jx and the three
-    I_a Jx for the mix); R reads the nonzero entries of J and the I_a
-    and makes none.  The sweeps, the fits and the table build read the
-    eight block coordinates and build no block Form: no vector_form,
-    coords_of, norm_sq or numerators call (774, 1860, 596 and 86 when
-    each point went through (s, y, x) vector Forms)."""
+    compare.  Every I_a and J is a contraction with its form, so no
+    Matrix.apply runs (eight ran when the frame kept matrices, with
+    three Matrix products J I_a).  The display sides come from their
+    formulas once, at the symbolic point: 50 contractions (42 for the
+    columns (e_j -| omega_a) -| Omega of the three J I_a, three I_a x,
+    one Jx, and Jx and the three I_a Jx for the mix), and R makes four,
+    Jx and the three I_a x, at each of its four calls (the two routes
+    of the block products and the two fits).  The sweeps, the fits and
+    the table build read the eight block coordinates: the one vector
+    Form is x, built by vector_form for the contractions (once per
+    display side and per R call, 6) and read back by coords_of (21
+    columns, three I_a x, Jx and three I_a Jx, 28), and no norm_sq or
+    numerators call runs (vector_form, coords_of, norm_sq and numerators
+    ran 774, 1860, 596 and 86 times when each point went through
+    (s, y, x) vector Forms)."""
     proc = fresh_python(_COUNT_AW_RUN)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
@@ -1015,9 +1029,9 @@ def test_aw_run_counts(fresh_python):
                               "verify_block_products": 1,
                               "fit_block_cubic": 2,
                               "first_principles_fit": 3, "fit_model": 2}
-    assert out["counts"] == {"quadratic_form": 0, "Matrix.apply": 8,
-                             "Matrix.__mul__": 3, "vector_form": 0,
-                             "coords_of": 0, "norm_sq": 0, "numerators": 0}
+    assert out["counts"] == {"quadratic_form": 0, "Matrix.apply": 0,
+                             "contract": 66, "vector_form": 6,
+                             "coords_of": 28, "norm_sq": 0, "numerators": 0}
 
 
 def test_fit_and_interpolation_counts(monkeypatch, rebuilt):

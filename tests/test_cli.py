@@ -163,17 +163,20 @@ def test_run_seed_from_environment(capsys, monkeypatch):
 
 
 def test_run_records_a_raising_suite(fresh_python, tmp_path):
-    # one entry of I1 in R's metric route negated makes R's two routes
+    # the e45 term of omega_1 negated in R's metric route alone, so that
+    # the contraction x -| omega_1 there is wrong, makes R's two routes
     # disagree, and _r raise, inside the aw suite; each check that reads
     # R fails with the exception, the others still run, and the run
     # writes its report.  A fresh process, so that no cached table or fit
     # spares a check the call
-    code = ("import sys\n"
+    code = ("import inspect, sys\n"
             "from g2forge import aw\n"
             "from g2forge.cli import main\n"
-            "rows = aw._r_entries()\n"
-            "(i, j, c), *rest = rows[1]\n"
-            "rows[1] = ((i, j, -c), *rest)\n"
+            "source = inspect.getsource(aw._r).replace(\n"
+            "    'zip(z[1:4], fr.omega)',\n"
+            "    'zip(z[1:4], (fr.omega[0] - 2 * blade([4, 5]), "
+            "*fr.omega[1:]))')\n"
+            "exec(source, vars(aw))\n"
             "sys.exit(main(sys.argv[1:]))\n")
     done = fresh_python(code, "run", "--suite", "aw", "--seed", "1",
                         "--random", "1", "--format", "json",
@@ -197,9 +200,9 @@ def test_run_records_a_raising_suite(fresh_python, tmp_path):
                       "aw.pairing-vs-displays"}
     for cid in raised - {"aw.pairing-vs-displays"}:
         assert checks[cid]["actual"] == \
-            raise_text + "-1, display 1 at x5*x5*y1"
+            raise_text + "-1, display 1 at x4*x4*y1"
     assert checks["aw.pairing-vs-displays"]["actual"] == raise_text + (
-        "-1/4, display 0 at v1*z2*z2")
+        "-1/2, display 1/2 at v1*z2*zb2")
     for cid in raised:
         assert checks[cid]["status"] == "fail"
         assert checks[cid]["anchor"].endswith(

@@ -113,16 +113,9 @@ def test_patches_name_what_exists():
 
 
 # the non-ledger check ids of the full-size goldens that no caught entry
-# fails (ROADMAP item 25): an entry that fails one of them takes it out,
-# and a check that loses its last entry, or a new check with none, adds
-# one
-UNCOVERED = frozenset({
-    "aw.tensor-display.i^{-1}(phitilde)=-2id3+(3/2)id4",
-    "aw.tensor-display.i^{-1}(y^Omega)=-(1/2)JI_y",
-    "aw.tensor-display.p(phitilde,y^Omega)=-JI_y",
-    "exterior.json-roundtrip",
-    "exterior.wedge-algebra",
-})
+# fails (ROADMAP item 25), none: a check that loses its last entry, or a
+# new check with none, adds one
+UNCOVERED = frozenset()
 
 
 def test_uncovered_checks_are_pinned():

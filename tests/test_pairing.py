@@ -86,7 +86,7 @@ def test_multipoly_is_a_coefficient_ring():
         p * 1.5
     # a Matrix is not a scalar: MultiPoly declines it, and so does Matrix
     with pytest.raises(TypeError):
-        p * Matrix.diagonal([1, 2])
+        p * Matrix.from_rows([[1, 0], [0, 2]])
 
 
 def test_multipoly_evaluate_matches_letters():

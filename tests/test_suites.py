@@ -112,12 +112,13 @@ def test_revert_map_can_fail(monkeypatch):
 
 
 def test_quaternionic_relations_can_fail(fresh_python):
-    # J = I1 still squares to -1, so the frame builds, but J I2 != I2 J;
-    # a fresh interpreter, since per-process caches read the frame's J
+    # Omega = omega_1 makes J = I1, which still squares to -1, but
+    # J I2 != I2 J; a fresh interpreter, since per-process caches read the
+    # frame's Omega
     code = (
         "from g2forge import aw, suites\n"
         "fr = aw.standard_aw_frame()\n"
-        "fr.J = fr.I[0]\n"
+        "fr.Omega = fr.omega[0]\n"
         "report = suites.suite_aw(0, n_random=1)\n"
         "print(next(c['status'] for c in report['checks']\n"
         "           if c['id'] == 'aw.quaternionic-relations'))\n")
@@ -265,7 +266,8 @@ def test_pairing_rank_check_can_fail(monkeypatch):
     pairing_matrix = g2.G2Frame.pairing_matrix
 
     def duplicated(self):
-        rows = pairing_matrix(self).to_rows()
+        M = pairing_matrix(self)
+        rows = [M.row(i) for i in range(M.rows)]
         return Matrix.from_rows([row[:1] + row[:1] + row[2:] for row in rows])
 
     monkeypatch.setattr(g2.G2Frame, "pairing_matrix", duplicated)
@@ -328,11 +330,13 @@ def test_g2_and_cubic_run_counts(fresh_python):
     """The g2 suite runs one elimination per rank, nine, the cubic
     suite none, and both suites read their random tensors as ints: few
     Fraction products are left, most of them in the frame build the g2
-    run pays (the eliminations run on ints)."""
+    run pays (the eliminations run on ints; the build reads the volume
+    coefficient of phi ^ psi as an int, where it made one Fraction
+    product for vol = (phi ^ psi)/7)."""
     proc = fresh_python(_COUNT_G2_CUBIC)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "g2": {"echelon": 9, "fraction_mul": 1681, "passed": True},
+        "g2": {"echelon": 9, "fraction_mul": 1680, "passed": True},
         "cubic": {"echelon": 0, "fraction_mul": 333, "passed": True}}
 
 
