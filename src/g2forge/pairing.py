@@ -43,9 +43,9 @@ every caller the same read-only record.  A seeded Monte-Carlo check
 closes the loop: averaging P over conjugates g xi g^{-1} with
 Haar-random g in SU(3) projects P onto the unique invariant cubic, so
 the empirical mean must approach (<P, i det>/<i det, i det>) i det(xi).
-It holds one batch's Gaussian draw and one chunk of its Haar samples
-in memory at a time, and imports numpy with OpenBLAS held to one
-thread: it calls no BLAS routine.
+It holds one batch's P values and one chunk of its Haar samples in
+memory at a time (each chunk draws its own Gaussians), and imports
+numpy with OpenBLAS held to one thread: it calls no BLAS routine.
 """
 
 from __future__ import annotations
@@ -522,9 +522,10 @@ def _eval_terms(terms: list, letters: list):
 
 
 # Samples per chunk of a Monte-Carlo batch, small enough that a chunk's
-# columns, letters and temporaries stay in cache; every step is
-# elementwise over the samples, so the size changes no result
-_CHUNK = 8192
+# draw, columns, letters and temporaries stay in cache; the stream is
+# read in sample order and every step is elementwise over the samples,
+# so the size changes no result
+_CHUNK = 4096
 
 
 def haar_su3(rng, count: int):
@@ -549,18 +550,23 @@ def haar_su3(rng, count: int):
     has the same law as g, and the only left-invariant probability
     measure on SU(3) is Haar measure.
 
-    All count samples come from one standard_normal draw of rng (96
-    bytes a sample), taken when haar_su3 is called.  Each chunk (144
-    bytes a sample) is orthonormalized in cache when the iterator
-    reaches it, each entry as the whole batch at once would give it.
+    The stream is read sample-major: sample n takes the twelve normals
+    12n .. 12n+11 of rng, as entries x[k, i] of a (4, 3) block, so the
+    count samples are those of one rng.standard_normal((count, 12))
+    draw.  rng keeps no buffered normals, so drawing the rows a chunk
+    at a time takes the same values as one draw.  Nothing is drawn when
+    haar_su3 is called: each chunk draws its own samples when the
+    iterator reaches it and is orthonormalized in cache, each entry as
+    the whole batch at once would give it.
     """
     np = _numpy()
-    x = rng.standard_normal((4, 3, count))
 
     def chunks():
         for lo in range(0, count, _CHUNK):
-            a = x[:, :, lo:lo + _CHUNK]
-            cols = np.empty((3,) + a.shape[1:], dtype=np.complex128)
+            n = min(_CHUNK, count - lo)
+            a = np.ascontiguousarray(
+                rng.standard_normal((n, 12)).T).reshape(4, 3, n)
+            cols = np.empty((3, 3, n), dtype=np.complex128)
             u, v, w = cols
             u.real, u.imag = a[0], a[1]
             v.real, v.imag = a[2], a[3]
@@ -574,8 +580,9 @@ def haar_su3(rng, count: int):
     return chunks()
 
 
-# Haar samples per batch; every batch has its own seeded stream, so a
-# different size changes the Monte-Carlo values under a fixed seed
+# Haar samples per batch, the unit of seeding and of the array of P
+# values; every batch has its own seeded stream, so a different size
+# changes the Monte-Carlo values under a fixed seed
 MC_BATCH = 100000
 
 
@@ -586,12 +593,13 @@ def haar_average(xi: Su3Element, samples: int, seed: int) -> dict:
     Batches of MC_BATCH samples draw from independently seeded streams
     keyed by (seed, batch index), so the estimate is reproducible and
     independent of how batches are scheduled.  Each batch is one
-    haar_su3 call, and each of its chunks is conjugated and P evaluated
-    as it arrives, into one array of P values for the batch; the sums of
-    P and P^2 run over that whole array.  So one batch's draw and one
-    chunk are resident at a time, about 15 MB at MC_BATCH samples.  The
-    path calls no BLAS routine, and numpy comes in through _numpy, which
-    starts no BLAS worker, so it runs on one thread.
+    haar_su3 call, and each of its chunks is drawn, conjugated and P
+    evaluated as it arrives, into one array of P values for the batch;
+    the sums of P and P^2 run over that whole array.  So one batch's P
+    values (0.8 MB at MC_BATCH samples) and one chunk's working set are
+    resident at a time, about 3.5 MB in all.  The path calls no BLAS
+    routine, and numpy comes in through _numpy, which starts no BLAS
+    worker, so it runs on one thread.
     """
     np = _numpy()
     if samples < 10000:

@@ -610,11 +610,14 @@ REGISTRY: tuple[Mutant, ...] = (
                g2="hat-defining-identity iso-identities",
                cubic="b2-solve q-and-p-displays q2-closed-form "
                "trilinear-routes")),
+    # a wrong Gram entry moves the prediction by about 6 standard errors
+    # at 10^4 samples, so whether montecarlo-agreement fails is the
+    # seeded draw's call; the four exact checks catch it
     Mutant("gram-v1-v2", "from fractions import Fraction; from g2forge "
            "import pairing; pairing.GRAM[('v1', 'v2')] = Fraction(-1, 3)",
            "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
                pairing="closed-assembly component-values gram-from-killing "
-               "gram-v-rank montecarlo-agreement")),
+               "gram-v-rank")),
     # the permanent without its identity permutation
     Mutant("permanent-drops-identity", "from g2forge import pairing; "
            "rewrite(pairing, 'permanent', 'itertools.permutations(range(n))', "

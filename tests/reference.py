@@ -772,10 +772,11 @@ def fit_coefficients(cubic: dict) -> tuple:
 # -- the dense Haar Monte Carlo ----------------------------------------------
 
 def haar_su3(rng, count: int):
-    """The (count, 3, 3) Haar sample from one (4, 3, count) draw, built
-    over the whole batch at once."""
+    """The (count, 3, 3) Haar sample from one sample-major
+    (count, 12) draw, read as (4, 3, count) and built over the whole
+    batch at once."""
     import numpy as np
-    x = rng.standard_normal((4, 3, count))
+    x = rng.standard_normal((count, 12)).T.reshape(4, 3, count)
     u = x[0] + 1j * x[1]
     v = x[2] + 1j * x[3]
     u /= np.sqrt((u.real ** 2 + u.imag ** 2).sum(axis=0))

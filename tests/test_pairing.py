@@ -640,11 +640,15 @@ def test_conjugate_letters_and_p_match_full_conjugation():
         assert np.abs(got_p - ref_p).max() <= 1e-12 * np.abs(ref_p).max()
 
 
-@pytest.mark.parametrize("count", [1, 8191, 8192, 8193, 10 ** 5])
+@pytest.mark.parametrize("count", [
+    1, pytest.param(pairing._CHUNK - 1, id="chunk-1"),
+    pytest.param(pairing._CHUNK, id="chunk"),
+    pytest.param(pairing._CHUNK + 1, id="chunk+1"), 10 ** 5])
 def test_haar_su3_matches_dense_route(count):
     """The chunked sampler's matrices, joined, are the dense route's bit
     for bit; each chunk is a contiguous column array of _CHUNK samples,
-    the last one short."""
+    the last one short.  The ids name the chunk boundaries, so they hold
+    when _CHUNK moves."""
     import numpy as np
     chunks = list(haar_su3(np.random.default_rng([7, count]), count))
     assert [c.shape for c in chunks] == [
@@ -657,15 +661,24 @@ def test_haar_su3_matches_dense_route(count):
         g, reference.haar_su3(np.random.default_rng([7, count]), count))
 
 
-def test_haar_su3_draws_when_called():
-    """The whole draw is taken from the stream when haar_su3 is called,
-    before any chunk is read; the chunks only orthonormalize it."""
+def test_haar_su3_draws_each_chunk_when_read():
+    """The stream is read sample-major, one chunk at a time: an unread
+    iterator draws nothing, reading a chunk advances the stream by
+    exactly 12 normals a sample, and the first m samples of a call
+    are those of an m-sample call from the same state."""
     import numpy as np
+    count, m = 5 * pairing._CHUNK, 2 * pairing._CHUNK + 5
     rng, twin = np.random.default_rng(11014), np.random.default_rng(11014)
-    chunks = haar_su3(rng, 20000)
-    twin.standard_normal((4, 3, 20000))
-    assert rng.standard_normal() == twin.standard_normal()
-    assert sum(c.shape[2] for c in chunks) == 20000
+    chunks = haar_su3(rng, count)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    read = []
+    for k in range(3):
+        read.append(next(chunks))
+        twin.standard_normal(12 * read[-1].shape[2])
+        assert rng.bit_generator.state == twin.bit_generator.state, k
+    first = np.concatenate(read, axis=2)[:, :, :m]
+    assert np.array_equal(first, np.concatenate(
+        list(haar_su3(np.random.default_rng(11014), m)), axis=2))
 
 
 def test_conjugate_letters_match_dense_route():
@@ -717,11 +730,11 @@ def test_chunk_size_changes_no_result(monkeypatch, chunk):
     assert [haar_average_check(xi, 123457, seed=6) for xi in xis] == want
 
 
-def test_haar_average_keeps_one_batch_resident():
-    """A two-batch check holds one batch's draw (9.6 MB) and one chunk's
-    working set at a time: no batch's column array is built whole (it
-    would add 14.4 MB), and each batch's P values are freed before the
-    next batch draws."""
+def test_haar_average_keeps_one_chunk_resident():
+    """A two-batch check holds one batch's P values (0.8 MB) and one
+    chunk's working set at a time, about 3.5 MB: no batch's draw
+    (9.6 MB) or column array (14.4 MB) is built whole, and each
+    batch's P values are freed before the next batch draws."""
     import tracemalloc
     xi = Su3Element(*MC_ELEMENTS[1])
     pairing_report()
@@ -732,7 +745,7 @@ def test_haar_average_keeps_one_batch_resident():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 10 ** 6, peak
+    assert peak <= 4.5 * 10 ** 6, peak
 
 
 _COUNT_THREADS = (
