@@ -89,8 +89,8 @@ use it.  So c_of returns c_direct and the suite compares it with
 c_display (verify_c_constructions), the table build checks only its
 full symmetry and the suite's block-product sweep compares it with the
 solver route, and first_principles_fit is the direct fit of P, which
-the suite compares with the reverted block fit (aw.revert-map) and the
-pairing report with interpolated P.
+the suite compares with the reverted block fit (aw.revert-map) and
+pairing.first-principles-nonzero with interpolated P.
 
 The sweeps and the fits run once each, at the symbolic point
 (_symbolic_point): the block coordinates as the polynomial variables s,
@@ -947,11 +947,11 @@ def revert_block_fit(coeffs) -> tuple:
 def first_principles_fit() -> tuple:
     """Coefficients of P(xi) over the model (s^3, s|x|^2, s|y|^2, R):
     fit_model on P's table assembly (fp_numerator) at the symbolic
-    point, over M^3.  Its comparisons are the aw suite's and the
-    pairing report's: aw.revert-map against the block fit pushed through
-    revert_block_fit, aw.value-two-routes of the table assembly against
-    the full evaluator, and pairing_report's of the fitted model against
-    interpolated P."""
+    point, over M^3.  Its comparisons are the suites' checks:
+    aw.revert-map against the block fit pushed through revert_block_fit,
+    aw.value-two-routes of the table assembly against the full
+    evaluator, and pairing.first-principles-nonzero of the fitted model
+    against interpolated P."""
     return tuple(c / _family_ints()[1] ** 3 for c in
                  fit_model(block_tables().fp_numerator(_symbolic_point())))
 

@@ -20,15 +20,14 @@ induced by b(xi, xi) = -1/2 tr(xi^2); both the table and its derivation
 from b are implemented and compared.
 
 i det(xi) is computed two ways (the displayed six-term cubic, and the
-symbolic determinant of the coordinate matrix), built once per process
-for both readers, and the obstruction polynomial P enters either as the
-closed displayed cubic or as the first-principles interpolation through
-the exact evaluator (aw.cubic_coefficients, the package's one cubic
-interpolator).  The final
-number is <P, i det>, assembled from the pairings of the four
-components, aw's model row run on the generic element, whose
-coordinates are letter polynomials (a MultiPoly is a coefficient
-ring):
+symbolic determinant of the coordinate matrix), which idet_report
+compares, and the obstruction polynomial P enters either as the closed
+displayed cubic or as the first-principles interpolation through the
+exact evaluator (aw.cubic_coefficients, the package's one cubic
+interpolator).  The final number is <P, i det>, assembled from the
+pairings of the four components, aw's model row run on the generic
+element, whose coordinates are letter polynomials (a MultiPoly is a
+coefficient ring):
 
     <s^3, i det> = -4/9,   <s|x|^2, i det> = -8/3,
     <s|y|^2, i det> = 4,   <R, i det> = 24.
@@ -39,10 +38,12 @@ is one: the Gram entries and the halves in the x -> z dictionary, s
 and |y|^2.  So the pairings come out as Fractions with no conversion.
 
 pairing_report() computes each pairing once per process and hands
-every caller the same read-only record.  A seeded Monte-Carlo check
-closes the loop: averaging P over conjugates g xi g^{-1} with
-Haar-random g in SU(3) projects P onto the unique invariant cubic, so
-the empirical mean must approach (<P, i det>/<i det, i det>) i det(xi).
+every caller the same read-only record.  It pairs the displayed i det
+and compares none of its inputs: each such comparison is made once, by
+the suite check that records it.  A seeded Monte-Carlo check closes
+the loop: averaging P over conjugates g xi g^{-1} with Haar-random g in
+SU(3) projects P onto the unique invariant cubic, so the empirical
+mean must approach (<P, i det>/<i det, i det>) i det(xi).
 It holds one batch's P values and one chunk of its Haar samples in
 memory at a time (each chunk draws its own Gaussians), and imports
 numpy with OpenBLAS held to one thread: it calls no BLAS routine.
@@ -59,7 +60,7 @@ from types import MappingProxyType
 
 from .g2 import InternalConsistencyError, once
 from .linalg import Matrix, solve_exact
-from .poly import _CONJUGATE, LETTERS, MultiPoly
+from .poly import LETTERS, MultiPoly
 from .scalars import GaussRational, ScalarError
 from .aw import CLOSED_DISPLAY, Su3Element, _model_row, block_coords, \
     cubic_coefficients, decompose, det3, first_principles_fit, \
@@ -263,18 +264,6 @@ def idet_determinant_poly() -> MultiPoly:
     return _I * det3(m)
 
 
-@once
-def _idet_routes() -> tuple:
-    """(display, reduced display, reduced determinant, difference): the
-    displayed i det, both routes reduced to the v3-free alphabet, and
-    their first difference (MultiPoly.first_difference), None where they agree;
-    built once per process for idet_report and idet_poly."""
-    display = idet_display_poly()
-    disp, det = display.eliminate_v3(), idet_determinant_poly().eliminate_v3()
-    return display, disp, det, None if disp == det else \
-        disp.first_difference(det)
-
-
 def idet_report() -> dict:
     """Both routes to i det, compared in the reduced alphabet, plus how
     the product-term notation must be read; when they differ, the first
@@ -284,31 +273,19 @@ def idet_report() -> dict:
     determinant expansion shows the intended term is
     i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3).
     """
-    display, disp, det, diff = _idet_routes()
+    display = idet_display_poly()
+    disp, det = display.eliminate_v3(), idet_determinant_poly().eliminate_v3()
     rep = {
-        "matches": diff is None,
+        "matches": disp == det,
         "display_is_real": display.is_real_on_su3(),
         "reading": "i (z1 z2 z3 - zb1 zb2 zb3) = -2 Im(z1 z2 z3)",
     }
-    if diff:
-        mono, a, b = diff
+    if disp != det:
+        mono, a, b = disp.first_difference(det)
         rep["difference"] = (
             f"at {'*'.join(mono)} the display has {a} and the determinant "
             f"{b}; display {disp!r}; determinant {det!r}")
     return rep
-
-
-def idet_poly() -> MultiPoly:
-    """The displayed i det, after the dual-route comparison has run."""
-    display, _, _, diff = _idet_routes()
-    if diff:
-        # the polynomials are pairing.idet-construction's evidence; the
-        # records that read this raise name the monomial alone
-        mono, a, b = diff
-        raise InternalConsistencyError(
-            f"the two routes to i det disagree at {' '.join(mono)}: display "
-            f"{a}, determinant {b}; see pairing.idet-construction")
-    return display
 
 
 # ---------------------------------------------------------------------------
@@ -339,25 +316,17 @@ def interpolate_p_coefficients() -> dict:
 
 @once
 def first_principles_p_poly() -> MultiPoly:
-    """P as a letter polynomial, interpolated from exact evaluations.
-
-    The coordinate coefficients are pushed through the x -> z
-    dictionary, and a result that is not real on su(3) raises.  Its
-    comparison with the fitted four-term model is pairing_report()'s,
-    so the Monte Carlo, which compiles this polynomial, does not depend
-    on the block fit.
+    """P as a letter polynomial, interpolated from exact evaluations: the
+    coordinate coefficients pushed through the x -> z dictionary.  It
+    makes no comparison: pairing.p-poly-real checks that it is real on
+    su(3) and pairing.first-principles-nonzero compares it with the
+    fitted four-term model, so a P that fails either still reaches the
+    Monte Carlo, which compiles it, and the pairing report, which pairs
+    it.
     """
     coords = _coordinate_polys()
-    out = sum(c * (coords[i] * coords[j] * coords[k])
-              for (i, j, k), c in interpolate_p_coefficients().items())
-    if not out.is_real_on_su3():
-        mono, c, _ = out.first_difference(out.conjugate())
-        partner = tuple(sorted(_CONJUGATE[n] for n in mono))
-        raise InternalConsistencyError(
-            f"interpolated P is not real-valued: {'*'.join(mono)} has {c}, "
-            f"not the conjugate of {out.terms.get(partner, 0)}, the "
-            f"coefficient of its partner {'*'.join(partner)}")
-    return out
+    return sum(c * (coords[i] * coords[j] * coords[k])
+               for (i, j, k), c in interpolate_p_coefficients().items())
 
 
 # ---------------------------------------------------------------------------
@@ -381,29 +350,23 @@ def pairing_report() -> MappingProxyType:
     component pairings and <i det, i det>, each computed once, with the
     component assemblies and the sign resolution derived from them.
 
+    It only builds: each comparison of its inputs is the check that
+    records it (pairing.idet-construction for the two routes to i det,
+    pairing.first-principles-nonzero for interpolated P against the
+    fitted model, pairing.idet-self for the sign of <i det, i det>), so a
+    broken input fails those checks and the ones that read its value,
+    not every reader of the report.  Its one guard is _real_pairing's.
+
     Every caller shares the one cached record, so it and its components
     are read-only mappings: an item assignment raises TypeError instead
     of changing the record for the rest of the process."""
-    idet = idet_poly()
+    idet = idet_display_poly()
     closed = _real_pairing(closed_p_poly(), idet, "<P, i det>")
     p_poly, fitted = first_principles_p_poly(), first_principles_fit()
-    # the interpolation and the fit -210 s^3 + (55/2) s|x|^2
-    # + (50/3) s|y|^2 + (125/18) R cannot both be exact if they differ;
-    # both are v3-free by construction, so they compare as they are
-    model = sum(c * p for c, p in zip(fitted, component_polys()))
-    if p_poly != model:
-        mono, a, b = p_poly.first_difference(model)
-        raise InternalConsistencyError(
-            "interpolated P does not match the fitted four-term model: "
-            f"{'*'.join(mono)} has {a} interpolated, {b} in the model")
     first = _real_pairing(p_poly, idet, "<P, i det>")
     components = {name: _real_pairing(poly, idet, f"<{name}, i det>")
                   for name, poly in zip(COMPONENT_PAIRINGS, component_polys())}
-    idet_self = sym_inner_poly(idet, idet)
-    if idet_self.im != 0 or idet_self.re <= 0:
-        raise InternalConsistencyError(
-            "<i det, i det> must be a positive rational: real part "
-            f"{idet_self.re}, imaginary part {idet_self.im}")
+    idet_self = _real_pairing(idet, idet, "<i det, i det>")
 
     def assembled(coefficients) -> Fraction:
         return sum(c * v for c, v in zip(coefficients, components.values()))
@@ -417,7 +380,7 @@ def pairing_report() -> MappingProxyType:
             (-CLOSED_DISPLAY[0],) + CLOSED_DISPLAY[1:]),
         "sign_resolution": sign_resolution(fitted),
         "components": MappingProxyType(components),
-        "idet_self": idet_self.re,
+        "idet_self": idet_self,
         "nonzero": first != 0,
     })
 
@@ -478,13 +441,14 @@ def _conjugate_letters(cols, xi_mat) -> list:
     letters read are formed, M_ij = sum_l h_l[i] conj(c_l[j]): the
     imaginary parts of the diagonal and the entries at Z_ENTRIES.
     Every step is an elementwise product or sum of real rows of the
-    chunk, with no matrix product and no BLAS call, taken in the order
+    chunk, read through views of its real and imaginary parts (no
+    copy), with no matrix product and no BLAS call, taken in the order
     in which the dense route rounds them (h = g @ xi by an OpenBLAS
     product, then an einsum against conj(g)): for an xi with integer
     entries the letters come out bit for bit as on that route.
     """
     np = _numpy()
-    re, im = np.ascontiguousarray(cols.real), np.ascontiguousarray(cols.imag)
+    re, im = cols.real, cols.imag
     hr, hi = [], []
     for l in range(3):
         hrl = hil = None

@@ -19,7 +19,9 @@ from . import DEFAULT_RANDOM, DEFAULT_SAMPLES
 from . import aw as awmod
 from . import pairing as pairmod
 from .exterior import contract, inner, norm_sq, vector
+from .g2 import InternalConsistencyError
 from .linalg import Matrix, rank
+from .poly import _CONJUGATE
 from .scalars import GaussRational
 from .suites import MC_ELEMENTS, _SuiteRun, derived_seed
 
@@ -153,8 +155,9 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
                     with run.check(rid, expected, anchor) as c:
                         c.ok, c.actual = ok, yes if shown else no
 
+    s3, sx2, sy2, r = awmod.INTERMEDIATE_DISPLAY
     with run.check("aw.generic-sum-display",
-                   "-210 s^3 + s(39|x|^2 + 6|y|^2) - 8R",
+                   "%s s^3 + s(%s|x|^2 + %s|y|^2) - %sR" % (s3, sx2, sy2, -r),
                    "the tabulated sum of the six weighted products; the fitted "
                    "coefficients are certified on every monomial of the block "
                    "cubic") as c:
@@ -163,7 +166,8 @@ def suite_aw(seed: int, n_random: int = DEFAULT_RANDOM, samples=None,
         c.actual = "%s s^3 + %s s|x|^2 + %s s|y|^2 + %s R" % tuple(fitted)
 
     with run.check("aw.closed-display",
-                   "210 s^3 + (65/6) s|x|^2 + (50/3) s|y|^2 + (100/27) R",
+                   "%s s^3 + (%s) s|x|^2 + (%s) s|y|^2 + (%s) R"
+                   % awmod.CLOSED_DISPLAY,
                    "the final tabulated P") as c:
         cfit = awmod.first_principles_fit()
         c.anchor += "; sign resolution: " + awmod.sign_resolution(cfit)
@@ -279,6 +283,17 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
     with run.check("pairing.first-principles-nonzero",
                    "nonzero; monomial-by-monomial equals the component assembly",
                    "the invariant pairing from the interpolated exact polynomial") as c:
+        # the interpolation and the fit -210 s^3 + (55/2) s|x|^2
+        # + (50/3) s|y|^2 + (125/18) R cannot both be exact if they differ;
+        # both are v3-free by construction, so they compare as they are
+        p_poly = pairmod.first_principles_p_poly()
+        model = sum(f * q for f, q in zip(awmod.first_principles_fit(),
+                                          pairmod.component_polys()))
+        if p_poly != model:
+            mono, a, b = p_poly.first_difference(model)
+            raise InternalConsistencyError(
+                "interpolated P does not match the fitted four-term model: "
+                f"{'*'.join(mono)} has {a} interpolated, {b} in the model")
         rep = pairmod.pairing_report()
         c.actual = rep["first_principles_pairing"]
         c.ok = c.actual != 0 and c.actual == rep["first_principles_assembly"]
@@ -291,7 +306,14 @@ def suite_pairing(seed: int, n_random: int = DEFAULT_RANDOM,
 
     with run.check("pairing.p-poly-real", "conjugation-symmetric coefficients",
                    "P takes real values on su(3)") as c:
-        c.ok = pairmod.first_principles_p_poly().is_real_on_su3()
+        p_poly = pairmod.first_principles_p_poly()
+        if not p_poly.is_real_on_su3():
+            mono, a, _ = p_poly.first_difference(p_poly.conjugate())
+            partner = tuple(sorted(_CONJUGATE[n] for n in mono))
+            raise InternalConsistencyError(
+                f"interpolated P is not real-valued: {'*'.join(mono)} has {a}, "
+                f"not the conjugate of {p_poly.terms.get(partner, 0)}, the "
+                f"coefficient of its partner {'*'.join(partner)}")
 
     with run.check("pairing.idet-self", "positive rational",
                    "<i det, i det>, the Monte-Carlo normalization") as c:

@@ -212,12 +212,17 @@ BLOCK_ROWS = ids(aw="block-product.p(phitilde,C(x)) "
 DISPLAY_ROWS = ids(aw="tensor-display.p(phitilde,C(x))=-4I_ax.e_a "
                    "tensor-display.p(y^Omega,C(x))=6y.Jx "
                    "tensor-display.i^{-1}(C(x))=-(1/2)e_a.I_ax")
-# the pairing checks that read P, all of which a raising P fails, and
-# the five of them that a wrong P fails
+# the five pairing checks that read the pairing report, all of which a
+# raise in its build fails, and with them the four that read
+# interpolated P alone: every pairing check that a raise in P's build
+# reaches.  A report that builds fails only the readers of a value that
+# moved, for example the three that read the component polynomials
 P_VALUES = ids(pairing="closed-assembly component-values "
                "first-principles-nonzero idet-self montecarlo-agreement")
 P_READERS = P_VALUES | ids(pairing="montecarlo-deterministic "
                            "montecarlo-scaling p-poly-real pure-z-support")
+COMPONENT_READERS = ids(pairing="closed-assembly component-values "
+                        "first-principles-nonzero")
 CUBIC_3 = ids(cubic="q-and-p-displays trilinear-routes trilinear-symmetry")
 EXTERIOR_3 = ids(exterior="contraction-antiderivation hodge-involution "
                  "metric-recovery")
@@ -414,15 +419,17 @@ REGISTRY: tuple[Mutant, ...] = (
         why="ROADMAP item 13: derive (Y, K) from the geometry of N(1,1)",
         tier1=True),
     # pairing imports block_coords by name, so both names are patched; the
-    # sweeps and fits take block coordinates directly and pass
+    # sweeps and fits take block coordinates directly and pass, and so do
+    # the pairing checks of P, i det and the Monte Carlo, which read no
+    # component polynomial
     Mutant("block-coords-swap-x5-x6", """
         from g2forge import aw, pairing
         right = aw.block_coords
         aw.block_coords = pairing.block_coords = lambda s, y, x: (
             lambda z: z[:5] + [z[6], z[5]] + z[7:])(right(s, y, x))
         """, "caught", suites=("aw", "pairing"), sizes=SMALL_MC,
-        failed=LEDGER | P_VALUES | ids(aw="decompose-roundtrip "
-                                       "value-two-routes"), tier1=True),
+        failed=LEDGER | COMPONENT_READERS | ids(
+            aw="decompose-roundtrip value-two-routes"), tier1=True),
     # a Lambda^3_7 part, kappa_2 = e_2 -| psi, in each C(e_i), which the
     # one gate at block_basis catches
     Mutant("block-basis-stray-kappa", """
@@ -570,8 +577,30 @@ REGISTRY: tuple[Mutant, ...] = (
                exterior="contraction-antiderivation wedge-algebra"),
            tier1=True),
 
-    # the entries below run in the script form only, against the five
-    # suites at seed 1 with n_random=5 and samples=10^4
+    # the determinant route to i det doubled: pairing.idet-construction,
+    # the one comparison of the two routes, fails alone, since the
+    # pairing report pairs the displayed i det
+    Mutant("idet-determinant-doubled", """
+        from g2forge import pairing
+        determinant = pairing.idet_determinant_poly
+        pairing.idet_determinant_poly = lambda: 2 * determinant()
+        """, "caught", suites=("aw", "pairing"), sizes=SMALL_MC,
+        failed=LEDGER | ids(pairing="idet-construction"), tier1=True),
+    # <i det, i det> negated where the report pairs i det with itself:
+    # pairing.idet-self alone judges its sign and records the value, and
+    # the Monte-Carlo prediction, which divides by it, misses
+    Mutant("idet-self-negated", """
+        from g2forge import pairing
+        inner = pairing.sym_inner_poly
+        pairing.sym_inner_poly = lambda p, q: (
+            -inner(p, q) if p is q else inner(p, q))
+        """, "caught", suites=("aw", "pairing"), sizes=SMALL_MC,
+        failed=LEDGER | ids(pairing="idet-self montecarlo-agreement"),
+        actual={"pairing.idet-self": "-320/9"}, tier1=True),
+
+    # the entries below run against the five suites at seed 1 with
+    # n_random=5 and samples=10^4, in the script form only unless marked
+    # tier1
     _odd_below_flip(96, 2, suites=FIVE, sizes=SMALL_MC,
                     failed=LEDGER - BLOCK_ROWS - DISPLAY_ROWS | P_READERS
                     | EXTERIOR_3 | CUBIC_3 | ids(
@@ -625,11 +654,13 @@ REGISTRY: tuple[Mutant, ...] = (
            suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
                pairing="closed-assembly component-values permanent-examples")),
     # the Monte Carlo's agreement check fails, not its determinism and
-    # scaling checks
+    # scaling checks; the report pairs the displayed i det, which reads no
+    # map, so P against its model and <i det, i det> hold
     Mutant("z-entries-swap-z1-z2", "from g2forge import pairing; "
            "z1, z2, z3 = pairing.Z_ENTRIES; pairing.Z_ENTRIES = (z2, z1, z3)",
-           "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | P_VALUES
-           | ids(aw="idet-two-routes", pairing="idet-construction")),
+           "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | ids(
+               aw="idet-two-routes", pairing="closed-assembly "
+               "component-values idet-construction montecarlo-agreement")),
     # the type-27 gate admits every 3-form: only g2.type-gate gives a gate
     # a form with a 1- or 7-part
     Mutant("is-pure27-always", "from g2forge.g2 import G2Frame; "
@@ -638,8 +669,9 @@ REGISTRY: tuple[Mutant, ...] = (
            actual={"g2.type-gate": "0 of 8 rejected, 0 of 8 raise"}),
     Mutant("decompose-y2-sign", "from g2forge import aw; "
            "rewrite(aw, 'decompose', '-c[0], c[1]', '-c[0], -c[1]')",
-           "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER | P_VALUES
-           | ids(aw="decompose-roundtrip value-two-routes")),
+           "caught", suites=FIVE, sizes=SMALL_MC, failed=LEDGER
+           | COMPONENT_READERS | ids(aw="decompose-roundtrip "
+                                     "value-two-routes")),
     # entry (0, 0) of every p triangle doubled
     Mutant("quadratic-upper-entry-0-0", """
         from g2forge import aw, cubic
@@ -668,11 +700,13 @@ REGISTRY: tuple[Mutant, ...] = (
                                                cubic="trilinear-routes")),
     # the interpolation map with its c_iij and c_ijj halves swapped: the
     # fits, which read their cubics at the symbolic point, stay, and
-    # interpolated P's letter polynomial misses the fitted model
+    # interpolated P's letter polynomial misses the fitted model, which
+    # pairing.first-principles-nonzero alone compares
     Mutant("interpolation-halves-swapped", "from g2forge import aw; rewrite("
            "aw, 'cubic_coefficients', '(s_sum - d_sum, s_sum + d_sum)', "
            "'(s_sum + d_sum, s_sum - d_sum)')", "caught", suites=FIVE,
-           sizes=SMALL_MC, failed=LEDGER | P_VALUES,
+           sizes=SMALL_MC, tier1=True,
+           failed=LEDGER | ids(pairing="first-principles-nonzero"),
            actual={"pairing.first-principles-nonzero": "InternalConsistency"
                    "Error: interpolated P does not match the fitted four-term "
                    "model: v1*v1*z1 has -185/36 - 185/36 i interpolated, 0 "
@@ -728,12 +762,14 @@ REGISTRY: tuple[Mutant, ...] = (
            actual={"cubic.b2-solve": "InconsistentSystemError: inconsistent "
                    "linear system: row 0 reduces to 0 = nonzero"}),
     # MultiPoly's builder keeps a zero sum of two coefficients as a 0
-    # coefficient, so equal polynomials compare unequal
+    # coefficient, so equal polynomials compare unequal: P builds with its
+    # kept zeros, so the Monte Carlo's determinism and scaling hold
     Mutant("poly-keeps-zero-sums", "from g2forge.poly import MultiPoly; "
            "rewrite(MultiPoly, '_summed', 'if c == 0:', "
            "'if c == 0 and mono not in terms:')", "caught", suites=FIVE,
            sizes=SMALL_MC, failed=LEDGER - BLOCK_ROWS - DISPLAY_ROWS
-           | P_READERS | ids(aw="block-products tensor-displays"),
+           | P_VALUES | ids(aw="block-products tensor-displays",
+                            pairing="p-poly-real pure-z-support"),
            actual={"aw.tensor-displays": "InternalConsistencyError: "
                    "recovered tensor is not symmetric: entry (0, 1) = 0, "
                    "entry (1, 0) = (0)*y2",

@@ -15,7 +15,7 @@ from g2forge.pairing import COMPONENT_PAIRINGS, GRAM, LETTERS, MultiPoly, \
     _conjugate_letters, _eval_terms, _poly_terms, closed_p_poly, \
     component_polys, derive_gram_from_killing, first_principles_p_poly, \
     gram_entry, haar_average_check, haar_su3, idet_determinant_poly, \
-    idet_display_poly, idet_poly, idet_report, interpolate_p_coefficients, \
+    idet_display_poly, idet_report, interpolate_p_coefficients, \
     letter_values, monomial_inner, pairing_report, permanent, \
     sym_inner_poly
 from g2forge.linalg import Matrix
@@ -166,10 +166,13 @@ def test_wrong_letter_map_fails_checks(fresh_python):
     """With z1 and z2 swapped in the one letter map, the aw suite's i det
     display and the pairing suite's two routes to i det both fail, each
     recording its evidence: the failing element and both values, and the
-    first differing monomial and both reduced polynomials.  Of the
-    Monte-Carlo checks only the agreement with the prediction fails: the
-    sampler reads no prediction.  A fresh interpreter, since the letter
-    rows are cached per process."""
+    first differing monomial and both reduced polynomials.  The pairing
+    report pairs the displayed i det, which reads no map, so it builds:
+    the component pairings read R's moved letters and record their
+    values, and the checks that read neither (P against its model,
+    <i det, i det>) pass.  Of the Monte-Carlo checks only the agreement
+    with the prediction fails: the sampler reads no prediction.  A fresh
+    interpreter, since the letter rows are cached per process."""
     code = (
         "import json\n"
         "from g2forge import pairing, suites\n"
@@ -183,9 +186,12 @@ def test_wrong_letter_map_fails_checks(fresh_python):
     checks = json.loads(proc.stdout)
     assert {cid: checks[cid]["status"] for cid in (
         "aw.idet-two-routes", "pairing.idet-construction",
+        "pairing.first-principles-nonzero", "pairing.idet-self",
         "pairing.montecarlo-agreement", "pairing.montecarlo-deterministic",
         "pairing.montecarlo-scaling")} == {
         "aw.idet-two-routes": "fail", "pairing.idet-construction": "fail",
+        "pairing.first-principles-nonzero": "pass",
+        "pairing.idet-self": "pass",
         "pairing.montecarlo-agreement": "fail",
         "pairing.montecarlo-deterministic": "pass",
         "pairing.montecarlo-scaling": "pass"}
@@ -208,22 +214,25 @@ def test_wrong_letter_map_fails_checks(fresh_python):
     assert actual == (
         "at v1*z1*zb1 the display has -1 and the determinant 0; display "
         f"{idet_display_poly().eliminate_v3()!r}; determinant {swapped!r}")
-    # the checks that read the pairing record name the check that holds
-    # that evidence, and repeat no polynomial
-    actual = checks["pairing.component-values"]["actual"]
-    assert "pairing.idet-construction" in actual and "*" not in actual
+    # the checks that read the pairing record record its values, not a
+    # raise: <R, i det> reads 8 where it is 24
+    assert checks["pairing.component-values"]["actual"] == "-4/9; -8/3; 4; 8"
+    assert checks["pairing.closed-assembly"]["actual"] == "-700/27"
 
 
 def test_wrong_block_map_fails_checks(fresh_python):
     """With y2's sign flipped in aw.decompose, the aw suite's round trip
     and its two routes to P fail, and so do the pairing checks that read
-    the pairing report: its component polynomials are aw's model row at
-    the generic element, so R follows the block map, and the
-    interpolated P no longer matches its fitted model.  P itself and the
-    sampler are sound, so the checks of P's support and realness and of
-    the Monte Carlo's determinism and scaling pass.  A fresh
-    interpreter, since component_polys is cached per process; pairing
-    imports decompose by name, so both names are patched."""
+    the component polynomials: they are aw's model row at the generic
+    element, so R follows the block map, the component pairings and
+    their closed assembly move, and the interpolated P no longer matches
+    its fitted model (pairing.first-principles-nonzero).  P itself, i det
+    and the sampler are sound, so the checks of P's support and
+    realness, of <i det, i det> and of the Monte Carlo pass, its
+    agreement with the prediction, which reads P and i det alone,
+    included.  A fresh interpreter, since component_polys is cached per
+    process; pairing imports decompose by name, so both names are
+    patched."""
     code = (
         "import json\n"
         "from g2forge import aw, pairing, suites\n"
@@ -245,8 +254,7 @@ def test_wrong_block_map_fails_checks(fresh_python):
     assert json.loads(proc.stdout) == [
         "aw.decompose-roundtrip", "aw.value-two-routes",
         "pairing.closed-assembly", "pairing.component-values",
-        "pairing.first-principles-nonzero", "pairing.idet-self",
-        "pairing.montecarlo-agreement"]
+        "pairing.first-principles-nonzero"]
 
 
 def test_component_polys_match_the_hand_formulas():
@@ -373,23 +381,25 @@ def test_idet_report():
 
 
 def test_idet_routes_are_built_once(monkeypatch, rebuilt):
-    """idet_report and idet_poly read one build of the two routes: the
-    displayed and the determinant polynomial are built once each, and
-    idet_poly hands back the displayed one."""
+    """The pairing report reads no determinant route: it pairs the
+    displayed i det, built once for the cached report.  The comparison
+    of the two routes is idet_report's, for pairing.idet-construction
+    alone, which builds each route once a call."""
     calls = []
     for name in ("idet_display_poly", "idet_determinant_poly"):
         build = getattr(pairing, name)
         monkeypatch.setattr(pairing, name, lambda build=build, name=name:
                             calls.append(name) or build())
+    assert pairing_report() is pairing_report()
+    assert calls == ["idet_display_poly"]
     assert idet_report()["matches"]
-    assert idet_poly() is idet_poly()
-    assert idet_report()["matches"]
-    assert calls == ["idet_display_poly", "idet_determinant_poly"]
+    assert calls == ["idet_display_poly", "idet_display_poly",
+                     "idet_determinant_poly"]
 
 
 def test_idet_poly_evaluates_to_idet():
     rng = random.Random(11004)
-    poly = idet_poly()
+    poly = idet_display_poly()
     for _ in range(10):
         xi = random_su3(rng)
         assert reference.evaluate(poly, letter_values(xi)) == \
@@ -410,7 +420,7 @@ def test_component_pairings():
     assert comps["R"] == Fraction(24)
     assert COMPONENT_PAIRINGS == comps
     for want, poly in zip(COMPONENT_PAIRINGS.values(), component_polys()):
-        assert sym_inner_poly(poly, idet_poly()) == GaussRational(want, 0)
+        assert sym_inner_poly(poly, idet_display_poly()) == GaussRational(want, 0)
 
 
 def test_closed_form_pairing():
@@ -420,7 +430,7 @@ def test_closed_form_pairing():
     assert sum(c * v for c, v in zip(CLOSED_DISPLAY,
                                      rep["components"].values())) == \
         Fraction(100, 3)
-    assert sym_inner_poly(closed_p_poly(), idet_poly()) == \
+    assert sym_inner_poly(closed_p_poly(), idet_display_poly()) == \
         GaussRational(Fraction(100, 3), 0)
 
 
@@ -431,7 +441,7 @@ def test_first_principles_pairing():
     assert sum(c * v for c, v in zip(first_principles_fit(),
                                      rep["components"].values())) == \
         Fraction(760, 3)
-    assert sym_inner_poly(first_principles_p_poly(), idet_poly()) == \
+    assert sym_inner_poly(first_principles_p_poly(), idet_display_poly()) == \
         GaussRational(Fraction(760, 3), 0)
 
 

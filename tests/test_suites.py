@@ -133,8 +133,14 @@ def test_idet_two_routes_can_fail(monkeypatch):
     assert _aw_check("aw.idet-two-routes")["status"] == "fail"
 
 
+def _pairing_checks():
+    """The pairing suite's records by id, from one run."""
+    report = suites.suite_pairing(0, n_random=1, samples=10 ** 4)
+    return {c["id"]: c for c in report["checks"]}
+
+
 def _pairing_check(cid):
-    return _check(suites.suite_pairing(0, n_random=1, samples=10 ** 4), cid)
+    return _pairing_checks()[cid]
 
 
 def test_gram_from_killing_can_fail(monkeypatch, rebuilt):
@@ -191,28 +197,36 @@ def test_disagreeing_idet_routes_name_the_difference(monkeypatch, rebuilt):
     determinant = pairing.idet_determinant_poly
     monkeypatch.setattr(pairing, "idet_determinant_poly",
                         lambda: 2 * determinant())
-    assert pairing.idet_report()["difference"].startswith(
+    difference = pairing.idet_report()["difference"]
+    assert difference.startswith(
         "at v1*v1*v2 the display has -1 and the determinant -2; "
         "display ")
-    # the records that read the pairing report name the first monomial
-    # that differs and leave the polynomials to idet-construction's
-    assert _recorded("pairing.component-values") == (
-        "InternalConsistencyError: the two routes to i det disagree at "
-        "v1 v1 v2: display -1, determinant -2; see "
-        "pairing.idet-construction")
+    # pairing.idet-construction records the first monomial that differs
+    # and both reduced polynomials; the pairing report pairs the
+    # displayed i det, so the checks that read it keep their records
+    checks = _pairing_checks()
+    assert (checks["pairing.idet-construction"]["status"],
+            checks["pairing.idet-construction"]["actual"]) == ("fail",
+                                                               difference)
+    assert [cid for cid, c in checks.items() if c["status"] == "fail"] == [
+        "pairing.idet-construction"]
 
 
 def test_complex_p_names_the_monomial(monkeypatch, rebuilt):
-    # the v1^3 coefficient of P times i
+    # the v1^3 coefficient of P times i: pairing.p-poly-real names the
+    # monomial, and the support check, which reads P's monomials alone,
+    # passes
     coefficients = dict(pairing.interpolate_p_coefficients())
     coefficients[(0, 0, 0)] *= GaussRational(0, 1)
     monkeypatch.setattr(pairing, "interpolate_p_coefficients",
                         lambda: coefficients)
+    checks = _pairing_checks()
     c = "0 - 145/6 i"
-    assert _recorded("pairing.pure-z-support") == (
+    assert checks["pairing.p-poly-real"]["actual"] == (
         "InternalConsistencyError: interpolated P is not real-valued: "
         f"v1*v1*v1 has {c}, not the conjugate of {c}, the coefficient of "
         "its partner v1*v1*v1")
+    assert checks["pairing.pure-z-support"]["status"] == "pass"
 
 
 def test_complex_pairing_names_its_imaginary_part(monkeypatch, rebuilt):
@@ -224,22 +238,32 @@ def test_complex_pairing_names_its_imaginary_part(monkeypatch, rebuilt):
 
 
 def test_model_mismatch_names_the_monomial(monkeypatch, rebuilt):
-    fit = pairing.first_principles_fit()
-    monkeypatch.setattr(pairing, "first_principles_fit",
+    # the fit the check reads with its s^3 coefficient off by one: the
+    # check names the first monomial where interpolated P and the model
+    # differ, and the pairing report, which reads pairing's own name of
+    # the fit, keeps its values
+    fit = aw.first_principles_fit()
+    monkeypatch.setattr(aw, "first_principles_fit",
                         lambda: (fit[0] + 1,) + fit[1:])
-    assert _recorded("pairing.component-values") == (
+    checks = _pairing_checks()
+    assert checks["pairing.first-principles-nonzero"]["actual"] == (
         "InternalConsistencyError: interpolated P does not match the fitted "
         "four-term model: v1*v1*v1 has -145/6 interpolated, -577/24 in the "
         "model")
+    assert checks["pairing.component-values"]["status"] == "pass"
 
 
 def test_negative_idet_norm_names_the_value(monkeypatch, rebuilt):
+    # <i det, i det> negated: pairing.idet-self alone judges its sign and
+    # records the value; the Monte-Carlo prediction, which divides by it,
+    # misses, and the other readers of the report keep their records
     inner = pairing.sym_inner_poly
     monkeypatch.setattr(pairing, "sym_inner_poly",
                         lambda p, q: -inner(p, q) if p is q else inner(p, q))
-    assert _recorded("pairing.component-values") == (
-        "InternalConsistencyError: <i det, i det> must be a positive "
-        "rational: real part -320/9, imaginary part 0")
+    checks = _pairing_checks()
+    assert checks["pairing.idet-self"]["actual"] == "-320/9"
+    assert sorted(cid for cid, c in checks.items() if c["status"] == "fail") \
+        == ["pairing.idet-self", "pairing.montecarlo-agreement"]
 
 
 def test_g2_suite_builds_no_dense_projector():
